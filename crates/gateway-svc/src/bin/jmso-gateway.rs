@@ -6,6 +6,7 @@
 //!       scenario.live.json   scenario for `serve --ingest`
 //!       scenario.batch.json  equivalent batch scenario (declared arrivals)
 //!       feed.jsonl           the feed+start command lines for `send --file`
+//!                            (as many feed lines as the 64 KiB line cap needs)
 //!     Running the batch scenario with `jmso-sim run --trace` and the live
 //!     one under `serve --ingest --policy stall` must produce byte-identical
 //!     traces — the SVC=1 gate in scripts/check.sh pins exactly that.
@@ -20,8 +21,10 @@
 //!     run the scenario as a long-lived service. --ingest defers every
 //!     planned arrival and holds at slot 0 for socket-fed sessions plus a
 //!     `start` command; --slot-ms paces the loop in real time (default: as
-//!     fast as the hardware allows). If --ckpt exists at startup the run
-//!     resumes from it (kill -9 recovery); an unreadable checkpoint logs a
+//!     fast as the hardware allows). With --trace, record lines accumulate
+//!     in <t.jsonl>.spool and become t.jsonl at completion. If --ckpt exists
+//!     at startup the run resumes from it and the spool (kill -9 recovery);
+//!     an unreadable checkpoint, or a spool that does not reach it, logs a
 //!     warning and cold-starts. SIGINT/SIGTERM shut down gracefully with a
 //!     final checkpoint.
 //!
@@ -33,6 +36,7 @@
 //! Exit codes: 0 success (including graceful interruption), 1 runtime
 //! failure (I/O, supervisor gave up, rejected command), 2 invalid input.
 
+use jmso_gateway::MAX_LINE_BYTES;
 use jmso_gateway_svc::{
     spawn_listener, supervise, CommandBus, FanOut, ListenSpec, LivePolicy, Outcome, ServeConfig,
     SupervisedEnd, SupervisorConfig,
@@ -160,6 +164,33 @@ fn pack_schedule(n: usize, slots: u64) -> (Vec<u64>, Vec<Option<u64>>) {
     (arrivals, departures)
 }
 
+/// Pack event objects into `feed` command lines, as many events per
+/// line as the protocol's line cap allows (the daemon closes a
+/// connection that sends a longer one).
+fn feed_lines(events: impl Iterator<Item = String>) -> String {
+    const HEAD: &str = "{\"cmd\":\"feed\",\"events\":[";
+    const TAIL: &str = "]}\n";
+    let mut out = String::new();
+    let mut line = String::from(HEAD);
+    for ev in events {
+        // `TAIL` counts its newline and the cap does not: one to spare.
+        if line.len() > HEAD.len() && line.len() + 1 + ev.len() + TAIL.len() > MAX_LINE_BYTES {
+            out.push_str(&line);
+            out.push_str(TAIL);
+            line.truncate(HEAD.len());
+        }
+        if line.len() > HEAD.len() {
+            line.push(',');
+        }
+        line.push_str(&ev);
+    }
+    if line.len() > HEAD.len() {
+        out.push_str(&line);
+        out.push_str(TAIL);
+    }
+    out
+}
+
 fn cmd_template(args: &[String]) -> Result<(), CliError> {
     let n: usize = args
         .first()
@@ -190,19 +221,14 @@ fn cmd_template(args: &[String]) -> Result<(), CliError> {
         departures: departures.clone(),
     };
 
-    let mut feed = String::new();
-    let events: Vec<String> = arrivals
+    let events = arrivals
         .iter()
         .enumerate()
         .map(|(user, slot)| format!(r#"{{"kind":"arrive","user":{user},"slot":{slot}}}"#))
         .chain(departures.iter().enumerate().filter_map(|(user, d)| {
             d.map(|slot| format!(r#"{{"kind":"depart","user":{user},"slot":{slot}}}"#))
-        }))
-        .collect();
-    feed.push_str(&format!(
-        "{{\"cmd\":\"feed\",\"events\":[{}]}}\n",
-        events.join(",")
-    ));
+        }));
+    let mut feed = feed_lines(events);
     feed.push_str("{\"cmd\":\"start\"}\n");
 
     let write = |name: &str, text: &str| -> Result<(), CliError> {

@@ -8,7 +8,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Duration;
+
+/// Longest [`FanOut::close`] waits for connection threads to write out
+/// what was queued. A client that stopped reading costs the service
+/// this much at exit, no more.
+const FLUSH_WAIT: Duration = Duration::from_secs(1);
 
 struct Subscriber {
     tx: SyncSender<String>,
@@ -20,6 +26,21 @@ struct Subscriber {
 pub struct FanOut {
     subs: Mutex<Vec<Subscriber>>,
     dropped: AtomicU64,
+    /// Connection threads currently writing a subscription to a client.
+    streams: Mutex<usize>,
+    stream_ended: Condvar,
+}
+
+/// Held by a connection thread for as long as it streams a
+/// subscription; dropped once the last queued line is written (or the
+/// client is gone). [`FanOut::close`] waits for these.
+pub(crate) struct Streaming<'a>(&'a FanOut);
+
+impl Drop for Streaming<'_> {
+    fn drop(&mut self) {
+        *self.0.streams() -= 1;
+        self.0.stream_ended.notify_all();
+    }
 }
 
 impl FanOut {
@@ -28,11 +49,25 @@ impl FanOut {
         Self {
             subs: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
+            streams: Mutex::new(0),
+            stream_ended: Condvar::new(),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, Vec<Subscriber>> {
         self.subs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn streams(&self) -> MutexGuard<'_, usize> {
+        // A plain counter: valid at every step, so poison-proof too.
+        self.streams.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Announce that the calling thread is about to stream a
+    /// subscription to a client.
+    pub(crate) fn streaming(&self) -> Streaming<'_> {
+        *self.streams() += 1;
+        Streaming(self)
     }
 
     /// Register a subscriber; lines arrive on the returned receiver
@@ -82,9 +117,16 @@ impl FanOut {
     }
 
     /// Drop every subscriber sender, ending all streams (receivers see
-    /// the channel close once they drain what was already queued).
+    /// the channel close once they drain what was already queued), then
+    /// wait — at most [`FLUSH_WAIT`] — until the connection threads have
+    /// written those queued lines to their clients. The process exits
+    /// right after the final close, and a thread still holding the
+    /// `done` event then would take it along.
     pub fn close(&self) {
         self.lock().clear();
+        let _ = self
+            .stream_ended
+            .wait_timeout_while(self.streams(), FLUSH_WAIT, |n| *n > 0);
     }
 }
 

@@ -17,9 +17,11 @@
 //!    over bounded channels; a slow consumer is dropped (counted,
 //!    announced), never waited on.
 //! 4. **Supervision and crash recovery** ([`supervisor`]) — periodic
-//!    crash-safe checkpoints (CKPT v3 + `atomic_write`), automatic
-//!    resume-on-restart with a cold-start fallback on corrupt sidecars,
-//!    and a panic supervisor with bounded exponential backoff.
+//!    crash-safe checkpoints (an `atomic_write`n state sidecar plus an
+//!    append-only spool of the trace lines, each record serialised
+//!    once), automatic resume-on-restart with a cold-start fallback on
+//!    an unusable pair, and a panic supervisor with bounded exponential
+//!    backoff.
 //!
 //! Under [`policy::LivePolicy::Stall`] with a scripted feed, the trace
 //! this service writes is byte-identical to the equivalent batch run —
@@ -32,6 +34,7 @@ pub mod fanout;
 pub mod net;
 pub mod policy;
 pub mod service;
+mod spool;
 pub mod supervisor;
 
 pub use bus::{Command, CommandBus};

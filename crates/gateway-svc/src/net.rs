@@ -210,6 +210,7 @@ pub fn handle_connection<S: Read + Write>(stream: S, bus: &CommandBus, fanout: &
         };
         match cmd {
             GwCommand::Subscribe => {
+                let _streaming = fanout.streaming();
                 let rx = fanout.subscribe(SUBSCRIBER_BUFFER);
                 if writeln!(reader.get_mut(), r#"{{"ok":true}}"#).is_err() {
                     return;

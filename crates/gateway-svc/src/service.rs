@@ -15,14 +15,16 @@
 use crate::bus::{Command, CommandBus};
 use crate::fanout::FanOut;
 use crate::policy::LivePolicy;
+use crate::spool::TraceSpool;
 use jmso_gateway::{
     declared_rate_from_request, GwEvent, GwStatus, LiveEvent, ProtocolError, SvcState,
 };
 use jmso_sim::{
-    DynFaults, EngineCheckpoint, Scenario, ScenarioError, SimError, SimWarning, SlotDriver,
-    TraceRecorder,
+    atomic_write, DynFaults, EngineCheckpoint, Scenario, ScenarioError, SimError, SimWarning,
+    SlotDriver, TraceError, TraceRecorder,
 };
-use std::path::PathBuf;
+use serde::Serialize;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,7 +34,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// The scenario to run.
     pub scenario: Scenario,
-    /// Durable checkpoint sidecar; also the resume source on restart.
+    /// Durable checkpoint sidecar; also the resume source on restart
+    /// (together with the trace spool, when a trace is configured).
     pub ckpt_path: Option<PathBuf>,
     /// Checkpoint cadence in slots (0 = only the start/shutdown ones).
     pub ckpt_every: u64,
@@ -42,7 +45,10 @@ pub struct ServeConfig {
     /// the hardware allows — no deadlines, so no overruns).
     pub slot_ms: Option<u64>,
     /// Final trace destination (written at completion, byte-identical
-    /// to the batch trace of the equivalent run under `Stall`).
+    /// to the batch trace of the equivalent run under `Stall`). Until
+    /// then the record lines accumulate in the `<trace>.spool` file
+    /// beside it. Without a trace path records are dropped once
+    /// broadcast.
     pub trace_path: Option<PathBuf>,
     /// Trace downsampling window (1 = every slot).
     pub trace_every: u64,
@@ -97,6 +103,18 @@ pub enum Outcome {
     },
 }
 
+/// What a successful resume hands to [`LiveService::build`].
+type ResumedParts = (SlotDriver<DynFaults>, TraceRecorder, Option<TraceSpool>);
+
+/// The one serialisation of a trace line: what is broadcast, spooled
+/// and written to the final trace are all this `String`'s bytes.
+fn json_line<T: Serialize>(value: &T) -> Result<String, TraceError> {
+    serde_json::to_string(value).map_err(|e| TraceError::Parse {
+        line: 0,
+        reason: format!("serialize: {e:?}"),
+    })
+}
+
 /// One supervised attempt at running the scenario live.
 pub struct LiveService {
     cfg: ServeConfig,
@@ -111,7 +129,10 @@ pub struct LiveService {
     dropped_slots: u64,
     degraded: bool,
     last_ckpt_slot: Option<u64>,
-    record_watermark: usize,
+    /// Record lines so far (`Some` iff a trace path is configured). The
+    /// recorder is drained into it after every slot, so `rec` holds no
+    /// records between slots.
+    spool: Option<TraceSpool>,
     /// Deadline anchor: wall-clock instant at which `anchor.1` was due
     /// to start. `None` = re-anchor on the next paced slot.
     anchor: Option<(Instant, u64)>,
@@ -133,70 +154,48 @@ impl LiveService {
         let mut startup_events = Vec::new();
         let fail_at = if attempt == 0 { cfg.fail_at } else { None };
 
-        let mut rec = Self::fresh_recorder(&cfg);
-        let resume_ck = match &cfg.ckpt_path {
-            Some(p) if p.exists() => match EngineCheckpoint::read_file(p) {
-                Ok(ck) => Some(ck),
-                Err(e) => {
-                    let w = SimWarning::CheckpointFallback {
-                        reason: format!("{e}"),
-                    };
-                    warnings.push(w.to_string());
-                    startup_events.push(GwEvent::ColdStart {
-                        reason: w.to_string(),
-                    });
-                    None
-                }
-            },
-            _ => None,
-        };
-        let (driver, resumed) = match resume_ck {
-            Some(ck) => match cfg.scenario.driver(&mut rec, Some(&ck)) {
-                Ok(d) => {
-                    startup_events.push(GwEvent::Resumed {
-                        slot: d.next_slot(),
-                    });
-                    (d, true)
-                }
-                Err(e) => {
-                    // The sidecar parsed but did not restore (scenario
-                    // drift, component mismatch): log, cold-start. The
-                    // recorder may hold partially imported state — build
-                    // a fresh one.
-                    let w = SimWarning::CheckpointFallback {
-                        reason: format!("{e}"),
-                    };
-                    warnings.push(w.to_string());
-                    startup_events.push(GwEvent::ColdStart {
-                        reason: w.to_string(),
-                    });
-                    rec = Self::fresh_recorder(&cfg);
-                    (cfg.scenario.driver(&mut rec, None)?, false)
-                }
-            },
-            None => (cfg.scenario.driver(&mut rec, None)?, false),
-        };
-        let mut driver = driver;
-        let state = if resumed {
-            // The fed schedule travels inside the checkpoint; no
-            // holding, no re-feeding.
-            SvcState::Running
-        } else {
-            if cfg.ingest {
-                driver.defer_all_arrivals().map_err(SimError::Scenario)?;
+        let sidecar = cfg.ckpt_path.as_deref().filter(|p| p.exists());
+        let resumed = sidecar.and_then(|p| match Self::resume(&cfg, p) {
+            Ok(parts) => Some(parts),
+            Err(reason) => {
+                // Unreadable sidecar, scenario drift, or a spool that
+                // does not reach the checkpoint: log, cold-start.
+                let w = SimWarning::CheckpointFallback { reason }.to_string();
+                startup_events.push(GwEvent::ColdStart { reason: w.clone() });
+                warnings.push(w);
+                None
             }
-            if cfg.ingest || cfg.hold {
-                SvcState::Holding
-            } else {
-                SvcState::Running
+        });
+        let (driver, rec, spool, state) = match resumed {
+            Some((driver, rec, spool)) => {
+                startup_events.push(GwEvent::Resumed {
+                    slot: driver.next_slot(),
+                });
+                // The fed schedule travels inside the checkpoint; no
+                // holding, no re-feeding.
+                (driver, rec, spool, SvcState::Running)
+            }
+            None => {
+                let mut rec = Self::fresh_recorder(&cfg);
+                let mut driver = cfg.scenario.driver(&mut rec, None)?;
+                if cfg.ingest {
+                    driver.defer_all_arrivals().map_err(SimError::Scenario)?;
+                }
+                let spool = match &cfg.trace_path {
+                    Some(trace) => Some(TraceSpool::open(trace, 0)?),
+                    None => None,
+                };
+                startup_events.push(GwEvent::Started {
+                    slots: driver.horizon(),
+                });
+                let state = if cfg.ingest || cfg.hold {
+                    SvcState::Holding
+                } else {
+                    SvcState::Running
+                };
+                (driver, rec, spool, state)
             }
         };
-        if !resumed {
-            startup_events.push(GwEvent::Started {
-                slots: driver.horizon(),
-            });
-        }
-        let record_watermark = rec.records().len();
         Ok(Self {
             cfg: ServeConfig { fail_at, ..cfg },
             bus,
@@ -210,10 +209,40 @@ impl LiveService {
             dropped_slots: 0,
             degraded: false,
             last_ckpt_slot: None,
-            record_watermark,
+            spool,
             anchor: None,
             startup_events,
         })
+    }
+
+    /// Restore driver, recorder and spool from the durable pair. `Err`
+    /// is the reason the pair is unusable; the caller cold-starts.
+    fn resume(cfg: &ServeConfig, sidecar: &Path) -> Result<ResumedParts, String> {
+        let ck = EngineCheckpoint::read_file(sidecar).map_err(|e| e.to_string())?;
+        let mut rec = Self::fresh_recorder(cfg);
+        let driver = cfg
+            .scenario
+            .driver(&mut rec, Some(&ck))
+            .map_err(|e| e.to_string())?;
+        // This build's sidecars carry no records (they are in the
+        // spool); one written before the spool existed embeds them all.
+        let embedded = rec.take_records();
+        let Some(trace) = &cfg.trace_path else {
+            return Ok((driver, rec, None));
+        };
+        let spool = if embedded.is_empty() {
+            TraceSpool::open(trace, rec.emitted())
+        } else {
+            TraceSpool::open(trace, 0).and_then(|mut spool| {
+                for r in &embedded {
+                    spool.append(&json_line(r)?)?;
+                }
+                Ok(spool)
+            })
+        };
+        spool
+            .map(|spool| (driver, rec, Some(spool)))
+            .map_err(|e| e.to_string())
     }
 
     fn fresh_recorder(cfg: &ServeConfig) -> TraceRecorder {
@@ -248,23 +277,27 @@ impl LiveService {
         }
     }
 
-    /// Broadcast trace records accumulated since the last publication.
-    /// `publish` false (a dropped slot) advances the watermark without
-    /// broadcasting — the durable trace still carries the records.
-    fn publish_new_records(&mut self, publish: bool) {
-        let records = self.rec.records();
-        if publish {
-            for r in &records[self.record_watermark.min(records.len())..] {
-                if let Ok(line) = serde_json::to_string(r) {
-                    if self.fanout.broadcast(&line) > 0 {
-                        self.publish_event(&GwEvent::SubscriberDropped {
-                            total: self.fanout.dropped(),
-                        });
-                    }
-                }
+    /// Drain the records the last step emitted: serialise each once,
+    /// append the line to the spool, broadcast the same line. `publish`
+    /// false (a dropped slot) skips the broadcast — the durable trace
+    /// still carries the records.
+    fn publish_new_records(&mut self, publish: bool) -> Result<(), SimError> {
+        let records = self.rec.take_records();
+        if self.spool.is_none() && !publish {
+            return Ok(());
+        }
+        for r in &records {
+            let line = json_line(r)?;
+            if let Some(spool) = &mut self.spool {
+                spool.append(&line)?;
+            }
+            if publish && self.fanout.broadcast(&line) > 0 {
+                self.publish_event(&GwEvent::SubscriberDropped {
+                    total: self.fanout.dropped(),
+                });
             }
         }
-        self.record_watermark = records.len();
+        Ok(())
     }
 
     fn apply_events(&mut self, events: &[LiveEvent]) -> Result<(), ProtocolError> {
@@ -319,6 +352,12 @@ impl LiveService {
         let Some(path) = self.cfg.ckpt_path.clone() else {
             return Ok(());
         };
+        // Log before snapshot: once the sidecar below is renamed into
+        // place, every record its recorder counts as emitted must
+        // already be durable in the spool.
+        if let Some(spool) = &mut self.spool {
+            spool.sync()?;
+        }
         let ck = self
             .driver
             .checkpoint(&self.rec)
@@ -418,7 +457,7 @@ impl LiveService {
                 std::thread::sleep(Duration::from_millis(self.cfg.step_delay_ms));
             }
             self.driver.step(&mut self.rec);
-            self.publish_new_records(publish);
+            self.publish_new_records(publish)?;
         }
     }
 
@@ -431,15 +470,18 @@ impl LiveService {
         Ok(Outcome::Interrupted { at_slot })
     }
 
-    /// Completion: settle the result, write the final trace, clear the
-    /// checkpoint sidecar (the run is over; a restart must not resume
-    /// it), surface simulation warnings, close the fan-out.
+    /// Completion: settle the result, write the final trace (header +
+    /// spooled lines + the partial window `finish` flushed), clear the
+    /// spool and the checkpoint sidecar (the run is over; a restart
+    /// must not resume it), surface simulation warnings, close the
+    /// fan-out.
     fn complete(self) -> Result<Outcome, SimError> {
         let Self {
             cfg,
             fanout,
             driver,
             mut rec,
+            spool,
             ..
         } = self;
         let result = driver.finish(&mut rec);
@@ -450,9 +492,32 @@ impl LiveService {
                 fanout.broadcast(&line);
             }
         }
-        let trace = rec.into_trace(&result.scheduler);
-        if let Some(p) = &cfg.trace_path {
-            trace.write_jsonl(p).map_err(SimError::Trace)?;
+        if let (Some(path), Some(mut spool)) = (&cfg.trace_path, spool) {
+            // The recorder was drained slot by slot: what it still holds
+            // is the tail `finish` emitted, and its header is the run's.
+            let tail = rec.into_trace(&result.scheduler);
+            let mut tail_lines = String::new();
+            for r in &tail.records {
+                tail_lines.push_str(&json_line(r)?);
+                tail_lines.push('\n');
+            }
+            // Assembled in memory, not streamed: ISSUE 14 keeps the
+            // daemon's peak RSS above the benchmark harness's own (it
+            // discards a life whose `ru_maxrss` it cannot tell from the
+            // one inherited across `exec`). Streaming spool → trace is
+            // the follow-up once that check is gone.
+            let out = [
+                json_line(&tail.meta)?.as_bytes(),
+                b"\n",
+                &spool.read()?,
+                tail_lines.as_bytes(),
+            ]
+            .concat();
+            atomic_write(path, &out).map_err(|source| TraceError::Io {
+                path: path.clone(),
+                source,
+            })?;
+            spool.remove();
         }
         if let Some(p) = &cfg.ckpt_path {
             let _ = std::fs::remove_file(p);

@@ -1,18 +1,24 @@
 //! Integration tests for the live gateway service: live ≡ batch byte
-//! identity under `Stall`, crash recovery through the supervisor,
+//! identity under `Stall`, crash recovery through the supervisor and
+//! through every state the sidecar + spool pair can be found in,
 //! deadline-overrun policies that never stall the loop, slow-subscriber
-//! eviction, and corrupt-checkpoint cold starts.
+//! eviction, corrupt-checkpoint cold starts, the `done` event reaching
+//! a socket subscriber, and the `template` feed fitting the line cap.
 
-use jmso_gateway::LiveEvent;
+use jmso_gateway::{parse_command, GwCommand, LiveEvent, MAX_LINE_BYTES};
 use jmso_gateway_svc::{
-    supervise, Command, CommandBus, FanOut, LivePolicy, LiveService, Outcome, ServeConfig,
-    SupervisedEnd, SupervisorConfig,
+    handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy, LiveService, Outcome,
+    ServeConfig, SupervisedEnd, SupervisorConfig,
 };
-use jmso_sim::{ArrivalSpec, Scenario, SchedulerSpec, WorkloadSpec};
-use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use jmso_sim::{ArrivalSpec, RunOutcome, Scenario, SchedulerSpec, TraceRecorder, WorkloadSpec};
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn quick(n: usize, slots: u64) -> Scenario {
     let mut s = Scenario::paper_default(n);
@@ -290,4 +296,407 @@ fn corrupt_checkpoint_cold_starts_with_warning() {
         "cold_start event must be broadcast"
     );
     assert!(!ckpt.exists(), "completion clears the sidecar");
+}
+
+// ---------------------------------------------------------------------------
+// The sidecar + spool pair
+// ---------------------------------------------------------------------------
+
+/// How a `SlotRecord`'s `alloc` key looks inside a sidecar, where the
+/// recorder state is a JSON string within JSON. Recorder state proper
+/// has no key of that exact name (`cur_alloc`), so it marks embedded
+/// records.
+const EMBEDDED_RECORD_KEY: &str = r#"\"alloc\":"#;
+
+fn spool_of(trace: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.spool", trace.display()))
+}
+
+fn line_count(path: &Path) -> usize {
+    let bytes = std::fs::read(path).expect("read spool");
+    bytes.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// A checkpointed ingest run whose first attempt panicked at slot 12:
+/// on disk are the slot-8 sidecar and a spool of the 12 lines emitted
+/// before the panic. Returns the config (for the next attempt) and the
+/// batch golden's path.
+fn crashed_life(tag: &str) -> (ServeConfig, PathBuf) {
+    let (n, slots) = (4, 240);
+    let golden = tmp_path(&format!("{tag}-golden.jsonl"));
+    golden_batch_trace(n, slots, &golden);
+
+    let mut cfg = ServeConfig::new(quick(n, slots));
+    cfg.ingest = true;
+    cfg.trace_path = Some(tmp_path(&format!("{tag}-live.jsonl")));
+    cfg.ckpt_path = Some(tmp_path(&format!("{tag}-ckpt.json")));
+    cfg.ckpt_every = 8;
+    cfg.fail_at = Some(12);
+
+    let svc = LiveService::build(
+        cfg.clone(),
+        fed_bus(n, slots),
+        Arc::new(FanOut::new()),
+        Arc::new(AtomicBool::new(false)),
+        0,
+    )
+    .expect("build attempt 0");
+    assert!(
+        catch_unwind(AssertUnwindSafe(move || svc.run())).is_err(),
+        "attempt 0 panics at the injected slot"
+    );
+
+    let trace = cfg.trace_path.as_deref().expect("trace path");
+    let ckpt = cfg.ckpt_path.as_deref().expect("ckpt path");
+    assert_eq!(line_count(&spool_of(trace)), 12, "one line per slot run");
+    let sidecar = std::fs::read_to_string(ckpt).expect("sidecar");
+    assert!(
+        !sidecar.contains(EMBEDDED_RECORD_KEY),
+        "the sidecar must carry recorder state without records"
+    );
+    assert!(!trace.exists(), "no trace before completion");
+    (cfg, golden)
+}
+
+/// A bus with the shared schedule and `start` already queued.
+fn fed_bus(n: usize, slots: u64) -> Arc<CommandBus> {
+    let bus = Arc::new(CommandBus::new(16));
+    let (arrivals, departures) = schedule(n, slots);
+    preload_feed(&bus, feed_events(&arrivals, &departures));
+    bus
+}
+
+/// Run attempt 1 over whatever `crashed_life` (and the test) left on
+/// disk; returns the startup warnings and every line a subscriber saw.
+fn second_attempt(cfg: &ServeConfig, bus: Arc<CommandBus>) -> (Vec<String>, Vec<String>) {
+    let fanout = Arc::new(FanOut::new());
+    let rx = fanout.subscribe(4096);
+    let svc = LiveService::build(
+        cfg.clone(),
+        bus,
+        fanout,
+        Arc::new(AtomicBool::new(false)),
+        1,
+    )
+    .expect("an unusable pair must not fail the build");
+    let warnings = svc.status().warnings;
+    let outcome = svc.run().expect("run attempt 1");
+    assert!(matches!(outcome, Outcome::Done { .. }));
+    (warnings, drain_lines(&rx))
+}
+
+fn assert_trace_is_golden_and_pair_is_gone(cfg: &ServeConfig, golden: &Path) {
+    let trace = cfg.trace_path.as_deref().expect("trace path");
+    let got = std::fs::read(trace).expect("read live trace");
+    let want = std::fs::read(golden).expect("read golden trace");
+    assert!(got == want, "final trace must equal the batch bytes");
+    assert!(!spool_of(trace).exists(), "completion removes the spool");
+    let ckpt = cfg.ckpt_path.as_deref().expect("ckpt path");
+    assert!(!ckpt.exists(), "completion removes the sidecar");
+    let _ = std::fs::remove_file(trace);
+    let _ = std::fs::remove_file(golden);
+}
+
+/// The spool runs ahead of the sidecar (slots 8..11 were logged after
+/// the slot-8 checkpoint): resume keeps the 8 emitted lines, cuts the
+/// rest, re-runs and re-appends them.
+#[test]
+fn resume_cuts_a_longer_spool_back_to_the_checkpoint() {
+    let (cfg, golden) = crashed_life("longer");
+    let (warnings, lines) = second_attempt(&cfg, Arc::new(CommandBus::new(4)));
+    assert!(warnings.is_empty(), "clean resume, got {warnings:?}");
+    assert!(lines
+        .iter()
+        .any(|l| l.contains(r#""event":"resumed","slot":8"#)));
+    // Slots 8.. are re-broadcast; slots 0..8 are not re-serialised.
+    let first_record = lines.iter().find(|l| l.starts_with("{\"slot\":"));
+    assert!(first_record.is_some_and(|l| l.starts_with("{\"slot\":8,")));
+    assert_trace_is_golden_and_pair_is_gone(&cfg, &golden);
+}
+
+/// A kill -9 mid-`write` leaves half a line at the end of the spool. It
+/// lies beyond the checkpoint, so it is cut like any other surplus.
+#[test]
+fn resume_survives_a_torn_last_line() {
+    let (cfg, golden) = crashed_life("torn");
+    let spool = spool_of(cfg.trace_path.as_deref().expect("trace path"));
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&spool)
+        .expect("open spool");
+    f.write_all(b"{\"slot\":12,\"cap\":3").expect("torn tail");
+    drop(f);
+    let (warnings, _) = second_attempt(&cfg, Arc::new(CommandBus::new(4)));
+    assert!(warnings.is_empty(), "clean resume, got {warnings:?}");
+    assert_trace_is_golden_and_pair_is_gone(&cfg, &golden);
+}
+
+/// A spool that is gone, or torn *before* the checkpoint's count, makes
+/// the pair unusable: typed warning, `cold_start` event, a fresh run
+/// (which, in ingest mode, holds for a new feed) — never a panic, never
+/// a trace with a hole in it.
+#[test]
+fn missing_or_short_spool_cold_starts_with_warning() {
+    for (tag, damage) in [
+        ("missing", None),
+        // Five whole lines and half of the sixth; the sidecar needs 8.
+        ("short", Some(5usize)),
+    ] {
+        let (cfg, golden) = crashed_life(tag);
+        let spool = spool_of(cfg.trace_path.as_deref().expect("trace path"));
+        match damage {
+            None => std::fs::remove_file(&spool).expect("remove spool"),
+            Some(keep) => {
+                let bytes = std::fs::read(&spool).expect("read spool");
+                let cut = bytes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b == b'\n')
+                    .nth(keep - 1)
+                    .map_or(0, |(i, _)| i + 1);
+                std::fs::write(&spool, &bytes[..cut + 20]).expect("cut spool");
+            }
+        }
+        let (warnings, lines) = second_attempt(&cfg, fed_bus(4, 240));
+        assert!(
+            warnings
+                .iter()
+                .any(|w| w.contains("checkpoint unusable, cold-started") && w.contains(".spool")),
+            "{tag}: expected a spool fallback warning, got {warnings:?}"
+        );
+        assert!(
+            lines.iter().any(|l| l.contains(r#""event":"cold_start"#)),
+            "{tag}: cold_start event must be broadcast"
+        );
+        assert!(!lines.iter().any(|l| l.contains(r#""event":"resumed"#)));
+        assert_trace_is_golden_and_pair_is_gone(&cfg, &golden);
+    }
+}
+
+/// A sidecar written before the spool existed embeds every record in
+/// its recorder state. Resume spills them to a fresh spool and carries
+/// on; the final trace is still the batch bytes.
+#[test]
+fn old_sidecar_with_embedded_records_is_spilled() {
+    let (n, slots) = (4, 240);
+    let (arrivals, departures) = schedule(n, slots);
+    let mut batch = quick(n, slots);
+    batch.arrivals = ArrivalSpec::Declared {
+        arrivals,
+        departures,
+    };
+    let golden = tmp_path("embedded-golden.jsonl");
+    let (_result, trace) = batch.run_traced(1).expect("batch run");
+    trace.write_jsonl(&golden).expect("write golden");
+
+    // The batch checkpoint path never drains its recorder: its sidecar
+    // is the old daemon format.
+    let ckpt = tmp_path("embedded-ckpt.json");
+    let mut rec = TraceRecorder::new().with_live_counts();
+    let RunOutcome::Paused(ck) = batch.run_until(&mut rec, 10).expect("run to slot 10") else {
+        panic!("the run ended before slot 10");
+    };
+    assert_eq!(rec.records().len(), 10);
+    ck.write_file(&ckpt).expect("write sidecar");
+    assert!(std::fs::read_to_string(&ckpt)
+        .expect("sidecar")
+        .contains(EMBEDDED_RECORD_KEY));
+
+    let mut cfg = ServeConfig::new(batch);
+    cfg.trace_path = Some(tmp_path("embedded-live.jsonl"));
+    cfg.ckpt_path = Some(ckpt);
+    let (warnings, lines) = second_attempt(&cfg, Arc::new(CommandBus::new(4)));
+    assert!(warnings.is_empty(), "clean resume, got {warnings:?}");
+    assert!(lines
+        .iter()
+        .any(|l| l.contains(r#""event":"resumed","slot":10"#)));
+    assert_trace_is_golden_and_pair_is_gone(&cfg, &golden);
+}
+
+/// Downsampled trace whose last window is partial: header + spooled
+/// window records + the tail `finish` flushes ≡ the batch JSONL.
+#[test]
+fn downsampled_trace_with_partial_tail_matches_batch() {
+    let scenario = quick(3, 60);
+    let (result, trace) = scenario.run_traced(7).expect("batch run");
+    assert_ne!(result.slots_run % 7, 0, "the fixture must end mid-window");
+
+    let live_trace = tmp_path("every7-live.jsonl");
+    let mut cfg = ServeConfig::new(scenario);
+    cfg.trace_path = Some(live_trace.clone());
+    cfg.trace_every = 7;
+    let outcome = run_service(cfg, Arc::new(CommandBus::new(4)), Arc::new(FanOut::new()));
+    assert_eq!(
+        outcome,
+        Outcome::Done {
+            slots_run: result.slots_run
+        }
+    );
+    let got = std::fs::read_to_string(&live_trace).expect("read live trace");
+    assert!(got == trace.to_jsonl(), "downsampled live trace ≡ batch");
+    assert!(!spool_of(&live_trace).exists());
+    let _ = std::fs::remove_file(&live_trace);
+}
+
+/// Neither `--trace` nor `--ckpt`: nothing is written anywhere, the
+/// records exist only as broadcast lines, one per slot.
+#[test]
+fn without_trace_or_ckpt_records_are_only_broadcast() {
+    let fanout = Arc::new(FanOut::new());
+    let rx = fanout.subscribe(4096);
+    let outcome = run_service(
+        ServeConfig::new(quick(3, 60)),
+        Arc::new(CommandBus::new(4)),
+        fanout,
+    );
+    let Outcome::Done { slots_run } = outcome else {
+        panic!("unexpected outcome {outcome:?}");
+    };
+    let records = drain_lines(&rx)
+        .iter()
+        .filter(|l| l.starts_with("{\"slot\":"))
+        .count();
+    assert_eq!(records as u64, slots_run);
+}
+
+// ---------------------------------------------------------------------------
+// Socket-facing behaviour
+// ---------------------------------------------------------------------------
+
+/// The service closes the fan-out and the process exits: whatever a
+/// connection thread has not yet written to its client by then is lost.
+/// So when `run` returns, the `done` event must already be in the
+/// socket — checked here by reading only what is there at that moment.
+#[test]
+fn done_is_the_last_line_a_socket_subscriber_gets() {
+    for life in 0..40 {
+        let bus = Arc::new(CommandBus::new(4));
+        let fanout = Arc::new(FanOut::new());
+        let (mut client, server) = UnixStream::pair().expect("socket pair");
+        let handler = {
+            let (bus, fanout) = (bus.clone(), fanout.clone());
+            std::thread::spawn(move || handle_connection(server, &bus, &fanout))
+        };
+        client
+            .write_all(b"{\"cmd\":\"subscribe\"}\n")
+            .expect("subscribe");
+        let mut reader = BufReader::new(client);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("subscribe reply");
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+
+        let outcome = run_service(ServeConfig::new(quick(2, 12)), bus, fanout);
+        assert!(matches!(outcome, Outcome::Done { .. }));
+
+        reader
+            .get_ref()
+            .set_nonblocking(true)
+            .expect("nonblocking read");
+        let mut seen = Vec::new();
+        if let Err(e) = reader.read_to_end(&mut seen) {
+            assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock, "life {life}: {e}");
+        }
+        let text = String::from_utf8(seen).expect("utf-8");
+        let last = text.lines().last().unwrap_or_default();
+        assert!(
+            last.contains(r#""event":"done"#),
+            "life {life}: the stream ended with {last:?}"
+        );
+        handler.join().expect("connection thread");
+    }
+}
+
+/// An in-memory connection: scripted input, captured output.
+struct Duplex {
+    input: Cursor<Vec<u8>>,
+    output: Vec<u8>,
+}
+
+impl Read for Duplex {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.input.read(buf)
+    }
+}
+
+impl Write for Duplex {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.output.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `jmso-gateway template 2000` used to write its whole feed as one
+/// 78 KB line, which the daemon's own line reader rejects. Every line
+/// the real binary emits must parse and pass that reader.
+#[test]
+fn template_2000_feed_fits_the_line_cap() {
+    let dir = tmp_path("template-2000");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_jmso-gateway"))
+        .args(["template", "2000", "--out-dir"])
+        .arg(&dir)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("run jmso-gateway template");
+    assert!(status.success());
+    let feed = std::fs::read_to_string(dir.join("feed.jsonl")).expect("feed.jsonl");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    let mut arrivals = 0;
+    for line in feed.lines() {
+        assert!(line.len() <= MAX_LINE_BYTES, "{} byte line", line.len());
+        match parse_command(line).expect("the daemon's parser accepts the line") {
+            GwCommand::Feed { events } => {
+                arrivals += events
+                    .iter()
+                    .filter(|e| matches!(e, LiveEvent::Arrive { .. }))
+                    .count();
+            }
+            GwCommand::Start => {}
+            other => panic!("unexpected command {other:?}"),
+        }
+    }
+    assert_eq!(arrivals, 2000, "chunking must keep every event");
+    assert!(
+        feed.lines().count() > 2,
+        "2000 users need several feed lines"
+    );
+
+    // Through the connection handler, whose bounded reader closes the
+    // connection on an oversized line: every line gets its ack.
+    let bus = CommandBus::new(16);
+    let fanout = FanOut::new();
+    let mut stream = Duplex {
+        input: Cursor::new(feed.clone().into_bytes()),
+        output: Vec::new(),
+    };
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // Stand-in engine thread: ack whatever arrives on the bus.
+        scope.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                for cmd in bus.wait(Duration::from_millis(5)) {
+                    match cmd {
+                        Command::Feed { reply, .. }
+                        | Command::Start { reply }
+                        | Command::Shutdown { reply } => {
+                            let _ = reply.send(Ok(()));
+                        }
+                        Command::Status { .. } => {}
+                    }
+                }
+            }
+        });
+        handle_connection(&mut stream, &bus, &fanout);
+        stop.store(true, Ordering::SeqCst);
+    });
+    let replies = String::from_utf8(stream.output).expect("utf-8 replies");
+    assert_eq!(
+        replies.matches(r#""ok":true"#).count(),
+        feed.lines().count(),
+        "every line acknowledged: {replies}"
+    );
 }

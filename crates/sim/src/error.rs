@@ -222,17 +222,22 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    // The rename is only durable once the directory entry is on disk.
-    // Directories cannot be opened for writing, but fsync on a
-    // read-only directory handle is the documented Unix idiom; a
-    // filesystem that rejects it (EINVAL on some network mounts) still
-    // gave us atomicity, so that error is not propagated.
+    sync_parent_dir(path);
+    Ok(())
+}
+
+/// Fsync the directory holding `path`: a rename or a file creation is
+/// only durable once the directory entry is on disk. Directories cannot
+/// be opened for writing, but fsync on a read-only directory handle is
+/// the documented Unix idiom; a filesystem that rejects it (EINVAL on
+/// some network mounts) still gave us the file operation itself, so
+/// that error is not propagated.
+pub fn sync_parent_dir(path: &Path) {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         if let Ok(d) = std::fs::File::open(dir) {
             let _ = d.sync_all();
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -55,7 +55,9 @@ pub use arrivals::{ArrivalSpec, ChurnPlan, Diurnal, SessionLength, NEVER_DEPARTS
 pub use calibrate::{calibrate_default, fit_v_for_omega, fit_v_for_omega_with, Calibration};
 pub use chart::ascii_chart;
 pub use engine::{CkptMode, Engine, EngineCheckpoint, RunOutcome, SlotDriver};
-pub use error::{atomic_write, CheckpointError, ScenarioError, SimError, TraceError};
+pub use error::{
+    atomic_write, sync_parent_dir, CheckpointError, ScenarioError, SimError, TraceError,
+};
 pub use faults::{DynFaults, FaultEvent, FaultHook, FaultPlan, FaultSpec, NoFaults};
 pub use multicell::{MultiCellResult, MultiCellScenario};
 pub use pool::{SpinBarrier, WorkerPool};

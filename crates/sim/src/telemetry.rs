@@ -696,10 +696,27 @@ impl TraceRecorder {
         }
     }
 
-    /// Records captured so far (borrow; [`TraceRecorder::into_trace`]
-    /// consumes).
+    /// Records captured so far and still held (borrow;
+    /// [`TraceRecorder::into_trace`] consumes).
     pub fn records(&self) -> &[SlotRecord] {
         &self.records
+    }
+
+    /// Hand over the held records, leaving the recorder with none. A
+    /// consumer that logs each record as it is emitted (the live
+    /// service's trace spool) drains after every slot, so the recorder —
+    /// and any checkpoint of it — stays O(users) instead of growing with
+    /// the run. Window accumulators, run aggregates and the summary are
+    /// untouched: draining changes where records live, not what the run
+    /// reports.
+    pub fn take_records(&mut self) -> Vec<SlotRecord> {
+        std::mem::take(&mut self.records)
+    }
+
+    /// Records emitted since `begin_run`, drained or not.
+    pub fn emitted(&self) -> u64 {
+        // One cumulative-curve point is pushed per emitted record.
+        self.cum_e.len() as u64
     }
 
     /// The latency histogram.
@@ -891,7 +908,7 @@ impl SlotRecorder for TraceRecorder {
         Some(TelemetrySummary {
             slots: self.slots_seen,
             every: self.every,
-            records: self.records.len() as u64,
+            records: self.emitted(),
             sched_ns_p50: self.hist.quantile_ns(0.50),
             sched_ns_p95: self.hist.quantile_ns(0.95),
             sched_ns_p99: self.hist.quantile_ns(0.99),
@@ -914,6 +931,11 @@ mod tests {
 
     /// Drive a recorder by hand through 3 slots of a 2-user "run".
     fn drive(rec: &mut TraceRecorder) {
+        drive_with(rec, |_| {});
+    }
+
+    /// [`drive`], calling `after_slot` between slots.
+    fn drive_with(rec: &mut TraceRecorder, mut after_slot: impl FnMut(&mut TraceRecorder)) {
         rec.begin_run(2, 1.0);
         for slot in 0..3u64 {
             rec.begin_slot(slot, 10);
@@ -926,8 +948,48 @@ mod tests {
             rec.record_user(0, 10.0, slot as f64); // +1 s rebuffer per slot
             rec.record_user(1, 5.0, 0.0);
             rec.end_slot();
+            after_slot(rec);
         }
         rec.end_run();
+    }
+
+    /// A consumer that drains after every slot (the live service's trace
+    /// spool) sees every record exactly once, and the recorder reports
+    /// the same summary, header and checkpointable state as one that
+    /// kept them — minus the records.
+    #[test]
+    fn draining_moves_records_without_changing_the_summary() {
+        let mut whole = TraceRecorder::new().with_every(2);
+        drive(&mut whole);
+
+        let mut drained = TraceRecorder::new().with_every(2);
+        let mut taken = Vec::new();
+        let mut last_ckpt = String::new();
+        drive_with(&mut drained, |rec| {
+            taken.extend(rec.take_records());
+            assert!(rec.records().is_empty());
+            last_ckpt = rec.export_state().unwrap();
+        });
+        assert_eq!(taken.len(), 1, "one full window closed inside the run");
+        assert_eq!(drained.emitted(), 2);
+        assert_eq!(drained.emitted(), whole.emitted());
+        assert_eq!(drained.summary(), whole.summary());
+
+        // A checkpoint of the drained recorder carries no record, yet
+        // restores knowing how many were emitted.
+        assert!(last_ckpt.contains("\"records\":[]"));
+        let mut restored = TraceRecorder::new();
+        restored.import_state(&last_ckpt).unwrap();
+        assert!(restored.records().is_empty());
+        assert_eq!(restored.emitted(), 1);
+
+        // What is left is `end_run`'s partial window; with what was
+        // taken it is the undrained trace.
+        let tail = drained.into_trace("t");
+        let whole = whole.into_trace("t");
+        assert_eq!(tail.meta, whole.meta);
+        taken.extend(tail.records);
+        assert_eq!(taken, whole.records);
     }
 
     #[test]

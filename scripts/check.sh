@@ -50,6 +50,13 @@ cargo clippy -p jmso-gateway-svc --lib --no-deps -- -D warnings \
 echo "== cargo test"
 cargo test -q
 
+# The repository benchmark is a workspace of its own (benchmark/) that
+# compiles against the crates' public surface; a PR that breaks that
+# surface would otherwise first fail in the pipeline that runs it.
+echo "== benchmark harness builds against the tree"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 # Golden-trace drift gate: the byte-equality tests above already diff
 # the committed traces; TRACE=1 additionally *regenerates* them from the
 # current engine and fails if the files changed, catching traces that
@@ -89,6 +96,15 @@ fi
 if [[ "${SVC:-0}" == "1" ]]; then
     echo "== service crash-recovery gate (SVC=1)"
     scripts/svc-gate.sh
+    # The benchmark's own live checks (daemon trace ≡ batch bytes, the
+    # committed seed-42 digest, exit codes, the --fail-at restart life),
+    # end-to-end pass and traced pass.
+    for trace in 0 1; do
+        echo "== benchmark gateway-live, 3 s, --trace $trace (SVC=1)"
+        bash benchmark/run.sh --workload gateway-live --seconds 3 --trace "$trace" \
+            | tail -n 1 | grep -q '"correct": true' \
+            || { echo "gateway-live --trace $trace did not report \"correct\": true"; exit 1; }
+    done
 fi
 
 # Opt-in perf gate: BENCH=1 scripts/check.sh additionally runs the
