@@ -7,7 +7,7 @@
 //! {"sched": "EMA(V=1)", "slots_per_sec": 123456.7}
 //! ```
 //!
-//! The output is recorded as `BENCH_PR6.json` at the repo root so slot-loop
+//! The output is recorded as `BENCH_PR10.json` at the repo root so slot-loop
 //! regressions show up as a diff, without the Criterion machinery (or its
 //! multi-minute runtime); `scripts/bench-regress.sh` diffs a fresh run
 //! against that baseline. Timings cover the full `Engine::run` hot path —

@@ -234,7 +234,8 @@ impl InformationCollector {
 
     /// [`InformationCollector::snapshot_refresh`] that optionally keeps a
     /// structure-of-arrays mirror in sync (frozen rows stay frozen in
-    /// both layouts), optionally short-circuiting the per-user
+    /// both layouts, and `live` becomes the mirror's live-row list, so it
+    /// must be ascending), optionally short-circuiting the per-user
     /// RSSI→throughput conversion with precomputed link caps.
     ///
     /// `caps`, when given, must hold the Eq. (1) bound for the *true*
@@ -262,8 +263,9 @@ impl InformationCollector {
         debug_assert!(!self.needs_full_pass(), "noise needs the full pass");
         assert_eq!(raw.len(), self.cached_signal.len(), "user count mismatch");
         assert_eq!(out.len(), raw.len(), "snapshot buffer mismatch");
-        if let Some(soa) = &soa {
+        if let Some(soa) = soa.as_deref_mut() {
             assert_eq!(soa.len(), raw.len(), "SoA mirror mismatch");
+            soa.set_live_rows(live.iter().copied());
         }
         let tau = self.tau;
         let delta_kb = self.units.delta_kb;
@@ -483,6 +485,7 @@ mod tests {
             assert_eq!(snaps_plain, snaps_cmp, "computed path diverged at {slot}");
             let mut mirror = SnapshotSoA::new();
             mirror.fill_from(&snaps_plain, 1.0, 50.0);
+            mirror.set_live_rows(live);
             assert_eq!(soa_tab, mirror, "SoA mirror drifted at {slot}");
             assert_eq!(soa_cmp, mirror);
         }

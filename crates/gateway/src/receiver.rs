@@ -84,12 +84,31 @@ struct FlowQueue {
     payload: Option<VecDeque<Bytes>>,
 }
 
+impl FlowQueue {
+    /// True while an ingest can still change this flow: it is unbounded,
+    /// or its origin has source bytes left to ship. (Origin rates are
+    /// non-negative, so a bounded flow at exactly zero stays there.)
+    fn owes(&self) -> bool {
+        self.remaining_source_kb.is_none_or(|rem| rem != 0.0)
+    }
+}
+
 /// The gateway's downlink buffer across all flows.
 #[derive(Debug)]
 pub struct DataReceiver {
     flows: Vec<FlowQueue>,
     tau: f64,
     carry_payload: bool,
+    /// Flows whose origin still owes bytes — the only ones
+    /// [`DataReceiver::ingest_slot`] visits. A flow leaves when an ingest
+    /// finds its source drained (an [`OriginModel::Infinite`] origin
+    /// drains every bounded flow on its first ingest) and re-enters when
+    /// a volume call gives it a remainder again.
+    owing: Vec<usize>,
+    /// `listed[i]` ⇔ flow `i` is on `owing` (keeps it duplicate-free).
+    listed: Vec<bool>,
+    /// Flows the latest ingest visited.
+    visited_last_ingest: usize,
 }
 
 impl DataReceiver {
@@ -106,10 +125,24 @@ impl DataReceiver {
                 payload: None,
             })
             .collect();
+        // Unbounded flows always owe: every flow starts listed.
         Self {
             flows,
             tau,
             carry_payload: false,
+            owing: (0..n_users).collect(),
+            listed: vec![true; n_users],
+            visited_last_ingest: 0,
+        }
+    }
+
+    /// List flow `user` for ingest if its origin owes bytes and it is
+    /// not listed yet. Flows that stop owing are unlisted lazily, by
+    /// the next ingest.
+    fn list_if_owing(&mut self, user: usize) {
+        if !self.listed[user] && self.flows[user].owes() {
+            self.listed[user] = true;
+            self.owing.push(user);
         }
     }
 
@@ -127,6 +160,7 @@ impl DataReceiver {
     /// origin (the video size), so the queue drains at end of session.
     pub fn set_source_volume_kb(&mut self, user: usize, kb: f64) {
         self.flows[user].remaining_source_kb = Some(kb);
+        self.list_if_owing(user);
     }
 
     /// Adjust flow `user`'s total source volume by `delta_kb` (an ABR rung
@@ -153,6 +187,7 @@ impl DataReceiver {
             let from_backlog = (-delta_kb) - from_rem;
             f.backlog_kb = (f.backlog_kb - from_backlog).max(0.0);
         }
+        self.list_if_owing(user);
     }
 
     /// Reclassify a flow (video flows are scheduled, background is not).
@@ -165,10 +200,22 @@ impl DataReceiver {
         self.flows[user].class
     }
 
-    /// Ingest one slot of origin arrivals for every flow.
+    /// Ingest one slot of origin arrivals for every flow whose origin
+    /// still owes bytes. A drained flow would take a zero-KB arrival —
+    /// no state change — so skipping it is exact; the cost of a slot is
+    /// the flows still fetching, not the pool.
     pub fn ingest_slot(&mut self, slot: u64) {
-        for f in &mut self.flows {
-            let mut arrive = f.origin.arrival_kb(slot, self.tau);
+        let Self {
+            flows,
+            tau,
+            owing,
+            listed,
+            ..
+        } = self;
+        self.visited_last_ingest = owing.len();
+        owing.retain(|&i| {
+            let f = &mut flows[i];
+            let mut arrive = f.origin.arrival_kb(slot, *tau);
             if let Some(rem) = f.remaining_source_kb.as_mut() {
                 arrive = arrive.min(*rem);
                 *rem -= arrive;
@@ -176,7 +223,7 @@ impl DataReceiver {
                 // Unbounded source with no volume bound: keep the backlog
                 // topped up to a large watermark instead of growing it.
                 f.backlog_kb = f.backlog_kb.max(1e12);
-                continue;
+                return true;
             }
             if arrive > 0.0 {
                 f.backlog_kb += arrive;
@@ -184,7 +231,15 @@ impl DataReceiver {
                     q.push_back(Bytes::from(vec![0u8; (arrive * 1024.0) as usize]));
                 }
             }
-        }
+            listed[i] = f.owes();
+            listed[i]
+        });
+    }
+
+    /// Flows the latest [`DataReceiver::ingest_slot`] visited — a
+    /// deterministic work count for scaling tests.
+    pub fn flows_visited_last_ingest(&self) -> usize {
+        self.visited_last_ingest
     }
 
     /// KB buffered and forwardable for `user`.
@@ -247,9 +302,14 @@ impl DataReceiver {
                 self.flows.len()
             ));
         }
-        for (f, s) in self.flows.iter_mut().zip(state) {
+        self.owing.clear();
+        for (i, (f, s)) in self.flows.iter_mut().zip(state).enumerate() {
             f.backlog_kb = s.backlog_kb;
             f.remaining_source_kb = s.remaining_source_kb;
+            self.listed[i] = f.owes();
+            if self.listed[i] {
+                self.owing.push(i);
+            }
         }
         Ok(())
     }

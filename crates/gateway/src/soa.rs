@@ -16,6 +16,13 @@
 //!   the slot's `δ` (identical expression, so bit-identical);
 //! * `need_units[i]` — RTMA's per-slot demand `⌈τ·pᵢ/δ⌉`.
 //!
+//! The mirror also carries the ascending list of *live rows*
+//! ([`SnapshotSoA::live_rows`]): the rows that may still hold demand. A
+//! row off the list belongs to a user who has not arrived or whose
+//! session is over (`remaining_kb == 0`), so its `ceiling_units` is zero
+//! and a sweep over the listed rows grants exactly what a sweep over all
+//! rows would — at the cost of the sessions in the cell, not the pool.
+//!
 //! Schedulers receive the mirror through [`SlotContext::soa`] and must
 //! treat it as read-only; when it is `None` (reference engine loop,
 //! multicell serial path, tests) they fall back to the AoS fields, and
@@ -47,6 +54,10 @@ pub struct SnapshotSoA {
     pub need_units: Vec<u64>,
     /// Still watching?
     pub active: Vec<bool>,
+    /// Ascending ids of the rows that may hold demand; every other row
+    /// has `ceiling_units == 0`. Private so that only the narrowing call
+    /// ([`SnapshotSoA::set_live_rows`]) and the resets can change it.
+    live_rows: Vec<usize>,
 }
 
 impl SnapshotSoA {
@@ -65,8 +76,11 @@ impl SnapshotSoA {
         self.signal_dbm.is_empty()
     }
 
-    /// Resize every column to `n` users (new entries zeroed/inactive).
+    /// Resize every column to `n` users (new entries zeroed/inactive)
+    /// and list every row as live.
     pub fn resize(&mut self, n: usize) {
+        self.live_rows.clear();
+        self.live_rows.extend(0..n);
         self.signal_dbm.resize(n, 0.0);
         self.rate_kbps.resize(n, 0.0);
         self.buffer_s.resize(n, 0.0);
@@ -76,6 +90,23 @@ impl SnapshotSoA {
         self.ceiling_units.resize(n, 0);
         self.need_units.resize(n, 0);
         self.active.resize(n, false);
+    }
+
+    /// The rows that may hold demand, ascending. Rows off the list have
+    /// `ceiling_units == 0` (not arrived, or session over).
+    #[inline]
+    pub fn live_rows(&self) -> &[usize] {
+        &self.live_rows
+    }
+
+    /// Narrow the live list to `rows` (ascending row ids). The caller
+    /// vouches that every other row has no demand left — the engine's
+    /// live set has exactly that property.
+    pub fn set_live_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        self.live_rows.clear();
+        self.live_rows.extend(rows);
+        debug_assert!(self.live_rows.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(self.live_rows.last().is_none_or(|&i| i < self.len()));
     }
 
     /// The three read-only input columns of EMA's batch cost kernel —
@@ -112,7 +143,7 @@ impl SnapshotSoA {
     }
 
     /// Rebuild the whole mirror from an AoS snapshot buffer (the full-pass
-    /// counterpart of [`SnapshotSoA::set_row`]).
+    /// counterpart of [`SnapshotSoA::set_row`]); every row is listed live.
     pub fn fill_from(&mut self, snaps: &[UserSnapshot], tau: f64, delta_kb: f64) {
         self.resize(snaps.len());
         for snap in snaps {

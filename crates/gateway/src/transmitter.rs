@@ -30,7 +30,14 @@ pub struct DataTransmitter {
     ceil_units: Vec<u64>,
     /// The `δ` the table was built for (rebuilt when it changes).
     ceil_delta_kb: f64,
+    /// Rows the latest [`DataTransmitter::transmit_into`] call wrote a
+    /// delivery into — the only rows of its buffer that are not zero, so
+    /// the next call clears these instead of rewriting every row.
+    granted: Vec<usize>,
 }
+
+/// The delivery of a row that was granted nothing.
+const NO_DELIVERY: Delivery = Delivery { units: 0, kb: 0.0 };
 
 impl DataTransmitter {
     /// A fresh transmitter.
@@ -49,8 +56,17 @@ impl DataTransmitter {
     }
 
     /// Enforce constraints and move bytes out of the receiver queues,
-    /// writing one [`Delivery`] per user into a caller-owned buffer (the
+    /// leaving one [`Delivery`] per user in a caller-owned buffer (the
     /// engine's zero-allocation hot path).
+    ///
+    /// The call costs the granted rows, not the pool: a zero grant is the
+    /// identity (neither clamp can fire, a zero-KB dequeue moves no bytes
+    /// and ⌈0/δ⌉ = 0), so only granted rows are written, and the rows the
+    /// previous call wrote are cleared first. `out` must therefore be the
+    /// buffer the previous call filled, untouched since; a buffer of any
+    /// other length is rebuilt from scratch. When the context carries the
+    /// SoA mirror, only its live rows are looked at — every other row
+    /// has no demand, and a scheduler must not grant to it.
     ///
     /// In debug builds an invalid allocation also trips a `debug_assert`,
     /// because schedulers are expected to respect the bounds themselves.
@@ -66,59 +82,97 @@ impl DataTransmitter {
             "scheduler produced invalid allocation: {:?}",
             alloc.validate(ctx)
         );
-        let mut budget = ctx.bs_cap_units;
         if ctx.delta_kb != self.ceil_delta_kb {
             self.ceil_units.clear();
             self.ceil_delta_kb = ctx.delta_kb;
         }
-        out.clear();
-        for (user, &want) in ctx.users.iter().zip(&alloc.0) {
-            // Zero-grant fast path: neither clamp can fire (zero never
-            // exceeds the link cap or the budget), a zero-KB dequeue
-            // moves no bytes and pops no chunks, and ⌈0/δ⌉ = 0 — the
-            // general path below is the identity, so skip its receiver
-            // walk. Open-system cells spend most rows here: every
-            // not-yet-arrived user is a zero grant.
-            if want == 0 {
-                out.push(Delivery { units: 0, kb: 0.0 });
-                continue;
+        if out.len() == ctx.users.len() {
+            for &row in &self.granted {
+                out[row] = NO_DELIVERY;
             }
-            let mut units = want;
-            if units > user.link_cap_units {
-                units = user.link_cap_units;
-                self.clamp_events += 1;
-            }
-            if units > budget {
-                units = budget;
-                self.clamp_events += 1;
-            }
-            budget -= units;
-            let want_kb = ctx.delta_kb * units as f64;
-            // The backlog may hold less than whole frames — most
-            // importantly the short final frame of a stream. Physical
-            // frames are padded, so the unit count (and hence the Eq. (2)
-            // budget) stays at ⌈kb/δ⌉ while the payload is what was there.
-            let (kb, _chunks) = receiver.dequeue_kb(user.id, want_kb);
-            // Full deliveries (the common case) read the memo table; a
-            // backlog shortfall or an oversized grant takes the divide.
-            let out_units = if kb == want_kb && units < 4096 {
-                let u = units as usize;
-                if self.ceil_units.len() <= u {
-                    let delta = ctx.delta_kb;
-                    for x in self.ceil_units.len()..=u {
-                        self.ceil_units
-                            .push((delta * x as f64 / delta).ceil() as u64);
-                    }
-                }
-                self.ceil_units[u]
-            } else {
-                (kb / ctx.delta_kb).ceil() as u64
-            };
-            out.push(Delivery {
-                units: out_units,
-                kb,
-            });
+        } else {
+            out.clear();
+            out.resize(ctx.users.len(), NO_DELIVERY);
         }
+        self.granted.clear();
+        debug_assert!(
+            out.iter().all(|d| *d == NO_DELIVERY),
+            "`out` is not the buffer the previous call filled"
+        );
+        let mut budget = ctx.bs_cap_units;
+        match ctx.soa {
+            Some(soa) => {
+                debug_assert_eq!(
+                    soa.live_rows().iter().map(|&i| alloc.0[i]).sum::<u64>(),
+                    alloc.total_units(),
+                    "grant to a row outside the live list"
+                );
+                for &row in soa.live_rows() {
+                    self.transmit_row(ctx, row, alloc.0[row], &mut budget, receiver, out);
+                }
+            }
+            None => {
+                for (row, &want) in alloc.0.iter().enumerate().take(ctx.users.len()) {
+                    self.transmit_row(ctx, row, want, &mut budget, receiver, out);
+                }
+            }
+        }
+    }
+
+    /// One row of [`DataTransmitter::transmit_into`]: clamp `want` to the
+    /// link bound and what is left of the BS budget, dequeue, and record
+    /// the delivery. Rows must be visited in ascending order — the BS
+    /// budget is first-come in user order.
+    #[inline]
+    fn transmit_row(
+        &mut self,
+        ctx: &SlotContext,
+        row: usize,
+        want: u64,
+        budget: &mut u64,
+        receiver: &mut DataReceiver,
+        out: &mut [Delivery],
+    ) {
+        if want == 0 {
+            return;
+        }
+        let user = &ctx.users[row];
+        let mut units = want;
+        if units > user.link_cap_units {
+            units = user.link_cap_units;
+            self.clamp_events += 1;
+        }
+        if units > *budget {
+            units = *budget;
+            self.clamp_events += 1;
+        }
+        *budget -= units;
+        let want_kb = ctx.delta_kb * units as f64;
+        // The backlog may hold less than whole frames — most
+        // importantly the short final frame of a stream. Physical
+        // frames are padded, so the unit count (and hence the Eq. (2)
+        // budget) stays at ⌈kb/δ⌉ while the payload is what was there.
+        let (kb, _chunks) = receiver.dequeue_kb(user.id, want_kb);
+        // Full deliveries (the common case) read the memo table; a
+        // backlog shortfall or an oversized grant takes the divide.
+        let out_units = if kb == want_kb && units < 4096 {
+            let u = units as usize;
+            if self.ceil_units.len() <= u {
+                let delta = ctx.delta_kb;
+                for x in self.ceil_units.len()..=u {
+                    self.ceil_units
+                        .push((delta * x as f64 / delta).ceil() as u64);
+                }
+            }
+            self.ceil_units[u]
+        } else {
+            (kb / ctx.delta_kb).ceil() as u64
+        };
+        out[row] = Delivery {
+            units: out_units,
+            kb,
+        };
+        self.granted.push(row);
     }
 
     /// Enforce constraints and move bytes (allocating convenience wrapper

@@ -2,8 +2,8 @@
 
 use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
-    Allocation, CollectorSpec, DataReceiver, DataTransmitter, InformationCollector, OriginModel,
-    SlotContext, UnitParams, UserSnapshot,
+    Allocation, CollectorSpec, DataReceiver, DataTransmitter, Delivery, FlowState,
+    InformationCollector, OriginModel, SlotContext, SnapshotSoA, UnitParams, UserSnapshot,
 };
 use jmso_radio::rrc::RrcState;
 use jmso_radio::{Dbm, KbPerSec, LinearRssiThroughput, ThroughputModel};
@@ -23,7 +23,255 @@ fn snapshot(id: usize, link_cap: u64, remaining_kb: f64) -> UserSnapshot {
     }
 }
 
+/// KB an origin offers in one slot — the receiver's private
+/// `OriginModel::arrival_kb`, transcribed.
+fn origin_kb(origin: &OriginModel, slot: u64, tau: f64) -> f64 {
+    match origin {
+        OriginModel::Infinite => f64::INFINITY,
+        OriginModel::RateLimited { kbps } => kbps * tau,
+        OriginModel::Bursty {
+            kbps,
+            on_slots,
+            off_slots,
+        } => {
+            let cycle = on_slots + off_slots;
+            if cycle == 0 || slot % cycle < *on_slots {
+                kbps * tau
+            } else {
+                0.0
+            }
+        }
+    }
+}
+
+/// The full-walk ingest the receiver's owing list replaces: every flow,
+/// every slot.
+fn ingest_full_walk(flows: &mut [FlowState], origin: &OriginModel, slot: u64, tau: f64) {
+    for f in flows {
+        let mut arrive = origin_kb(origin, slot, tau);
+        if let Some(rem) = f.remaining_source_kb.as_mut() {
+            arrive = arrive.min(*rem);
+            *rem -= arrive;
+        } else if arrive.is_infinite() {
+            f.backlog_kb = f.backlog_kb.max(1e12);
+            continue;
+        }
+        if arrive > 0.0 {
+            f.backlog_kb += arrive;
+        }
+    }
+}
+
+/// `DataReceiver::adjust_source_volume_kb` on the model flows.
+fn adjust_model(f: &mut FlowState, delta_kb: f64) {
+    let Some(rem) = f.remaining_source_kb.as_mut() else {
+        return;
+    };
+    if delta_kb >= 0.0 {
+        if *rem > 0.0 {
+            *rem += delta_kb;
+        } else {
+            f.backlog_kb += delta_kb;
+        }
+    } else {
+        let from_rem = (-delta_kb).min(*rem);
+        *rem -= from_rem;
+        f.backlog_kb = (f.backlog_kb - ((-delta_kb) - from_rem)).max(0.0);
+    }
+}
+
+fn arb_origin() -> impl Strategy<Value = OriginModel> {
+    prop_oneof![
+        Just(OriginModel::Infinite),
+        (1.0f64..400.0).prop_map(|kbps| OriginModel::RateLimited { kbps }),
+        (1.0f64..400.0, 0u64..4, 0u64..4).prop_map(|(kbps, on_slots, off_slots)| {
+            OriginModel::Bursty {
+                kbps,
+                on_slots,
+                off_slots,
+            }
+        }),
+    ]
+}
+
+/// The dense transmit loop the sparse `transmit_into` replaces: one
+/// `Delivery` pushed per user, zero grants included, no memo table.
+fn transmit_dense(
+    ctx: &SlotContext,
+    alloc: &Allocation,
+    rx: &mut DataReceiver,
+    clamp_events: &mut u64,
+) -> Vec<Delivery> {
+    let mut budget = ctx.bs_cap_units;
+    let mut out = Vec::new();
+    for (user, &want) in ctx.users.iter().zip(&alloc.0) {
+        let mut units = want;
+        if units > user.link_cap_units {
+            units = user.link_cap_units;
+            *clamp_events += 1;
+        }
+        if units > budget {
+            units = budget;
+            *clamp_events += 1;
+        }
+        budget -= units;
+        let (kb, _) = rx.dequeue_kb(user.id, ctx.delta_kb * units as f64);
+        out.push(Delivery {
+            units: (kb / ctx.delta_kb).ceil() as u64,
+            kb,
+        });
+    }
+    out
+}
+
 proptest! {
+    /// The list-driven `ingest_slot` leaves every flow — backlog and
+    /// remaining source — exactly where the full walk over all flows
+    /// would, every slot, under every origin, with volume calls and
+    /// checkpoint imports landing between slots. Once every bounded flow
+    /// is drained it visits none.
+    #[test]
+    fn list_driven_ingest_equals_full_walk(
+        origin in arb_origin(),
+        n in 1usize..8,
+        slots in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, 0usize..8, 0.0f64..600.0), 0..4),
+            1..24,
+        ),
+    ) {
+        let tau = 1.0;
+        let mut rx = DataReceiver::new(n, origin.clone(), tau);
+        let mut model = rx.export_state();
+        for (slot, ops) in slots.iter().enumerate() {
+            for &(kind, user, x) in ops {
+                let user = user % n;
+                match kind {
+                    0 => {
+                        // Every third volume is an empty video.
+                        let kb = if (x as u64).is_multiple_of(3) { 0.0 } else { x };
+                        rx.set_source_volume_kb(user, kb);
+                        model[user].remaining_source_kb = Some(kb);
+                    }
+                    1 => {
+                        rx.adjust_source_volume_kb(user, x - 300.0);
+                        adjust_model(&mut model[user], x - 300.0);
+                    }
+                    2 => {
+                        // A restored checkpoint: one flow rewritten (bounded
+                        // or not), the whole state imported.
+                        model[user] = FlowState {
+                            backlog_kb: x,
+                            remaining_source_kb: (x > 200.0).then_some(x - 200.0),
+                        };
+                        rx.import_state(&model).expect("same flow count");
+                    }
+                    _ => {
+                        let (got, _) = rx.dequeue_kb(user, x);
+                        model[user].backlog_kb -= got;
+                    }
+                }
+            }
+            rx.ingest_slot(slot as u64);
+            ingest_full_walk(&mut model, &origin, slot as u64, tau);
+            prop_assert_eq!(rx.export_state(), model.clone(), "slot {}", slot);
+            let owing = model
+                .iter()
+                .filter(|f| f.remaining_source_kb != Some(0.0))
+                .count();
+            rx.ingest_slot(slot as u64 + 1_000);
+            prop_assert!(
+                rx.flows_visited_last_ingest() == owing,
+                "visited {} flows, {} owe bytes",
+                rx.flows_visited_last_ingest(),
+                owing
+            );
+            ingest_full_walk(&mut model, &origin, slot as u64 + 1_000, tau);
+        }
+    }
+
+    /// The sparse `transmit_into` — granted rows written, last call's
+    /// rows cleared — fills its buffer exactly like the dense loop, slot
+    /// after slot on one buffer, across a change of pool size, with and
+    /// without the SoA live list, and counts the same clamp events.
+    #[test]
+    fn sparse_transmit_equals_dense_transcription(
+        pools in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u64..40, prop::bool::ANY), 1..12),
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u64..60, 12), 0u64..120),
+                    1..6,
+                ),
+            ),
+            1..4,
+        ),
+        backlog_kbps in 20.0f64..3_000.0,
+    ) {
+        let mut tx_rows = DataTransmitter::new();
+        let mut tx_soa = DataTransmitter::new();
+        let (mut out_rows, mut out_soa) = (Vec::new(), Vec::new());
+        let mut dense_clamps = 0u64;
+        for (users, slots) in &pools {
+            let n = users.len();
+            let snaps: Vec<UserSnapshot> = users
+                .iter()
+                .enumerate()
+                .map(|(i, &(cap, _))| snapshot(i, cap, 1e9))
+                .collect();
+            let live: Vec<usize> = (0..n).filter(|&i| users[i].1).collect();
+            let mut soa = SnapshotSoA::new();
+            soa.fill_from(&snaps, 1.0, 50.0);
+            soa.set_live_rows(live.iter().copied());
+            let origin = OriginModel::RateLimited { kbps: backlog_kbps };
+            let mut rx_dense = DataReceiver::new(n, origin.clone(), 1.0);
+            let mut rx_rows = DataReceiver::new(n, origin.clone(), 1.0);
+            let mut rx_soa = DataReceiver::new(n, origin, 1.0);
+            for (slot, (requests, bs_cap)) in slots.iter().enumerate() {
+                // Off-list rows have no demand, so nothing is granted to
+                // them. Debug builds assert a valid allocation; release
+                // builds also see over-asks and count the clamps.
+                let mut budget = *bs_cap;
+                let alloc = Allocation(
+                    (0..n)
+                        .map(|i| {
+                            if !users[i].1 {
+                                return 0;
+                            }
+                            if cfg!(debug_assertions) {
+                                let grant = requests[i].min(users[i].0).min(budget);
+                                budget -= grant;
+                                grant
+                            } else {
+                                requests[i]
+                            }
+                        })
+                        .collect(),
+                );
+                let ctx = SlotContext {
+                    slot: slot as u64,
+                    tau: 1.0,
+                    delta_kb: 50.0,
+                    bs_cap_units: *bs_cap,
+                    users: &snaps,
+                    soa: None,
+                };
+                for rx in [&mut rx_dense, &mut rx_rows, &mut rx_soa] {
+                    rx.ingest_slot(slot as u64);
+                }
+                let dense = transmit_dense(&ctx, &alloc, &mut rx_dense, &mut dense_clamps);
+                tx_rows.transmit_into(&ctx, &alloc, &mut rx_rows, &mut out_rows);
+                let ctx_soa = SlotContext { soa: Some(&soa), ..ctx.clone() };
+                tx_soa.transmit_into(&ctx_soa, &alloc, &mut rx_soa, &mut out_soa);
+                prop_assert_eq!(&out_rows, &dense, "row walk, pool of {}", n);
+                prop_assert_eq!(&out_soa, &dense, "live-list walk, pool of {}", n);
+                prop_assert_eq!(rx_rows.export_state(), rx_dense.export_state());
+                prop_assert_eq!(rx_soa.export_state(), rx_dense.export_state());
+            }
+        }
+        prop_assert_eq!(tx_rows.clamp_events(), dense_clamps);
+        prop_assert_eq!(tx_soa.clamp_events(), dense_clamps);
+    }
+
     /// Unit arithmetic: floor/ceil bracket the exact quotient and scale
     /// exactly with δ.
     #[test]

@@ -33,12 +33,14 @@ impl Scheduler for DefaultMax {
         let mut budget = ctx.bs_cap_units;
         if let Some(soa) = ctx.soa {
             // The ceiling column is `usable_cap_units(δ)` precomputed by
-            // the collector — one contiguous u64 stream instead of a
-            // strided gather, same grants bit-for-bit.
-            for (&c, slot) in soa.ceiling_units.iter().zip(&mut out.0) {
-                let grant = c.min(budget);
+            // the collector, and only the mirror's live rows can hold a
+            // non-zero ceiling: sweeping them in ascending order grants
+            // what the full index-order sweep would, bit for bit, at the
+            // cost of the sessions in the cell instead of the pool.
+            for &i in soa.live_rows() {
+                let grant = soa.ceiling_units[i].min(budget);
                 budget -= grant;
-                *slot = grant;
+                out.0[i] = grant;
             }
         } else {
             for (u, slot) in ctx.users.iter().zip(&mut out.0) {

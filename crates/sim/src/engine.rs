@@ -239,8 +239,8 @@ pub struct EngineCheckpoint {
     recorder: String,
     loop_state: LoopCkpt,
     /// Added in v3: admission-controller state (absent when no
-    /// feasibility controller is installed; the pending-arrival heap is
-    /// rebuilt from the users' arrival slots on restore).
+    /// feasibility controller is installed; its arrival queue is rebuilt
+    /// from the users' arrival slots on restore).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     admission: Option<AdmissionCkpt>,
 }
@@ -316,9 +316,9 @@ struct ShardState {
     live: Vec<usize>,
     /// Min-heap of `(arrival_slot, user)` over this shard's range for
     /// users not yet live — the per-shard half of the serial driver's
-    /// arrival gate, drained at the top of phase A. Entries staled by
-    /// an admission deferral (phase D moved the arrival later) re-queue
-    /// at the current arrival slot.
+    /// arrival gate, drained at the top of phase A. Empty under
+    /// feasibility admission: a governed user enters through the tick's
+    /// `admitted` list instead.
     arrival_queue: BinaryHeap<Reverse<(u64, usize)>>,
     /// RRC transitions captured during phase C, `(user, from, to)` in
     /// live-walk order, replayed into the recorder by phase D.
@@ -393,8 +393,23 @@ struct AdmissionRuntime {
     rates: Vec<f64>,
     /// Lyapunov trade-off weight `V` used in the bound estimates.
     v: f64,
-    /// Min-heap of `(arrival_slot, user)` still awaiting a ruling.
-    pending: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Planned arrivals still awaiting their first ruling, ascending
+    /// `(arrival_slot, user)` and consumed from `planned_next` on. The
+    /// plan is compiled before the run and live reschedules are refused
+    /// under admission, so a sorted list with a cursor is the whole queue.
+    planned: Vec<(u64, usize)>,
+    planned_next: usize,
+    /// Users the latest tick deferred, ascending. A deferral is always
+    /// to the very next slot, so these are exactly the candidates the
+    /// next tick merges with its newly due planned arrivals.
+    carry: Vec<usize>,
+    /// Users the latest tick admitted, ascending — the arrival gate's
+    /// input for the next slot, and the only way a governed user goes
+    /// live (slot-0 arrivals, admitted by fiat, start live).
+    admitted: Vec<usize>,
+    /// The current tick's candidates (buffer reused across ticks, like
+    /// `carry` and `admitted`, so a steady-state tick allocates nothing).
+    candidates: Vec<usize>,
     /// Energy charged to arrived-and-watching users so far, mJ — the
     /// running `E*` estimate's numerator.
     energy_mj: f64,
@@ -416,8 +431,9 @@ struct AdmissionRuntime {
     rate_sum: f64,
 }
 
-/// Serializable slice of an [`AdmissionRuntime`] (the pending heap is
-/// derived from per-user arrival slots and rebuilt on restore).
+/// Serializable slice of an [`AdmissionRuntime`] (the arrival queue —
+/// planned list, carry list and gate — is derived from per-user arrival
+/// slots and rebuilt on restore).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AdmissionCkpt {
     state: AdmissionState,
@@ -650,13 +666,7 @@ impl Engine {
             .iter()
             .map(|u| u.session.bitrate.mean_rate())
             .collect();
-        let pending: BinaryHeap<Reverse<(u64, usize)>> = self
-            .users
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.arrival_slot > 0 && u.arrival_slot != u64::MAX)
-            .map(|(i, u)| Reverse((u.arrival_slot, i)))
-            .collect();
+        let planned = planned_arrivals(&self.users, 0);
         // Aggregates start with the slot-0 population (admitted by fiat),
         // summed in ascending user order.
         let mut n_active = 0usize;
@@ -671,7 +681,11 @@ impl Engine {
             ctl: AdmissionController::new(spec.clone(), self.users.len()),
             rates,
             v: *v,
-            pending,
+            planned,
+            planned_next: 0,
+            carry: Vec::new(),
+            admitted: Vec::new(),
+            candidates: Vec::new(),
             energy_mj: 0.0,
             user_slots: 0,
             n_active,
@@ -816,17 +830,17 @@ impl Engine {
                     })?;
                 a.energy_mj = s.energy_mj;
                 a.user_slots = s.user_slots;
-                // Rebuild the pending heap from the restored arrival
-                // slots: at the top of slot k it holds exactly the
-                // arrivals still due after k (the tick at the end of slot
-                // k−1 consumed everything due at or before k).
-                a.pending = self
-                    .users
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, u)| u.arrival_slot > ck.slot && u.arrival_slot != u64::MAX)
-                    .map(|(i, u)| Reverse((u.arrival_slot, i)))
-                    .collect();
+                // Rebuild the queue from the restored arrival slots: at
+                // the top of slot k everything still due after k awaits
+                // a ruling (the tick at the end of slot k−1 consumed what
+                // was due at or before k). A deferred user and a planned
+                // one due at k+1 are ruled in the same ascending user
+                // order either way, so the carry list restarts empty;
+                // `into_driver` re-derives the gate's `admitted` list.
+                a.planned = planned_arrivals(&self.users, ck.slot);
+                a.planned_next = 0;
+                a.carry.clear();
+                a.admitted.clear();
                 // v4 sidecars carry the running aggregates verbatim (so a
                 // resumed run continues on the exact float sum); legacy
                 // sidecars get a fresh rescan over the restored state.
@@ -1107,15 +1121,21 @@ impl Engine {
         // One shard of contiguous user ids per participant; their
         // concatenation in shard order is exactly the serial live list
         // (arrived users only — the rest wait in the shard's arrival
-        // queue, exactly like the serial driver's gate).
+        // queue or, under admission, for the tick to admit them, exactly
+        // like the serial driver's gate).
+        let shard_range = |s: usize| s * n_users / width..(s + 1) * n_users / width;
         let shard_cells: Vec<PhaseCell<ShardState>> = (0..width)
             .map(|s| {
-                let lo = s * n_users / width;
-                let hi = (s + 1) * n_users / width;
                 PhaseCell::new(ShardState {
-                    live: (lo..hi).filter(|&i| users[i].arrival_slot == 0).collect(),
-                    arrival_queue: (lo..hi)
-                        .filter(|&i| users[i].arrival_slot > 0 && users[i].arrival_slot != u64::MAX)
+                    live: shard_range(s)
+                        .filter(|&i| users[i].arrival_slot == 0)
+                        .collect(),
+                    arrival_queue: shard_range(s)
+                        .filter(|&i| {
+                            !has_admission
+                                && users[i].arrival_slot > 0
+                                && users[i].arrival_slot != u64::MAX
+                        })
                         .map(|i| Reverse((users[i].arrival_slot, i)))
                         .collect(),
                     events: Vec::new(),
@@ -1181,25 +1201,25 @@ impl Engine {
                     }
                     // Admit due arrivals into this shard's live list —
                     // the serial driver's arrival gate, split by range.
-                    // An entry staled by an admission deferral (phase D
-                    // moved the arrival later) re-queues at the current
-                    // arrival slot; a rejected user (arrival `u64::MAX`)
-                    // is dropped.
+                    // Nothing reschedules a sharded run's plan, so a
+                    // queued entry is due exactly when it says.
                     while let Some(&Reverse((due, i))) = sh.arrival_queue.peek() {
                         if due > slot {
                             break;
                         }
                         sh.arrival_queue.pop();
-                        // SAFETY: `i` lies in this shard's disjoint range.
-                        let arrival = unsafe { users_s.get(i) }.arrival_slot;
-                        if arrival <= slot {
-                            // Order-preserving insert keeps the shard's
-                            // live list ascending.
-                            let pos = sh.live.partition_point(|&j| j < i);
-                            sh.live.insert(pos, i);
-                        } else if arrival != u64::MAX {
-                            sh.arrival_queue.push(Reverse((arrival, i)));
-                        }
+                        // Keeps the shard's live list ascending.
+                        merge_ascending(&mut sh.live, &[i]);
+                    }
+                    // SAFETY: the serial state is read-only in phase A
+                    // (participant 0 writes it in phases B and D only).
+                    if let Some(adm) = unsafe { serial.get() }.admission.as_ref() {
+                        // The previous slot's tick admitted these for this
+                        // slot; this shard takes the ones in its range.
+                        let range = shard_range(p);
+                        let from = adm.admitted.partition_point(|&i| i < range.start);
+                        let to = adm.admitted.partition_point(|&i| i < range.end);
+                        merge_ascending(&mut sh.live, &adm.admitted[from..to]);
                     }
                     for k in 0..sh.live.len() {
                         let i = sh.live[k];
@@ -1302,6 +1322,19 @@ impl Engine {
                     *bs_cap_ctx = bs_cap_units;
                     rec.begin_slot(slot, bs_cap_units);
                     receiver.ingest_slot(slot);
+                    if use_soa {
+                        // The shard lists in shard order are the serial
+                        // live list: the rows a SoA sweep has to visit.
+                        // SAFETY: serial phase — no shard writes rows or
+                        // touches its list now, and no other reference
+                        // to the mirror is live.
+                        let soa = unsafe { soa_cell.get_mut() };
+                        soa.set_live_rows(
+                            shard_cells
+                                .iter()
+                                .flat_map(|cell| unsafe { cell.get() }.live.iter().copied()),
+                        );
+                    }
                     // SAFETY: serial phase; no shard writes rows now.
                     let ctx = SlotContext {
                         slot,
@@ -1546,12 +1579,17 @@ impl Engine {
                     // Commit staged ABR switches in ascending user order
                     // — the serial loop's exact commit order, so rung
                     // state, session re-pricing, and switch records are
-                    // bit-identical across shard widths.
+                    // bit-identical across shard widths. Only a delivery
+                    // stages a switch, so the live lists cover them all.
                     if let Some((spec, _, native)) = abr_meta_ref {
-                        for (i, &nat) in native.iter().enumerate() {
+                        // SAFETY: shards are quiescent in phase D.
+                        let live = shard_cells
+                            .iter()
+                            .flat_map(|cell| unsafe { cell.get() }.live.iter().copied());
+                        for i in live {
                             // SAFETY: exclusive serial phase.
                             let c = unsafe { abr_s.get_mut(i) };
-                            if let Some(sw) = c.apply_pending(&spec.ladder, nat) {
+                            if let Some(sw) = c.apply_pending(&spec.ladder, native[i]) {
                                 // SAFETY: exclusive serial phase.
                                 let u = unsafe { users_s.get_mut(i) };
                                 let delta = u.session.rescale_remaining(sw.ratio);
@@ -1571,9 +1609,9 @@ impl Engine {
                         // SAFETY: exclusive serial phase — every shard is
                         // parked at the barrier below, so the full user
                         // and done-flag slices are ours. The tick is the
-                        // serial loop's end-of-slot tick verbatim; its
-                        // deferral/rejection writes are picked up by the
-                        // owning shard's arrival queue next phase A.
+                        // serial loop's end-of-slot tick verbatim; the
+                        // users it admits join their shard's live list
+                        // next phase A.
                         admission_tick(
                             adm,
                             unsafe { users_s.as_mut_slice() },
@@ -1741,11 +1779,13 @@ impl Engine {
         let mut retired_at = vec![0u64; n_users];
         // Arrival gate: only users whose sessions have started occupy
         // the live set; the rest wait in a min-heap keyed by arrival
-        // slot and join (ascending user order within a slot) once due.
-        // A user's noise stream is anchored at their final arrival slot
-        // — pre-arrival users draw no signal samples at all, so the
-        // per-slot work scales with the arrived population, not the
-        // scenario's user count.
+        // slot and join (ascending user order within a slot) once due —
+        // or, under feasibility admission, wait for the tick to admit
+        // them (`AdmissionRuntime::admitted`). A user's noise stream is
+        // anchored at their final arrival slot — pre-arrival users draw
+        // no signal samples at all, so the per-slot work scales with the
+        // arrived population, not the scenario's user count.
+        let governed = self.admission.is_some();
         let mut live: Vec<usize> = Vec::with_capacity(n_users);
         let mut entered = vec![false; n_users];
         let mut arrival_queue: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
@@ -1753,7 +1793,7 @@ impl Engine {
             if u.arrival_slot == 0 {
                 live.push(i);
                 entered[i] = true;
-            } else if u.arrival_slot != u64::MAX {
+            } else if u.arrival_slot != u64::MAX && !governed {
                 arrival_queue.push(Reverse((u.arrival_slot, i)));
             }
         }
@@ -1838,8 +1878,17 @@ impl Engine {
                 if retired[i] {
                     entered[i] = true;
                 }
-                if !entered[i] && self.users[i].arrival_slot != u64::MAX {
-                    arrival_queue.push(Reverse((self.users[i].arrival_slot, i)));
+                let arrival = self.users[i].arrival_slot;
+                if entered[i] || arrival == u64::MAX {
+                    continue;
+                }
+                match self.admission.as_mut() {
+                    None => arrival_queue.push(Reverse((arrival, i))),
+                    // A governed user due by the restored slot and not
+                    // yet live was admitted by the tick just before it;
+                    // the later ones are in the rebuilt `planned` list.
+                    Some(adm) if arrival <= ck.slot => adm.admitted.push(i),
+                    Some(_) => {}
                 }
             }
             raw = ls.raw.clone();
@@ -2275,10 +2324,10 @@ pub struct SlotDriver<F: FaultHook = NoFaults> {
     retired_at: Vec<u64>,
     live: Vec<usize>,
     /// Min-heap of `(arrival_slot, user)` for users that have not yet
-    /// entered `live`, drained at the top of each step. Entries staled
-    /// by an admission deferral (or a live `set_arrival` reschedule)
-    /// re-queue at the user's current arrival slot; `entered` guards
-    /// against duplicates.
+    /// entered `live`, drained at the top of each step. A live
+    /// `set_arrival` reschedule pushes a fresh entry and leaves the old
+    /// one behind to be dropped on pop. Empty under feasibility
+    /// admission, whose tick feeds the gate instead.
     arrival_queue: BinaryHeap<Reverse<(u64, usize)>>,
     /// Latched once a user joins `live` (or was restored as retired):
     /// live membership never regresses, so a queue entry for an entered
@@ -2300,7 +2349,32 @@ pub struct SlotDriver<F: FaultHook = NoFaults> {
     finished: bool,
 }
 
+/// What the latest slot cost in rows visited rather than in time: counts
+/// that repeat exactly from run to run, so a test can pin that a slot
+/// costs the sessions in the cell and not the pool they came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotWork {
+    /// Flows the Data Receiver's ingest visited.
+    pub receiver_flows: usize,
+    /// Rows the scheduler's context listed as live — what a live-list
+    /// sweep such as Default's visits; the whole pool when the policy
+    /// keeps no SoA mirror.
+    pub scheduler_rows: usize,
+}
+
 impl<F: FaultHook> SlotDriver<F> {
+    /// Work counts of the slot the latest [`SlotDriver::step`] executed.
+    pub fn last_slot_work(&self) -> SlotWork {
+        SlotWork {
+            receiver_flows: self.engine.receiver.flows_visited_last_ingest(),
+            scheduler_rows: if self.use_soa {
+                self.soa.live_rows().len()
+            } else {
+                self.engine.users.len()
+            },
+        }
+    }
+
     /// Slot the next [`SlotDriver::step`] call will execute.
     pub fn next_slot(&self) -> u64 {
         self.next_slot
@@ -2408,8 +2482,8 @@ impl<F: FaultHook> SlotDriver<F> {
         }
         u.arrival_slot = slot;
         // Duplicate entries for a rescheduled arrival are harmless: the
-        // drain drops (or re-queues) any entry whose due slot no longer
-        // matches the user's schedule.
+        // drain drops any entry that comes up before the user's current
+        // arrival slot, or after they entered.
         self.arrival_queue.push(Reverse((slot, user)));
         Ok(())
     }
@@ -2556,27 +2630,28 @@ impl<F: FaultHook> SlotDriver<F> {
         } = self;
 
         // Admit due arrivals into the live set: pop every entry due by
-        // this slot. An entry staled by an admission deferral (the
-        // user's arrival moved later) re-queues at the current arrival
-        // slot; a rejected user (arrival `u64::MAX`) is dropped.
+        // this slot. An entry a live reschedule left behind (the user
+        // entered already, or now arrives later under a fresh entry) is
+        // dropped.
         while let Some(&Reverse((due, i))) = arrival_queue.peek() {
             if due > slot {
                 break;
             }
             arrival_queue.pop();
-            if entered[i] {
-                continue;
-            }
-            let arrival = eng.users[i].arrival_slot;
-            if arrival <= slot {
-                // Order-preserving insert keeps `live` ascending, so
-                // iteration (and FP summation) order matches the
-                // reference loop's plain 0..n walk.
-                let pos = live.partition_point(|&j| j < i);
-                live.insert(pos, i);
+            if !entered[i] && eng.users[i].arrival_slot <= slot {
+                // `live` stays ascending, so iteration (and FP
+                // summation) order matches the reference loop's plain
+                // 0..n walk.
+                merge_ascending(live, &[i]);
                 entered[i] = true;
-            } else if arrival != u64::MAX {
-                arrival_queue.push(Reverse((arrival, i)));
+            }
+        }
+        // Under admission the previous slot's tick admitted these for
+        // this slot — the gate's only input.
+        if let Some(adm) = eng.admission.as_ref() {
+            merge_ascending(live, &adm.admitted);
+            for &i in &adm.admitted {
+                entered[i] = true;
             }
         }
 
@@ -2820,8 +2895,10 @@ impl<F: FaultHook> SlotDriver<F> {
         // Commit staged ABR switches in ascending user order: update
         // the rung rate, re-price the unfetched tail of the session,
         // and keep the receiver's origin-side volume bound in step.
+        // Only a delivery stages a switch, so the live list (not yet
+        // compacted) covers every user that can have one.
         if let Some(a) = eng.abr.as_mut() {
-            for i in 0..n_users {
+            for &i in live.iter() {
                 if let Some(sw) = a.clients[i].apply_pending(&a.spec.ladder, a.native[i]) {
                     let delta = eng.users[i].session.rescale_remaining(sw.ratio);
                     eng.receiver.adjust_source_volume_kb(i, delta);
@@ -2920,27 +2997,36 @@ impl<F: FaultHook> SlotDriver<F> {
     }
 }
 
-/// Pop every pending arrival due by `next_slot`, in ascending
-/// (slot, user) order — deterministic across runs and run paths —
-/// dropping entries staled by a later reschedule or rejection.
-fn admission_candidates(
-    adm: &mut AdmissionRuntime,
-    users: &[UserSim],
-    next_slot: u64,
-) -> Vec<usize> {
-    let mut candidates: Vec<usize> = Vec::new();
-    while let Some(&Reverse((due, j))) = adm.pending.peek() {
-        if due > next_slot {
-            break;
+/// The planned arrivals due after `after`, ascending `(slot, user)` —
+/// the order every tick has ruled in. Users that never arrive
+/// (`u64::MAX`: past any horizon, or rejected) are left out.
+fn planned_arrivals(users: &[UserSim], after: u64) -> Vec<(u64, usize)> {
+    let mut planned: Vec<(u64, usize)> = users
+        .iter()
+        .enumerate()
+        .filter(|(_, u)| u.arrival_slot > after && u.arrival_slot != u64::MAX)
+        .map(|(i, u)| (u.arrival_slot, i))
+        .collect();
+    planned.sort_unstable();
+    planned
+}
+
+/// Merge the ascending `add` into the ascending `live` in place (the two
+/// are disjoint): back to front, so it costs the tail of `live` behind
+/// the first insertion plus `add`, and nothing when `add` is empty.
+fn merge_ascending(live: &mut Vec<usize>, add: &[usize]) {
+    let mut i = live.len();
+    let mut k = i + add.len();
+    live.resize(k, 0);
+    for &new in add.iter().rev() {
+        while i > 0 && live[i - 1] > new {
+            live[k - 1] = live[i - 1];
+            i -= 1;
+            k -= 1;
         }
-        adm.pending.pop();
-        // Stale guard: a user rejected or re-scheduled since the entry
-        // was pushed carries a mismatched arrival slot.
-        if users[j].arrival_slot == due {
-            candidates.push(j);
-        }
+        live[k - 1] = new;
+        k -= 1;
     }
-    candidates
 }
 
 /// The running per-user-slot E* estimate (0 until any user-slot has been
@@ -2995,10 +3081,9 @@ fn admission_decide(
 /// back a slot, rejected users are cancelled before ever going live (the
 /// radio stays cold and they stop counting toward the watch count).
 /// Rejected users were never in the active population, so the aggregates
-/// are untouched here; the admit arm is aggregate-maintained by the
-/// incremental tick itself.
+/// are untouched here; the admit arm (aggregates, gate) and the carry
+/// list are the incremental tick's own business.
 fn admission_apply(
-    adm: &mut AdmissionRuntime,
     users: &mut [UserSim],
     done_watching: &mut [bool],
     watching: &mut usize,
@@ -3008,10 +3093,7 @@ fn admission_apply(
 ) {
     match decision {
         AdmissionDecision::Admit => {}
-        AdmissionDecision::Defer => {
-            users[j].arrival_slot = next_slot + 1;
-            adm.pending.push(Reverse((next_slot + 1, j)));
-        }
+        AdmissionDecision::Defer => users[j].arrival_slot = next_slot + 1,
         AdmissionDecision::Reject => {
             users[j].arrival_slot = u64::MAX;
             users[j].session.cancel_remaining();
@@ -3032,10 +3114,14 @@ fn admission_apply(
 /// decision uses the slot's final capacity and energy accounting and its
 /// records land on the decision slot. Each candidate costs O(1): the
 /// active population is read off the incrementally maintained
-/// `n_active`/`rate_sum` aggregates instead of a per-candidate rescan
-/// (the reference loop runs the rescan form,
-/// [`admission_tick_reference`], pinned equal by the admission property
-/// pack).
+/// `n_active`/`rate_sum` aggregates instead of a per-candidate rescan,
+/// and the candidates come off one queue — the carry list of the last
+/// tick's deferrals merged with the planned arrivals that just came due,
+/// in ascending `(slot, user)` order. A candidate enters the arrival
+/// gate (`admitted`) only when admitted, so a user deferred thirty times
+/// costs thirty rulings and nothing else. The reference loop runs the
+/// naive form, [`admission_tick_reference`], pinned equal by the
+/// admission property pack.
 #[allow(clippy::too_many_arguments)]
 fn admission_tick<R: SlotRecorder>(
     adm: &mut AdmissionRuntime,
@@ -3049,14 +3135,32 @@ fn admission_tick<R: SlotRecorder>(
     delta_kb: f64,
 ) {
     let next_slot = slot + 1;
-    let candidates = admission_candidates(adm, users, next_slot);
-    if candidates.is_empty() {
-        return;
+    // The gate consumed the previous tick's admits at the top of this
+    // slot.
+    adm.admitted.clear();
+    // Every carried user is due exactly `next_slot`; planned entries are
+    // already in `(slot, user)` order.
+    let mut candidates = std::mem::take(&mut adm.candidates);
+    candidates.clear();
+    let mut carried = 0;
+    while let Some(&(due, j)) = adm.planned.get(adm.planned_next) {
+        if due > next_slot {
+            break;
+        }
+        while carried < adm.carry.len() && (next_slot, adm.carry[carried]) < (due, j) {
+            candidates.push(adm.carry[carried]);
+            carried += 1;
+        }
+        candidates.push(j);
+        adm.planned_next += 1;
     }
+    candidates.extend_from_slice(&adm.carry[carried..]);
+    adm.carry.clear();
     // Slot-s capacity in KB/s.
     let c_kbps = bs_cap_units as f64 * delta_kb / tau;
     let e_star_user = admission_e_star(adm);
-    for j in candidates {
+    for &j in &candidates {
+        debug_assert!(users[j].arrival_slot <= next_slot, "candidate not due");
         // Population with the candidate admitted: the maintained active
         // population (which already includes the candidates this pass
         // admitted) plus `j` itself — `j` is never a member yet, since
@@ -3064,15 +3168,22 @@ fn admission_tick<R: SlotRecorder>(
         let n_active = adm.n_active + 1;
         let rate_sum = adm.rate_sum + adm.rates[j];
         let decision = admission_decide(adm, j, n_active, rate_sum, e_star_user, c_kbps, tau);
-        if decision == AdmissionDecision::Admit {
-            // Arrival commit: the event point where `j` joins the
-            // active population (and counts toward later candidates).
-            adm.n_active += 1;
-            adm.rate_sum += adm.rates[j];
+        match decision {
+            AdmissionDecision::Admit => {
+                // Arrival commit: the event point where `j` joins the
+                // active population (and counts toward later
+                // candidates) and enters the arrival gate.
+                adm.n_active += 1;
+                adm.rate_sum += adm.rates[j];
+                adm.admitted.push(j);
+            }
+            AdmissionDecision::Defer => adm.carry.push(j),
+            AdmissionDecision::Reject => {}
         }
-        admission_apply(adm, users, done_watching, watching, j, next_slot, decision);
+        admission_apply(users, done_watching, watching, j, next_slot, decision);
         rec.record_admission(j, decision);
     }
+    adm.candidates = candidates;
 }
 
 /// The full-rescan population count the incremental aggregates replace:
@@ -3104,12 +3215,14 @@ fn admission_aggregates_reference(
     (n_active, rate_sum)
 }
 
-/// [`admission_tick`] in full-rescan form — identical drain order and
-/// decision expression, but each candidate's population aggregates come
-/// from [`admission_aggregates_reference`] instead of the running
-/// counters (which this form does not maintain). The reference slot loop
-/// runs this, keeping the O(n_users) rescan alive as the specification
-/// the hot paths are pinned against.
+/// [`admission_tick`] in naive form — identical ruling order and decision
+/// expression, but the candidates are found by scanning every user for an
+/// arrival due at the next slot (deferred or planned, it reads the same),
+/// and each candidate's population aggregates come from
+/// [`admission_aggregates_reference`] instead of the running counters
+/// (neither of which this form maintains). The reference slot loop runs
+/// this, keeping the O(n_users) scans alive as the specification the hot
+/// paths' queue and counters are pinned against.
 #[allow(clippy::too_many_arguments)]
 fn admission_tick_reference<R: SlotRecorder>(
     adm: &mut AdmissionRuntime,
@@ -3123,14 +3236,18 @@ fn admission_tick_reference<R: SlotRecorder>(
     delta_kb: f64,
 ) {
     let next_slot = slot + 1;
-    let candidates = admission_candidates(adm, users, next_slot);
+    // Arrivals at slot 0 are admitted by fiat, every later one is ruled
+    // on the slot before it, so "due by the next slot and not yet ruled"
+    // is "due exactly the next slot".
+    let candidates: Vec<usize> = (0..users.len())
+        .filter(|&j| users[j].arrival_slot == next_slot)
+        .collect();
     if candidates.is_empty() {
         return;
     }
     let c_kbps = bs_cap_units as f64 * delta_kb / tau;
     let e_star_user = admission_e_star(adm);
-    // Per-tick admitted mask: O(1) membership for the rescan instead of
-    // the linear `admitted_now.contains` scan the old tick carried.
+    // Per-tick admitted mask: O(1) membership for the rescan.
     let mut admitted = vec![false; users.len()];
     for j in candidates {
         let (n_active, rate_sum) =
@@ -3139,7 +3256,7 @@ fn admission_tick_reference<R: SlotRecorder>(
         if decision == AdmissionDecision::Admit {
             admitted[j] = true;
         }
-        admission_apply(adm, users, done_watching, watching, j, next_slot, decision);
+        admission_apply(users, done_watching, watching, j, next_slot, decision);
         rec.record_admission(j, decision);
     }
 }

@@ -15,10 +15,18 @@
 //!   (the admission tick lives in the serial phase D): every shard
 //!   width must reproduce the serial run byte-for-byte, with no
 //!   `ShardFallback` warning.
+//! * The hot tick takes its candidates off one queue — the carry list
+//!   of the previous tick's deferrals merged with the planned arrivals
+//!   that just came due — and only an `Admit` reaches the arrival gate;
+//!   the reference tick finds them by scanning every user. Same
+//!   rulings in the same order for `max_defer_slots` ∈ {0, 1, 30}, and
+//!   a checkpoint taken while users sit deferred resumes byte for byte
+//!   (the queue is not checkpointed: it is re-derived from the arrival
+//!   slots).
 
 use jmso_sim::{
-    AdmissionDecision, AdmissionSpec, ArrivalSpec, CapacitySpec, Scenario, SchedulerSpec,
-    SessionLength, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
+    AdmissionDecision, AdmissionSpec, ArrivalSpec, CapacitySpec, EngineCheckpoint, RunOutcome,
+    Scenario, SchedulerSpec, SessionLength, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -117,6 +125,27 @@ fn traced_sharded(s: &Scenario, pool: &WorkerPool, shards: usize) -> (SimResult,
     (scrub(r), bytes)
 }
 
+/// Run to the top of `pause`, round-trip the checkpoint through JSON,
+/// resume, and return what the two halves add up to.
+fn traced_resumed(s: &Scenario, pause: u64) -> (SimResult, String) {
+    let mut rec = TraceRecorder::new().with_live_counts();
+    match s.run_until(&mut rec, pause).expect("valid scenario runs") {
+        RunOutcome::Done(r) => {
+            let trace = rec.into_trace(&r.scheduler);
+            (scrub(r), trace.to_jsonl())
+        }
+        RunOutcome::Paused(ck) => {
+            let json = ck.to_json().expect("checkpoint serializes");
+            let ck = EngineCheckpoint::from_json(&json).expect("checkpoint parses");
+            assert_eq!(ck.slot(), pause);
+            let mut rec = TraceRecorder::new().with_live_counts();
+            let r = s.resume_from(&mut rec, &ck).expect("resume runs");
+            let trace = rec.into_trace(&r.scheduler);
+            (scrub(r), trace.to_jsonl())
+        }
+    }
+}
+
 fn scrub(mut r: SimResult) -> SimResult {
     if let Some(t) = r.telemetry.as_mut() {
         t.sched_ns_p50 = 0;
@@ -151,6 +180,31 @@ proptest! {
             &reference_trace,
             "trace bytes diverged between hot and reference loops"
         );
+    }
+
+    /// The arrival queue (planned list, carry list, gate) is derived
+    /// state: pausing right after a tick that ruled — with users just
+    /// deferred, just admitted for the paused slot, or still planned —
+    /// and resuming from the sidecar JSON continues with the same
+    /// rulings, results and trace bytes.
+    #[test]
+    fn checkpoint_resume_rebuilds_the_arrival_queue(
+        scenario in arb_churn_scenario(),
+        admission in arb_feasibility(),
+        pick in 0usize..1_000,
+    ) {
+        let mut s = scenario;
+        s.admission = Some(admission);
+        let ruled_slots: Vec<u64> = rulings(&s, false).iter().map(|r| r.0).collect();
+        let pause = match ruled_slots.get(pick % ruled_slots.len().max(1)) {
+            Some(slot) => (slot + 1).min(s.slots - 1),
+            None => s.slots / 2,
+        };
+
+        let (straight, straight_trace) = traced_serial(&s);
+        let (stitched, stitched_trace) = traced_resumed(&s, pause);
+        prop_assert_eq!(&straight, &stitched, "resume at slot {} diverged", pause);
+        prop_assert_eq!(&straight_trace, &stitched_trace, "trace diverged across slot {}", pause);
     }
 
     /// Lifted pin: open-system + admission scenarios shard, and every
@@ -234,4 +288,105 @@ fn congested_cell_defers_and_all_loops_agree() {
     assert!(sharded.warnings.is_empty(), "{:?}", sharded.warnings);
     assert_eq!(hot, sharded);
     assert_eq!(hot_trace, sharded_trace);
+}
+
+/// A cell with room for two sessions at a time (slack is the only
+/// budget) and a new arrival every other slot: arrivals are admitted
+/// while there is room, deferred until a session ends, and rejected at
+/// the deferral cap.
+fn congested(max_defer_slots: u64) -> Scenario {
+    let mut s = Scenario::paper_default(24);
+    s.slots = 240;
+    s.capacity = CapacitySpec::Constant { kbps: 1_200.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (2_000.0, 3_000.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: None,
+        vbr_segment_slots: 30,
+    };
+    s.seed = 7;
+    s.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 2.0,
+        diurnal: None,
+        session_slots: Some(SessionLength::Exponential { mean_slots: 20.0 }),
+    };
+    s.admission = Some(AdmissionSpec::Feasibility {
+        v: 1.0,
+        omega_s: None,
+        phi_mj: None,
+        max_defer_slots,
+    });
+    s
+}
+
+/// `(slot, user, decision)` of every ruling in a trace, in record order.
+fn rulings(s: &Scenario, reference: bool) -> Vec<(u64, usize, AdmissionDecision)> {
+    let mut rec = TraceRecorder::new().with_live_counts();
+    let r = if reference {
+        s.run_reference_with(&mut rec)
+    } else {
+        s.run_with(&mut rec)
+    }
+    .expect("valid scenario runs");
+    rec.into_trace(&r.scheduler)
+        .records
+        .iter()
+        .flat_map(|rec| rec.adm.iter().map(|a| (rec.slot, a.user, a.decision)))
+        .collect()
+}
+
+/// The merged carry-list tick rules exactly like the reference tick's
+/// scan of every user, at each deferral cap: 0 never defers (the queue
+/// is the planned list alone), 1 carries a user across one tick, 30
+/// keeps users on the carry list for many.
+#[test]
+fn merged_queue_rules_like_the_reference_scan() {
+    for max_defer_slots in [0u64, 1, 30] {
+        let s = congested(max_defer_slots);
+        let hot = rulings(&s, false);
+        assert_eq!(
+            hot,
+            rulings(&s, true),
+            "rulings differ at max_defer_slots = {max_defer_slots}"
+        );
+        let count = |d| hot.iter().filter(|r| r.2 == d).count();
+        assert!(count(AdmissionDecision::Admit) > 0);
+        match max_defer_slots {
+            0 => {
+                assert_eq!(count(AdmissionDecision::Defer), 0);
+                assert!(count(AdmissionDecision::Reject) > 0);
+            }
+            1 => {
+                assert!(count(AdmissionDecision::Defer) > 0);
+                assert!(count(AdmissionDecision::Reject) > 0);
+            }
+            // Thirty slots outlast the waits: everyone gets in.
+            _ => assert!(count(AdmissionDecision::Defer) > 100),
+        }
+        // One tick's rulings come in ascending user order.
+        for w in hot.windows(2) {
+            assert!(w[0].0 < w[1].0 || w[0].1 < w[1].1, "{w:?}");
+        }
+    }
+}
+
+/// A checkpoint taken at the top of a slot whose predecessor deferred
+/// somebody — the carry list is non-empty at the pause — continues byte
+/// for byte, at every such slot of the run.
+#[test]
+fn resume_mid_deferral_is_byte_identical() {
+    let s = congested(30);
+    let (straight, straight_trace) = traced_serial(&s);
+    let mut pauses: Vec<u64> = rulings(&s, false)
+        .iter()
+        .filter(|r| r.2 == AdmissionDecision::Defer)
+        .map(|r| r.0 + 1)
+        .collect();
+    pauses.dedup();
+    assert!(pauses.len() > 3, "the cell must defer across several slots");
+    for pause in pauses {
+        let (stitched, stitched_trace) = traced_resumed(&s, pause);
+        assert_eq!(straight, stitched, "resume at slot {pause}");
+        assert_eq!(straight_trace, stitched_trace, "trace across slot {pause}");
+    }
 }

@@ -57,6 +57,15 @@ echo "== benchmark harness builds against the tree"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+# One short traced pass of the open-system workload: its checks (rep ≡
+# rep, width-2 sharded ≡ serial, the committed seed-42 digest, exact
+# work counts) are the only default gate on the sharded loop at pool
+# scale, and the harness is already built.
+echo "== benchmark open-sharded, 3 s, traced pass"
+bash benchmark/run.sh --workload open-sharded --seconds 3 --trace 1 \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "open-sharded --trace 1 did not report \"correct\": true"; exit 1; }
+
 # Golden-trace drift gate: the byte-equality tests above already diff
 # the committed traces; TRACE=1 additionally *regenerates* them from the
 # current engine and fails if the files changed, catching traces that
@@ -108,7 +117,7 @@ if [[ "${SVC:-0}" == "1" ]]; then
 fi
 
 # Opt-in perf gate: BENCH=1 scripts/check.sh additionally runs the
-# hotpath bench and diffs it against the committed BENCH_PR8.json
+# hotpath bench and diffs it against the committed BENCH_PR10.json
 # baseline (too noisy for every pre-commit run, so off by default).
 if [[ "${BENCH:-0}" == "1" ]]; then
     scripts/bench-regress.sh
