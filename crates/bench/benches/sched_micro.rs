@@ -8,11 +8,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jmso_gateway::{Scheduler, SlotContext, UserSnapshot};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::Dbm;
-use jmso_sched::ema::{slot_users, solve_dp_reference, solve_dp_with, DpScratch, SlotUser};
+use jmso_sched::ema::{slot_users, solve_dp_with, DpScratch, SlotUser};
 use jmso_sched::ema_fast::{solve_greedy_with, GreedyScratch};
 use jmso_sched::lyapunov::VirtualQueues;
 use jmso_sched::{
-    CrossLayerModels, DefaultMax, EStreamer, Ema, EmaCost, EmaFast, OnOff, Rtma, Salsa, Throttling,
+    CrossLayerModels, DefaultMax, EStreamer, Ema, EmaCost, OnOff, Rtma, Salsa, Throttling,
 };
 use std::hint::black_box;
 
@@ -54,7 +54,6 @@ fn bench_policies(c: &mut Criterion) {
             Box::new(DefaultMax::new()),
             Box::new(Rtma::unbounded()),
             Box::new(Ema::new(0.3, models)),
-            Box::new(EmaFast::new(0.3, models)),
             Box::new(Throttling::new(1.25)),
             Box::new(OnOff::new(10.0, 40.0)),
             Box::new(Salsa::new(1.0, 3.0, 0.2)),
@@ -70,9 +69,9 @@ fn bench_policies(c: &mut Criterion) {
 }
 
 /// Two participant sets for one contended slot (P = 40, C = 400, mixed
-/// starved/surplus queues), identical but for user 0's queue value —
-/// alternating them defeats the DP's warm-start cache, so the cold row
-/// prices a full table build while the warm row prices a cache hit.
+/// starved/surplus queues), identical but for user 0's queue value, so
+/// alternating them keeps either solver from seeing the same input twice
+/// in a row.
 fn micro_parts() -> (Vec<SlotUser>, Vec<SlotUser>) {
     let snaps = users(40);
     let ctx = SlotContext {
@@ -95,36 +94,19 @@ fn micro_parts() -> (Vec<SlotUser>, Vec<SlotUser>) {
     (parts_a, parts_b)
 }
 
-/// The EMA per-slot solvers in isolation: the production DP cold and
-/// warm-started, the textbook `O(P·C)` reference it is pinned against,
-/// and the slope-greedy. The cold/reference ratio is the PR 1–6 table
-/// reduction win; the warm row is the `O(P)` input-compare floor.
+/// The EMA per-slot solvers in isolation: the production greedy and the
+/// paper's Algorithm 2 table it is pinned against.
 fn bench_solvers(c: &mut Criterion) {
     let (parts_a, parts_b) = micro_parts();
     let mut group = c.benchmark_group("solver_micro");
 
     let mut scratch = DpScratch::default();
     let mut flip = false;
-    group.bench_function("solve_dp cold (P=40,C=400)", |b| {
+    group.bench_function("Algorithm 2 reference (P=40,C=400)", |b| {
         b.iter(|| {
             flip = !flip;
             let parts = if flip { &parts_a } else { &parts_b };
             black_box(solve_dp_with(black_box(parts), 400, &mut scratch).len())
-        })
-    });
-
-    let mut scratch = DpScratch::default();
-    solve_dp_with(&parts_a, 400, &mut scratch);
-    group.bench_function("solve_dp warm hit (P=40,C=400)", |b| {
-        b.iter(|| black_box(solve_dp_with(black_box(&parts_a), 400, &mut scratch).len()))
-    });
-
-    group.bench_function("solve_dp_reference (P=40,C=400)", |b| {
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let parts = if flip { &parts_a } else { &parts_b };
-            black_box(solve_dp_reference(black_box(parts), 400).len())
         })
     });
 

@@ -1,11 +1,11 @@
 //! Structure-of-arrays mirror of a slot's [`UserSnapshot`] buffer.
 //!
-//! The hottest scheduler loops (RTMA's tranche sweep, EMA-fast's slot-user
-//! build, the Default baseline) iterate every user touching one or two
-//! fields per pass. With the AoS `&[UserSnapshot]` layout each access
-//! gathers from a ~90-byte struct; the [`SnapshotSoA`] keeps the fields
-//! those loops read in contiguous `f64`/`u64` arrays instead, so the
-//! passes stream cache lines and auto-vectorize.
+//! The hottest scheduler loops (RTMA's tranche sweep, the Default
+//! baseline) iterate every user touching one or two fields per pass. With
+//! the AoS `&[UserSnapshot]` layout each access gathers from a ~90-byte
+//! struct; the [`SnapshotSoA`] keeps the fields those loops read in
+//! contiguous `f64`/`u64` arrays instead, so the passes stream cache lines
+//! and auto-vectorize.
 //!
 //! The SoA is strictly a *mirror*: every array is derived from the same
 //! reported values the AoS snapshot carries (by the collector, in the same
@@ -107,14 +107,6 @@ impl SnapshotSoA {
         self.live_rows.extend(rows);
         debug_assert!(self.live_rows.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(self.live_rows.last().is_none_or(|&i| i < self.len()));
-    }
-
-    /// The three read-only input columns of EMA's batch cost kernel —
-    /// `(signal_dbm, rate_kbps, idle_s)` — borrowed together so the
-    /// kernel call sites stay one line.
-    #[inline]
-    pub fn curve_columns(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.signal_dbm, &self.rate_kbps, &self.idle_s)
     }
 
     /// The two derived demand columns RTMA's batch clamp kernels consume

@@ -122,8 +122,7 @@ impl<'a> EmaCost<'a> {
     }
 
     /// The priced cost of one more idle slot given the radio's idle time
-    /// (the field-level core shared by the AoS and SoA entry points, so
-    /// the two are bit-identical by construction).
+    /// (field-level core).
     pub fn idle_slot_energy_at(&self, idle_s: f64) -> f64 {
         match self.tail_pricing {
             TailPricing::PerSlot => {
@@ -188,10 +187,7 @@ impl<'a> EmaCost<'a> {
     }
 
     /// The three cost curves `(f0, f1, slope)` of one user in a single
-    /// evaluation — the per-element kernel the batch pass
-    /// ([`EmaCost::curves_into`]) and the scalar builders share, so both
-    /// are bit-identical by construction (the PR 5 batch-kernel
-    /// discipline).
+    /// evaluation.
     ///
     /// Every arithmetic expression below replays [`EmaCost::f_at`] /
     /// [`EmaCost::slope_at`] operation-for-operation (`φ = 0` keeps the
@@ -219,70 +215,6 @@ impl<'a> EmaCost<'a> {
     #[inline]
     pub fn curves(&self, user: &UserSnapshot, pc: f64) -> (f64, f64, f64) {
         self.curves_at(user.signal, user.rate_kbps, user.idle_s, pc)
-    }
-
-    /// Batch form of [`EmaCost::curves_at`]: fill the `f0`/`f1`/`slope`
-    /// columns of `out` from the [`SnapshotSoA`]-style input columns in
-    /// one dense pass (`out` is resized to match). Row `i` of the output
-    /// is exactly `curves_at(Dbm(signal_dbm[i]), rate_kbps[i], idle_s[i],
-    /// pc[i])` — the batch loop *is* the per-element kernel, so batch ≡
-    /// scalar bit-identical by construction.
-    ///
-    /// [`SnapshotSoA`]: jmso_gateway::SnapshotSoA
-    ///
-    /// # Panics
-    /// If the input columns differ in length.
-    pub fn curves_into(
-        &self,
-        signal_dbm: &[f64],
-        rate_kbps: &[f64],
-        idle_s: &[f64],
-        pc: &[f64],
-        out: &mut CurveColumns,
-    ) {
-        let n = signal_dbm.len();
-        assert_eq!(rate_kbps.len(), n, "batch curve column length mismatch");
-        assert_eq!(idle_s.len(), n, "batch curve column length mismatch");
-        assert_eq!(pc.len(), n, "batch curve column length mismatch");
-        out.resize(n);
-        for i in 0..n {
-            let (f0, f1, slope) =
-                self.curves_at(Dbm(signal_dbm[i]), rate_kbps[i], idle_s[i], pc[i]);
-            out.f0[i] = f0;
-            out.f1[i] = f1;
-            out.slope[i] = slope;
-        }
-    }
-}
-
-/// Reusable output columns for [`EmaCost::curves_into`], owned by the EMA
-/// policies so the batch costing pass allocates nothing in steady state.
-#[derive(Debug, Clone, Default)]
-pub struct CurveColumns {
-    /// `f(i, 0)` per row.
-    pub f0: Vec<f64>,
-    /// `f(i, 1)` per row.
-    pub f1: Vec<f64>,
-    /// `f(i, φ+1) − f(i, φ)` for φ ≥ 1, per row.
-    pub slope: Vec<f64>,
-}
-
-impl CurveColumns {
-    /// Resize every column to `n` rows.
-    pub fn resize(&mut self, n: usize) {
-        self.f0.resize(n, 0.0);
-        self.f1.resize(n, 0.0);
-        self.slope.resize(n, 0.0);
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.f0.len()
-    }
-
-    /// True when no rows are held.
-    pub fn is_empty(&self) -> bool {
-        self.f0.is_empty()
     }
 }
 
@@ -378,10 +310,9 @@ mod tests {
         }
     }
 
-    /// The shared curve kernel reproduces the three scalar evaluators
-    /// bit-for-bit across signal/rate/idle/pc grids, including degenerate
-    /// sub-floor signals — the contract that lets the batch pass replace
-    /// the per-user scalar construction without perturbing a golden byte.
+    /// The curve kernel reproduces the three scalar evaluators bit-for-bit
+    /// across signal/rate/idle/pc grids, including degenerate sub-floor
+    /// signals.
     #[test]
     fn curve_kernel_matches_scalar_bitwise() {
         let m = CrossLayerModels::paper();
@@ -407,31 +338,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Batch columns equal the per-element kernel row-for-row (and the
-    /// output buffer resizes to match shrinking inputs).
-    #[test]
-    fn batch_curves_match_kernel_rows() {
-        let m = CrossLayerModels::paper();
-        let c = cost(&m);
-        let n = 37;
-        let sig: Vec<f64> = (0..n).map(|i| -115.0 + 1.7 * i as f64).collect();
-        let rate: Vec<f64> = (0..n).map(|i| 300.0 + 8.0 * i as f64).collect();
-        let idle: Vec<f64> = (0..n).map(|i| 0.3 * i as f64).collect();
-        let pc: Vec<f64> = (0..n).map(|i| -10.0 + 0.7 * i as f64).collect();
-        let mut cols = CurveColumns::default();
-        c.curves_into(&sig, &rate, &idle, &pc, &mut cols);
-        assert_eq!(cols.len(), n);
-        for i in 0..n {
-            let (f0, f1, slope) = c.curves_at(Dbm(sig[i]), rate[i], idle[i], pc[i]);
-            assert_eq!(cols.f0[i].to_bits(), f0.to_bits(), "row {i}");
-            assert_eq!(cols.f1[i].to_bits(), f1.to_bits(), "row {i}");
-            assert_eq!(cols.slope[i].to_bits(), slope.to_bits(), "row {i}");
-        }
-        c.curves_into(&sig[..3], &rate[..3], &idle[..3], &pc[..3], &mut cols);
-        assert_eq!(cols.len(), 3);
-        assert!(!cols.is_empty());
     }
 
     #[test]

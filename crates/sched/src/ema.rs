@@ -2,48 +2,57 @@
 //!
 //! Per slot, EMA minimizes the drift-plus-penalty objective
 //! `Σᵢ f(i, φᵢ)` (Eq. (22), see [`crate::cost`]) subject to the link
-//! bounds Eq. (1) and the BS bound Eq. (2), by dynamic programming over a
-//! bounded multi-choice knapsack:
+//! bounds Eq. (1) and the BS bound Eq. (2). Every user's curve is convex
+//! in φ, so the slot problem is separable-convex under one budget and
+//! [`Ema`] solves it with the exact marginal greedy of
+//! [`crate::ema_fast`], pricing participants from the AoS snapshot rows.
+//!
+//! The paper states the solve as a dynamic program over a bounded
+//! multi-choice knapsack:
 //!
 //! ```text
 //! a[i][M] = min over φᵢ ∈ [0, min(capᵢ, M)] of a[i−1][M − φᵢ] + f(i, φᵢ)
 //! ```
 //!
 //! with `g[i][M]` recording the argmin for backtracking and the final
-//! total chosen as `argmin_M a[P][M]` — exactly the recurrence of
-//! Algorithm 2.
-//!
-//! **Complexity.** Because `f(i, φ)` is affine in φ for φ ≥ 1 (slope
-//! `s = δ·(V·P(sigᵢ) − PCᵢ/pᵢ)`), the inner minimization
-//! `min_{1 ≤ φ ≤ cap} prev[M−φ] + f(i,1) + (φ−1)·s` equals
-//! `min_{M−cap ≤ j < M} (prev[j] − j·s) + f(i,1) + (M−1)·s` — a
-//! sliding-window minimum over the keys `prev[j] − j·s`. [`solve_dp`]
-//! maintains that window with a monotone deque, so each row costs O(C)
-//! and a slot costs **O(P · C)** total, where `P` is the number of
-//! participating users and `C = ⌊τS/δ⌋`. The textbook
-//! O(P · C · φ_max) scan is retained as [`solve_dp_reference`] for
-//! differential testing and as the baseline the speedup is measured
-//! against. All DP state lives in a reusable [`DpScratch`] owned by
-//! [`Ema`], so steady-state slots allocate nothing.
+//! total chosen as `argmin_M a[P][M]`. That recurrence is kept verbatim
+//! as [`solve_dp_with`] — O(P · C · φ_max) per slot — and is the oracle
+//! the greedy is pinned against, allocation for allocation;
+//! `reference_dp: true` in a [`crate::SchedulerSpec::Ema`] routes a whole
+//! run through it.
 //!
 //! The Lyapunov virtual queues `PCᵢ` (Eq. (16)) are owned by the policy
 //! and advanced after each allocation.
 
-use crate::cost::{CrossLayerModels, CurveColumns, EmaCost, TailPricing};
+use crate::cost::{CrossLayerModels, EmaCost, TailPricing};
+use crate::ema_fast::{solve_greedy_with, GreedyScratch};
 use crate::error::StateImportError;
 use crate::lyapunov::VirtualQueues;
-use jmso_gateway::{Allocation, DegradationEvent, Scheduler, SlotContext, SnapshotSoA};
+use jmso_gateway::{Allocation, DegradationEvent, Scheduler, SlotContext};
 
-/// The EMA policy (exact DP form of Algorithm 2).
+/// The EMA policy: Lyapunov queues plus the per-slot solve.
+///
+/// ```
+/// use jmso_gateway::Scheduler;
+/// use jmso_sched::{CrossLayerModels, Ema};
+///
+/// let ema = Ema::new(0.5, CrossLayerModels::paper());
+/// assert_eq!(ema.v(), 0.5);
+/// assert_eq!(ema.name(), "EMA");
+/// ```
 #[derive(Debug, Clone)]
 pub struct Ema {
+    /// What [`Scheduler::name`] reports: `"EMA"`, or `"EMA-fast"` when
+    /// built from [`crate::SchedulerSpec::EmaFast`]. Results and trace
+    /// headers carry it.
+    pub(crate) name: &'static str,
     v: f64,
     models: CrossLayerModels,
     tail_pricing: TailPricing,
     queues: VirtualQueues,
     parts: Vec<SlotUser>,
-    cols: CurveColumns,
-    scratch: DpScratch,
+    greedy: GreedyScratch,
+    oracle: DpScratch,
     reference_dp: bool,
     pc_clamp: Option<f64>,
     events: Vec<DegradationEvent>,
@@ -55,13 +64,14 @@ impl Ema {
     pub fn new(v: f64, models: CrossLayerModels) -> Self {
         assert!(v > 0.0, "V must be positive");
         Self {
+            name: "EMA",
             v,
             models,
             tail_pricing: TailPricing::PerSlot,
             queues: VirtualQueues::new(0),
             parts: Vec::new(),
-            cols: CurveColumns::default(),
-            scratch: DpScratch::default(),
+            greedy: GreedyScratch::default(),
+            oracle: DpScratch::default(),
             reference_dp: false,
             pc_clamp: None,
             events: Vec::new(),
@@ -74,10 +84,10 @@ impl Ema {
         self
     }
 
-    /// Solve each slot with [`solve_dp_reference`] instead of the
-    /// monotone-deque [`solve_dp_with`]. The reference DP is
-    /// O(P · C · φ_max) per slot — orders of magnitude slower — and
-    /// exists for differential testing, not production runs.
+    /// Solve each slot with the literal Algorithm 2 table
+    /// ([`solve_dp_with`]) instead of the greedy. Same allocations,
+    /// orders of magnitude slower; exists for differential testing, not
+    /// production runs.
     pub fn with_reference_solver(mut self, reference_dp: bool) -> Self {
         self.reference_dp = reference_dp;
         self
@@ -105,41 +115,10 @@ impl Ema {
     pub fn queues(&self) -> &VirtualQueues {
         &self.queues
     }
-
-    fn ensure_queues(&mut self, n: usize) {
-        if self.queues.len() != n {
-            self.queues = VirtualQueues::new(n);
-        }
-    }
-}
-
-/// Shared post-allocation step for both EMA solvers: saturate queues at
-/// `bound` and record one [`DegradationEvent::QueueClamped`] per firing.
-pub(crate) fn clamp_queues(
-    queues: &mut VirtualQueues,
-    bound: Option<f64>,
-    slot: u64,
-    events: &mut Vec<DegradationEvent>,
-) {
-    let Some(bound) = bound else { return };
-    for user in 0..queues.len() {
-        if let Some(pc_before) = queues.clamp(user, bound) {
-            events.push(DegradationEvent::QueueClamped {
-                slot,
-                user,
-                pc_before,
-                pc_after: bound,
-            });
-        }
-    }
 }
 
 /// Per-user inputs to the per-slot solver: the identity, the constraint,
 /// and the three numbers that fully describe the affine cost curve.
-///
-/// `PartialEq` compares every field (f64s by `==`, so a NaN curve never
-/// equals itself) — the warm-start cache in [`DpScratch`] relies on this
-/// to detect a slot whose solver inputs are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotUser {
     /// Index of this user in `ctx.users` (the engine keeps `users[i].id
@@ -199,42 +178,6 @@ pub fn slot_users_into(
     }));
 }
 
-/// [`slot_users_into`] over the contiguous [`SnapshotSoA`] mirror: one
-/// dense [`EmaCost::curves_into`] pass fills the `f0`/`f1`/`slope`
-/// columns in `cols` straight from the mirror's `signal_dbm`/`rate_kbps`/
-/// `idle_s` columns and the queue values, then a second cheap pass
-/// gathers the `ceiling_units > 0` rows into `out`. Rows are identified
-/// by index (the engine keeps `users[i].id == i`, which is also how the
-/// mirror is laid out), and the batch kernel is the same per-element
-/// [`EmaCost::curves_at`] core the AoS path calls, so the participant set
-/// is bit-identical.
-pub fn slot_users_soa_into(
-    cost: &EmaCost,
-    soa: &SnapshotSoA,
-    queues: &VirtualQueues,
-    cols: &mut CurveColumns,
-    out: &mut Vec<SlotUser>,
-) {
-    let (signal_dbm, rate_kbps, idle_s) = soa.curve_columns();
-    cost.curves_into(signal_dbm, rate_kbps, idle_s, queues.values(), cols);
-    out.clear();
-    out.extend((0..soa.len()).filter_map(|i| {
-        let cap = soa.ceiling_units[i];
-        if cap == 0 {
-            return None;
-        }
-        Some(SlotUser {
-            id: i,
-            pc: queues.get(i),
-            cap,
-            rate_kbps: rate_kbps[i],
-            f0: cols.f0[i],
-            f1: cols.f1[i],
-            slope: cols.slope[i],
-        })
-    }));
-}
-
 /// Gather the participating users (positive capacity) for a slot.
 pub fn slot_users(cost: &EmaCost, ctx: &SlotContext, queues: &VirtualQueues) -> Vec<SlotUser> {
     let mut out = Vec::new();
@@ -242,648 +185,75 @@ pub fn slot_users(cost: &EmaCost, ctx: &SlotContext, queues: &VirtualQueues) -> 
     out
 }
 
-/// Reusable buffers for [`solve_dp`]. Owned by [`Ema`] so steady-state
-/// slots perform zero heap allocation; buffers grow monotonically to the
-/// high-water mark of `(P, width)` seen so far.
-///
-/// The scratch doubles as the solver's **warm-start state**: it carries
-/// the previous call's `(parts, C)` inputs and their solved allocation
-/// across slots, so a slot whose solver inputs are unchanged (every
-/// user's `(cap, pc, curves)` tuple identical — e.g. an equilibrium
-/// trickle inside one 32-slot signal block, where `δφ/p = τ` exactly and
-/// the queues stop drifting) returns the cached allocation without
-/// touching the table. Finer-than-slot reuse is *not* sound: row `i` of
-/// the table depends on every row before it, so one changed user
-/// invalidates all downstream rows, and `PCᵢ` drifts whenever delivered
-/// playback differs from `τ`.
+/// Reusable rows for [`solve_dp_with`]; they grow to the largest
+/// `(P, width)` seen and hold nothing across calls.
 #[derive(Debug, Clone, Default)]
 pub struct DpScratch {
     /// `a[i−1][·]` row.
     prev: Vec<f64>,
     /// `a[i][·]` row under construction.
     cur: Vec<f64>,
-    /// `g[i][M]` argmin table for backtracking (`kept × width`).
+    /// `g[i][M]` argmin table for backtracking (`P × width`).
     choice: Vec<u32>,
-    /// `keys[j] = prev[j] − j·slope` for the current row (pass 1).
-    keys: Vec<f64>,
-    /// Monotone window ring: candidate keys, strictly increasing
-    /// `head → tail`.
-    ring_key: Vec<f64>,
-    /// The `j` each ring slot refers to.
-    ring_j: Vec<u32>,
-    /// `win[m]`: the window argmin `j` feeding state `m` (pass 2).
-    win: Vec<u32>,
-    /// `win_key[m]`: that argmin's key, so pass 3 reads contiguously.
-    win_key: Vec<f64>,
-    /// Indices of the non-dominated participants (the DP's real rows).
-    kept: Vec<u32>,
     /// Backtracked per-participant unit counts.
     chosen: Vec<u64>,
-    /// Warm-start cache: the previous call's participant set…
-    last_parts: Vec<SlotUser>,
-    /// …its BS budget…
-    last_cap: u64,
-    /// …and whether `chosen` still holds that call's answer.
-    last_valid: bool,
 }
 
-/// Solve one slot's problem exactly by the Algorithm 2 DP, writing into
-/// `scratch` and returning the per-participant unit counts aligned with
-/// `parts`.
+/// The paper's Algorithm 2, literally: the O(P · C · φ_max) table DP over
+/// exact totals, backtracked from `argmin_M a[P][M]`. Returns the
+/// per-participant unit counts aligned with `parts`.
 ///
-/// Three exact reductions bring the table far below the textbook
-/// `O(P·C)` before the row loop runs (proofs at the pruning sites):
-///
-/// 1. **Warm start** — inputs identical to the previous call return the
-///    cached allocation (`O(P)` compare, no table).
-/// 2. **Lyapunov dominance pruning** — a user whose first unit costs
-///    extra (`f1 − f0 > 0`, i.e. surplus-buffer queue pressure that does
-///    not even pay for the avoided tail) *and* whose per-unit slope is
-///    non-negative provably receives zero; their rows are dropped.
-/// 3. **Budget clamp** — for convex per-user curves the final argmin
-///    total equals the number of strictly negative unit marginals
-///    (capped by `C` and Σcap), so the table is `T* + 1` states wide
-///    instead of `C + 1`; each row is further clamped to the prefix
-///    capacity Σ_{k ≤ i} capₖ, beyond which every state is `+∞`.
-///
-/// The monotone window preserves the reference solver's deterministic
-/// tie-breaking: φ = 0 wins ties against φ ≥ 1 (strict `<` against the
-/// φ = 0 baseline), among tied φ ≥ 1 candidates the smallest φ wins
-/// (equal keys are evicted from the back of the ring, so the
-/// largest-`j` = smallest-φ candidate survives), and the final argmin
-/// keeps the smallest total. Like the monotone-window rewrite itself
-/// (PR 1), the reductions are identities of the *exact* recurrence;
-/// `tests/{sched_properties,warm_start_properties}.rs` and the golden
-/// traces pin the solver allocation-equal to [`solve_dp_reference`].
+/// This is the reference the production greedy
+/// ([`crate::ema_fast::solve_greedy_with`], where the shared tie-break
+/// contract is stated) is tested against, not a production solver. Its
+/// comparisons are all strict `<`: φ = 0 wins ties against φ ≥ 1, among
+/// tied φ ≥ 1 the smallest wins, and the final argmin keeps the smallest
+/// total — so later rows yield to earlier ones and a NaN candidate never
+/// wins.
 pub fn solve_dp_with<'s>(
     parts: &[SlotUser],
     bs_cap_units: u64,
     scratch: &'s mut DpScratch,
 ) -> &'s [u64] {
-    if scratch.last_valid && scratch.last_cap == bs_cap_units && scratch.last_parts == parts {
-        return &scratch.chosen;
-    }
-    solve_dp_cold(parts, bs_cap_units, scratch);
-    scratch.last_cap = bs_cap_units;
-    scratch.last_parts.clear();
-    scratch.last_parts.extend_from_slice(parts);
-    scratch.last_valid = true;
-    &scratch.chosen
-}
-
-/// Branchless DP row update (van Herk / Gil–Werman sliding-window argmin
-/// fused with the φ-select): for each state `m ∈ 1..=n` this computes
-/// the window argmin `j` over `keys[m.saturating_sub(cap) .. m]` —
-/// breaking key ties toward the **largest** `j` (= smallest φ), exactly
-/// the winner the monotone deque reports — and immediately resolves the
-/// φ = 0 baseline against the best φ ≥ 1 candidate into
-/// `cur[m]`/`row[m]`, so the window winner never round-trips through
-/// memory.
-///
-/// Per block of `cap` keys, two tie-break-directed scans do the window
-/// work: a right-to-left *suffix* scan into `s_key`/`s_j` (strict `<`,
-/// so the rightmost minimum survives) and a left-to-right *prefix*
-/// running minimum (`<=`, so newer indices win). A full window
-/// `[m−cap, m−1]` splits at a block boundary into a suffix piece (read
-/// from `s_key`/`s_j`) and a prefix piece (the running min, reset at
-/// each block start); the prefix piece holds the window's larger `j`s,
-/// so combining with `<=` toward it preserves the largest-`j` tie-break
-/// end to end. When the window aligns with one block both pieces cover
-/// the whole block and agree on the same largest-`j` minimum, so no
-/// special case is needed. Unlike the deque there is no data-dependent
-/// eviction loop: every compare lowers to cmp + select, which is what
-/// makes the pass fast. Keys of +∞ order correctly under these scans;
-/// NaN keys do not (their compares are all-false), which is why
-/// non-finite curves take [`window_min_deque`] instead.
-#[allow(clippy::too_many_arguments)]
-fn dp_row_scan(
-    keys: &[f64],
-    cap: usize,
-    prev: &[f64],
-    f0: f64,
-    f1: f64,
-    slope: f64,
-    cur: &mut [f64],
-    row: &mut [u32],
-    s_key: &mut [f64],
-    s_j: &mut [u32],
-) {
-    let n = keys.len();
-    debug_assert!(cap >= 1, "kept rows have positive capacity");
-    debug_assert!(prev.len() == n + 1 && cur.len() == n + 1 && row.len() == n + 1);
-    // The φ-select multiplies the window's high edge `i` into the slope
-    // term. `i` is sequential in every loop below, so an f64 counter
-    // stepped by 1.0 replaces the per-element int→float convert; both are
-    // exact for i < 2⁵³, so the product (and the row) is bit-identical.
-    let mut pk = f64::INFINITY;
-    let mut pj = 0u32;
-    if cap >= n {
-        // Every window is the whole prefix: one running minimum (`<=`
-        // keeps the larger j on ties; seeding at +∞ makes m = 1 take
-        // keys[0], even when keys[0] is itself +∞) fused with the
-        // φ-select covers the row.
-        let partial = keys
-            .iter()
-            .zip(&prev[1..=n])
-            .zip(&mut cur[1..=n])
-            .zip(&mut row[1..=n]);
-        let mut fi = 0.0f64;
-        for (i, (((&k, &pv), c), r)) in partial.enumerate() {
-            let take = k <= pk;
-            pk = if take { k } else { pk };
-            pj = if take { i as u32 } else { pj };
-            let base = pv + f0;
-            let cand = pk + f1 + fi * slope;
-            fi += 1.0;
-            let takec = cand < base;
-            *c = if takec { cand } else { base };
-            *r = if takec { ((i + 1) as u32) - pj } else { 0 };
-        }
-        return;
-    }
-    // Partial windows m ≤ cap (the whole-prefix running minimum fused
-    // with the φ-select, walking forward) interleaved with block 0's
-    // suffix scan (strict `<` walking backward, so the rightmost minimum
-    // of each suffix survives): the chains are independent, so their
-    // compare/selects overlap — each scan alone is latency-bound on its
-    // chain. Seeding the suffix at +∞ is exact: an all-+∞ suffix records
-    // j = 0, but the combine below only consumes `s_j` when the suffix
-    // key strictly beats the prefix key, which +∞ never does. When
-    // block 1's suffix is needed by the combine (cap ≤ n − cap, i.e.
-    // 2·cap ≤ n — which also makes it a full block), its backward scan
-    // rides along as a third chain; on the common 2–3-block row that
-    // block would otherwise run as a lone serial scan.
-    {
-        let keys0 = &keys[..cap];
-        let prev1 = &prev[1..=cap];
-        let (cur1, _) = cur[1..].split_at_mut(cap);
-        let (row1, _) = row[1..].split_at_mut(cap);
-        let (sk0, sk_rest) = s_key.split_at_mut(cap);
-        let (sj0, sj_rest) = s_j.split_at_mut(cap);
-        let mut sk = f64::INFINITY;
-        let mut sj = 0u32;
-        if 2 * cap <= n {
-            let keys1 = &keys[cap..2 * cap];
-            let sk1 = &mut sk_rest[..cap];
-            let sj1 = &mut sj_rest[..cap];
-            let mut bk = f64::INFINITY;
-            let mut bj = 0u32;
-            let mut ft = 0.0f64;
-            for t in 0..cap {
-                let k = keys0[t];
-                let take = k <= pk;
-                pk = if take { k } else { pk };
-                pj = if take { t as u32 } else { pj };
-                let base = prev1[t] + f0;
-                let cand = pk + f1 + ft * slope;
-                ft += 1.0;
-                let takec = cand < base;
-                cur1[t] = if takec { cand } else { base };
-                row1[t] = if takec { ((t + 1) as u32) - pj } else { 0 };
-
-                let u = cap - 1 - t;
-                let ks = keys0[u];
-                let ts = ks < sk;
-                sk = if ts { ks } else { sk };
-                sj = if ts { u as u32 } else { sj };
-                sk0[u] = sk;
-                sj0[u] = sj;
-
-                let kb = keys1[u];
-                let tb = kb < bk;
-                bk = if tb { kb } else { bk };
-                bj = if tb { (cap + u) as u32 } else { bj };
-                sk1[u] = bk;
-                sj1[u] = bj;
-            }
-        } else {
-            let mut ft = 0.0f64;
-            for t in 0..cap {
-                let k = keys0[t];
-                let take = k <= pk;
-                pk = if take { k } else { pk };
-                pj = if take { t as u32 } else { pj };
-                let base = prev1[t] + f0;
-                let cand = pk + f1 + ft * slope;
-                ft += 1.0;
-                let takec = cand < base;
-                cur1[t] = if takec { cand } else { base };
-                row1[t] = if takec { ((t + 1) as u32) - pj } else { 0 };
-
-                let u = cap - 1 - t;
-                let ks = keys0[u];
-                let ts = ks < sk;
-                sk = if ts { ks } else { sk };
-                sj = if ts { u as u32 } else { sj };
-                sk0[u] = sk;
-                sj0[u] = sj;
-            }
-        }
-    }
-    // Suffix-within-block minima for the remaining blocks — but only
-    // blocks the combine below actually reads: its suffix piece sits at
-    // `lo = m − cap ≤ n − cap`, so blocks starting past `need = n − cap`
-    // are dead and skipped entirely (for a two-block row that is *all*
-    // of them — block 0, already scanned above, covers every read).
-    // Blocks 0 and 1 are handled by the fused loop above, so this picks
-    // up at block 2 when block 1 was fused. Needed blocks run two at a
-    // time so two independent chains overlap; a block pairs only when
-    // its partner is also needed — and a needed partner starting at
-    // `b0 + cap ≤ need` is necessarily full — so a lone (possibly
-    // tail-partial) last block falls through to the scalar loop.
-    let need = n - cap;
-    let mut b0 = if 2 * cap <= n { 2 * cap } else { cap };
-    while b0 + cap <= need {
-        let (ka, kb) = keys[b0..b0 + 2 * cap].split_at(cap);
-        let (ska, skb) = s_key[b0..b0 + 2 * cap].split_at_mut(cap);
-        let (sja, sjb) = s_j[b0..b0 + 2 * cap].split_at_mut(cap);
-        let mut ak = f64::INFINITY;
-        let mut aj = 0u32;
-        let mut bk = f64::INFINITY;
-        let mut bj = 0u32;
-        for t in (0..cap).rev() {
-            let k1 = ka[t];
-            let t1 = k1 < ak;
-            ak = if t1 { k1 } else { ak };
-            aj = if t1 { (b0 + t) as u32 } else { aj };
-            ska[t] = ak;
-            sja[t] = aj;
-
-            let k2 = kb[t];
-            let t2 = k2 < bk;
-            bk = if t2 { k2 } else { bk };
-            bj = if t2 { (b0 + cap + t) as u32 } else { bj };
-            skb[t] = bk;
-            sjb[t] = bj;
-        }
-        b0 += 2 * cap;
-    }
-    while b0 <= need {
-        let b1 = (b0 + cap).min(n);
-        let mut sk = f64::INFINITY;
-        let mut sj = 0u32;
-        let block = keys[b0..b1]
-            .iter()
-            .zip(&mut s_key[b0..b1])
-            .zip(&mut s_j[b0..b1])
-            .enumerate()
-            .rev();
-        for (t, ((&k, out_k), out_j)) in block {
-            let take = k < sk;
-            sk = if take { k } else { sk };
-            sj = if take { (b0 + t) as u32 } else { sj };
-            *out_k = sk;
-            *out_j = sj;
-        }
-        b0 = b1;
-    }
-    // Full windows m > cap: prefix running min combined with the suffix
-    // piece at the window's low edge, then the φ-select. The prefix
-    // chain resets at each block start; a fresh +∞ seed with the same
-    // `<=` update *is* that reset (the first key always takes, even at
-    // +∞), so paired blocks need no counter. As in the suffix scan, two
-    // blocks run interleaved to overlap the prefix chains; `i` is the
-    // window's high edge `m − 1`, and the suffix piece for state m sits
-    // at `lo = m − cap = i + 1 − cap`. When the window aligns with one
-    // block both pieces cover the whole block and agree on the same
-    // largest-j minimum, so no special case is needed.
-    let mut g0 = cap; // current block start in i
-    while g0 + cap < n {
-        let lb = (n - g0 - cap).min(cap);
-        let (ka, kb) = keys[g0..g0 + cap + lb].split_at(cap);
-        let (pa, pb) = prev[g0 + 1..g0 + cap + lb + 1].split_at(cap);
-        let (ska, skb) = s_key[g0 + 1 - cap..g0 + lb + 1].split_at(cap);
-        let (sja, sjb) = s_j[g0 + 1 - cap..g0 + lb + 1].split_at(cap);
-        let (ca, cb) = cur[g0 + 1..g0 + cap + lb + 1].split_at_mut(cap);
-        let (ra, rb) = row[g0 + 1..g0 + cap + lb + 1].split_at_mut(cap);
-        let mut pka = f64::INFINITY;
-        let mut pja = 0u32;
-        let mut pkb = f64::INFINITY;
-        let mut pjb = 0u32;
-        let mut fia = g0 as i32 as f64;
-        let mut fib = (g0 + cap) as i32 as f64;
-        for t in 0..lb {
-            let ia = g0 + t;
-            let k1 = ka[t];
-            let t1 = k1 <= pka;
-            pka = if t1 { k1 } else { pka };
-            pja = if t1 { ia as u32 } else { pja };
-            let tp = pka <= ska[t];
-            let wk = if tp { pka } else { ska[t] };
-            let wj = if tp { pja } else { sja[t] };
-            let base = pa[t] + f0;
-            let cand = wk + f1 + fia * slope;
-            fia += 1.0;
-            let tc = cand < base;
-            ca[t] = if tc { cand } else { base };
-            ra[t] = if tc { ((ia + 1) as u32) - wj } else { 0 };
-
-            let ib = g0 + cap + t;
-            let k2 = kb[t];
-            let t2 = k2 <= pkb;
-            pkb = if t2 { k2 } else { pkb };
-            pjb = if t2 { ib as u32 } else { pjb };
-            let tp = pkb <= skb[t];
-            let wk = if tp { pkb } else { skb[t] };
-            let wj = if tp { pjb } else { sjb[t] };
-            let base = pb[t] + f0;
-            let cand = wk + f1 + fib * slope;
-            fib += 1.0;
-            let tc = cand < base;
-            cb[t] = if tc { cand } else { base };
-            rb[t] = if tc { ((ib + 1) as u32) - wj } else { 0 };
-        }
-        for t in lb..cap {
-            let ia = g0 + t;
-            let k1 = ka[t];
-            let t1 = k1 <= pka;
-            pka = if t1 { k1 } else { pka };
-            pja = if t1 { ia as u32 } else { pja };
-            let tp = pka <= ska[t];
-            let wk = if tp { pka } else { ska[t] };
-            let wj = if tp { pja } else { sja[t] };
-            let base = pa[t] + f0;
-            let cand = wk + f1 + fia * slope;
-            fia += 1.0;
-            let tc = cand < base;
-            ca[t] = if tc { cand } else { base };
-            ra[t] = if tc { ((ia + 1) as u32) - wj } else { 0 };
-        }
-        g0 += cap + lb;
-    }
-    // Remaining (at most one) block, scalar.
-    let mut cnt = 0usize; // g0 is a block start, so the first key reseeds
-    let full = keys[g0..n]
-        .iter()
-        .zip(&prev[g0 + 1..=n])
-        .zip(&s_key[g0 + 1 - cap..=n - cap])
-        .zip(&s_j[g0 + 1 - cap..=n - cap])
-        .zip(&mut cur[g0 + 1..=n])
-        .zip(&mut row[g0 + 1..=n]);
-    let mut fi = g0 as i32 as f64;
-    for (t, (((((&k, &pv), &sk), &sj), c), r)) in full.enumerate() {
-        let i = g0 + t; // = m − 1
-        if cnt == 0 {
-            pk = k;
-            pj = i as u32;
-            cnt = cap;
-        } else {
-            let take = k <= pk;
-            pk = if take { k } else { pk };
-            pj = if take { i as u32 } else { pj };
-        }
-        cnt -= 1;
-        let take_p = pk <= sk;
-        let wk = if take_p { pk } else { sk };
-        let wj = if take_p { pj } else { sj };
-        let base = pv + f0;
-        let cand = wk + f1 + fi * slope;
-        fi += 1.0;
-        let takec = cand < base;
-        *c = if takec { cand } else { base };
-        *r = if takec { ((i + 1) as u32) - wj } else { 0 };
-    }
-}
-
-/// The monotone-deque sliding-window argmin (PR 1's pass), retained as
-/// the pass-2 fallback for non-finite curves: NaN keys break the scan
-/// algebra of [`window_min_scan`], while the deque reproduces the
-/// pre-scan comparison order verbatim. Evicting with `>=` keeps the
-/// later, larger-j entry on ties — i.e. the smaller φ, matching the
-/// reference tie-break. The ring never wraps: each j is pushed at most
-/// once, and entries expire in increasing-j order.
-fn window_min_deque(
-    keys: &[f64],
-    cap: usize,
-    ring_key: &mut [f64],
-    ring_j: &mut [u32],
-    win: &mut [u32],
-    win_key: &mut [f64],
-) {
-    let mut head = 0usize;
-    let mut tail = 0usize;
-    for m in 1..=keys.len() {
-        let j = m - 1;
-        let key = keys[j];
-        while tail > head && ring_key[tail - 1] >= key {
-            tail -= 1;
-        }
-        ring_key[tail] = key;
-        ring_j[tail] = j as u32;
-        tail += 1;
-        head += usize::from((ring_j[head] as usize) + cap < m);
-        win[m] = ring_j[head];
-        win_key[m] = ring_key[head];
-    }
-}
-
-/// The table-building path of [`solve_dp_with`] (everything except the
-/// warm-start short-circuit).
-fn solve_dp_cold(parts: &[SlotUser], bs_cap_units: u64, scratch: &mut DpScratch) {
     let DpScratch {
         prev,
         cur,
         choice,
-        keys,
-        ring_key,
-        ring_j,
-        win,
-        win_key,
-        kept,
         chosen,
-        ..
     } = scratch;
+    let p = parts.len();
     chosen.clear();
-    chosen.resize(parts.len(), 0);
+    chosen.resize(p, 0);
 
-    // ---- Dominance pruning + budget bound (one pass over the users) ----
-    //
-    // **Pruning claim.** If `d = f1 − f0 > 0` and `slope ≥ 0`, the
-    // reference DP's backtracked solution gives this user zero, and
-    // dropping the user's row (plus its constant `f0`) leaves every other
-    // user's backtracked units unchanged. Proof: for any allocation with
-    // `φᵢ = k ≥ 1`, zeroing user i changes the cost by
-    // `−d − (k−1)·slope < 0` and stays feasible, so *no* cost-minimal
-    // allocation serves user i. The DP's final total `M*` is the argmin
-    // of `a[P][·]`; were the backtracked (exact-M*) solution to serve
-    // user i with `k` units, zeroing them would give
-    // `a[P][M* − k] < a[P][M*]`, contradicting the argmin. Hence on every
-    // state the backtrack can visit, user i's row is the identity
-    // transition `+ f0` — a constant shift that preserves every strict
-    // comparison and every tie downstream, so removing the row is
-    // backtrack-exact. (Identities of the exact recurrence; the f64
-    // round-off of re-associating the dropped `f0` is the same class the
-    // PR 1 monotone window already carries, and the proptests + goldens
-    // pin allocation equality.) The test is `> 0` strictly: a user with
-    // `d = 0` can tie, and ties must keep flowing through the reference
-    // tie-break rules.
-    //
-    // **Budget bound.** Each kept user contributes the marginal multiset
-    // `{d} ∪ {slope} × (cap − 1)`; when every user's sequence is
-    // non-decreasing (`d ≤ slope`, guaranteed for EMA curves since
-    // `d = slope − V·E_tail ≤ slope`), the exact-M optimum costs
-    // `Σf0 +` (sum of the M smallest marginals), so `a[P][·]` strictly
-    // decreases exactly while those marginals are `< 0`. The smallest
-    // argmin is therefore `T* = min(C, #negative marginals)`, and states
-    // `> T*` can never win (the argmin keeps the smallest total on
-    // ties). Because `cur[m]` only reads `prev[j ≤ m]`, truncating the
-    // table at `T*` reproduces the untruncated values and choices on
-    // every surviving state — identical backtrack. A non-convex user
-    // (only constructible by hand-built `SlotUser`s) disables the
-    // marginal count and falls back to the unconditional
-    // `min(C, Σcap)` bound.
-    kept.clear();
-    let mut sum_cap: u64 = 0;
-    let mut neg_units: u64 = 0;
-    let mut convex = true;
-    let mut finite = true;
-    for (i, s) in parts.iter().enumerate() {
-        let cap = s.cap.min(bs_cap_units);
-        if cap == 0 {
-            continue;
-        }
-        let d = s.f1 - s.f0;
-        if d > 0.0 && s.slope >= 0.0 {
-            continue;
-        }
-        if !(s.f0.is_finite() && s.f1.is_finite() && s.slope.is_finite()) {
-            // Non-finite curves route pass 2 through the deque fallback,
-            // whose comparison order is the pre-scan status quo.
-            finite = false;
-        }
-        kept.push(i as u32);
-        sum_cap += cap;
-        if d < 0.0 {
-            neg_units += 1;
-        }
-        if cap > 1 {
-            // NaN curves compare false everywhere: the user is kept,
-            // flagged non-convex, and solved at full width like the
-            // reference would. The negated form is the point — `d > slope`
-            // would misclassify a NaN marginal as convex.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(d <= s.slope) {
-                convex = false;
-            }
-            if s.slope < 0.0 {
-                neg_units += cap - 1;
-            }
-        }
-    }
-    let t_bound = bs_cap_units.min(sum_cap);
-    let t_star = if convex {
-        t_bound.min(neg_units)
-    } else {
-        t_bound
-    };
-    let width = t_star as usize + 1;
-    let rows = kept.len();
-    if rows == 0 {
-        return;
-    }
-
+    // Totals past Σcap cannot be met exactly: their states are +∞ in
+    // every row and never win the argmin, so the table stops there.
+    let reachable = parts.iter().fold(0u64, |s, u| s.saturating_add(u.cap));
+    let width = bs_cap_units.min(reachable) as usize + 1;
     prev.clear();
     prev.resize(width, f64::INFINITY);
     prev[0] = 0.0;
     cur.clear();
     cur.resize(width, f64::INFINITY);
-    // The remaining buffers are written before they are read on every
-    // path (each row fully writes states 0..=row_hi before pass 3 reads
-    // them, and the backtrack only visits written states — see the
-    // reachability argument at the backtrack), so they only ever *grow*;
-    // re-zeroing `choice` alone would memset ~P·C·4 bytes per slot.
-    if choice.len() < rows * width {
-        choice.resize(rows * width, 0);
-    }
-    if keys.len() < width {
-        keys.resize(width, 0.0);
-        ring_key.resize(width, 0.0);
-        ring_j.resize(width, 0);
-        win.resize(width, 0);
-        win_key.resize(width, 0.0);
-    }
+    choice.clear();
+    choice.resize(p * width, 0);
 
-    // ---- Row loop, fissioned into three passes per row ----
-    //
-    // The fused loop interleaves two unpredictable branches (monotone-
-    // window eviction, the φ=0-vs-φ≥1 select) with all the float math, so
-    // every branch miss stalls the whole chain (~5 ns/cell measured).
-    // Splitting the row lets passes 1 and 3 autovectorize and turns
-    // pass 2 into branchless block scans. Every arithmetic expression is
-    // carried over verbatim, so the computed values are bit-identical to
-    // the fused form — only the evaluation order across independent
-    // states changes.
-    //
-    // Unwritten table states stay at the +∞ they were initialised with
-    // (row_hi is non-decreasing in r), which is exactly the value the
-    // reference computes for them.
-    let mut prefix_cap: u64 = 0;
-    for (r, &pi) in kept.iter().enumerate() {
-        let part = &parts[pi as usize];
+    for (part, row) in parts.iter().zip(choice.chunks_exact_mut(width)) {
         let cap = part.cap.min(bs_cap_units) as usize;
         let SlotUser { f0, f1, slope, .. } = *part;
-        prefix_cap += cap as u64;
-        let row_hi = (width - 1).min(prefix_cap.min(u64::MAX >> 1) as usize);
-        let row = &mut choice[r * width..r * width + row_hi + 1];
-
-        // Passes 2+3: the sliding-window argmin over the keys
-        // `keys[j] = prev[j] − j·slope` fused with the φ-select — for
-        // each state m, the φ = 0 baseline `prev[m] + f0` races the best
-        // φ ≥ 1 candidate
-        // `prev[j] + f1 + (m−j−1)·slope == keys[j] + f1 + (m−1)·slope`,
-        // with the window's key ties broken toward the largest j
-        // (= smallest φ) per the reference rules. With finite curves no
-        // key is NaN (prev[j] is finite or +∞, j·slope finite, so the
-        // subtraction never meets ∞ − ∞) and the branchless scans apply;
-        // otherwise the deque fallback materialises the window winners
-        // and a separate select pass finishes the row. Equal-length zips
-        // let the compiler drop every bounds check, so the selects lower
-        // to cmov/blend instead of branches.
-        // Pass 1: window keys `keys[j] = prev[j] − j·slope` (j < 2³¹, so
-        // the i32 cast is exact and the cvt vectorizes). With finite
-        // curves no key is NaN: prev[j] is finite or +∞ and j·slope is
-        // finite, so the subtraction never meets ∞ − ∞.
-        for (j, (k, &p)) in keys[..row_hi].iter_mut().zip(&prev[..row_hi]).enumerate() {
-            *k = p - (j as i32 as f64) * slope;
-        }
-        cur[0] = prev[0] + f0;
-        row[0] = 0;
-        if finite {
-            dp_row_scan(
-                &keys[..row_hi],
-                cap,
-                &prev[..=row_hi],
-                f0,
-                f1,
-                slope,
-                &mut cur[..=row_hi],
-                row,
-                ring_key,
-                ring_j,
-            );
-        } else if row_hi > 0 {
-            window_min_deque(
-                &keys[..row_hi],
-                cap,
-                ring_key,
-                ring_j,
-                &mut win[..row_hi + 1],
-                &mut win_key[..row_hi + 1],
-            );
-            let states = cur[1..=row_hi]
-                .iter_mut()
-                .zip(&mut row[1..])
-                .zip(&prev[1..=row_hi])
-                .zip(&win_key[1..=row_hi])
-                .zip(&win[1..=row_hi]);
-            for (i, ((((c, r), &pv), &wk), &wj)) in states.enumerate() {
-                let m = i + 1;
-                let base = pv + f0;
-                let cand = wk + f1 + (i as i32 as f64) * slope;
-                let take = cand < base;
-                *c = if take { cand } else { base };
-                *r = if take { (m as u32) - wj } else { 0 };
+        for m in 0..width {
+            let mut best = prev[m] + f0;
+            let mut arg = 0u32;
+            let mut f_phi = f1;
+            for phi in 1..=cap.min(m) {
+                let cand = prev[m - phi] + f_phi;
+                if cand < best {
+                    best = cand;
+                    arg = phi as u32;
+                }
+                f_phi += slope;
             }
+            cur[m] = best;
+            row[m] = arg;
         }
         std::mem::swap(prev, cur);
     }
@@ -898,83 +268,14 @@ fn solve_dp_cold(parts: &[SlotUser], bs_cap_units: u64, scratch: &mut DpScratch)
         }
     }
 
-    // Backtrack (pruned users keep their zero from the resize above).
     let mut m = best_m;
-    for r in (0..rows).rev() {
-        let phi = choice[r * width + m] as usize;
-        chosen[kept[r] as usize] = phi as u64;
+    for (units, row) in chosen.iter_mut().zip(choice.chunks_exact(width)).rev() {
+        let phi = row[m] as usize;
+        *units = phi as u64;
         m -= phi;
     }
     debug_assert_eq!(m, 0, "backtrack must consume exactly best_m units");
-}
-
-/// Solve one slot's problem exactly (allocating convenience wrapper over
-/// [`solve_dp_with`]). Returns the per-participant unit counts, aligned
-/// with `parts`.
-pub fn solve_dp(parts: &[SlotUser], bs_cap_units: u64) -> Vec<u64> {
-    let mut scratch = DpScratch::default();
-    solve_dp_with(parts, bs_cap_units, &mut scratch).to_vec()
-}
-
-/// The textbook O(P·C·φ_max) DP — the seed implementation, retained as
-/// the differential-testing reference for [`solve_dp`] and as the
-/// baseline its speedup is measured against (`cargo bench ema_solver`,
-/// `cargo run --bin hotpath`).
-pub fn solve_dp_reference(parts: &[SlotUser], bs_cap_units: u64) -> Vec<u64> {
-    let p = parts.len();
-    if p == 0 {
-        return vec![];
-    }
-    let c = bs_cap_units as usize;
-    let width = c + 1;
-
-    let mut prev = vec![f64::INFINITY; width];
-    prev[0] = 0.0;
-    let mut choice = vec![0u32; p * width];
-
-    let mut cur = vec![f64::INFINITY; width];
-    for (i, part) in parts.iter().enumerate() {
-        cur.fill(f64::INFINITY);
-        let cap = part.cap.min(bs_cap_units) as usize;
-        let SlotUser { f0, f1, slope, .. } = *part;
-        let row = &mut choice[i * width..(i + 1) * width];
-        for m in 0..width {
-            let mut best = prev[m] + f0;
-            let mut arg = 0u32;
-            let phi_max = cap.min(m);
-            let mut f_phi = f1;
-            for phi in 1..=phi_max {
-                let cand = prev[m - phi] + f_phi;
-                if cand < best {
-                    best = cand;
-                    arg = phi as u32;
-                }
-                f_phi += slope;
-            }
-            cur[m] = best;
-            row[m] = arg;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-
-    let mut best_m = 0usize;
-    let mut best = f64::INFINITY;
-    for (m, &v) in prev.iter().enumerate() {
-        if v < best {
-            best = v;
-            best_m = m;
-        }
-    }
-
-    let mut out = vec![0u64; p];
-    let mut m = best_m;
-    for i in (0..p).rev() {
-        let phi = choice[i * width + m] as usize;
-        out[i] = phi as u64;
-        m -= phi;
-    }
-    debug_assert_eq!(m, 0, "backtrack must consume exactly best_m units");
-    out
+    chosen
 }
 
 /// Objective value `Σ f(i, φᵢ)` of an allocation over the participants.
@@ -984,37 +285,38 @@ pub fn objective(parts: &[SlotUser], alloc: &[u64]) -> f64 {
 
 impl Scheduler for Ema {
     fn name(&self) -> &'static str {
-        "EMA"
-    }
-
-    fn wants_soa(&self) -> bool {
-        true
+        self.name
     }
 
     fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation) {
-        self.ensure_queues(ctx.users.len());
+        if self.queues.len() != ctx.users.len() {
+            self.queues = VirtualQueues::new(ctx.users.len());
+        }
         self.events.clear();
         out.reset(ctx.users.len());
         let cost = EmaCost::with_pricing(self.v, &self.models, ctx, self.tail_pricing);
-        match ctx.soa {
-            Some(soa) => {
-                slot_users_soa_into(&cost, soa, &self.queues, &mut self.cols, &mut self.parts)
-            }
-            None => slot_users_into(&cost, ctx, &self.queues, &mut self.parts),
-        }
-        if self.reference_dp {
-            let chosen = solve_dp_reference(&self.parts, ctx.bs_cap_units);
-            for (part, units) in self.parts.iter().zip(chosen) {
-                out.0[part.id] = units;
-            }
+        slot_users_into(&cost, ctx, &self.queues, &mut self.parts);
+        let chosen = if self.reference_dp {
+            solve_dp_with(&self.parts, ctx.bs_cap_units, &mut self.oracle)
         } else {
-            let chosen = solve_dp_with(&self.parts, ctx.bs_cap_units, &mut self.scratch);
-            for (part, &units) in self.parts.iter().zip(chosen) {
-                out.0[part.id] = units;
-            }
+            solve_greedy_with(&self.parts, ctx.bs_cap_units, &mut self.greedy)
+        };
+        for (part, &units) in self.parts.iter().zip(chosen) {
+            out.0[part.id] = units;
         }
         self.queues.apply_allocation(ctx, &out.0);
-        clamp_queues(&mut self.queues, self.pc_clamp, ctx.slot, &mut self.events);
+        if let Some(bound) = self.pc_clamp {
+            for user in 0..self.queues.len() {
+                if let Some(pc_before) = self.queues.clamp(user, bound) {
+                    self.events.push(DegradationEvent::QueueClamped {
+                        slot: ctx.slot,
+                        user,
+                        pc_before,
+                        pc_after: bound,
+                    });
+                }
+            }
+        }
     }
 
     fn queue_values(&self) -> Option<&[f64]> {
@@ -1026,10 +328,10 @@ impl Scheduler for Ema {
     }
 
     /// Degraded EMA saturates the virtual queues at their current peak
-    /// (floored at 1.0): rebuffering pressure stops compounding, so an
-    /// overloaded slot loop sheds the DP's worst-case growth. A clamp
-    /// already configured is kept. Deterministic — the bound is a pure
-    /// function of checkpointed queue state.
+    /// (floored at 1.0), so rebuffering pressure stops compounding while
+    /// the slot loop is overloaded. A clamp already configured is kept.
+    /// Deterministic — the bound is a pure function of checkpointed
+    /// queue state.
     fn engage_degraded(&mut self) -> bool {
         if self.pc_clamp.is_none() {
             let peak = self.queues.values().iter().fold(1.0f64, |m, &q| m.max(q));
@@ -1052,6 +354,7 @@ impl Scheduler for Ema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ema_fast::solve_greedy;
     use jmso_gateway::UserSnapshot;
     use jmso_radio::rrc::RrcState;
     use jmso_radio::Dbm;
@@ -1079,6 +382,10 @@ mod tests {
             users,
             soa: None,
         }
+    }
+
+    fn solve_dp(parts: &[SlotUser], bs_cap_units: u64) -> Vec<u64> {
+        solve_dp_with(parts, bs_cap_units, &mut DpScratch::default()).to_vec()
     }
 
     /// Allocation always satisfies Eq. (1)/(2).
@@ -1154,7 +461,7 @@ mod tests {
         );
     }
 
-    /// DP equals exhaustive search on a tiny instance.
+    /// Algorithm 2 equals exhaustive search on a tiny instance.
     #[test]
     fn dp_is_optimal_small() {
         let users = vec![
@@ -1187,11 +494,11 @@ mod tests {
         assert!((dp_obj - best).abs() < 1e-9, "dp {dp_obj} vs brute {best}");
     }
 
-    /// The deque solver and the retained reference agree in objective
-    /// value on a fixed mid-size instance (the proptest in
-    /// `tests/sched_properties.rs` covers random instances).
+    /// The greedy and Algorithm 2 return the same allocation on a fixed
+    /// contended mid-size instance (the proptests in
+    /// `tests/sched_properties.rs` cover random instances).
     #[test]
-    fn deque_matches_reference_fixed() {
+    fn greedy_matches_algorithm2_fixed() {
         let users: Vec<_> = (0..8)
             .map(|i| {
                 user(
@@ -1210,15 +517,54 @@ mod tests {
             queues.update(i, 1.0, (i as f64) * 0.4 - 1.0);
         }
         let parts = slot_users(&cost, &c, &queues);
-        let fast = solve_dp(&parts, c.bs_cap_units);
-        let slow = solve_dp_reference(&parts, c.bs_cap_units);
-        assert!(
-            (objective(&parts, &fast) - objective(&parts, &slow)).abs() < 1e-9,
-            "deque {fast:?} vs reference {slow:?}"
-        );
-        assert!(fast.iter().sum::<u64>() <= 23);
-        for (part, &phi) in parts.iter().zip(&fast) {
+        let greedy = solve_greedy(&parts, c.bs_cap_units);
+        assert_eq!(greedy, solve_dp(&parts, c.bs_cap_units));
+        assert!(greedy.iter().sum::<u64>() <= 23);
+        for (part, &phi) in parts.iter().zip(&greedy) {
             assert!(phi <= part.cap);
+        }
+    }
+
+    /// A participant with a NaN or infinite curve is granted nothing by
+    /// either solver, wherever the non-finite value sits, and the finite
+    /// participants around it are still solved identically.
+    #[test]
+    fn non_finite_curves_get_nothing() {
+        let part = |id: usize, f0: f64, f1: f64, slope: f64| SlotUser {
+            id,
+            pc: 0.0,
+            cap: 4,
+            rate_kbps: 400.0,
+            f0,
+            f1,
+            slope,
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let bad = [
+            (0.0, nan, -1.0),  // NaN first unit
+            (0.0, inf, -1.0),  // +∞ first unit
+            (-inf, 0.0, -1.0), // idling is free beyond measure
+            (0.0, 1.0, nan),   // dominated first unit, NaN slope
+            (inf, inf, -1.0),  // NaN first marginal from ∞ − ∞
+            (nan, 0.0, -1.0),  // NaN idle cost
+        ];
+        for (k, &(f0, f1, slope)) in bad.iter().enumerate() {
+            for budget in [3u64, 6, 100] {
+                let parts = [
+                    part(0, 0.0, -2.0, -1.0),
+                    part(1, f0, f1, slope),
+                    part(2, 0.0, -2.0, -1.0),
+                ];
+                let greedy = solve_greedy(&parts, budget);
+                let dp = solve_dp(&parts, budget);
+                assert_eq!(greedy[1], 0, "greedy fed bad curve {k} at C={budget}");
+                assert_eq!(dp[1], 0, "Algorithm 2 fed bad curve {k} at C={budget}");
+                if f0.is_finite() {
+                    // A non-finite f0 poisons every table sum, so only
+                    // the grant to the bad user is comparable there.
+                    assert_eq!(greedy, dp, "bad curve {k} at C={budget}");
+                }
+            }
         }
     }
 
@@ -1245,11 +591,11 @@ mod tests {
         }
     }
 
-    /// The `reference_dp` knob routes through the naive solver yet
-    /// produces the exact same allocations across a stateful multi-slot
-    /// run (virtual queues and all).
+    /// The `reference_dp` knob routes through Algorithm 2 yet produces
+    /// the exact same allocations across a stateful multi-slot run
+    /// (virtual queues and all).
     #[test]
-    fn reference_solver_knob_matches_deque() {
+    fn reference_solver_knob_matches_greedy() {
         let mut fast = Ema::new(0.8, CrossLayerModels::paper());
         let mut slow = Ema::new(0.8, CrossLayerModels::paper()).with_reference_solver(true);
         for slot in 0..40u64 {

@@ -1,4 +1,4 @@
-//! EMA-Fast — an exact `O(P log P)` solver for EMA's per-slot problem.
+//! The exact `O(P log P)` solver for EMA's per-slot problem.
 //!
 //! Each user's cost `f(i, φ)` is convex in φ (see [`crate::cost`]): the
 //! marginal of the first unit is `slope − V·E_tail_slot` and every further
@@ -10,15 +10,12 @@
 //!
 //! Because all of a user's post-first units share one marginal, the greedy
 //! pops at most two heap entries per user, so a slot costs `O(P log P)`
-//! versus the DP's `O(P·C)`. The `ema_dp_vs_fast` property test and
-//! Criterion bench pin down, respectively, that the objectives are equal
-//! and how much wall-clock the structure saves.
+//! against the `O(P·C·φ_max)` of the paper's Algorithm 2 table
+//! ([`crate::ema::solve_dp_with`]), which is kept as the oracle:
+//! `tests/sched_properties.rs` and `tests/multi_slot_properties.rs` pin
+//! the two allocation for allocation.
 
-use crate::cost::{CrossLayerModels, CurveColumns, EmaCost, TailPricing};
-use crate::ema::{clamp_queues, slot_users_into, slot_users_soa_into, SlotUser};
-use crate::error::StateImportError;
-use crate::lyapunov::VirtualQueues;
-use jmso_gateway::{Allocation, DegradationEvent, Scheduler, SlotContext};
+use crate::ema::SlotUser;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -36,12 +33,10 @@ struct Block {
 
 // Order blocks by `total_cmp` on the marginal, then by participant index.
 // `total_cmp` is a genuine total order on all f64 bit patterns, so the
-// `BinaryHeap` contract holds even for NaN-adjacent hand-built inputs
-// (the old `partial_cmp`/`expect` pair panicked there). For the finite
-// marginals [`EmaCost`] produces the two orders agree — only pruned
-// blocks (never inserted, see [`solve_greedy_with`]) could carry NaN, and
-// `total_cmp` orders `−0.0 < +0.0`, a pair the `>= 0.0` take-test already
-// treats identically — so the switch is allocation-invisible.
+// `BinaryHeap` contract holds even for hand-built non-finite inputs. For
+// finite marginals it agrees with `partial_cmp`: only pruned blocks
+// (never inserted, see [`solve_greedy_with`]) could carry NaN, and the
+// `−0.0 < +0.0` it distinguishes are both pruned by the `< 0.0` take-test.
 impl Eq for Block {}
 impl PartialOrd for Block {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
@@ -56,8 +51,8 @@ impl Ord for Block {
     }
 }
 
-/// Reusable buffers for [`solve_greedy`], owned by [`EmaFast`] so the
-/// engine hot path performs zero heap allocation in steady state.
+/// Reusable buffers for [`solve_greedy_with`], owned by [`crate::Ema`] so
+/// the engine hot path performs zero heap allocation in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyScratch {
     heap: BinaryHeap<Reverse<Block>>,
@@ -68,7 +63,7 @@ pub struct GreedyScratch {
 /// only if its marginal `f1 − f0` is strictly negative, plus the bulk
 /// block only if additionally `slope < 0`. A NaN marginal compares false
 /// against `< 0.0` and is treated as non-negative (never taken) — the
-/// same outcome the DP's `cand < base` comparison produces for NaN
+/// same outcome Algorithm 2's `cand < best` comparison produces for NaN
 /// curves.
 #[inline]
 fn negative_units(s: &SlotUser) -> u64 {
@@ -88,16 +83,21 @@ fn negative_units(s: &SlotUser) -> u64 {
 /// Solve one slot's EMA problem exactly by marginal-cost greedy, reusing
 /// `scratch`. Returns per-participant unit counts aligned with `parts`.
 ///
+/// **Tie-break contract**, shared with the paper's Algorithm 2
+/// ([`crate::ema::solve_dp_with`]) so the two agree allocation for
+/// allocation and not just in objective: among equal marginals the lowest
+/// participant index wins; a zero or NaN marginal is never taken; hence
+/// of all optimal allocations the one with the smallest total is
+/// returned. [`Block`]'s order is the first clause, the strict `< 0.0`
+/// tests below are the second.
+///
 /// Two exact shortcuts sit in front of the heap:
 ///
 /// * **Dominance pruning** — only strictly-negative-marginal blocks enter
-///   the heap. The original loop breaks the first time a non-negative
-///   marginal pops, and the min-heap guarantees no negative block remains
-///   behind it, so a `≥ 0` block is never taken; not inserting it yields
-///   the same allocation with a smaller heap. (This is the greedy face of
-///   the same Lyapunov dominance argument proven in
-///   [`crate::ema::solve_dp_with`]: a user whose queue pressure doesn't
-///   pay for the first unit gets zero.)
+///   the heap. A min-heap pops every negative block before any `≥ 0` one,
+///   and a `≥ 0` block is never taken, so not inserting it yields the
+///   same allocation with a smaller heap: a user whose queue pressure
+///   doesn't pay for the first unit gets zero.
 /// * **Take-all fast path** — when the total strictly-negative unit count
 ///   `T` fits the budget, the heap order is irrelevant: the greedy takes
 ///   *exactly* the negative units of every user, a closed form per user
@@ -172,147 +172,13 @@ pub fn solve_greedy(parts: &[SlotUser], bs_cap_units: u64) -> Vec<u64> {
     solve_greedy_with(parts, bs_cap_units, &mut scratch).to_vec()
 }
 
-/// The EMA policy solved by the exact greedy (drop-in replacement for
-/// [`crate::ema::Ema`]; used for large parameter sweeps).
-///
-/// ```
-/// use jmso_gateway::Scheduler;
-/// use jmso_sched::{CrossLayerModels, Ema, EmaFast};
-///
-/// let models = CrossLayerModels::paper();
-/// let mut fast = EmaFast::new(0.5, models);
-/// let mut dp = Ema::new(0.5, models);
-/// assert_eq!(fast.v(), dp.v());
-/// assert_eq!(fast.name(), "EMA-fast");
-/// ```
-#[derive(Debug, Clone)]
-pub struct EmaFast {
-    v: f64,
-    models: CrossLayerModels,
-    tail_pricing: TailPricing,
-    queues: VirtualQueues,
-    parts: Vec<SlotUser>,
-    cols: CurveColumns,
-    scratch: GreedyScratch,
-    pc_clamp: Option<f64>,
-    events: Vec<DegradationEvent>,
-}
-
-impl EmaFast {
-    /// EMA-Fast with Lyapunov weight `V`.
-    pub fn new(v: f64, models: CrossLayerModels) -> Self {
-        assert!(v > 0.0, "V must be positive");
-        Self {
-            v,
-            models,
-            tail_pricing: TailPricing::PerSlot,
-            queues: VirtualQueues::new(0),
-            parts: Vec::new(),
-            cols: CurveColumns::default(),
-            scratch: GreedyScratch::default(),
-            pc_clamp: None,
-            events: Vec::new(),
-        }
-    }
-
-    /// Override how idle slots are priced (see [`TailPricing`]).
-    pub fn with_tail_pricing(mut self, tail_pricing: TailPricing) -> Self {
-        self.tail_pricing = tail_pricing;
-        self
-    }
-
-    /// Saturate every virtual queue at `bound` seconds (see
-    /// [`crate::Ema::with_pc_clamp`]).
-    pub fn with_pc_clamp(mut self, pc_clamp: Option<f64>) -> Self {
-        assert!(
-            pc_clamp.is_none_or(|b| b > 0.0),
-            "PC clamp must be positive"
-        );
-        self.pc_clamp = pc_clamp;
-        self
-    }
-
-    /// The Lyapunov weight `V`.
-    pub fn v(&self) -> f64 {
-        self.v
-    }
-
-    /// Read access to the virtual queues.
-    pub fn queues(&self) -> &VirtualQueues {
-        &self.queues
-    }
-}
-
-impl Scheduler for EmaFast {
-    fn name(&self) -> &'static str {
-        "EMA-fast"
-    }
-
-    /// The greedy solve is ~0.1 µs per slot, far too cheap to amortize the
-    /// engine's SoA mirror sync (~0.3 µs per slot) plus the batch-kernel
-    /// setup the way the full DP does, so EMA-fast opts out of the mirror
-    /// and builds participants from the AoS snapshot. The per-element and
-    /// batch kernels are pinned bit-identical, so the trace is unchanged.
-    fn wants_soa(&self) -> bool {
-        false
-    }
-
-    fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation) {
-        if self.queues.len() != ctx.users.len() {
-            self.queues = VirtualQueues::new(ctx.users.len());
-        }
-        self.events.clear();
-        out.reset(ctx.users.len());
-        let cost = EmaCost::with_pricing(self.v, &self.models, ctx, self.tail_pricing);
-        match ctx.soa {
-            Some(soa) => {
-                slot_users_soa_into(&cost, soa, &self.queues, &mut self.cols, &mut self.parts)
-            }
-            None => slot_users_into(&cost, ctx, &self.queues, &mut self.parts),
-        }
-        let chosen = solve_greedy_with(&self.parts, ctx.bs_cap_units, &mut self.scratch);
-        for (part, &units) in self.parts.iter().zip(chosen) {
-            out.0[part.id] = units;
-        }
-        self.queues.apply_allocation(ctx, &out.0);
-        clamp_queues(&mut self.queues, self.pc_clamp, ctx.slot, &mut self.events);
-    }
-
-    fn queue_values(&self) -> Option<&[f64]> {
-        Some(self.queues.values())
-    }
-
-    fn degradations(&self) -> &[DegradationEvent] {
-        &self.events
-    }
-
-    /// Same degraded mode as [`crate::Ema::engage_degraded`]: saturate
-    /// the virtual queues at their current peak (floored at 1.0) unless
-    /// a clamp is already configured.
-    fn engage_degraded(&mut self) -> bool {
-        if self.pc_clamp.is_none() {
-            let peak = self.queues.values().iter().fold(1.0f64, |m, &q| m.max(q));
-            self.pc_clamp = Some(peak);
-        }
-        true
-    }
-
-    fn export_state(&self) -> Option<String> {
-        serde_json::to_string(&self.queues).ok()
-    }
-
-    fn import_state(&mut self, state: &str) -> Result<(), String> {
-        self.queues =
-            serde_json::from_str(state).map_err(|e| String::from(StateImportError::from(e)))?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ema::{objective, slot_users, solve_dp};
-    use jmso_gateway::UserSnapshot;
+    use crate::cost::{CrossLayerModels, EmaCost};
+    use crate::ema::{slot_users, solve_dp_with, DpScratch};
+    use crate::lyapunov::VirtualQueues;
+    use jmso_gateway::{SlotContext, UserSnapshot};
     use jmso_radio::rrc::RrcState;
     use jmso_radio::Dbm;
 
@@ -341,8 +207,8 @@ mod tests {
         }
     }
 
-    /// Greedy matches the DP objective on a handcrafted instance mixing
-    /// starved and surplus queues.
+    /// Greedy matches Algorithm 2's allocation on a handcrafted instance
+    /// mixing starved and surplus queues.
     #[test]
     fn greedy_matches_dp_handcrafted() {
         let users = vec![
@@ -361,11 +227,9 @@ mod tests {
         q.update(2, 1.0, 0.0); //  2
         q.update(3, 1.0, 0.9); //  0.1
         let parts = slot_users(&cost, &c, &q);
-        let dp = solve_dp(&parts, c.bs_cap_units);
         let fast = solve_greedy(&parts, c.bs_cap_units);
-        let o_dp = objective(&parts, &dp);
-        let o_fast = objective(&parts, &fast);
-        assert!((o_dp - o_fast).abs() < 1e-9, "dp {o_dp} vs fast {o_fast}");
+        let mut rows = DpScratch::default();
+        assert_eq!(fast, solve_dp_with(&parts, c.bs_cap_units, &mut rows));
     }
 
     /// Positive marginals are never taken.
@@ -401,32 +265,6 @@ mod tests {
         let parts = slot_users(&cost, &c, &q);
         let a = solve_greedy(&parts, c.bs_cap_units);
         assert_eq!(a.iter().sum::<u64>(), 30);
-    }
-
-    /// The scheduler wrapper produces valid allocations and matches Ema's
-    /// objective slot by slot on a short horizon.
-    #[test]
-    fn wrapper_tracks_dp_policy() {
-        use crate::ema::Ema;
-        let users: Vec<_> = (0..5)
-            .map(|i| user(i, -65.0 - 8.0 * i as f64, 300.0 + 60.0 * i as f64, 25))
-            .collect();
-        let models = CrossLayerModels::paper();
-        let mut dp_pol = Ema::new(2.0, models);
-        let mut fast_pol = EmaFast::new(2.0, models);
-        for slot in 0..30 {
-            let mut c = ctx(&users, 40);
-            c.slot = slot;
-            let a_dp = dp_pol.allocate(&c);
-            let a_fast = fast_pol.allocate(&c);
-            a_dp.validate(&c).expect("valid allocation");
-            a_fast.validate(&c).expect("valid allocation");
-            assert!(
-                (dp_pol.queues().total() - fast_pol.queues().total()).abs() < 1e-6,
-                "queue trajectories diverged at slot {slot}"
-            );
-            let _ = (a_dp, a_fast);
-        }
     }
 
     /// Empty participant set.

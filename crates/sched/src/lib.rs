@@ -7,15 +7,15 @@
 //!   threshold computed by [`threshold`].
 //! * [`ema`] — **EMA** (Algorithm 2): minimize energy subject to a
 //!   rebuffering bound, via the Lyapunov drift-plus-penalty machinery in
-//!   [`lyapunov`] and a per-slot bounded multi-choice knapsack DP over the
-//!   shared cost model in [`cost`].
-//! * [`ema_fast`] — an exact slope-greedy solver for the same per-slot
-//!   problem (the per-user cost is convex in φ, so marginal-cost greedy is
-//!   optimal). Property-tested equal to the DP; used for large sweeps.
+//!   [`lyapunov`] over the shared cost model in [`cost`]; it also keeps
+//!   the paper's literal knapsack DP as the oracle.
+//! * [`ema_fast`] — the exact marginal greedy EMA solves each slot with
+//!   (the per-user cost is convex in φ, so marginal-cost greedy is
+//!   optimal). Property-tested allocation-equal to the DP.
 //! * [`baselines`] — the five §VI comparison policies: Default (greedy
 //!   max), Throttling, ON-OFF, SALSA, and EStreamer.
 //! * [`oracle`] — brute-force enumeration for tiny instances, used to
-//!   validate the knapsack formulation and both EMA solvers.
+//!   validate the knapsack formulation, the greedy and the DP.
 //! * [`kernels`] — autovectorization-pinned batch kernels over the SoA
 //!   columns (RTMA's need/cap clamp, the Eq. (12) threshold mask), each
 //!   sharing its per-element core with the scalar path so batch ≡ scalar
@@ -40,7 +40,6 @@ pub use baselines::{
 };
 pub use cost::{CrossLayerModels, EmaCost, TailPricing};
 pub use ema::Ema;
-pub use ema_fast::EmaFast;
 pub use error::StateImportError;
 pub use lyapunov::{drift_bound_b, energy_upper_bound, rebuffer_upper_bound, VirtualQueues};
 pub use rtma::Rtma;

@@ -2,10 +2,10 @@
 //!
 //! Both per-slot problems the paper proves NP-hard reduce, for one slot, to
 //! a bounded multi-choice knapsack. This module enumerates *every* feasible
-//! allocation so the DP of
-//! [`crate::ema::solve_dp`] and the greedy of
-//! [`crate::ema_fast::solve_greedy`] can be validated against ground truth
-//! on small instances, and so tests and examples can inspect true optima.
+//! allocation so the greedy of [`crate::ema_fast::solve_greedy_with`] and
+//! the Algorithm 2 table of [`crate::ema::solve_dp_with`] can be validated
+//! against ground truth on small instances, and so tests and examples can
+//! inspect true optima.
 //!
 //! The state space is `Π (capᵢ+1)`, so keep instances tiny (≤ ~6 users ×
 //! ≤ ~8 units).
@@ -132,7 +132,7 @@ pub fn max_playback_exhaustive(parts: &[SlotUser], delta_kb: f64, budget: u64) -
 mod tests {
     use super::*;
     use crate::cost::{CrossLayerModels, EmaCost};
-    use crate::ema::{objective, slot_users, solve_dp};
+    use crate::ema::{objective, slot_users, solve_dp_with, DpScratch};
     use crate::ema_fast::solve_greedy;
     use crate::lyapunov::VirtualQueues;
     use jmso_gateway::{SlotContext, UserSnapshot};
@@ -177,7 +177,7 @@ mod tests {
         let parts = slot_users(&cost, &ctx, &q);
         let (oracle_alloc, oracle_obj) = solve_exhaustive(&parts, 7);
         assert!(oracle_alloc.iter().sum::<u64>() <= 7);
-        let dp = solve_dp(&parts, 7);
+        let dp = solve_dp_with(&parts, 7, &mut DpScratch::default()).to_vec();
         let fast = solve_greedy(&parts, 7);
         assert!((objective(&parts, &dp) - oracle_obj).abs() < 1e-9);
         assert!((objective(&parts, &fast) - oracle_obj).abs() < 1e-9);

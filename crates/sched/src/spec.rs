@@ -5,7 +5,6 @@ use crate::baselines::{
 };
 use crate::cost::{CrossLayerModels, TailPricing};
 use crate::ema::Ema;
-use crate::ema_fast::EmaFast;
 use crate::rtma::Rtma;
 use crate::threshold::SignalThreshold;
 use jmso_gateway::Scheduler;
@@ -31,16 +30,15 @@ pub enum SchedulerSpec {
     },
     /// RTMA without an energy constraint.
     RtmaUnbounded,
-    /// EMA (exact DP form of Algorithm 2), solved by the monotone-deque
-    /// DP by default.
+    /// EMA (Algorithm 2), each slot solved by the exact marginal greedy.
     Ema {
         /// Lyapunov weight V.
         v: f64,
         /// How idle slots are priced (defaults to the literal Eq. (5)).
         #[serde(default)]
         tail: TailPricing,
-        /// Use the naive O(P · C · φ_max) reference DP instead of the
-        /// monotone-deque solver. Differential-testing escape hatch;
+        /// Solve each slot with the paper's literal O(P · C · φ_max)
+        /// table DP instead of the greedy. Differential-testing route;
         /// identical allocations, orders of magnitude slower.
         #[serde(default)]
         reference_dp: bool,
@@ -50,7 +48,9 @@ pub enum SchedulerSpec {
         #[serde(default)]
         pc_clamp: Option<f64>,
     },
-    /// EMA solved by the exact fast greedy (identical objective).
+    /// The same policy and solver as [`SchedulerSpec::Ema`], reported as
+    /// `"EMA-fast"` (kept so existing configs, results and traces that
+    /// name it stay valid).
     EmaFast {
         /// Lyapunov weight V.
         v: f64,
@@ -125,11 +125,13 @@ impl SchedulerSpec {
                     .with_reference_solver(reference_dp)
                     .with_pc_clamp(pc_clamp),
             ),
-            SchedulerSpec::EmaFast { v, tail, pc_clamp } => Box::new(
-                EmaFast::new(v, *models)
+            SchedulerSpec::EmaFast { v, tail, pc_clamp } => {
+                let mut ema = Ema::new(v, *models)
                     .with_tail_pricing(tail)
-                    .with_pc_clamp(pc_clamp),
-            ),
+                    .with_pc_clamp(pc_clamp);
+                ema.name = "EMA-fast";
+                Box::new(ema)
+            }
             SchedulerSpec::Throttling { kappa } => Box::new(Throttling::new(kappa)),
             SchedulerSpec::OnOff { low_s, high_s } => Box::new(OnOff::new(low_s, high_s)),
             SchedulerSpec::Salsa {
@@ -221,7 +223,7 @@ impl SchedulerSpec {
         }
     }
 
-    /// EMA (DP) with the literal Eq. (5) per-slot tail pricing.
+    /// EMA with the literal Eq. (5) per-slot tail pricing.
     pub fn ema_dp(v: f64) -> Self {
         SchedulerSpec::Ema {
             v,
@@ -231,8 +233,8 @@ impl SchedulerSpec {
         }
     }
 
-    /// [`SchedulerSpec::ema_dp`] forced onto the naive reference DP
-    /// solver (differential tests only).
+    /// [`SchedulerSpec::ema_dp`] solved by the literal Algorithm 2 table
+    /// (differential tests only).
     pub fn ema_dp_reference(v: f64) -> Self {
         SchedulerSpec::Ema {
             v,
@@ -275,6 +277,18 @@ mod tests {
         }
     }
 
+    /// Results, trace headers and the committed digests carry the
+    /// scheduler name, so each EMA variant keeps its own.
+    #[test]
+    fn ema_variants_keep_their_names() {
+        let models = CrossLayerModels::paper();
+        let name = |spec: SchedulerSpec| spec.build(1.0, &models).name();
+        assert_eq!(name(SchedulerSpec::ema_dp(1.0)), "EMA");
+        assert_eq!(name(SchedulerSpec::ema_dp_reference(1.0)), "EMA");
+        assert_eq!(name(SchedulerSpec::ema_fast(1.0)), "EMA-fast");
+        assert_eq!(name(SchedulerSpec::ema_fast_amortized(1.0)), "EMA-fast");
+    }
+
     #[test]
     fn serde_roundtrip() {
         let spec = SchedulerSpec::rtma(850.5);
@@ -292,7 +306,7 @@ mod tests {
     }
 
     /// Configs written before the `reference_dp` knob existed must keep
-    /// deserializing, defaulting to the monotone-deque solver.
+    /// deserializing, defaulting to the production solver.
     #[test]
     fn ema_reference_dp_defaults_off() {
         let spec: SchedulerSpec =

@@ -1,6 +1,6 @@
 //! Scratch-reuse regression tests: every scheduler keeps per-slot scratch
-//! buffers (RTMA's order/need/ceiling, EMA's DP rows and virtual queues)
-//! that are reused across slots for the zero-allocation hot path. A
+//! buffers (RTMA's order/need/ceiling, EMA's heap, oracle rows and virtual
+//! queues) that are reused across slots for the zero-allocation hot path. A
 //! scheduler that has been driven on one population shape must behave
 //! exactly like a freshly built one when the context shape changes —
 //! stale scratch from the larger population must never leak into the
@@ -9,7 +9,7 @@
 use jmso_gateway::{Allocation, Scheduler, SlotContext, UserSnapshot};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::Dbm;
-use jmso_sched::{CrossLayerModels, Ema, EmaFast, Rtma};
+use jmso_sched::{CrossLayerModels, Ema, Rtma};
 
 /// Deterministic, slot-varying synthetic population: signals wander over
 /// the paper's [−110, −50] dBm band and rates over 300–600 KB/s.
@@ -85,15 +85,15 @@ fn rtma_shape_change_is_clean() {
 }
 
 #[test]
-fn ema_dp_shape_change_is_clean() {
+fn ema_shape_change_is_clean() {
     let m = CrossLayerModels::paper;
     assert_shape_change_clean(Ema::new(1.0, m()), Ema::new(1.0, m()));
 }
 
 #[test]
-fn ema_fast_shape_change_is_clean() {
-    let m = CrossLayerModels::paper;
-    assert_shape_change_clean(EmaFast::new(1.0, m()), EmaFast::new(1.0, m()));
+fn ema_reference_solver_shape_change_is_clean() {
+    let ema = || Ema::new(1.0, CrossLayerModels::paper()).with_reference_solver(true);
+    assert_shape_change_clean(ema(), ema());
 }
 
 /// RTMA's exported queue view masks users with a zero grant ceiling

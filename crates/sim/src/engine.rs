@@ -901,7 +901,7 @@ impl Engine {
     /// This is the active-set hot path. The slot loop reuses every
     /// intermediate buffer (`raw`, snapshots, the allocation, deliveries,
     /// fairness scratch, and — inside the stateful policies — their own
-    /// DP/sort scratch), so a steady-state slot performs zero heap
+    /// solver/sort scratch), so a steady-state slot performs zero heap
     /// allocation; on top of that it only touches users that can still
     /// change the outputs:
     ///
@@ -2258,7 +2258,7 @@ impl Engine {
         fairness_window_series: Vec<f64>,
         power_series_j: Vec<f64>,
     ) -> SimResult {
-        let per_user = self
+        let mut per_user: Vec<UserResult> = self
             .users
             .into_iter()
             .map(|u| UserResult {
@@ -2276,6 +2276,10 @@ impl Engine {
                 video_kb: u.session.total_kb,
             })
             .collect();
+        // The collect above reuses the `UserSim` buffer in place, so the
+        // result would otherwise pin 8× the bytes its rows need for as
+        // long as a caller keeps it.
+        per_user.shrink_to_fit();
 
         SimResult {
             scheduler: self.scheduler.name().to_string(),

@@ -2,11 +2,12 @@
 //! the run, so its entries must reconcile exactly with the end-of-run
 //! aggregates in [`jmso_sim::SimResult`], survive downsampling, and be
 //! identical no matter which engine loop (active-set `run` or all-users
-//! `run_reference`) or EMA solver (deque DP or reference table DP)
-//! produced them.
+//! `run_reference`) or EMA solver (the greedy or the paper's Algorithm 2
+//! table) produced them.
 
 use jmso_sim::{
-    ArrivalSpec, CapacitySpec, Scenario, SchedulerSpec, SignalSpec, TraceRecorder, WorkloadSpec,
+    ArrivalSpec, CapacitySpec, FaultEvent, FaultSpec, Scenario, SchedulerSpec, SignalSpec,
+    TailPricing, TraceRecorder, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -153,23 +154,6 @@ proptest! {
         prop_assert_eq!(rec_a.into_trace("x"), rec_b.into_trace("x"));
     }
 
-    /// `reference_dp: true` (the O(states²) table solver) must produce the
-    /// exact per-slot trace of the deque-DP production solver.
-    #[test]
-    fn ema_dp_solvers_trace_identically(
-        scenario in arb_scenario(),
-        v in 0.05f64..5.0,
-    ) {
-        let mut fast = scenario;
-        fast.scheduler = SchedulerSpec::ema_dp(v);
-        let mut reference = fast.clone();
-        reference.scheduler = SchedulerSpec::ema_dp_reference(v);
-        let (rf, tf) = fast.run_traced(1).unwrap();
-        let (rr, tr) = reference.run_traced(1).unwrap();
-        prop_assert_eq!(rf.per_user, rr.per_user);
-        prop_assert_eq!(tf.records, tr.records);
-    }
-
     /// Downsampling is lossless for the accounting fields: window sums at
     /// `every = k` add up to the same per-user totals as the full trace,
     /// and the run totals are bit-identical (they bypass the windows).
@@ -191,5 +175,53 @@ proptest! {
         let full_rrc: Vec<_> = full.records.iter().flat_map(|r| r.rrc.clone()).collect();
         let down_rrc: Vec<_> = down.records.iter().flat_map(|r| r.rrc.clone()).collect();
         prop_assert_eq!(full_rrc, down_rrc);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A greedy run ≡ an Algorithm 2 run (`reference_dp: true`), results
+    /// and full trace bytes: on roomy and contended cells, with the queue
+    /// clamp, with amortized tail pricing, and through a fault plan with
+    /// a cell outage followed by a link outage.
+    #[test]
+    fn ema_greedy_and_algorithm2_trace_identically(
+        scenario in arb_scenario(),
+        v in 0.05f64..5.0,
+        contended_kbps in prop::option::of(100.0f64..1_200.0),
+        pc_clamp in prop::option::of(0.5f64..8.0),
+        amortized in prop::bool::ANY,
+        outage in prop::option::of((0u64..20, 1u64..15)), // ends before slot 50
+    ) {
+        let mut greedy = scenario;
+        if let Some(kbps) = contended_kbps {
+            greedy.capacity = CapacitySpec::Constant { kbps };
+        }
+        if let Some((from, len)) = outage {
+            greedy.faults = FaultSpec::Declared {
+                events: vec![
+                    FaultEvent::CellOutage { cell: 0, from_slot: from, until_slot: from + len },
+                    FaultEvent::LinkOutage {
+                        user: 0,
+                        from_slot: from + len,
+                        until_slot: from + 2 * len,
+                    },
+                ],
+            };
+        }
+        let spec = |reference_dp| SchedulerSpec::Ema {
+            v,
+            tail: if amortized { TailPricing::amortized_default() } else { TailPricing::PerSlot },
+            reference_dp,
+            pc_clamp,
+        };
+        greedy.scheduler = spec(false);
+        let mut reference = greedy.clone();
+        reference.scheduler = spec(true);
+        let (rg, tg) = greedy.run_traced(1).unwrap();
+        let (rr, tr) = reference.run_traced(1).unwrap();
+        prop_assert_eq!(rg.per_user, rr.per_user);
+        prop_assert_eq!(tg.to_jsonl(), tr.to_jsonl());
     }
 }

@@ -50,6 +50,12 @@ cargo clippy -p jmso-gateway-svc --lib --no-deps -- -D warnings \
 echo "== cargo test"
 cargo test -q
 
+# Tier-1 above runs the root package only; EMA's production solver is
+# pinned to the paper's Algorithm 2 by the scheduler crate's own unit and
+# property tests, so they run on every pass too.
+echo "== cargo test -p jmso-sched"
+cargo test -q -p jmso-sched
+
 # The repository benchmark is a workspace of its own (benchmark/) that
 # compiles against the crates' public surface; a PR that breaks that
 # surface would otherwise first fail in the pipeline that runs it.
@@ -65,6 +71,15 @@ echo "== benchmark open-sharded, 3 s, traced pass"
 bash benchmark/run.sh --workload open-sharded --seconds 3 --trace 1 \
     | tail -n 1 | grep -q '"correct": true' \
     || { echo "open-sharded --trace 1 did not report \"correct\": true"; exit 1; }
+
+# One short pass of the EMA cell: its seed-42 digest was committed when
+# EMA's production solver was a table DP, so `"correct": true` here is
+# the standing whole-run evidence that the greedy allocates what the DP
+# did (alongside rep ≡ rep and run ≡ run_reference).
+echo "== benchmark cell-ema, 3 s"
+bash benchmark/run.sh --workload cell-ema --seed 42 --seconds 3 --trace 0 \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "cell-ema did not report \"correct\": true"; exit 1; }
 
 # Golden-trace drift gate: the byte-equality tests above already diff
 # the committed traces; TRACE=1 additionally *regenerates* them from the

@@ -1,4 +1,4 @@
-//! Golden-trace snapshot tests: small contended scenarios (RTMA, EMA-DP
+//! Golden-trace snapshot tests: small contended scenarios (RTMA, EMA
 //! and EMA-fast, 3 users, 200 slots, seed 42) are traced every slot and
 //! the JSONL export is diffed byte-for-byte against committed files under
 //! `tests/golden/`.
@@ -161,6 +161,24 @@ fn ema_fast_trace_matches_golden() {
         "ema_fast.trace.jsonl",
         &golden_scenario(SchedulerSpec::ema_fast(1.0)),
     );
+}
+
+/// `ema_fast` names the same policy and solver as `ema`, so the two
+/// committed goldens may differ in their header line (which carries the
+/// scheduler name) and nowhere else.
+#[test]
+fn ema_and_ema_fast_golden_bodies_are_equal() {
+    let read = |name| std::fs::read_to_string(golden_path(name)).unwrap();
+    let (ema, fast) = (read("ema.trace.jsonl"), read("ema_fast.trace.jsonl"));
+    assert_ne!(
+        ema.lines().next(),
+        fast.lines().next(),
+        "headers name the spec"
+    );
+    assert_eq!(ema.lines().count(), fast.lines().count());
+    for (i, (a, b)) in ema.lines().zip(fast.lines()).enumerate().skip(1) {
+        assert_eq!(a, b, "golden bodies diverge at line {}", i + 1);
+    }
 }
 
 #[test]
