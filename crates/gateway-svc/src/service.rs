@@ -106,10 +106,10 @@ pub enum Outcome {
 /// What a successful resume hands to [`LiveService::build`].
 type ResumedParts = (SlotDriver<DynFaults>, TraceRecorder, Option<TraceSpool>);
 
-/// The one serialisation of a trace line: what is broadcast, spooled
-/// and written to the final trace are all this `String`'s bytes.
-fn json_line<T: Serialize>(value: &T) -> Result<String, TraceError> {
-    serde_json::to_string(value).map_err(|e| TraceError::Parse {
+/// The one serialisation of a trace line, appended to `out`: what is
+/// broadcast, spooled and written to the final trace are all these bytes.
+fn json_line<T: Serialize>(out: &mut String, value: &T) -> Result<(), TraceError> {
+    serde_json::to_string_into(out, value).map_err(|e| TraceError::Parse {
         line: 0,
         reason: format!("serialize: {e:?}"),
     })
@@ -133,6 +133,9 @@ pub struct LiveService {
     /// recorder is drained into it after every slot, so `rec` holds no
     /// records between slots.
     spool: Option<TraceSpool>,
+    /// The record line being published; cleared per record, never
+    /// shrunk, so a slot's line costs no allocation after the first.
+    line: String,
     /// Deadline anchor: wall-clock instant at which `anchor.1` was due
     /// to start. `None` = re-anchor on the next paced slot.
     anchor: Option<(Instant, u64)>,
@@ -210,6 +213,7 @@ impl LiveService {
             degraded: false,
             last_ckpt_slot: None,
             spool,
+            line: String::new(),
             anchor: None,
             startup_events,
         })
@@ -234,8 +238,11 @@ impl LiveService {
             TraceSpool::open(trace, rec.emitted())
         } else {
             TraceSpool::open(trace, 0).and_then(|mut spool| {
+                let mut line = String::new();
                 for r in &embedded {
-                    spool.append(&json_line(r)?)?;
+                    line.clear();
+                    json_line(&mut line, r)?;
+                    spool.append(&line)?;
                 }
                 Ok(spool)
             })
@@ -287,11 +294,12 @@ impl LiveService {
             return Ok(());
         }
         for r in &records {
-            let line = json_line(r)?;
+            self.line.clear();
+            json_line(&mut self.line, r)?;
             if let Some(spool) = &mut self.spool {
-                spool.append(&line)?;
+                spool.append(&self.line)?;
             }
-            if publish && self.fanout.broadcast(&line) > 0 {
+            if publish && self.fanout.broadcast(&self.line) > 0 {
                 self.publish_event(&GwEvent::SubscriberDropped {
                     total: self.fanout.dropped(),
                 });
@@ -496,9 +504,12 @@ impl LiveService {
             // The recorder was drained slot by slot: what it still holds
             // is the tail `finish` emitted, and its header is the run's.
             let tail = rec.into_trace(&result.scheduler);
+            let mut header = String::new();
+            json_line(&mut header, &tail.meta)?;
+            header.push('\n');
             let mut tail_lines = String::new();
             for r in &tail.records {
-                tail_lines.push_str(&json_line(r)?);
+                json_line(&mut tail_lines, r)?;
                 tail_lines.push('\n');
             }
             // Assembled in memory, not streamed: ISSUE 14 keeps the
@@ -506,13 +517,7 @@ impl LiveService {
             // discards a life whose `ru_maxrss` it cannot tell from the
             // one inherited across `exec`). Streaming spool → trace is
             // the follow-up once that check is gone.
-            let out = [
-                json_line(&tail.meta)?.as_bytes(),
-                b"\n",
-                &spool.read()?,
-                tail_lines.as_bytes(),
-            ]
-            .concat();
+            let out = [header.as_bytes(), &spool.read()?, tail_lines.as_bytes()].concat();
             atomic_write(path, &out).map_err(|source| TraceError::Io {
                 path: path.clone(),
                 source,

@@ -3,7 +3,8 @@
 //! through every state the sidecar + spool pair can be found in,
 //! deadline-overrun policies that never stall the loop, slow-subscriber
 //! eviction, corrupt-checkpoint cold starts, the `done` event reaching
-//! a socket subscriber, and the `template` feed fitting the line cap.
+//! a socket subscriber, a deeply nested hostile line, and the `template`
+//! feed fitting the line cap.
 
 use jmso_gateway::{parse_command, GwCommand, LiveEvent, MAX_LINE_BYTES};
 use jmso_gateway_svc::{
@@ -604,6 +605,59 @@ fn done_is_the_last_line_a_socket_subscriber_gets() {
         );
         handler.join().expect("connection thread");
     }
+}
+
+/// One socket line of 60 000 `[` used to overflow the connection thread's
+/// stack inside the JSON parser — an abort, which no supervisor catches,
+/// so any client could end the daemon. The line now gets the ordinary
+/// parse rejection, its connection stays usable, and the service still
+/// answers a new one.
+#[test]
+fn deeply_nested_line_is_rejected_and_the_service_lives() {
+    let bus = Arc::new(CommandBus::new(4));
+    let fanout = Arc::new(FanOut::new());
+    let mut cfg = ServeConfig::new(quick(2, 12));
+    cfg.hold = true;
+    let service = {
+        let (bus, fanout) = (bus.clone(), fanout.clone());
+        std::thread::spawn(move || run_service(cfg, bus, fanout))
+    };
+    // A connection as the daemon serves it: its own default-stack thread.
+    let connect = || {
+        let (client, server) = UnixStream::pair().expect("socket pair");
+        let (bus, fanout) = (bus.clone(), fanout.clone());
+        let handler = std::thread::spawn(move || handle_connection(server, &bus, &fanout));
+        (BufReader::new(client), handler)
+    };
+    let ask = |reader: &mut BufReader<UnixStream>, line: &str| {
+        reader.get_mut().write_all(line.as_bytes()).expect("send");
+        reader.get_mut().write_all(b"\n").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        reply
+    };
+
+    let (mut hostile, hostile_handler) = connect();
+    let line = "[".repeat(60_000);
+    assert!(line.len() <= MAX_LINE_BYTES);
+    let reply = ask(&mut hostile, &line);
+    assert!(reply.starts_with(r#"{"ok":false"#), "{reply}");
+    assert!(reply.contains("recursion limit exceeded"), "{reply}");
+    let reply = ask(&mut hostile, r#"{"cmd":"status"}"#);
+    assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
+
+    let (mut next, next_handler) = connect();
+    let reply = ask(&mut next, r#"{"cmd":"status"}"#);
+    assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
+    assert!(reply.contains(r#""state":"holding""#), "{reply}");
+    let reply = ask(&mut next, r#"{"cmd":"shutdown"}"#);
+    assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
+
+    let outcome = service.join().expect("service thread");
+    assert!(matches!(outcome, Outcome::Interrupted { at_slot: 0 }));
+    drop((hostile, next));
+    hostile_handler.join().expect("first connection thread");
+    next_handler.join().expect("second connection thread");
 }
 
 /// An in-memory connection: scripted input, captured output.

@@ -284,6 +284,27 @@ mod tests {
         ));
     }
 
+    /// A line under the length cap can still nest tens of thousands of
+    /// levels; the parser recurses per level, and a stack overflow is an
+    /// abort that no `catch_unwind` supervision sees.
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let lines = [
+            "[".repeat(60_000),
+            r#"{"a":"#.repeat(10_000),
+            format!(r#"{{"cmd":"feed","events":{}"#, "[".repeat(60_000)),
+        ];
+        for line in lines {
+            assert!(line.len() <= MAX_LINE_BYTES);
+            match parse_command(&line) {
+                Err(ProtocolError::Parse { reason }) => {
+                    assert!(reason.contains("recursion limit exceeded"), "{reason}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn dpi_rate_extraction() {
         let wire = format_segment_request("u7", 0, 450.0, None);

@@ -295,9 +295,8 @@ impl SlotTrace {
             serde_json::to_string(&self.meta).map_err(|e| ser(0, format!("meta: {e:?}")))?;
         out.push('\n');
         for (i, r) in self.records.iter().enumerate() {
-            out.push_str(
-                &serde_json::to_string(r).map_err(|e| ser(i + 1, format!("record: {e:?}")))?,
-            );
+            serde_json::to_string_into(&mut out, r)
+                .map_err(|e| ser(i + 1, format!("record: {e:?}")))?;
             out.push('\n');
         }
         Ok(out)

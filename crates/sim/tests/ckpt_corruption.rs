@@ -4,6 +4,9 @@
 //! fail loudly and never panic. The live service leans on these
 //! contracts to fall back to a cold start instead of crash-looping.
 
+use jmso_sim::{
+    AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, FaultSpec, SessionLength,
+};
 use jmso_sim::{CheckpointError, EngineCheckpoint, RunOutcome, Scenario, SimError, TraceRecorder};
 use jmso_sim::{TailPricing, WorkloadSpec};
 use std::path::PathBuf;
@@ -154,4 +157,62 @@ fn pristine_sidecar_round_trips() {
     let back = EngineCheckpoint::read_file(&path).expect("read back");
     assert_eq!(back.slot(), ck.slot());
     let _ = std::fs::remove_file(&path);
+}
+
+/// Whole-sidecar byte check: print → parse → print is a fixed point on
+/// the richest checkpoint the engine writes — an open-system run paused
+/// mid-flight with ABR clients, a feasibility admission controller
+/// holding deferrals, a fault plan and a live-count recorder, so the
+/// tagged bitrate enum, every `skip_serializing_if` field in its present
+/// form and the nested recorder string all pass through the streaming
+/// printer and back.
+#[test]
+fn rich_sidecar_json_is_a_fixed_point() {
+    let mut s = Scenario::paper_default(24);
+    s.slots = 240;
+    s.seed = 7;
+    s.capacity = CapacitySpec::Constant { kbps: 1_200.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (2_000.0, 3_000.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: None,
+        vbr_segment_slots: 30,
+    };
+    s.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 2.0,
+        diurnal: None,
+        session_slots: Some(SessionLength::Exponential { mean_slots: 20.0 }),
+    };
+    s.admission = Some(AdmissionSpec::Feasibility {
+        v: 1.0,
+        omega_s: None,
+        phi_mj: None,
+        max_defer_slots: 30,
+    });
+    s.abr = Some(AbrSpec {
+        ladder: BitrateLadder {
+            multipliers: vec![0.5, 0.75, 1.0],
+        },
+        ..AbrSpec::single_rung()
+    });
+    s.faults = FaultSpec::Generated {
+        seed: 11,
+        n_events: 4,
+    };
+    let mut rec = TraceRecorder::new().with_live_counts();
+    let ck = match s.run_until(&mut rec, 30).expect("valid scenario runs") {
+        RunOutcome::Paused(ck) => *ck,
+        RunOutcome::Done(_) => panic!("run finished before the pause slot"),
+    };
+    let first = ck.to_json().expect("serialize");
+    for section in [
+        "\"admission\":{",
+        "\"abr\":{",
+        "\"recorder\":\"{",
+        "\"kind\":",
+    ] {
+        assert!(first.contains(section), "sidecar lacks {section}");
+    }
+    let back = EngineCheckpoint::from_json(&first).expect("parse");
+    assert_eq!(back.to_json().expect("serialize again"), first);
 }

@@ -157,6 +157,22 @@ proptest! {
     /// Downsampling is lossless for the accounting fields: window sums at
     /// `every = k` add up to the same per-user totals as the full trace,
     /// and the run totals are bit-identical (they bypass the windows).
+    /// `to_jsonl` appends every record into one buffer; the daemon prints
+    /// each record into its own line. The two routes must write the same
+    /// bytes, or a live trace stops matching its batch twin.
+    #[test]
+    fn jsonl_equals_its_records_printed_one_by_one(
+        scenario in arb_scenario(),
+        every in 1u64..8,
+    ) {
+        let (_result, trace) = scenario.run_traced(every).unwrap();
+        let mut lines = vec![serde_json::to_string(&trace.meta).expect("meta")];
+        for record in &trace.records {
+            lines.push(serde_json::to_string(record).expect("record"));
+        }
+        prop_assert_eq!(trace.to_jsonl(), lines.join("\n") + "\n");
+    }
+
     #[test]
     fn downsampling_preserves_totals(scenario in arb_scenario(), every in 2u64..16) {
         let (full_r, full) = scenario.run_traced(1).unwrap();

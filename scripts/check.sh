@@ -56,6 +56,18 @@ cargo test -q
 echo "== cargo test -p jmso-sched"
 cargo test -q -p jmso-sched
 
+# Every durable byte (traces, sidecars, scenario files) is printed by the
+# vendored serde stubs, and every socket line is parsed by them: the
+# writer-vs-reference-printer oracle, the derive shape pins and the
+# nesting cap live in their own test targets, which Tier-1 does not run.
+echo "== cargo test -p serde -p serde_json -p serde_derive"
+cargo test -q -p serde -p serde_json -p serde_derive
+
+# The protocol's unit tests, for the `parse_command` nesting regression
+# (a deeply nested socket line must be a typed rejection, not an abort).
+echo "== cargo test -p jmso-gateway --lib"
+cargo test -q -p jmso-gateway --lib
+
 # The repository benchmark is a workspace of its own (benchmark/) that
 # compiles against the crates' public surface; a PR that breaks that
 # surface would otherwise first fail in the pipeline that runs it.
