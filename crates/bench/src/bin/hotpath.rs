@@ -42,9 +42,9 @@ use jmso_sched::ema_fast::{solve_greedy_with, GreedyScratch};
 use jmso_sched::lyapunov::VirtualQueues;
 use jmso_sched::{CrossLayerModels, EmaCost};
 use jmso_sim::{
-    AbrPolicy, AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, Diurnal, FaultEvent, FaultSpec,
-    MultiCellScenario, NullRecorder, Scenario, SchedulerSpec, SessionLength, TraceRecorder,
-    WorkerPool,
+    AbrPolicy, AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, FaultEvent,
+    FaultSpec, MultiCellScenario, NullRecorder, Scenario, SchedulerSpec, SessionLength,
+    TraceRecorder, WorkerPool,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -125,7 +125,7 @@ fn report_best_of(label: &str, body: impl FnMut() -> u64) {
 }
 
 /// [`report_best_of`] with a row-specific default rep count
-/// (`HOTPATH_REPS` still overrides) — the 1M-user open-system rows run
+/// (`HOTPATH_REPS` still overrides) — the 100 000-user large-live rows run
 /// seconds per rep, so ten of them would dominate the whole bench.
 fn report_best_of_default(label: &str, default_reps: usize, mut body: impl FnMut() -> u64) {
     if !row_enabled(label) {
@@ -362,31 +362,25 @@ fn main() {
         results.iter().map(|r| r.slots_run).sum()
     });
 
-    // Open-system rows: a 1M-user cell under Poisson churn (diurnal rate
-    // curve, exponential session truncation) on the sharded engine, timed
-    // over a short horizon (the per-slot cost is stationary once the
-    // population ramp is underway, so 160 slots price the loop without
-    // hour-long reps). shards=1 falls back to the serial loop; wider rows
-    // run the lockstep shard protocol on a local pool of that width. On a
-    // single-core host every width collapses to roughly serial throughput
-    // (the barrier phases serialize on one CPU) — the rows exist so the
-    // recorded scaling stays honest per machine rather than extrapolated.
-    let mut open = paper_cell(1_000_000, 375.0).with_seed(42);
-    open.slots = 160;
-    open.arrivals = ArrivalSpec::Poisson {
-        mean_interval_slots: 0.01,
-        diurnal: Some(Diurnal {
-            period_slots: 5_000,
-            depth: 0.5,
-        }),
-        session_slots: Some(SessionLength::Exponential { mean_slots: 200.0 }),
+    // Large-live rows: a closed 100 000-user Default cell with 500 KB/s
+    // of BS capacity per user, so every user is in flight and granted
+    // for all 120 slots — the workload where the per-shard phases (A:
+    // radio and playback, C: accounting) are nearly the whole slot and
+    // set-up is a few percent of the rep. shards=1 runs the four phases
+    // back to back on the caller; shards=2 runs them in lockstep on a
+    // local pool. Their ratio is what sharding buys on this machine.
+    let mut large = paper_cell(100_000, 375.0).with_seed(42);
+    large.slots = 120;
+    large.capacity = CapacitySpec::Constant {
+        kbps: 500.0 * large.n_users as f64,
     };
-    for shards in [1usize, 4, 8] {
-        let pool = WorkerPool::new(shards.saturating_sub(1));
-        report_best_of_default(&format!("open-system 1M (shards={shards})"), 3, || {
+    for shards in [1usize, 2] {
+        let pool = WorkerPool::new(shards - 1);
+        report_best_of_default(&format!("large-live 100k (shards={shards})"), 3, || {
             let mut rec = NullRecorder;
-            open.run_sharded_on(&pool, shards, &mut rec)
-                .expect("open-system run")
+            large
+                .run_sharded_on(&pool, shards, &mut rec)
+                .expect("large-live run")
                 .slots_run
         });
     }

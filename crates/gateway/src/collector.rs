@@ -14,7 +14,6 @@
 
 use crate::scheduler::UserSnapshot;
 use crate::shard::UnitParams;
-use crate::soa::SnapshotSoA;
 use jmso_radio::rrc::RrcState;
 use jmso_radio::{Dbm, KbPerSec, LinearRssiThroughput, ThroughputModel};
 use rand::rngs::StdRng;
@@ -38,6 +37,37 @@ pub struct RawUserState {
     pub idle_s: f64,
     /// Radio RRC state.
     pub rrc_state: RrcState,
+}
+
+impl RawUserState {
+    /// The row of a user who is not in the cell yet: no demand, no
+    /// buffer, a cold radio.
+    pub const ABSENT: RawUserState = RawUserState {
+        signal: Dbm(0.0),
+        rate_kbps: 0.0,
+        buffer_s: 0.0,
+        remaining_kb: 0.0,
+        active: false,
+        idle_s: 0.0,
+        rrc_state: RrcState::Idle,
+    };
+
+    /// What the gateway holds of this state once it has been told
+    /// `signal` for user `id` — the truth, or a held or noisy report —
+    /// with that signal's Eq. (1) bound.
+    pub fn as_reported(&self, id: usize, signal: Dbm, link_cap_units: u64) -> UserSnapshot {
+        UserSnapshot {
+            id,
+            signal,
+            rate_kbps: self.rate_kbps,
+            buffer_s: self.buffer_s,
+            remaining_kb: self.remaining_kb,
+            active: self.active,
+            link_cap_units,
+            idle_s: self.idle_s,
+            rrc_state: self.rrc_state,
+        }
+    }
 }
 
 /// Serializable collector configuration.
@@ -119,25 +149,35 @@ impl InformationCollector {
         self.cached_signal[user].unwrap_or(truth)
     }
 
-    /// Assemble snapshots for one slot into a caller-owned buffer (the
-    /// engine's zero-allocation hot path).
+    /// Eq. (1) for one reported signal: `⌊τ·v(sig)/δ⌋` units.
+    pub fn link_cap(&self, sig: Dbm) -> u64 {
+        self.units
+            .link_cap_units(self.thru.throughput(sig), self.tau)
+    }
+
+    /// User `id`'s snapshot row for `slot`: the report (held, noisy or
+    /// true) with the Eq. (1) bound it implies, everything else verbatim.
+    fn row(&mut self, id: usize, slot: u64, r: &RawUserState) -> UserSnapshot {
+        let signal = self.reported_signal(id, slot, r.signal);
+        r.as_reported(id, signal, self.link_cap(signal))
+    }
+
+    /// Assemble snapshots for one slot into a caller-owned buffer.
     pub fn snapshot_into(&mut self, slot: u64, raw: &[RawUserState], out: &mut Vec<UserSnapshot>) {
         assert_eq!(raw.len(), self.cached_signal.len(), "user count mismatch");
         out.clear();
-        for (id, r) in raw.iter().enumerate() {
-            let signal = self.reported_signal(id, slot, r.signal);
-            let v = self.thru.throughput(signal);
-            out.push(UserSnapshot {
-                id,
-                signal,
-                rate_kbps: r.rate_kbps,
-                buffer_s: r.buffer_s,
-                remaining_kb: r.remaining_kb,
-                active: r.active,
-                link_cap_units: self.units.link_cap_units(v, self.tau),
-                idle_s: r.idle_s,
-                rrc_state: r.rrc_state,
-            });
+        out.extend(raw.iter().enumerate().map(|(id, r)| self.row(id, slot, r)));
+    }
+
+    /// [`InformationCollector::snapshot_into`] over a buffer that already
+    /// holds one row per user: every row is rewritten in place, in user
+    /// order (the noise stream's order), and nothing allocates — the
+    /// engine's full pass.
+    pub fn snapshot_rows(&mut self, slot: u64, raw: &[RawUserState], out: &mut [UserSnapshot]) {
+        assert_eq!(raw.len(), self.cached_signal.len(), "user count mismatch");
+        assert_eq!(out.len(), raw.len(), "snapshot buffer mismatch");
+        for (id, (r, o)) in raw.iter().zip(out.iter_mut()).enumerate() {
+            *o = self.row(id, slot, r);
         }
     }
 
@@ -158,10 +198,12 @@ impl InformationCollector {
     }
 
     /// True when the reported signal equals the ground truth on every
-    /// slot — no staleness hold, no noise. Only then may a caller derive
-    /// link caps ahead of time from raw signal blocks (the engine's
-    /// precomputed cap tables): with staleness > 1 the report read this
-    /// slot can be a *cached* signal, which no per-block table knows.
+    /// slot — no staleness hold, no noise. Only then may a caller write
+    /// snapshot rows itself from the true signal (the engine's per-shard
+    /// phase, with Eq. (1) read off its precomputed cap tables): with
+    /// staleness > 1 the report read this slot can be a *cached* signal,
+    /// which no per-block table knows. A pass-through collector never
+    /// reads its signal cache, so such a caller need not maintain it.
     ///
     /// Strictly stronger than `!needs_full_pass()`.
     pub fn is_pass_through(&self) -> bool {
@@ -182,28 +224,14 @@ impl InformationCollector {
         }
     }
 
-    /// [`InformationCollector::snapshot_into`] plus a rebuild of the
-    /// structure-of-arrays mirror from the freshly written snapshots.
-    pub fn snapshot_into_soa(
-        &mut self,
-        slot: u64,
-        raw: &[RawUserState],
-        out: &mut Vec<UserSnapshot>,
-        soa: &mut SnapshotSoA,
-    ) {
-        self.snapshot_into(slot, raw, out);
-        soa.fill_from(out, self.tau, self.units.delta_kb);
-    }
-
     /// Refresh only the `live` users' snapshot entries in place, leaving
-    /// the rest frozen — the engine's active-set hot path. A frozen entry
-    /// belongs to a user whose session is over (`remaining_kb == 0`), so
-    /// its stale fields cannot affect any allocation: the usable capacity
-    /// it implies is zero.
+    /// the rest frozen — the engine's active-set pass for a collector
+    /// that holds reports. A frozen entry belongs to a user whose
+    /// session is over (`remaining_kb == 0`), so its stale fields cannot
+    /// affect any allocation: the usable capacity it implies is zero.
     ///
-    /// Requires a prior [`InformationCollector::snapshot_into`] pass to
-    /// have populated `out`, and a noise-free spec (see
-    /// [`InformationCollector::needs_full_pass`]).
+    /// Requires a prior full pass to have populated `out`, and a
+    /// noise-free spec (see [`InformationCollector::needs_full_pass`]).
     pub fn snapshot_refresh(
         &mut self,
         slot: u64,
@@ -215,107 +243,7 @@ impl InformationCollector {
         assert_eq!(raw.len(), self.cached_signal.len(), "user count mismatch");
         assert_eq!(out.len(), raw.len(), "snapshot buffer mismatch");
         for &id in live {
-            let r = &raw[id];
-            let signal = self.reported_signal(id, slot, r.signal);
-            let v = self.thru.throughput(signal);
-            out[id] = UserSnapshot {
-                id,
-                signal,
-                rate_kbps: r.rate_kbps,
-                buffer_s: r.buffer_s,
-                remaining_kb: r.remaining_kb,
-                active: r.active,
-                link_cap_units: self.units.link_cap_units(v, self.tau),
-                idle_s: r.idle_s,
-                rrc_state: r.rrc_state,
-            };
-        }
-    }
-
-    /// [`InformationCollector::snapshot_refresh`] that optionally keeps a
-    /// structure-of-arrays mirror in sync (frozen rows stay frozen in
-    /// both layouts, and `live` becomes the mirror's live-row list, so it
-    /// must be ascending), optionally short-circuiting the per-user
-    /// RSSI→throughput conversion with precomputed link caps.
-    ///
-    /// `caps`, when given, must hold the Eq. (1) bound for the *true*
-    /// signal of every user id (the engine's per-block cap tables, built
-    /// by [`InformationCollector::link_caps_into`]); it is only sound
-    /// when [`InformationCollector::is_pass_through`] holds, because the
-    /// reported signal is then the true signal by definition. The signal
-    /// cache is still maintained so collector state (and checkpoints)
-    /// never depend on which path ran.
-    ///
-    /// `soa` is `None` when the consuming scheduler never reads the
-    /// mirror (`Scheduler::wants_soa` in this crate returns `false`):
-    /// the column upkeep re-derives unit quantities per refreshed user,
-    /// so skipping it is the engine's way of not charging row-walking
-    /// policies for a layout they ignore.
-    pub fn snapshot_refresh_soa(
-        &mut self,
-        slot: u64,
-        raw: &[RawUserState],
-        live: &[usize],
-        caps: Option<&[u64]>,
-        out: &mut [UserSnapshot],
-        mut soa: Option<&mut SnapshotSoA>,
-    ) {
-        debug_assert!(!self.needs_full_pass(), "noise needs the full pass");
-        assert_eq!(raw.len(), self.cached_signal.len(), "user count mismatch");
-        assert_eq!(out.len(), raw.len(), "snapshot buffer mismatch");
-        if let Some(soa) = soa.as_deref_mut() {
-            assert_eq!(soa.len(), raw.len(), "SoA mirror mismatch");
-            soa.set_live_rows(live.iter().copied());
-        }
-        let tau = self.tau;
-        let delta_kb = self.units.delta_kb;
-        match caps {
-            Some(caps) => {
-                debug_assert!(
-                    self.is_pass_through(),
-                    "cap tables need pass-through reports"
-                );
-                assert_eq!(caps.len(), raw.len(), "cap table length mismatch");
-                for &id in live {
-                    let r = &raw[id];
-                    self.cached_signal[id] = Some(r.signal);
-                    out[id] = UserSnapshot {
-                        id,
-                        signal: r.signal,
-                        rate_kbps: r.rate_kbps,
-                        buffer_s: r.buffer_s,
-                        remaining_kb: r.remaining_kb,
-                        active: r.active,
-                        link_cap_units: caps[id],
-                        idle_s: r.idle_s,
-                        rrc_state: r.rrc_state,
-                    };
-                    if let Some(soa) = soa.as_deref_mut() {
-                        soa.set_row(&out[id], tau, delta_kb);
-                    }
-                }
-            }
-            None => {
-                for &id in live {
-                    let r = &raw[id];
-                    let signal = self.reported_signal(id, slot, r.signal);
-                    let v = self.thru.throughput(signal);
-                    out[id] = UserSnapshot {
-                        id,
-                        signal,
-                        rate_kbps: r.rate_kbps,
-                        buffer_s: r.buffer_s,
-                        remaining_kb: r.remaining_kb,
-                        active: r.active,
-                        link_cap_units: self.units.link_cap_units(v, self.tau),
-                        idle_s: r.idle_s,
-                        rrc_state: r.rrc_state,
-                    };
-                    if let Some(soa) = soa.as_deref_mut() {
-                        soa.set_row(&out[id], tau, delta_kb);
-                    }
-                }
-            }
+            out[id] = self.row(id, slot, &raw[id]);
         }
     }
 
@@ -435,62 +363,40 @@ mod tests {
         c.snapshot(0, &[raw(-80.0)]);
     }
 
-    /// The SoA-maintaining refresh must agree with the plain refresh on
-    /// the AoS buffer, keep the mirror in sync, and produce identical
-    /// results whether caps come from the batch table or the per-user
-    /// conversion.
+    /// The in-place full pass writes the rows the `Vec` pass pushes and
+    /// leaves the collector in the same state — under noise too, where
+    /// both consume the generator in user order — and the batch cap
+    /// table is the per-signal Eq. (1) bound, entry for entry.
     #[test]
-    fn soa_refresh_matches_plain_refresh_and_cap_tables() {
-        let spec = CollectorSpec::perfect();
-        assert!(collector(spec, 1).is_pass_through());
-        let mut plain = collector(spec, 3);
-        let mut tabled = collector(spec, 3);
-        let mut computed = collector(spec, 3);
-        let mut truth = [raw(-80.0), raw(-70.0), raw(-60.0)];
-        let mut snaps_plain = plain.snapshot(0, &truth);
-        let mut snaps_tab = Vec::new();
-        let mut soa_tab = SnapshotSoA::new();
-        tabled.snapshot_into_soa(0, &truth, &mut snaps_tab, &mut soa_tab);
-        let mut snaps_cmp = Vec::new();
-        let mut soa_cmp = SnapshotSoA::new();
-        computed.snapshot_into_soa(0, &truth, &mut snaps_cmp, &mut soa_cmp);
-        assert_eq!(snaps_plain, snaps_tab);
-        for slot in 1..6 {
-            truth[0].signal = Dbm(-80.0 - slot as f64);
-            truth[2].signal = Dbm(-60.0 + 0.5 * slot as f64);
-            let live = [0usize, 2];
-            plain.snapshot_refresh(slot, &truth, &live, &mut snaps_plain);
-            // Batch cap table over the true signals, as the engine does.
-            let sigs: Vec<Dbm> = truth.iter().map(|r| r.signal).collect();
-            let mut vs = vec![0.0; sigs.len()];
-            let mut caps = vec![0u64; sigs.len()];
-            tabled.link_caps_into(&sigs, &mut vs, &mut caps);
-            tabled.snapshot_refresh_soa(
-                slot,
-                &truth,
-                &live,
-                Some(&caps),
-                &mut snaps_tab,
-                Some(&mut soa_tab),
-            );
-            computed.snapshot_refresh_soa(
-                slot,
-                &truth,
-                &live,
-                None,
-                &mut snaps_cmp,
-                Some(&mut soa_cmp),
-            );
-            assert_eq!(snaps_plain, snaps_tab, "table path diverged at {slot}");
-            assert_eq!(snaps_plain, snaps_cmp, "computed path diverged at {slot}");
-            let mut mirror = SnapshotSoA::new();
-            mirror.fill_from(&snaps_plain, 1.0, 50.0);
-            mirror.set_live_rows(live);
-            assert_eq!(soa_tab, mirror, "SoA mirror drifted at {slot}");
-            assert_eq!(soa_cmp, mirror);
+    fn rows_pass_matches_vec_pass_and_cap_tables() {
+        let noisy = CollectorSpec {
+            staleness_slots: 3,
+            signal_noise_std_db: 2.0,
+        };
+        for spec in [CollectorSpec::perfect(), noisy] {
+            let mut by_vec = collector(spec, 3);
+            let mut by_rows = collector(spec, 3);
+            let mut truth = [raw(-80.0), raw(-70.0), raw(-60.0)];
+            let mut rows = by_rows.snapshot(0, &truth);
+            let mut pushed = by_vec.snapshot(0, &truth);
+            for slot in 1..6 {
+                truth[0].signal = Dbm(-80.0 - slot as f64);
+                truth[2].signal = Dbm(-60.0 + 0.5 * slot as f64);
+                by_vec.snapshot_into(slot, &truth, &mut pushed);
+                by_rows.snapshot_rows(slot, &truth, &mut rows);
+                assert_eq!(rows, pushed, "rows pass diverged at {slot}");
+            }
+            assert_eq!(by_rows.export_state(), by_vec.export_state());
         }
-        assert_eq!(tabled.export_state(), plain.export_state());
-        assert_eq!(computed.export_state(), plain.export_state());
+
+        let c = collector(CollectorSpec::perfect(), 1);
+        let sigs = [Dbm(-110.0), Dbm(-80.0), Dbm(-61.5), Dbm(-50.0)];
+        let mut vs = [0.0; 4];
+        let mut caps = [0u64; 4];
+        c.link_caps_into(&sigs, &mut vs, &mut caps);
+        for (sig, cap) in sigs.iter().zip(caps) {
+            assert_eq!(c.link_cap(*sig), cap, "table entry for {sig:?}");
+        }
     }
 
     /// The partial refresh must agree with the full pass on refreshed

@@ -39,5 +39,5 @@ pub use protocol::{
 pub use receiver::{DataReceiver, FlowClass, FlowState, OriginModel};
 pub use scheduler::{Allocation, DegradationEvent, Scheduler, SlotContext, UserSnapshot};
 pub use shard::UnitParams;
-pub use soa::{SnapshotSoA, SoaRows};
+pub use soa::{SnapshotSoA, SoaRows, SoaRowsMut};
 pub use transmitter::{DataTransmitter, Delivery};

@@ -214,7 +214,7 @@ pub enum GwEvent {
         /// Total subscribers dropped so far.
         total: u64,
     },
-    /// A simulation warning (e.g. `ShardFallback`) or service fallback.
+    /// A simulation warning (e.g. `CheckpointFallback`) or service fallback.
     Warning {
         /// Human-readable warning text.
         message: String,

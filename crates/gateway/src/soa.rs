@@ -117,37 +117,45 @@ impl SnapshotSoA {
         (&self.need_units, &self.ceiling_units)
     }
 
-    /// Mirror one user's snapshot into row `snap.id`, deriving the ceiling
-    /// and need columns with the exact expressions the schedulers use on
-    /// the AoS path (`usable_cap_units` / `⌈τ·p/δ⌉`).
+    /// Mirror one user's snapshot into row `snap.id` (see
+    /// [`SoaRowsMut::set_row`]).
     #[inline]
     pub fn set_row(&mut self, snap: &UserSnapshot, tau: f64, delta_kb: f64) {
-        let i = snap.id;
-        self.signal_dbm[i] = snap.signal.value();
-        self.rate_kbps[i] = snap.rate_kbps;
-        self.buffer_s[i] = snap.buffer_s;
-        self.remaining_kb[i] = snap.remaining_kb;
-        self.idle_s[i] = snap.idle_s;
-        self.link_cap_units[i] = snap.link_cap_units;
-        self.ceiling_units[i] = snap.usable_cap_units(delta_kb);
-        self.need_units[i] = ((tau * snap.rate_kbps) / delta_kb).ceil() as u64;
-        self.active[i] = snap.active;
+        self.rows_mut().set_row(snap, tau, delta_kb);
     }
 
     /// Rebuild the whole mirror from an AoS snapshot buffer (the full-pass
     /// counterpart of [`SnapshotSoA::set_row`]); every row is listed live.
     pub fn fill_from(&mut self, snaps: &[UserSnapshot], tau: f64, delta_kb: f64) {
         self.resize(snaps.len());
+        let mut rows = self.rows_mut();
         for snap in snaps {
-            self.set_row(snap, tau, delta_kb);
+            rows.set_row(snap, tau, delta_kb);
         }
     }
 
-    /// A raw per-row writer over this mirror's columns, for engines that
-    /// partition users into disjoint shards refreshed by different
-    /// threads within one lockstep phase (see [`SoaRows`]). The mirror
-    /// must be sized to its final row count first; the writer is
-    /// invalidated by any later resize.
+    /// Every row of the columns, writable; the live list is not part of
+    /// the view.
+    #[inline]
+    pub fn rows_mut(&mut self) -> SoaRowsMut<'_> {
+        SoaRowsMut {
+            base: 0,
+            signal_dbm: &mut self.signal_dbm,
+            rate_kbps: &mut self.rate_kbps,
+            buffer_s: &mut self.buffer_s,
+            remaining_kb: &mut self.remaining_kb,
+            idle_s: &mut self.idle_s,
+            link_cap_units: &mut self.link_cap_units,
+            ceiling_units: &mut self.ceiling_units,
+            need_units: &mut self.need_units,
+            active: &mut self.active,
+        }
+    }
+
+    /// The columns' base pointers, for an engine that hands disjoint row
+    /// ranges to different threads within one lockstep phase (see
+    /// [`SoaRows`]). The mirror must be sized to its final row count
+    /// first; the handle is invalidated by any later resize.
     pub fn rows(&mut self) -> SoaRows {
         SoaRows {
             signal_dbm: self.signal_dbm.as_mut_ptr(),
@@ -164,17 +172,50 @@ impl SnapshotSoA {
     }
 }
 
-/// Raw column pointers for shard-parallel row writes into a
-/// [`SnapshotSoA`].
+/// Rows `base..base + len` of a [`SnapshotSoA`]'s columns, writable: the
+/// whole mirror ([`SnapshotSoA::rows_mut`]) or one shard's range of it
+/// ([`SoaRows::shard`]).
+pub struct SoaRowsMut<'a> {
+    base: usize,
+    signal_dbm: &'a mut [f64],
+    rate_kbps: &'a mut [f64],
+    buffer_s: &'a mut [f64],
+    remaining_kb: &'a mut [f64],
+    idle_s: &'a mut [f64],
+    link_cap_units: &'a mut [u64],
+    ceiling_units: &'a mut [u64],
+    need_units: &'a mut [u64],
+    active: &'a mut [bool],
+}
+
+impl SoaRowsMut<'_> {
+    /// Mirror one user's snapshot into row `snap.id` (which must lie in
+    /// this view's range), deriving the ceiling and need columns with
+    /// the exact expressions the schedulers use on the AoS path
+    /// (`usable_cap_units` / `⌈τ·p/δ⌉`).
+    #[inline]
+    pub fn set_row(&mut self, snap: &UserSnapshot, tau: f64, delta_kb: f64) {
+        let i = snap.id - self.base;
+        self.signal_dbm[i] = snap.signal.value();
+        self.rate_kbps[i] = snap.rate_kbps;
+        self.buffer_s[i] = snap.buffer_s;
+        self.remaining_kb[i] = snap.remaining_kb;
+        self.idle_s[i] = snap.idle_s;
+        self.link_cap_units[i] = snap.link_cap_units;
+        self.ceiling_units[i] = snap.usable_cap_units(delta_kb);
+        self.need_units[i] = ((tau * snap.rate_kbps) / delta_kb).ceil() as u64;
+        self.active[i] = snap.active;
+    }
+}
+
+/// Raw column base pointers of a [`SnapshotSoA`], from which a sharded
+/// engine carves one [`SoaRowsMut`] per shard and phase.
 ///
-/// Handing each shard a `&mut SnapshotSoA` would alias; this writer
-/// derives every store from the column base pointers, so no reference to
-/// the mirror exists while shards write. Callers must uphold the shard
-/// protocol: within a phase no two threads touch the same row, and no
-/// `&`/`&mut` to the underlying mirror is live until the phase ends.
-/// [`SoaRows::set_row`] keeps the exact store expressions of
-/// [`SnapshotSoA::set_row`], so shard-refreshed mirrors stay
-/// bit-identical to serially refreshed ones.
+/// Handing each shard a `&mut SnapshotSoA` would alias; every view is
+/// derived from these pointers instead, so no reference to the columns
+/// exists while shards write. The caller upholds the shard protocol: the
+/// ranges carved within one phase are disjoint, and nothing reads the
+/// mirror's columns until the phase ends.
 pub struct SoaRows {
     signal_dbm: *mut f64,
     rate_kbps: *mut f64,
@@ -189,40 +230,33 @@ pub struct SoaRows {
 }
 
 // SAFETY: the pointers target plain-old-data columns; cross-thread use is
-// restricted by the documented disjoint-row protocol.
+// restricted by the documented disjoint-range protocol.
 unsafe impl Send for SoaRows {}
 unsafe impl Sync for SoaRows {}
 
 impl SoaRows {
-    /// Rows addressable by this writer.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the mirror had no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Mirror one user's snapshot into row `snap.id`, exactly like
-    /// [`SnapshotSoA::set_row`].
+    /// Rows `range` of every column, writable.
     ///
     /// # Safety
-    /// `snap.id < len`, no other thread writes row `snap.id` in this
-    /// phase, and no reference to the underlying [`SnapshotSoA`] is live.
-    #[inline]
-    pub unsafe fn set_row(&self, snap: &UserSnapshot, tau: f64, delta_kb: f64) {
-        let i = snap.id;
-        debug_assert!(i < self.len);
-        *self.signal_dbm.add(i) = snap.signal.value();
-        *self.rate_kbps.add(i) = snap.rate_kbps;
-        *self.buffer_s.add(i) = snap.buffer_s;
-        *self.remaining_kb.add(i) = snap.remaining_kb;
-        *self.idle_s.add(i) = snap.idle_s;
-        *self.link_cap_units.add(i) = snap.link_cap_units;
-        *self.ceiling_units.add(i) = snap.usable_cap_units(delta_kb);
-        *self.need_units.add(i) = ((tau * snap.rate_kbps) / delta_kb).ceil() as u64;
-        *self.active.add(i) = snap.active;
+    /// Until the returned view is dropped, no other view overlaps
+    /// `range` and no reference to the underlying [`SnapshotSoA`]'s
+    /// columns is used; the mirror has not been resized since
+    /// [`SnapshotSoA::rows`].
+    pub unsafe fn shard<'a>(&self, range: std::ops::Range<usize>) -> SoaRowsMut<'a> {
+        assert!(range.start <= range.end && range.end <= self.len);
+        let (base, n) = (range.start, range.len());
+        SoaRowsMut {
+            base,
+            signal_dbm: std::slice::from_raw_parts_mut(self.signal_dbm.add(base), n),
+            rate_kbps: std::slice::from_raw_parts_mut(self.rate_kbps.add(base), n),
+            buffer_s: std::slice::from_raw_parts_mut(self.buffer_s.add(base), n),
+            remaining_kb: std::slice::from_raw_parts_mut(self.remaining_kb.add(base), n),
+            idle_s: std::slice::from_raw_parts_mut(self.idle_s.add(base), n),
+            link_cap_units: std::slice::from_raw_parts_mut(self.link_cap_units.add(base), n),
+            ceiling_units: std::slice::from_raw_parts_mut(self.ceiling_units.add(base), n),
+            need_units: std::slice::from_raw_parts_mut(self.need_units.add(base), n),
+            active: std::slice::from_raw_parts_mut(self.active.add(base), n),
+        }
     }
 }
 
@@ -275,12 +309,13 @@ mod tests {
         let mut sharded = SnapshotSoA::new();
         sharded.resize(snaps.len());
         let rows = sharded.rows();
-        // Interleaved "shards" writing disjoint rows.
-        for s in snaps.iter().filter(|s| s.id % 2 == 0) {
-            unsafe { rows.set_row(s, 1.0, 50.0) };
-        }
-        for s in snaps.iter().filter(|s| s.id % 2 == 1) {
-            unsafe { rows.set_row(s, 1.0, 50.0) };
+        // Two shards' views, later range first.
+        // SAFETY: the ranges are disjoint and `sharded` is not touched
+        // while the views live.
+        let (mut hi, mut lo) = unsafe { (rows.shard(2..6), rows.shard(0..2)) };
+        for s in &snaps {
+            let view = if s.id < 2 { &mut lo } else { &mut hi };
+            view.set_row(s, 1.0, 50.0);
         }
         assert_eq!(serial, sharded);
     }

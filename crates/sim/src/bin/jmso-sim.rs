@@ -13,11 +13,12 @@
 //!                                               --ckpt writes a resumable checkpoint
 //!                                               sidecar every K slots; --resume
 //!                                               continues from such a sidecar;
-//!                                               --shards runs the bit-identical
-//!                                               shard-parallel loop on W worker-pool
-//!                                               participants (see JMSO_THREADS;
-//!                                               incompatible with checkpointing and
-//!                                               fault injection);
+//!                                               --shards spreads each slot's per-user
+//!                                               phases over W worker-pool participants,
+//!                                               bit-identical at every W (see
+//!                                               JMSO_THREADS; checkpointing steps one
+//!                                               slot at a time, so not with --ckpt or
+//!                                               --resume);
 //!                                               --abr overrides the scenario with a
 //!                                               bitrate ladder of the given native-rate
 //!                                               multipliers (default buffer-based
@@ -292,8 +293,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         if w == 0 {
             return Err("run: --shards must be at least 1".into());
         }
-        // The sharded loop keeps no resumable state (DESIGN.md §11):
-        // checkpoint sidecars stay exclusive to the serial path.
+        // A lockstep run holds the driver for its whole length, so there
+        // is no slot boundary to checkpoint at (DESIGN.md §11).
         if ckpt_path.is_some() || resume_path.is_some() {
             return Err("run: --shards cannot be combined with --ckpt or --resume".into());
         }

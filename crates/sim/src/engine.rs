@@ -21,49 +21,60 @@
 //! `mᵢ ≥ Mᵢ` branch) nor energy (the tail has saturated), so all
 //! aggregates are unaffected; `slots_configured` still reflects Γ.
 //!
-//! Two orthogonal extensions thread through the same loop without
-//! touching the fault-free hot path:
+//! # One slot, four phases
 //!
-//! * **Fault injection** — every run variant is generic over a
-//!   [`FaultHook`]; the [`NoFaults`] instantiation monomorphizes every
-//!   hook into a no-op, while a compiled
-//!   [`FaultPlan`](crate::faults::FaultPlan) perturbs *state* (signals,
-//!   capacity, sessions) strictly after the RNG streams have been drawn,
-//!   so a faulted run consumes bit-identical random sequences to its
-//!   fault-free twin.
-//! * **Checkpoint/resume** — [`Engine::run_core`] can capture the full
-//!   simulation state at the top of any slot into an
-//!   [`EngineCheckpoint`] (periodically to a sidecar file, or once via
-//!   [`CkptMode::PauseAt`]) and later resume from it bit-identically:
-//!   signal RNGs are fast-forwarded by replaying the recorded number of
-//!   samples, and every stateful component restores through its
-//!   `export_state`/`import_state` pair.
-//! * **Open-system churn** — each user additionally carries a
-//!   `departure_slot` (set by the compiled
-//!   [`ChurnPlan`](crate::arrivals::ChurnPlan)): from that slot on the
-//!   client abandons playback and the origin stops fetching, exactly the
-//!   state change a `departure` fault applies, but as a first-class
-//!   workload property instead of a perturbation.
+//! Per slot the paper couples users through one constraint only, Eq. (2)
+//! `Σφᵢ(n) ≤ C(n)`; everything else is per user. The slot is written once,
+//! as four functions over a [`SlotDriver`]'s state, and that split is
+//! theirs:
 //!
-//! [`Engine::run_sharded_on`] is the shard-parallel form of the hot
-//! path: users are partitioned into contiguous shards, each owned by one
-//! worker-pool participant, with two serial phases per slot (scheduling
-//! under the shared Eq. (2) BS constraint, and trace recording) fenced
-//! by a [`SpinBarrier`]. It is bit-identical to [`Engine::run`] by
-//! construction — see the method docs and DESIGN.md §11.
+//! | phase | runs | does |
+//! |---|---|---|
+//! | A | per shard | arrival gate; signal block + Eq. (1) cap table; Eq. (7)/(8) playback advance; ground-truth row; for a pass-through collector the snapshot and SoA rows |
+//! | B | serial | Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through; `allocate_into`; `transmit_into` |
+//! | C | per shard | delivery, ABR staging, Eq. (3)–(5) accounting; energy, rebuffering, RRC events and `done` flips *staged* |
+//! | D | serial | replay of what C staged into the recorder, E\* and series folds, ABR commits, live-list compaction, admission tick |
+//!
+//! A shard is a contiguous range of user ids. [`SlotDriver::step`] — every
+//! batch run, checkpointed run and the live daemon — calls the four back to
+//! back over one shard `0..n` and executes safe code only.
+//! [`Engine::run_sharded_on`] calls the same four from one resident
+//! [`WorkerPool`] broadcast, A and C on every participant at once, B and D
+//! on participant 0, a [`SpinBarrier`] crossing after each; its `unsafe` is
+//! the carve of per-shard sub-slices out of the shared columns and nothing
+//! else. The phases make no recorder call and no order-sensitive fold
+//! outside B and D, and D walks shards in order and users ascending, so
+//! the output is the same bytes at every width (DESIGN.md §11). No input
+//! selects another loop.
+//!
+//! The driver is generic over a [`FaultHook`] — [`NoFaults`] monomorphizes
+//! every hook away; a compiled [`FaultPlan`](crate::faults::FaultPlan)
+//! perturbs *state* strictly after the RNG streams have been drawn, so a
+//! faulted run consumes the random sequences of its fault-free twin — and
+//! between two steps it can capture everything into an
+//! [`EngineCheckpoint`], from which a fresh driver resumes bit-identically
+//! (signal RNGs fast-forwarded by replaying the recorded sample counts).
+//! Open-system churn is a workload property: each user carries an arrival
+//! and a `departure_slot` from the compiled
+//! [`ChurnPlan`](crate::arrivals::ChurnPlan).
+//!
+//! [`Engine::run_reference`] is the executable specification: the plain
+//! all-users, sample-per-slot loop, which must produce identical results
+//! and trace bytes.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{atomic_write, CheckpointError, ScenarioError, SimError};
 use crate::faults::{FaultHook, NoFaults};
 use crate::pool::{PhaseCell, SharedSlice, SpinBarrier, WorkerPool};
-use crate::results::{SimResult, SimWarning, UserResult};
+use crate::results::{SimResult, UserResult};
 use crate::telemetry::{NullRecorder, SlotRecorder};
 use jmso_gateway::bs::CapacityModel;
 use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
     AdmissionContext, AdmissionController, AdmissionDecision, AdmissionSpec, AdmissionState,
     Allocation, CollectorState, DataReceiver, DataTransmitter, Delivery, FlowState,
-    InformationCollector, Scheduler, SlotContext, SnapshotSoA, UnitParams, UserSnapshot,
+    InformationCollector, Scheduler, SlotContext, SnapshotSoA, SoaRows, SoaRowsMut, UnitParams,
+    UserSnapshot,
 };
 use jmso_media::{jain_index, AbrClient, AbrInputs, AbrSpec, ClientPlayback, VideoSession};
 use jmso_radio::rrc::RrcState;
@@ -73,6 +84,7 @@ use jmso_sched::{drift_bound_b, energy_upper_bound, rebuffer_upper_bound, CrossL
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -94,7 +106,7 @@ struct UserSim {
     sig_block: [Dbm; SIG_BLOCK_SLOTS],
     /// Per-block Eq. (1) link caps derived from `sig_block` by the batch
     /// throughput kernel at the refill boundary. Only maintained (and only
-    /// sound) on the fault-free pass-through path — see `run_core`; not
+    /// sound) on the fault-free pass-through path — see `Mode::tables`; not
     /// checkpointed, recomputed from the restored `sig_block` on resume.
     ///
     /// Transmission energy deliberately has no such table: the link cap is
@@ -306,66 +318,153 @@ impl EngineCheckpoint {
     }
 }
 
-/// Per-shard mutable state for [`Engine::run_sharded_on`], owned by one
-/// pool participant during the parallel phases (A: radio/playback walk,
-/// C: accounting) and read-only to participant 0 during phase D.
+/// One shard of the slot pipeline: a contiguous range of user ids and
+/// what its owner carries from phase to phase. A driver stepped slot by
+/// slot has exactly one, covering every user; a lockstep run has one per
+/// pool participant, written by that participant in the per-shard phases
+/// (A, C) and by participant 0 in the serial ones (B, D).
 struct ShardState {
-    /// Global user ids in this shard's contiguous range still live, in
-    /// ascending order (order-preserving retain) — so the shards'
-    /// concatenation is exactly the serial engine's live list.
+    /// The user ids this shard owns; the shards' ranges tile `0..n_users`
+    /// in order.
+    range: Range<usize>,
+    /// Users of `range` whose accounting can still move, ascending
+    /// (in-order insertion, order-preserving compaction) — so the shards'
+    /// lists, concatenated in shard order, visit users in the reference
+    /// loop's plain `0..n` order, and every floating-point fold over them
+    /// sums in that order.
     live: Vec<usize>,
-    /// Min-heap of `(arrival_slot, user)` over this shard's range for
-    /// users not yet live — the per-shard half of the serial driver's
-    /// arrival gate, drained at the top of phase A. Empty under
-    /// feasibility admission: a governed user enters through the tick's
-    /// `admitted` list instead.
+    /// Min-heap of `(arrival_slot, user)` over `range` for users not yet
+    /// live, drained at the top of phase A. A live `set_arrival`
+    /// reschedule pushes a fresh entry and leaves the old one behind to
+    /// be dropped on pop. Empty under feasibility admission, whose tick
+    /// feeds the gate instead.
     arrival_queue: BinaryHeap<Reverse<(u64, usize)>>,
-    /// RRC transitions captured during phase C, `(user, from, to)` in
-    /// live-walk order, replayed into the recorder by phase D.
+    /// RRC transitions staged by phase C, `(user, from, to)` in live-walk
+    /// order, replayed into the recorder by phase D.
     events: Vec<(usize, RrcState, RrcState)>,
-    /// Users of this shard whose `done_watching` flag flipped this slot,
-    /// in live-walk order — phase D replays the admission aggregate
-    /// decrements (and the pre-flip E* membership test) from these.
+    /// Users whose `done` flag flipped in phase C, in live-walk order —
+    /// phase D replays the admission aggregate decrements (and the
+    /// pre-flip E* membership test) from these.
     flips: Vec<usize>,
     /// Batch-throughput scratch for the per-block cap-table refill.
     v_scratch: [f64; SIG_BLOCK_SLOTS],
-    /// Users of this shard that finished watching this slot.
+    /// Users of this shard that finished watching in phase C.
     watching_dec: usize,
-    /// Arrived-and-still-watching users after this slot's accounting
-    /// (only maintained when a recorder is attached).
+    /// Arrived-and-still-watching users after phase C (only counted when
+    /// a recorder is attached).
     in_system: u64,
-    /// Set when a user of this shard retired this slot; live-list
-    /// compaction is deferred to the next phase A so phase D can still
-    /// replay the retiring slot's records.
+    /// Set by phase C when a user of this shard retired; phase D compacts
+    /// `live` after it has replayed the retiring slot's records.
     any_retired: bool,
 }
 
-/// Participant-0-only state for [`Engine::run_sharded_on`]'s serial
-/// phases (B: scheduling, D: recording); everything in here is either
-/// order-sensitive (recorder calls, floating-point series sums) or
-/// inherently shared (the scheduler deciding against the one BS cap).
-struct SerialCtx<'a, R> {
-    scheduler: Box<dyn Scheduler>,
-    capacity: Box<dyn CapacityModel>,
-    receiver: DataReceiver,
-    transmitter: DataTransmitter,
-    rec: &'a mut R,
-    alloc: Allocation,
-    deliveries: Vec<Delivery>,
-    fairness_scratch: Vec<f64>,
+/// The per-user columns of a run, one row per user id, sized once when
+/// the driver is built and never moved or resized while it lives. The
+/// per-shard phases see the rows of their shard, the serial phases every
+/// row, both through [`Cols`].
+struct Columns {
+    /// Moved out of the [`Engine`] for the driver's lifetime (and back
+    /// by [`SlotDriver::finish`]).
+    users: Vec<UserSim>,
+    /// ABR client state machines, moved out of the engine's
+    /// [`AbrRuntime`]; empty on fixed-bitrate runs.
+    abr: Vec<AbrClient>,
+    /// Ground truth handed to the collector. Rows of users that have not
+    /// arrived keep their zeroed placeholder; retired users' rows freeze
+    /// at their retirement-slot values.
+    raw: Vec<RawUserState>,
+    /// What the scheduler sees. Retired and not-yet-arrived rows
+    /// advertise `remaining_kb == 0`, so every policy's usable-capacity
+    /// clamp grants them nothing.
+    snaps: Vec<UserSnapshot>,
+    /// `(energy charged this slot in mJ, total rebuffering so far in s)`:
+    /// what phase C stages for phase D's in-order folds and user records
+    /// (only written when something reads it), so the replay walks this
+    /// column and not the users again.
+    staged: Vec<(f64, f64)>,
+    /// Session fully fetched *and* watched (monotone).
+    done: Vec<bool>,
+    /// Left the live list: playback over and the RRC tail drained, so
+    /// every further slot would charge exactly 0 mJ. The idle slots a
+    /// retired user sat out are settled on their meter at `finish`.
+    retired: Vec<bool>,
+    retired_at: Vec<u64>,
+}
+
+/// Rows `base..base + users.len()` of the [`Columns`]: one shard's in a
+/// per-shard phase, all of them (`base == 0`) in a serial one.
+struct Cols<'a> {
+    base: usize,
+    users: &'a mut [UserSim],
+    abr: &'a mut [AbrClient],
+    raw: &'a mut [RawUserState],
+    snaps: &'a mut [UserSnapshot],
+    staged: &'a mut [(f64, f64)],
+    done: &'a mut [bool],
+    retired: &'a mut [bool],
+    retired_at: &'a mut [u64],
+}
+
+impl Columns {
+    /// Every row, through safe borrows — the width-1 caller's view.
+    fn all(&mut self) -> Cols<'_> {
+        Cols {
+            base: 0,
+            users: &mut self.users,
+            abr: &mut self.abr,
+            raw: &mut self.raw,
+            snaps: &mut self.snaps,
+            staged: &mut self.staged,
+            done: &mut self.done,
+            retired: &mut self.retired,
+            retired_at: &mut self.retired_at,
+        }
+    }
+}
+
+/// Loop-carried state only the serial phases (B, D) touch: everything
+/// here is either order-sensitive (floating-point series sums) or
+/// inherently shared (the one allocation against the one BS budget).
+struct LoopState {
     fairness_series: Vec<f64>,
     fairness_window_series: Vec<f64>,
     power_series_j: Vec<f64>,
+    fairness_scratch: Vec<f64>,
+    /// 10-slot accumulators for the windowed fairness view.
     window_delivered: Vec<f64>,
     window_need: Vec<f64>,
-    watching: usize,
     slots_run: u64,
-    /// Feasibility admission runtime — ticked in phase D (the serial
-    /// end-of-slot region), exactly where the serial loop ticks it.
-    admission: Option<AdmissionRuntime>,
-    /// Slot capacity computed in phase B, carried to phase D for the
-    /// admission tick's ε̂ estimate.
+    /// Users still fetching or watching — the early-exit counter. Both
+    /// predicates are monotone, so a flag per user plus this count
+    /// replaces a per-slot scan.
+    watching: usize,
+    alloc: Allocation,
+    deliveries: Vec<Delivery>,
+    fault_notes: Vec<String>,
+    /// The slot's Eq. (2) budget, computed in phase B and read again by
+    /// phase D's admission tick.
     bs_cap_units: u64,
+    /// The collector has made its first full pass over `snaps`. Until
+    /// then the rows are placeholders (and a checkpoint carries none).
+    rows_primed: bool,
+}
+
+/// What shapes a slot without changing during it; copied into each phase.
+#[derive(Clone, Copy)]
+struct Mode {
+    /// Reports equal ground truth on every slot, so phase A writes the
+    /// snapshot (and SoA) rows itself; otherwise phase B runs the
+    /// collector over the raw rows in user order.
+    pass_through: bool,
+    /// Eq. (1) is read off per-block cap tables: sound only when the
+    /// reported signal is exactly the sampled one — a pass-through
+    /// collector and no fault hook perturbing signals after sampling.
+    /// The scalar kernel it replaces is bit-identical by construction.
+    tables: bool,
+    rec_enabled: bool,
+    /// Phase D folds per-user energy (recorder, series or E*), so phase C
+    /// stages it.
+    staged: bool,
 }
 
 /// Per-run ABR machinery installed by [`Engine::set_abr`]: the spec, the
@@ -655,8 +754,8 @@ impl Engine {
     /// feasibility policy rules on each pending arrival at the end of the
     /// slot preceding it (arrivals at slot 0 are admitted by fiat: there
     /// is no earlier decision point). The tick runs in the serial
-    /// end-of-slot region of every loop — including `run_sharded_on`'s
-    /// phase D — so admission-controlled scenarios shard like any other.
+    /// end-of-slot region (phase D, and the reference loop's own), so
+    /// admission-controlled scenarios shard like any other.
     pub fn set_admission(&mut self, spec: &AdmissionSpec) {
         let AdmissionSpec::Feasibility { v, .. } = spec else {
             return;
@@ -699,65 +798,8 @@ impl Engine {
         self.admission.as_ref().map(|a| a.ctl.summary())
     }
 
-    /// Capture full engine state at the top of `slot`.
-    fn capture<R: SlotRecorder>(
-        &self,
-        slot: u64,
-        rec: &R,
-        loop_state: LoopCkpt,
-    ) -> Result<EngineCheckpoint, CheckpointError> {
-        let recorder = rec.export_state().ok_or(CheckpointError::Unsupported {
-            reason: "recorder cannot export its state".into(),
-        })?;
-        let scheduler =
-            self.scheduler
-                .export_state()
-                .ok_or_else(|| CheckpointError::Unsupported {
-                    reason: format!(
-                        "scheduler {} cannot export its state",
-                        self.scheduler.name()
-                    ),
-                })?;
-        Ok(EngineCheckpoint {
-            version: CKPT_VERSION,
-            slot,
-            users: self
-                .users
-                .iter()
-                .enumerate()
-                .map(|(i, u)| UserCkpt {
-                    session: u.session.clone(),
-                    playback: u.playback.clone(),
-                    rrc: u.rrc.clone(),
-                    meter: u.meter.clone(),
-                    cur_signal: u.cur_signal,
-                    sig_block: u.sig_block.iter().map(|d| d.0).collect(),
-                    active_slots: u.active_slots,
-                    arrival_slot: u.arrival_slot,
-                    departure_slot: u.departure_slot,
-                    declared_rate_kbps: u.declared_rate_kbps,
-                    sig_samples: u.sig_samples,
-                    abr: self.abr.as_ref().map(|a| a.clients[i]),
-                })
-                .collect(),
-            receiver: self.receiver.export_state(),
-            collector: self.collector.export_state(),
-            scheduler,
-            transmitter_clamps: self.transmitter.clamp_events(),
-            recorder,
-            loop_state,
-            admission: self.admission.as_ref().map(|a| AdmissionCkpt {
-                state: a.ctl.export_state(),
-                energy_mj: a.energy_mj,
-                user_slots: a.user_slots,
-                n_active: Some(a.n_active),
-                rate_sum: Some(a.rate_sum),
-            }),
-        })
-    }
-
     /// Restore component state from a checkpoint (everything except the
-    /// loop-local accumulators, which [`Engine::run_core`] reinstalls).
+    /// loop-carried accumulators, which `build_driver` reinstalls).
     fn restore(&mut self, ck: &EngineCheckpoint) -> Result<(), CheckpointError> {
         if ck.users.len() != self.users.len() {
             return Err(CheckpointError::Restore {
@@ -898,41 +940,11 @@ impl Engine {
 
     /// Run to the horizon (or until all sessions complete) and report.
     ///
-    /// This is the active-set hot path. The slot loop reuses every
-    /// intermediate buffer (`raw`, snapshots, the allocation, deliveries,
-    /// fairness scratch, and — inside the stateful policies — their own
-    /// solver/sort scratch), so a steady-state slot performs zero heap
-    /// allocation; on top of that it only touches users that can still
-    /// change the outputs:
-    ///
-    /// * Per-user RSSI is drawn in [`SIG_BLOCK_SLOTS`]-slot blocks via
-    ///   [`SignalModel::sample_into`] — one devirtualized dispatch per
-    ///   block instead of one per slot, with the per-user RNG consumed in
-    ///   the same slot order as stream sampling.
-    /// * `live` holds the indices of users whose accounting can still
-    ///   move: users enter at their (final) arrival slot — pre-arrival
-    ///   users wait in a heap, draw no signal samples (each noise stream
-    ///   is anchored at its owner's arrival slot), and cost nothing per
-    ///   slot — and a user is retired once playback is complete *and*
-    ///   the RRC tail has fully drained — from then on every
-    ///   seed-semantics slot would charge exactly `record_tail(0 mJ)`,
-    ///   which is settled in one
-    ///   [`EnergyMeter::record_saturated_idle_slots`] call at the end.
-    ///   The list is kept sorted (order-preserving compaction, in-order
-    ///   insertion) so iteration order (and therefore floating-point
-    ///   summation order) matches the reference loop bit for bit.
-    /// * `raw` and `snapshots` keep full length with stable indices;
-    ///   retired users' frozen entries advertise `remaining_kb == 0`, so
-    ///   every scheduler's usable-capacity clamp grants them nothing and
-    ///   allocations to live users are unaffected. With a noise-free
-    ///   collector only live entries are refreshed
-    ///   ([`InformationCollector::snapshot_refresh`]); reported-signal
-    ///   noise forces the full per-user pass to keep the collector RNG
-    ///   stream aligned.
-    ///
-    /// [`Engine::run_reference`] is the executable specification of these
-    /// claims: it runs the plain all-users loop and must produce an
-    /// identical [`SimResult`].
+    /// A steady-state slot allocates nothing (every buffer is reused) and
+    /// touches only users that can still change the outputs — see
+    /// `Columns` and `ShardState` for what is kept and why
+    /// [`Engine::run_reference`], the plain all-users loop, must still
+    /// produce an identical [`SimResult`].
     pub fn run(self) -> SimResult {
         self.run_with(&mut NullRecorder)
     }
@@ -940,10 +952,9 @@ impl Engine {
     /// [`Engine::run`] with a [`SlotRecorder`] observing every slot.
     ///
     /// Generic over the recorder so the [`NullRecorder`] instantiation
-    /// monomorphizes every hook into a no-op — `run()` pays nothing for
-    /// the instrumentation (pinned by the `hotpath` bench). The recorder
-    /// only ever sees simulation state; wall-clock scheduler timing is
-    /// gated on [`SlotRecorder::enabled`] and reported separately.
+    /// monomorphizes every hook into a no-op. The recorder only ever sees
+    /// simulation state; wall-clock scheduler timing is gated on
+    /// [`SlotRecorder::enabled`] and reported separately.
     pub fn run_with<R: SlotRecorder>(self, rec: &mut R) -> SimResult {
         self.run_faulted_with(rec, &NoFaults)
     }
@@ -982,714 +993,55 @@ impl Engine {
         }
     }
 
-    /// [`Engine::run_sharded_on`] on the process-wide
-    /// [`WorkerPool::global`].
-    pub fn run_sharded_with<R: SlotRecorder + Send>(self, rec: &mut R, shards: usize) -> SimResult {
-        self.run_sharded_on(WorkerPool::global(), shards, rec)
-    }
-
-    /// Shard-parallel form of the hot path: users are partitioned into
-    /// `shards` contiguous ranges, each owned by one pool participant,
-    /// and every slot runs four lockstep phases fenced by a
-    /// [`SpinBarrier`]:
+    /// [`Engine::run_with`] with the per-shard phases of every slot
+    /// spread over `pool`: users are partitioned into `shards`
+    /// contiguous ranges, each owned by one pool participant, and the
+    /// four phases of [`SlotDriver`] run in lockstep, fenced by a
+    /// [`SpinBarrier`] — A and C on every participant at once, B and D
+    /// on participant 0 alone.
     ///
-    /// * **A (parallel)** — each shard samples its users' signal blocks,
-    ///   refills their Eq. (1) cap tables, advances playback clocks, and
-    ///   refreshes its rows of the shared snapshot buffer (and SoA
-    ///   mirror) in place;
-    /// * **B (serial)** — participant 0 merges the shards against the
-    ///   shared Eq. (2) BS capacity: one scheduler call over the full
-    ///   snapshot buffer, then the transmitter moves bytes;
-    /// * **C (parallel)** — each shard applies its users' deliveries and
-    ///   settles device accounting (Eq. 3/4/5) locally, capturing RRC
-    ///   transitions for replay;
-    /// * **D (serial)** — participant 0 replays per-user records into the
-    ///   recorder in global user order, folds the per-slot series, and
-    ///   runs the end-of-slot admission tick, so every floating-point
-    ///   sum, every recorder call, and every admission ruling happens in
-    ///   the exact serial order.
-    ///
-    /// Bit-identical to [`Engine::run_with`] by construction: shards
-    /// write disjoint rows with the serial loop's exact expressions, and
-    /// nothing order-sensitive runs in a parallel phase (pinned by the
+    /// Bit-identical to [`Engine::run_with`] at every width: the phases
+    /// are the same functions, shards write disjoint rows, and nothing
+    /// order-sensitive runs in a per-shard phase (pinned by the
     /// `shard_properties` tests). `shards` is a ceiling — the effective
-    /// width is clamped to the pool (`workers + 1`); width ≤ 1, or a
-    /// collector that is not pass-through (whose per-user RNG stream
-    /// must be consumed in global user order), falls back to the serial
-    /// loop. Checkpointing and fault hooks stay serial-only.
+    /// width is clamped to the pool (`workers + 1`) and to at least 1.
+    /// No input selects a different loop: a collector that is not
+    /// pass-through has its pass hosted by phase B, a fault hook is read
+    /// by every phase that needs it.
     pub fn run_sharded_on<R: SlotRecorder + Send>(
         self,
         pool: &WorkerPool,
         shards: usize,
         rec: &mut R,
     ) -> SimResult {
-        let width = shards.min(pool.n_workers() + 1);
-        if width <= 1 {
-            // Requested (or clamped-to) serial width: the serial loop IS
-            // the requested execution, not a substitution — no warning.
-            return self.run_with(rec);
-        }
-        if !self.collector.is_pass_through() {
-            let mut r = self.run_with(rec);
-            r.warnings.push(SimWarning::ShardFallback {
-                reason: "collector is not pass-through: its per-user RNG stream must be \
-                         consumed in global user order, so the run fell back to the serial loop"
-                    .into(),
-            });
-            return r;
-        }
-        let Engine {
-            mut users,
-            scheduler,
-            capacity,
-            receiver,
-            transmitter,
-            mut collector,
-            units,
-            models,
-            cfg,
-            abr,
-            admission,
-        } = self;
-        // Split the ABR runtime so phase C can stage per-user decisions
-        // through a SharedSlice while the spec/native tables stay shared
-        // read-only across shards.
-        type AbrMeta = (AbrSpec, f64, Vec<f64>);
-        let (abr_meta, mut abr_clients): (Option<AbrMeta>, Vec<AbrClient>) = match abr {
-            Some(a) => (Some((a.spec, a.chunk_s, a.native)), a.clients),
-            None => (None, Vec::new()),
-        };
-        let n_users = users.len();
-        let rec_enabled = rec.enabled();
-        let record_series = cfg.record_series;
-        let has_admission = admission.is_some();
-        let use_soa = scheduler.wants_soa();
-        const FAIR_WINDOW: u64 = 10;
-        rec.begin_run(n_users, cfg.tau);
-
-        // Shared full-length buffers, one stable row per user. Rows of
-        // not-yet-arrived users keep these placeholder contents — the
-        // exact frozen row the serial driver's arrival gate never
-        // writes, so schedulers see identical inputs on every path.
-        let mut raw_buf: Vec<RawUserState> = vec![
-            RawUserState {
-                signal: Dbm(0.0),
-                rate_kbps: 0.0,
-                buffer_s: 0.0,
-                remaining_kb: 0.0,
-                active: false,
-                idle_s: 0.0,
-                rrc_state: RrcState::Idle,
-            };
-            n_users
-        ];
-        let mut snaps_buf: Vec<UserSnapshot> = (0..n_users)
-            .map(|id| UserSnapshot {
-                id,
-                signal: Dbm(0.0),
-                rate_kbps: 0.0,
-                buffer_s: 0.0,
-                remaining_kb: 0.0,
-                active: false,
-                link_cap_units: 0,
-                idle_s: 0.0,
-                rrc_state: RrcState::Idle,
-            })
-            .collect();
-        let mut slot_e_buf = vec![0.0f64; n_users];
-        let mut done_watching = vec![false; n_users];
-        let mut retired = vec![false; n_users];
-        let mut retired_at = vec![0u64; n_users];
-
-        // Mirror the serial driver's slot-0 full snapshot pass: derive
-        // every row — including not-yet-arrived users' placeholder rows
-        // — through the collector once, so a pre-arrival snapshot holds
-        // the exact bytes the serial path computes for it (phase A then
-        // only ever refreshes arrived rows, like the serial refresh).
-        collector.snapshot_into(0, &raw_buf, &mut snaps_buf);
-
-        // The SoA mirror's raw row writer is captured before the mirror
-        // moves into the serial context: the pointers target the column
-        // Vecs' heap buffers, which are stable across the move.
-        let mut soa = SnapshotSoA::new();
-        if use_soa {
-            soa.resize(n_users);
-            soa.fill_from(&snaps_buf, cfg.tau, cfg.delta_kb);
-        }
-        let soa_rows = use_soa.then(|| soa.rows());
-
-        // One shard of contiguous user ids per participant; their
-        // concatenation in shard order is exactly the serial live list
-        // (arrived users only — the rest wait in the shard's arrival
-        // queue or, under admission, for the tick to admit them, exactly
-        // like the serial driver's gate).
-        let shard_range = |s: usize| s * n_users / width..(s + 1) * n_users / width;
-        let shard_cells: Vec<PhaseCell<ShardState>> = (0..width)
-            .map(|s| {
-                PhaseCell::new(ShardState {
-                    live: shard_range(s)
-                        .filter(|&i| users[i].arrival_slot == 0)
-                        .collect(),
-                    arrival_queue: shard_range(s)
-                        .filter(|&i| {
-                            !has_admission
-                                && users[i].arrival_slot > 0
-                                && users[i].arrival_slot != u64::MAX
-                        })
-                        .map(|i| Reverse((users[i].arrival_slot, i)))
-                        .collect(),
-                    events: Vec::new(),
-                    flips: Vec::new(),
-                    v_scratch: [0.0; SIG_BLOCK_SLOTS],
-                    watching_dec: 0,
-                    in_system: 0,
-                    any_retired: false,
-                })
-            })
-            .collect();
-
-        let users_s = SharedSlice::new(&mut users);
-        debug_assert_eq!(users_s.len(), n_users);
-        let raw_s = SharedSlice::new(&mut raw_buf);
-        let snaps_s = SharedSlice::new(&mut snaps_buf);
-        let slot_e_s = SharedSlice::new(&mut slot_e_buf);
-        let done_s = SharedSlice::new(&mut done_watching);
-        let retired_s = SharedSlice::new(&mut retired);
-        let retired_at_s = SharedSlice::new(&mut retired_at);
-        let abr_s = SharedSlice::new(&mut abr_clients);
-        let abr_meta_ref = &abr_meta;
-
-        let serial = PhaseCell::new(SerialCtx {
-            scheduler,
-            capacity,
-            receiver,
-            transmitter,
-            rec,
-            alloc: Allocation::zeros(n_users),
-            deliveries: Vec::with_capacity(n_users),
-            fairness_scratch: Vec::with_capacity(n_users),
-            fairness_series: Vec::new(),
-            fairness_window_series: Vec::new(),
-            power_series_j: Vec::new(),
-            window_delivered: vec![0.0; n_users],
-            window_need: vec![0.0; n_users],
-            watching: n_users,
-            slots_run: 0,
-            admission,
-            bs_cap_units: 0,
-        });
-
-        let barrier = SpinBarrier::new(width);
-        let quit = AtomicBool::new(false);
-        let collector_ref = &collector;
-        let soa_cell = PhaseCell::new(soa);
-
-        pool.broadcast(width, &|p| {
-            let my = &shard_cells[p];
-            for slot in 0..cfg.slots {
-                // ---- Phase A (parallel): per-shard radio & playback ----
-                {
-                    // SAFETY: parallel phase — shard `p` belongs to this
-                    // participant until the next barrier crossing.
-                    let sh = unsafe { my.get_mut() };
-                    if sh.any_retired {
-                        // Compaction deferred from phase C so phase D
-                        // could replay the retiring slot's records.
-                        // SAFETY: retired flags are frozen in phase A.
-                        sh.live.retain(|&i| unsafe { !*retired_s.get(i) });
-                        sh.any_retired = false;
-                    }
-                    // Admit due arrivals into this shard's live list —
-                    // the serial driver's arrival gate, split by range.
-                    // Nothing reschedules a sharded run's plan, so a
-                    // queued entry is due exactly when it says.
-                    while let Some(&Reverse((due, i))) = sh.arrival_queue.peek() {
-                        if due > slot {
-                            break;
-                        }
-                        sh.arrival_queue.pop();
-                        // Keeps the shard's live list ascending.
-                        merge_ascending(&mut sh.live, &[i]);
-                    }
-                    // SAFETY: the serial state is read-only in phase A
-                    // (participant 0 writes it in phases B and D only).
-                    if let Some(adm) = unsafe { serial.get() }.admission.as_ref() {
-                        // The previous slot's tick admitted these for this
-                        // slot; this shard takes the ones in its range.
-                        let range = shard_range(p);
-                        let from = adm.admitted.partition_point(|&i| i < range.start);
-                        let to = adm.admitted.partition_point(|&i| i < range.end);
-                        merge_ascending(&mut sh.live, &adm.admitted[from..to]);
-                    }
-                    for k in 0..sh.live.len() {
-                        let i = sh.live[k];
-                        // SAFETY: `i` lies in this shard's disjoint range.
-                        let u = unsafe { users_s.get_mut(i) };
-                        debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
-                        // Per-user signal block anchored at the final
-                        // arrival slot — the serial driver's exact gate.
-                        let block_off = ((slot - u.arrival_slot) % SIG_BLOCK_SLOTS as u64) as usize;
-                        if block_off == 0 {
-                            u.signal.sample_into(slot, &mut u.sig_block);
-                            u.sig_samples += SIG_BLOCK_SLOTS as u64;
-                            collector_ref.link_caps_into(
-                                &u.sig_block,
-                                &mut sh.v_scratch,
-                                &mut u.cap_block,
-                            );
-                        }
-                        u.cur_signal = u.sig_block[block_off];
-                        let link_cap = u.cap_block[block_off];
-                        // Gateway-advertised demand: the ABR rung rate
-                        // when clients are installed (single-rung = the
-                        // native rate, bitwise), else the session rate.
-                        // SAFETY: row `i` belongs to this shard.
-                        let abr_rate = abr_meta_ref
-                            .is_some()
-                            .then(|| unsafe { abr_s.get(i) }.rate_kbps);
-                        if slot >= u.departure_slot {
-                            // Workload churn departure (idempotent).
-                            u.session.cancel_remaining();
-                            u.playback.abandon();
-                        }
-                        let outcome = u.playback.begin_slot();
-                        if outcome.active {
-                            u.active_slots += 1;
-                        }
-                        let r = RawUserState {
-                            signal: u.cur_signal,
-                            rate_kbps: abr_rate.unwrap_or_else(|| {
-                                u.declared_rate_kbps
-                                    .unwrap_or_else(|| u.session.rate_at(slot))
-                            }),
-                            buffer_s: outcome.occupancy_s,
-                            remaining_kb: u.session.remaining_kb(),
-                            active: outcome.active,
-                            idle_s: u.rrc.idle_seconds(),
-                            rrc_state: u.rrc.state(),
-                        };
-                        // Snapshot refresh: the pass-through collector's
-                        // caps path verbatim (report = truth, Eq. (1)
-                        // bound from the per-block table — the exact
-                        // values `snapshot_refresh_soa` would write). The
-                        // signal cache the serial collector maintains is
-                        // write-only state here — sharded runs neither
-                        // checkpoint nor add noise, so it is never read
-                        // again and skipping it cannot change an output.
-                        let snap = UserSnapshot {
-                            id: i,
-                            signal: r.signal,
-                            rate_kbps: r.rate_kbps,
-                            buffer_s: r.buffer_s,
-                            remaining_kb: r.remaining_kb,
-                            active: r.active,
-                            link_cap_units: link_cap,
-                            idle_s: r.idle_s,
-                            rrc_state: r.rrc_state,
-                        };
-                        if let Some(rows) = soa_rows.as_ref() {
-                            // SAFETY: row `i` belongs to this shard.
-                            unsafe { rows.set_row(&snap, cfg.tau, cfg.delta_kb) };
-                        }
-                        // SAFETY: disjoint rows per shard (phase A).
-                        unsafe {
-                            *raw_s.get_mut(i) = r;
-                            *snaps_s.get_mut(i) = snap;
-                        }
-                    }
-                }
-                barrier.wait();
-
-                // ---- Phase B (serial): merge vs the shared BS cap ----
-                if p == 0 {
-                    // SAFETY: serial phase — every other participant is
-                    // parked at the barrier below.
-                    let SerialCtx {
-                        scheduler,
-                        capacity,
-                        receiver,
-                        transmitter,
-                        rec,
-                        alloc,
-                        deliveries,
-                        slots_run,
-                        bs_cap_units: bs_cap_ctx,
-                        ..
-                    } = unsafe { serial.get_mut() };
-                    *slots_run = slot + 1;
-                    let cap = capacity.capacity(slot);
-                    let bs_cap_units = units.bs_cap_units(cap, cfg.tau);
-                    *bs_cap_ctx = bs_cap_units;
-                    rec.begin_slot(slot, bs_cap_units);
-                    receiver.ingest_slot(slot);
-                    if use_soa {
-                        // The shard lists in shard order are the serial
-                        // live list: the rows a SoA sweep has to visit.
-                        // SAFETY: serial phase — no shard writes rows or
-                        // touches its list now, and no other reference
-                        // to the mirror is live.
-                        let soa = unsafe { soa_cell.get_mut() };
-                        soa.set_live_rows(
-                            shard_cells
-                                .iter()
-                                .flat_map(|cell| unsafe { cell.get() }.live.iter().copied()),
-                        );
-                    }
-                    // SAFETY: serial phase; no shard writes rows now.
-                    let ctx = SlotContext {
-                        slot,
-                        tau: cfg.tau,
-                        delta_kb: cfg.delta_kb,
-                        bs_cap_units,
-                        users: unsafe { snaps_s.as_slice() },
-                        soa: if use_soa {
-                            Some(unsafe { soa_cell.get() })
-                        } else {
-                            None
-                        },
-                    };
-                    if rec_enabled {
-                        let t0 = std::time::Instant::now();
-                        scheduler.allocate_into(&ctx, alloc);
-                        rec.record_sched_latency_ns(t0.elapsed().as_nanos() as u64);
-                        rec.record_alloc(&alloc.0);
-                        if let Some(q) = scheduler.queue_values() {
-                            rec.record_queues(q);
-                        }
-                        let deg = scheduler.degradations();
-                        if !deg.is_empty() {
-                            rec.record_degradations(deg);
-                        }
-                    } else {
-                        scheduler.allocate_into(&ctx, alloc);
-                    }
-                    transmitter.transmit_into(&ctx, alloc, receiver, deliveries);
-                }
-                barrier.wait();
-
-                // ---- Phase C (parallel): per-shard accounting ----
-                {
-                    // SAFETY: parallel phase — shard `p` is ours.
-                    let sh = unsafe { my.get_mut() };
-                    sh.watching_dec = 0;
-                    sh.in_system = 0;
-                    sh.events.clear();
-                    sh.flips.clear();
-                    // SAFETY: the serial state is read-only in phase C.
-                    let deliveries = &unsafe { serial.get() }.deliveries;
-                    for k in 0..sh.live.len() {
-                        let i = sh.live[k];
-                        // SAFETY: disjoint shard range.
-                        let u = unsafe { users_s.get_mut(i) };
-                        debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
-                        let d = &deliveries[i];
-                        let slot_e = if d.kb > 0.0 {
-                            let accepted = u.session.deliver(d.kb);
-                            debug_assert!(
-                                (accepted - d.kb).abs() < 1e-6,
-                                "transmitter should never over-deliver"
-                            );
-                            // Playback advances at the rung rate under
-                            // ABR (lower rungs stretch delivered KB into
-                            // more playback seconds); the serial loop's
-                            // exact expression.
-                            if let Some((spec, chunk_s, native)) = abr_meta_ref {
-                                // SAFETY: row `i` belongs to this shard.
-                                let c = unsafe { abr_s.get_mut(i) };
-                                u.playback.deliver(accepted, c.rate_kbps);
-                                // SAFETY: own-shard rows, frozen since
-                                // phase A.
-                                let inp = AbrInputs {
-                                    buffer_s: unsafe { raw_s.get(i) }.buffer_s,
-                                    predicted_kbps: unsafe { snaps_s.get(i) }.link_cap_units as f64
-                                        * cfg.delta_kb
-                                        / cfg.tau,
-                                };
-                                c.on_delivery(
-                                    accepted,
-                                    u.session.fully_fetched(),
-                                    &spec.ladder,
-                                    &spec.policy,
-                                    native[i],
-                                    *chunk_s,
-                                    inp,
-                                );
-                            } else {
-                                u.playback.deliver(accepted, u.session.rate_at(slot));
-                            }
-                            if u.epk_sig.value() != u.cur_signal.value() {
-                                u.epk_per_kb = models.power.energy_per_kb(u.cur_signal);
-                                u.epk_sig = u.cur_signal;
-                            }
-                            let e = MilliJoules(u.epk_per_kb * accepted);
-                            if rec_enabled {
-                                u.rrc.on_transmit_observed(|f, t| sh.events.push((i, f, t)));
-                            } else {
-                                u.rrc.on_transmit();
-                            }
-                            u.meter.record_transmission(e);
-                            e.value()
-                        } else {
-                            let e = if rec_enabled {
-                                u.rrc
-                                    .on_idle_observed(cfg.tau, |f, t| sh.events.push((i, f, t)))
-                            } else {
-                                u.rrc.on_idle(cfg.tau)
-                            };
-                            u.meter.record_tail(e);
-                            e.value()
-                        };
-                        if rec_enabled || record_series || has_admission {
-                            // SAFETY: disjoint shard range. Phase D's E*
-                            // replay needs the per-user energy too.
-                            unsafe { *slot_e_s.get_mut(i) = slot_e };
-                        }
-                        // SAFETY: disjoint shard range (flags below too).
-                        let done = unsafe { done_s.get_mut(i) };
-                        if !*done && u.session.fully_fetched() && u.playback.playback_complete() {
-                            *done = true;
-                            sh.watching_dec += 1;
-                            if has_admission {
-                                sh.flips.push(i);
-                            }
-                        }
-                        if rec_enabled && !*done {
-                            sh.in_system += 1;
-                        }
-                        if *done && u.rrc.state() == RrcState::Idle {
-                            unsafe {
-                                *retired_s.get_mut(i) = true;
-                                *retired_at_s.get_mut(i) = slot;
-                            }
-                            sh.any_retired = true;
-                        }
-                    }
-                }
-                barrier.wait();
-
-                // ---- Phase D (serial): in-order replay & series ----
-                if p == 0 {
-                    // SAFETY: serial phase (other participants parked).
-                    let SerialCtx {
-                        receiver,
-                        rec,
-                        deliveries,
-                        fairness_scratch,
-                        fairness_series,
-                        fairness_window_series,
-                        power_series_j,
-                        window_delivered,
-                        window_need,
-                        watching,
-                        admission,
-                        bs_cap_units,
-                        ..
-                    } = unsafe { serial.get_mut() };
-                    let mut watching_dec = 0usize;
-                    let mut in_system = 0u64;
-                    if rec_enabled || record_series || has_admission {
-                        let mut slot_energy_mj = 0.0;
-                        fairness_scratch.clear();
-                        for cell in shard_cells.iter() {
-                            // SAFETY: shards are quiescent in phase D.
-                            let sh = unsafe { cell.get() };
-                            let mut ev = 0usize;
-                            let mut fl = 0usize;
-                            for &i in &sh.live {
-                                // SAFETY: exclusive serial phase.
-                                let u = unsafe { users_s.get(i) };
-                                // RRC transitions precede the user record,
-                                // exactly as the serial accounting emits
-                                // them; the cursors work because phase C
-                                // pushed events (and done-flag flips) in
-                                // this same live order.
-                                while ev < sh.events.len() && sh.events[ev].0 == i {
-                                    let (_, f, t) = sh.events[ev];
-                                    rec.record_rrc_transition(i, f, t);
-                                    ev += 1;
-                                }
-                                // SAFETY: exclusive serial phase.
-                                let slot_e = unsafe { *slot_e_s.get(i) };
-                                slot_energy_mj += slot_e;
-                                if let Some(adm) = admission.as_mut() {
-                                    let flipped = fl < sh.flips.len() && sh.flips[fl] == i;
-                                    if flipped {
-                                        fl += 1;
-                                    }
-                                    // SAFETY: exclusive serial phase.
-                                    let done = unsafe { *done_s.get(i) };
-                                    // Pre-flip membership, exactly as the
-                                    // serial E* accumulator sees it (the
-                                    // finishing slot itself still counts).
-                                    if !done || flipped {
-                                        adm.energy_mj += slot_e;
-                                        adm.user_slots += 1;
-                                    }
-                                    // Membership event point: replay the
-                                    // aggregate decrement in the serial
-                                    // loop's exact user order.
-                                    if flipped {
-                                        adm.n_active -= 1;
-                                        adm.rate_sum -= adm.rates[i];
-                                    }
-                                }
-                                rec.record_user(i, slot_e, u.playback.total_rebuffer_s());
-                                if record_series {
-                                    // SAFETY: exclusive serial phase.
-                                    let r = unsafe { raw_s.get(i) };
-                                    if r.remaining_kb > 0.0 {
-                                        let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
-                                        if need_kb > 0.0 {
-                                            fairness_scratch.push(deliveries[i].kb / need_kb);
-                                            window_delivered[i] += deliveries[i].kb;
-                                            window_need[i] += need_kb;
-                                        }
-                                    }
-                                }
-                            }
-                            watching_dec += sh.watching_dec;
-                            in_system += sh.in_system;
-                        }
-                        if record_series {
-                            if !fairness_scratch.is_empty() {
-                                fairness_series.push(jain_index(fairness_scratch.as_slice()));
-                            }
-                            power_series_j.push(slot_energy_mj / 1000.0);
-                            if (slot + 1).is_multiple_of(FAIR_WINDOW) {
-                                fairness_scratch.clear();
-                                for i in 0..n_users {
-                                    if window_need[i] > 0.0 {
-                                        fairness_scratch.push(window_delivered[i] / window_need[i]);
-                                    }
-                                }
-                                if !fairness_scratch.is_empty() {
-                                    fairness_window_series
-                                        .push(jain_index(fairness_scratch.as_slice()));
-                                }
-                                window_delivered.fill(0.0);
-                                window_need.fill(0.0);
-                            }
-                        }
-                    } else {
-                        for cell in shard_cells.iter() {
-                            // SAFETY: shards are quiescent in phase D.
-                            watching_dec += unsafe { cell.get() }.watching_dec;
-                        }
-                    }
-                    // Commit staged ABR switches in ascending user order
-                    // — the serial loop's exact commit order, so rung
-                    // state, session re-pricing, and switch records are
-                    // bit-identical across shard widths. Only a delivery
-                    // stages a switch, so the live lists cover them all.
-                    if let Some((spec, _, native)) = abr_meta_ref {
-                        // SAFETY: shards are quiescent in phase D.
-                        let live = shard_cells
-                            .iter()
-                            .flat_map(|cell| unsafe { cell.get() }.live.iter().copied());
-                        for i in live {
-                            // SAFETY: exclusive serial phase.
-                            let c = unsafe { abr_s.get_mut(i) };
-                            if let Some(sw) = c.apply_pending(&spec.ladder, native[i]) {
-                                // SAFETY: exclusive serial phase.
-                                let u = unsafe { users_s.get_mut(i) };
-                                let delta = u.session.rescale_remaining(sw.ratio);
-                                receiver.adjust_source_volume_kb(i, delta);
-                                rec.record_abr_switch(i, sw.from, sw.to);
-                            }
-                        }
-                    }
-                    if rec_enabled {
-                        rec.record_live(in_system);
-                    }
-                    // Fold the shard flips before the admission tick so a
-                    // rejection decrements an up-to-date watch count —
-                    // the serial loop's exact ordering.
-                    *watching -= watching_dec;
-                    if let Some(adm) = admission.as_mut() {
-                        // SAFETY: exclusive serial phase — every shard is
-                        // parked at the barrier below, so the full user
-                        // and done-flag slices are ours. The tick is the
-                        // serial loop's end-of-slot tick verbatim; the
-                        // users it admits join their shard's live list
-                        // next phase A.
-                        admission_tick(
-                            adm,
-                            unsafe { users_s.as_mut_slice() },
-                            unsafe { done_s.as_mut_slice() },
-                            watching,
-                            &mut **rec,
-                            slot,
-                            *bs_cap_units,
-                            cfg.tau,
-                            cfg.delta_kb,
-                        );
-                    }
-                    rec.end_slot();
-                    if *watching == 0 || slot + 1 == cfg.slots {
-                        quit.store(true, Ordering::Release);
-                    }
-                }
-                barrier.wait();
-                if quit.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-        });
-
-        let SerialCtx {
-            scheduler,
-            capacity,
-            receiver,
-            transmitter,
-            rec,
-            fairness_series,
-            fairness_window_series,
-            power_series_j,
-            slots_run,
-            ..
-        } = serial.into_inner();
-        rec.end_run();
-        // Settle the idle slots the retired users sat out, exactly as the
-        // serial loop does after its exit.
-        for i in 0..n_users {
-            if retired[i] {
-                users[i]
-                    .meter
-                    .record_saturated_idle_slots(slots_run - 1 - retired_at[i]);
-            }
-        }
-        let engine = Engine {
-            users,
-            scheduler,
-            capacity,
-            receiver,
-            transmitter,
-            collector,
-            units,
-            models,
-            cfg,
-            abr: None,
-            admission: None,
-        };
-        let mut result = engine.finish(
-            slots_run,
-            fairness_series,
-            fairness_window_series,
-            power_series_j,
-        );
-        result.telemetry = rec.summary();
-        result
+        self.run_sharded_faulted_on(pool, shards, rec, &NoFaults)
     }
 
-    /// The one true hot loop: fault-aware, checkpoint-aware, generic over
-    /// recorder and fault hook so the plain `run()` instantiation compiles
-    /// to the same code as before either subsystem existed.
-    ///
-    /// Implemented as a thin cadence loop over [`SlotDriver`]: the engine
-    /// converts into a driver ([`Engine::into_driver`]) and steps to the
-    /// horizon, so batch runs and live stepping execute the exact same
-    /// slot code — the golden traces and the resume ≡ straight-run
-    /// proptests pin both at once.
+    /// [`Engine::run_sharded_on`] under a [`FaultHook`].
+    pub(crate) fn run_sharded_faulted_on<R: SlotRecorder + Send, F: FaultHook + Sync>(
+        self,
+        pool: &WorkerPool,
+        shards: usize,
+        rec: &mut R,
+        faults: &F,
+    ) -> SimResult {
+        let width = shards.clamp(1, pool.n_workers() + 1);
+        let mut drv = match self.build_driver(rec, faults, None, width) {
+            Ok(drv) => drv,
+            // Without a checkpoint to restore, the build imports nothing.
+            Err(_) => unreachable!("a fresh driver build cannot fail"),
+        };
+        if width == 1 {
+            while drv.step(rec).is_some() {}
+        } else {
+            drv.run_lockstep(pool, rec);
+        }
+        drv.finish(rec)
+    }
+
+    /// The checkpoint-aware batch run: a cadence loop over
+    /// [`SlotDriver::step`], so batch runs and live stepping execute the
+    /// same slot code.
     ///
     /// * `resume` — restore this checkpoint (captured by an earlier run of
     ///   the same scenario) and continue from its slot.
@@ -1728,109 +1080,46 @@ impl Engine {
     }
 
     /// Convert the engine into a [`SlotDriver`] — the resumable stepping
-    /// form of the hot loop, executing exactly one slot per
+    /// form of the slot pipeline, executing exactly one slot per
     /// [`SlotDriver::step`] call.
     ///
-    /// Every batch run path is a thin loop over the driver (see
-    /// [`Engine::run_core`]), so stepping it from a front-end — with
-    /// checkpoints, live arrival scheduling, or degradation between
+    /// Every run path goes through the driver (see [`Engine::run_core`]
+    /// and [`Engine::run_sharded_on`]), so stepping it from a front-end —
+    /// with checkpoints, live arrival scheduling, or degradation between
     /// slots — is bit-identical to a batch run by construction: there is
-    /// no second loop implementation to drift.
+    /// no second slot implementation to drift.
     ///
     /// `faults` is taken by value: pass [`NoFaults`], a compiled
     /// [`FaultPlan`](crate::faults::FaultPlan), a reference to either
     /// (`&F` of any hook is itself a hook), or the runtime-selected
     /// [`DynFaults`](crate::faults::DynFaults).
     ///
-    /// On resume the checkpoint is restored exactly as the batch resume
-    /// path does: component state imports, per-user RNG fast-forward,
-    /// and derived state (SoA mirror, link-cap tables) rebuilt.
+    /// On resume the checkpoint is restored: component state imports,
+    /// per-user RNG fast-forward, and derived state (SoA mirror,
+    /// link-cap tables) rebuilt.
     pub fn into_driver<R: SlotRecorder, F: FaultHook>(
-        mut self,
+        self,
         rec: &mut R,
         faults: F,
         resume: Option<&EngineCheckpoint>,
     ) -> Result<SlotDriver<F>, SimError> {
+        self.build_driver(rec, faults, resume, 1)
+    }
+
+    /// [`Engine::into_driver`] with the users partitioned into `width`
+    /// contiguous shards — the set-up every run path shares. Ends with
+    /// `begin_run` (a fresh run) or the recorder's state import (a
+    /// resumed one), so everything sized by the pool is built before the
+    /// run's clock starts.
+    fn build_driver<R: SlotRecorder, F: FaultHook>(
+        mut self,
+        rec: &mut R,
+        faults: F,
+        resume: Option<&EngineCheckpoint>,
+        width: usize,
+    ) -> Result<SlotDriver<F>, SimError> {
         let n_users = self.users.len();
-        let series_cap = if self.cfg.record_series {
-            self.cfg.slots as usize
-        } else {
-            0
-        };
-        let mut fairness_series = Vec::with_capacity(series_cap);
-        let mut fairness_window_series = Vec::with_capacity(series_cap.div_ceil(10));
-        let mut power_series_j = Vec::with_capacity(series_cap);
-        let fairness_scratch: Vec<f64> = Vec::with_capacity(n_users);
-        // 10-slot accumulators for the windowed fairness view.
-        let mut window_delivered = vec![0.0f64; n_users];
-        let mut window_need = vec![0.0f64; n_users];
-        let mut slots_run = 0;
-
-        // Early-exit bookkeeping: a user counts as watching until their
-        // session is fully fetched *and* fully watched. Both predicates
-        // are monotone, so a per-user flag plus a counter replaces a
-        // per-slot O(N) scan over all users.
-        let mut watching = n_users;
-        let mut done_watching = vec![false; n_users];
-        // Retirement bookkeeping: once retired a user leaves the live set
-        // and their trailing zero-cost idle slots are settled after the
-        // loop.
-        let mut retired = vec![false; n_users];
-        let mut retired_at = vec![0u64; n_users];
-        // Arrival gate: only users whose sessions have started occupy
-        // the live set; the rest wait in a min-heap keyed by arrival
-        // slot and join (ascending user order within a slot) once due —
-        // or, under feasibility admission, wait for the tick to admit
-        // them (`AdmissionRuntime::admitted`). A user's noise stream is
-        // anchored at their final arrival slot — pre-arrival users draw
-        // no signal samples at all, so the per-slot work scales with the
-        // arrived population, not the scenario's user count.
-        let governed = self.admission.is_some();
-        let mut live: Vec<usize> = Vec::with_capacity(n_users);
-        let mut entered = vec![false; n_users];
-        let mut arrival_queue: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (i, u) in self.users.iter().enumerate() {
-            if u.arrival_slot == 0 {
-                live.push(i);
-                entered[i] = true;
-            } else if u.arrival_slot != u64::MAX && !governed {
-                arrival_queue.push(Reverse((u.arrival_slot, i)));
-            }
-        }
-
-        // Per-slot pipeline buffers, hoisted out of the loop and reused.
-        // `raw` keeps one stable entry per user; retired users' entries
-        // freeze at their retirement-slot values.
-        let mut raw: Vec<RawUserState> = vec![
-            RawUserState {
-                signal: Dbm(0.0),
-                rate_kbps: 0.0,
-                buffer_s: 0.0,
-                remaining_kb: 0.0,
-                active: false,
-                idle_s: 0.0,
-                rrc_state: RrcState::Idle,
-            };
-            n_users
-        ];
-        let mut snapshots = Vec::with_capacity(n_users);
-        let collector_full_pass = self.collector.needs_full_pass();
-        // Block-precomputed radio tables (per-user Eq. (1) caps for a
-        // whole RSSI block) are only sound when the reported signal is
-        // exactly the sampled one — a pass-through collector — and no
-        // fault hook can perturb signals after sampling. Outside that
-        // regime the loop falls back to the scalar kernels, which are
-        // bit-identical by construction (shared per-element `kernel`).
-        let tables_enabled = !faults.enabled() && self.collector.is_pass_through();
-        let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
-        // The SoA mirror is maintained only for schedulers that read it
-        // (Scheduler::wants_soa): column upkeep re-derives unit
-        // quantities per live user every slot, which row-walking
-        // policies would pay for without ever looking at the result.
-        let use_soa = self.scheduler.wants_soa();
-        let mut soa = SnapshotSoA::new();
-
-        let mut start_slot = 0;
+        let cfg = self.cfg;
         if let Some(ck) = resume {
             self.restore(ck).map_err(SimError::Checkpoint)?;
             rec.import_state(&ck.recorder)
@@ -1840,113 +1129,190 @@ impl Engine {
                 })
                 .map_err(SimError::Checkpoint)?;
             let ls = &ck.loop_state;
-            if ls.done_watching.len() != n_users
-                || ls.retired.len() != n_users
-                || ls.live.iter().any(|&i| i >= n_users)
-            {
+            let per_user = [
+                ls.done_watching.len(),
+                ls.retired.len(),
+                ls.retired_at.len(),
+                ls.raw.len(),
+                ls.window_delivered.len(),
+                ls.window_need.len(),
+            ];
+            if per_user != [n_users; 6] || ls.live.iter().any(|&i| i >= n_users) {
                 return Err(CheckpointError::Restore {
                     component: "loop state",
                     reason: "user indices out of range".into(),
                 }
                 .into());
             }
-            fairness_series = ls.fairness_series.clone();
-            fairness_window_series = ls.fairness_window_series.clone();
-            power_series_j = ls.power_series_j.clone();
-            window_delivered = ls.window_delivered.clone();
-            window_need = ls.window_need.clone();
-            slots_run = ls.slots_run;
-            watching = ls.watching;
-            done_watching = ls.done_watching.clone();
-            retired = ls.retired.clone();
-            retired_at = ls.retired_at.clone();
-            // Re-derive the arrival gate from the restored schedule:
-            // pre-arrival users move out of the restored live set
-            // (legacy pre-v4 checkpoints carried every user in `live`;
-            // current ones never include the un-arrived) and back into
-            // the arrival queue. `entered` is exactly "in live or
-            // retired" — a user only ever leaves `live` by retiring —
-            // so no extra loop state needs checkpointing.
-            live = ls.live.clone();
-            live.retain(|&i| self.users[i].arrival_slot <= ck.slot);
-            entered.fill(false);
-            for &i in &live {
-                entered[i] = true;
+        }
+        let series_cap = if cfg.record_series {
+            cfg.slots as usize
+        } else {
+            0
+        };
+        let mut lp = LoopState {
+            fairness_series: Vec::with_capacity(series_cap),
+            fairness_window_series: Vec::with_capacity(series_cap.div_ceil(10)),
+            power_series_j: Vec::with_capacity(series_cap),
+            fairness_scratch: Vec::with_capacity(n_users),
+            window_delivered: vec![0.0; n_users],
+            window_need: vec![0.0; n_users],
+            slots_run: 0,
+            watching: n_users,
+            alloc: Allocation::zeros(n_users),
+            deliveries: Vec::with_capacity(n_users),
+            fault_notes: Vec::new(),
+            bs_cap_units: 0,
+            rows_primed: false,
+        };
+        let mut c = Columns {
+            users: std::mem::take(&mut self.users),
+            abr: self
+                .abr
+                .as_mut()
+                .map(|a| std::mem::take(&mut a.clients))
+                .unwrap_or_default(),
+            raw: vec![RawUserState::ABSENT; n_users],
+            // Placeholders until the collector's first full pass.
+            snaps: (0..n_users)
+                .map(|id| RawUserState::ABSENT.as_reported(id, Dbm(0.0), 0))
+                .collect(),
+            staged: vec![(0.0, 0.0); n_users],
+            done: vec![false; n_users],
+            retired: vec![false; n_users],
+            retired_at: vec![0; n_users],
+        };
+        let pass_through = self.collector.is_pass_through();
+        let mode = Mode {
+            pass_through,
+            tables: pass_through && !faults.enabled(),
+            rec_enabled: false,
+            staged: false,
+        };
+        // The SoA mirror is maintained only for schedulers that read it
+        // (Scheduler::wants_soa): column upkeep re-derives unit
+        // quantities per live user every slot, which row-walking
+        // policies would pay for without ever looking at the result. Its
+        // columns are sized by the first full pass.
+        let use_soa = self.scheduler.wants_soa();
+        let mut soa = SnapshotSoA::new();
+
+        // Who is in a live list as the run (re)starts.
+        let mut entered = vec![false; n_users];
+        let mut start_slot = 0;
+        if let Some(ck) = resume {
+            let ls = &ck.loop_state;
+            lp.fairness_series.clone_from(&ls.fairness_series);
+            lp.fairness_window_series
+                .clone_from(&ls.fairness_window_series);
+            lp.power_series_j.clone_from(&ls.power_series_j);
+            lp.window_delivered.clone_from(&ls.window_delivered);
+            lp.window_need.clone_from(&ls.window_need);
+            lp.slots_run = ls.slots_run;
+            lp.watching = ls.watching;
+            c.done.clone_from(&ls.done_watching);
+            c.retired.clone_from(&ls.retired);
+            c.retired_at.clone_from(&ls.retired_at);
+            c.raw.clone_from(&ls.raw);
+            // A checkpoint taken before the first slot carries no rows;
+            // the first full pass then comes after the resume.
+            if ls.snapshots.len() == n_users {
+                c.snaps.clone_from(&ls.snapshots);
+                lp.rows_primed = true;
             }
-            arrival_queue.clear();
-            for i in 0..n_users {
-                if retired[i] {
-                    entered[i] = true;
-                }
-                let arrival = self.users[i].arrival_slot;
-                if entered[i] || arrival == u64::MAX {
-                    continue;
-                }
-                match self.admission.as_mut() {
-                    None => arrival_queue.push(Reverse((arrival, i))),
-                    // A governed user due by the restored slot and not
-                    // yet live was admitted by the tick just before it;
-                    // the later ones are in the rebuilt `planned` list.
-                    Some(adm) if arrival <= ck.slot => adm.admitted.push(i),
-                    Some(_) => {}
-                }
+            // A restored live user whose arrival lies ahead (pre-v4
+            // sidecars carried the un-arrived in `live`) re-enters
+            // through the gate.
+            for &i in &ls.live {
+                entered[i] = c.users[i].arrival_slot <= ck.slot;
             }
-            raw = ls.raw.clone();
-            snapshots = ls.snapshots.clone();
             // The SoA mirror and the radio tables are derived state, not
             // checkpointed: rebuild both from the restored snapshots and
             // signal blocks so a resumed run re-enters the block mid-way
             // with the exact values the straight run would hold.
-            if use_soa {
-                soa.fill_from(&snapshots, self.cfg.tau, self.cfg.delta_kb);
+            if use_soa && lp.rows_primed {
+                soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb);
             }
-            if tables_enabled {
-                for u in &mut self.users {
+            if mode.tables {
+                let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
+                for u in &mut c.users {
                     self.collector
                         .link_caps_into(&u.sig_block, &mut v_scratch, &mut u.cap_block);
                 }
             }
             start_slot = ck.slot;
         } else {
-            rec.begin_run(n_users, self.cfg.tau);
+            for (e, u) in entered.iter_mut().zip(&c.users) {
+                *e = u.arrival_slot == 0;
+            }
         }
 
-        let finished = start_slot >= self.cfg.slots;
-        let alloc = Allocation::zeros(n_users);
-        let deliveries = Vec::with_capacity(n_users);
+        // Arrival gate: only users whose sessions have started occupy a
+        // live list; the rest wait in their shard's min-heap keyed by
+        // arrival slot and join (ascending user order within a slot) once
+        // due — or, under feasibility admission, wait for the tick to
+        // admit them (`AdmissionRuntime::admitted`). Pre-arrival users
+        // draw no signal samples at all (a user's noise stream is
+        // anchored at their final arrival slot), so a slot costs the
+        // arrived population, not the scenario's user count. Each live
+        // list keeps its whole range's room, so arrivals never
+        // reallocate mid-run.
+        let mut shards = Vec::with_capacity(width);
+        for s in 0..width {
+            let range = s * n_users / width..(s + 1) * n_users / width;
+            let mut live = Vec::with_capacity(range.len());
+            live.extend(range.clone().filter(|&i| entered[i]));
+            let waiting = range
+                .clone()
+                .filter(|&i| !entered[i] && !c.retired[i] && c.users[i].arrival_slot != u64::MAX);
+            let arrival_queue = match self.admission.as_mut() {
+                None => waiting
+                    .map(|i| Reverse((c.users[i].arrival_slot, i)))
+                    .collect(),
+                Some(adm) => {
+                    // A governed user due by the restored slot and not
+                    // yet live was admitted by the tick just before it;
+                    // the later ones are in the rebuilt `planned` list.
+                    if resume.is_some() {
+                        adm.admitted
+                            .extend(waiting.filter(|&i| c.users[i].arrival_slot <= start_slot));
+                    }
+                    BinaryHeap::new()
+                }
+            };
+            shards.push(ShardState {
+                live,
+                arrival_queue,
+                // A radio makes at most one (net) transition a slot, so
+                // under a recorder the staging never reallocates either.
+                events: Vec::with_capacity(if rec.enabled() { range.len() } else { 0 }),
+                flips: Vec::new(),
+                v_scratch: [0.0; SIG_BLOCK_SLOTS],
+                watching_dec: 0,
+                in_system: 0,
+                any_retired: false,
+                range,
+            });
+        }
+
+        if resume.is_none() {
+            rec.begin_run(n_users, cfg.tau);
+        }
         Ok(SlotDriver {
             engine: self,
             faults,
-            fairness_series,
-            fairness_window_series,
-            power_series_j,
-            fairness_scratch,
-            window_delivered,
-            window_need,
-            slots_run,
-            watching,
-            done_watching,
-            retired,
-            retired_at,
-            live,
-            arrival_queue,
-            entered,
-            raw,
-            snapshots,
-            alloc,
-            deliveries,
-            fault_notes: Vec::new(),
-            collector_full_pass,
-            tables_enabled,
-            v_scratch,
-            cap_hint: vec![0; n_users],
-            use_soa,
+            lp,
+            cols: c,
+            shards,
             soa,
+            use_soa,
+            mode,
             start_slot,
             next_slot: start_slot,
-            finished,
+            finished: start_slot >= cfg.slots,
         })
     }
+
     /// Reference slot loop: every user is visited every slot and signals
     /// are drawn one slot at a time — the plain transcription of the §III
     /// pipeline with none of [`Engine::run`]'s active-set machinery.
@@ -2296,58 +1662,37 @@ impl Engine {
     }
 }
 
-/// The resumable stepping form of the engine's hot loop: one slot per
-/// [`SlotDriver::step`] call, checkpoint capture between any two slots,
-/// and live mutation of the not-yet-executed schedule.
+/// The resumable stepping form of the engine's slot pipeline: one slot
+/// per [`SlotDriver::step`] call, checkpoint capture between any two
+/// slots, and live mutation of the not-yet-executed schedule.
 ///
-/// Built by [`Engine::into_driver`]; every batch run path
-/// ([`Engine::run_core`]) is a thin cadence loop over this driver, so
-/// stepping it from a front-end (the live gateway service) executes the
-/// exact same slot code as a batch run — the determinism tests pin both
-/// at once, and a fully stepped driver's result and telemetry are
-/// byte-identical to the batch run of the same scenario.
+/// Built by [`Engine::into_driver`]. A slot is the four phase functions
+/// of the module docs, and every run path is a caller of those four:
+/// [`SlotDriver::step`] runs them back to back over one shard holding
+/// every user, [`Engine::run_sharded_on`] runs them in lockstep over one
+/// shard per pool participant. So stepping the driver from a front-end
+/// (the live gateway service) executes the exact slot code of a batch
+/// run at any width — the determinism tests pin all of them at once, and
+/// a fully stepped driver's result and telemetry are byte-identical to
+/// the batch run of the same scenario.
 ///
 /// The driver owns its fault hook (generic, so the [`NoFaults`]
-/// instantiation folds every fault branch away exactly as in the batch
-/// loop) and every loop-local accumulator; the recorder stays external,
-/// passed into each call, so one recorder can outlive crash/rebuild
-/// cycles of the driver itself.
+/// instantiation folds every fault branch away) and every loop-carried
+/// accumulator; the recorder stays external, passed into each call, so
+/// one recorder can outlive crash/rebuild cycles of the driver itself.
 pub struct SlotDriver<F: FaultHook = NoFaults> {
+    /// The gateway pipeline and the run's constants; its users and ABR
+    /// clients live in `cols` until [`SlotDriver::finish`].
     engine: Engine,
     faults: F,
-    fairness_series: Vec<f64>,
-    fairness_window_series: Vec<f64>,
-    power_series_j: Vec<f64>,
-    fairness_scratch: Vec<f64>,
-    window_delivered: Vec<f64>,
-    window_need: Vec<f64>,
-    slots_run: u64,
-    watching: usize,
-    done_watching: Vec<bool>,
-    retired: Vec<bool>,
-    retired_at: Vec<u64>,
-    live: Vec<usize>,
-    /// Min-heap of `(arrival_slot, user)` for users that have not yet
-    /// entered `live`, drained at the top of each step. A live
-    /// `set_arrival` reschedule pushes a fresh entry and leaves the old
-    /// one behind to be dropped on pop. Empty under feasibility
-    /// admission, whose tick feeds the gate instead.
-    arrival_queue: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Latched once a user joins `live` (or was restored as retired):
-    /// live membership never regresses, so a queue entry for an entered
-    /// user is stale by construction and dropped on pop.
-    entered: Vec<bool>,
-    raw: Vec<RawUserState>,
-    snapshots: Vec<UserSnapshot>,
-    alloc: Allocation,
-    deliveries: Vec<Delivery>,
-    fault_notes: Vec<String>,
-    collector_full_pass: bool,
-    tables_enabled: bool,
-    v_scratch: [f64; SIG_BLOCK_SLOTS],
-    cap_hint: Vec<u64>,
-    use_soa: bool,
+    lp: LoopState,
+    cols: Columns,
+    shards: Vec<ShardState>,
     soa: SnapshotSoA,
+    use_soa: bool,
+    /// The run's constants; the recorder's two flags are filled in per
+    /// call.
+    mode: Mode,
     start_slot: u64,
     next_slot: u64,
     finished: bool,
@@ -2374,7 +1719,7 @@ impl<F: FaultHook> SlotDriver<F> {
             scheduler_rows: if self.use_soa {
                 self.soa.live_rows().len()
             } else {
-                self.engine.users.len()
+                self.cols.users.len()
             },
         }
     }
@@ -2396,7 +1741,7 @@ impl<F: FaultHook> SlotDriver<F> {
 
     /// Number of users in the scenario.
     pub fn n_users(&self) -> usize {
-        self.engine.users.len()
+        self.cols.users.len()
     }
 
     /// True once the run is over: the horizon was reached or every
@@ -2410,7 +1755,7 @@ impl<F: FaultHook> SlotDriver<F> {
 
     /// Users still fetching or watching.
     pub fn watching(&self) -> usize {
-        self.watching
+        self.lp.watching
     }
 
     /// Short name of the scheduling policy driving allocations.
@@ -2450,15 +1795,16 @@ impl<F: FaultHook> SlotDriver<F> {
                  planned arrival schedule)",
             ));
         }
-        for u in &mut self.engine.users {
+        for u in &mut self.cols.users {
             u.arrival_slot = u64::MAX;
             u.departure_slot = u64::MAX;
         }
         // Live mode starts with an empty system: every user enters
         // through a later `set_arrival` event.
-        self.live.clear();
-        self.entered.fill(false);
-        self.arrival_queue.clear();
+        for sh in &mut self.shards {
+            sh.live.clear();
+            sh.arrival_queue.clear();
+        }
         Ok(())
     }
 
@@ -2471,7 +1817,7 @@ impl<F: FaultHook> SlotDriver<F> {
     pub fn set_arrival(&mut self, user: usize, slot: u64) -> Result<(), ScenarioError> {
         self.check_live_mutation("live.arrive", user, slot)?;
         let next = self.next_slot;
-        let u = &mut self.engine.users[user];
+        let u = &mut self.cols.users[user];
         if u.arrival_slot < next {
             return Err(ScenarioError::new(
                 "live.arrive",
@@ -2488,7 +1834,8 @@ impl<F: FaultHook> SlotDriver<F> {
         // Duplicate entries for a rescheduled arrival are harmless: the
         // drain drops any entry that comes up before the user's current
         // arrival slot, or after they entered.
-        self.arrival_queue.push(Reverse((slot, user)));
+        let owner = self.shards.partition_point(|sh| sh.range.end <= user);
+        self.shards[owner].arrival_queue.push(Reverse((slot, user)));
         Ok(())
     }
 
@@ -2497,7 +1844,7 @@ impl<F: FaultHook> SlotDriver<F> {
     /// applies.
     pub fn set_departure(&mut self, user: usize, slot: u64) -> Result<(), ScenarioError> {
         self.check_live_mutation("live.depart", user, slot)?;
-        let u = &mut self.engine.users[user];
+        let u = &mut self.cols.users[user];
         if u.arrival_slot != u64::MAX && slot <= u.arrival_slot {
             return Err(ScenarioError::new(
                 "live.depart",
@@ -2513,7 +1860,7 @@ impl<F: FaultHook> SlotDriver<F> {
     /// next slot on advertise it instead of the instantaneous session
     /// rate. Client-side playback still uses the true encoding rate.
     pub fn set_declared_rate(&mut self, user: usize, kbps: f64) -> Result<(), ScenarioError> {
-        if user >= self.engine.users.len() {
+        if user >= self.cols.users.len() {
             return Err(ScenarioError::new(
                 "live.rate",
                 format!("user {user} out of range"),
@@ -2522,7 +1869,7 @@ impl<F: FaultHook> SlotDriver<F> {
         if kbps <= 0.0 || kbps.is_nan() {
             return Err(ScenarioError::new("live.rate", "rate must be positive"));
         }
-        self.engine.users[user].declared_rate_kbps = Some(kbps);
+        self.cols.users[user].declared_rate_kbps = Some(kbps);
         Ok(())
     }
 
@@ -2535,7 +1882,7 @@ impl<F: FaultHook> SlotDriver<F> {
         user: usize,
         slot: u64,
     ) -> Result<(), ScenarioError> {
-        if user >= self.engine.users.len() {
+        if user >= self.cols.users.len() {
             return Err(ScenarioError::new(
                 field,
                 format!("user {user} out of range"),
@@ -2560,25 +1907,6 @@ impl<F: FaultHook> SlotDriver<F> {
         Ok(())
     }
 
-    /// Clone the loop-local accumulators into a serializable snapshot.
-    fn loop_ckpt(&self) -> LoopCkpt {
-        LoopCkpt {
-            fairness_series: self.fairness_series.clone(),
-            fairness_window_series: self.fairness_window_series.clone(),
-            power_series_j: self.power_series_j.clone(),
-            window_delivered: self.window_delivered.clone(),
-            window_need: self.window_need.clone(),
-            slots_run: self.slots_run,
-            watching: self.watching,
-            done_watching: self.done_watching.clone(),
-            retired: self.retired.clone(),
-            retired_at: self.retired_at.clone(),
-            live: self.live.clone(),
-            raw: self.raw.clone(),
-            snapshots: self.snapshots.clone(),
-        }
-    }
-
     /// Capture the full simulation state at the top of the next slot.
     /// Feeding the checkpoint to a freshly built driver (or any batch
     /// resume path) for the same scenario continues bit-identically.
@@ -2586,419 +1914,792 @@ impl<F: FaultHook> SlotDriver<F> {
         &self,
         rec: &R,
     ) -> Result<EngineCheckpoint, CheckpointError> {
-        self.engine.capture(self.next_slot, rec, self.loop_ckpt())
+        let (eng, c, lp) = (&self.engine, &self.cols, &self.lp);
+        let recorder = rec.export_state().ok_or(CheckpointError::Unsupported {
+            reason: "recorder cannot export its state".into(),
+        })?;
+        let scheduler =
+            eng.scheduler
+                .export_state()
+                .ok_or_else(|| CheckpointError::Unsupported {
+                    reason: format!("scheduler {} cannot export its state", eng.scheduler.name()),
+                })?;
+        let mut collector = eng.collector.export_state();
+        if self.mode.pass_through && lp.rows_primed {
+            // A pass-through collector's rows are written by phase A,
+            // which leaves its (never read) report cache alone; the last
+            // report is by definition the row's signal.
+            for (cached, snap) in collector.cached_signal.iter_mut().zip(&c.snaps) {
+                *cached = Some(snap.signal);
+            }
+        }
+        Ok(EngineCheckpoint {
+            version: CKPT_VERSION,
+            slot: self.next_slot,
+            users: c
+                .users
+                .iter()
+                .enumerate()
+                .map(|(i, u)| UserCkpt {
+                    session: u.session.clone(),
+                    playback: u.playback.clone(),
+                    rrc: u.rrc.clone(),
+                    meter: u.meter.clone(),
+                    cur_signal: u.cur_signal,
+                    sig_block: u.sig_block.iter().map(|d| d.0).collect(),
+                    active_slots: u.active_slots,
+                    arrival_slot: u.arrival_slot,
+                    departure_slot: u.departure_slot,
+                    declared_rate_kbps: u.declared_rate_kbps,
+                    sig_samples: u.sig_samples,
+                    abr: c.abr.get(i).copied(),
+                })
+                .collect(),
+            receiver: eng.receiver.export_state(),
+            collector,
+            scheduler,
+            transmitter_clamps: eng.transmitter.clamp_events(),
+            recorder,
+            loop_state: LoopCkpt {
+                fairness_series: lp.fairness_series.clone(),
+                fairness_window_series: lp.fairness_window_series.clone(),
+                power_series_j: lp.power_series_j.clone(),
+                window_delivered: lp.window_delivered.clone(),
+                window_need: lp.window_need.clone(),
+                slots_run: lp.slots_run,
+                watching: lp.watching,
+                done_watching: c.done.clone(),
+                retired: c.retired.clone(),
+                retired_at: c.retired_at.clone(),
+                live: self
+                    .shards
+                    .iter()
+                    .flat_map(|sh| sh.live.iter().copied())
+                    .collect(),
+                raw: c.raw.clone(),
+                snapshots: if lp.rows_primed {
+                    c.snaps.clone()
+                } else {
+                    Vec::new()
+                },
+            },
+            admission: eng.admission.as_ref().map(|a| AdmissionCkpt {
+                state: a.ctl.export_state(),
+                energy_mj: a.energy_mj,
+                user_slots: a.user_slots,
+                n_active: Some(a.n_active),
+                rate_sum: Some(a.rate_sum),
+            }),
+        })
+    }
+
+    /// The run's [`Mode`] under a recorder.
+    fn mode_for<R: SlotRecorder>(&self, rec: &R) -> Mode {
+        let rec_enabled = rec.enabled();
+        Mode {
+            rec_enabled,
+            staged: rec_enabled || self.engine.cfg.record_series || self.engine.admission.is_some(),
+            ..self.mode
+        }
     }
 
     /// Execute exactly one slot of the §III pipeline. Returns the slot
     /// index it ran, or `None` once the run is finished.
     ///
-    /// The body is the batch loop's slot body verbatim (the batch loop
-    /// calls this method); only the loop-carried locals moved into the
-    /// driver struct.
+    /// The four phases back to back over the driver's one shard: safe
+    /// code only, no barrier, no second thread.
     pub fn step<R: SlotRecorder>(&mut self, rec: &mut R) -> Option<u64> {
         if self.finished {
             return None;
         }
-        const FAIR_WINDOW: u64 = 10;
         let slot = self.next_slot;
-        let n_users = self.engine.users.len();
-        let collector_full_pass = self.collector_full_pass;
-        let tables_enabled = self.tables_enabled;
+        let mode = self.mode_for(rec);
         let use_soa = self.use_soa;
         let Self {
             engine: eng,
             faults,
-            fairness_series,
-            fairness_window_series,
-            power_series_j,
-            fairness_scratch,
-            window_delivered,
-            window_need,
-            slots_run,
-            watching,
-            done_watching,
-            retired,
-            retired_at,
-            live,
-            arrival_queue,
-            entered,
-            raw,
-            snapshots,
-            alloc,
-            deliveries,
-            fault_notes,
-            v_scratch,
-            cap_hint,
+            lp,
+            cols,
+            shards,
             soa,
             ..
         } = self;
-
-        // Admit due arrivals into the live set: pop every entry due by
-        // this slot. An entry a live reschedule left behind (the user
-        // entered already, or now arrives later under a fresh entry) is
-        // dropped.
-        while let Some(&Reverse((due, i))) = arrival_queue.peek() {
-            if due > slot {
-                break;
-            }
-            arrival_queue.pop();
-            if !entered[i] && eng.users[i].arrival_slot <= slot {
-                // `live` stays ascending, so iteration (and FP
-                // summation) order matches the reference loop's plain
-                // 0..n walk.
-                merge_ascending(live, &[i]);
-                entered[i] = true;
-            }
-        }
-        // Under admission the previous slot's tick admitted these for
-        // this slot — the gate's only input.
-        if let Some(adm) = eng.admission.as_ref() {
-            merge_ascending(live, &adm.admitted);
-            for &i in &adm.admitted {
-                entered[i] = true;
-            }
-        }
-
-        *slots_run = slot + 1;
-        let cap = eng.capacity.capacity(slot);
-        let bs_cap_units = faults.adjust_cap_units(slot, eng.units.bs_cap_units(cap, eng.cfg.tau));
-        rec.begin_slot(slot, bs_cap_units);
-        if faults.enabled() && rec.enabled() {
-            fault_notes.clear();
-            faults.notes_into(slot, fault_notes);
-            for note in fault_notes.iter() {
-                rec.record_fault(note);
-            }
-        }
-        eng.receiver.ingest_slot(slot);
-
-        // Client-side slot advance (Eq. 7/8) and ground-truth state.
-        // Every live user has arrived (the gate above), and each user's
-        // signal block is anchored at their final arrival slot: a user
-        // entering at slot `a` refills at `a`, `a + 32`, …, so the
-        // window is always current and pre-arrival slots draw no
-        // samples at all.
-        for &i in live.iter() {
-            let u = &mut eng.users[i];
-            debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
-            let block_off = ((slot - u.arrival_slot) % SIG_BLOCK_SLOTS as u64) as usize;
-            if block_off == 0 {
-                u.signal.sample_into(slot, &mut u.sig_block);
-                u.sig_samples += SIG_BLOCK_SLOTS as u64;
-                if tables_enabled {
-                    // One batch-kernel pass per block: the next
-                    // SIG_BLOCK_SLOTS slots read pure table entries.
-                    eng.collector
-                        .link_caps_into(&u.sig_block, v_scratch, &mut u.cap_block);
-                }
-            }
-            u.cur_signal = u.sig_block[block_off];
-            if tables_enabled {
-                cap_hint[i] = u.cap_block[block_off];
-            }
-            if faults.enabled() {
-                // Faults perturb state, never RNG streams: the raw
-                // sample above already advanced the generator.
-                u.cur_signal = faults.adjust_signal(slot, i, u.cur_signal);
-            }
-            // Gateway-advertised demand: the ABR rung rate when
-            // clients are installed (single-rung = the native rate,
-            // bitwise), else the declared/session rate.
-            let abr_rate = eng.abr.as_ref().map(|a| a.clients[i].rate_kbps);
-            if slot >= u.departure_slot || (faults.enabled() && faults.departed(slot, i)) {
-                // Mid-stream departure — workload churn or the fault
-                // taxonomy's perturbation form: the client abandons
-                // playback and the origin stops fetching for them.
-                // Both calls are idempotent, so the latched window
-                // check is safe to re-apply every slot, and a
-                // `u64::MAX` departure slot leaves the run untouched.
-                u.session.cancel_remaining();
-                u.playback.abandon();
-            }
-            let outcome = u.playback.begin_slot();
-            if outcome.active {
-                u.active_slots += 1;
-            }
-            raw[i] = RawUserState {
-                signal: u.cur_signal,
-                rate_kbps: abr_rate.unwrap_or_else(|| {
-                    u.declared_rate_kbps
-                        .unwrap_or_else(|| u.session.rate_at(slot))
-                }),
-                buffer_s: outcome.occupancy_s,
-                remaining_kb: u.session.remaining_kb(),
-                active: outcome.active,
-                idle_s: u.rrc.idle_seconds(),
-                rrc_state: u.rrc.state(),
-            };
-        }
-
-        // Gateway pipeline (all writes go into the reused buffers).
-        // The noise-free collector only recomputes live entries; the
-        // first slot (and a noisy collector, whose RNG stream must
-        // stay per-user aligned) takes the full pass.
-        if collector_full_pass || snapshots.len() != n_users {
-            if use_soa {
-                eng.collector
-                    .snapshot_into_soa(slot, raw.as_slice(), snapshots, soa);
-            } else {
-                eng.collector.snapshot_into(slot, raw.as_slice(), snapshots);
-            }
-        } else {
-            eng.collector.snapshot_refresh_soa(
-                slot,
-                raw.as_slice(),
-                live.as_slice(),
-                tables_enabled.then_some(&cap_hint[..]),
-                snapshots,
-                use_soa.then_some(&mut *soa),
-            );
-        }
-        let ctx = SlotContext {
-            slot,
-            tau: eng.cfg.tau,
-            delta_kb: eng.cfg.delta_kb,
-            bs_cap_units,
-            users: snapshots.as_slice(),
-            soa: use_soa.then_some(&*soa),
+        let [sh] = shards.as_mut_slice() else {
+            unreachable!("a driver that is stepped holds one shard")
         };
-        if rec.enabled() {
-            let t0 = std::time::Instant::now();
-            eng.scheduler.allocate_into(&ctx, alloc);
-            rec.record_sched_latency_ns(t0.elapsed().as_nanos() as u64);
-            rec.record_alloc(&alloc.0);
-            if let Some(q) = eng.scheduler.queue_values() {
-                rec.record_queues(q);
-            }
-            let deg = eng.scheduler.degradations();
-            if !deg.is_empty() {
-                rec.record_degradations(deg);
-            }
-        } else {
-            eng.scheduler.allocate_into(&ctx, alloc);
-        }
-        eng.transmitter
-            .transmit_into(&ctx, &*alloc, &mut eng.receiver, deliveries);
-
-        // Device-side accounting (Eq. 3/4/5) and client delivery.
-        let mut slot_energy_mj = 0.0;
-        let mut in_system = 0u64;
-        fairness_scratch.clear();
-        let mut any_retired = false;
-        for &i in live.iter() {
-            let u = &mut eng.users[i];
-            debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
-            let d = &deliveries[i];
-            let r = &raw[i];
-            let slot_e = if d.kb > 0.0 {
-                let accepted = u.session.deliver(d.kb);
-                debug_assert!(
-                    (accepted - d.kb).abs() < 1e-6,
-                    "transmitter should never over-deliver"
-                );
-                // Client playback always advances by the *true*
-                // encoding rate regardless of what the gateway thinks
-                // — under ABR that is the rung rate (lower rungs
-                // stretch delivered KB into more playback seconds).
-                if let Some(a) = eng.abr.as_mut() {
-                    u.playback.deliver(accepted, a.clients[i].rate_kbps);
-                    let inp = AbrInputs {
-                        buffer_s: r.buffer_s,
-                        predicted_kbps: snapshots[i].link_cap_units as f64 * eng.cfg.delta_kb
-                            / eng.cfg.tau,
-                    };
-                    a.clients[i].on_delivery(
-                        accepted,
-                        u.session.fully_fetched(),
-                        &a.spec.ladder,
-                        &a.spec.policy,
-                        a.native[i],
-                        a.chunk_s,
-                        inp,
-                    );
-                } else {
-                    u.playback.deliver(accepted, u.session.rate_at(slot));
-                }
-                // One-deep memo of the Eq. (3) kernel: `P(sig)` is a
-                // pure function of the block-held RSSI, so this is the
-                // same product `transmission_energy` would compute.
-                if u.epk_sig.value() != u.cur_signal.value() {
-                    u.epk_per_kb = eng.models.power.energy_per_kb(u.cur_signal);
-                    u.epk_sig = u.cur_signal;
-                }
-                let e = MilliJoules(u.epk_per_kb * accepted);
-                if rec.enabled() {
-                    u.rrc
-                        .on_transmit_observed(|f, t| rec.record_rrc_transition(i, f, t));
-                } else {
-                    u.rrc.on_transmit();
-                }
-                u.meter.record_transmission(e);
-                e.value()
-            } else {
-                let e = if rec.enabled() {
-                    u.rrc
-                        .on_idle_observed(eng.cfg.tau, |f, t| rec.record_rrc_transition(i, f, t))
-                } else {
-                    u.rrc.on_idle(eng.cfg.tau)
-                };
-                u.meter.record_tail(e);
-                e.value()
-            };
-            slot_energy_mj += slot_e;
-            // Running E* estimate for admission feasibility: energy
-            // per arrived-and-watching user-slot (pre-update flag, so
-            // the finishing slot itself still counts).
-            if let Some(adm) = eng.admission.as_mut() {
-                if !done_watching[i] {
-                    adm.energy_mj += slot_e;
-                    adm.user_slots += 1;
-                }
-            }
-            rec.record_user(i, slot_e, u.playback.total_rebuffer_s());
-            // Fairness sample over users still fetching this slot.
-            // Every consumer of these samples (the per-slot Jain
-            // series and the windowed one) is behind `record_series`,
-            // so plain sweeps skip the divide entirely.
-            if eng.cfg.record_series && r.remaining_kb > 0.0 {
-                let need_kb = (eng.cfg.tau * r.rate_kbps).min(r.remaining_kb);
-                if need_kb > 0.0 {
-                    fairness_scratch.push(d.kb / need_kb);
-                    window_delivered[i] += d.kb;
-                    window_need[i] += need_kb;
-                }
-            }
-            if !done_watching[i] && u.session.fully_fetched() && u.playback.playback_complete() {
-                done_watching[i] = true;
-                *watching -= 1;
-                // Membership event point: the user leaves the admission
-                // tick's active population for good (`done_watching`
-                // never un-flips), so the incremental aggregates shed
-                // them here and never again.
-                if let Some(adm) = eng.admission.as_mut() {
-                    adm.n_active -= 1;
-                    adm.rate_sum -= adm.rates[i];
-                }
-            }
-            // Live-population sample for open-system telemetry:
-            // arrived and still watching after this slot's accounting
-            // (the count is only read through `record_live`, so the
-            // NullRecorder instantiation folds it away).
-            if rec.enabled() && !done_watching[i] {
-                in_system += 1;
-            }
-            // Retire once nothing remains to account: playback is over
-            // and the RRC tail has fully drained, so every further
-            // slot would charge exactly 0 mJ of tail energy.
-            if done_watching[i] && u.rrc.state() == RrcState::Idle {
-                retired[i] = true;
-                retired_at[i] = slot;
-                any_retired = true;
-            }
-        }
-        // Commit staged ABR switches in ascending user order: update
-        // the rung rate, re-price the unfetched tail of the session,
-        // and keep the receiver's origin-side volume bound in step.
-        // Only a delivery stages a switch, so the live list (not yet
-        // compacted) covers every user that can have one.
-        if let Some(a) = eng.abr.as_mut() {
-            for &i in live.iter() {
-                if let Some(sw) = a.clients[i].apply_pending(&a.spec.ladder, a.native[i]) {
-                    let delta = eng.users[i].session.rescale_remaining(sw.ratio);
-                    eng.receiver.adjust_source_volume_kb(i, delta);
-                    rec.record_abr_switch(i, sw.from, sw.to);
-                }
-            }
-        }
-        if any_retired {
-            // Order-preserving compaction keeps iteration (and FP
-            // summation) order identical to the reference loop.
-            live.retain(|&i| !retired[i]);
-        }
-
-        if eng.cfg.record_series {
-            if !fairness_scratch.is_empty() {
-                fairness_series.push(jain_index(fairness_scratch.as_slice()));
-            }
-            power_series_j.push(slot_energy_mj / 1000.0);
-            if (slot + 1).is_multiple_of(FAIR_WINDOW) {
-                fairness_scratch.clear();
-                for i in 0..n_users {
-                    if window_need[i] > 0.0 {
-                        fairness_scratch.push(window_delivered[i] / window_need[i]);
-                    }
-                }
-                if !fairness_scratch.is_empty() {
-                    fairness_window_series.push(jain_index(fairness_scratch.as_slice()));
-                }
-                window_delivered.fill(0.0);
-                window_need.fill(0.0);
-            }
-        }
-        if rec.enabled() {
-            rec.record_live(in_system);
-        }
-        // Rule on arrivals planned for the next slot, now that this
-        // slot's capacity and energy accounting are final.
-        if let Some(adm) = eng.admission.as_mut() {
-            admission_tick(
-                adm,
-                &mut eng.users,
-                done_watching,
-                watching,
-                rec,
-                slot,
-                bs_cap_units,
-                eng.cfg.tau,
-                eng.cfg.delta_kb,
-            );
-        }
-        rec.end_slot();
-
+        let mut c = cols.all();
+        let primed = lp.rows_primed;
+        let rows = (use_soa && primed).then(|| soa.rows_mut());
+        phase_a(eng, mode, primed, faults, slot, sh, &mut c, rows);
+        let mirror = use_soa.then_some(&mut *soa);
+        let one = std::slice::from_mut(sh);
+        phase_b(eng, lp, mode, faults, slot, one, &mut c, mirror, rec);
+        phase_c(eng, mode, slot, &lp.deliveries, &mut one[0], &mut c);
+        self.finished = phase_d(eng, lp, mode, slot, one, &mut c, rec);
         self.next_slot = slot + 1;
-        // The batch loop's exit conditions: nothing left to schedule,
-        // watch, or drain — or the horizon was reached.
-        if self.watching == 0 || self.next_slot >= self.engine.cfg.slots {
-            self.finished = true;
-        }
         Some(slot)
     }
 
-    /// Settle end-of-run accounting and fold the final [`SimResult`] —
-    /// the driver form of the batch loop's epilogue. Callable at any
-    /// point; finishing early yields the result of the slots run so
-    /// far.
+    /// Run to the end with the per-shard phases spread over `pool`:
+    /// participant `p` owns shard `p`, everyone meets at a
+    /// [`SpinBarrier`] after each phase, and participant 0 runs the two
+    /// serial phases while the others wait. One broadcast for the whole
+    /// run: participants stay resident and pay four barrier crossings a
+    /// slot instead of a dispatch.
+    ///
+    /// The phase functions are [`SlotDriver::step`]'s; what differs is
+    /// how each gets its arguments. For the length of the broadcast the
+    /// driver's state is lent to a [`Lockstep`], whose two `unsafe fn`s
+    /// carve a phase's borrows out of it — the only `unsafe` in this
+    /// file.
+    fn run_lockstep<R: SlotRecorder + Send>(&mut self, pool: &WorkerPool, rec: &mut R)
+    where
+        F: Sync,
+    {
+        let width = self.shards.len();
+        let n_users = self.cols.users.len();
+        let mode = self.mode_for(rec);
+        let first_slot = self.next_slot;
+        let use_soa = self.use_soa;
+        let Self {
+            engine: eng,
+            faults,
+            lp,
+            cols,
+            shards,
+            soa,
+            ..
+        } = self;
+        let faults = &*faults;
+        if use_soa && !lp.rows_primed {
+            // The row views carved below need the columns in place.
+            soa.resize(n_users);
+        }
+        let shared = Lockstep {
+            ranges: shards.iter().map(|sh| sh.range.clone()).collect(),
+            units: (0..width).map(|p| p..p + 1).collect(),
+            whole: 0..n_users,
+            every_shard: 0..width,
+            soa_rows: use_soa.then(|| soa.rows()),
+            users: SharedSlice::new(&mut cols.users),
+            abr: SharedSlice::new(&mut cols.abr),
+            raw: SharedSlice::new(&mut cols.raw),
+            snaps: SharedSlice::new(&mut cols.snaps),
+            staged: SharedSlice::new(&mut cols.staged),
+            done: SharedSlice::new(&mut cols.done),
+            retired: SharedSlice::new(&mut cols.retired),
+            retired_at: SharedSlice::new(&mut cols.retired_at),
+            shards: SharedSlice::new(shards),
+            serial: PhaseCell::new((eng, lp, soa, rec)),
+        };
+        let barrier = SpinBarrier::new(width);
+        let quit = AtomicBool::new(false);
+        pool.broadcast(width, &|p| {
+            for slot in first_slot.. {
+                {
+                    // SAFETY: per-shard phase — shard `p` and its rows
+                    // are this participant's until the barrier below,
+                    // and nobody writes the serial state.
+                    let ((eng, lp, ..), sh, mut c, rows) = unsafe { shared.shard(p) };
+                    phase_a(eng, mode, lp.rows_primed, faults, slot, sh, &mut c, rows);
+                }
+                barrier.wait();
+                if p == 0 {
+                    // SAFETY: serial phase — every other participant is
+                    // parked at the barrier below.
+                    let ((eng, lp, soa, rec), shards, mut c) = unsafe { shared.serial() };
+                    let mirror = use_soa.then_some(&mut **soa);
+                    phase_b(eng, lp, mode, faults, slot, shards, &mut c, mirror, *rec);
+                }
+                barrier.wait();
+                {
+                    // SAFETY: per-shard phase, as in A.
+                    let ((eng, lp, ..), sh, mut c, _) = unsafe { shared.shard(p) };
+                    phase_c(eng, mode, slot, &lp.deliveries, sh, &mut c);
+                }
+                barrier.wait();
+                if p == 0 {
+                    // SAFETY: serial phase, as in B.
+                    let ((eng, lp, _, rec), shards, mut c) = unsafe { shared.serial() };
+                    if phase_d(eng, lp, mode, slot, shards, &mut c, *rec) {
+                        quit.store(true, Ordering::Release);
+                    }
+                }
+                barrier.wait();
+                if quit.load(Ordering::Acquire) {
+                    break;
+                }
+            }
+        });
+        self.next_slot = self.lp.slots_run;
+        self.finished = true;
+    }
+
+    /// Settle end-of-run accounting and fold the final [`SimResult`].
+    /// Callable at any point; finishing early yields the result of the
+    /// slots run so far.
     pub fn finish<R: SlotRecorder>(self, rec: &mut R) -> SimResult {
         rec.end_run();
         let Self {
             mut engine,
-            fairness_series,
-            fairness_window_series,
-            power_series_j,
-            slots_run,
-            retired,
-            retired_at,
+            lp,
+            cols: mut c,
             ..
         } = self;
         // Settle the idle slots the retired users sat out: each would
         // have recorded a zero-energy tail slot per remaining loop
         // iteration.
-        for i in 0..engine.users.len() {
-            if retired[i] {
-                engine.users[i]
-                    .meter
-                    .record_saturated_idle_slots(slots_run - 1 - retired_at[i]);
+        for (u, (&retired, &at)) in c.users.iter_mut().zip(c.retired.iter().zip(&c.retired_at)) {
+            if retired {
+                u.meter.record_saturated_idle_slots(lp.slots_run - 1 - at);
             }
         }
+        engine.users = c.users;
         let mut result = engine.finish(
-            slots_run,
-            fairness_series,
-            fairness_window_series,
-            power_series_j,
+            lp.slots_run,
+            lp.fairness_series,
+            lp.fairness_window_series,
+            lp.power_series_j,
         );
         result.telemetry = rec.summary();
         result
     }
+}
+
+/// What the serial phases own in a lockstep run: the engine, the
+/// loop-carried state, the SoA mirror and the recorder.
+type Serial<'a, R> = (
+    &'a mut Engine,
+    &'a mut LoopState,
+    &'a mut SnapshotSoA,
+    &'a mut R,
+);
+
+/// A driver's state as lockstep participants share it: raw views of the
+/// columns and shard states, the serial state behind a [`PhaseCell`].
+/// Borrowed from the driver for the length of the broadcast, during
+/// which nothing reaches that state except through the two carves here —
+/// a per-shard phase's (`shard`) and a serial phase's (`serial`), which
+/// is the same carve over the one-shard partition.
+struct Lockstep<'a, R> {
+    /// `ranges[p]` is shard `p`'s user-id range; `units[p]` its place in
+    /// `shards`.
+    ranges: Vec<Range<usize>>,
+    units: Vec<Range<usize>>,
+    /// Every user and every shard: the one-shard partitions.
+    whole: Range<usize>,
+    every_shard: Range<usize>,
+    soa_rows: Option<SoaRows>,
+    users: SharedSlice<UserSim>,
+    /// Empty on fixed-bitrate runs.
+    abr: SharedSlice<AbrClient>,
+    raw: SharedSlice<RawUserState>,
+    snaps: SharedSlice<UserSnapshot>,
+    staged: SharedSlice<(f64, f64)>,
+    done: SharedSlice<bool>,
+    retired: SharedSlice<bool>,
+    retired_at: SharedSlice<u64>,
+    shards: SharedSlice<ShardState>,
+    serial: PhaseCell<Serial<'a, R>>,
+}
+
+impl<'a, R> Lockstep<'a, R> {
+    /// Rows `ranges[p]` of every column.
+    ///
+    /// # Safety
+    /// As [`SharedSlice::shard_mut`], for every column at once.
+    unsafe fn cols(&self, ranges: &[Range<usize>], p: usize) -> Cols<'_> {
+        Cols {
+            base: ranges[p].start,
+            users: self.users.shard_mut(ranges, p),
+            abr: match self.abr.is_empty() {
+                true => &mut [],
+                false => self.abr.shard_mut(ranges, p),
+            },
+            raw: self.raw.shard_mut(ranges, p),
+            snaps: self.snaps.shard_mut(ranges, p),
+            staged: self.staged.shard_mut(ranges, p),
+            done: self.done.shard_mut(ranges, p),
+            retired: self.retired.shard_mut(ranges, p),
+            retired_at: self.retired_at.shard_mut(ranges, p),
+        }
+    }
+
+    /// Participant `p`'s arguments for a per-shard phase: the serial
+    /// state to read, shard `p`, its rows of every column and of the SoA
+    /// mirror.
+    ///
+    /// # Safety
+    /// Between two barrier crossings where every participant calls this
+    /// with its own `p` (or nothing at all), and drops what it got
+    /// before the second.
+    #[allow(clippy::type_complexity, clippy::mut_from_ref)]
+    unsafe fn shard(
+        &self,
+        p: usize,
+    ) -> (
+        &Serial<'a, R>,
+        &mut ShardState,
+        Cols<'_>,
+        Option<SoaRowsMut<'_>>,
+    ) {
+        let rows = self
+            .soa_rows
+            .as_ref()
+            .map(|s| s.shard(self.ranges[p].clone()));
+        let sh = &mut self.shards.shard_mut(&self.units, p)[0];
+        (self.serial.get(), sh, self.cols(&self.ranges, p), rows)
+    }
+
+    /// Participant 0's arguments for a serial phase: all of it.
+    ///
+    /// # Safety
+    /// Between two barrier crossings where no other participant touches
+    /// the shared state, and what it returns is dropped before the
+    /// second.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn serial(&self) -> (&mut Serial<'a, R>, &mut [ShardState], Cols<'_>) {
+        use std::slice::from_ref;
+        (
+            self.serial.get_mut(),
+            self.shards.shard_mut(from_ref(&self.every_shard), 0),
+            self.cols(from_ref(&self.whole), 0),
+        )
+    }
+}
+
+/// Phase A, per shard: the arrival gate, then for every live user of the
+/// shard the radio sample (block-drawn, per-block Eq. (1) cap table),
+/// the Eq. (7)/(8) playback advance and the ground-truth row — and, for a
+/// pass-through collector whose first full pass is behind it (`primed`),
+/// the snapshot and SoA rows the scheduler will read. Touches only this
+/// shard's state and rows; makes no recorder call, so where it runs
+/// relative to the other shards' phase A cannot show.
+#[allow(clippy::too_many_arguments)]
+fn phase_a<F: FaultHook>(
+    eng: &Engine,
+    mode: Mode,
+    primed: bool,
+    faults: &F,
+    slot: u64,
+    sh: &mut ShardState,
+    c: &mut Cols<'_>,
+    mut soa: Option<SoaRowsMut<'_>>,
+) {
+    // Admit due arrivals: pop every entry due by this slot. An entry a
+    // live reschedule left behind (the user entered already, or now
+    // arrives later under a fresh entry) is dropped.
+    while let Some(&Reverse((due, i))) = sh.arrival_queue.peek() {
+        if due > slot {
+            break;
+        }
+        sh.arrival_queue.pop();
+        // Live membership never regresses — a user only leaves a live
+        // list by retiring — so "entered" is "live or retired".
+        let k = i - c.base;
+        let entered = c.retired[k] || sh.live.binary_search(&i).is_ok();
+        if !entered && c.users[k].arrival_slot <= slot {
+            merge_ascending(&mut sh.live, &[i]);
+        }
+    }
+    // Under admission the previous slot's tick admitted these for this
+    // slot — the gate's only input; the shard takes those in its range.
+    if let Some(adm) = eng.admission.as_ref() {
+        let from = adm.admitted.partition_point(|&i| i < sh.range.start);
+        let to = adm.admitted.partition_point(|&i| i < sh.range.end);
+        merge_ascending(&mut sh.live, &adm.admitted[from..to]);
+    }
+
+    let cfg = eng.cfg;
+    for &i in &sh.live {
+        let k = i - c.base;
+        let u = &mut c.users[k];
+        debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
+        // Each user's signal block is anchored at their final arrival
+        // slot: a user entering at slot `a` refills at `a`, `a + 32`, …,
+        // so the window is always current and pre-arrival slots draw no
+        // samples at all.
+        let block_off = ((slot - u.arrival_slot) % SIG_BLOCK_SLOTS as u64) as usize;
+        if block_off == 0 {
+            u.signal.sample_into(slot, &mut u.sig_block);
+            u.sig_samples += SIG_BLOCK_SLOTS as u64;
+            if mode.tables {
+                // One batch-kernel pass per block: the next
+                // SIG_BLOCK_SLOTS slots read pure table entries.
+                eng.collector
+                    .link_caps_into(&u.sig_block, &mut sh.v_scratch, &mut u.cap_block);
+            }
+        }
+        u.cur_signal = u.sig_block[block_off];
+        if faults.enabled() {
+            // Faults perturb state, never RNG streams: the raw sample
+            // above already advanced the generator.
+            u.cur_signal = faults.adjust_signal(slot, i, u.cur_signal);
+        }
+        if slot >= u.departure_slot || (faults.enabled() && faults.departed(slot, i)) {
+            // Mid-stream departure — workload churn or the fault
+            // taxonomy's perturbation form: the client abandons playback
+            // and the origin stops fetching for them. Both calls are
+            // idempotent, so the latched window check is safe to
+            // re-apply every slot, and a `u64::MAX` departure slot
+            // leaves the run untouched.
+            u.session.cancel_remaining();
+            u.playback.abandon();
+        }
+        let outcome = u.playback.begin_slot();
+        if outcome.active {
+            u.active_slots += 1;
+        }
+        let r = RawUserState {
+            signal: u.cur_signal,
+            // Gateway-advertised demand: the ABR rung rate when clients
+            // are installed (single-rung = the native rate, bitwise),
+            // else the declared/session rate.
+            rate_kbps: match c.abr.get(k) {
+                Some(client) => client.rate_kbps,
+                None => u
+                    .declared_rate_kbps
+                    .unwrap_or_else(|| u.session.rate_at(slot)),
+            },
+            buffer_s: outcome.occupancy_s,
+            remaining_kb: u.session.remaining_kb(),
+            active: outcome.active,
+            idle_s: u.rrc.idle_seconds(),
+            rrc_state: u.rrc.state(),
+        };
+        if mode.pass_through && primed {
+            // The collector's row verbatim: report = truth, Eq. (1) from
+            // the table (or the scalar kernel the table batches).
+            let link_cap = match mode.tables {
+                true => u.cap_block[block_off],
+                false => eng.collector.link_cap(r.signal),
+            };
+            let snap = r.as_reported(i, r.signal, link_cap);
+            if let Some(rows) = soa.as_mut() {
+                rows.set_row(&snap, cfg.tau, cfg.delta_kb);
+            }
+            c.snaps[k] = snap;
+        }
+        c.raw[k] = r;
+    }
+}
+
+/// Phase B, serial: the one Eq. (2) budget (fault-adjusted), origin
+/// ingest, the collector pass for a collector that is not pass-through
+/// (its report cache and noise stream run in global user order), one
+/// scheduler call over every row, and the transmitter moving bytes.
+#[allow(clippy::too_many_arguments)]
+fn phase_b<R: SlotRecorder, F: FaultHook>(
+    eng: &mut Engine,
+    lp: &mut LoopState,
+    mode: Mode,
+    faults: &F,
+    slot: u64,
+    shards: &[ShardState],
+    c: &mut Cols<'_>,
+    mut soa: Option<&mut SnapshotSoA>,
+    rec: &mut R,
+) {
+    let cfg = eng.cfg;
+    lp.slots_run = slot + 1;
+    let cap = eng.capacity.capacity(slot);
+    lp.bs_cap_units = faults.adjust_cap_units(slot, eng.units.bs_cap_units(cap, cfg.tau));
+    rec.begin_slot(slot, lp.bs_cap_units);
+    if faults.enabled() && mode.rec_enabled {
+        lp.fault_notes.clear();
+        faults.notes_into(slot, &mut lp.fault_notes);
+        for note in &lp.fault_notes {
+            rec.record_fault(note);
+        }
+    }
+    eng.receiver.ingest_slot(slot);
+
+    if !lp.rows_primed || eng.collector.needs_full_pass() {
+        // The first slot — and every slot of a noisy collector, whose
+        // RNG stream must stay per-user aligned — rebuilds every row
+        // (and sizes the mirror).
+        eng.collector.snapshot_rows(slot, c.raw, c.snaps);
+        if let Some(soa) = soa.as_deref_mut() {
+            soa.fill_from(c.snaps, cfg.tau, cfg.delta_kb);
+        }
+        lp.rows_primed = true;
+    } else if !mode.pass_through {
+        // A collector that only holds reports refreshes the live rows.
+        for sh in shards {
+            eng.collector
+                .snapshot_refresh(slot, c.raw, &sh.live, c.snaps);
+            if let Some(soa) = soa.as_deref_mut() {
+                for &i in &sh.live {
+                    soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
+                }
+            }
+        }
+    }
+    if let Some(soa) = soa.as_deref_mut() {
+        // The shard lists in shard order are the rows a sweep has to
+        // visit; every other row has no demand left.
+        soa.set_live_rows(shards.iter().flat_map(|sh| sh.live.iter().copied()));
+    }
+
+    let ctx = SlotContext {
+        slot,
+        tau: cfg.tau,
+        delta_kb: cfg.delta_kb,
+        bs_cap_units: lp.bs_cap_units,
+        users: c.snaps,
+        soa: soa.as_deref(),
+    };
+    if mode.rec_enabled {
+        let t0 = std::time::Instant::now();
+        eng.scheduler.allocate_into(&ctx, &mut lp.alloc);
+        rec.record_sched_latency_ns(t0.elapsed().as_nanos() as u64);
+        rec.record_alloc(&lp.alloc.0);
+        if let Some(q) = eng.scheduler.queue_values() {
+            rec.record_queues(q);
+        }
+        let deg = eng.scheduler.degradations();
+        if !deg.is_empty() {
+            rec.record_degradations(deg);
+        }
+    } else {
+        eng.scheduler.allocate_into(&ctx, &mut lp.alloc);
+    }
+    eng.transmitter
+        .transmit_into(&ctx, &lp.alloc, &mut eng.receiver, &mut lp.deliveries);
+}
+
+/// Phase C, per shard: client delivery and device accounting (Eq. 3/4/5)
+/// for the shard's live users, ABR decisions staged per user. Whatever
+/// phase D must fold in global user order is staged, not emitted: the
+/// slot's energy and running rebuffering per user, RRC transitions, `done`
+/// flips.
+fn phase_c(
+    eng: &Engine,
+    mode: Mode,
+    slot: u64,
+    deliveries: &[Delivery],
+    sh: &mut ShardState,
+    c: &mut Cols<'_>,
+) {
+    let cfg = eng.cfg;
+    sh.watching_dec = 0;
+    sh.in_system = 0;
+    sh.events.clear();
+    sh.flips.clear();
+    for &i in &sh.live {
+        let k = i - c.base;
+        let u = &mut c.users[k];
+        debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
+        let d = &deliveries[i];
+        let events = &mut sh.events;
+        let slot_e = if d.kb > 0.0 {
+            let accepted = u.session.deliver(d.kb);
+            debug_assert!(
+                (accepted - d.kb).abs() < 1e-6,
+                "transmitter should never over-deliver"
+            );
+            // Client playback always advances by the *true* encoding
+            // rate regardless of what the gateway thinks — under ABR
+            // that is the rung rate (lower rungs stretch delivered KB
+            // into more playback seconds).
+            if let (Some(a), Some(client)) = (eng.abr.as_ref(), c.abr.get_mut(k)) {
+                u.playback.deliver(accepted, client.rate_kbps);
+                let inp = AbrInputs {
+                    buffer_s: c.raw[k].buffer_s,
+                    predicted_kbps: c.snaps[k].link_cap_units as f64 * cfg.delta_kb / cfg.tau,
+                };
+                client.on_delivery(
+                    accepted,
+                    u.session.fully_fetched(),
+                    &a.spec.ladder,
+                    &a.spec.policy,
+                    a.native[i],
+                    a.chunk_s,
+                    inp,
+                );
+            } else {
+                u.playback.deliver(accepted, u.session.rate_at(slot));
+            }
+            // One-deep memo of the Eq. (3) kernel: `P(sig)` is a pure
+            // function of the block-held RSSI, so this is the same
+            // product `transmission_energy` would compute.
+            if u.epk_sig.value() != u.cur_signal.value() {
+                u.epk_per_kb = eng.models.power.energy_per_kb(u.cur_signal);
+                u.epk_sig = u.cur_signal;
+            }
+            let e = MilliJoules(u.epk_per_kb * accepted);
+            if mode.rec_enabled {
+                u.rrc.on_transmit_observed(|f, t| events.push((i, f, t)));
+            } else {
+                u.rrc.on_transmit();
+            }
+            u.meter.record_transmission(e);
+            e.value()
+        } else {
+            let e = if mode.rec_enabled {
+                u.rrc
+                    .on_idle_observed(cfg.tau, |f, t| events.push((i, f, t)))
+            } else {
+                u.rrc.on_idle(cfg.tau)
+            };
+            u.meter.record_tail(e);
+            e.value()
+        };
+        if mode.staged {
+            c.staged[k] = (slot_e, u.playback.total_rebuffer_s());
+        }
+        if !c.done[k] && u.session.fully_fetched() && u.playback.playback_complete() {
+            c.done[k] = true;
+            sh.watching_dec += 1;
+            if eng.admission.is_some() {
+                sh.flips.push(i);
+            }
+        }
+        // Live-population sample for open-system telemetry: arrived and
+        // still watching after this slot's accounting.
+        if mode.rec_enabled && !c.done[k] {
+            sh.in_system += 1;
+        }
+        // Retire once nothing remains to account: playback is over and
+        // the RRC tail has fully drained, so every further slot would
+        // charge exactly 0 mJ of tail energy.
+        if c.done[k] && u.rrc.state() == RrcState::Idle {
+            c.retired[k] = true;
+            c.retired_at[k] = slot;
+            sh.any_retired = true;
+        }
+    }
+}
+
+/// Phase D, serial: replay what phase C staged, shard by shard and user
+/// by user — which is ascending user order, the order a single loop over
+/// all users emits in — so every recorder call, every floating-point
+/// fold (slot energy, E*, `rate_sum`, the fairness series) and every
+/// admission ruling happens exactly as it would without shards. Then the
+/// ABR commits, live-list compaction and the end-of-slot admission tick.
+/// Returns true once the run is over.
+fn phase_d<R: SlotRecorder>(
+    eng: &mut Engine,
+    lp: &mut LoopState,
+    mode: Mode,
+    slot: u64,
+    shards: &mut [ShardState],
+    c: &mut Cols<'_>,
+    rec: &mut R,
+) -> bool {
+    const FAIR_WINDOW: u64 = 10;
+    let cfg = eng.cfg;
+    let mut in_system = 0u64;
+    if mode.staged {
+        let mut slot_energy_mj = 0.0;
+        lp.fairness_scratch.clear();
+        for sh in shards.iter() {
+            // Phase C pushed events and flips in this same live order,
+            // so one cursor each finds a user's entries.
+            let (mut ev, mut fl) = (0usize, 0usize);
+            for &i in &sh.live {
+                // RRC transitions precede the user record.
+                while let Some(&(_, f, t)) = sh.events.get(ev).filter(|e| e.0 == i) {
+                    rec.record_rrc_transition(i, f, t);
+                    ev += 1;
+                }
+                let (slot_e, rebuffer_s) = c.staged[i];
+                slot_energy_mj += slot_e;
+                if let Some(adm) = eng.admission.as_mut() {
+                    let flipped = sh.flips.get(fl) == Some(&i);
+                    // Running E* estimate for admission feasibility:
+                    // energy per arrived-and-watching user-slot, by the
+                    // pre-flip flag, so the finishing slot still counts.
+                    if !c.done[i] || flipped {
+                        adm.energy_mj += slot_e;
+                        adm.user_slots += 1;
+                    }
+                    // Membership event point: the user leaves the tick's
+                    // active population for good (`done` never un-flips).
+                    if flipped {
+                        fl += 1;
+                        adm.n_active -= 1;
+                        adm.rate_sum -= adm.rates[i];
+                    }
+                }
+                rec.record_user(i, slot_e, rebuffer_s);
+                // Fairness sample over users still fetching this slot.
+                let r = &c.raw[i];
+                if cfg.record_series && r.remaining_kb > 0.0 {
+                    let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
+                    if need_kb > 0.0 {
+                        lp.fairness_scratch.push(lp.deliveries[i].kb / need_kb);
+                        lp.window_delivered[i] += lp.deliveries[i].kb;
+                        lp.window_need[i] += need_kb;
+                    }
+                }
+            }
+            in_system += sh.in_system;
+        }
+        if cfg.record_series {
+            if !lp.fairness_scratch.is_empty() {
+                lp.fairness_series.push(jain_index(&lp.fairness_scratch));
+            }
+            lp.power_series_j.push(slot_energy_mj / 1000.0);
+            if (slot + 1).is_multiple_of(FAIR_WINDOW) {
+                lp.fairness_scratch.clear();
+                for (need, delivered) in lp.window_need.iter().zip(&lp.window_delivered) {
+                    if *need > 0.0 {
+                        lp.fairness_scratch.push(delivered / need);
+                    }
+                }
+                if !lp.fairness_scratch.is_empty() {
+                    lp.fairness_window_series
+                        .push(jain_index(&lp.fairness_scratch));
+                }
+                lp.window_delivered.fill(0.0);
+                lp.window_need.fill(0.0);
+            }
+        }
+    }
+    for sh in shards.iter_mut() {
+        // Folded before the admission tick so a rejection decrements an
+        // up-to-date watch count.
+        lp.watching -= sh.watching_dec;
+        // Commit staged ABR switches in ascending user order: update the
+        // rung rate, re-price the unfetched tail of the session, and keep
+        // the receiver's origin-side volume bound in step. Only a
+        // delivery stages a switch, so the live list (not yet compacted)
+        // covers every user that can have one.
+        if let Some(a) = eng.abr.as_ref() {
+            for &i in &sh.live {
+                if let Some(sw) = c.abr[i].apply_pending(&a.spec.ladder, a.native[i]) {
+                    let delta = c.users[i].session.rescale_remaining(sw.ratio);
+                    eng.receiver.adjust_source_volume_kb(i, delta);
+                    rec.record_abr_switch(i, sw.from, sw.to);
+                }
+            }
+        }
+        if std::mem::take(&mut sh.any_retired) {
+            sh.live.retain(|&i| !c.retired[i]);
+        }
+    }
+    if mode.rec_enabled {
+        rec.record_live(in_system);
+    }
+    // Rule on arrivals planned for the next slot, now that this slot's
+    // capacity and energy accounting are final.
+    if let Some(adm) = eng.admission.as_mut() {
+        admission_tick(
+            adm,
+            c.users,
+            c.done,
+            &mut lp.watching,
+            rec,
+            slot,
+            lp.bs_cap_units,
+            cfg.tau,
+            cfg.delta_kb,
+        );
+    }
+    rec.end_slot();
+    // Nothing left to schedule, watch or drain — or the horizon.
+    lp.watching == 0 || slot + 1 >= cfg.slots
 }
 
 /// The planned arrivals due after `after`, ascending `(slot, user)` —
@@ -3113,8 +2814,7 @@ fn admission_apply(
 /// estimates *as they would be with the candidate admitted* (candidates
 /// this pass already admitted count toward later candidates' load).
 ///
-/// Runs in the serial end-of-slot region of every loop (the driver's
-/// step, the sharded loop's phase D), right before `end_slot`, so the
+/// Runs at the end of phase D, right before `end_slot`, so the
 /// decision uses the slot's final capacity and energy accounting and its
 /// records land on the decision slot. Each candidate costs O(1): the
 /// active population is read off the incrementally maintained

@@ -23,11 +23,21 @@
 //! (per-cell staleness tracking across a changing membership is not
 //! meaningful); scenario-level collector settings are ignored and
 //! documented as such.
+//!
+//! A slot is three phase functions, written once: `mc_ground_truth`
+//! (serial), `mc_cell_phase` (once per cell, independent of the other
+//! cells) and `mc_accounting` (serial, and the only one that talks to
+//! the recorder). `run` calls them back to back over every cell;
+//! `run_parallel` calls the same three from one resident pool broadcast,
+//! each participant taking a contiguous range of cells, a barrier after
+//! each phase. A lane stages what its cell decided (grants, deliveries,
+//! scheduler latency), and the accounting phase replays it in cell order,
+//! so both callers produce the same bytes.
 
 use crate::engine::SIG_BLOCK_SLOTS;
 use crate::error::{ScenarioError, SimError};
-use crate::faults::{FaultHook, NoFaults};
-use crate::pool::{PhaseCell, SpinBarrier, WorkerPool};
+use crate::faults::{FaultHook, FaultPlan, NoFaults};
+use crate::pool::{PhaseCell, SharedSlice, SpinBarrier, WorkerPool};
 use crate::results::{SimResult, UserResult};
 use crate::scenario::Scenario;
 use crate::telemetry::{NullRecorder, SlotRecorder, SlotTrace, TraceRecorder};
@@ -42,6 +52,8 @@ use jmso_radio::{Dbm, EnergyMeter, KbPerSec, PowerModel, RrcMachine, ThroughputM
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::slice::from_ref;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Configuration of a multi-cell run. Radio/media/scheduler parameters are
@@ -104,26 +116,33 @@ fn mc_abr_setup(
     (Some((spec.clone(), chunk_s, native)), clients)
 }
 
-/// One cell's private scheduling state: everything a stripe participant
-/// touches during the parallel phase without synchronization.
+/// One cell's private scheduling state: everything the cell phase
+/// touches for that cell, and what it stages for the accounting phase.
 struct Lane {
     scheduler: Box<dyn Scheduler>,
     capacity: Box<dyn CapacityModel>,
     /// Persistent all-users snapshot buffer (empty until the slot-0
-    /// build, exactly like the serial path's lazy `cell_snaps`).
+    /// build).
     snaps: Vec<UserSnapshot>,
     soa: SnapshotSoA,
     /// Cached `scheduler.wants_soa()`: the mirror is maintained only for
-    /// policies that read it (see the serial path's `use_soa`).
+    /// policies that read it.
     use_soa: bool,
     alloc: Allocation,
+    /// The slot's Eq. (2) budget for this cell, units. Capacity models
+    /// may be stateful, so each is sampled exactly once per slot.
     cap_units: u64,
+    /// `(member, KB)` this cell delivers this slot, ascending by member;
+    /// a user is attached to exactly one cell, so the lanes' lists never
+    /// name the same user twice.
+    delivered: Vec<(usize, f64)>,
+    /// Wall-clock cost of this slot's scheduler call (traced runs only).
+    sched_ns: u64,
 }
 
-/// The shared simulation state of a parallel multicell run: per-user
-/// ground truth, client/radio device state, mobility, and series
-/// accumulators. Mutated only in serial phases (participant 0), read by
-/// every stripe during the parallel phase.
+/// The shared simulation state of a multicell run: per-user ground
+/// truth, client/radio device state, mobility, and series accumulators.
+/// Written by the two serial phases, read by every cell phase.
 struct MobileUsers {
     signals: Vec<SignalKind>,
     sessions: Vec<VideoSession>,
@@ -132,6 +151,8 @@ struct MobileUsers {
     meters: Vec<EnergyMeter>,
     active_slots: Vec<u64>,
     attached: Vec<usize>,
+    /// `members[c]` mirrors `attached` as a sorted index list, so
+    /// per-cell work scales with cell population.
     members: Vec<Vec<usize>>,
     mobility: StdRng,
     handovers: u64,
@@ -141,12 +162,31 @@ struct MobileUsers {
     caps: Vec<u64>,
     occupancy: Vec<f64>,
     active_now: Vec<bool>,
+    /// Block-sampled RSSI plus (fault-free only) the per-block Eq. (1)
+    /// cap tables, exactly as in the single-cell engine: the batch
+    /// kernels share the scalar per-element `kernel`s, so table reads
+    /// are bit-identical to the scalar calls they replace. The multicell
+    /// collector is always pass-through, so the only gate is fault
+    /// injection (faults perturb signals after the draw).
     sig_blocks: Vec<[Dbm; SIG_BLOCK_SLOTS]>,
     cap_blocks: Vec<[u64; SIG_BLOCK_SLOTS]>,
+    tables_enabled: bool,
     v_scratch: [f64; SIG_BLOCK_SLOTS],
     moved: Vec<(usize, usize)>,
+    /// KB delivered to each user this slot, scattered from the lanes.
+    delivered_kb: Vec<f64>,
+    /// Per-user grant across cells this slot, units (traced runs only).
+    combined_units: Vec<u64>,
+    fault_notes: Vec<String>,
     finished: Vec<bool>,
     unfinished: usize,
+    /// Active set, mirroring the engine's retirement rule: once a user is
+    /// finished *and* their RRC tail has drained to Idle, every further
+    /// slot would charge exactly 0 mJ and win 0 grants (remaining bytes
+    /// gate every ceiling to zero), so the per-slot loops skip them and
+    /// the sat-out idle slots are settled on the meters after the run.
+    /// Mobility still covers retired users — they keep roaming and keep
+    /// counting toward occupancy.
     live: Vec<usize>,
     retired: Vec<bool>,
     retired_at: Vec<u64>,
@@ -156,20 +196,16 @@ struct MobileUsers {
     abr_clients: Vec<AbrClient>,
 }
 
-/// Serial phase A (participant 0): mobility + handover demotion, shared
-/// per-user ground truth (block-sampled RSSI, cap tables, playback
-/// advance) and the per-slot delivery reset — the exact statement
-/// sequence of the serial loop's pre-scheduling half.
-#[allow(clippy::too_many_arguments)]
+/// Phase 1, serial: mobility + handover demotion, then per live user the
+/// shared ground truth (block-sampled RSSI, cap tables, playback
+/// advance) — computed once per user, not once per cell.
 fn mc_ground_truth<F: FaultHook>(
     mc: &MultiCellScenario,
     st: &mut MobileUsers,
+    lanes: &mut [Lane],
     units: &UnitParams,
     faults: &F,
-    tables_enabled: bool,
     slot: u64,
-    lanes: &[PhaseCell<Lane>],
-    delivered: &[PhaseCell<f64>],
     abr: Option<&AbrMeta>,
 ) {
     let base = &mc.base;
@@ -199,9 +235,11 @@ fn mc_ground_truth<F: FaultHook>(
                 Ok(_) => unreachable!("user cannot already be a member"),
             };
             st.members[to].insert(pos, i);
-            // SAFETY: serial phase — every other participant is spinning
-            // at the next barrier, so lanes are exclusively ours.
-            let lane = unsafe { lanes[from].get_mut() };
+            // Leaving a cell zeroes the fields that gate allocations;
+            // the rest freeze harmlessly. The SoA mirror re-derives its
+            // columns from the demoted snapshot (ceiling collapses to 0
+            // with the remaining bytes).
+            let lane = &mut lanes[from];
             if !lane.snaps.is_empty() {
                 lane.snaps[i].remaining_kb = 0.0;
                 lane.snaps[i].active = false;
@@ -216,12 +254,15 @@ fn mc_ground_truth<F: FaultHook>(
         *sum += m.len() as f64;
     }
 
+    // Every user is live at slot 0 and the live set only shrinks, so each
+    // live user crosses every block boundary; per-user RNG streams keep
+    // retired skips from perturbing anyone else's draws.
     let block_off = (slot % SIG_BLOCK_SLOTS as u64) as usize;
     for idx in 0..st.live.len() {
         let i = st.live[idx];
         if block_off == 0 {
             st.signals[i].sample_into(slot, &mut st.sig_blocks[i]);
-            if tables_enabled {
+            if st.tables_enabled {
                 base.models
                     .throughput
                     .throughput_into(&st.sig_blocks[i], &mut st.v_scratch);
@@ -232,6 +273,8 @@ fn mc_ground_truth<F: FaultHook>(
         }
         st.cur_sig[i] = st.sig_blocks[i][block_off];
         if faults.enabled() {
+            // Signal faults follow the user across cells; applied after
+            // the RNG draw so streams stay aligned.
             st.cur_sig[i] = faults.adjust_signal(slot, i, st.cur_sig[i]);
             if faults.departed(slot, i) {
                 st.sessions[i].cancel_remaining();
@@ -242,7 +285,7 @@ fn mc_ground_truth<F: FaultHook>(
             Some(_) => st.abr_clients[i].rate_kbps,
             None => st.sessions[i].rate_at(slot),
         };
-        st.caps[i] = if tables_enabled {
+        st.caps[i] = if st.tables_enabled {
             st.cap_blocks[i][block_off]
         } else {
             let v = base.models.throughput.throughput(st.cur_sig[i]);
@@ -255,16 +298,13 @@ fn mc_ground_truth<F: FaultHook>(
         st.occupancy[i] = o.occupancy_s;
         st.active_now[i] = o.active;
     }
-    for d in delivered {
-        // SAFETY: serial phase, see above.
-        unsafe { *d.get_mut() = 0.0 };
-    }
 }
 
-/// Parallel phase (one call per owned cell): refresh the lane's snapshot
-/// buffer and SoA mirror, sample the cell budget, schedule, and post the
-/// members' deliveries. Reads the shared state immutably; writes only the
-/// lane and the owned users' `delivered` entries.
+/// Phase 2, once per cell (any order, any thread): refresh the lane's
+/// snapshot buffer and SoA mirror — the first slot builds every entry,
+/// afterwards only members change — sample the cell budget, schedule,
+/// and stage the members' deliveries. Reads the shared state, writes
+/// only the lane.
 #[allow(clippy::too_many_arguments)]
 fn mc_cell_phase<F: FaultHook>(
     mc: &MultiCellScenario,
@@ -274,52 +314,42 @@ fn mc_cell_phase<F: FaultHook>(
     faults: &F,
     slot: u64,
     cell: usize,
-    delivered: &[PhaseCell<f64>],
+    timed: bool,
 ) {
     let base = &mc.base;
-    let n = base.n_users;
+    // A non-member's row holds the fields that gate allocations at zero.
+    let row = |i: usize, member: bool| UserSnapshot {
+        id: i,
+        signal: st.cur_sig[i],
+        rate_kbps: st.rates[i],
+        buffer_s: st.occupancy[i],
+        remaining_kb: if member {
+            st.sessions[i].remaining_kb()
+        } else {
+            0.0
+        },
+        active: member && st.active_now[i],
+        link_cap_units: if member { st.caps[i] } else { 0 },
+        idle_s: st.rrc[i].idle_seconds(),
+        rrc_state: st.rrc[i].state(),
+    };
     if lane.snaps.is_empty() {
-        lane.snaps = (0..n)
-            .map(|i| {
-                let member = st.attached[i] == cell;
-                UserSnapshot {
-                    id: i,
-                    signal: st.cur_sig[i],
-                    rate_kbps: st.rates[i],
-                    buffer_s: st.occupancy[i],
-                    remaining_kb: if member {
-                        st.sessions[i].remaining_kb()
-                    } else {
-                        0.0
-                    },
-                    active: member && st.active_now[i],
-                    link_cap_units: if member { st.caps[i] } else { 0 },
-                    idle_s: st.rrc[i].idle_seconds(),
-                    rrc_state: st.rrc[i].state(),
-                }
-            })
+        lane.snaps = (0..base.n_users)
+            .map(|i| row(i, st.attached[i] == cell))
             .collect();
         if lane.use_soa {
             lane.soa.fill_from(&lane.snaps, base.tau, base.delta_kb);
         }
     } else {
         for &i in &st.members[cell] {
-            // Retired members freeze like non-members; see the serial
-            // refresh loop.
+            // Retired members freeze like non-members: their last
+            // refresh already wrote `remaining_kb == 0` (retirement
+            // implies fully fetched), which gates every policy's ceiling
+            // to zero grants.
             if st.retired[i] {
                 continue;
             }
-            lane.snaps[i] = UserSnapshot {
-                id: i,
-                signal: st.cur_sig[i],
-                rate_kbps: st.rates[i],
-                buffer_s: st.occupancy[i],
-                remaining_kb: st.sessions[i].remaining_kb(),
-                active: st.active_now[i],
-                link_cap_units: st.caps[i],
-                idle_s: st.rrc[i].idle_seconds(),
-                rrc_state: st.rrc[i].state(),
-            };
+            lane.snaps[i] = row(i, true);
             if lane.use_soa {
                 lane.soa.set_row(&lane.snaps[i], base.tau, base.delta_kb);
             }
@@ -331,6 +361,8 @@ fn mc_cell_phase<F: FaultHook>(
         cap = KbPerSec(faults.scale_cell_cap(slot, cell, cap.0));
     }
     lane.cap_units = units.bs_cap_units(cap, base.tau);
+    // Every cell still sees an all-users context (stable ids), but only
+    // its members carry capacity.
     let ctx = SlotContext {
         slot,
         tau: base.tau,
@@ -339,39 +371,80 @@ fn mc_cell_phase<F: FaultHook>(
         users: &lane.snaps,
         soa: lane.use_soa.then_some(&lane.soa),
     };
-    lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
+    if timed {
+        let t0 = std::time::Instant::now();
+        lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
+        lane.sched_ns = t0.elapsed().as_nanos() as u64;
+    } else {
+        lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
+    }
     debug_assert!(lane.alloc.validate(&ctx).is_ok());
+    // Non-members hold zero capacity, so only members can be granted
+    // units (every policy clamps by the link bound).
+    lane.delivered.clear();
     for &i in &st.members[cell] {
         let units_granted = lane.alloc.0[i];
         if units_granted > 0 {
             let kb = (units_granted as f64 * base.delta_kb).min(st.sessions[i].remaining_kb());
-            // SAFETY: user `i` is attached to exactly this cell this
-            // slot, so this participant is the entry's only writer until
-            // the next barrier.
-            unsafe { *delivered[i].get_mut() += kb };
+            lane.delivered.push((i, kb));
         }
     }
 }
 
-/// Serial phase C (participant 0): device accounting, the optional
-/// fairness/power series, and the monotone early-exit check. Returns
-/// `true` when every session is fetched *and* played out — the serial
-/// loop's `break` condition.
-fn mc_accounting(
+/// Phase 3, serial: everything the recorder hears about the slot, in
+/// cell order then user order — the slot's summed budget, fault notes,
+/// each cell's degradations, the summed scheduler latency and the
+/// combined grants — then device accounting for the live users (a
+/// retired user's slot would deliver nothing, charge 0 mJ and record a
+/// zero trace row: all no-ops), the optional fairness/power series and
+/// the ABR commits. Returns `true` when every session is fetched *and*
+/// played out.
+fn mc_accounting<R: SlotRecorder, F: FaultHook>(
     mc: &MultiCellScenario,
     st: &mut MobileUsers,
+    lanes: &[Lane],
+    faults: &F,
     slot: u64,
-    delivered: &[PhaseCell<f64>],
     abr: Option<&AbrMeta>,
+    rec: &mut R,
 ) -> bool {
     let base = &mc.base;
     let n = base.n_users;
+    rec.begin_slot(slot, lanes.iter().map(|l| l.cap_units).sum());
+    if faults.enabled() && rec.enabled() {
+        st.fault_notes.clear();
+        faults.notes_into(slot, &mut st.fault_notes);
+        for note in &st.fault_notes {
+            rec.record_fault(note);
+        }
+    }
+    st.delivered_kb.fill(0.0);
+    for lane in lanes {
+        for &(i, kb) in &lane.delivered {
+            st.delivered_kb[i] = kb;
+        }
+    }
+    if rec.enabled() {
+        // Queue values are not recorded: each cell has its own
+        // scheduler, so no single queue vector describes the slot.
+        for (lane, members) in lanes.iter().zip(&st.members) {
+            let deg = lane.scheduler.degradations();
+            if !deg.is_empty() {
+                rec.record_degradations(deg);
+            }
+            for &i in members {
+                st.combined_units[i] = lane.alloc.0[i];
+            }
+        }
+        rec.record_sched_latency_ns(lanes.iter().map(|l| l.sched_ns).sum());
+        rec.record_alloc(&st.combined_units);
+    }
+
     let mut slot_energy_mj = 0.0;
     let mut any_retired = false;
     for idx in 0..st.live.len() {
         let i = st.live[idx];
-        // SAFETY: serial phase — the parallel writers are past barrier B.
-        let d = unsafe { *delivered[i].get() };
+        let d = st.delivered_kb[i];
         let slot_e = if d > 0.0 {
             let accepted = st.sessions[i].deliver(d);
             st.playback[i].deliver(accepted, st.rates[i]);
@@ -389,19 +462,31 @@ fn mc_accounting(
                     },
                 );
             }
+            // Transmission energy stays on the scalar kernel — see the
+            // engine on why an eager P(sig) table costs more than it
+            // saves.
             let e = base
                 .models
                 .power
                 .transmission_energy(st.cur_sig[i], accepted);
-            st.rrc[i].on_transmit();
+            if rec.enabled() {
+                st.rrc[i].on_transmit_observed(|f, t| rec.record_rrc_transition(i, f, t));
+            } else {
+                st.rrc[i].on_transmit();
+            }
             st.meters[i].record_transmission(e);
             e.value()
         } else {
-            let e = st.rrc[i].on_idle(base.tau);
+            let e = if rec.enabled() {
+                st.rrc[i].on_idle_observed(base.tau, |f, t| rec.record_rrc_transition(i, f, t))
+            } else {
+                st.rrc[i].on_idle(base.tau)
+            };
             st.meters[i].record_tail(e);
             e.value()
         };
         slot_energy_mj += slot_e;
+        rec.record_user(i, slot_e, st.playback[i].total_rebuffer_s());
         if !st.finished[i] && st.sessions[i].fully_fetched() && st.playback[i].playback_complete() {
             st.finished[i] = true;
             st.unfinished -= 1;
@@ -418,12 +503,9 @@ fn mc_accounting(
     }
     if base.record_series {
         let shares: Vec<f64> = (0..n)
-            .filter(|&i| {
-                // SAFETY: serial phase, as above.
-                st.sessions[i].remaining_kb() > 0.0 || unsafe { *delivered[i].get() } > 0.0
-            })
+            .filter(|&i| st.sessions[i].remaining_kb() > 0.0 || st.delivered_kb[i] > 0.0)
             .map(|i| {
-                let d = unsafe { *delivered[i].get() };
+                let d = st.delivered_kb[i];
                 let need = (base.tau * st.rates[i]).min(st.sessions[i].remaining_kb() + d);
                 if need > 0.0 {
                     d / need
@@ -437,16 +519,17 @@ fn mc_accounting(
         }
         st.power_series.push(slot_energy_mj / 1000.0);
     }
-    // Commit rung switches staged this slot (same slot position as the
-    // serial path's apply loop — after the series, before the early-exit
-    // decision — so the two paths stay bit-identical).
+    // Commit rung switches staged this slot: after the series, before
+    // the early-exit decision.
     if let Some((spec, _, native)) = abr {
         for (i, &nat) in native.iter().enumerate().take(n) {
             if let Some(sw) = st.abr_clients[i].apply_pending(&spec.ladder, nat) {
                 st.sessions[i].rescale_remaining(sw.ratio);
+                rec.record_abr_switch(i, sw.from, sw.to);
             }
         }
     }
+    rec.end_slot();
     st.unfinished == 0
 }
 
@@ -456,11 +539,15 @@ impl MultiCellScenario {
         self.run_with(&mut NullRecorder)
     }
 
-    /// Feasibility admission control reasons about one serving budget;
-    /// with independent per-cell budgets and roaming there is no single
+    /// The checks every run path starts with, then the base scenario's
+    /// fault spec compiled against this many cells (`None` keeps the
+    /// fault-free run monomorphized on [`NoFaults`]). Feasibility
+    /// admission control reasons about one serving budget; with
+    /// independent per-cell budgets and roaming there is no single
     /// capacity to bound against, so multicell runs only accept
     /// `AlwaysAdmit` (a no-op) or no admission spec at all.
-    fn validate_admission(&self) -> Result<(), ScenarioError> {
+    fn compiled_faults(&self) -> Result<Option<FaultPlan>, ScenarioError> {
+        self.base.validate()?;
         if self
             .base
             .admission
@@ -472,31 +559,33 @@ impl MultiCellScenario {
                 "feasibility admission control is single-cell only",
             ));
         }
-        Ok(())
+        if self.n_cells == 0 {
+            return Err(ScenarioError::new("n_cells", "must be positive"));
+        }
+        if !(0.0..=1.0).contains(&self.handover_prob) {
+            return Err(ScenarioError::new("handover_prob", "must be in [0, 1]"));
+        }
+        if self.base.faults.is_none() {
+            return Ok(None);
+        }
+        let (n, slots) = (self.base.n_users, self.base.slots);
+        Ok(Some(self.base.faults.compile(n, slots, self.n_cells)?))
     }
 
-    /// [`MultiCellScenario::run`] with the per-slot cell fan-out executed
-    /// on the shared [`WorkerPool`]: `threads` lockstep participants each
-    /// own a stripe of cells (`cell % threads`), meeting at a
-    /// [`SpinBarrier`] between the three per-slot phases — serial ground
-    /// truth, parallel per-cell scheduling, serial accounting. Each cell's
+    /// [`MultiCellScenario::run`] with each slot's cell phase spread over
+    /// the shared [`WorkerPool`]: `threads` lockstep participants each
+    /// own a contiguous range of cells, meeting at a [`SpinBarrier`]
+    /// between the three per-slot phases — serial ground truth, per-cell
+    /// scheduling, serial accounting. The phases are the functions
+    /// [`MultiCellScenario::run`] calls back to back, each cell's
     /// scheduler and capacity model see exactly the serial call sequence
     /// and each user is delivered to by exactly one cell, so the outcome
     /// equals [`MultiCellScenario::run`] bit for bit (pinned by tests).
     ///
     /// `threads == 0` means one participant per available CPU. The
-    /// effective width is clamped to `n_cells` and the pool size; a width
-    /// of 1 falls back to the serial path, byte-identical by definition.
-    /// There is no recorder hook — slot tracing stays on the serial path.
+    /// effective width is clamped to `n_cells` and the pool size; at
+    /// width 1 this is [`MultiCellScenario::run`].
     pub fn run_parallel(&self, threads: usize) -> Result<MultiCellResult, SimError> {
-        self.base.validate()?;
-        self.validate_admission()?;
-        if self.n_cells == 0 {
-            return Err(ScenarioError::new("n_cells", "must be positive").into());
-        }
-        if !(0.0..=1.0).contains(&self.handover_prob) {
-            return Err(ScenarioError::new("handover_prob", "must be in [0, 1]").into());
-        }
         let hw = std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(1);
@@ -507,22 +596,50 @@ impl MultiCellScenario {
         if width <= 1 {
             return self.run();
         }
-        if self.base.faults.is_none() {
-            Ok(self.simulate_parallel(width, &NoFaults))
-        } else {
-            let plan =
-                self.base
-                    .faults
-                    .compile(self.base.n_users, self.base.slots, self.n_cells)?;
-            Ok(self.simulate_parallel(width, &plan))
-        }
+        let rec = &mut NullRecorder;
+        Ok(match self.compiled_faults()? {
+            None => self.simulate_parallel(width, rec, &NoFaults),
+            Some(plan) => self.simulate_parallel(width, rec, &plan),
+        })
     }
 
-    fn simulate_parallel<F: FaultHook + Sync>(&self, width: usize, faults: &F) -> MultiCellResult {
+    /// [`MultiCellScenario::run`] with a [`SlotRecorder`] observing every
+    /// slot. Per-slot telemetry aggregates over cells: the capacity is
+    /// the sum of per-cell budgets, the allocation is the combined
+    /// per-user grant, and the scheduler latency covers all cells'
+    /// decisions.
+    ///
+    /// The base scenario's `faults` apply here with per-cell semantics:
+    /// `CellOutage`/`CellDegradation` hit their own cell's budget, deep
+    /// fades and link outages follow the user across cells, and
+    /// departures abandon the session. Late-arrival churn is a
+    /// single-cell feature (all multicell users attach at slot 0) and is
+    /// ignored.
+    pub fn run_with<R: SlotRecorder>(&self, rec: &mut R) -> Result<MultiCellResult, SimError> {
+        Ok(match self.compiled_faults()? {
+            None => self.simulate(rec, &NoFaults),
+            Some(plan) => self.simulate(rec, &plan),
+        })
+    }
+
+    /// Run with a capturing [`TraceRecorder`] (one record per `every`
+    /// slots); returns the result plus the trace.
+    pub fn run_traced(&self, every: u64) -> Result<(MultiCellResult, SlotTrace), SimError> {
+        let mut rec = TraceRecorder::new().with_every(every);
+        let result = self.run_with(&mut rec)?;
+        let trace = rec.into_trace(&result.result.scheduler);
+        Ok((result, trace))
+    }
+
+    /// The state a run starts from — every user attached round-robin and
+    /// live, one lane per cell — and the recorder told the run begins.
+    fn setup<R: SlotRecorder>(
+        &self,
+        tables_enabled: bool,
+        rec: &mut R,
+    ) -> (MobileUsers, Vec<Lane>, Option<AbrMeta>) {
         let base = &self.base;
         let n = base.n_users;
-        let units = UnitParams::new(base.delta_kb);
-        let tables_enabled = !faults.enabled();
 
         let mut sessions = generate_sessions(&base.workload, n, base.seed);
         let playback: Vec<ClientPlayback> = sessions
@@ -530,13 +647,14 @@ impl MultiCellScenario {
             .map(|s| ClientPlayback::new(s.total_playback_s(), base.tau))
             .collect();
         let (abr_meta, abr_clients) = mc_abr_setup(base, &mut sessions);
+        // Initial attachment spreads users round-robin; mobility is a
+        // seeded memoryless process.
         let attached: Vec<usize> = (0..n).map(|i| i % self.n_cells).collect();
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); self.n_cells];
         for (i, &c) in attached.iter().enumerate() {
             members[c].push(i);
         }
-
-        let st = PhaseCell::new(MobileUsers {
+        let st = MobileUsers {
             signals: (0..n)
                 .map(|i| base.signal.build_kind(i, n, base.seed))
                 .collect(),
@@ -559,8 +677,12 @@ impl MultiCellScenario {
             active_now: vec![false; n],
             sig_blocks: vec![[Dbm(0.0); SIG_BLOCK_SLOTS]; n],
             cap_blocks: vec![[0; SIG_BLOCK_SLOTS]; if tables_enabled { n } else { 0 }],
+            tables_enabled,
             v_scratch: [0.0; SIG_BLOCK_SLOTS],
             moved: Vec::new(),
+            delivered_kb: vec![0.0; n],
+            combined_units: vec![0; if rec.enabled() { n } else { 0 }],
+            fault_notes: Vec::new(),
             finished: vec![false; n],
             unfinished: n,
             live: (0..n).collect(),
@@ -570,12 +692,12 @@ impl MultiCellScenario {
             fairness_series: Vec::new(),
             power_series: Vec::new(),
             abr_clients,
-        });
-        let lanes: Vec<PhaseCell<Lane>> = (0..self.n_cells)
+        };
+        let lanes = (0..self.n_cells)
             .map(|_| {
                 let scheduler = base.scheduler.build(base.tau, &base.models);
                 let use_soa = scheduler.wants_soa();
-                PhaseCell::new(Lane {
+                Lane {
                     scheduler,
                     capacity: base.capacity.build(),
                     snaps: Vec::new(),
@@ -583,68 +705,116 @@ impl MultiCellScenario {
                     use_soa,
                     alloc: Allocation::zeros(n),
                     cap_units: 0,
-                })
+                    delivered: Vec::new(),
+                    sched_ns: 0,
+                }
             })
             .collect();
-        let delivered: Vec<PhaseCell<f64>> = (0..n).map(|_| PhaseCell::new(0.0)).collect();
+        rec.begin_run(n, base.tau);
+        (st, lanes, abr_meta)
+    }
+
+    /// The three phases back to back, every cell in turn: safe code only.
+    fn simulate<R: SlotRecorder, F: FaultHook>(&self, rec: &mut R, faults: &F) -> MultiCellResult {
+        let base = &self.base;
+        let units = UnitParams::new(base.delta_kb);
+        let timed = rec.enabled();
+        let (mut st, mut lanes, abr) = self.setup(!faults.enabled(), rec);
+        let abr = abr.as_ref();
+        for slot in 0..base.slots {
+            mc_ground_truth(self, &mut st, &mut lanes, &units, faults, slot, abr);
+            for (cell, lane) in lanes.iter_mut().enumerate() {
+                mc_cell_phase(self, &st, lane, &units, faults, slot, cell, timed);
+            }
+            if mc_accounting(self, &mut st, &lanes, faults, slot, abr, rec) {
+                break;
+            }
+        }
+        self.finish(st, &lanes, rec)
+    }
+
+    /// The same three phases in lockstep: participant `p` runs the cell
+    /// phase of a contiguous range of cells, participant 0 the two
+    /// serial phases. One broadcast for the whole run: participants stay
+    /// resident and pay three barrier crossings per slot, not a dispatch.
+    fn simulate_parallel<R: SlotRecorder + Send, F: FaultHook + Sync>(
+        &self,
+        width: usize,
+        rec: &mut R,
+        faults: &F,
+    ) -> MultiCellResult {
+        let base = &self.base;
+        let units = UnitParams::new(base.delta_kb);
+        let timed = rec.enabled();
+        let (mut st, mut lanes, abr) = self.setup(!faults.enabled(), rec);
+        let abr = abr.as_ref();
+        let ranges: Vec<Range<usize>> = (0..width)
+            .map(|p| p * self.n_cells / width..(p + 1) * self.n_cells / width)
+            .collect();
+        let every_lane = 0..self.n_cells;
+        let shared_lanes = SharedSlice::new(&mut lanes);
+        let serial = PhaseCell::new((&mut st, &mut *rec));
         let barrier = SpinBarrier::new(width);
         let quit = AtomicBool::new(false);
-
-        // One broadcast for the whole run: participants stay resident and
-        // pay two barrier rotations per slot instead of a dispatch.
         WorkerPool::global().broadcast(width, &|p| {
             for slot in 0..base.slots {
                 if p == 0 {
-                    // SAFETY: serial phase — all other participants are
-                    // spinning at barrier A.
-                    let st = unsafe { st.get_mut() };
-                    mc_ground_truth(
-                        self,
-                        st,
-                        &units,
-                        faults,
-                        tables_enabled,
-                        slot,
-                        &lanes,
-                        &delivered,
-                        abr_meta.as_ref(),
-                    );
+                    // SAFETY: serial phase — every other participant is
+                    // parked at the barrier below.
+                    let ((st, _), lanes) = unsafe {
+                        (
+                            serial.get_mut(),
+                            shared_lanes.shard_mut(from_ref(&every_lane), 0),
+                        )
+                    };
+                    mc_ground_truth(self, st, lanes, &units, faults, slot, abr);
                 }
-                barrier.wait(); // A: ground truth published to all stripes.
+                barrier.wait();
                 {
-                    // SAFETY: shared state is read-only during the
-                    // parallel phase.
-                    let st = unsafe { st.get() };
-                    for cell in (p..self.n_cells).step_by(width) {
-                        // SAFETY: stripe ownership — cell `cell` belongs
-                        // to exactly this participant.
-                        let lane = unsafe { lanes[cell].get_mut() };
-                        mc_cell_phase(self, st, lane, &units, faults, slot, cell, &delivered);
+                    // SAFETY: cell phase — nobody writes the shared
+                    // state, and lanes `ranges[p]` are this participant's
+                    // until the barrier below.
+                    let ((st, _), mine) =
+                        unsafe { (serial.get(), shared_lanes.shard_mut(&ranges, p)) };
+                    for (lane, cell) in mine.iter_mut().zip(ranges[p].clone()) {
+                        mc_cell_phase(self, st, lane, &units, faults, slot, cell, timed);
                     }
                 }
-                barrier.wait(); // B: allocations and deliveries published.
+                barrier.wait();
                 if p == 0 {
-                    // SAFETY: serial phase — others spin at barrier C.
-                    let st = unsafe { st.get_mut() };
-                    if mc_accounting(self, st, slot, &delivered, abr_meta.as_ref()) {
+                    // SAFETY: serial phase, as above.
+                    let ((st, rec), lanes) = unsafe {
+                        (
+                            serial.get_mut(),
+                            shared_lanes.shard_mut(from_ref(&every_lane), 0),
+                        )
+                    };
+                    if mc_accounting(self, st, lanes, faults, slot, abr, &mut **rec) {
                         quit.store(true, Ordering::Relaxed);
                     }
                 }
-                barrier.wait(); // C: the early-exit decision is published.
+                barrier.wait();
                 if quit.load(Ordering::Relaxed) {
                     break;
                 }
             }
         });
+        self.finish(st, &lanes, rec)
+    }
 
-        let scheduler_label = {
-            // SAFETY: the broadcast has returned; no concurrency remains.
-            let lane0 = unsafe { lanes[0].get() };
-            lane0.scheduler.name().to_string()
-        };
-        let mut st = st.into_inner();
-        // Settle the retired users' sat-out idle slots, as in the serial
-        // path.
+    /// Settle end-of-run accounting and fold the result.
+    fn finish<R: SlotRecorder>(
+        &self,
+        mut st: MobileUsers,
+        lanes: &[Lane],
+        rec: &mut R,
+    ) -> MultiCellResult {
+        let base = &self.base;
+        let n = base.n_users;
+        rec.end_run();
+
+        // Settle the idle slots the retired users sat out: each would have
+        // recorded one zero-energy tail slot per remaining loop iteration.
         for i in 0..n {
             if st.retired[i] {
                 st.meters[i].record_saturated_idle_slots(st.slots_run - 1 - st.retired_at[i]);
@@ -669,7 +839,7 @@ impl MultiCellScenario {
 
         MultiCellResult {
             result: SimResult {
-                scheduler: scheduler_label,
+                scheduler: lanes[0].scheduler.name().to_string(),
                 per_user,
                 slots_run: st.slots_run,
                 slots_configured: base.slots,
@@ -677,7 +847,7 @@ impl MultiCellScenario {
                 fairness_series: st.fairness_series,
                 fairness_window_series: vec![],
                 power_series_j: st.power_series,
-                telemetry: None,
+                telemetry: rec.summary(),
                 warnings: vec![],
             },
             handovers: st.handovers,
@@ -685,509 +855,6 @@ impl MultiCellScenario {
                 .occupancy_sums
                 .into_iter()
                 .map(|s| s / st.slots_run as f64)
-                .collect(),
-        }
-    }
-
-    /// [`MultiCellScenario::run`] with a [`SlotRecorder`] observing every
-    /// slot. Per-slot telemetry aggregates over cells: the capacity is
-    /// the sum of per-cell budgets, the allocation is the combined
-    /// per-user grant, and the scheduler latency covers all cells'
-    /// decisions. Queue values are not recorded (each cell has its own
-    /// scheduler, so no single queue vector describes the slot).
-    ///
-    /// The base scenario's `faults` apply here with per-cell semantics:
-    /// `CellOutage`/`CellDegradation` hit their own cell's budget, deep
-    /// fades and link outages follow the user across cells, and
-    /// departures abandon the session. Late-arrival churn is a
-    /// single-cell feature (all multicell users attach at slot 0) and is
-    /// ignored.
-    pub fn run_with<R: SlotRecorder>(&self, rec: &mut R) -> Result<MultiCellResult, SimError> {
-        self.base.validate()?;
-        self.validate_admission()?;
-        if self.n_cells == 0 {
-            return Err(ScenarioError::new("n_cells", "must be positive").into());
-        }
-        if !(0.0..=1.0).contains(&self.handover_prob) {
-            return Err(ScenarioError::new("handover_prob", "must be in [0, 1]").into());
-        }
-        if self.base.faults.is_none() {
-            Ok(self.simulate(rec, &NoFaults))
-        } else {
-            let plan =
-                self.base
-                    .faults
-                    .compile(self.base.n_users, self.base.slots, self.n_cells)?;
-            Ok(self.simulate(rec, &plan))
-        }
-    }
-
-    /// Run with a capturing [`TraceRecorder`] (one record per `every`
-    /// slots); returns the result plus the trace.
-    pub fn run_traced(&self, every: u64) -> Result<(MultiCellResult, SlotTrace), SimError> {
-        let mut rec = TraceRecorder::new().with_every(every);
-        let result = self.run_with(&mut rec)?;
-        let trace = rec.into_trace(&result.result.scheduler);
-        Ok((result, trace))
-    }
-
-    fn simulate<R: SlotRecorder, F: FaultHook>(&self, rec: &mut R, faults: &F) -> MultiCellResult {
-        let base = &self.base;
-        let n = base.n_users;
-        let units = UnitParams::new(base.delta_kb);
-        let sessions = generate_sessions(&base.workload, n, base.seed);
-        let mut signals: Vec<SignalKind> = (0..n)
-            .map(|i| base.signal.build_kind(i, n, base.seed))
-            .collect();
-        let mut playback: Vec<ClientPlayback> = sessions
-            .iter()
-            .map(|s| ClientPlayback::new(s.total_playback_s(), base.tau))
-            .collect();
-        let mut sessions = sessions;
-        let (abr_meta, mut abr_clients) = mc_abr_setup(base, &mut sessions);
-        let mut rrc: Vec<RrcMachine> = (0..n)
-            .map(|_| RrcMachine::new_idle(base.models.rrc))
-            .collect();
-        let mut meters: Vec<EnergyMeter> = (0..n).map(|_| EnergyMeter::new()).collect();
-        let mut active_slots = vec![0u64; n];
-
-        let mut schedulers: Vec<Box<dyn Scheduler>> = (0..self.n_cells)
-            .map(|_| base.scheduler.build(base.tau, &base.models))
-            .collect();
-        let mut capacities: Vec<_> = (0..self.n_cells).map(|_| base.capacity.build()).collect();
-
-        // Initial attachment spreads users round-robin; mobility is a
-        // seeded memoryless process. `members[c]` mirrors `attached` as a
-        // sorted index list so per-cell work scales with cell population.
-        let mut attached: Vec<usize> = (0..n).map(|i| i % self.n_cells).collect();
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); self.n_cells];
-        for (i, &c) in attached.iter().enumerate() {
-            members[c].push(i);
-        }
-        let mut mobility = StdRng::seed_from_u64(base.seed ^ 0x0B17_E0CE_1100);
-        let mut handovers = 0u64;
-        let mut occupancy_sums = vec![0.0f64; self.n_cells];
-
-        let mut slots_run = 0;
-        let mut fairness_series = Vec::new();
-        let mut power_series = Vec::new();
-        let scheduler_label = schedulers
-            .first()
-            .map(|s| s.name().to_string())
-            .unwrap_or_default();
-        // All cells run the same policy spec, so one capability answer
-        // covers every lane; SoA upkeep is skipped entirely for
-        // row-walking schedulers (see Scheduler::wants_soa).
-        let use_soa = schedulers.iter().any(|s| s.wants_soa());
-
-        // Early-exit counter, as in the single-cell engine: both
-        // predicates are monotone.
-        let mut unfinished = n;
-        let mut finished = vec![false; n];
-        // Active-set bookkeeping, mirroring the engine's retirement rule:
-        // once a user is finished *and* their RRC tail has drained to
-        // Idle, every further slot would charge exactly 0 mJ and win 0
-        // grants (remaining bytes gate every ceiling to zero), so the
-        // per-slot loops skip them and the sat-out idle slots are settled
-        // on the meters after the run. Mobility still covers retired
-        // users — they keep roaming and keep counting toward occupancy.
-        let mut live: Vec<usize> = (0..n).collect();
-        let mut retired = vec![false; n];
-        let mut retired_at = vec![0u64; n];
-
-        // Reused per-slot buffers: shared per-user ground truth (signal,
-        // rate, link capacity — computed once per user, not once per
-        // cell), one persistent snapshot buffer per cell, one shared
-        // allocation, and the per-user delivery accumulator.
-        let mut cur_sig = vec![Dbm(0.0); n];
-        let mut rates = vec![0.0f64; n];
-        let mut caps = vec![0u64; n];
-        let mut occupancy = vec![0.0f64; n];
-        let mut active_now = vec![false; n];
-        // Block-sampled RSSI plus (fault-free only) the per-block Eq. (1)
-        // cap tables, exactly as in the single-cell engine: the batch
-        // kernels share the scalar per-element `kernel`s, so table reads
-        // are bit-identical to the scalar calls they replace. The
-        // multicell collector is always pass-through, so the only gate is
-        // fault injection (faults perturb signals after the draw).
-        // Transmission energy stays on the scalar kernel — see the engine
-        // on why an eager P(sig) table costs more than it saves.
-        let tables_enabled = !faults.enabled();
-        let mut sig_blocks = vec![[Dbm(0.0); SIG_BLOCK_SLOTS]; n];
-        let mut cap_blocks = vec![[0u64; SIG_BLOCK_SLOTS]; if tables_enabled { n } else { 0 }];
-        let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
-        let mut cell_snaps: Vec<Vec<UserSnapshot>> = Vec::new();
-        // Per-cell SoA mirrors of `cell_snaps`, maintained by the same
-        // writes (build, member refresh, handover demotion) so schedulers
-        // take their contiguous-column fast path in every cell.
-        let mut cell_soa: Vec<SnapshotSoA> = vec![SnapshotSoA::new(); self.n_cells];
-        let mut alloc = Allocation::zeros(n);
-        let mut delivered_kb = vec![0.0f64; n];
-        let mut moved: Vec<(usize, usize)> = Vec::new();
-        // Telemetry scratch: per-cell Eq. (2) budgets (capacity models may
-        // be stateful, so each is sampled exactly once per slot regardless
-        // of tracing) and the cross-cell combined allocation.
-        let mut cell_caps = vec![0u64; self.n_cells];
-        let mut combined_units = vec![0u64; n];
-        let mut fault_notes: Vec<String> = Vec::new();
-
-        rec.begin_run(n, base.tau);
-        for slot in 0..base.slots {
-            slots_run = slot + 1;
-
-            // Mobility step: update `attached`, the membership lists, and
-            // demote the user's snapshot entry in the cell they left.
-            if self.n_cells > 1 && self.handover_prob > 0.0 {
-                moved.clear();
-                for (i, cell) in attached.iter_mut().enumerate() {
-                    if mobility.random::<f64>() < self.handover_prob {
-                        let mut next = mobility.random_range(0..self.n_cells - 1);
-                        if next >= *cell {
-                            next += 1;
-                        }
-                        moved.push((i, *cell));
-                        *cell = next;
-                        handovers += 1;
-                    }
-                }
-                for &(i, from) in &moved {
-                    let pos = members[from].binary_search(&i).expect("member list sync");
-                    members[from].remove(pos);
-                    let to = attached[i];
-                    let pos = match members[to].binary_search(&i) {
-                        Err(pos) => pos,
-                        Ok(_) => unreachable!("user cannot already be a member"),
-                    };
-                    members[to].insert(pos, i);
-                    if let Some(snaps) = cell_snaps.get_mut(from) {
-                        // Leaving a cell zeroes the fields that gate
-                        // allocations; the rest freeze harmlessly. The SoA
-                        // mirror re-derives its columns from the demoted
-                        // snapshot (ceiling collapses to 0 with the
-                        // remaining bytes).
-                        snaps[i].remaining_kb = 0.0;
-                        snaps[i].active = false;
-                        snaps[i].link_cap_units = 0;
-                        if use_soa {
-                            cell_soa[from].set_row(&snaps[i], base.tau, base.delta_kb);
-                        }
-                    }
-                }
-            }
-            for (sum, m) in occupancy_sums.iter_mut().zip(&members) {
-                *sum += m.len() as f64;
-            }
-
-            // Client-side advance and shared ground truth, once per live
-            // user. RSSI is drawn in SIG_BLOCK_SLOTS-slot blocks
-            // (sample_into is contractually bit-identical to per-slot
-            // sample calls), and on the fault-free path one batch-kernel
-            // pass per block fills the link-cap table the next 32 slots
-            // read from. Every user is live at slot 0 and the
-            // live set only shrinks, so each live user crosses every block
-            // boundary; per-user RNG streams keep retired skips from
-            // perturbing anyone else's draws.
-            let block_off = (slot % SIG_BLOCK_SLOTS as u64) as usize;
-            for &i in &live {
-                if block_off == 0 {
-                    signals[i].sample_into(slot, &mut sig_blocks[i]);
-                    if tables_enabled {
-                        base.models
-                            .throughput
-                            .throughput_into(&sig_blocks[i], &mut v_scratch);
-                        for (c, &v) in cap_blocks[i].iter_mut().zip(&v_scratch) {
-                            *c = units.link_cap_units(KbPerSec(v), base.tau);
-                        }
-                    }
-                }
-                cur_sig[i] = sig_blocks[i][block_off];
-                if faults.enabled() {
-                    // Signal faults follow the user across cells; applied
-                    // after the RNG draw so streams stay aligned.
-                    cur_sig[i] = faults.adjust_signal(slot, i, cur_sig[i]);
-                    if faults.departed(slot, i) {
-                        sessions[i].cancel_remaining();
-                        playback[i].abandon();
-                    }
-                }
-                rates[i] = match &abr_meta {
-                    Some(_) => abr_clients[i].rate_kbps,
-                    None => sessions[i].rate_at(slot),
-                };
-                caps[i] = if tables_enabled {
-                    cap_blocks[i][block_off]
-                } else {
-                    let v = base.models.throughput.throughput(cur_sig[i]);
-                    units.link_cap_units(v, base.tau)
-                };
-                let o = playback[i].begin_slot();
-                if o.active {
-                    active_slots[i] += 1;
-                }
-                occupancy[i] = o.occupancy_s;
-                active_now[i] = o.active;
-            }
-
-            // Refresh each cell's persistent snapshot buffer: the first
-            // slot builds every entry, afterwards only members change.
-            if cell_snaps.is_empty() {
-                cell_snaps = (0..self.n_cells)
-                    .map(|cell| {
-                        (0..n)
-                            .map(|i| {
-                                let member = attached[i] == cell;
-                                UserSnapshot {
-                                    id: i,
-                                    signal: cur_sig[i],
-                                    rate_kbps: rates[i],
-                                    buffer_s: occupancy[i],
-                                    remaining_kb: if member {
-                                        sessions[i].remaining_kb()
-                                    } else {
-                                        0.0
-                                    },
-                                    active: member && active_now[i],
-                                    link_cap_units: if member { caps[i] } else { 0 },
-                                    idle_s: rrc[i].idle_seconds(),
-                                    rrc_state: rrc[i].state(),
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                if use_soa {
-                    for (soa, snaps) in cell_soa.iter_mut().zip(&cell_snaps) {
-                        soa.fill_from(snaps, base.tau, base.delta_kb);
-                    }
-                }
-            } else {
-                for (cell, (snaps, soa)) in
-                    cell_snaps.iter_mut().zip(cell_soa.iter_mut()).enumerate()
-                {
-                    for &i in &members[cell] {
-                        // Retired members freeze like non-members: their
-                        // last refresh already wrote `remaining_kb == 0`
-                        // (retirement implies fully fetched), which gates
-                        // every policy's ceiling to zero grants.
-                        if retired[i] {
-                            continue;
-                        }
-                        snaps[i] = UserSnapshot {
-                            id: i,
-                            signal: cur_sig[i],
-                            rate_kbps: rates[i],
-                            buffer_s: occupancy[i],
-                            remaining_kb: sessions[i].remaining_kb(),
-                            active: active_now[i],
-                            link_cap_units: caps[i],
-                            idle_s: rrc[i].idle_seconds(),
-                            rrc_state: rrc[i].state(),
-                        };
-                        if use_soa {
-                            soa.set_row(&snaps[i], base.tau, base.delta_kb);
-                        }
-                    }
-                }
-            }
-
-            // Per-cell scheduling: every cell still sees an all-users
-            // context (stable ids), but only its members carry capacity.
-            for (cell, (cap_units, capacity)) in
-                cell_caps.iter_mut().zip(capacities.iter_mut()).enumerate()
-            {
-                let mut cap: KbPerSec = capacity.capacity(slot);
-                if faults.enabled() {
-                    cap = KbPerSec(faults.scale_cell_cap(slot, cell, cap.0));
-                }
-                *cap_units = units.bs_cap_units(cap, base.tau);
-            }
-            rec.begin_slot(slot, cell_caps.iter().sum());
-            if faults.enabled() && rec.enabled() {
-                fault_notes.clear();
-                faults.notes_into(slot, &mut fault_notes);
-                for note in &fault_notes {
-                    rec.record_fault(note);
-                }
-            }
-            if rec.enabled() {
-                combined_units.fill(0);
-            }
-            delivered_kb.fill(0.0);
-            let mut slot_energy_mj = 0.0;
-            let mut sched_ns = 0u64;
-            for (cell, scheduler) in schedulers.iter_mut().enumerate() {
-                let ctx = SlotContext {
-                    slot,
-                    tau: base.tau,
-                    delta_kb: base.delta_kb,
-                    bs_cap_units: cell_caps[cell],
-                    users: &cell_snaps[cell],
-                    soa: use_soa.then_some(&cell_soa[cell]),
-                };
-                if rec.enabled() {
-                    let t0 = std::time::Instant::now();
-                    scheduler.allocate_into(&ctx, &mut alloc);
-                    sched_ns += t0.elapsed().as_nanos() as u64;
-                    let deg = scheduler.degradations();
-                    if !deg.is_empty() {
-                        rec.record_degradations(deg);
-                    }
-                } else {
-                    scheduler.allocate_into(&ctx, &mut alloc);
-                }
-                debug_assert!(alloc.validate(&ctx).is_ok());
-                // Non-members hold zero capacity, so only members can be
-                // granted units (every policy clamps by the link bound).
-                for &i in &members[cell] {
-                    let units_granted = alloc.0[i];
-                    if rec.enabled() {
-                        combined_units[i] = units_granted;
-                    }
-                    if units_granted > 0 {
-                        let kb =
-                            (units_granted as f64 * base.delta_kb).min(sessions[i].remaining_kb());
-                        delivered_kb[i] += kb;
-                    }
-                }
-            }
-            if rec.enabled() {
-                rec.record_sched_latency_ns(sched_ns);
-                rec.record_alloc(&combined_units);
-            }
-
-            // Device accounting and delivery, live users only: a retired
-            // user's slot would deliver nothing, charge 0 mJ (the RRC tail
-            // is drained), and record a zero trace row — all no-ops.
-            let mut any_retired = false;
-            for &i in &live {
-                let slot_e = if delivered_kb[i] > 0.0 {
-                    let accepted = sessions[i].deliver(delivered_kb[i]);
-                    playback[i].deliver(accepted, rates[i]);
-                    if let Some((spec, chunk_s, native)) = &abr_meta {
-                        abr_clients[i].on_delivery(
-                            accepted,
-                            sessions[i].fully_fetched(),
-                            &spec.ladder,
-                            &spec.policy,
-                            native[i],
-                            *chunk_s,
-                            AbrInputs {
-                                buffer_s: occupancy[i],
-                                predicted_kbps: caps[i] as f64 * base.delta_kb / base.tau,
-                            },
-                        );
-                    }
-                    let e = base.models.power.transmission_energy(cur_sig[i], accepted);
-                    if rec.enabled() {
-                        rrc[i].on_transmit_observed(|f, t| rec.record_rrc_transition(i, f, t));
-                    } else {
-                        rrc[i].on_transmit();
-                    }
-                    meters[i].record_transmission(e);
-                    e.value()
-                } else {
-                    let e = if rec.enabled() {
-                        rrc[i].on_idle_observed(base.tau, |f, t| rec.record_rrc_transition(i, f, t))
-                    } else {
-                        rrc[i].on_idle(base.tau)
-                    };
-                    meters[i].record_tail(e);
-                    e.value()
-                };
-                slot_energy_mj += slot_e;
-                rec.record_user(i, slot_e, playback[i].total_rebuffer_s());
-                if !finished[i] && sessions[i].fully_fetched() && playback[i].playback_complete() {
-                    finished[i] = true;
-                    unfinished -= 1;
-                }
-                if finished[i] && rrc[i].state() == RrcState::Idle {
-                    retired[i] = true;
-                    retired_at[i] = slot;
-                    any_retired = true;
-                }
-            }
-            if any_retired {
-                live.retain(|&i| !retired[i]);
-            }
-
-            if base.record_series {
-                let shares: Vec<f64> = (0..n)
-                    .filter(|&i| sessions[i].remaining_kb() > 0.0 || delivered_kb[i] > 0.0)
-                    .map(|i| {
-                        let need =
-                            (base.tau * rates[i]).min(sessions[i].remaining_kb() + delivered_kb[i]);
-                        if need > 0.0 {
-                            delivered_kb[i] / need
-                        } else {
-                            1.0
-                        }
-                    })
-                    .collect();
-                if !shares.is_empty() {
-                    fairness_series.push(jain_index(&shares));
-                }
-                power_series.push(slot_energy_mj / 1000.0);
-            }
-            // Commit rung switches staged this slot (see mc_accounting for
-            // the parallel path's identical position).
-            if let Some((spec, _, native)) = &abr_meta {
-                for i in 0..n {
-                    if let Some(sw) = abr_clients[i].apply_pending(&spec.ladder, native[i]) {
-                        sessions[i].rescale_remaining(sw.ratio);
-                        rec.record_abr_switch(i, sw.from, sw.to);
-                    }
-                }
-            }
-            rec.end_slot();
-
-            if unfinished == 0 {
-                break;
-            }
-        }
-        rec.end_run();
-
-        // Settle the idle slots the retired users sat out: each would have
-        // recorded one zero-energy tail slot per remaining loop iteration.
-        for i in 0..n {
-            if retired[i] {
-                meters[i].record_saturated_idle_slots(slots_run - 1 - retired_at[i]);
-            }
-        }
-
-        let per_user = (0..n)
-            .map(|i| UserResult {
-                rebuffer_s: playback[i].total_rebuffer_s(),
-                stall_slots: playback[i].stall_slots(),
-                startup_slots: playback[i].startup_slots(),
-                watched_s: playback[i].played_s(),
-                playback_complete: playback[i].playback_complete(),
-                fetched_kb: sessions[i].received_kb(),
-                energy: meters[i].breakdown(),
-                active_slots: active_slots[i],
-                tx_slots: meters[i].slots_transmitting(),
-                idle_slots: meters[i].slots_idle(),
-                rate_kbps: sessions[i].bitrate.mean_rate(),
-                video_kb: sessions[i].total_kb,
-            })
-            .collect();
-
-        MultiCellResult {
-            result: SimResult {
-                scheduler: scheduler_label,
-                per_user,
-                slots_run,
-                slots_configured: base.slots,
-                tau_s: base.tau,
-                fairness_series,
-                fairness_window_series: vec![],
-                power_series_j: power_series,
-                telemetry: rec.summary(),
-                warnings: vec![],
-            },
-            handovers,
-            mean_cell_occupancy: occupancy_sums
-                .into_iter()
-                .map(|s| s / slots_run as f64)
                 .collect(),
         }
     }

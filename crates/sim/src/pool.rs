@@ -9,15 +9,23 @@
 //!
 //! The pool deliberately exposes exactly one primitive — [`WorkerPool::
 //! broadcast`], "run this closure once per participant, caller included" —
-//! because both consumers reduce to it:
+//! because every consumer reduces to it:
 //!
 //! * `parallel_map` passes a closure that drains an atomic-cursor item
 //!   queue (each participant loops popping chunks until empty);
-//! * the parallel multicell stepper passes a closure that runs the *whole
-//!   slot loop*, one participant per cell stripe, synchronizing with a
-//!   [`SpinBarrier`] twice per slot — one long-lived broadcast per run
-//!   rather than one dispatch per slot, so the per-slot cost is two
-//!   barrier rotations and no locks.
+//! * the two lockstep runs — `Engine::run_sharded_on` and
+//!   `MultiCellScenario::run_parallel` — pass a closure that runs the
+//!   *whole slot loop*, one participant per shard of users (or range of
+//!   cells), meeting at a [`SpinBarrier`] after each phase — one
+//!   long-lived broadcast per run rather than one dispatch per slot, so
+//!   a slot costs its barrier rotations and no locks.
+//!
+//! The phases those closures call are plain functions over `&`/`&mut`
+//! slices, the same ones the serial callers run back to back. What the
+//! lockstep form adds lives here: `PhaseCell` for state one participant
+//! owns per phase, and `SharedSlice`, whose `shard_mut` hands each
+//! participant its rows of a shared column and, in debug builds, checks
+//! on every call that the shards tile the column without overlap.
 //!
 //! # Safety model
 //!
@@ -32,6 +40,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
@@ -289,12 +298,12 @@ fn worker_loop(shared: &'static PoolShared) {
 
 /// A reusable spin barrier for slot-lockstep parallel stepping.
 ///
-/// Condvar barriers cost a mutex round-trip per crossing; at two
-/// crossings per simulated slot that overhead would rival the slot work
-/// itself. Participants here spin with [`std::hint::spin_loop`] on a
+/// Condvar barriers cost a mutex round-trip per crossing; at three or
+/// four crossings per simulated slot that overhead would rival the slot
+/// work itself. Participants here spin with [`std::hint::spin_loop`] on a
 /// generation counter instead — appropriate because every participant
 /// arrives within microseconds of the others (the phases between
-/// crossings are short and balanced by the cell striping).
+/// crossings are short and the shards even).
 ///
 /// After [`SPIN_BUDGET`](Self) polls a waiter downgrades to
 /// [`std::thread::yield_now`]: when participants outnumber cores (a
@@ -352,12 +361,11 @@ impl SpinBarrier {
     }
 }
 
-/// Interior-mutability cell whose access discipline is a barrier
-/// protocol (the multicell stepper's and the sharded engine's): in
-/// *serial* phases participant 0 holds exclusive access (everyone else
-/// is spinning at the next barrier); in *parallel* phases each cell is
-/// touched only by the participant owning it. Every access site states
-/// which phase makes it sound.
+/// Interior-mutability cell whose access discipline is the lockstep
+/// runs' barrier protocol: in *serial* phases participant 0 holds
+/// exclusive access (everyone else is spinning at the next barrier); in
+/// the phases between, everyone reads and nobody writes. Every access
+/// site states which phase makes it sound.
 pub(crate) struct PhaseCell<T>(UnsafeCell<T>);
 
 // SAFETY: cross-thread access is mediated entirely by the barrier
@@ -383,34 +391,44 @@ impl<T> PhaseCell<T> {
     pub(crate) unsafe fn get(&self) -> &T {
         &*self.0.get()
     }
-
-    pub(crate) fn into_inner(self) -> T {
-        self.0.into_inner()
-    }
 }
 
 /// A length-tagged raw view of a slice shared between shard participants.
 ///
 /// [`PhaseCell`] covers whole values owned by one participant per phase;
-/// the sharded engine additionally needs *one* contiguous buffer whose
+/// the lockstep loops additionally need *one* contiguous buffer whose
 /// disjoint index ranges are written by different participants within the
 /// same parallel phase. Handing each participant a `&mut` to the whole
 /// buffer would alias; this wrapper instead derives every access from a
-/// raw base pointer, so references only ever materialize per element (or
-/// per serial phase) and never overlap.
+/// raw base pointer, one sub-slice per shard and phase
+/// ([`SharedSlice::shard_mut`]; a serial phase asks for the one shard of
+/// the one-shard partition). That call is where the lockstep loops'
+/// `unsafe` lives — the phase bodies it feeds take plain slices.
 pub(crate) struct SharedSlice<T> {
     ptr: *mut T,
     len: usize,
 }
 
 // SAFETY: access is mediated by the same barrier protocol as PhaseCell —
-// parallel phases touch disjoint indices, serial phases are exclusive.
+// parallel phases touch disjoint ranges, serial phases are exclusive;
+// `T: Send` because a row is written by whichever participant owns it.
 unsafe impl<T: Send> Send for SharedSlice<T> {}
 unsafe impl<T: Send> Sync for SharedSlice<T> {}
 
+/// True when `ranges`, taken in order, cover `0..len` exactly: each
+/// starts where the one before it ended, so no two overlap.
+fn tiles(ranges: &[Range<usize>], len: usize) -> bool {
+    let mut next = 0;
+    ranges.iter().all(|r| {
+        let fits = r.start == next && r.start <= r.end;
+        next = r.end;
+        fits
+    }) && next == len
+}
+
 impl<T> SharedSlice<T> {
-    /// Capture a raw view of `v`'s buffer. The Vec must not be resized
-    /// (or dropped) while the view is in use.
+    /// Capture a raw view of `v`. The buffer must not move, be resized
+    /// or be reached through any other path while the view is in use.
     pub(crate) fn new(v: &mut [T]) -> Self {
         Self {
             ptr: v.as_mut_ptr(),
@@ -418,40 +436,29 @@ impl<T> SharedSlice<T> {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.len
+    /// True for a view of no rows (a column the run does not carry).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
+    /// Shard `p`'s rows, `ranges[p]`, where `ranges` is the run's one
+    /// partition of the rows into shards. Debug builds check on every
+    /// call that the partition tiles `0..len` in order without overlap.
+    ///
     /// # Safety
-    /// `i < len`, and no other participant may access index `i` until the
-    /// next barrier crossing.
+    /// Between two barrier crossings, every participant that calls this
+    /// passes the same `ranges`, no two pass the same `p`, and each drops
+    /// its slice before the second crossing.
     #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
-    }
-
-    /// # Safety
-    /// `i < len`, and no participant may be mutating index `i` this phase.
-    pub(crate) unsafe fn get(&self, i: usize) -> &T {
-        debug_assert!(i < self.len);
-        &*self.ptr.add(i)
-    }
-
-    /// # Safety
-    /// Caller must be in a serial phase (or a phase where nobody writes):
-    /// the returned slice aliases every index.
-    pub(crate) unsafe fn as_slice(&self) -> &[T] {
-        std::slice::from_raw_parts(self.ptr, self.len)
-    }
-
-    /// # Safety
-    /// Caller must be in a serial phase with exclusive access (every
-    /// other participant parked at a barrier), and must drop the slice
-    /// before the next barrier crossing: it aliases every index mutably.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn as_mut_slice(&self) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
+    pub(crate) unsafe fn shard_mut(&self, ranges: &[Range<usize>], p: usize) -> &mut [T] {
+        debug_assert!(
+            tiles(ranges, self.len),
+            "shard ranges {ranges:?} must tile 0..{} in order without overlap",
+            self.len
+        );
+        let r = ranges[p].clone();
+        assert!(r.start <= r.end && r.end <= self.len, "shard out of range");
+        std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.len())
     }
 }
 
@@ -580,6 +587,37 @@ mod tests {
         let b = SpinBarrier::new(1);
         for _ in 0..10 {
             b.wait();
+        }
+    }
+
+    #[test]
+    fn shards_of_a_tiling_are_disjoint_and_cover_the_slice() {
+        let mut rows = vec![0u32; 10];
+        let shared = SharedSlice::new(&mut rows);
+        let ranges = [0..3, 3..3, 3..10];
+        for p in 0..ranges.len() {
+            // SAFETY: one thread, one shard alive at a time.
+            for row in unsafe { shared.shard_mut(&ranges, p) } {
+                *row += 1 + p as u32;
+            }
+        }
+        assert_eq!(rows, [1, 1, 1, 3, 3, 3, 3, 3, 3, 3]);
+    }
+
+    /// The carve is where the lockstep loops' memory safety rests, so a
+    /// debug build refuses a partition whose shards overlap, leave a gap
+    /// or stop short — before handing out the first row.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_partition_that_does_not_tile_panics_in_debug() {
+        for ranges in [[0..6, 5..10], [0..4, 5..10], [0..5, 5..9]] {
+            let mut rows = vec![0u32; 10];
+            let shared = SharedSlice::new(&mut rows);
+            // SAFETY: the call panics before it forms a slice.
+            let carved = catch_unwind(AssertUnwindSafe(|| unsafe {
+                shared.shard_mut(&ranges, 0).len()
+            }));
+            assert!(carved.is_err(), "{ranges:?} was accepted");
         }
     }
 }

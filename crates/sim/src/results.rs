@@ -43,17 +43,12 @@ pub struct UserResult {
     pub video_kb: f64,
 }
 
-/// A non-fatal condition a run wants the caller to know about — e.g. a
-/// requested execution mode that was silently substituted. Typed (not a
-/// log line) so harness code and tests can assert on it.
+/// A non-fatal condition a run wants the caller to know about — a
+/// requested start that was substituted. Typed (not a log line) so
+/// harness code and tests can assert on it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum SimWarning {
-    /// `run --shards N` fell back to the serial loop.
-    ShardFallback {
-        /// Why the sharded loop could not run.
-        reason: String,
-    },
     /// A resume-on-restart found its checkpoint sidecar unusable
     /// (missing component, corrupt bytes, version drift) and the run
     /// cold-started instead of resuming.
@@ -66,9 +61,6 @@ pub enum SimWarning {
 impl std::fmt::Display for SimWarning {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimWarning::ShardFallback { reason } => {
-                write!(f, "sharded run fell back to serial: {reason}")
-            }
             SimWarning::CheckpointFallback { reason } => {
                 write!(f, "checkpoint unusable, cold-started: {reason}")
             }

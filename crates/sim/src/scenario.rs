@@ -194,13 +194,14 @@ impl Scenario {
         Ok((result, trace))
     }
 
-    /// [`Scenario::run`] on the sharded engine: users are partitioned
-    /// across the process-wide [`crate::WorkerPool`] into per-shard
-    /// columns, with a lockstep merge phase for the shared BS capacity
-    /// constraint. Bit-identical to [`Scenario::run`] by construction
-    /// (see DESIGN.md §11); falls back to the serial loop when `shards`
-    /// (clamped to the pool width) is ≤ 1, when the collector is not
-    /// pass-through, or when faults are configured.
+    /// [`Scenario::run`] with each slot's per-shard phases spread over
+    /// the process-wide [`crate::WorkerPool`]: users are partitioned
+    /// into `shards` contiguous ranges, one per participant, meeting in
+    /// lockstep for the serial phases (the shared BS budget, the
+    /// recorder). Bit-identical to [`Scenario::run`] at every width
+    /// (see DESIGN.md §11); `shards` is clamped to the pool width, and
+    /// every scenario — faulted, noisy collector, admission-controlled —
+    /// runs the same phases at the width it asked for.
     pub fn run_sharded(&self, shards: usize) -> Result<SimResult, SimError> {
         self.run_sharded_with(&mut crate::telemetry::NullRecorder, shards)
     }
@@ -225,14 +226,12 @@ impl Scenario {
     ) -> Result<SimResult, SimError> {
         self.validate()?;
         match self.compiled_faults()? {
-            // Fault hooks thread per-slot state through the serial walk
-            // order; the sharded loop does not support them.
-            Some(plan) => Ok(self
-                .build_engine(false, Some(&plan))?
-                .run_faulted_with(rec, &plan)),
             None => Ok(self
                 .build_engine(false, None)?
                 .run_sharded_on(pool, shards, rec)),
+            Some(plan) => Ok(self
+                .build_engine(false, Some(&plan))?
+                .run_sharded_faulted_on(pool, shards, rec, &plan)),
         }
     }
 

@@ -12,13 +12,13 @@
 //! * A feasibility admission run must survive checkpoint/resume exactly
 //!   (deferred-queue state and the running Ω̂/Φ̂ accumulators are part
 //!   of the v3 sidecar).
-//! * `run --shards` substitutions surface as a typed
-//!   [`SimWarning::ShardFallback`] instead of silence.
+//! * `run --shards` substitutes nothing: stale and noisy collectors and
+//!   admission control run the lockstep phases and equal the serial run.
 
 use jmso_sim::{
     AbrPolicy, AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
     CollectorSpec, EngineCheckpoint, MultiCellScenario, RunOutcome, Scenario, SchedulerSpec,
-    SimResult, SimWarning, TraceRecorder, WorkerPool, WorkloadSpec,
+    SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -358,41 +358,36 @@ fn multicell_rejects_feasibility_admission() {
     assert!(m.run_parallel(2).is_err(), "parallel path must reject too");
 }
 
-/// `run --shards` substitutions surface as typed warnings: a
-/// non-pass-through collector and a feasibility admission controller
-/// both fall back to the serial loop with a [`SimWarning`]; a width
-/// clamped to 1 is the requested execution and stays silent.
+/// `run --shards` substitutes nothing: a collector that holds or
+/// perturbs its reports (its pass is hosted by the serial phase B at
+/// every width) and a feasibility admission controller (ticked in phase
+/// D) both run the lockstep phases at the width asked for, and come out
+/// as the serial run — result, warnings (none) and trace bytes.
 #[test]
-fn shard_fallback_raises_typed_warning() {
+fn no_input_falls_back_from_the_sharded_loop() {
     let pool = WorkerPool::new(2);
+    let traced = |s: &Scenario, shards: Option<usize>| {
+        let mut rec = TraceRecorder::new();
+        let r = match shards {
+            None => s.run_with(&mut rec),
+            Some(w) => s.run_sharded_on(&pool, w, &mut rec),
+        }
+        .expect("runs");
+        let bytes = rec.into_trace(&r.scheduler).to_jsonl();
+        (scrub(r), bytes)
+    };
 
-    // Non-pass-through collector (staleness): warned fallback.
     let mut stale = mc_base(3);
     stale.slots = 200;
     stale.collector = CollectorSpec {
         staleness_slots: 4,
         signal_noise_std_db: 0.0,
     };
-    let mut rec = jmso_sim::NullRecorder;
-    let r = stale
-        .run_sharded_on(&pool, 2, &mut rec)
-        .expect("fallback still runs");
-    assert_eq!(r.warnings.len(), 1, "exactly one fallback warning");
-    let SimWarning::ShardFallback { reason } = &r.warnings[0] else {
-        panic!("expected a shard-fallback warning, got {:?}", r.warnings[0]);
-    };
-    assert!(reason.contains("pass-through"), "{reason}");
-    // The fallback result equals the plain serial run apart from the
-    // warning itself.
-    let serial = stale.run().expect("serial runs");
-    let mut warned = serial.clone();
-    warned.warnings = r.warnings.clone();
-    assert_eq!(r, warned);
-
-    // Feasibility admission shards like any other scenario: the tick
-    // runs in phase D, so the old serial-only fallback (and its
-    // warning) must never fire, and the sharded result is the serial
-    // run, bytes and all.
+    let mut noisy = stale.clone();
+    noisy.collector.signal_noise_std_db = 2.0;
+    // RTMA reads the SoA mirror, which phase B then keeps in step.
+    let mut noisy_soa = noisy.clone();
+    noisy_soa.scheduler = SchedulerSpec::rtma(900.0);
     let mut adm = mc_base(3);
     adm.slots = 200;
     adm.arrivals = ArrivalSpec::Poisson {
@@ -406,28 +401,26 @@ fn shard_fallback_raises_typed_warning() {
         phi_mj: None,
         max_defer_slots: 10,
     });
-    let r = adm
-        .run_sharded_on(&pool, 2, &mut rec)
-        .expect("admission-controlled scenario shards");
-    assert!(
-        r.warnings.is_empty(),
-        "admission must not fall back to the serial loop: {:?}",
-        r.warnings
-    );
-    assert_eq!(r, adm.run().expect("serial runs"));
-
-    // Width 1 is the serial loop by request — no warning, even with a
-    // non-pass-through collector.
-    let r = stale
-        .run_sharded_on(&pool, 1, &mut rec)
-        .expect("serial width runs");
-    assert!(r.warnings.is_empty(), "width-1 run must not warn");
-
-    // A plain sharded run warns about nothing.
     let mut plain = mc_base(3);
     plain.slots = 200;
-    let r = plain.run_sharded_on(&pool, 2, &mut rec).expect("runs");
-    assert!(r.warnings.is_empty());
+
+    for (name, s) in [
+        ("stale collector", &stale),
+        ("noisy collector", &noisy),
+        ("noisy collector + SoA", &noisy_soa),
+        ("feasibility admission", &adm),
+        ("plain", &plain),
+    ] {
+        let serial = traced(s, None);
+        assert!(
+            serial.0.warnings.is_empty(),
+            "{name}: {:?}",
+            serial.0.warnings
+        );
+        for shards in [1, 2, 3] {
+            assert_eq!(traced(s, Some(shards)), serial, "{name} at width {shards}");
+        }
+    }
 }
 
 /// Under congestion the feasibility controller actually defers and

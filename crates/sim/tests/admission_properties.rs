@@ -14,7 +14,7 @@
 //! * Open-system + admission scenarios now run in the sharded loop
 //!   (the admission tick lives in the serial phase D): every shard
 //!   width must reproduce the serial run byte-for-byte, with no
-//!   `ShardFallback` warning.
+//!   warning.
 //! * The hot tick takes its candidates off one queue — the carry list
 //!   of the previous tick's deferrals merged with the planned arrivals
 //!   that just came due — and only an `Admit` reaches the arrival gate;
@@ -208,8 +208,8 @@ proptest! {
     }
 
     /// Lifted pin: open-system + admission scenarios shard, and every
-    /// width reproduces the serial run byte-for-byte with no
-    /// `ShardFallback` warning (the admission tick runs in phase D).
+    /// width reproduces the serial run byte-for-byte with no warning
+    /// (the admission tick runs in phase D).
     #[test]
     fn sharded_admission_equals_serial(
         scenario in arb_churn_scenario(),

@@ -16,7 +16,7 @@
 use jmso_sim::{
     ArrivalSpec, CapacitySpec, EngineCheckpoint, FaultEvent, FaultSpec, MultiCellScenario,
     RunOutcome, Scenario, SchedulerSpec, SignalSpec, SimResult, SlotTrace, TraceRecorder,
-    WorkloadSpec,
+    WorkerPool, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -131,6 +131,30 @@ proptest! {
         let (rr_empty, tr_empty) = traced_reference(&with_empty);
         prop_assert_eq!(tr_none, tr_empty, "reference-path trace diverged");
         prop_assert_eq!(deterministic_parts(&rr_none), deterministic_parts(&rr_empty));
+    }
+
+    /// A fault plan is an input of the one slot pipeline, not a reason to
+    /// leave it: at width 2 the phases read the same hook and the run
+    /// equals the serial one — results, series and trace bytes. (The
+    /// faulted golden scenario's own bytes are checked at width 2 where
+    /// it is defined, in `tests/golden_trace.rs`.)
+    #[test]
+    fn faulted_width_2_equals_serial(
+        scenario in arb_scenario(),
+        fault_seed in 0u64..500,
+        n_events in 1usize..5,
+    ) {
+        let mut s = scenario;
+        apply_faults(&mut s, Some((fault_seed, n_events)));
+        let (serial, serial_trace) = traced(&s);
+        let mut rec = TraceRecorder::new();
+        let sharded = s
+            .run_sharded_on(&WorkerPool::new(1), 2, &mut rec)
+            .expect("valid scenario runs");
+        let sharded_trace = rec.into_trace(&sharded.scheduler).to_jsonl();
+        prop_assert_eq!(serial_trace, sharded_trace, "trace bytes diverged");
+        prop_assert_eq!(deterministic_parts(&serial), deterministic_parts(&sharded));
+        prop_assert_eq!(serial.warnings, sharded.warnings);
     }
 
     /// Pause at a random slot, serialize the checkpoint through JSON,

@@ -4,14 +4,15 @@
 //! The load-bearing contract (DESIGN.md §11): [`Scenario::run_sharded_on`]
 //! is **bit-identical** to the serial loop — per-user results, every
 //! recorded series, and the full per-slot trace bytes — at every shard
-//! width, on open systems with mid-run arrivals *and* departures. The
-//! suite also pins the v2 checkpoint format: pausing an open-system run
-//! at a slot where the live population differs from the seed population
-//! and resuming must reproduce the straight run exactly.
+//! width, on open systems with mid-run arrivals *and* departures, with
+//! and without a fault plan. The suite also pins the v2 checkpoint
+//! format: pausing an open-system run at a slot where the live
+//! population differs from the seed population and resuming must
+//! reproduce the straight run exactly.
 
 use jmso_sim::{
-    ArrivalSpec, CapacitySpec, Diurnal, EngineCheckpoint, RunOutcome, Scenario, SchedulerSpec,
-    SessionLength, SignalSpec, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
+    ArrivalSpec, CapacitySpec, Diurnal, EngineCheckpoint, FaultSpec, RunOutcome, Scenario,
+    SchedulerSpec, SessionLength, SignalSpec, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -155,6 +156,33 @@ proptest! {
         let (serial, serial_trace) = traced_serial(&scenario);
         for shards in [1usize, 2, 4] {
             let (sharded, sharded_trace) = traced_sharded(&scenario, &pool, shards);
+            prop_assert_eq!(&serial, &sharded, "result diverged at width {}", shards);
+            prop_assert_eq!(
+                &serial_trace,
+                &sharded_trace,
+                "trace bytes diverged at width {}",
+                shards
+            );
+        }
+    }
+
+    /// A fault plan runs the lockstep phases like any other input — no
+    /// width routes it to a different loop — so a faulted open system
+    /// (fades and outages read in phase A, the capacity cut and the fault
+    /// notes in phase B, late arrivals through the gate) equals the
+    /// serial run in results and trace bytes at every width.
+    #[test]
+    fn sharded_faulted_open_system_equals_serial(
+        scenario in arb_scenario(),
+        fault_seed in 0u64..500,
+        n_events in 1usize..6,
+    ) {
+        let mut s = scenario;
+        s.faults = FaultSpec::Generated { seed: fault_seed, n_events };
+        let pool = WorkerPool::new(3);
+        let (serial, serial_trace) = traced_serial(&s);
+        for shards in [1usize, 2, 4] {
+            let (sharded, sharded_trace) = traced_sharded(&s, &pool, shards);
             prop_assert_eq!(&serial, &sharded, "result diverged at width {}", shards);
             prop_assert_eq!(
                 &serial_trace,

@@ -47,26 +47,18 @@ echo "== cargo clippy -p jmso-gateway-svc (deny unwrap/expect/panic in lib)"
 cargo clippy -p jmso-gateway-svc --lib --no-deps -- -D warnings \
     -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
 
+# Tier-1: the root package and every crate under crates/ (the root
+# manifest's `default-members`), unit, integration and doc tests.
 echo "== cargo test"
 cargo test -q
 
-# Tier-1 above runs the root package only; EMA's production solver is
-# pinned to the paper's Algorithm 2 by the scheduler crate's own unit and
-# property tests, so they run on every pass too.
-echo "== cargo test -p jmso-sched"
-cargo test -q -p jmso-sched
-
-# Every durable byte (traces, sidecars, scenario files) is printed by the
-# vendored serde stubs, and every socket line is parsed by them: the
-# writer-vs-reference-printer oracle, the derive shape pins and the
-# nesting cap live in their own test targets, which Tier-1 does not run.
+# `vendor/*` stays outside the default set. Every durable byte (traces,
+# sidecars, scenario files) is printed by the vendored serde stubs, and
+# every socket line is parsed by them: the writer-vs-reference-printer
+# oracle, the derive shape pins and the nesting cap live in their own
+# test targets.
 echo "== cargo test -p serde -p serde_json -p serde_derive"
 cargo test -q -p serde -p serde_json -p serde_derive
-
-# The protocol's unit tests, for the `parse_command` nesting regression
-# (a deeply nested socket line must be a typed rejection, not an abort).
-echo "== cargo test -p jmso-gateway --lib"
-cargo test -q -p jmso-gateway --lib
 
 # The repository benchmark is a workspace of its own (benchmark/) that
 # compiles against the crates' public surface; a PR that breaks that

@@ -11,8 +11,8 @@
 //! place) and review the diff before committing.
 
 use jmso_sim::{
-    AbrPolicy, AbrSpec, BitrateLadder, CapacitySpec, FaultEvent, FaultSpec, Scenario,
-    SchedulerSpec, SlotTrace, TailPricing, WorkloadSpec,
+    AbrPolicy, AbrSpec, BitrateLadder, CapacitySpec, FaultEvent, FaultSpec, MultiCellScenario,
+    Scenario, SchedulerSpec, SlotTrace, TailPricing, TraceRecorder, WorkerPool, WorkloadSpec,
 };
 use std::path::PathBuf;
 
@@ -101,6 +101,10 @@ fn check_golden_scenario(name: &str, scenario: &Scenario) {
     let (result, trace) = scenario.run_traced(1).unwrap();
     assert_eq!(trace.meta.slots, result.slots_run);
     assert_eq!(trace.meta.n_users, 3);
+    check_golden_trace(name, &trace);
+}
+
+fn check_golden_trace(name: &str, trace: &SlotTrace) {
     let jsonl = trace.to_jsonl();
 
     let path = golden_path(name);
@@ -136,7 +140,7 @@ fn check_golden_scenario(name: &str, scenario: &Scenario) {
 
     // The committed bytes must also parse back to the exact trace the run
     // produced (guards the parser against schema drift the diff can't see).
-    assert_eq!(SlotTrace::from_jsonl(&golden).unwrap(), trace);
+    assert_eq!(&SlotTrace::from_jsonl(&golden).unwrap(), trace);
 }
 
 #[test]
@@ -212,4 +216,57 @@ fn faulted_trace_matches_golden() {
         jsonl.contains("\"deg\""),
         "faulted golden carries no degradation events — pc_clamp never fired"
     );
+
+    // A fault plan shards like any other input: the lockstep phases at
+    // width 2 print the committed bytes too.
+    let mut rec = TraceRecorder::new();
+    let sharded = scenario
+        .run_sharded_on(&WorkerPool::new(1), 2, &mut rec)
+        .unwrap();
+    assert_eq!(rec.into_trace(&sharded.scheduler).to_jsonl(), jsonl);
+}
+
+/// The multicell golden: three of the contended golden cells, twelve
+/// roaming users, best-effort RTMA with a binding Φ, and a fault plan
+/// that takes one cell out and fades one user — so the one trace carries
+/// handovers, per-cell budgets, fault notes, degradation events and RRC
+/// transitions, in the order the multicell stepper emits them.
+#[test]
+fn multicell_trace_matches_golden() {
+    let mut base = golden_scenario(SchedulerSpec::Rtma {
+        phi_mj: 400.0,
+        best_effort: true,
+    });
+    base.n_users = 12;
+    base.slots = 400;
+    base.faults = FaultSpec::Declared {
+        events: vec![
+            FaultEvent::CellOutage {
+                cell: 1,
+                from_slot: 50,
+                until_slot: 120,
+            },
+            FaultEvent::DeepFade {
+                user: 4,
+                from_slot: 200,
+                until_slot: 260,
+                depth_db: 25.0,
+            },
+        ],
+    };
+    let mc = MultiCellScenario {
+        base,
+        n_cells: 3,
+        handover_prob: 0.1,
+    };
+    let (result, trace) = mc.run_traced(1).unwrap();
+    assert_eq!(trace.meta.slots, result.result.slots_run);
+    assert_eq!(trace.meta.n_users, 12);
+    assert!(result.handovers > 0, "nobody roamed");
+    check_golden_trace("multicell.trace.jsonl", &trace);
+
+    let jsonl = trace.to_jsonl();
+    for key in ["\"faults\"", "\"rrc\":[{", "\"deg\""] {
+        assert!(jsonl.contains(key), "multicell golden carries no {key}");
+    }
 }
