@@ -5,7 +5,9 @@
 //! falling back to a cold start with a logged warning otherwise), then
 //! runs the slot loop in real or accelerated time, draining socket
 //! commands at slot boundaries, broadcasting telemetry through the
-//! bounded fan-out, and writing periodic crash-safe checkpoints.
+//! bounded fan-out, and writing periodic crash-safe checkpoints — captured
+//! and printed here, made durable by a persist thread while the loop
+//! keeps stepping (DESIGN.md §13).
 //!
 //! Determinism contract: under [`LivePolicy::Stall`] with a scripted
 //! feed, the trace file this service writes is byte-identical to the
@@ -20,13 +22,14 @@ use jmso_gateway::{
     declared_rate_from_request, GwEvent, GwStatus, LiveEvent, ProtocolError, SvcState,
 };
 use jmso_sim::{
-    atomic_write, DynFaults, EngineCheckpoint, Scenario, ScenarioError, SimError, SimWarning,
-    SlotDriver, TraceError, TraceRecorder,
+    atomic_write, CheckpointError, DynFaults, EngineCheckpoint, Scenario, ScenarioError, SimError,
+    SimWarning, SlotDriver, TraceError, TraceRecorder,
 };
 use serde::Serialize;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything one service (and every supervisor rebuild of it) needs.
@@ -115,6 +118,51 @@ fn json_line<T: Serialize>(out: &mut String, value: &T) -> Result<(), TraceError
     })
 }
 
+fn publish_event(fanout: &FanOut, ev: &GwEvent) {
+    if let Ok(line) = serde_json::to_string(ev) {
+        fanout.broadcast(&line);
+    }
+}
+
+/// `last_ckpt_slot` before the first sidecar is durable.
+const NO_CKPT: u64 = u64::MAX;
+
+/// The persist thread: it takes a printed sidecar off the slot thread,
+/// waits for the disk (spool `fdatasync`, then the sidecar's
+/// `atomic_write`), and only then reports the checkpoint. At most one
+/// sidecar is in flight — every attempt's sidecars go through the one
+/// `<ckpt>.tmp` and must land in slot order — so whoever needs the disk
+/// state settled (the next checkpoint, shutdown, completion) joins first.
+#[derive(Default)]
+struct Persist {
+    in_flight: Option<JoinHandle<Result<(), SimError>>>,
+}
+
+impl Persist {
+    /// Wait until the sidecar in flight, if any, is durable. A failed
+    /// write is reported here, once.
+    fn join(&mut self) -> Result<(), SimError> {
+        match self.in_flight.take().map(JoinHandle::join) {
+            None => Ok(()),
+            Some(Ok(persisted)) => persisted,
+            // A panic over there is a panic of this attempt.
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+        }
+    }
+}
+
+impl Drop for Persist {
+    /// An attempt that unwinds still settles its sidecar before the
+    /// supervisor builds the next one: a late rename would replace the
+    /// restart's sidecar with an older slot's. The outcome is dropped —
+    /// the restart resumes from whatever is on disk either way.
+    fn drop(&mut self) {
+        if let Some(thread) = self.in_flight.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// One supervised attempt at running the scenario live.
 pub struct LiveService {
     cfg: ServeConfig,
@@ -128,7 +176,14 @@ pub struct LiveService {
     warnings: Vec<String>,
     dropped_slots: u64,
     degraded: bool,
-    last_ckpt_slot: Option<u64>,
+    /// Slot of the newest *durable* sidecar ([`NO_CKPT`] before the
+    /// first); stored by the persist thread once the rename is synced.
+    last_ckpt_slot: Arc<AtomicU64>,
+    /// Slot at which the newest checkpoint was captured, durable or not:
+    /// what the periodic trigger compares against, so one slot boundary
+    /// hands off one sidecar.
+    ckpt_handed_off: Option<u64>,
+    persist: Persist,
     /// Record lines so far (`Some` iff a trace path is configured). The
     /// recorder is drained into it after every slot, so `rec` holds no
     /// records between slots.
@@ -211,7 +266,9 @@ impl LiveService {
             warnings,
             dropped_slots: 0,
             degraded: false,
-            last_ckpt_slot: None,
+            last_ckpt_slot: Arc::new(AtomicU64::new(NO_CKPT)),
+            ckpt_handed_off: None,
+            persist: Persist::default(),
             spool,
             line: String::new(),
             anchor: None,
@@ -265,6 +322,7 @@ impl LiveService {
 
     /// Current status snapshot (also the `status` command reply).
     pub fn status(&self) -> GwStatus {
+        let last_ckpt = self.last_ckpt_slot.load(Ordering::SeqCst);
         GwStatus {
             state: self.state,
             slot: self.driver.next_slot(),
@@ -273,14 +331,8 @@ impl LiveService {
             policy: self.cfg.policy.as_str().to_string(),
             dropped_slots: self.dropped_slots,
             dropped_subscribers: self.fanout.dropped(),
-            last_checkpoint_slot: self.last_ckpt_slot,
+            last_checkpoint_slot: (last_ckpt != NO_CKPT).then_some(last_ckpt),
             warnings: self.warnings.clone(),
-        }
-    }
-
-    fn publish_event(&self, ev: &GwEvent) {
-        if let Ok(line) = serde_json::to_string(ev) {
-            self.fanout.broadcast(&line);
         }
     }
 
@@ -300,9 +352,12 @@ impl LiveService {
                 spool.append(&self.line)?;
             }
             if publish && self.fanout.broadcast(&self.line) > 0 {
-                self.publish_event(&GwEvent::SubscriberDropped {
-                    total: self.fanout.dropped(),
-                });
+                publish_event(
+                    &self.fanout,
+                    &GwEvent::SubscriberDropped {
+                        total: self.fanout.dropped(),
+                    },
+                );
             }
         }
         Ok(())
@@ -356,30 +411,58 @@ impl LiveService {
         }
     }
 
+    /// Capture a checkpoint at this slot boundary and hand it to the
+    /// persist thread. The CPU half (capture, `to_json`) stays here: on a
+    /// thread of its own it competes with the connection threads and
+    /// costs commands more than it saves slots (DESIGN.md §13).
     fn write_checkpoint(&mut self) -> Result<(), SimError> {
+        let slot = self.driver.next_slot();
+        self.ckpt_handed_off = Some(slot);
         let Some(path) = self.cfg.ckpt_path.clone() else {
             return Ok(());
         };
-        // Log before snapshot: once the sidecar below is renamed into
-        // place, every record its recorder counts as emitted must
-        // already be durable in the spool.
-        if let Some(spool) = &mut self.spool {
-            spool.sync()?;
-        }
-        let ck = self
+        // Log before snapshot: every record the sidecar below counts as
+        // emitted is in the file now, and the persist thread syncs the
+        // file before it renames the sidecar into place.
+        let spool = match &mut self.spool {
+            Some(spool) => Some(spool.flush()?),
+            None => None,
+        };
+        let json = self
             .driver
             .checkpoint(&self.rec)
+            .and_then(|ck| ck.to_json())
             .map_err(SimError::Checkpoint)?;
-        ck.write_file(&path).map_err(SimError::Checkpoint)?;
-        let slot = self.driver.next_slot();
-        self.last_ckpt_slot = Some(slot);
-        self.publish_event(&GwEvent::Checkpoint { slot });
+        self.persist.join()?;
+        let (fanout, last_ckpt_slot) = (self.fanout.clone(), self.last_ckpt_slot.clone());
+        let io_err = |path: &Path, source| {
+            SimError::Checkpoint(CheckpointError::Io {
+                path: path.to_path_buf(),
+                source,
+            })
+        };
+        let thread = std::thread::Builder::new().name("jmso-persist".into());
+        let spawned = thread.spawn({
+            let path = path.clone();
+            move || {
+                if let Some(spool) = spool {
+                    spool.sync()?;
+                }
+                atomic_write(&path, json.as_bytes()).map_err(|e| io_err(&path, e))?;
+                // Both mean *durable*: neither names a sidecar before
+                // its rename and directory sync returned.
+                last_ckpt_slot.store(slot, Ordering::SeqCst);
+                publish_event(&fanout, &GwEvent::Checkpoint { slot });
+                Ok(())
+            }
+        });
+        self.persist.in_flight = Some(spawned.map_err(|e| io_err(&path, e))?);
         Ok(())
     }
 
     fn overrun(&mut self, slot: u64) -> bool {
         let action = self.cfg.policy.as_str().to_string();
-        self.publish_event(&GwEvent::DeadlineOverrun { slot, action });
+        publish_event(&self.fanout, &GwEvent::DeadlineOverrun { slot, action });
         match self.cfg.policy {
             LivePolicy::Stall => true,
             LivePolicy::DropSlots => {
@@ -389,7 +472,7 @@ impl LiveService {
             LivePolicy::Degrade => {
                 if !self.degraded && self.driver.engage_degraded() {
                     self.degraded = true;
-                    self.publish_event(&GwEvent::Degraded { slot });
+                    publish_event(&self.fanout, &GwEvent::Degraded { slot });
                 }
                 true
             }
@@ -401,12 +484,8 @@ impl LiveService {
     /// supervisor builds a fresh one from the durable state on restart.
     pub fn run(mut self) -> Result<Outcome, SimError> {
         for ev in std::mem::take(&mut self.startup_events) {
-            self.publish_event(&ev);
+            publish_event(&self.fanout, &ev);
         }
-        // In ingest mode the fed schedule exists only in memory until
-        // the first checkpoint: anchor one at the running transition so
-        // a crash at any executed slot resumes with the schedule.
-        let mut start_ckpt_written = false;
         let pace = self.cfg.slot_ms.map(Duration::from_millis);
         loop {
             if self.shutdown.load(Ordering::SeqCst) || self.stopping {
@@ -428,14 +507,21 @@ impl LiveService {
                 return self.complete();
             }
             let slot = self.driver.next_slot();
-            if !start_ckpt_written {
-                self.write_checkpoint()?;
-                start_ckpt_written = true;
-            } else if self.cfg.ckpt_every > 0
-                && slot.is_multiple_of(self.cfg.ckpt_every)
-                && self.last_ckpt_slot != Some(slot)
-            {
-                self.write_checkpoint()?;
+            match self.ckpt_handed_off {
+                // In ingest mode the fed schedule exists only in memory
+                // until the first checkpoint: anchor one at the running
+                // transition, durable before the first slot runs, so a
+                // crash at any executed slot resumes with the schedule.
+                None => {
+                    self.write_checkpoint()?;
+                    self.persist.join()?;
+                }
+                Some(at) => {
+                    let every = self.cfg.ckpt_every;
+                    if every > 0 && slot.is_multiple_of(every) && at != slot {
+                        self.write_checkpoint()?;
+                    }
+                }
             }
             let mut publish = true;
             if let Some(p) = pace {
@@ -474,6 +560,7 @@ impl LiveService {
         self.state = SvcState::Stopping;
         let at_slot = self.driver.next_slot();
         self.write_checkpoint()?;
+        self.persist.join()?;
         self.fanout.close();
         Ok(Outcome::Interrupted { at_slot })
     }
@@ -483,7 +570,10 @@ impl LiveService {
     /// spool and the checkpoint sidecar (the run is over; a restart
     /// must not resume it), surface simulation warnings, close the
     /// fan-out.
-    fn complete(self) -> Result<Outcome, SimError> {
+    fn complete(mut self) -> Result<Outcome, SimError> {
+        // A rename landing after the removals below would resurrect the
+        // finished run.
+        self.persist.join()?;
         let Self {
             cfg,
             fanout,

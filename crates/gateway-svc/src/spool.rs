@@ -5,10 +5,11 @@
 //! fan-out; that same line is appended here and the record is dropped.
 //! The checkpoint sidecar then carries recorder state without records,
 //! and the final trace is the header line + these bytes. The spool is
-//! synced before each sidecar rename, so a sidecar whose recorder has
-//! emitted `k` records implies a spool of at least `k` complete lines;
-//! whatever follows them (slots run after the checkpoint, a torn last
-//! write) is cut off on resume and re-appended as those slots re-run.
+//! flushed before each sidecar is captured and synced before that
+//! sidecar's rename, so a sidecar whose recorder has emitted `k` records
+//! implies a spool of at least `k` complete lines; whatever follows them
+//! (slots run after the checkpoint, a torn last write) is cut off on
+//! resume and re-appended as those slots re-run.
 
 use jmso_sim::{sync_parent_dir, TraceError};
 use std::fs::{File, OpenOptions};
@@ -73,12 +74,19 @@ impl TraceSpool {
             .map_err(|e| self.io_err(e))
     }
 
-    /// Make everything appended so far durable (`fdatasync`: the data
-    /// and the file length needed to read it back).
-    pub(crate) fn sync(&mut self) -> Result<(), TraceError> {
+    /// Hand everything appended so far to the OS and return a second
+    /// handle on the file, whose [`SpoolSync::sync`] makes those lines
+    /// durable. Two steps because only this one needs the writer: the
+    /// slot thread flushes and goes on appending, the persist thread
+    /// waits for the disk.
+    pub(crate) fn flush(&mut self) -> Result<SpoolSync, TraceError> {
         self.file
             .flush()
-            .and_then(|()| self.file.get_ref().sync_data())
+            .and_then(|()| self.file.get_ref().try_clone())
+            .map(|file| SpoolSync {
+                path: self.path.clone(),
+                file,
+            })
             .map_err(|e| self.io_err(e))
     }
 
@@ -95,6 +103,22 @@ impl TraceSpool {
         let Self { path, file } = self;
         drop(file);
         let _ = std::fs::remove_file(path);
+    }
+}
+
+/// The spool file as of one [`TraceSpool::flush`].
+pub(crate) struct SpoolSync {
+    path: PathBuf,
+    file: File,
+}
+
+impl SpoolSync {
+    /// `fdatasync`: the data and the file length needed to read it back.
+    pub(crate) fn sync(self) -> Result<(), TraceError> {
+        self.file.sync_data().map_err(|source| TraceError::Io {
+            path: self.path,
+            source,
+        })
     }
 }
 
@@ -150,7 +174,7 @@ mod tests {
         for line in ["a", "bb", "ccc"] {
             s.append(line).expect("append");
         }
-        s.sync().expect("sync");
+        s.flush().expect("flush").sync().expect("sync");
         drop(s);
         // A torn fourth line, as a kill -9 mid-write leaves it.
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");

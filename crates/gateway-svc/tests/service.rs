@@ -1,6 +1,7 @@
 //! Integration tests for the live gateway service: live ≡ batch byte
 //! identity under `Stall`, crash recovery through the supervisor and
-//! through every state the sidecar + spool pair can be found in,
+//! through every state the sidecar + spool pair can be found in, the
+//! persist thread's ordering (what is durable when, what is joined where),
 //! deadline-overrun policies that never stall the loop, slow-subscriber
 //! eviction, corrupt-checkpoint cold starts, the `done` event reaching
 //! a socket subscriber, a deeply nested hostile line, and the `template`
@@ -11,13 +12,16 @@ use jmso_gateway_svc::{
     handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy, LiveService, Outcome,
     ServeConfig, SupervisedEnd, SupervisorConfig,
 };
-use jmso_sim::{ArrivalSpec, RunOutcome, Scenario, SchedulerSpec, TraceRecorder, WorkloadSpec};
+use jmso_sim::{
+    ArrivalSpec, CheckpointError, EngineCheckpoint, RunOutcome, Scenario, SchedulerSpec, SimError,
+    TraceRecorder, WorkloadSpec,
+};
 use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -313,6 +317,28 @@ fn spool_of(trace: &Path) -> PathBuf {
     PathBuf::from(format!("{}.spool", trace.display()))
 }
 
+/// Where `atomic_write` stages the sidecar before its rename.
+fn tmp_of(ckpt: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.tmp", ckpt.display()))
+}
+
+fn sidecar_slot(ckpt: &Path) -> u64 {
+    EngineCheckpoint::read_file(ckpt)
+        .expect("a readable sidecar")
+        .slot()
+}
+
+/// The slots of the `checkpoint` events among `lines`, in order.
+fn checkpoint_slots<'a>(lines: impl IntoIterator<Item = &'a String>) -> Vec<u64> {
+    lines
+        .into_iter()
+        .filter_map(|l| {
+            let slot = l.strip_prefix(r#"{"event":"checkpoint","slot":"#)?;
+            slot.strip_suffix('}')?.parse().ok()
+        })
+        .collect()
+}
+
 fn line_count(path: &Path) -> usize {
     let bytes = std::fs::read(path).expect("read spool");
     bytes.iter().filter(|&&b| b == b'\n').count()
@@ -350,6 +376,13 @@ fn crashed_life(tag: &str) -> (ServeConfig, PathBuf) {
     let trace = cfg.trace_path.as_deref().expect("trace path");
     let ckpt = cfg.ckpt_path.as_deref().expect("ckpt path");
     assert_eq!(line_count(&spool_of(trace)), 12, "one line per slot run");
+    // Four slots after its hand-off the slot-8 sidecar may still have
+    // been in flight; the unwinding attempt settled it.
+    assert_eq!(sidecar_slot(ckpt), 8);
+    assert!(
+        !tmp_of(ckpt).exists(),
+        "no write in flight after the unwind"
+    );
     let sidecar = std::fs::read_to_string(ckpt).expect("sidecar");
     assert!(
         !sidecar.contains(EMBEDDED_RECORD_KEY),
@@ -558,6 +591,267 @@ fn without_trace_or_ckpt_records_are_only_broadcast() {
         .filter(|l| l.starts_with("{\"slot\":"))
         .count();
     assert_eq!(records as u64, slots_run);
+}
+
+// ---------------------------------------------------------------------------
+// The persist thread
+// ---------------------------------------------------------------------------
+
+/// `ckpt_every = 1` keeps a sidecar in flight across nearly every slot
+/// boundary, the last one included: completion must wait for it before
+/// it clears the pair (a late rename would resurrect the finished run),
+/// and the trace is still the batch bytes.
+#[test]
+fn completion_joins_the_sidecar_in_flight() {
+    let (n, slots) = (4, 240);
+    let golden = tmp_path("every1-golden.jsonl");
+    golden_batch_trace(n, slots, &golden);
+    let mut cfg = ServeConfig::new(quick(n, slots));
+    cfg.ingest = true;
+    let (trace, ckpt) = (tmp_path("every1-live.jsonl"), tmp_path("every1-ckpt.json"));
+    cfg.trace_path = Some(trace.clone());
+    cfg.ckpt_path = Some(ckpt.clone());
+    cfg.ckpt_every = 1;
+    let want = std::fs::read(&golden).expect("read golden trace");
+
+    for rep in 0..30 {
+        let fanout = Arc::new(FanOut::new());
+        let rx = fanout.subscribe(4096);
+        let outcome = run_service(cfg.clone(), fed_bus(n, slots), fanout);
+        let Outcome::Done { slots_run } = outcome else {
+            panic!("rep {rep}: unexpected outcome {outcome:?}");
+        };
+        assert!(!ckpt.exists(), "rep {rep}: sidecar left behind");
+        assert!(!tmp_of(&ckpt).exists(), "rep {rep}: staged sidecar left");
+        assert!(!spool_of(&trace).exists(), "rep {rep}: spool left behind");
+        assert!(
+            std::fs::read(&trace).expect("read live trace") == want,
+            "rep {rep}: trace differs from the batch golden"
+        );
+        assert_eq!(
+            checkpoint_slots(&drain_lines(&rx)),
+            (0..slots_run).collect::<Vec<u64>>(),
+            "rep {rep}: one checkpoint per slot boundary"
+        );
+    }
+    let _ = std::fs::remove_file(&golden);
+    let _ = std::fs::remove_file(&trace);
+}
+
+/// The periodic trigger compares against the slot it last handed a
+/// sidecar off at, not the slot last made durable (which lags it now):
+/// with `status` and `feed` commands draining at the boundary where the
+/// start checkpoint is in flight, that boundary still gets one sidecar,
+/// and so does every later one.
+#[test]
+fn one_slot_boundary_hands_off_one_sidecar() {
+    let mut cfg = ServeConfig::new(quick(3, 60));
+    cfg.ckpt_path = Some(tmp_path("trigger-ckpt.json"));
+    cfg.ckpt_every = 1;
+    let bus = Arc::new(CommandBus::new(8));
+    let mut replies = Vec::new();
+    for _ in 0..3 {
+        let (tx, rx) = sync_channel(1);
+        bus.push(Command::Status { reply: tx }).expect("status");
+        replies.push(rx);
+        let (tx, _rx) = sync_channel(1);
+        let events = vec![];
+        bus.push(Command::Feed { events, reply: tx }).expect("feed");
+    }
+    let fanout = Arc::new(FanOut::new());
+    let rx = fanout.subscribe(4096);
+    let Outcome::Done { slots_run } = run_service(cfg, bus, fanout) else {
+        panic!("the run completes");
+    };
+    assert_eq!(
+        checkpoint_slots(&drain_lines(&rx)),
+        (0..slots_run).collect::<Vec<u64>>()
+    );
+    for reply in replies {
+        let status = reply.recv().expect("status reply");
+        assert_eq!(status.last_checkpoint_slot, None, "nothing durable yet");
+    }
+}
+
+/// `checkpoint{slot}` and `last_checkpoint_slot` mean *durable*: whenever
+/// either names a slot, the sidecar on disk is that slot's or a later
+/// one's, and the spool already holds every line that sidecar counts as
+/// emitted (one per slot here). Checked against a free-running service
+/// whose horizon it cannot reach, then shut down.
+#[test]
+fn a_checkpoint_is_announced_only_once_it_is_on_disk() {
+    let (n, slots) = (4, 60_000);
+    let mut cfg = ServeConfig::new(quick(n, slots));
+    cfg.ingest = true;
+    let (trace, ckpt) = (
+        tmp_path("durable-live.jsonl"),
+        tmp_path("durable-ckpt.json"),
+    );
+    cfg.trace_path = Some(trace.clone());
+    cfg.ckpt_path = Some(ckpt.clone());
+    cfg.ckpt_every = 4;
+
+    let bus = Arc::new(CommandBus::new(16));
+    // The last arrival keeps the run alive far beyond this test.
+    let arrivals = [0, 7, 14, slots - 1_000];
+    preload_feed(&bus, feed_events(&arrivals, &[None; 4]));
+    let fanout = Arc::new(FanOut::new());
+    let rx = fanout.subscribe(1 << 17);
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let svc = LiveService::build(cfg, bus.clone(), fanout, shutdown.clone(), 0).expect("build");
+    let service = std::thread::spawn(move || svc.run());
+
+    let on_disk_covers = |named: u64| {
+        let sidecar = sidecar_slot(&ckpt);
+        assert!(sidecar >= named, "slot {named} named, {sidecar} on disk");
+        let lines = line_count(&spool_of(&trace)) as u64;
+        assert!(lines >= sidecar, "sidecar {sidecar}, spool {lines} lines");
+    };
+    let mut announced = Vec::new();
+    while announced.len() < 25 {
+        let line = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the service keeps publishing");
+        let Some(&slot) = checkpoint_slots([&line]).first() else {
+            continue;
+        };
+        on_disk_covers(slot);
+        announced.push(slot);
+        let (tx, reply) = sync_channel(1);
+        bus.push(Command::Status { reply: tx }).expect("status");
+        let status = reply
+            .recv_timeout(Duration::from_secs(30))
+            .expect("status reply");
+        on_disk_covers(status.last_checkpoint_slot.expect("one is durable"));
+    }
+    assert!(announced.windows(2).all(|w| w[0] < w[1]), "{announced:?}");
+
+    shutdown.store(true, Ordering::SeqCst);
+    let outcome = service.join().expect("service thread").expect("run");
+    let Outcome::Interrupted { at_slot } = outcome else {
+        panic!("unexpected outcome {outcome:?}");
+    };
+    assert!(
+        at_slot < slots - 1_000,
+        "the run must not have got near its end"
+    );
+    assert_eq!(
+        sidecar_slot(&ckpt),
+        at_slot,
+        "the shutdown sidecar is joined"
+    );
+    assert_eq!(checkpoint_slots(&drain_lines(&rx)).last(), Some(&at_slot));
+    assert!(!tmp_of(&ckpt).exists());
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(spool_of(&trace));
+}
+
+/// The injected panic fires right after slot 12's sidecar is handed off.
+/// When `catch_unwind` returns, that sidecar is settled — the restart
+/// and it would otherwise both write `<ckpt>.tmp` — and the restart
+/// resumes from it to the golden.
+#[test]
+fn a_panic_joins_the_sidecar_in_flight() {
+    let (n, slots) = (4, 240);
+    let golden = tmp_path("inflight-golden.jsonl");
+    golden_batch_trace(n, slots, &golden);
+    let mut cfg = ServeConfig::new(quick(n, slots));
+    cfg.ingest = true;
+    cfg.trace_path = Some(tmp_path("inflight-live.jsonl"));
+    cfg.ckpt_path = Some(tmp_path("inflight-ckpt.json"));
+    cfg.ckpt_every = 1;
+    cfg.fail_at = Some(12);
+
+    let svc = LiveService::build(
+        cfg.clone(),
+        fed_bus(n, slots),
+        Arc::new(FanOut::new()),
+        Arc::new(AtomicBool::new(false)),
+        0,
+    )
+    .expect("build attempt 0");
+    assert!(catch_unwind(AssertUnwindSafe(move || svc.run())).is_err());
+    let ckpt = cfg.ckpt_path.as_deref().expect("ckpt path");
+    assert_eq!(sidecar_slot(ckpt), 12, "handed off just before the panic");
+    assert!(
+        !tmp_of(ckpt).exists(),
+        "no write in flight after the unwind"
+    );
+    let trace = cfg.trace_path.as_deref().expect("trace path");
+    assert_eq!(line_count(&spool_of(trace)), 12);
+
+    let (warnings, lines) = second_attempt(&cfg, Arc::new(CommandBus::new(4)));
+    assert!(warnings.is_empty(), "clean resume, got {warnings:?}");
+    assert!(lines
+        .iter()
+        .any(|l| l.contains(r#""event":"resumed","slot":12"#)));
+    assert_trace_is_golden_and_pair_is_gone(&cfg, &golden);
+}
+
+/// Ask for `status` over a rendezvous channel: the slot loop sits in the
+/// reply until [`Held::release`] takes it.
+struct Held(Receiver<jmso_gateway::GwStatus>);
+
+fn hold_at_a_boundary(bus: &CommandBus) -> Held {
+    let (tx, rx) = sync_channel(0);
+    bus.push(Command::Status { reply: tx }).expect("status");
+    Held(rx)
+}
+
+impl Held {
+    /// Let the loop go on; returns the slot it was held before.
+    fn release(self) -> u64 {
+        let status = self.0.recv_timeout(Duration::from_secs(30));
+        status.expect("the loop reaches the boundary").slot
+    }
+}
+
+/// The sidecar's directory disappears mid-run. The persist thread's
+/// failure is not lost with the thread: it comes back at the next join
+/// as the typed error a synchronous write returned, and ends the run.
+/// Interleaving forced by holds, each queued before the previous one is
+/// released, so the loop never gets more than one boundary ahead.
+#[test]
+fn a_failed_sidecar_write_ends_the_run_with_a_typed_error() {
+    let dir = tmp_path("vanishing-dir");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut cfg = ServeConfig::new(quick(2, 240));
+    cfg.trace_path = Some(tmp_path("vanishing-live.jsonl"));
+    cfg.ckpt_path = Some(dir.join("ckpt.json"));
+    cfg.ckpt_every = 1;
+    let trace = cfg.trace_path.clone().expect("trace path");
+
+    let bus = Arc::new(CommandBus::new(4));
+    let mut held = hold_at_a_boundary(&bus);
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let svc = LiveService::build(cfg, bus.clone(), Arc::new(FanOut::new()), shutdown, 0)
+        .expect("build service");
+    let service = std::thread::spawn(move || svc.run());
+    loop {
+        let next = hold_at_a_boundary(&bus);
+        let at = held.release();
+        held = next;
+        if at >= 2 {
+            break;
+        }
+    }
+    // Held at slot 2 or 3, start and slot-1 sidecars written: mid-run.
+    // Renamed away, not removed: one step, whatever the sidecar in
+    // flight is doing in there.
+    let gone = tmp_path("vanished-dir");
+    std::fs::rename(&dir, &gone).expect("move the sidecar's directory away");
+    let at = held.release();
+
+    let outcome = service.join().expect("no panic");
+    match outcome {
+        Err(SimError::Checkpoint(CheckpointError::Io { path, .. })) => {
+            assert_eq!(path, dir.join("ckpt.json"));
+        }
+        other => panic!("held at slot {at}, then: {other:?}"),
+    }
+    assert!(!trace.exists(), "an aborted run writes no trace");
+    let _ = std::fs::remove_file(spool_of(&trace));
+    let _ = std::fs::remove_dir_all(&gone);
 }
 
 // ---------------------------------------------------------------------------

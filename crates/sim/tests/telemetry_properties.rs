@@ -7,9 +7,10 @@
 
 use jmso_sim::{
     ArrivalSpec, CapacitySpec, FaultEvent, FaultSpec, Scenario, SchedulerSpec, SignalSpec,
-    TailPricing, TraceRecorder, WorkloadSpec,
+    SlotRecord, TailPricing, TraceRecorder, WorkloadSpec,
 };
 use proptest::prelude::*;
+use serde::{JsonWriter, Serialize};
 
 fn arb_spec() -> impl Strategy<Value = SchedulerSpec> {
     prop_oneof![
@@ -191,6 +192,96 @@ proptest! {
         let full_rrc: Vec<_> = full.records.iter().flat_map(|r| r.rrc.clone()).collect();
         let down_rrc: Vec<_> = down.records.iter().flat_map(|r| r.rrc.clone()).collect();
         prop_assert_eq!(full_rrc, down_rrc);
+    }
+}
+
+/// A record as a 1 000-user pool with a few dozen sessions live emits
+/// it: per-user arrays that are nearly all zeros, the first and the last
+/// user live more often than chance.
+fn arb_sparse_record() -> impl Strategy<Value = SlotRecord> {
+    const POOL: usize = 1_000;
+    let live_user = (
+        prop_oneof![Just(0), Just(POOL - 1), 0..POOL],
+        0u64..500,
+        0.0f64..50.0,
+        prop_oneof![Just(0.0), Just(-0.0), 0.0f64..2.0],
+        0.0f64..1e4,
+    );
+    (
+        prop::collection::vec(live_user, 0..40),
+        0u64..100_000,
+        prop::bool::ANY, // scheduler exposes queues
+    )
+        .prop_map(|(live, slot, queues)| {
+            let mut r = SlotRecord {
+                slot,
+                cap: 2_500,
+                alloc: vec![0; POOL],
+                e_mj: vec![0.0; POOL],
+                reb_s: vec![0.0; POOL],
+                q: vec![0.0; if queues { POOL } else { 0 }],
+                rrc: vec![],
+                deg: vec![],
+                faults: vec![],
+                live: Some(live.len() as u64),
+                abr: vec![],
+                adm: vec![],
+            };
+            for (user, alloc, e_mj, reb_s, q) in live {
+                r.alloc[user] = alloc;
+                r.e_mj[user] = e_mj;
+                r.reb_s[user] = reb_s;
+                if queues {
+                    r.q[user] = q;
+                }
+            }
+            r
+        })
+}
+
+/// `r`'s line with every array printed the long way round: one
+/// `element()` and one scalar `serialize` per number.
+fn printed_element_by_element(r: &SlotRecord) -> String {
+    fn array<T: Serialize>(w: &mut JsonWriter, key: &str, items: &[T]) {
+        w.key(key);
+        w.begin_seq();
+        for item in items {
+            w.element();
+            item.serialize(w);
+        }
+        w.end_seq();
+    }
+    let mut w = JsonWriter::compact_into(String::new());
+    w.begin_map();
+    w.key("slot");
+    r.slot.serialize(&mut w);
+    w.key("cap");
+    r.cap.serialize(&mut w);
+    array(&mut w, "alloc", &r.alloc);
+    array(&mut w, "e_mj", &r.e_mj);
+    array(&mut w, "reb_s", &r.reb_s);
+    array(&mut w, "q", &r.q);
+    array(&mut w, "rrc", &r.rrc);
+    w.key("live");
+    r.live.serialize(&mut w);
+    w.end_map();
+    w.into_string()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The writer copies runs of zeros in a number array from a strip
+    /// instead of printing them; the record line must not be able to
+    /// tell.
+    #[test]
+    fn sparse_record_line_equals_its_fields_printed_element_by_element(
+        record in arb_sparse_record(),
+    ) {
+        let line = serde_json::to_string(&record).expect("record");
+        prop_assert!(line == printed_element_by_element(&record));
+        let back: SlotRecord = serde_json::from_str(&line).expect("parse");
+        prop_assert!(serde_json::to_string(&back).expect("reprint") == line);
     }
 }
 

@@ -86,41 +86,19 @@ bash benchmark/run.sh --workload cell-ema --seed 42 --seconds 3 --trace 0 \
     || { echo "cell-ema did not report \"correct\": true"; exit 1; }
 
 # Golden-trace drift gate: the byte-equality tests above already diff
-# the committed traces; TRACE=1 additionally *regenerates* them from the
-# current engine and fails if the files changed, catching traces that
-# were hand-edited or left stale after an intentional model change.
-if [[ "${TRACE:-0}" == "1" ]]; then
-    echo "== golden trace regeneration (TRACE=1)"
-    scripts/regen-golden.sh
-    git diff --exit-code -- tests/golden
-fi
-
-# Fault-injection gate: FAULT=1 reruns the fault/checkpoint property
-# suite and regenerates the faulted golden trace, failing if the
-# committed tests/golden/faulted.trace.jsonl drifted. Separate from
-# TRACE=1 so a blessed fault-model change can be reviewed on its own.
-if [[ "${FAULT:-0}" == "1" ]]; then
-    echo "== fault-injection gate (FAULT=1)"
-    cargo test -q -p jmso-sim --test fault_properties
-    REGEN_GOLDEN=1 cargo test -q --test golden_trace faulted
-    git diff --exit-code -- tests/golden/faulted.trace.jsonl
-fi
-
-# ABR/admission gate: ABR=1 reruns the bit-identity property pack and
-# regenerates the ABR golden trace, failing if the committed
-# tests/golden/abr.trace.jsonl drifted. Separate from TRACE=1 so a
-# blessed ladder/policy change can be reviewed on its own.
-if [[ "${ABR:-0}" == "1" ]]; then
-    echo "== ABR/admission gate (ABR=1)"
-    cargo test -q -p jmso-sim --test abr_properties
-    REGEN_GOLDEN=1 cargo test -q --test golden_trace abr
-    git diff --exit-code -- tests/golden/abr.trace.jsonl
-fi
+# the six committed traces (and Tier-1 runs the fault and ABR property
+# packs); this *regenerates* them from the current engine and fails if
+# a file changed, catching a trace that was hand-edited or left stale
+# after an intentional model change.
+echo "== golden trace regeneration"
+scripts/regen-golden.sh
+git diff --exit-code -- tests/golden
 
 # Service-mode gate: SVC=1 launches the real jmso-gateway binary on a
 # Unix socket, feeds a scripted session schedule, kill -9s it mid-run,
 # restarts it, and asserts the resumed trace is byte-identical to the
-# uninterrupted batch golden under the Stall policy.
+# uninterrupted batch golden under the Stall policy; then the same
+# through a twenty-life kill storm with a sidecar in flight at every slot.
 if [[ "${SVC:-0}" == "1" ]]; then
     echo "== service crash-recovery gate (SVC=1)"
     scripts/svc-gate.sh

@@ -11,6 +11,14 @@
 #      golden under the Stall policy.
 # A cold start instead of a resume would re-enter the holding state
 # (nobody re-feeds the schedule) and trip the completion timeout.
+#
+# Then a kill storm on the persist thread: an unpaced run that hands a
+# sidecar off at every slot boundary, so twenty kill -9s a few ms apart
+# land inside spool syncs, staged sidecars and renames:
+#   6. serve a 200-user pack with --ckpt-every 1, twenty lives, each
+#      fed if it came up holding and killed 5–50 ms later,
+#   7. one more life to completion; assert its trace is the batch golden
+#      and no sidecar, spool or staged `.tmp` is left.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,3 +64,57 @@ cmp "$D/live.jsonl" "$D/golden.jsonl" || {
     echo "resumed live trace differs from the batch golden"; exit 1;
 }
 echo "svc gate passed: resumed trace is byte-identical to the batch golden."
+
+echo "== svc gate: kill storm, scenario pack and batch golden"
+S="$D/storm"
+mkdir "$S"
+"$GW" template 200 --slots 600 --out-dir "$S" >/dev/null
+"$SIM" run "$S/scenario.batch.json" --trace "$S/golden.jsonl" >/dev/null
+STORM_ARGS=("$S/scenario.live.json" --listen "unix:$S/gw.sock" --ingest
+            --trace "$S/live.jsonl" --ckpt "$S/ckpt.json" --ckpt-every 1
+            --policy stall)
+
+# One daemon life: wait for its socket, and feed it if it came up holding
+# (no usable sidecar yet, or an unusable pair: a resumed life carries the
+# schedule in its sidecar and is already stepping).
+start_life() {
+    rm -f "$S/gw.sock"
+    "$GW" serve "${STORM_ARGS[@]}" 2>>"$S/serve.log" &
+    PID=$!
+    for _ in $(seq 100); do [[ -S "$S/gw.sock" ]] && break; sleep 0.05; done
+    [[ -S "$S/gw.sock" ]] || { echo "storm: service socket never appeared"; exit 1; }
+    if "$GW" send "unix:$S/gw.sock" '{"cmd":"status"}' 2>/dev/null | grep -q '"state":"holding"'; then
+        "$GW" send "unix:$S/gw.sock" --file "$S/feed.jsonl" >/dev/null
+    fi
+}
+
+echo "== svc gate: kill storm, twenty lives"
+delays=()
+for _ in $(seq 20); do
+    [[ -f "$S/live.jsonl" ]] && break
+    start_life
+    ms=$((RANDOM % 46 + 5))
+    delays+=("$ms")
+    sleep "$(printf '0.%03d' "$ms")"
+    kill -9 "$PID" 2>/dev/null || true
+    wait "$PID" 2>/dev/null || true
+    PID=
+done
+echo "killed after (ms): ${delays[*]}"
+
+echo "== svc gate: kill storm, one life to completion"
+if [[ ! -f "$S/live.jsonl" ]]; then
+    [[ -f "$S/ckpt.json" ]] || { echo "storm: no durable checkpoint after twenty lives"; exit 1; }
+    echo "resuming at $(grep -o '"slot":[0-9]*' "$S/ckpt.json" | head -n 1)"
+    start_life
+    timeout 120 tail --pid="$PID" -f /dev/null || { echo "storm: the last life did not finish"; exit 1; }
+    wait "$PID" || { echo "storm: the last life failed"; cat "$S/serve.log"; exit 1; }
+    PID=
+fi
+cmp "$S/live.jsonl" "$S/golden.jsonl" || {
+    echo "storm: final trace differs from the batch golden"; exit 1;
+}
+for left in "$S/ckpt.json" "$S/ckpt.json.tmp" "$S/live.jsonl.spool" "$S/live.jsonl.tmp"; do
+    [[ -e "$left" ]] && { echo "storm: completion left $left behind"; exit 1; }
+done
+echo "svc gate passed: twenty kill -9s later the trace is still the batch golden."
