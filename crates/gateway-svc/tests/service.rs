@@ -7,6 +7,10 @@
 //! a socket subscriber, a deeply nested hostile line, and the `template`
 //! feed fitting the line cap.
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_gateway::{parse_command, GwCommand, LiveEvent, MAX_LINE_BYTES};
 use jmso_gateway_svc::{
     handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy, LiveService, Outcome,

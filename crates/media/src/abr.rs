@@ -337,7 +337,6 @@ impl AbrClient {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
 
     fn ladder3() -> BitrateLadder {

@@ -199,7 +199,6 @@ impl ClientPlayback {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
 
     /// Startup: with no data, every slot is a full stall.

@@ -15,8 +15,6 @@
 //!   per session and per-chunk rung-selection policies (buffer-based
 //!   and rate-prediction-based).
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 pub mod abr;
 pub mod buffer;
 pub mod metrics;

@@ -92,7 +92,6 @@ pub fn generate_sessions(spec: &WorkloadSpec, n_users: usize, seed: u64) -> Vec<
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     use super::*;
 
     #[test]

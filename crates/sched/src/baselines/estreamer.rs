@@ -14,9 +14,10 @@
 //! which together are why EMA undercuts it by >27 % in the paper.
 
 use jmso_gateway::{Allocation, Scheduler, SlotContext};
+use serde::{Deserialize, Serialize};
 
 /// Per-user burst state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum Phase {
     /// Sending a burst until the buffer target is reached.
     Bursting,
@@ -88,6 +89,14 @@ impl Scheduler for EStreamer {
             budget -= grant;
             *slot = grant;
         }
+    }
+
+    fn export_state(&self) -> Option<String> {
+        super::export_rows(&self.phase)
+    }
+
+    fn import_state(&mut self, state: &str) -> Result<(), String> {
+        super::import_rows(self.name(), &mut self.phase, state)
     }
 }
 

@@ -37,6 +37,33 @@ pub use round_robin::RoundRobin;
 pub use salsa::Salsa;
 pub use throttling::Throttling;
 
+/// A policy's per-user rows for a checkpoint, printed the way `Ema`
+/// prints its queues.
+fn export_rows<T: serde::Serialize>(rows: &[T]) -> Option<String> {
+    serde_json::to_string(rows).ok()
+}
+
+/// Restore rows printed by [`export_rows`]. A policy sizes its rows on
+/// its first slot, so a policy that has run refuses a checkpoint taken
+/// over a different number of users; one that has not takes any.
+fn import_rows<T: serde::Deserialize>(
+    policy: &str,
+    rows: &mut Vec<T>,
+    state: &str,
+) -> Result<(), String> {
+    let restored: Vec<T> =
+        serde_json::from_str(state).map_err(|e| format!("{policy} state: {e}"))?;
+    if !rows.is_empty() && rows.len() != restored.len() {
+        return Err(format!(
+            "{policy} state has {} rows, the policy holds {}",
+            restored.len(),
+            rows.len()
+        ));
+    }
+    *rows = restored;
+    Ok(())
+}
+
 #[cfg(test)]
 pub(crate) mod test_support {
     use jmso_gateway::{SlotContext, UserSnapshot};

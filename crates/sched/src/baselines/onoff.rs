@@ -10,9 +10,10 @@
 //! periods save some energy versus Default (Fig. 5b).
 
 use jmso_gateway::{Allocation, Scheduler, SlotContext};
+use serde::{Deserialize, Serialize};
 
 /// The per-user watermark state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum Phase {
     /// Reading from the socket at full speed.
     On,
@@ -74,6 +75,14 @@ impl Scheduler for OnOff {
             budget -= grant;
             *slot = grant;
         }
+    }
+
+    fn export_state(&self) -> Option<String> {
+        super::export_rows(&self.phase)
+    }
+
+    fn import_state(&mut self, state: &str) -> Result<(), String> {
+        super::import_rows(self.name(), &mut self.phase, state)
     }
 }
 

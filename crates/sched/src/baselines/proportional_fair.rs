@@ -87,6 +87,14 @@ impl Scheduler for ProportionalFair {
             *avg = avg.max(1e-6);
         }
     }
+
+    fn export_state(&self) -> Option<String> {
+        super::export_rows(&self.avg_served_kb)
+    }
+
+    fn import_state(&mut self, state: &str) -> Result<(), String> {
+        super::import_rows(self.name(), &mut self.avg_served_kb, state)
+    }
 }
 
 #[cfg(test)]

@@ -10,16 +10,16 @@
 
 use jmso_gateway::{Allocation, Scheduler, SlotContext};
 
-/// The rotating fair-share baseline.
+/// The rotating fair-share baseline. The rotation point is the slot
+/// index, so the policy carries nothing from slot to slot (and a resumed
+/// run rotates where the straight one does).
 #[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
-    next_start: usize,
-}
+pub struct RoundRobin;
 
 impl RoundRobin {
     /// Construct the baseline.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -36,8 +36,7 @@ impl Scheduler for RoundRobin {
         }
         let alloc = &mut out.0;
         let mut budget = ctx.bs_cap_units;
-        let start = self.next_start % n;
-        self.next_start = (self.next_start + 1) % n;
+        let start = (ctx.slot % n as u64) as usize;
 
         // Pass 1: one need-tranche each, starting from the rotation point.
         for k in 0..n {
@@ -78,9 +77,13 @@ mod tests {
         let users: Vec<_> = (0..3).map(|i| user(i, -70.0, 500.0, 50)).collect();
         let mut rr = RoundRobin::new();
         // Budget covers one full user plus change: the winner rotates.
-        let a0 = rr.allocate(&ctx(&users, 55));
-        let a1 = rr.allocate(&ctx(&users, 55));
-        let a2 = rr.allocate(&ctx(&users, 55));
+        let at = |slot| SlotContext {
+            slot,
+            ..ctx(&users, 55)
+        };
+        let a0 = rr.allocate(&at(0));
+        let a1 = rr.allocate(&at(1));
+        let a2 = rr.allocate(&at(2));
         let winner = |a: &Allocation| {
             a.0.iter()
                 .enumerate()

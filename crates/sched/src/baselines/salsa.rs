@@ -75,6 +75,14 @@ impl Scheduler for Salsa {
             *slot = grant;
         }
     }
+
+    fn export_state(&self) -> Option<String> {
+        super::export_rows(&self.ewma_cap)
+    }
+
+    fn import_state(&mut self, state: &str) -> Result<(), String> {
+        super::import_rows(self.name(), &mut self.ewma_cap, state)
+    }
 }
 
 #[cfg(test)]

@@ -279,11 +279,13 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let ckpt_every: Option<u64> = flag_value(args, "--ckpt-every")
         .map(|s| s.parse().map_err(|e| format!("bad --ckpt-every: {e}")))
         .transpose()?;
-    if ckpt_path.is_some() != ckpt_every.is_some() {
-        return Err("run: --ckpt and --ckpt-every must be given together".into());
-    }
+    let ckpt = match (ckpt_path, ckpt_every) {
+        (Some(path), Some(every)) => Some((path, every)),
+        (None, None) => None,
+        _ => return Err("run: --ckpt and --ckpt-every must be given together".into()),
+    };
     let resume_path = flag_value(args, "--resume");
-    if resume_path.is_some() && ckpt_path.is_some() {
+    if resume_path.is_some() && ckpt.is_some() {
         return Err("run: --resume cannot be combined with --ckpt".into());
     }
     let shards: Option<usize> = flag_value(args, "--shards")
@@ -295,7 +297,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
         // A lockstep run holds the driver for its whole length, so there
         // is no slot boundary to checkpoint at (DESIGN.md §11).
-        if ckpt_path.is_some() || resume_path.is_some() {
+        if ckpt.is_some() || resume_path.is_some() {
             return Err("run: --shards cannot be combined with --ckpt or --resume".into());
         }
     }
@@ -310,17 +312,15 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             // the SVC gate diffs the two byte-for-byte).
             rec = rec.with_live_counts();
         }
-        let result = match (resume_path, ckpt_path) {
+        let result = match (resume_path, ckpt) {
             (Some(ckpt), _) => {
                 let ck = EngineCheckpoint::read_file(Path::new(ckpt))?;
                 println!("resuming from {ckpt} (slot {})", ck.slot());
                 scenario.resume_from(&mut rec, &ck)?
             }
-            (None, Some(ckpt)) => scenario.run_checkpointed_with(
-                &mut rec,
-                ckpt_every.expect("flag pair checked above"),
-                Path::new(ckpt),
-            )?,
+            (None, Some((ckpt, every))) => {
+                scenario.run_checkpointed_with(&mut rec, every, Path::new(ckpt))?
+            }
             (None, None) => match shards {
                 Some(w) => scenario.run_sharded_with(&mut rec, w)?,
                 None => scenario.run_with(&mut rec)?,
@@ -332,17 +332,15 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         result
     } else {
         let mut rec = NullRecorder;
-        match (resume_path, ckpt_path) {
+        match (resume_path, ckpt) {
             (Some(ckpt), _) => {
                 let ck = EngineCheckpoint::read_file(Path::new(ckpt))?;
                 println!("resuming from {ckpt} (slot {})", ck.slot());
                 scenario.resume_from(&mut rec, &ck)?
             }
-            (None, Some(ckpt)) => scenario.run_checkpointed_with(
-                &mut rec,
-                ckpt_every.expect("flag pair checked above"),
-                Path::new(ckpt),
-            )?,
+            (None, Some((ckpt, every))) => {
+                scenario.run_checkpointed_with(&mut rec, every, Path::new(ckpt))?
+            }
             (None, None) => match shards {
                 Some(w) => scenario.run_sharded(w)?,
                 None => scenario.run()?,

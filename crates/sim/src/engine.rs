@@ -21,31 +21,47 @@
 //! `mᵢ ≥ Mᵢ` branch) nor energy (the tail has saturated), so all
 //! aggregates are unaffected; `slots_configured` still reflects Γ.
 //!
-//! # One slot, four phases
+//! # One slot, four phases, a lane per cell
 //!
 //! Per slot the paper couples users through one constraint only, Eq. (2)
-//! `Σφᵢ(n) ≤ C(n)`; everything else is per user. The slot is written once,
-//! as four functions over a [`SlotDriver`]'s state, and that split is
-//! theirs:
+//! `Σφᵢ(n) ≤ C(n)`; everything else is per user. And it runs one
+//! scheduler per base station, "managing the resources of each BS
+//! independently" (§III-A): across cells nothing changes but *which*
+//! budget `C_c(n)` a user's grant counts against. So the slot is written
+//! once, as phase functions over a [`SlotDriver`]'s state, split along
+//! those two lines — per user (a *shard* is a contiguous range of user
+//! ids) and per budget (a *lane* is one cell's scheduler, capacity model,
+//! transmitter, budget and grants):
 //!
 //! | phase | runs | does |
 //! |---|---|---|
 //! | A | per shard | arrival gate; signal block + Eq. (1) cap table; Eq. (7)/(8) playback advance; ground-truth row; for a pass-through collector the snapshot and SoA rows |
-//! | B | serial | Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through; `allocate_into`; `transmit_into` |
+//! | B open | serial | with more than one lane the slot's mobility (handovers drawn, member lists and the left cell's row updated); every lane's Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through |
+//! | B lane | per lane | with more than one lane the cell's rows — its members' as reported, everyone else's gated to zero; `allocate_into` |
+//! | B close | serial | scheduler latency, grants, queues and degradations to the recorder in cell order; `transmit_into` per lane out of the one receiver |
 //! | C | per shard | delivery, ABR staging, Eq. (3)–(5) accounting; energy, rebuffering, RRC events and `done` flips *staged* |
 //! | D | serial | replay of what C staged into the recorder, E\* and series folds, ABR commits, live-list compaction, admission tick |
 //!
-//! A shard is a contiguous range of user ids. [`SlotDriver::step`] — every
-//! batch run, checkpointed run and the live daemon — calls the four back to
-//! back over one shard `0..n` and executes safe code only.
-//! [`Engine::run_sharded_on`] calls the same four from one resident
-//! [`WorkerPool`] broadcast, A and C on every participant at once, B and D
-//! on participant 0, a [`SpinBarrier`] crossing after each; its `unsafe` is
-//! the carve of per-shard sub-slices out of the shared columns and nothing
-//! else. The phases make no recorder call and no order-sensitive fold
-//! outside B and D, and D walks shards in order and users ascending, so
-//! the output is the same bytes at every width (DESIGN.md §11). No input
-//! selects another loop.
+//! A [`Scenario`](crate::scenario::Scenario) run has one lane, which
+//! schedules straight off the columns' rows; a
+//! [`MultiCellScenario`](crate::multicell::MultiCellScenario) run has
+//! `n_cells`, and phases A, C and D do not know: queues, playback, radios
+//! and the receiver's flows follow the user. [`SlotDriver::step`] — every
+//! batch run, checkpointed run and the live daemon — calls the phases
+//! back to back over one shard `0..n` and every lane in turn, and
+//! executes safe code only. [`Engine::run_sharded_on`] calls the same
+//! functions from one resident [`WorkerPool`] broadcast, A and C on every
+//! participant at once, the serial ones on participant 0, a
+//! [`SpinBarrier`] crossing after each; with more than one lane every
+//! participant also takes a contiguous range of lanes for B lane, behind
+//! two more crossings (the scheduler calls are most of such a slot: 1.1×
+//! without, 1.6–1.9× with, at 8 cells × 20 000 users on two cores —
+//! DESIGN.md §11). Its `unsafe` is the carve of per-shard and per-lane
+//! sub-slices out of the shared state and nothing else. The phases make
+//! no recorder call and no order-sensitive fold outside the serial ones,
+//! which walk lanes and shards in order and users ascending, so the
+//! output is the same bytes at every width. No input selects another
+//! loop.
 //!
 //! The driver is generic over a [`FaultHook`] — [`NoFaults`] monomorphizes
 //! every hook away; a compiled [`FaultPlan`](crate::faults::FaultPlan)
@@ -61,7 +77,6 @@
 //! [`Engine::run_reference`] is the executable specification: the plain
 //! all-users, sample-per-slot loop, which must produce identical results
 //! and trace bytes.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::{atomic_write, CheckpointError, ScenarioError, SimError};
 use crate::faults::{FaultHook, NoFaults};
@@ -79,8 +94,10 @@ use jmso_gateway::{
 use jmso_media::{jain_index, AbrClient, AbrInputs, AbrSpec, ClientPlayback, VideoSession};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::signal::{SignalKind, SignalModel};
-use jmso_radio::{Dbm, EnergyMeter, MilliJoules, PowerModel, RrcMachine};
+use jmso_radio::{Dbm, EnergyMeter, KbPerSec, MilliJoules, PowerModel, RrcMachine};
 use jmso_sched::{drift_bound_b, energy_upper_bound, rebuffer_upper_bound, CrossLayerModels};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -88,10 +105,8 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Slots sampled per [`SignalModel::sample_into`] block in the hot loop
-/// (shared with the multicell stepper, which blocks its radio math the
-/// same way).
-pub(crate) const SIG_BLOCK_SLOTS: usize = 32;
+/// Slots sampled per [`SignalModel::sample_into`] block in the hot loop.
+const SIG_BLOCK_SLOTS: usize = 32;
 
 /// Per-user simulation state.
 struct UserSim {
@@ -438,11 +453,14 @@ struct LoopState {
     /// predicates are monotone, so a flag per user plus this count
     /// replaces a per-slot scan.
     watching: usize,
-    alloc: Allocation,
+    /// Per-user grants across cells, for the recorder: only kept with
+    /// more than one lane (a lone lane's allocation is the slot's).
+    grants: Vec<u64>,
+    /// What each user was delivered this slot, whichever lane sent it.
     deliveries: Vec<Delivery>,
     fault_notes: Vec<String>,
-    /// The slot's Eq. (2) budget, computed in phase B and read again by
-    /// phase D's admission tick.
+    /// The slot's Eq. (2) budgets summed over the lanes, computed in
+    /// phase B and read again by phase D's admission tick.
     bs_cap_units: u64,
     /// The collector has made its first full pass over `snaps`. Until
     /// then the rows are placeholders (and a checkpoint carries none).
@@ -549,13 +567,165 @@ struct AdmissionCkpt {
     rate_sum: Option<f64>,
 }
 
+/// Which of the two Eq. (2) fault hooks scales a lane's budget (see
+/// `phase_b_open`).
+#[derive(Clone, Copy)]
+enum CapFault {
+    /// [`FaultHook::adjust_cap_units`]: the one BS of a `Scenario` run.
+    Bs,
+    /// [`FaultHook::scale_cell_cap`] for this cell of a
+    /// `MultiCellScenario` run.
+    Cell(usize),
+}
+
+/// One base station: what its Eq. (2) budget couples — policy, capacity
+/// model, transmitter, the slot's budget and grants — and nothing per
+/// user (module docs).
+struct CellLane {
+    scheduler: Box<dyn Scheduler>,
+    capacity: Box<dyn CapacityModel>,
+    transmitter: DataTransmitter,
+    cap_fault: CapFault,
+    /// Cached `scheduler.wants_soa()`: column upkeep re-derives unit
+    /// quantities per row every slot, which row-walking policies would
+    /// pay for without ever looking at the result.
+    use_soa: bool,
+    /// Mirror of the rows the scheduler reads, sized by the first full
+    /// pass over them.
+    soa: SnapshotSoA,
+    /// The slot's Eq. (2) budget for this cell, units. Capacity models
+    /// may be stateful, so each is sampled exactly once per slot.
+    cap_units: u64,
+    alloc: Allocation,
+    /// Wall-clock cost of this slot's scheduler call (traced runs only).
+    sched_ns: u64,
+    /// With more than one lane, what this cell's scheduler sees: a row
+    /// per user (stable ids, so per-user policy state survives handovers
+    /// without resizing) — its members' as the collector reported them,
+    /// everyone else's with the fields that gate a grant
+    /// (`remaining_kb`, `active`, `link_cap_units`) at zero. Built on
+    /// the first slot; afterwards only members' rows change, and a
+    /// handover demotes the row in the cell left behind. A lone lane
+    /// reads the columns' rows and delivers into the loop's buffer; its
+    /// own two stay empty.
+    rows: Vec<UserSnapshot>,
+    deliveries: Vec<Delivery>,
+}
+
+impl CellLane {
+    fn new(
+        scheduler: Box<dyn Scheduler>,
+        capacity: Box<dyn CapacityModel>,
+        cap_fault: CapFault,
+        n_users: usize,
+    ) -> Self {
+        Self {
+            use_soa: scheduler.wants_soa(),
+            scheduler,
+            capacity,
+            transmitter: DataTransmitter::new(),
+            cap_fault,
+            soa: SnapshotSoA::new(),
+            cap_units: 0,
+            alloc: Allocation::zeros(n_users),
+            sched_ns: 0,
+            rows: Vec::new(),
+            deliveries: Vec::new(),
+        }
+    }
+}
+
+/// Who is attached where, in a run of more than one lane: a seeded
+/// memoryless handover process over the users, retired ones included —
+/// they keep roaming and keep counting toward occupancy.
+struct Roaming {
+    /// Per-slot probability that a user hands over to another
+    /// (uniformly random) cell.
+    handover_prob: f64,
+    attached: Vec<usize>,
+    /// `members[c]` mirrors `attached` as an ascending id list, so
+    /// per-cell work scales with cell population.
+    members: Vec<Vec<usize>>,
+    mobility: StdRng,
+    handovers: u64,
+    occupancy_sums: Vec<f64>,
+    /// `(user, cell left)` of the current step's handovers.
+    moved: Vec<(usize, usize)>,
+}
+
+impl Roaming {
+    /// Users spread round-robin over `n_cells` cells.
+    fn new(n_users: usize, n_cells: usize, handover_prob: f64, seed: u64) -> Self {
+        let attached: Vec<usize> = (0..n_users).map(|i| i % n_cells).collect();
+        let mut members = vec![Vec::new(); n_cells];
+        for (i, &cell) in attached.iter().enumerate() {
+            members[cell].push(i);
+        }
+        Self {
+            handover_prob,
+            attached,
+            members,
+            mobility: StdRng::seed_from_u64(seed ^ 0x0B17_E0CE_1100),
+            handovers: 0,
+            occupancy_sums: vec![0.0; n_cells],
+            moved: Vec::new(),
+        }
+    }
+
+    /// One slot of mobility, before any lane looks at its members: draw
+    /// the handovers, move each user between the member lists, demote
+    /// its row in the cell it left, and count the slot's occupancy.
+    fn step(&mut self, lanes: &mut [CellLane], cfg: EngineConfig) {
+        if self.handover_prob > 0.0 {
+            let n_cells = lanes.len();
+            self.moved.clear();
+            for (i, cell) in self.attached.iter_mut().enumerate() {
+                if self.mobility.random::<f64>() < self.handover_prob {
+                    let mut next = self.mobility.random_range(0..n_cells - 1);
+                    if next >= *cell {
+                        next += 1;
+                    }
+                    self.moved.push((i, *cell));
+                    *cell = next;
+                    self.handovers += 1;
+                }
+            }
+            for &(i, from) in &self.moved {
+                let to = self.attached[i];
+                let left = &mut self.members[from];
+                left.remove(left.partition_point(|&m| m < i));
+                let joined = &mut self.members[to];
+                joined.insert(joined.partition_point(|&m| m < i), i);
+                // Leaving a cell zeroes the fields that gate allocations;
+                // the rest freeze harmlessly, and the mirror re-derives
+                // its columns from the demoted row (the ceiling collapses
+                // to 0 with the remaining bytes).
+                let lane = &mut lanes[from];
+                if let Some(row) = lane.rows.get_mut(i) {
+                    row.remaining_kb = 0.0;
+                    row.active = false;
+                    row.link_cap_units = 0;
+                    if lane.use_soa {
+                        lane.soa.set_row(row, cfg.tau, cfg.delta_kb);
+                    }
+                }
+            }
+        }
+        for (sum, m) in self.occupancy_sums.iter_mut().zip(&self.members) {
+            *sum += m.len() as f64;
+        }
+    }
+}
+
 /// The assembled simulator for one scenario.
 pub struct Engine {
     users: Vec<UserSim>,
-    scheduler: Box<dyn Scheduler>,
-    capacity: Box<dyn CapacityModel>,
+    /// One per base station; a [`SlotDriver`] takes them for its
+    /// lifetime, like the users.
+    lanes: Vec<CellLane>,
+    /// Present exactly when there is more than one lane.
+    roaming: Option<Roaming>,
     receiver: DataReceiver,
-    transmitter: DataTransmitter,
     collector: InformationCollector,
     units: UnitParams,
     models: CrossLayerModels,
@@ -658,7 +828,7 @@ impl Engine {
         for (i, s) in sessions.iter().enumerate() {
             receiver.set_source_volume_kb(i, s.total_kb);
         }
-        let users = signals
+        let users: Vec<UserSim> = signals
             .into_iter()
             .zip(sessions)
             .zip(arrival_slots.into_iter().zip(departure_slots))
@@ -685,12 +855,12 @@ impl Engine {
                 }
             })
             .collect();
+        let n = users.len();
         Self {
             users,
-            scheduler,
-            capacity,
+            lanes: vec![CellLane::new(scheduler, capacity, CapFault::Bs, n)],
+            roaming: None,
             receiver,
-            transmitter: DataTransmitter::new(),
             collector,
             units: UnitParams::new(cfg.delta_kb),
             models,
@@ -792,6 +962,30 @@ impl Engine {
         });
     }
 
+    /// Serve the users from `n_cells` base stations instead of one: a
+    /// lane per cell, each with its own policy and capacity model from
+    /// `lane`, users attached round-robin and — with more than one cell —
+    /// handing over with probability `handover_prob` per slot, drawn
+    /// from a stream seeded by `seed`. Every lane's budget goes through
+    /// the per-cell fault hook.
+    pub(crate) fn into_cells(
+        mut self,
+        n_cells: usize,
+        handover_prob: f64,
+        seed: u64,
+        mut lane: impl FnMut() -> (Box<dyn Scheduler>, Box<dyn CapacityModel>),
+    ) -> Self {
+        let n = self.users.len();
+        self.lanes = (0..n_cells)
+            .map(|cell| {
+                let (scheduler, capacity) = lane();
+                CellLane::new(scheduler, capacity, CapFault::Cell(cell), n)
+            })
+            .collect();
+        self.roaming = (n_cells > 1).then(|| Roaming::new(n, n_cells, handover_prob, seed));
+        self
+    }
+
     /// Decision tallies of the installed admission controller (`None`
     /// when no feasibility controller is installed).
     pub fn admission_summary(&self) -> Option<jmso_gateway::AdmissionSummary> {
@@ -801,6 +995,9 @@ impl Engine {
     /// Restore component state from a checkpoint (everything except the
     /// loop-carried accumulators, which `build_driver` reinstalls).
     fn restore(&mut self, ck: &EngineCheckpoint) -> Result<(), CheckpointError> {
+        let [lane] = self.lanes.as_mut_slice() else {
+            return Err(multi_lane_checkpoint());
+        };
         if ck.users.len() != self.users.len() {
             return Err(CheckpointError::Restore {
                 component: "users",
@@ -928,13 +1125,13 @@ impl Engine {
                 component: "collector",
                 reason,
             })?;
-        self.scheduler
+        lane.scheduler
             .import_state(&ck.scheduler)
             .map_err(|reason| CheckpointError::Restore {
                 component: "scheduler",
                 reason,
             })?;
-        self.transmitter.restore_clamp_events(ck.transmitter_clamps);
+        lane.transmitter.restore_clamp_events(ck.transmitter_clamps);
         Ok(())
     }
 
@@ -1014,17 +1211,19 @@ impl Engine {
         shards: usize,
         rec: &mut R,
     ) -> SimResult {
-        self.run_sharded_faulted_on(pool, shards, rec, &NoFaults)
+        self.run_cells_on(pool, shards, rec, &NoFaults).0
     }
 
-    /// [`Engine::run_sharded_on`] under a [`FaultHook`].
-    pub(crate) fn run_sharded_faulted_on<R: SlotRecorder + Send, F: FaultHook + Sync>(
+    /// [`Engine::run_sharded_on`] under a [`FaultHook`], returning what
+    /// [`SlotDriver::finish_cells`] does. With more than one lane the
+    /// participants divide the lanes as well as the users.
+    pub(crate) fn run_cells_on<R: SlotRecorder + Send, F: FaultHook + Sync>(
         self,
         pool: &WorkerPool,
         shards: usize,
         rec: &mut R,
         faults: &F,
-    ) -> SimResult {
+    ) -> (SimResult, Option<CellStats>) {
         let width = shards.clamp(1, pool.n_workers() + 1);
         let mut drv = match self.build_driver(rec, faults, None, width) {
             Ok(drv) => drv,
@@ -1036,7 +1235,7 @@ impl Engine {
         } else {
             drv.run_lockstep(pool, rec);
         }
-        drv.finish(rec)
+        drv.finish_cells(rec)
     }
 
     /// The checkpoint-aware batch run: a cadence loop over
@@ -1150,6 +1349,8 @@ impl Engine {
         } else {
             0
         };
+        let mut lanes = std::mem::take(&mut self.lanes);
+        let roams = self.roaming.is_some();
         let mut lp = LoopState {
             fairness_series: Vec::with_capacity(series_cap),
             fairness_window_series: Vec::with_capacity(series_cap.div_ceil(10)),
@@ -1159,8 +1360,14 @@ impl Engine {
             window_need: vec![0.0; n_users],
             slots_run: 0,
             watching: n_users,
-            alloc: Allocation::zeros(n_users),
-            deliveries: Vec::with_capacity(n_users),
+            grants: vec![0; if roams && rec.enabled() { n_users } else { 0 }],
+            // A lone lane's transmitter sizes the buffer on its first
+            // call; several lanes scatter into it row by row.
+            deliveries: if roams {
+                vec![Delivery { units: 0, kb: 0.0 }; n_users]
+            } else {
+                Vec::with_capacity(n_users)
+            },
             fault_notes: Vec::new(),
             bs_cap_units: 0,
             rows_primed: false,
@@ -1189,13 +1396,6 @@ impl Engine {
             rec_enabled: false,
             staged: false,
         };
-        // The SoA mirror is maintained only for schedulers that read it
-        // (Scheduler::wants_soa): column upkeep re-derives unit
-        // quantities per live user every slot, which row-walking
-        // policies would pay for without ever looking at the result. Its
-        // columns are sized by the first full pass.
-        let use_soa = self.scheduler.wants_soa();
-        let mut soa = SnapshotSoA::new();
 
         // Who is in a live list as the run (re)starts.
         let mut entered = vec![false; n_users];
@@ -1230,8 +1430,11 @@ impl Engine {
             // checkpointed: rebuild both from the restored snapshots and
             // signal blocks so a resumed run re-enters the block mid-way
             // with the exact values the straight run would hold.
-            if use_soa && lp.rows_primed {
-                soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb);
+            match lanes.as_mut_slice() {
+                [lane] if lane.use_soa && lp.rows_primed => {
+                    lane.soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb)
+                }
+                _ => {}
             }
             if mode.tables {
                 let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
@@ -1304,8 +1507,7 @@ impl Engine {
             lp,
             cols: c,
             shards,
-            soa,
-            use_soa,
+            lanes,
             mode,
             start_slot,
             next_slot: start_slot,
@@ -1345,6 +1547,9 @@ impl Engine {
         faults: &F,
     ) -> SimResult {
         let n_users = self.users.len();
+        let [lane] = self.lanes.as_mut_slice() else {
+            unreachable!("the reference loop is the one-cell specification")
+        };
         rec.begin_run(n_users, self.cfg.tau);
         let series_cap = if self.cfg.record_series {
             self.cfg.slots as usize
@@ -1371,7 +1576,7 @@ impl Engine {
 
         for slot in 0..self.cfg.slots {
             slots_run = slot + 1;
-            let cap = self.capacity.capacity(slot);
+            let cap = lane.capacity.capacity(slot);
             let bs_cap_units =
                 faults.adjust_cap_units(slot, self.units.bs_cap_units(cap, self.cfg.tau));
             rec.begin_slot(slot, bs_cap_units);
@@ -1445,20 +1650,20 @@ impl Engine {
             };
             if rec.enabled() {
                 let t0 = std::time::Instant::now();
-                self.scheduler.allocate_into(&ctx, &mut alloc);
+                lane.scheduler.allocate_into(&ctx, &mut alloc);
                 rec.record_sched_latency_ns(t0.elapsed().as_nanos() as u64);
                 rec.record_alloc(&alloc.0);
-                if let Some(q) = self.scheduler.queue_values() {
+                if let Some(q) = lane.scheduler.queue_values() {
                     rec.record_queues(q);
                 }
-                let deg = self.scheduler.degradations();
+                let deg = lane.scheduler.degradations();
                 if !deg.is_empty() {
                     rec.record_degradations(deg);
                 }
             } else {
-                self.scheduler.allocate_into(&ctx, &mut alloc);
+                lane.scheduler.allocate_into(&ctx, &mut alloc);
             }
-            self.transmitter
+            lane.transmitter
                 .transmit_into(&ctx, &alloc, &mut self.receiver, &mut deliveries);
 
             // Device-side accounting (Eq. 3/4/5) and client delivery.
@@ -1648,7 +1853,7 @@ impl Engine {
         per_user.shrink_to_fit();
 
         SimResult {
-            scheduler: self.scheduler.name().to_string(),
+            scheduler: self.lanes[0].scheduler.name().to_string(),
             per_user,
             slots_run,
             slots_configured: self.cfg.slots,
@@ -1682,14 +1887,14 @@ impl Engine {
 /// one recorder can outlive crash/rebuild cycles of the driver itself.
 pub struct SlotDriver<F: FaultHook = NoFaults> {
     /// The gateway pipeline and the run's constants; its users and ABR
-    /// clients live in `cols` until [`SlotDriver::finish`].
+    /// clients live in `cols`, its lanes in `lanes`, until
+    /// [`SlotDriver::finish`].
     engine: Engine,
     faults: F,
     lp: LoopState,
     cols: Columns,
     shards: Vec<ShardState>,
-    soa: SnapshotSoA,
-    use_soa: bool,
+    lanes: Vec<CellLane>,
     /// The run's constants; the recorder's two flags are filled in per
     /// call.
     mode: Mode,
@@ -1716,10 +1921,9 @@ impl<F: FaultHook> SlotDriver<F> {
     pub fn last_slot_work(&self) -> SlotWork {
         SlotWork {
             receiver_flows: self.engine.receiver.flows_visited_last_ingest(),
-            scheduler_rows: if self.use_soa {
-                self.soa.live_rows().len()
-            } else {
-                self.cols.users.len()
+            scheduler_rows: match self.lanes.as_slice() {
+                [lane] if lane.use_soa => lane.soa.live_rows().len(),
+                _ => self.cols.users.len(),
             },
         }
     }
@@ -1760,7 +1964,7 @@ impl<F: FaultHook> SlotDriver<F> {
 
     /// Short name of the scheduling policy driving allocations.
     pub fn scheduler_name(&self) -> &'static str {
-        self.engine.scheduler.name()
+        self.lanes[0].scheduler.name()
     }
 
     /// Switch the scheduler into its degraded (cheaper, best-effort)
@@ -1770,7 +1974,11 @@ impl<F: FaultHook> SlotDriver<F> {
     /// switch is observable through the scheduler's degradation events
     /// in the telemetry stream.
     pub fn engage_degraded(&mut self) -> bool {
-        self.engine.scheduler.engage_degraded()
+        let mut supported = true;
+        for lane in &mut self.lanes {
+            supported &= lane.scheduler.engage_degraded();
+        }
+        supported
     }
 
     /// Defer every user's arrival to "never" (`u64::MAX`): live
@@ -1915,14 +2123,20 @@ impl<F: FaultHook> SlotDriver<F> {
         rec: &R,
     ) -> Result<EngineCheckpoint, CheckpointError> {
         let (eng, c, lp) = (&self.engine, &self.cols, &self.lp);
+        let [lane] = self.lanes.as_slice() else {
+            return Err(multi_lane_checkpoint());
+        };
         let recorder = rec.export_state().ok_or(CheckpointError::Unsupported {
             reason: "recorder cannot export its state".into(),
         })?;
         let scheduler =
-            eng.scheduler
+            lane.scheduler
                 .export_state()
                 .ok_or_else(|| CheckpointError::Unsupported {
-                    reason: format!("scheduler {} cannot export its state", eng.scheduler.name()),
+                    reason: format!(
+                        "scheduler {} cannot export its state",
+                        lane.scheduler.name()
+                    ),
                 })?;
         let mut collector = eng.collector.export_state();
         if self.mode.pass_through && lp.rows_primed {
@@ -1958,7 +2172,7 @@ impl<F: FaultHook> SlotDriver<F> {
             receiver: eng.receiver.export_state(),
             collector,
             scheduler,
-            transmitter_clamps: eng.transmitter.clamp_events(),
+            transmitter_clamps: lane.transmitter.clamp_events(),
             recorder,
             loop_state: LoopCkpt {
                 fairness_series: lp.fairness_series.clone(),
@@ -2014,27 +2228,46 @@ impl<F: FaultHook> SlotDriver<F> {
         }
         let slot = self.next_slot;
         let mode = self.mode_for(rec);
-        let use_soa = self.use_soa;
         let Self {
             engine: eng,
             faults,
             lp,
             cols,
             shards,
-            soa,
+            lanes,
             ..
         } = self;
         let [sh] = shards.as_mut_slice() else {
             unreachable!("a driver that is stepped holds one shard")
         };
         let mut c = cols.all();
+        // The mirror phases A and C write through: a lone lane's, once
+        // its first full pass has sized it.
+        fn mirror(lanes: &mut [CellLane], primed: bool) -> Option<SoaRowsMut<'_>> {
+            match lanes {
+                [lane] if lane.use_soa && primed => Some(lane.soa.rows_mut()),
+                _ => None,
+            }
+        }
         let primed = lp.rows_primed;
-        let rows = (use_soa && primed).then(|| soa.rows_mut());
-        phase_a(eng, mode, primed, faults, slot, sh, &mut c, rows);
-        let mirror = use_soa.then_some(&mut *soa);
+        phase_a(
+            eng,
+            mode,
+            primed,
+            faults,
+            slot,
+            sh,
+            &mut c,
+            mirror(lanes, primed),
+        );
         let one = std::slice::from_mut(sh);
-        phase_b(eng, lp, mode, faults, slot, one, &mut c, mirror, rec);
-        phase_c(eng, mode, slot, &lp.deliveries, &mut one[0], &mut c);
+        phase_b_open(eng, lp, mode, faults, slot, one, lanes, &mut c, rec);
+        for (cell, lane) in lanes.iter_mut().enumerate() {
+            phase_b_lane(eng, mode, slot, cell, lane, c.snaps, c.retired);
+        }
+        phase_b_close(eng, lp, mode, slot, lanes, &c, rec);
+        let rows = mirror(lanes, true);
+        phase_c(eng, mode, slot, &lp.deliveries, &mut one[0], &mut c, rows);
         self.finished = phase_d(eng, lp, mode, slot, one, &mut c, rec);
         self.next_slot = slot + 1;
         Some(slot)
@@ -2042,14 +2275,14 @@ impl<F: FaultHook> SlotDriver<F> {
 
     /// Run to the end with the per-shard phases spread over `pool`:
     /// participant `p` owns shard `p`, everyone meets at a
-    /// [`SpinBarrier`] after each phase, and participant 0 runs the two
+    /// [`SpinBarrier`] after each phase, and participant 0 runs the
     /// serial phases while the others wait. One broadcast for the whole
     /// run: participants stay resident and pay four barrier crossings a
-    /// slot instead of a dispatch.
+    /// slot (six with more than one lane) instead of a dispatch.
     ///
     /// The phase functions are [`SlotDriver::step`]'s; what differs is
     /// how each gets its arguments. For the length of the broadcast the
-    /// driver's state is lent to a [`Lockstep`], whose two `unsafe fn`s
+    /// driver's state is lent to a [`Lockstep`], whose `unsafe fn`s
     /// carve a phase's borrows out of it — the only `unsafe` in this
     /// file.
     fn run_lockstep<R: SlotRecorder + Send>(&mut self, pool: &WorkerPool, rec: &mut R)
@@ -2060,27 +2293,45 @@ impl<F: FaultHook> SlotDriver<F> {
         let n_users = self.cols.users.len();
         let mode = self.mode_for(rec);
         let first_slot = self.next_slot;
-        let use_soa = self.use_soa;
         let Self {
             engine: eng,
             faults,
             lp,
             cols,
             shards,
-            soa,
+            lanes,
             ..
         } = self;
         let faults = &*faults;
-        if use_soa && !lp.rows_primed {
-            // The row views carved below need the columns in place.
-            soa.resize(n_users);
-        }
+        let n_lanes = lanes.len();
+        // With one lane phase B is participant 0's alone. With more, the
+        // scheduler calls are most of the slot and independent of each
+        // other, so everyone takes a contiguous range of lanes, fenced
+        // off from the serial halves of the phase by two more barriers
+        // (what opens the phase writes rows the lanes read; what closes
+        // it needs every lane's grants).
+        let lanes_in_parallel = n_lanes > 1;
+        let soa_rows = match lanes.as_mut_slice() {
+            [lane] if lane.use_soa => {
+                if !lp.rows_primed {
+                    // The row views carved below need the columns in
+                    // place.
+                    lane.soa.resize(n_users);
+                }
+                Some(lane.soa.rows())
+            }
+            _ => None,
+        };
         let shared = Lockstep {
             ranges: shards.iter().map(|sh| sh.range.clone()).collect(),
             units: (0..width).map(|p| p..p + 1).collect(),
             whole: 0..n_users,
             every_shard: 0..width,
-            soa_rows: use_soa.then(|| soa.rows()),
+            lane_ranges: (0..if lanes_in_parallel { width } else { 0 })
+                .map(|p| p * n_lanes / width..(p + 1) * n_lanes / width)
+                .collect(),
+            every_lane: 0..n_lanes,
+            soa_rows,
             users: SharedSlice::new(&mut cols.users),
             abr: SharedSlice::new(&mut cols.abr),
             raw: SharedSlice::new(&mut cols.raw),
@@ -2090,7 +2341,8 @@ impl<F: FaultHook> SlotDriver<F> {
             retired: SharedSlice::new(&mut cols.retired),
             retired_at: SharedSlice::new(&mut cols.retired_at),
             shards: SharedSlice::new(shards),
-            serial: PhaseCell::new((eng, lp, soa, rec)),
+            lanes: SharedSlice::new(lanes),
+            serial: PhaseCell::new((eng, lp, rec)),
         };
         let barrier = SpinBarrier::new(width);
         let quit = AtomicBool::new(false);
@@ -2107,20 +2359,41 @@ impl<F: FaultHook> SlotDriver<F> {
                 if p == 0 {
                     // SAFETY: serial phase — every other participant is
                     // parked at the barrier below.
-                    let ((eng, lp, soa, rec), shards, mut c) = unsafe { shared.serial() };
-                    let mirror = use_soa.then_some(&mut **soa);
-                    phase_b(eng, lp, mode, faults, slot, shards, &mut c, mirror, *rec);
+                    let ((eng, lp, rec), shards, lanes, mut c) = unsafe { shared.serial() };
+                    phase_b_open(eng, lp, mode, faults, slot, shards, lanes, &mut c, *rec);
+                    if !lanes_in_parallel {
+                        phase_b_lane(eng, mode, slot, 0, &mut lanes[0], c.snaps, c.retired);
+                        phase_b_close(eng, lp, mode, slot, lanes, &c, *rec);
+                    }
+                }
+                if lanes_in_parallel {
+                    barrier.wait();
+                    {
+                        // SAFETY: per-lane phase — lanes `lane_ranges[p]`
+                        // are this participant's until the barrier below,
+                        // and nobody writes the rows or the serial state.
+                        let ((eng, ..), first, mine, snaps, retired) = unsafe { shared.lanes(p) };
+                        for (k, lane) in mine.iter_mut().enumerate() {
+                            phase_b_lane(eng, mode, slot, first + k, lane, snaps, retired);
+                        }
+                    }
+                    barrier.wait();
+                    if p == 0 {
+                        // SAFETY: serial phase, as above.
+                        let ((eng, lp, rec), _, lanes, c) = unsafe { shared.serial() };
+                        phase_b_close(eng, lp, mode, slot, lanes, &c, *rec);
+                    }
                 }
                 barrier.wait();
                 {
                     // SAFETY: per-shard phase, as in A.
-                    let ((eng, lp, ..), sh, mut c, _) = unsafe { shared.shard(p) };
-                    phase_c(eng, mode, slot, &lp.deliveries, sh, &mut c);
+                    let ((eng, lp, ..), sh, mut c, rows) = unsafe { shared.shard(p) };
+                    phase_c(eng, mode, slot, &lp.deliveries, sh, &mut c, rows);
                 }
                 barrier.wait();
                 if p == 0 {
                     // SAFETY: serial phase, as in B.
-                    let ((eng, lp, _, rec), shards, mut c) = unsafe { shared.serial() };
+                    let ((eng, lp, rec), shards, _, mut c) = unsafe { shared.serial() };
                     if phase_d(eng, lp, mode, slot, shards, &mut c, *rec) {
                         quit.store(true, Ordering::Release);
                     }
@@ -2139,11 +2412,21 @@ impl<F: FaultHook> SlotDriver<F> {
     /// Callable at any point; finishing early yields the result of the
     /// slots run so far.
     pub fn finish<R: SlotRecorder>(self, rec: &mut R) -> SimResult {
+        self.finish_cells(rec).0
+    }
+
+    /// [`SlotDriver::finish`], and with more than one lane what the
+    /// cells saw of their users.
+    pub(crate) fn finish_cells<R: SlotRecorder>(
+        self,
+        rec: &mut R,
+    ) -> (SimResult, Option<CellStats>) {
         rec.end_run();
         let Self {
             mut engine,
             lp,
             cols: mut c,
+            lanes,
             ..
         } = self;
         // Settle the idle slots the retired users sat out: each would
@@ -2155,6 +2438,15 @@ impl<F: FaultHook> SlotDriver<F> {
             }
         }
         engine.users = c.users;
+        engine.lanes = lanes;
+        let cells = engine.roaming.take().map(|roam| CellStats {
+            handovers: roam.handovers,
+            mean_occupancy: roam
+                .occupancy_sums
+                .iter()
+                .map(|sum| sum / lp.slots_run as f64)
+                .collect(),
+        });
         let mut result = engine.finish(
             lp.slots_run,
             lp.fairness_series,
@@ -2162,18 +2454,29 @@ impl<F: FaultHook> SlotDriver<F> {
             lp.power_series_j,
         );
         result.telemetry = rec.summary();
-        result
+        (result, cells)
+    }
+}
+
+/// What the cells of a run with more than one lane saw of its users.
+pub(crate) struct CellStats {
+    /// Total handovers executed.
+    pub(crate) handovers: u64,
+    /// Mean number of attached users per cell.
+    pub(crate) mean_occupancy: Vec<f64>,
+}
+
+/// The refusal a run of more than one lane gives a checkpoint request:
+/// the sidecar carries one scheduler's state and no attachment.
+fn multi_lane_checkpoint() -> CheckpointError {
+    CheckpointError::Unsupported {
+        reason: "a run with more than one cell cannot be checkpointed".into(),
     }
 }
 
 /// What the serial phases own in a lockstep run: the engine, the
-/// loop-carried state, the SoA mirror and the recorder.
-type Serial<'a, R> = (
-    &'a mut Engine,
-    &'a mut LoopState,
-    &'a mut SnapshotSoA,
-    &'a mut R,
-);
+/// loop-carried state and the recorder.
+type Serial<'a, R> = (&'a mut Engine, &'a mut LoopState, &'a mut R);
 
 /// A driver's state as lockstep participants share it: raw views of the
 /// columns and shard states, the serial state behind a [`PhaseCell`].
@@ -2189,6 +2492,11 @@ struct Lockstep<'a, R> {
     /// Every user and every shard: the one-shard partitions.
     whole: Range<usize>,
     every_shard: Range<usize>,
+    /// `lane_ranges[p]` are the lanes participant `p` schedules (only
+    /// filled with more than one lane).
+    lane_ranges: Vec<Range<usize>>,
+    every_lane: Range<usize>,
+    /// A lone lane's mirror, which the per-shard phases write through.
     soa_rows: Option<SoaRows>,
     users: SharedSlice<UserSim>,
     /// Empty on fixed-bitrate runs.
@@ -2200,6 +2508,7 @@ struct Lockstep<'a, R> {
     retired: SharedSlice<bool>,
     retired_at: SharedSlice<u64>,
     shards: SharedSlice<ShardState>,
+    lanes: SharedSlice<CellLane>,
     serial: PhaseCell<Serial<'a, R>>,
 }
 
@@ -2257,13 +2566,50 @@ impl<'a, R> Lockstep<'a, R> {
     /// Between two barrier crossings where no other participant touches
     /// the shared state, and what it returns is dropped before the
     /// second.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn serial(&self) -> (&mut Serial<'a, R>, &mut [ShardState], Cols<'_>) {
+    #[allow(clippy::type_complexity, clippy::mut_from_ref)]
+    unsafe fn serial(
+        &self,
+    ) -> (
+        &mut Serial<'a, R>,
+        &mut [ShardState],
+        &mut [CellLane],
+        Cols<'_>,
+    ) {
         use std::slice::from_ref;
         (
             self.serial.get_mut(),
             self.shards.shard_mut(from_ref(&self.every_shard), 0),
+            self.lanes.shard_mut(from_ref(&self.every_lane), 0),
             self.cols(from_ref(&self.whole), 0),
+        )
+    }
+
+    /// Participant `p`'s arguments for the per-lane phase: the serial
+    /// state to read, its first lane's cell index and its lanes, and the
+    /// snapshot and retirement columns to read.
+    ///
+    /// # Safety
+    /// Between two barrier crossings where every participant calls this
+    /// with its own `p` (or nothing at all), nobody writes the serial
+    /// state or a column, and what it returns is dropped before the
+    /// second.
+    #[allow(clippy::type_complexity, clippy::mut_from_ref)]
+    unsafe fn lanes(
+        &self,
+        p: usize,
+    ) -> (
+        &Serial<'a, R>,
+        usize,
+        &mut [CellLane],
+        &[UserSnapshot],
+        &[bool],
+    ) {
+        (
+            self.serial.get(),
+            self.lane_ranges[p].start,
+            self.lanes.shard_mut(&self.lane_ranges, p),
+            self.snaps.whole(),
+            self.retired.whole(),
         )
     }
 }
@@ -2384,26 +2730,43 @@ fn phase_a<F: FaultHook>(
     }
 }
 
-/// Phase B, serial: the one Eq. (2) budget (fault-adjusted), origin
-/// ingest, the collector pass for a collector that is not pass-through
-/// (its report cache and noise stream run in global user order), one
-/// scheduler call over every row, and the transmitter moving bytes.
+/// Phase B, opening half, serial: this slot's mobility, every lane's
+/// Eq. (2) budget (fault-adjusted), the slot announced to the recorder,
+/// origin ingest, and the collector pass for a collector that is not
+/// pass-through (its report cache and noise stream run in global user
+/// order).
 #[allow(clippy::too_many_arguments)]
-fn phase_b<R: SlotRecorder, F: FaultHook>(
+fn phase_b_open<R: SlotRecorder, F: FaultHook>(
     eng: &mut Engine,
     lp: &mut LoopState,
     mode: Mode,
     faults: &F,
     slot: u64,
     shards: &[ShardState],
+    lanes: &mut [CellLane],
     c: &mut Cols<'_>,
-    mut soa: Option<&mut SnapshotSoA>,
     rec: &mut R,
 ) {
     let cfg = eng.cfg;
     lp.slots_run = slot + 1;
-    let cap = eng.capacity.capacity(slot);
-    lp.bs_cap_units = faults.adjust_cap_units(slot, eng.units.bs_cap_units(cap, cfg.tau));
+    if let Some(roam) = eng.roaming.as_mut() {
+        roam.step(lanes, cfg);
+    }
+    lp.bs_cap_units = 0;
+    for lane in lanes.iter_mut() {
+        let cap = lane.capacity.capacity(slot);
+        // The two hooks quantise in different orders — ⌊⌊S/δ⌋·f⌋ here,
+        // ⌊S·f/δ⌋ per cell — and so differ by a unit when S is off the δ
+        // grid. Each run kind keeps the one its committed outputs were
+        // made with, which is the only reason there are two.
+        lane.cap_units = match lane.cap_fault {
+            CapFault::Bs => faults.adjust_cap_units(slot, eng.units.bs_cap_units(cap, cfg.tau)),
+            CapFault::Cell(cell) => eng
+                .units
+                .bs_cap_units(KbPerSec(faults.scale_cell_cap(slot, cell, cap.0)), cfg.tau),
+        };
+        lp.bs_cap_units += lane.cap_units;
+    }
     rec.begin_slot(slot, lp.bs_cap_units);
     if faults.enabled() && mode.rec_enabled {
         lp.fault_notes.clear();
@@ -2414,6 +2777,12 @@ fn phase_b<R: SlotRecorder, F: FaultHook>(
     }
     eng.receiver.ingest_slot(slot);
 
+    // A lone lane schedules off the columns' rows, so their mirror is
+    // kept here; several lanes each mirror their own rows.
+    let mut soa = match lanes {
+        [lane] if lane.use_soa => Some(&mut lane.soa),
+        _ => None,
+    };
     if !lp.rows_primed || eng.collector.needs_full_pass() {
         // The first slot — and every slot of a noisy collector, whose
         // RNG stream must stay per-user aligned — rebuilds every row
@@ -2435,37 +2804,141 @@ fn phase_b<R: SlotRecorder, F: FaultHook>(
             }
         }
     }
-    if let Some(soa) = soa.as_deref_mut() {
+    if let Some(soa) = soa {
         // The shard lists in shard order are the rows a sweep has to
         // visit; every other row has no demand left.
         soa.set_live_rows(shards.iter().flat_map(|sh| sh.live.iter().copied()));
     }
+}
 
+/// Phase B, per lane: the cell's rows brought up to date (with more than
+/// one lane) and its scheduler's call over them. Touches only the lane;
+/// makes no recorder call.
+fn phase_b_lane(
+    eng: &Engine,
+    mode: Mode,
+    slot: u64,
+    cell: usize,
+    lane: &mut CellLane,
+    snaps: &[UserSnapshot],
+    retired: &[bool],
+) {
+    let cfg = eng.cfg;
+    let users = match eng.roaming.as_ref() {
+        None => snaps,
+        Some(roam) => {
+            if lane.rows.is_empty() {
+                lane.rows.extend(snaps.iter().map(|reported| {
+                    let mut row = reported.clone();
+                    if roam.attached[row.id] != cell {
+                        row.remaining_kb = 0.0;
+                        row.active = false;
+                        row.link_cap_units = 0;
+                    }
+                    row
+                }));
+                if lane.use_soa {
+                    lane.soa.fill_from(&lane.rows, cfg.tau, cfg.delta_kb);
+                }
+            } else {
+                for &i in &roam.members[cell] {
+                    // A retired member's reported row is frozen, with
+                    // nothing left to fetch: once the lane's copy says
+                    // it has stopped watching there is nothing to bring
+                    // over.
+                    if retired[i] && !lane.rows[i].active {
+                        continue;
+                    }
+                    lane.rows[i].clone_from(&snaps[i]);
+                    if lane.use_soa {
+                        lane.soa.set_row(&snaps[i], cfg.tau, cfg.delta_kb);
+                    }
+                }
+            }
+            if lane.use_soa {
+                // Only a member's row can hold demand.
+                lane.soa.set_live_rows(roam.members[cell].iter().copied());
+            }
+            lane.rows.as_slice()
+        }
+    };
     let ctx = SlotContext {
         slot,
         tau: cfg.tau,
         delta_kb: cfg.delta_kb,
-        bs_cap_units: lp.bs_cap_units,
-        users: c.snaps,
-        soa: soa.as_deref(),
+        bs_cap_units: lane.cap_units,
+        users,
+        soa: lane.use_soa.then_some(&lane.soa),
     };
     if mode.rec_enabled {
         let t0 = std::time::Instant::now();
-        eng.scheduler.allocate_into(&ctx, &mut lp.alloc);
-        rec.record_sched_latency_ns(t0.elapsed().as_nanos() as u64);
-        rec.record_alloc(&lp.alloc.0);
-        if let Some(q) = eng.scheduler.queue_values() {
-            rec.record_queues(q);
-        }
-        let deg = eng.scheduler.degradations();
-        if !deg.is_empty() {
-            rec.record_degradations(deg);
-        }
+        lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
+        lane.sched_ns = t0.elapsed().as_nanos() as u64;
     } else {
-        eng.scheduler.allocate_into(&ctx, &mut lp.alloc);
+        lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
     }
-    eng.transmitter
-        .transmit_into(&ctx, &lp.alloc, &mut eng.receiver, &mut lp.deliveries);
+}
+
+/// Phase B, closing half, serial: what the lanes decided told to the
+/// recorder in cell order, and each lane's transmitter moving bytes out
+/// of the one receiver (a flow follows its user across cells).
+fn phase_b_close<R: SlotRecorder>(
+    eng: &mut Engine,
+    lp: &mut LoopState,
+    mode: Mode,
+    slot: u64,
+    lanes: &mut [CellLane],
+    c: &Cols<'_>,
+    rec: &mut R,
+) {
+    let cfg = eng.cfg;
+    if mode.rec_enabled {
+        rec.record_sched_latency_ns(lanes.iter().map(|lane| lane.sched_ns).sum());
+    }
+    for (cell, lane) in lanes.iter_mut().enumerate() {
+        let members = eng.roaming.as_ref().map(|roam| &roam.members[cell]);
+        let (users, out) = match members {
+            None => (&*c.snaps, &mut lp.deliveries),
+            Some(_) => (lane.rows.as_slice(), &mut lane.deliveries),
+        };
+        let ctx = SlotContext {
+            slot,
+            tau: cfg.tau,
+            delta_kb: cfg.delta_kb,
+            bs_cap_units: lane.cap_units,
+            users,
+            soa: lane.use_soa.then_some(&lane.soa),
+        };
+        lane.transmitter
+            .transmit_into(&ctx, &lane.alloc, &mut eng.receiver, out);
+        // A user is attached to exactly one cell, so the lanes' members
+        // between them write every row once.
+        for &i in members.into_iter().flatten() {
+            lp.deliveries[i] = lane.deliveries[i];
+            if mode.rec_enabled {
+                lp.grants[i] = lane.alloc.0[i];
+            }
+        }
+    }
+    if mode.rec_enabled {
+        match &*lanes {
+            [lane] => {
+                rec.record_alloc(&lane.alloc.0);
+                if let Some(q) = lane.scheduler.queue_values() {
+                    rec.record_queues(q);
+                }
+            }
+            // Each cell has its own scheduler, so no single queue vector
+            // describes the slot.
+            _ => rec.record_alloc(&lp.grants),
+        }
+        for lane in lanes.iter() {
+            let deg = lane.scheduler.degradations();
+            if !deg.is_empty() {
+                rec.record_degradations(deg);
+            }
+        }
+    }
 }
 
 /// Phase C, per shard: client delivery and device accounting (Eq. 3/4/5)
@@ -2480,6 +2953,7 @@ fn phase_c(
     deliveries: &[Delivery],
     sh: &mut ShardState,
     c: &mut Cols<'_>,
+    mut soa: Option<SoaRowsMut<'_>>,
 ) {
     let cfg = eng.cfg;
     sh.watching_dec = 0;
@@ -2567,6 +3041,17 @@ fn phase_c(
             c.retired[k] = true;
             c.retired_at[k] = slot;
             sh.any_retired = true;
+            // The rows freeze here, in the slot playback completed —
+            // which `begin_slot` still saw as watched. They must say
+            // what a fresh row would from now on, or a policy that walks
+            // every row (EMA's `PCᵢ += τ`) keeps charging a user who has
+            // left; the ground-truth row too, for a collector that
+            // rebuilds every snapshot from it.
+            c.raw[k].active = false;
+            c.snaps[k].active = false;
+            if let Some(rows) = soa.as_mut() {
+                rows.set_row(&c.snaps[k], cfg.tau, cfg.delta_kb);
+            }
         }
     }
 }
@@ -2967,7 +3452,6 @@ fn admission_tick_reference<R: SlotRecorder>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
     use crate::telemetry::TraceRecorder;

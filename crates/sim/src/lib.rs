@@ -19,8 +19,8 @@
 //!   (the `E_Default`/`R_Default` the α/β constraints are defined
 //!   against) and fits EMA's `V` to a rebuffering bound Ω by bisection.
 //! * [`pool`] — a persistent worker pool ([`WorkerPool`]) and a reusable
-//!   [`SpinBarrier`], shared by the sweep runner and the parallel
-//!   multicell stepper so hot callers never pay thread-spawn costs.
+//!   [`SpinBarrier`], shared by the sweep runner and the engine's
+//!   lockstep runs so hot callers never pay thread-spawn costs.
 //! * [`sweep`] — deterministic parallel execution of scenario grids on
 //!   the shared worker pool.
 //! * [`report`] — CSV and table output for the figure harness.

@@ -13,9 +13,9 @@
 //!
 //! * `parallel_map` passes a closure that drains an atomic-cursor item
 //!   queue (each participant loops popping chunks until empty);
-//! * the two lockstep runs — `Engine::run_sharded_on` and
-//!   `MultiCellScenario::run_parallel` — pass a closure that runs the
-//!   *whole slot loop*, one participant per shard of users (or range of
+//! * the lockstep run — `Engine::run_sharded_on`, and through it
+//!   `MultiCellScenario::run_parallel` — passes a closure that runs the
+//!   *whole slot loop*, one participant per shard of users (and range of
 //!   cells), meeting at a [`SpinBarrier`] after each phase — one
 //!   long-lived broadcast per run rather than one dispatch per slot, so
 //!   a slot costs its barrier rotations and no locks.
@@ -37,7 +37,6 @@
 //! argument. Worker panics are caught per participant, forwarded to the
 //! submitter, and re-raised there (first payload wins), so a panicking job
 //! never poisons the pool for the next caller.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -441,6 +440,15 @@ impl<T> SharedSlice<T> {
         self.len == 0
     }
 
+    /// Every row, to read.
+    ///
+    /// # Safety
+    /// Between two barrier crossings where no participant writes a row,
+    /// and the slice is dropped before the second.
+    pub(crate) unsafe fn whole(&self) -> &[T] {
+        std::slice::from_raw_parts(self.ptr, self.len)
+    }
+
     /// Shard `p`'s rows, `ranges[p]`, where `ranges` is the run's one
     /// partition of the rows into shards. Debug builds check on every
     /// call that the partition tiles `0..len` in order without overlap.
@@ -464,7 +472,6 @@ impl<T> SharedSlice<T> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
     use std::sync::atomic::AtomicU64;

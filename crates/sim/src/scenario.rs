@@ -231,7 +231,8 @@ impl Scenario {
                 .run_sharded_on(pool, shards, rec)),
             Some(plan) => Ok(self
                 .build_engine(false, Some(&plan))?
-                .run_sharded_faulted_on(pool, shards, rec, &plan)),
+                .run_cells_on(pool, shards, rec, &plan)
+                .0),
         }
     }
 
@@ -386,7 +387,7 @@ impl Scenario {
         Ok(())
     }
 
-    fn build_engine(
+    pub(crate) fn build_engine(
         &self,
         dyn_signals: bool,
         faults: Option<&FaultPlan>,

@@ -115,7 +115,10 @@ where
 
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every index was processed"))
+        .map(|slot| match slot.into_inner() {
+            Some(r) => r,
+            None => unreachable!("every index was processed"),
+        })
         .collect()
 }
 

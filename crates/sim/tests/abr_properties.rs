@@ -15,6 +15,10 @@
 //! * `run --shards` substitutes nothing: stale and noisy collectors and
 //!   admission control run the lockstep phases and equal the serial run.
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_sim::{
     AbrPolicy, AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
     CollectorSpec, EngineCheckpoint, MultiCellScenario, RunOutcome, Scenario, SchedulerSpec,

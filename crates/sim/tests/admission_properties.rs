@@ -24,6 +24,10 @@
 //!   (the queue is not checkpointed: it is re-derived from the arrival
 //!   slots).
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_sim::{
     AdmissionDecision, AdmissionSpec, ArrivalSpec, CapacitySpec, EngineCheckpoint, RunOutcome,
     Scenario, SchedulerSpec, SessionLength, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,

@@ -12,6 +12,10 @@
 //!   direct declaration is rejected by validation) means the user is
 //!   never live: the session is cancelled in the same slot it starts.
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_sim::{
     ArrivalSpec, CapacitySpec, FaultEvent, FaultSpec, Scenario, SimResult, TraceRecorder,
     WorkloadSpec, NEVER_DEPARTS,

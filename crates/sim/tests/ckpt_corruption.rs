@@ -4,6 +4,10 @@
 //! fail loudly and never panic. The live service leans on these
 //! contracts to fall back to a cold start instead of crash-looping.
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_sim::{
     AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, FaultSpec, SessionLength,
 };

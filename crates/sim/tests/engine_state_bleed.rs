@@ -117,8 +117,8 @@ fn multicell_trace_reconciles() {
         );
         assert!((reb[i] - u.rebuffer_s).abs() <= 1e-6 * u.rebuffer_s.max(1.0));
     }
-    // Rerunning traced is deterministic (the multicell loop resets its
-    // per-cell buffers each run).
+    // Rerunning traced is deterministic (every run builds its lanes
+    // afresh).
     let (_, again) = mc.run_traced(1).unwrap();
     assert_eq!(trace, again);
 }

@@ -13,10 +13,14 @@
 //!    straight run's per-user results *and* its full per-slot trace,
 //!    including under active fault plans.
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_sim::{
-    ArrivalSpec, CapacitySpec, EngineCheckpoint, FaultEvent, FaultSpec, MultiCellScenario,
-    RunOutcome, Scenario, SchedulerSpec, SignalSpec, SimResult, SlotTrace, TraceRecorder,
-    WorkerPool, WorkloadSpec,
+    AbrPolicy, AbrSpec, ArrivalSpec, BitrateLadder, CapacitySpec, EngineCheckpoint, FaultEvent,
+    FaultSpec, MultiCellScenario, RunOutcome, Scenario, SchedulerSpec, SignalSpec, SimResult,
+    SlotTrace, TraceRecorder, WorkerPool, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -109,6 +113,20 @@ fn deterministic_parts(r: &SimResult) -> (Vec<jmso_sim::UserResult>, u64, Vec<f6
         r.fairness_series.clone(),
         r.power_series_j.clone(),
     )
+}
+
+/// The result without its wall-clock part (the scheduler-latency
+/// quantiles of a traced run's telemetry summary).
+fn scrub_clock(mut r: SimResult) -> SimResult {
+    if let Some(t) = r.telemetry.as_mut() {
+        (
+            t.sched_ns_p50,
+            t.sched_ns_p95,
+            t.sched_ns_p99,
+            t.sched_ns_max,
+        ) = (0, 0, 0, 0);
+    }
+    r
 }
 
 proptest! {
@@ -222,6 +240,48 @@ proptest! {
         prop_assert_eq!(par, serial);
     }
 
+    /// The identity that stands where the second engine stood: one cell,
+    /// nobody roaming, is the single-cell run of the base scenario — the
+    /// settings a multicell run ignores at their defaults — field for
+    /// field and byte for byte, queue values included. The cell budget
+    /// sits on the δ grid because the two run kinds scale it by a fault
+    /// factor in different orders (⌊⌊S/δ⌋·f⌋, ⌊S·f/δ⌋), which agree
+    /// there and can differ by a unit off it.
+    #[test]
+    fn one_cell_multicell_is_the_single_cell_run(
+        scenario in arb_scenario(),
+        faults in arb_faults(),
+        ladder in prop::option::of(prop::bool::ANY),
+        record_series in prop::bool::ANY,
+    ) {
+        let mut base = scenario;
+        apply_faults(&mut base, faults);
+        if let CapacitySpec::Constant { kbps } = &mut base.capacity {
+            *kbps = (*kbps / base.delta_kb).round() * base.delta_kb;
+        }
+        base.record_series = record_series;
+        base.abr = ladder.map(|multi_rung| AbrSpec {
+            ladder: BitrateLadder {
+                multipliers: if multi_rung { vec![0.5, 0.75, 1.0] } else { vec![1.0] },
+            },
+            chunk_slots: 4,
+            policy: AbrPolicy::BufferBased { low_s: 4.0, high_s: 12.0 },
+            initial_rung: None,
+        });
+        let single = Scenario {
+            arrivals: ArrivalSpec::Simultaneous,
+            ..base.clone()
+        };
+        let mc = MultiCellScenario { base, n_cells: 1, handover_prob: 0.0 };
+
+        let (one_cell, one_cell_trace) = mc.run_traced(1).expect("multicell run");
+        let (plain, plain_trace) = single.run_traced(1).expect("single-cell run");
+        prop_assert_eq!(one_cell_trace.to_jsonl(), plain_trace.to_jsonl());
+        prop_assert_eq!(scrub_clock(one_cell.result), scrub_clock(plain));
+        prop_assert_eq!(one_cell.handovers, 0);
+        prop_assert_eq!(one_cell.mean_cell_occupancy, vec![single.n_users as f64]);
+    }
+
     /// Fault plans themselves are deterministic and serde-stable: a
     /// generated plan rerun from its JSON form yields identical results.
     #[test]
@@ -284,4 +344,108 @@ fn declared_fault_events_roundtrip() {
         t
     })
     .expect("faulted trace parses back");
+}
+
+/// One spec per `SchedulerSpec` variant, each with a cell budget (KB/s
+/// for five users) under which its cross-slot state is in play at the
+/// pause: a binding one for the rotation and the averages, an ample one
+/// for the watermark policies, whose clients must be able to fill up.
+/// The match makes a new variant a compile error here until it is
+/// listed, so a policy that grows state cannot skip the resume check
+/// below.
+fn every_scheduler_variant() -> Vec<(SchedulerSpec, f64)> {
+    let listed = |spec: &SchedulerSpec| match spec {
+        SchedulerSpec::Default
+        | SchedulerSpec::Rtma { .. }
+        | SchedulerSpec::RtmaUnbounded
+        | SchedulerSpec::Ema { .. }
+        | SchedulerSpec::EmaFast { .. }
+        | SchedulerSpec::Throttling { .. }
+        | SchedulerSpec::OnOff { .. }
+        | SchedulerSpec::Salsa { .. }
+        | SchedulerSpec::EStreamer { .. }
+        | SchedulerSpec::RoundRobin
+        | SchedulerSpec::ProportionalFair { .. } => (),
+    };
+    let specs = vec![
+        (SchedulerSpec::Default, 1_700.0),
+        (SchedulerSpec::rtma(900.0), 1_700.0),
+        (SchedulerSpec::RtmaUnbounded, 1_700.0),
+        (SchedulerSpec::ema_dp(1.0), 1_700.0),
+        (SchedulerSpec::ema_fast(1.0), 1_700.0),
+        (SchedulerSpec::throttling_default(), 1_700.0),
+        (
+            SchedulerSpec::OnOff {
+                low_s: 2.0,
+                high_s: 6.0,
+            },
+            6_000.0,
+        ),
+        (SchedulerSpec::salsa_default(), 1_700.0),
+        (
+            SchedulerSpec::EStreamer {
+                refill_s: 2.0,
+                target_s: 8.0,
+            },
+            6_000.0,
+        ),
+        (SchedulerSpec::RoundRobin, 1_700.0),
+        (SchedulerSpec::pf_default(), 1_700.0),
+    ];
+    specs.iter().for_each(|(spec, _)| listed(spec));
+    specs
+}
+
+/// Every policy, paused mid-run and resumed through the sidecar's JSON,
+/// prints the straight run's result and trace — on a closed cell and
+/// under staggered arrivals. Whatever a policy carries from slot to slot
+/// (queues, rotation, averages, watermark phases) has to be in its
+/// exported state for this to hold.
+#[test]
+fn every_scheduler_resumes_onto_its_straight_run() {
+    for (spec, kbps) in every_scheduler_variant() {
+        for stagger in [None, Some(9.0)] {
+            let mut s = Scenario::paper_default(5);
+            s.slots = 250;
+            s.seed = 11;
+            // A frame longer than a second of playback: a client's fill
+            // can overshoot its high watermark by more than the slot
+            // drains, so the watermark policies do switch phase.
+            s.delta_kb = 700.0;
+            s.capacity = CapacitySpec::Constant { kbps };
+            s.workload = WorkloadSpec {
+                size_range_kb: (40_000.0, 60_000.0),
+                rate_range_kbps: (300.0, 600.0),
+                vbr_levels: None,
+                vbr_segment_slots: 30,
+            };
+            s.record_series = true;
+            s.scheduler = spec.clone();
+            if let Some(mean_interval_slots) = stagger {
+                s.arrivals = ArrivalSpec::Staggered {
+                    mean_interval_slots,
+                };
+            }
+            let (straight, straight_trace) = traced(&s);
+
+            let mut rec = TraceRecorder::new();
+            let RunOutcome::Paused(ck) = s.run_until(&mut rec, 97).expect("runs") else {
+                panic!("{spec:?}: the run must still be going at slot 97");
+            };
+            let json = ck.to_json().expect("checkpoint serializes");
+            let ck = EngineCheckpoint::from_json(&json).expect("checkpoint parses");
+            let mut rec = TraceRecorder::new();
+            let resumed = s.resume_from(&mut rec, &ck).expect("resume runs");
+            assert_eq!(
+                deterministic_parts(&straight),
+                deterministic_parts(&resumed),
+                "{spec:?}, stagger {stagger:?}: result diverged across resume"
+            );
+            assert_eq!(
+                straight_trace,
+                rec.into_trace(&resumed.scheduler).to_jsonl(),
+                "{spec:?}, stagger {stagger:?}: trace diverged across resume"
+            );
+        }
+    }
 }

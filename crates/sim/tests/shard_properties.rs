@@ -10,6 +10,10 @@
 //! population differs from the seed population and resuming must
 //! reproduce the straight run exactly.
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_sim::{
     ArrivalSpec, CapacitySpec, Diurnal, EngineCheckpoint, FaultSpec, RunOutcome, Scenario,
     SchedulerSpec, SessionLength, SignalSpec, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,

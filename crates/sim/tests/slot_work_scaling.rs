@@ -9,6 +9,10 @@
 //! both pools: the work counts are deterministic, so this is an exact
 //! equality, not a timing.
 
+// The helper functions of an integration test are test code too, but
+// clippy.toml's in-test exemption only reaches `#[test]` functions.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use jmso_sim::{AdmissionSpec, ArrivalSpec, NullRecorder, Scenario, SlotWork};
 
 const SESSIONS: usize = 6;

@@ -332,3 +332,67 @@ proptest! {
         prop_assert_eq!(tg.to_jsonl(), tr.to_jsonl());
     }
 }
+
+/// Two inputs the 10× case count of `run_and_reference_traces_identical`
+/// found: a user whose playback completes with its radio already idle
+/// retires in that same slot, while its row still says `active`. The
+/// frozen row must say what the reference loop's fresh one says —
+/// inactive — or every policy that walks all rows (EMA's `PCᵢ += τ`)
+/// keeps charging a user who has left. The second input reaches the same
+/// row through a noisy collector, which rebuilds it from ground truth
+/// every slot.
+#[test]
+fn a_retired_users_row_is_inactive_like_the_reference_loops() {
+    let scenario = |n, slots, kbps, v, seed, mean_interval_slots| {
+        let mut s = Scenario::paper_default(n);
+        s.slots = slots;
+        s.capacity = CapacitySpec::Constant { kbps };
+        s.signal = SignalSpec::Markov {
+            min_dbm: -110.0,
+            max_dbm: -50.0,
+            levels: 16,
+            move_prob: 0.3,
+        };
+        s.workload = WorkloadSpec {
+            size_range_kb: (2328.790151089209, 3493.1852266338133),
+            rate_range_kbps: (300.0, 600.0),
+            vbr_levels: Some(vec![0.7, 1.0, 1.4]),
+            vbr_segment_slots: 20,
+        };
+        s.scheduler = SchedulerSpec::ema_dp(v);
+        s.seed = seed;
+        s.arrivals = ArrivalSpec::Staggered {
+            mean_interval_slots,
+        };
+        s
+    };
+    let pass_through = scenario(
+        4,
+        81,
+        6186.587948048361,
+        0.058989156427857355,
+        289,
+        19.114106717490174,
+    );
+    let mut noisy = scenario(
+        2,
+        241,
+        2476.936120287267,
+        1.4989332419605756,
+        447,
+        19.326976046877363,
+    );
+    noisy.collector.staleness_slots = 1;
+    noisy.collector.signal_noise_std_db = 3.0;
+    for s in [pass_through, noisy] {
+        let (mut rec_a, mut rec_b) = (TraceRecorder::new(), TraceRecorder::new());
+        let ra = s.run_with(&mut rec_a).unwrap();
+        let rb = s.run_reference_with(&mut rec_b).unwrap();
+        assert_eq!(ra.per_user, rb.per_user);
+        let (a, b) = (rec_a.into_trace("x"), rec_b.into_trace("x"));
+        for (ra, rb) in a.records.iter().zip(&b.records) {
+            assert_eq!(ra, rb, "slot {}", ra.slot);
+        }
+        assert_eq!(a, b);
+    }
+}

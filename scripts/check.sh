@@ -7,45 +7,14 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings)"
+# One invocation carries the panic burn-down too: the root manifest's
+# `[workspace.lints]` table denies unwrap/expect/panic in the six crates
+# that opt in with `[lints] workspace = true` (sched, sim, media,
+# gateway, radio, gateway-svc), and clippy.toml keeps their test code
+# exempt — so a stray unwrap in, say, the information collector fails
+# here.
+echo "== cargo clippy (deny warnings; no unwrap/expect/panic in library code)"
 cargo clippy --workspace --all-targets -- -D warnings
-
-# Panic burn-down gate for the scheduler crate: library code must stay
-# free of unwrap/expect/panic (fallible paths carry typed errors; test
-# modules are exempt via --lib + clippy's test-aware lints).
-echo "== cargo clippy -p jmso-sched (deny unwrap/expect/panic in lib)"
-cargo clippy -p jmso-sched --lib --no-deps -- -D warnings \
-    -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
-
-# Same burn-down for the sim crate's concurrency-critical modules: the
-# worker pool and the engine (including the sharded runner) carry
-# module-level #![deny(clippy::unwrap_used, ...)] attrs, so a plain
-# clippy pass over the lib enforces them; this step exists to fail
-# loudly if those attrs are ever removed.
-echo "== cargo clippy -p jmso-sim (deny unwrap/expect/panic in pool/engine)"
-cargo clippy -p jmso-sim --lib --no-deps -- -D warnings
-
-# Same burn-down for the media crate: ABR clients and playback buffers
-# run inside the engine hot loop, so their library code carries the same
-# no-panic bar as the scheduler.
-echo "== cargo clippy -p jmso-media (deny unwrap/expect/panic in lib)"
-cargo clippy -p jmso-media --lib --no-deps -- -D warnings \
-    -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
-
-# Same burn-down for the gateway crates and the radio layer: protocol
-# parsing, the information collector, and signal models all feed the
-# long-lived service loop, where a stray unwrap is a crash-loop.
-echo "== cargo clippy -p jmso-gateway (deny unwrap/expect/panic in lib)"
-cargo clippy -p jmso-gateway --lib --no-deps -- -D warnings \
-    -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
-
-echo "== cargo clippy -p jmso-radio (deny unwrap/expect/panic in lib)"
-cargo clippy -p jmso-radio --lib --no-deps -- -D warnings \
-    -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
-
-echo "== cargo clippy -p jmso-gateway-svc (deny unwrap/expect/panic in lib)"
-cargo clippy -p jmso-gateway-svc --lib --no-deps -- -D warnings \
-    -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
 
 # Tier-1: the root package and every crate under crates/ (the root
 # manifest's `default-members`), unit, integration and doc tests.

@@ -11,8 +11,9 @@
 //! place) and review the diff before committing.
 
 use jmso_sim::{
-    AbrPolicy, AbrSpec, BitrateLadder, CapacitySpec, FaultEvent, FaultSpec, MultiCellScenario,
-    Scenario, SchedulerSpec, SlotTrace, TailPricing, TraceRecorder, WorkerPool, WorkloadSpec,
+    AbrPolicy, AbrSpec, BitrateLadder, CapacitySpec, FaultEvent, FaultSpec, MultiCellResult,
+    MultiCellScenario, Scenario, SchedulerSpec, SlotTrace, TailPricing, TraceRecorder, WorkerPool,
+    WorkloadSpec,
 };
 use std::path::PathBuf;
 
@@ -269,4 +270,165 @@ fn multicell_trace_matches_golden() {
     for key in ["\"faults\"", "\"rrc\":[{", "\"deg\""] {
         assert!(jsonl.contains(key), "multicell golden carries no {key}");
     }
+}
+
+/// FNV-1a, 16 hex digits (the digest `benchmark/expected/` uses).
+fn fnv1a(bytes: &[u8]) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Everything a multicell run reports that is not wall-clock, as JSON.
+fn multicell_result_json(r: &MultiCellResult) -> String {
+    [
+        serde_json::to_string(&r.result.per_user).unwrap(),
+        serde_json::to_string(&r.result.slots_run).unwrap(),
+        serde_json::to_string(&r.result.fairness_series).unwrap(),
+        serde_json::to_string(&r.result.power_series_j).unwrap(),
+        serde_json::to_string(&r.handovers).unwrap(),
+        serde_json::to_string(&r.mean_cell_occupancy).unwrap(),
+    ]
+    .join("\n")
+}
+
+/// The scenarios behind `tests/golden/multicell.digests`: four policies ×
+/// {2, 3, 8} cells × three handover rates × {fault-free, a generated plan
+/// plus one cell outage and one cell degradation}, series on, the cell
+/// budget off the δ grid in a third of them and a single-rung ladder in
+/// a fifth — then the twelve runs behind `exp_multicell`'s four rows.
+fn multicell_digest_scenarios() -> Vec<(String, MultiCellScenario)> {
+    let specs = [
+        ("default", SchedulerSpec::Default),
+        ("rtma", SchedulerSpec::RtmaUnbounded),
+        (
+            "rtma400",
+            SchedulerSpec::Rtma {
+                phi_mj: 400.0,
+                best_effort: true,
+            },
+        ),
+        ("ema_fast", SchedulerSpec::ema_fast(0.5)),
+    ];
+    let mut out = Vec::new();
+    for (name, spec) in &specs {
+        for n_cells in [2usize, 3, 8] {
+            for p in [0.0, 0.05, 0.3] {
+                for faulted in [false, true] {
+                    let k = out.len();
+                    let mut base = golden_scenario(spec.clone());
+                    base.n_users = 2 * n_cells + 3;
+                    base.slots = 300;
+                    base.seed = 42 + k as u64;
+                    base.record_series = true;
+                    base.capacity = CapacitySpec::Constant {
+                        kbps: [900.0, 937.0, 1_210.5][k % 3],
+                    };
+                    if k % 5 == 0 {
+                        base.abr = Some(AbrSpec {
+                            ladder: BitrateLadder {
+                                multipliers: vec![1.0],
+                            },
+                            chunk_slots: 4,
+                            policy: AbrPolicy::BufferBased {
+                                low_s: 4.0,
+                                high_s: 12.0,
+                            },
+                            initial_rung: None,
+                        });
+                    }
+                    if faulted {
+                        let mut events = FaultSpec::Generated {
+                            seed: k as u64,
+                            n_events: 6,
+                        }
+                        .events(base.n_users, base.slots);
+                        events.push(FaultEvent::CellDegradation {
+                            cell: n_cells - 1,
+                            from_slot: 30,
+                            until_slot: 140,
+                            factor: 0.37,
+                        });
+                        events.push(FaultEvent::CellOutage {
+                            cell: 0,
+                            from_slot: 100,
+                            until_slot: 130,
+                        });
+                        base.faults = FaultSpec::Declared { events };
+                    }
+                    let label = format!(
+                        "{name}/cells={n_cells}/p={p}/{}",
+                        if faulted { "faulted" } else { "clean" }
+                    );
+                    out.push((
+                        label,
+                        MultiCellScenario {
+                            base,
+                            n_cells,
+                            handover_prob: p,
+                        },
+                    ));
+                }
+            }
+        }
+    }
+    for p in [0.0, 0.005, 0.02, 0.05] {
+        for (name, spec) in [
+            ("default", SchedulerSpec::Default),
+            ("rtma", SchedulerSpec::RtmaUnbounded),
+            ("ema_fast", SchedulerSpec::ema_fast(0.5)),
+        ] {
+            let mut base = Scenario::paper_default(40);
+            base.workload = WorkloadSpec::paper_default().with_mean_size_mb(350.0);
+            base.capacity = CapacitySpec::Constant { kbps: 5_000.0 };
+            base.scheduler = spec;
+            out.push((
+                format!("exp_multicell/{name}/p={p}"),
+                MultiCellScenario {
+                    base,
+                    n_cells: 4,
+                    handover_prob: p,
+                },
+            ));
+        }
+    }
+    out
+}
+
+/// `tests/golden/multicell.digests` was written by the two-engine tree
+/// (commit fef6461, before `multicell.rs` became a front of the one
+/// engine): per scenario, a digest of the result and one of the full
+/// per-slot trace. Every multicell run path must still print them.
+#[test]
+fn multicell_digests_match_parent() {
+    let mut lines = String::new();
+    for (label, mc) in multicell_digest_scenarios() {
+        let (traced, trace) = mc.run_traced(1).unwrap();
+        let result = multicell_result_json(&traced);
+        for (path, r) in [
+            ("run", mc.run().unwrap()),
+            ("run_parallel(2)", mc.run_parallel(2).unwrap()),
+            ("run_parallel(3)", mc.run_parallel(3).unwrap()),
+        ] {
+            assert_eq!(multicell_result_json(&r), result, "{label}: {path}");
+        }
+        lines += &format!(
+            "{label} {} {}\n",
+            fnv1a(result.as_bytes()),
+            fnv1a(trace.to_jsonl().as_bytes())
+        );
+    }
+
+    let path = golden_path("multicell.digests");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &lines).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap();
+    for (want, got) in golden.lines().zip(lines.lines()) {
+        assert_eq!(want, got, "a multicell run moved");
+    }
+    assert_eq!(golden.lines().count(), lines.lines().count());
 }
