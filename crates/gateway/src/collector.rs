@@ -155,6 +155,14 @@ impl InformationCollector {
             .link_cap_units(self.thru.throughput(sig), self.tau)
     }
 
+    /// The Eq. (1) bound a pass-through collector reports for a user who
+    /// is not in the cell — [`RawUserState::ABSENT`]'s placeholder
+    /// signal's. The same for every such row, so a caller that builds
+    /// them computes it once.
+    pub fn absent_link_cap(&self) -> u64 {
+        self.link_cap(RawUserState::ABSENT.signal)
+    }
+
     /// User `id`'s snapshot row for `slot`: the report (held, noisy or
     /// true) with the Eq. (1) bound it implies, everything else verbatim.
     fn row(&mut self, id: usize, slot: u64, r: &RawUserState) -> UserSnapshot {
@@ -172,7 +180,10 @@ impl InformationCollector {
     /// [`InformationCollector::snapshot_into`] over a buffer that already
     /// holds one row per user: every row is rewritten in place, in user
     /// order (the noise stream's order), and nothing allocates — the
-    /// engine's full pass.
+    /// engine's full pass, for a collector that holds or perturbs
+    /// reports: on its first slot, which fills the report cache, and
+    /// under noise on every slot. A pass-through collector is never
+    /// asked for one (see [`InformationCollector::is_pass_through`]).
     pub fn snapshot_rows(&mut self, slot: u64, raw: &[RawUserState], out: &mut [UserSnapshot]) {
         assert_eq!(raw.len(), self.cached_signal.len(), "user count mismatch");
         assert_eq!(out.len(), raw.len(), "snapshot buffer mismatch");
@@ -203,7 +214,12 @@ impl InformationCollector {
     /// phase, with Eq. (1) read off its precomputed cap tables): with
     /// staleness > 1 the report read this slot can be a *cached* signal,
     /// which no per-block table knows. A pass-through collector never
-    /// reads its signal cache, so such a caller need not maintain it.
+    /// reads its signal cache, so such a caller need not maintain it —
+    /// and its row for a user who is not in the cell is a constant
+    /// ([`RawUserState::ABSENT`] reported at its own signal with
+    /// [`InformationCollector::absent_link_cap`]), so such a caller can
+    /// start from rows built once and needs no pass over all of them,
+    /// not even a first one.
     ///
     /// Strictly stronger than `!needs_full_pass()`.
     pub fn is_pass_through(&self) -> bool {

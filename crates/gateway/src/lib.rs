@@ -37,7 +37,9 @@ pub use protocol::{
     ProtocolError, SvcState, MAX_LINE_BYTES,
 };
 pub use receiver::{DataReceiver, FlowClass, FlowState, OriginModel};
-pub use scheduler::{Allocation, DegradationEvent, Scheduler, SlotContext, UserSnapshot};
+pub use scheduler::{
+    Allocation, DegradationEvent, Scheduler, SlotContext, SparseGrants, UserSnapshot,
+};
 pub use shard::UnitParams;
 pub use soa::{SnapshotSoA, SoaRows, SoaRowsMut};
 pub use transmitter::{DataTransmitter, Delivery};

@@ -124,6 +124,73 @@ impl Allocation {
     }
 }
 
+/// The non-zero rows of a reused [`Allocation`], kept by a scheduler that
+/// writes its grants sparsely — the [`DataTransmitter`]'s `granted` list,
+/// one layer up.
+///
+/// A policy that sweeps only the rows that can hold demand must still
+/// hand back a vector whose other rows are zero, and zeroing the vector
+/// costs the pool (800 KB a slot at 100 000 users, for a few dozen
+/// sessions). So the policy remembers the rows it granted to:
+/// [`SparseGrants::begin`] zeroes exactly those at the next call — the
+/// full clear only when the length changed — and [`SparseGrants::grant`]
+/// writes a row and lists it. A zero grant is not listed (the row is
+/// zero already), so the list is as long as the slot's grants, however
+/// many rows the sweep visits. There is no fallback to the full clear
+/// when the list covers most of the vector: with all 100 000 rows of one
+/// granted every slot (`hotpath large-live`) the list costs a push and
+/// an indexed store per row where the memset cost 800 KB, and neither
+/// shows in a 17 ms slot (DESIGN.md §11, "Measured behaviour").
+///
+/// `out` must therefore be the buffer the policy's previous call filled,
+/// untouched since — or all zeros, or of another length, which is
+/// rebuilt. A debug assertion checks it.
+///
+/// [`DataTransmitter`]: crate::transmitter::DataTransmitter
+#[derive(Debug, Clone, Default)]
+pub struct SparseGrants {
+    /// Rows granted to since the latest [`SparseGrants::begin`] — the
+    /// only rows of the buffer that are not zero.
+    rows: Vec<usize>,
+    /// Rows the latest [`SparseGrants::begin`] zeroed.
+    cleared: usize,
+}
+
+impl SparseGrants {
+    /// Ready `out` for a slot of `n` users: every row zero.
+    pub fn begin(&mut self, out: &mut Allocation, n: usize) {
+        if out.0.len() == n {
+            for &row in &self.rows {
+                out.0[row] = 0;
+            }
+            self.cleared = self.rows.len();
+        } else {
+            out.reset(n);
+            self.cleared = n;
+        }
+        self.rows.clear();
+        debug_assert!(
+            out.0.iter().all(|&units| units == 0),
+            "`out` is not the buffer the previous call filled"
+        );
+    }
+
+    /// Grant `units` to `row`.
+    #[inline]
+    pub fn grant(&mut self, out: &mut Allocation, row: usize, units: u64) {
+        if units > 0 {
+            out.0[row] = units;
+            self.rows.push(row);
+        }
+    }
+
+    /// Rows the latest [`SparseGrants::begin`] zeroed plus rows granted
+    /// to since: what keeping the vector cost this slot, as a count.
+    pub fn rows_touched(&self) -> usize {
+        self.cleared + self.rows.len()
+    }
+}
+
 /// A graceful-degradation decision a scheduler took because its nominal
 /// policy was infeasible under the slot's (possibly faulted) conditions.
 ///
@@ -169,10 +236,22 @@ pub trait Scheduler: Send {
 
     /// Decide `φᵢ(n)` for every user, writing into `out`.
     ///
-    /// Implementations must [`Allocation::reset`] `out` to
-    /// `ctx.users.len()` entries themselves — `out` may arrive holding a
-    /// previous slot's allocation (possibly of a different length).
+    /// Implementations must bring `out` to `ctx.users.len()` zeroed
+    /// entries themselves, by [`Allocation::reset`] or, writing sparsely,
+    /// by [`SparseGrants::begin`]. `out` arrives as this policy's
+    /// previous call left it, or all zeros, or of another length; a
+    /// caller must not hand a policy a same-length buffer something else
+    /// wrote.
     fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation);
+
+    /// For a policy that keeps `out` by [`SparseGrants`], its
+    /// [`SparseGrants::rows_touched`] after the latest
+    /// [`Scheduler::allocate_into`] call; `None` for a policy that
+    /// resets and walks the whole vector. A work count, not a timing:
+    /// it repeats exactly from run to run.
+    fn grant_rows_touched(&self) -> Option<usize> {
+        None
+    }
 
     /// Decide `φᵢ(n)` for every user (allocating convenience wrapper).
     fn allocate(&mut self, ctx: &SlotContext) -> Allocation {

@@ -66,6 +66,27 @@ impl SnapshotSoA {
         Self::default()
     }
 
+    /// The mirror of `n` users none of whom is in the cell: every row
+    /// what [`SoaRowsMut::set_row`] writes for
+    /// [`RawUserState::ABSENT`](crate::collector::RawUserState::ABSENT)
+    /// reported at `link_cap_units`, and no row listed live. An absent
+    /// row is zero in every column but the link bound, so this is eight
+    /// zeroed allocations and one constant fill, not a pass over rows.
+    pub fn absent(n: usize, link_cap_units: u64) -> Self {
+        Self {
+            signal_dbm: vec![0.0; n],
+            rate_kbps: vec![0.0; n],
+            buffer_s: vec![0.0; n],
+            remaining_kb: vec![0.0; n],
+            idle_s: vec![0.0; n],
+            link_cap_units: vec![link_cap_units; n],
+            ceiling_units: vec![0; n],
+            need_units: vec![0; n],
+            active: vec![false; n],
+            live_rows: Vec::new(),
+        }
+    }
+
     /// Number of users mirrored.
     pub fn len(&self) -> usize {
         self.signal_dbm.len()
@@ -298,6 +319,18 @@ mod tests {
             );
             assert_eq!(soa.active[i], s.active);
         }
+    }
+
+    #[test]
+    fn absent_mirror_is_the_full_pass_over_absent_rows() {
+        use crate::collector::RawUserState;
+        let snaps: Vec<UserSnapshot> = (0..7)
+            .map(|id| RawUserState::ABSENT.as_reported(id, Dbm(0.0), 46))
+            .collect();
+        let mut filled = SnapshotSoA::new();
+        filled.fill_from(&snaps, 1.0, 50.0);
+        filled.set_live_rows([]);
+        assert_eq!(SnapshotSoA::absent(7, 46), filled);
     }
 
     #[test]

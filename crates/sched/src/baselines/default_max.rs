@@ -6,16 +6,20 @@
 //! seize the whole BS budget — exactly the unfairness the paper's Fig. 2
 //! attributes to this strategy.
 
-use jmso_gateway::{Allocation, Scheduler, SlotContext};
+use jmso_gateway::{Allocation, Scheduler, SlotContext, SparseGrants};
 
 /// The greedy-max baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DefaultMax;
+#[derive(Debug, Clone, Default)]
+pub struct DefaultMax {
+    /// The rows of the caller's vector the latest call granted to: the
+    /// next call zeroes those and not the pool.
+    grants: SparseGrants,
+}
 
 impl DefaultMax {
     /// Construct the baseline.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 }
 
@@ -28,8 +32,12 @@ impl Scheduler for DefaultMax {
         true
     }
 
+    fn grant_rows_touched(&self) -> Option<usize> {
+        Some(self.grants.rows_touched())
+    }
+
     fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation) {
-        out.reset(ctx.users.len());
+        self.grants.begin(out, ctx.users.len());
         let mut budget = ctx.bs_cap_units;
         if let Some(soa) = ctx.soa {
             // The ceiling column is `usable_cap_units(δ)` precomputed by
@@ -40,13 +48,13 @@ impl Scheduler for DefaultMax {
             for &i in soa.live_rows() {
                 let grant = soa.ceiling_units[i].min(budget);
                 budget -= grant;
-                out.0[i] = grant;
+                self.grants.grant(out, i, grant);
             }
         } else {
-            for (u, slot) in ctx.users.iter().zip(&mut out.0) {
+            for (i, u) in ctx.users.iter().enumerate() {
                 let grant = u.usable_cap_units(ctx.delta_kb).min(budget);
                 budget -= grant;
-                *slot = grant;
+                self.grants.grant(out, i, grant);
             }
         }
     }

@@ -5,15 +5,23 @@
 //! exactly like a freshly built one when the context shape changes —
 //! stale scratch from the larger population must never leak into the
 //! smaller one's allocations or exported queue values.
+//!
+//! The caller's grant vector is reused the same way, and a policy that
+//! writes it sparsely (`SparseGrants`: zero what the previous call
+//! granted, not the pool) must hand back what it would have written into
+//! a fresh one — whichever rows came, went or lost their grant in
+//! between, with or without the SoA mirror, across a pool-size change.
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use jmso_gateway::{Allocation, Scheduler, SlotContext, UserSnapshot};
+use jmso_gateway::{Allocation, Scheduler, SlotContext, SnapshotSoA, UserSnapshot};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::Dbm;
-use jmso_sched::{CrossLayerModels, Ema, Rtma};
+use jmso_sched::{CrossLayerModels, Ema, Rtma, SchedulerSpec};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// Deterministic, slot-varying synthetic population: signals wander over
 /// the paper's [−110, −50] dBm band and rates over 300–600 KB/s.
@@ -133,4 +141,124 @@ fn rtma_queue_export_masks_finished_users() {
             assert!(v > 0.0, "live user {i} should report demand");
         }
     }
+}
+
+/// Which slots of a sequence carry the SoA mirror in their context.
+#[derive(Debug, Clone, Copy)]
+enum Mirror {
+    Never,
+    Always,
+    /// A coin per slot: one policy instance sees both layouts.
+    Mixed,
+}
+
+/// One seeded sequence of 24 slots for `spec`, two instances of the
+/// policy in step: one writes into the `Allocation` it was handed last
+/// slot, the other into a fresh `Allocation::zeros(0)` every slot. The
+/// live set drifts (rows join and leave at random), every other slot the
+/// first row granted last slot is taken off it — the multicell handover:
+/// the row's grant must not survive in the reused vector — the budget is
+/// often scarce, so live rows are left with zero grants too, and halfway
+/// the pool shrinks from 24 rows to 16.
+fn assert_reused_grants_match_fresh(spec: &SchedulerSpec, mirror: Mirror, seed: u64) {
+    let models = CrossLayerModels::paper();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut reused, mut fresh) = (spec.build(1.0, &models), spec.build(1.0, &models));
+    let mut kept = Allocation::zeros(0);
+    let mut live = [false; 24];
+    let mut soa = SnapshotSoA::new();
+    for slot in 0..24u64 {
+        let n = if slot < 12 { 24 } else { 16 };
+        for member in live.iter_mut() {
+            if rng.random::<f64>() < 0.15 {
+                *member = !*member;
+            }
+        }
+        if slot % 2 == 1 {
+            if let Some(granted) = kept.0.iter().position(|&units| units > 0) {
+                live[granted] = false;
+            }
+        }
+        let users: Vec<UserSnapshot> = (0..n)
+            .map(|id| UserSnapshot {
+                id,
+                signal: Dbm(-50.0 - rng.random_range(0..61) as f64),
+                rate_kbps: 300.0 + rng.random_range(0..301) as f64,
+                buffer_s: rng.random_range(0..7) as f64,
+                remaining_kb: if live[id] { 10_000.0 } else { 0.0 },
+                active: live[id],
+                link_cap_units: 5 + rng.random_range(0..40) as u64,
+                idle_s: 0.0,
+                rrc_state: RrcState::Dch,
+            })
+            .collect();
+        let mirrored = match mirror {
+            Mirror::Never => false,
+            Mirror::Always => true,
+            Mirror::Mixed => rng.random::<f64>() < 0.5,
+        };
+        if mirrored {
+            soa.fill_from(&users, 1.0, 50.0);
+            soa.set_live_rows((0..n).filter(|&id| live[id]));
+        }
+        let ctx = SlotContext {
+            slot,
+            tau: 1.0,
+            delta_kb: 50.0,
+            bs_cap_units: rng.random_range(0..3 * n) as u64,
+            users: &users,
+            soa: mirrored.then_some(&soa),
+        };
+        reused.allocate_into(&ctx, &mut kept);
+        let mut new = Allocation::zeros(0);
+        fresh.allocate_into(&ctx, &mut new);
+        kept.validate(&ctx).expect("allocation within bounds");
+        assert_eq!(
+            kept, new,
+            "{spec:?}, {mirror:?}, seed {seed}: reused vector diverged at slot {slot}"
+        );
+    }
+}
+
+#[test]
+fn reused_grant_vector_equals_a_fresh_one_for_every_policy() {
+    let specs = [
+        SchedulerSpec::Default,
+        SchedulerSpec::rtma(900.0),
+        SchedulerSpec::RtmaUnbounded,
+        SchedulerSpec::ema_dp(1.0),
+        SchedulerSpec::ema_fast(1.0),
+        SchedulerSpec::throttling_default(),
+        SchedulerSpec::onoff_default(),
+        SchedulerSpec::salsa_default(),
+        SchedulerSpec::estreamer_default(),
+        SchedulerSpec::RoundRobin,
+        SchedulerSpec::pf_default(),
+    ];
+    for spec in &specs {
+        for mirror in [Mirror::Never, Mirror::Always, Mirror::Mixed] {
+            for seed in 0..16 {
+                assert_reused_grants_match_fresh(spec, mirror, seed);
+            }
+        }
+    }
+}
+
+/// The sparse clear's contract, checked in debug builds: a same-length
+/// vector something else wrote is not the one the previous call filled.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "not the buffer the previous call filled")]
+fn foreign_dirty_grant_vector_trips_the_assertion() {
+    let snapshot = users(6, 0);
+    let ctx = SlotContext {
+        slot: 0,
+        tau: 1.0,
+        delta_kb: 50.0,
+        bs_cap_units: 24,
+        users: &snapshot,
+        soa: None,
+    };
+    let mut foreign = Allocation(vec![7; 6]);
+    jmso_sched::DefaultMax::new().allocate_into(&ctx, &mut foreign);
 }

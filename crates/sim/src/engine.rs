@@ -448,6 +448,14 @@ struct LoopState {
     /// 10-slot accumulators for the windowed fairness view.
     window_delivered: Vec<f64>,
     window_need: Vec<f64>,
+    /// The rows with a non-zero `window_need`, in the order the window
+    /// first touched them: what its end folds and zeroes, in place of
+    /// the pool. Derived state — a restore rebuilds it from the
+    /// accumulators.
+    window_rows: Vec<usize>,
+    /// Rows the latest windowed-fairness fold visited (0 on a slot that
+    /// does not end a window).
+    fairness_rows: usize,
     slots_run: u64,
     /// Users still fetching or watching — the early-exit counter. Both
     /// predicates are monotone, so a flag per user plus this count
@@ -462,9 +470,14 @@ struct LoopState {
     /// The slot's Eq. (2) budgets summed over the lanes, computed in
     /// phase B and read again by phase D's admission tick.
     bs_cap_units: u64,
-    /// The collector has made its first full pass over `snaps`. Until
-    /// then the rows are placeholders (and a checkpoint carries none).
+    /// `snaps` holds what the collector reports. True from the start
+    /// for a pass-through collector, whose report of a user who is not
+    /// in the cell is the row the build writes; a collector that holds
+    /// or perturbs reports makes it true with its first full pass.
     rows_primed: bool,
+    /// Rows the latest phase B rewrote on the collector's behalf: its
+    /// full pass or live-row refresh, and the mirror's fill with it.
+    collector_rows: usize,
 }
 
 /// What shapes a slot without changing during it; copied into each phase.
@@ -590,8 +603,9 @@ struct CellLane {
     /// quantities per row every slot, which row-walking policies would
     /// pay for without ever looking at the result.
     use_soa: bool,
-    /// Mirror of the rows the scheduler reads, sized by the first full
-    /// pass over them.
+    /// Mirror of the rows the scheduler reads: a lone lane's is sized by
+    /// the first slot (`size_mirror`) or rebuilt from a checkpoint's
+    /// rows, one of several by the lane's first pass over its own rows.
     soa: SnapshotSoA,
     /// The slot's Eq. (2) budget for this cell, units. Capacity models
     /// may be stateful, so each is sampled exactly once per slot.
@@ -1351,6 +1365,7 @@ impl Engine {
         };
         let mut lanes = std::mem::take(&mut self.lanes);
         let roams = self.roaming.is_some();
+        let pass_through = self.collector.is_pass_through();
         let mut lp = LoopState {
             fairness_series: Vec::with_capacity(series_cap),
             fairness_window_series: Vec::with_capacity(series_cap.div_ceil(10)),
@@ -1358,6 +1373,8 @@ impl Engine {
             fairness_scratch: Vec::with_capacity(n_users),
             window_delivered: vec![0.0; n_users],
             window_need: vec![0.0; n_users],
+            window_rows: Vec::new(),
+            fairness_rows: 0,
             slots_run: 0,
             watching: n_users,
             grants: vec![0; if roams && rec.enabled() { n_users } else { 0 }],
@@ -1370,8 +1387,13 @@ impl Engine {
             },
             fault_notes: Vec::new(),
             bs_cap_units: 0,
-            rows_primed: false,
+            rows_primed: pass_through,
+            collector_rows: 0,
         };
+        // What a collector reports of a user who is not in the cell: no
+        // demand, at the bound of the placeholder signal.
+        let absent = RawUserState::ABSENT;
+        let absent_cap = self.collector.absent_link_cap();
         let mut c = Columns {
             users: std::mem::take(&mut self.users),
             abr: self
@@ -1379,17 +1401,19 @@ impl Engine {
                 .as_mut()
                 .map(|a| std::mem::take(&mut a.clients))
                 .unwrap_or_default(),
-            raw: vec![RawUserState::ABSENT; n_users],
-            // Placeholders until the collector's first full pass.
+            raw: vec![absent; n_users],
+            // A pass-through collector's rows as they stand: phase A
+            // rewrites a row when its user is live, so slot 0 is a slot
+            // like any other. Any other collector overwrites them all in
+            // its first pass.
             snaps: (0..n_users)
-                .map(|id| RawUserState::ABSENT.as_reported(id, Dbm(0.0), 0))
+                .map(|id| absent.as_reported(id, absent.signal, absent_cap))
                 .collect(),
             staged: vec![(0.0, 0.0); n_users],
             done: vec![false; n_users],
             retired: vec![false; n_users],
             retired_at: vec![0; n_users],
         };
-        let pass_through = self.collector.is_pass_through();
         let mode = Mode {
             pass_through,
             tables: pass_through && !faults.enabled(),
@@ -1408,17 +1432,27 @@ impl Engine {
             lp.power_series_j.clone_from(&ls.power_series_j);
             lp.window_delivered.clone_from(&ls.window_delivered);
             lp.window_need.clone_from(&ls.window_need);
+            lp.window_rows
+                .extend((0..n_users).filter(|&i| ls.window_need[i] != 0.0));
             lp.slots_run = ls.slots_run;
             lp.watching = ls.watching;
             c.done.clone_from(&ls.done_watching);
             c.retired.clone_from(&ls.retired);
             c.retired_at.clone_from(&ls.retired_at);
             c.raw.clone_from(&ls.raw);
-            // A checkpoint taken before the first slot carries no rows;
-            // the first full pass then comes after the resume.
+            // A checkpoint taken before the first slot carries no rows:
+            // the rows stand as built, and a collector that makes a
+            // first full pass makes it after the resume. The SoA mirror
+            // is derived state, not checkpointed: rebuilt from restored
+            // rows, else sized by the first slot as in a fresh run.
             if ls.snapshots.len() == n_users {
                 c.snaps.clone_from(&ls.snapshots);
                 lp.rows_primed = true;
+                if let [lane] = lanes.as_mut_slice() {
+                    if lane.use_soa {
+                        lane.soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb);
+                    }
+                }
             }
             // A restored live user whose arrival lies ahead (pre-v4
             // sidecars carried the un-arrived in `live`) re-enters
@@ -1426,16 +1460,10 @@ impl Engine {
             for &i in &ls.live {
                 entered[i] = c.users[i].arrival_slot <= ck.slot;
             }
-            // The SoA mirror and the radio tables are derived state, not
-            // checkpointed: rebuild both from the restored snapshots and
-            // signal blocks so a resumed run re-enters the block mid-way
-            // with the exact values the straight run would hold.
-            match lanes.as_mut_slice() {
-                [lane] if lane.use_soa && lp.rows_primed => {
-                    lane.soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb)
-                }
-                _ => {}
-            }
+            // The radio tables are derived state too: rebuilt from the
+            // restored signal blocks, so a resumed run re-enters the
+            // block mid-way with the exact values the straight run would
+            // hold.
             if mode.tables {
                 let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
                 for u in &mut c.users {
@@ -1914,6 +1942,19 @@ pub struct SlotWork {
     /// sweep such as Default's visits; the whole pool when the policy
     /// keeps no SoA mirror.
     pub scheduler_rows: usize,
+    /// Rows of the grant vector the scheduler zeroed plus rows it wrote
+    /// ([`Scheduler::grant_rows_touched`]); the whole pool for a policy
+    /// that resets the vector.
+    pub grant_rows_cleared: usize,
+    /// Rows phase B rewrote for the collector: every row in the full
+    /// pass of a collector that holds or perturbs reports, the live rows
+    /// in its refresh, none for a pass-through collector — whose mirror
+    /// is allocated by the first slot, which is not a pass over rows and
+    /// is not counted.
+    pub collector_rows: usize,
+    /// Rows the windowed-fairness fold visited: the rows its window
+    /// touched, on the slot that ends one.
+    pub fairness_rows: usize,
 }
 
 impl<F: FaultHook> SlotDriver<F> {
@@ -1925,6 +1966,12 @@ impl<F: FaultHook> SlotDriver<F> {
                 [lane] if lane.use_soa => lane.soa.live_rows().len(),
                 _ => self.cols.users.len(),
             },
+            grant_rows_cleared: (self.lanes.iter())
+                .map(|lane| lane.scheduler.grant_rows_touched())
+                .map(|touched| touched.unwrap_or(self.cols.users.len()))
+                .sum(),
+            collector_rows: self.lp.collector_rows,
+            fairness_rows: self.lp.fairness_rows,
         }
     }
 
@@ -2138,11 +2185,14 @@ impl<F: FaultHook> SlotDriver<F> {
                         lane.scheduler.name()
                     ),
                 })?;
+        // Before the first slot nothing has been reported: the sidecar
+        // carries no rows and the report cache as built.
+        let reported = lp.rows_primed && lp.slots_run > 0;
         let mut collector = eng.collector.export_state();
-        if self.mode.pass_through && lp.rows_primed {
-            // A pass-through collector's rows are written by phase A,
-            // which leaves its (never read) report cache alone; the last
-            // report is by definition the row's signal.
+        if self.mode.pass_through && reported {
+            // A pass-through collector's rows are written by the build
+            // and phase A, which leave its (never read) report cache
+            // alone; the last report is by definition the row's signal.
             for (cached, snap) in collector.cached_signal.iter_mut().zip(&c.snaps) {
                 *cached = Some(snap.signal);
             }
@@ -2191,7 +2241,7 @@ impl<F: FaultHook> SlotDriver<F> {
                     .flat_map(|sh| sh.live.iter().copied())
                     .collect(),
                 raw: c.raw.clone(),
-                snapshots: if lp.rows_primed {
+                snapshots: if reported {
                     c.snaps.clone()
                 } else {
                     Vec::new()
@@ -2241,32 +2291,22 @@ impl<F: FaultHook> SlotDriver<F> {
             unreachable!("a driver that is stepped holds one shard")
         };
         let mut c = cols.all();
-        // The mirror phases A and C write through: a lone lane's, once
-        // its first full pass has sized it.
-        fn mirror(lanes: &mut [CellLane], primed: bool) -> Option<SoaRowsMut<'_>> {
+        size_mirror(eng, lanes, c.users.len());
+        // The mirror phases A and C write through: a lone lane's.
+        fn mirror(lanes: &mut [CellLane]) -> Option<SoaRowsMut<'_>> {
             match lanes {
-                [lane] if lane.use_soa && primed => Some(lane.soa.rows_mut()),
+                [lane] if lane.use_soa => Some(lane.soa.rows_mut()),
                 _ => None,
             }
         }
-        let primed = lp.rows_primed;
-        phase_a(
-            eng,
-            mode,
-            primed,
-            faults,
-            slot,
-            sh,
-            &mut c,
-            mirror(lanes, primed),
-        );
+        phase_a(eng, mode, faults, slot, sh, &mut c, mirror(lanes));
         let one = std::slice::from_mut(sh);
         phase_b_open(eng, lp, mode, faults, slot, one, lanes, &mut c, rec);
         for (cell, lane) in lanes.iter_mut().enumerate() {
             phase_b_lane(eng, mode, slot, cell, lane, c.snaps, c.retired);
         }
         phase_b_close(eng, lp, mode, slot, lanes, &c, rec);
-        let rows = mirror(lanes, true);
+        let rows = mirror(lanes);
         phase_c(eng, mode, slot, &lp.deliveries, &mut one[0], &mut c, rows);
         self.finished = phase_d(eng, lp, mode, slot, one, &mut c, rec);
         self.next_slot = slot + 1;
@@ -2311,15 +2351,10 @@ impl<F: FaultHook> SlotDriver<F> {
         // (what opens the phase writes rows the lanes read; what closes
         // it needs every lane's grants).
         let lanes_in_parallel = n_lanes > 1;
+        // The row views carved below need the columns in place.
+        size_mirror(eng, lanes, n_users);
         let soa_rows = match lanes.as_mut_slice() {
-            [lane] if lane.use_soa => {
-                if !lp.rows_primed {
-                    // The row views carved below need the columns in
-                    // place.
-                    lane.soa.resize(n_users);
-                }
-                Some(lane.soa.rows())
-            }
+            [lane] if lane.use_soa => Some(lane.soa.rows()),
             _ => None,
         };
         let shared = Lockstep {
@@ -2352,8 +2387,8 @@ impl<F: FaultHook> SlotDriver<F> {
                     // SAFETY: per-shard phase — shard `p` and its rows
                     // are this participant's until the barrier below,
                     // and nobody writes the serial state.
-                    let ((eng, lp, ..), sh, mut c, rows) = unsafe { shared.shard(p) };
-                    phase_a(eng, mode, lp.rows_primed, faults, slot, sh, &mut c, rows);
+                    let ((eng, ..), sh, mut c, rows) = unsafe { shared.shard(p) };
+                    phase_a(eng, mode, faults, slot, sh, &mut c, rows);
                 }
                 barrier.wait();
                 if p == 0 {
@@ -2614,18 +2649,29 @@ impl<'a, R> Lockstep<'a, R> {
     }
 }
 
+/// Size a lone lane's mirror, if it keeps one and nothing has yet: every
+/// row absent, as the build left the rows it mirrors, so that the first
+/// phase A writes slot 0's live rows through it like any other slot's.
+/// The first slot's job and not the build's: a driver that is built and
+/// dropped, or restored with its rows, never pays for the allocation.
+fn size_mirror(eng: &Engine, lanes: &mut [CellLane], n_users: usize) {
+    if let [lane] = lanes {
+        if lane.use_soa && lane.soa.len() != n_users {
+            lane.soa = SnapshotSoA::absent(n_users, eng.collector.absent_link_cap());
+        }
+    }
+}
+
 /// Phase A, per shard: the arrival gate, then for every live user of the
 /// shard the radio sample (block-drawn, per-block Eq. (1) cap table),
 /// the Eq. (7)/(8) playback advance and the ground-truth row — and, for a
-/// pass-through collector whose first full pass is behind it (`primed`),
-/// the snapshot and SoA rows the scheduler will read. Touches only this
-/// shard's state and rows; makes no recorder call, so where it runs
-/// relative to the other shards' phase A cannot show.
-#[allow(clippy::too_many_arguments)]
+/// pass-through collector, the snapshot and SoA rows the scheduler will
+/// read, from slot 0 on. Touches only this shard's state and rows; makes
+/// no recorder call, so where it runs relative to the other shards' phase
+/// A cannot show.
 fn phase_a<F: FaultHook>(
     eng: &Engine,
     mode: Mode,
-    primed: bool,
     faults: &F,
     slot: u64,
     sh: &mut ShardState,
@@ -2713,7 +2759,7 @@ fn phase_a<F: FaultHook>(
             idle_s: u.rrc.idle_seconds(),
             rrc_state: u.rrc.state(),
         };
-        if mode.pass_through && primed {
+        if mode.pass_through {
             // The collector's row verbatim: report = truth, Eq. (1) from
             // the table (or the scalar kernel the table batches).
             let link_cap = match mode.tables {
@@ -2734,7 +2780,8 @@ fn phase_a<F: FaultHook>(
 /// Eq. (2) budget (fault-adjusted), the slot announced to the recorder,
 /// origin ingest, and the collector pass for a collector that is not
 /// pass-through (its report cache and noise stream run in global user
-/// order).
+/// order). For a pass-through collector nothing here walks rows: phase A
+/// has written the live ones, and the rest stand as built.
 #[allow(clippy::too_many_arguments)]
 fn phase_b_open<R: SlotRecorder, F: FaultHook>(
     eng: &mut Engine,
@@ -2783,18 +2830,22 @@ fn phase_b_open<R: SlotRecorder, F: FaultHook>(
         [lane] if lane.use_soa => Some(&mut lane.soa),
         _ => None,
     };
+    lp.collector_rows = 0;
     if !lp.rows_primed || eng.collector.needs_full_pass() {
-        // The first slot — and every slot of a noisy collector, whose
-        // RNG stream must stay per-user aligned — rebuilds every row
-        // (and sizes the mirror).
+        // A collector that holds or perturbs reports rebuilds every row
+        // on its first slot, which fills its report cache — and a noisy
+        // one on every slot, whose RNG stream must stay per-user
+        // aligned.
         eng.collector.snapshot_rows(slot, c.raw, c.snaps);
         if let Some(soa) = soa.as_deref_mut() {
             soa.fill_from(c.snaps, cfg.tau, cfg.delta_kb);
         }
         lp.rows_primed = true;
+        lp.collector_rows = c.snaps.len();
     } else if !mode.pass_through {
         // A collector that only holds reports refreshes the live rows.
         for sh in shards {
+            lp.collector_rows += sh.live.len();
             eng.collector
                 .snapshot_refresh(slot, c.raw, &sh.live, c.snaps);
             if let Some(soa) = soa.as_deref_mut() {
@@ -3114,6 +3165,9 @@ fn phase_d<R: SlotRecorder>(
                     let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
                     if need_kb > 0.0 {
                         lp.fairness_scratch.push(lp.deliveries[i].kb / need_kb);
+                        if lp.window_need[i] == 0.0 {
+                            lp.window_rows.push(i);
+                        }
                         lp.window_delivered[i] += lp.deliveries[i].kb;
                         lp.window_need[i] += need_kb;
                     }
@@ -3126,19 +3180,25 @@ fn phase_d<R: SlotRecorder>(
                 lp.fairness_series.push(jain_index(&lp.fairness_scratch));
             }
             lp.power_series_j.push(slot_energy_mj / 1000.0);
+            lp.fairness_rows = 0;
             if (slot + 1).is_multiple_of(FAIR_WINDOW) {
+                // The rows the window touched, ascending — the order a
+                // walk over every row's `need > 0` finds them in, so the
+                // index sums the same sequence.
+                lp.window_rows.sort_unstable();
                 lp.fairness_scratch.clear();
-                for (need, delivered) in lp.window_need.iter().zip(&lp.window_delivered) {
-                    if *need > 0.0 {
-                        lp.fairness_scratch.push(delivered / need);
-                    }
+                for &i in &lp.window_rows {
+                    lp.fairness_scratch
+                        .push(lp.window_delivered[i] / lp.window_need[i]);
+                    lp.window_delivered[i] = 0.0;
+                    lp.window_need[i] = 0.0;
                 }
                 if !lp.fairness_scratch.is_empty() {
                     lp.fairness_window_series
                         .push(jain_index(&lp.fairness_scratch));
                 }
-                lp.window_delivered.fill(0.0);
-                lp.window_need.fill(0.0);
+                lp.fairness_rows = lp.window_rows.len();
+                lp.window_rows.clear();
             }
         }
     }
@@ -3690,6 +3750,60 @@ mod tests {
         }
         assert_eq!(straight.power_series_j, resumed.power_series_j);
         assert_eq!(straight.fairness_series, resumed.fairness_series);
+    }
+
+    /// A pass-through collector's rows are in place from the build, but
+    /// nothing has been reported before the first slot: a sidecar taken
+    /// then carries no rows and the report cache as built, a driver
+    /// resumed from it says the same, and one slot later both are there —
+    /// the absent user's row at the bound of the placeholder signal.
+    #[test]
+    fn sidecar_before_the_first_slot_carries_no_rows() {
+        let engine = || {
+            small_engine(
+                3,
+                10_000.0,
+                400.0,
+                -80.0,
+                700.0,
+                50,
+                Box::new(DefaultMax::new()),
+            )
+        };
+        let mut drv = engine()
+            .into_driver(&mut NullRecorder, NoFaults, None)
+            .expect("fresh driver");
+        drv.defer_all_arrivals().expect("before the first slot");
+        drv.set_arrival(1, 0).expect("schedule");
+        let before = drv.checkpoint(&NullRecorder).expect("checkpoint");
+        assert!(before.loop_state.snapshots.is_empty());
+        assert!(before.collector.cached_signal.iter().all(Option::is_none));
+
+        let resumed = engine()
+            .into_driver(&mut NullRecorder, NoFaults, Some(&before))
+            .expect("resumed driver");
+        let again = resumed.checkpoint(&NullRecorder).expect("checkpoint");
+        assert_eq!(
+            again.to_json().expect("serialize"),
+            before.to_json().expect("serialize")
+        );
+
+        drv.step(&mut NullRecorder);
+        let after = drv.checkpoint(&NullRecorder).expect("checkpoint");
+        let rows = &after.loop_state.snapshots;
+        assert_eq!(rows.len(), 3);
+        assert!(rows[1].active && rows[1].signal == Dbm(-80.0));
+        for absent in [&rows[0], &rows[2]] {
+            let cap = drv.engine.collector.link_cap(Dbm(0.0));
+            assert!(cap > 0, "0 dBm is a strong signal");
+            let expect = RawUserState::ABSENT.as_reported(absent.id, Dbm(0.0), cap);
+            assert_eq!(*absent, expect);
+        }
+        let cached = &after.collector.cached_signal;
+        assert_eq!(
+            cached[..],
+            [Some(Dbm(0.0)), Some(Dbm(-80.0)), Some(Dbm(0.0))]
+        );
     }
 
     /// A rejected checkpoint (wrong user count) surfaces a typed restore

@@ -2,12 +2,14 @@
 //!
 //! The same declared arrival plan — six sessions staggered over the
 //! first fifteen slots, each twelve slots long — runs on a 2 000-user
-//! pool and on a 50 000-user pool whose extra users never arrive. After
-//! slot 0 (whose first ingest drains every flow of an infinite origin,
-//! and whose first snapshot is the full pass) the Data Receiver and the
-//! scheduler must visit exactly the same number of rows per slot on
-//! both pools: the work counts are deterministic, so this is an exact
-//! equality, not a timing.
+//! pool and on a 50 000-user pool whose extra users never arrive. The
+//! Data Receiver, the scheduler's sweep, its upkeep of the grant vector,
+//! the collector's share of phase B and the windowed-fairness fold must
+//! visit exactly the same number of rows on both pools in *every* slot,
+//! slot 0 included: a pass-through collector's rows stand as built, so
+//! slot 0 is a slot like any other. One count keeps a slot-0 exemption:
+//! the first ingest drains every flow of an infinite origin. The work
+//! counts are deterministic, so these are exact equalities, not timings.
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
@@ -58,26 +60,61 @@ fn work_per_slot(s: &Scenario) -> Vec<SlotWork> {
 #[test]
 fn slot_work_follows_the_live_sessions_not_the_pool() {
     for admission in [false, true] {
-        let small = work_per_slot(&scenario(2_000, admission));
-        let large = work_per_slot(&scenario(50_000, admission));
+        let mut small = work_per_slot(&scenario(2_000, admission));
+        let mut large = work_per_slot(&scenario(50_000, admission));
         assert_eq!(small.len(), HORIZON as usize);
         assert_eq!(large.len(), HORIZON as usize);
-        // Slot 0 is the one pool-wide pass.
+        // The first ingest is the one pool-wide pass left in a slot.
         assert_eq!(small[0].receiver_flows, 2_000);
         assert_eq!(large[0].receiver_flows, 50_000);
+        small[0].receiver_flows = 0;
+        large[0].receiver_flows = 0;
         assert_eq!(
-            small[1..],
-            large[1..],
+            small, large,
             "per-slot work differs between pools (admission: {admission})"
         );
-        // And it is the plan's work: nothing left for the receiver, at
-        // most the four overlapping sessions (plus tails still draining)
-        // for the scheduler, none once the last tail has drained.
-        for w in &small[1..] {
+        // And it is the plan's work: nothing left for the receiver or
+        // the collector, at most the four overlapping sessions (plus
+        // tails still draining) for the scheduler — whose vector upkeep
+        // is at most last slot's grants zeroed and this slot's written —
+        // and none once the last tail has drained.
+        for w in &small {
             assert_eq!(w.receiver_flows, 0);
+            assert_eq!(w.collector_rows, 0);
             assert!(w.scheduler_rows <= SESSIONS, "{w:?}");
+            assert!(w.grant_rows_cleared <= 2 * SESSIONS, "{w:?}");
         }
-        assert!(small[1..20].iter().all(|w| w.scheduler_rows > 0));
+        assert!(small[..20].iter().all(|w| w.scheduler_rows > 0));
+        assert!(small[1..20].iter().all(|w| w.grant_rows_cleared > 0));
         assert_eq!(small[HORIZON as usize - 1].scheduler_rows, 0);
+        assert_eq!(small[HORIZON as usize - 1].grant_rows_cleared, 0);
+    }
+}
+
+/// The windowed-fairness fold (`record_series`) visits the rows its
+/// window touched, and a collector that holds reports pays the pool once
+/// — its first pass, which fills the report cache — and the live rows
+/// after.
+#[test]
+fn series_and_held_reports_follow_the_live_sessions_too() {
+    let run = |pool: usize| {
+        let mut s = scenario(pool, false);
+        s.record_series = true;
+        s.collector.staleness_slots = 3;
+        work_per_slot(&s)
+    };
+    let (small, large) = (run(2_000), run(50_000));
+    assert_eq!(small[0].collector_rows, 2_000);
+    assert_eq!(large[0].collector_rows, 50_000);
+    for (slot, (a, b)) in small.iter().zip(&large).enumerate() {
+        assert_eq!(a.fairness_rows, b.fairness_rows, "slot {slot}");
+        assert_eq!(a.grant_rows_cleared, b.grant_rows_cleared, "slot {slot}");
+        if slot > 0 {
+            assert_eq!(a.collector_rows, b.collector_rows, "slot {slot}");
+            assert_eq!(a.collector_rows, a.scheduler_rows, "slot {slot}");
+        }
+        let ends_window = (slot + 1) % 10 == 0;
+        assert!(a.fairness_rows <= SESSIONS, "{a:?}");
+        assert_eq!(a.fairness_rows > 0, ends_window && slot < 30, "slot {slot}");
     }
 }
