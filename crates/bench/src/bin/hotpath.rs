@@ -10,7 +10,7 @@
 //! The output is recorded as `BENCH_PR10.json` at the repo root so slot-loop
 //! regressions show up as a diff, without the Criterion machinery (or its
 //! multi-minute runtime); `scripts/bench-regress.sh` diffs a fresh run
-//! against that baseline. Timings cover the full `Engine::run` hot path —
+//! against that baseline. Timings cover the full `Scenario::run` hot path —
 //! collector snapshot, scheduler allocate, transmitter delivery, receiver
 //! playback — which is zero-allocation per slot after warm-up.
 //!
@@ -250,9 +250,9 @@ fn main() {
 
     // Fault-injection overhead row: the same Default cell with an active
     // declared fault plan (deep fade, link outage, a capacity dip, one
-    // departure, one late arrival). The rows above all run the NoFaults
-    // path — which monomorphizes to the plain loop — so the faulted /
-    // plain ratio bounds the enabled FaultHook's cost on the hot loop.
+    // departure, one late arrival). The rows above all run without a
+    // plan — one branch per hook point — so the faulted / plain ratio
+    // bounds what consulting a plan costs the hot loop.
     let mut scenario = paper_cell(40, 375.0).with_seed(42);
     scenario.faults = FaultSpec::Declared {
         events: vec![

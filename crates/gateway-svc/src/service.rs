@@ -22,8 +22,8 @@ use jmso_gateway::{
     declared_rate_from_request, GwEvent, GwStatus, LiveEvent, ProtocolError, SvcState,
 };
 use jmso_sim::{
-    atomic_write, CheckpointError, DynFaults, EngineCheckpoint, Scenario, ScenarioError, SimError,
-    SimWarning, SlotDriver, TraceError, TraceRecorder,
+    atomic_write, CheckpointError, EngineCheckpoint, Scenario, ScenarioError, SimError, SimWarning,
+    SlotDriver, TraceError, TraceRecorder,
 };
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -107,7 +107,7 @@ pub enum Outcome {
 }
 
 /// What a successful resume hands to [`LiveService::build`].
-type ResumedParts = (SlotDriver<DynFaults>, TraceRecorder, Option<TraceSpool>);
+type ResumedParts = (SlotDriver, TraceRecorder, Option<TraceSpool>);
 
 /// The one serialisation of a trace line, appended to `out`: what is
 /// broadcast, spooled and written to the final trace are all these bytes.
@@ -169,7 +169,7 @@ pub struct LiveService {
     bus: Arc<CommandBus>,
     fanout: Arc<FanOut>,
     shutdown: Arc<AtomicBool>,
-    driver: SlotDriver<DynFaults>,
+    driver: SlotDriver,
     rec: TraceRecorder,
     state: SvcState,
     stopping: bool,
@@ -309,15 +309,15 @@ impl LiveService {
             .map_err(|e| e.to_string())
     }
 
+    /// The batch trace's recorder, so the bytes line up — and in ingest
+    /// mode, an open-system workload by construction (live arrivals),
+    /// the live-population column whatever the scenario declares.
     fn fresh_recorder(cfg: &ServeConfig) -> TraceRecorder {
-        let mut rec = TraceRecorder::new().with_every(cfg.trace_every.max(1));
-        // Ingest mode is an open-system workload by construction (live
-        // arrivals); batch-equivalent declared plans carry the
-        // live-population column too, so the bytes line up.
-        if cfg.ingest || cfg.scenario.arrivals.is_open() {
-            rec = rec.with_live_counts();
+        let rec = cfg.scenario.trace_recorder(cfg.trace_every);
+        match cfg.ingest {
+            true => rec.with_live_counts(),
+            false => rec,
         }
-        rec
     }
 
     /// Current status snapshot (also the `status` command reply).

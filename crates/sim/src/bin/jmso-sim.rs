@@ -42,8 +42,8 @@
 
 use jmso_sim::{
     calibrate_default, fit_v_for_omega, run_scenarios, AbrSpec, AdmissionSpec, BitrateLadder,
-    CheckpointError, EngineCheckpoint, NullRecorder, Scenario, SimError, SimResult, TraceError,
-    TraceRecorder,
+    CheckpointError, EngineCheckpoint, NullRecorder, Scenario, SimError, SimResult, SlotRecorder,
+    TraceError, WorkerPool,
 };
 use std::fmt;
 use std::path::Path;
@@ -304,48 +304,16 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
 
     let result = if let Some(out) = trace_path {
         // Traced runs use the same recorder for checkpointing, so a
-        // checkpoint taken here resumes (with --trace) seamlessly.
-        let mut rec = TraceRecorder::new().with_every(every);
-        if scenario.arrivals.is_open() {
-            // Same rule as Scenario::run_traced: open-system runs carry
-            // the live-population column (and so do live service runs —
-            // the SVC gate diffs the two byte-for-byte).
-            rec = rec.with_live_counts();
-        }
-        let result = match (resume_path, ckpt) {
-            (Some(ckpt), _) => {
-                let ck = EngineCheckpoint::read_file(Path::new(ckpt))?;
-                println!("resuming from {ckpt} (slot {})", ck.slot());
-                scenario.resume_from(&mut rec, &ck)?
-            }
-            (None, Some((ckpt, every))) => {
-                scenario.run_checkpointed_with(&mut rec, every, Path::new(ckpt))?
-            }
-            (None, None) => match shards {
-                Some(w) => scenario.run_sharded_with(&mut rec, w)?,
-                None => scenario.run_with(&mut rec)?,
-            },
-        };
+        // checkpoint taken here resumes (with --trace) seamlessly; live
+        // service runs use it too, and the SVC gate diffs the two.
+        let mut rec = scenario.trace_recorder(every);
+        let result = run_one(&scenario, &mut rec, resume_path, ckpt, shards)?;
         let trace = rec.into_trace(&result.scheduler);
         trace.write_jsonl(Path::new(out))?;
         println!("wrote {out} ({} records)", trace.records.len());
         result
     } else {
-        let mut rec = NullRecorder;
-        match (resume_path, ckpt) {
-            (Some(ckpt), _) => {
-                let ck = EngineCheckpoint::read_file(Path::new(ckpt))?;
-                println!("resuming from {ckpt} (slot {})", ck.slot());
-                scenario.resume_from(&mut rec, &ck)?
-            }
-            (None, Some((ckpt, every))) => {
-                scenario.run_checkpointed_with(&mut rec, every, Path::new(ckpt))?
-            }
-            (None, None) => match shards {
-                Some(w) => scenario.run_sharded(w)?,
-                None => scenario.run()?,
-            },
-        }
+        run_one(&scenario, &mut NullRecorder, resume_path, ckpt, shards)?
     };
     summarize(&result);
     for w in &result.warnings {
@@ -366,6 +334,30 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         println!("wrote {out}");
     }
     Ok(())
+}
+
+/// The run `cmd_run`'s flags select, under whichever recorder watches it.
+fn run_one<R: SlotRecorder + Send>(
+    scenario: &Scenario,
+    rec: &mut R,
+    resume_path: Option<&str>,
+    ckpt: Option<(&str, u64)>,
+    shards: Option<usize>,
+) -> Result<SimResult, CliError> {
+    Ok(match (resume_path, ckpt) {
+        (Some(ckpt), _) => {
+            let ck = EngineCheckpoint::read_file(Path::new(ckpt))?;
+            println!("resuming from {ckpt} (slot {})", ck.slot());
+            scenario.resume_from(rec, &ck)?
+        }
+        (None, Some((ckpt, every))) => {
+            scenario.run_checkpointed_with(rec, every, Path::new(ckpt))?
+        }
+        (None, None) => match shards {
+            Some(w) => scenario.run_sharded_on(WorkerPool::global(), w, rec)?,
+            None => scenario.run_with(rec)?,
+        },
+    })
 }
 
 fn cmd_calibrate(args: &[String]) -> Result<(), CliError> {

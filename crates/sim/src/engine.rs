@@ -49,9 +49,10 @@
 //! and the receiver's flows follow the user. [`SlotDriver::step`] — every
 //! batch run, checkpointed run and the live daemon — calls the phases
 //! back to back over one shard `0..n` and every lane in turn, and
-//! executes safe code only. [`Engine::run_sharded_on`] calls the same
-//! functions from one resident [`WorkerPool`] broadcast, A and C on every
-//! participant at once, the serial ones on participant 0, a
+//! executes safe code only. A driver built with more than one shard
+//! ([`Scenario::run_sharded_on`](crate::scenario::Scenario::run_sharded_on))
+//! calls the same functions from one resident [`WorkerPool`] broadcast,
+//! A and C on every participant at once, the serial ones on participant 0, a
 //! [`SpinBarrier`] crossing after each; with more than one lane every
 //! participant also takes a contiguous range of lanes for B lane, behind
 //! two more crossings (the scheduler calls are most of such a slot: 1.1×
@@ -63,26 +64,30 @@
 //! output is the same bytes at every width. No input selects another
 //! loop.
 //!
-//! The driver is generic over a [`FaultHook`] — [`NoFaults`] monomorphizes
-//! every hook away; a compiled [`FaultPlan`](crate::faults::FaultPlan)
-//! perturbs *state* strictly after the RNG streams have been drawn, so a
-//! faulted run consumes the random sequences of its fault-free twin — and
-//! between two steps it can capture everything into an
-//! [`EngineCheckpoint`], from which a fresh driver resumes bit-identically
-//! (signal RNGs fast-forwarded by replaying the recorded sample counts).
-//! Open-system churn is a workload property: each user carries an arrival
-//! and a `departure_slot` from the compiled
+//! There is one way in. [`Scenario`](crate::scenario::Scenario)'s builder
+//! validates, compiles the fault spec and builds the engine, and every
+//! public run method is a cadence over the driver it returns: step to the
+//! end, pause at a slot, write a sidecar every k slots, or the lockstep.
+//! The engine carries the scenario's compiled [`FaultPlan`] — absent when
+//! it declares no faults, so a fault-free slot pays a branch per hook
+//! point — which perturbs *state* strictly after the RNG streams have
+//! been drawn, so a faulted run consumes the random sequences of its
+//! fault-free twin. Between two steps the driver can capture everything
+//! into an [`EngineCheckpoint`], from which a fresh driver resumes
+//! bit-identically (signal RNGs fast-forwarded by replaying the recorded
+//! sample counts). Open-system churn is a workload property: each user
+//! carries an arrival and a `departure_slot` from the compiled
 //! [`ChurnPlan`](crate::arrivals::ChurnPlan).
 //!
-//! [`Engine::run_reference`] is the executable specification: the plain
+//! `Engine::run_reference` is the executable specification: the plain
 //! all-users, sample-per-slot loop, which must produce identical results
 //! and trace bytes.
 
 use crate::error::{atomic_write, CheckpointError, ScenarioError, SimError};
-use crate::faults::{FaultHook, NoFaults};
+use crate::faults::FaultPlan;
 use crate::pool::{PhaseCell, SharedSlice, SpinBarrier, WorkerPool};
 use crate::results::{SimResult, UserResult};
-use crate::telemetry::{NullRecorder, SlotRecorder};
+use crate::telemetry::SlotRecorder;
 use jmso_gateway::bs::CapacityModel;
 use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
@@ -157,47 +162,28 @@ struct UserSim {
 
 /// Engine-level knobs.
 #[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
+pub(crate) struct EngineConfig {
     /// Slot length τ, seconds.
-    pub tau: f64,
+    pub(crate) tau: f64,
     /// Frame length δ, KB.
-    pub delta_kb: f64,
+    pub(crate) delta_kb: f64,
     /// Horizon Γ in slots.
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// Record per-slot fairness / power series (needed for CDF figures;
     /// off for plain sweeps to save memory).
-    pub record_series: bool,
+    pub(crate) record_series: bool,
 }
 
-/// Checkpoint cadence for [`Engine::run_core`].
-#[derive(Debug, Clone, Copy)]
-pub enum CkptMode<'a> {
-    /// No checkpointing — the plain hot path.
-    Off,
-    /// Atomically (re)write a sidecar checkpoint every `every` slots.
-    EveryToFile {
-        /// Checkpoint period in slots (0 disables).
-        every: u64,
-        /// Sidecar file the checkpoint JSON is atomically renamed into.
-        path: &'a Path,
-    },
-    /// Capture state at the top of the given slot and return
-    /// [`RunOutcome::Paused`] instead of finishing the run.
-    PauseAt {
-        /// Slot to pause at (state is captured before the slot executes).
-        slot: u64,
-    },
-}
-
-/// What a checkpoint-aware run produced.
+/// What [`Scenario::run_until`](crate::scenario::Scenario::run_until)
+/// produced.
 // `Done` carries the full `SimResult` by value on purpose: it is the
 // common case and every caller immediately consumes it.
 #[allow(clippy::large_enum_variant)]
 pub enum RunOutcome {
     /// The run reached the horizon (or early exit) and finished.
     Done(SimResult),
-    /// The run stopped at [`CkptMode::PauseAt`]; feed the checkpoint to a
-    /// freshly built engine to continue bit-identically.
+    /// The run stopped at the requested slot; feed the checkpoint to a
+    /// freshly built driver to continue bit-identically.
     Paused(Box<EngineCheckpoint>),
 }
 
@@ -584,9 +570,9 @@ struct AdmissionCkpt {
 /// `phase_b_open`).
 #[derive(Clone, Copy)]
 enum CapFault {
-    /// [`FaultHook::adjust_cap_units`]: the one BS of a `Scenario` run.
+    /// [`FaultPlan::adjust_cap_units`]: the one BS of a `Scenario` run.
     Bs,
-    /// [`FaultHook::scale_cell_cap`] for this cell of a
+    /// [`FaultPlan::scale_cell_cap`] for this cell of a
     /// `MultiCellScenario` run.
     Cell(usize),
 }
@@ -731,8 +717,9 @@ impl Roaming {
     }
 }
 
-/// The assembled simulator for one scenario.
-pub struct Engine {
+/// The assembled simulator for one scenario, built by the scenario's
+/// builder and driven through a [`SlotDriver`].
+pub(crate) struct Engine {
     users: Vec<UserSim>,
     /// One per base station; a [`SlotDriver`] takes them for its
     /// lifetime, like the users.
@@ -746,75 +733,21 @@ pub struct Engine {
     cfg: EngineConfig,
     abr: Option<AbrRuntime>,
     admission: Option<AdmissionRuntime>,
+    /// The scenario's compiled fault plan; `None` when it declares none.
+    pub(crate) faults: Option<FaultPlan>,
 }
 
 impl Engine {
-    /// Assemble an engine from its parts. `signals` and `sessions` must
-    /// have equal length; sessions' volumes are installed as the origin
-    /// source bound for each flow.
+    /// Assemble an engine from its parts: one signal, session, arrival
+    /// slot and departure slot per user (sessions' volumes become each
+    /// flow's origin source bound). Before their arrival slot users
+    /// neither play, fetch, nor consume energy (their radio is cold); from
+    /// their departure slot on (`u64::MAX` = watches to completion) they
+    /// abandon playback and stop fetching — the same idempotent state
+    /// change the `departure` fault applies. All-zero arrivals and
+    /// all-`MAX` departures are the paper's closed, synchronized cell.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        signals: Vec<SignalKind>,
-        sessions: Vec<VideoSession>,
-        scheduler: Box<dyn Scheduler>,
-        capacity: Box<dyn CapacityModel>,
-        receiver: DataReceiver,
-        collector: InformationCollector,
-        models: CrossLayerModels,
-        cfg: EngineConfig,
-    ) -> Self {
-        let n = sessions.len();
-        Self::with_arrivals(
-            signals,
-            sessions,
-            vec![0; n],
-            scheduler,
-            capacity,
-            receiver,
-            collector,
-            models,
-            cfg,
-        )
-    }
-
-    /// [`Engine::new`] with per-user session arrival slots: before their
-    /// arrival slot users neither play, fetch, nor consume energy (their
-    /// radio is cold). Staggered arrivals model realistic session churn;
-    /// the all-zeros vector recovers the paper's synchronized start.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_arrivals(
-        signals: Vec<SignalKind>,
-        sessions: Vec<VideoSession>,
-        arrival_slots: Vec<u64>,
-        scheduler: Box<dyn Scheduler>,
-        capacity: Box<dyn CapacityModel>,
-        receiver: DataReceiver,
-        collector: InformationCollector,
-        models: CrossLayerModels,
-        cfg: EngineConfig,
-    ) -> Self {
-        let n = sessions.len();
-        Self::with_churn(
-            signals,
-            sessions,
-            arrival_slots,
-            vec![u64::MAX; n],
-            scheduler,
-            capacity,
-            receiver,
-            collector,
-            models,
-            cfg,
-        )
-    }
-
-    /// [`Engine::with_arrivals`] plus per-user departure slots (`u64::MAX`
-    /// = watches to completion): the full open-system workload. From their
-    /// departure slot on, a user abandons playback and stops fetching —
-    /// the same idempotent state change the `departure` fault applies, so
-    /// an all-`MAX` vector is bit-identical to [`Engine::with_arrivals`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_churn(
+    pub(crate) fn with_churn(
         signals: Vec<SignalKind>,
         sessions: Vec<VideoSession>,
         arrival_slots: Vec<u64>,
@@ -881,13 +814,14 @@ impl Engine {
             cfg,
             abr: None,
             admission: None,
+            faults: None,
         }
     }
 
     /// Install gateway-side declared rates (e.g. DPI-extracted manifest
     /// rates): snapshots then expose these instead of the instantaneous
     /// session rate. Client-side playback still uses the true rate.
-    pub fn set_declared_rates(&mut self, rates_kbps: &[f64]) {
+    pub(crate) fn set_declared_rates(&mut self, rates_kbps: &[f64]) {
         assert_eq!(rates_kbps.len(), self.users.len());
         for (u, &r) in self.users.iter_mut().zip(rates_kbps) {
             assert!(r > 0.0, "declared rate must be positive");
@@ -904,7 +838,7 @@ impl Engine {
     ///
     /// Must be called before the run starts; `spec` is assumed validated
     /// (see `AbrSpec::validate`).
-    pub fn set_abr(&mut self, spec: &AbrSpec) {
+    pub(crate) fn set_abr(&mut self, spec: &AbrSpec) {
         let chunk_s = spec.chunk_slots as f64 * self.cfg.tau;
         let start = spec.start_rung();
         let native: Vec<f64> = self
@@ -940,7 +874,7 @@ impl Engine {
     /// is no earlier decision point). The tick runs in the serial
     /// end-of-slot region (phase D, and the reference loop's own), so
     /// admission-controlled scenarios shard like any other.
-    pub fn set_admission(&mut self, spec: &AdmissionSpec) {
+    pub(crate) fn set_admission(&mut self, spec: &AdmissionSpec) {
         let AdmissionSpec::Feasibility { v, .. } = spec else {
             return;
         };
@@ -981,7 +915,7 @@ impl Engine {
     /// `lane`, users attached round-robin and — with more than one cell —
     /// handing over with probability `handover_prob` per slot, drawn
     /// from a stream seeded by `seed`. Every lane's budget goes through
-    /// the per-cell fault hook.
+    /// the fault plan's per-cell hook.
     pub(crate) fn into_cells(
         mut self,
         n_cells: usize,
@@ -998,12 +932,6 @@ impl Engine {
             .collect();
         self.roaming = (n_cells > 1).then(|| Roaming::new(n, n_cells, handover_prob, seed));
         self
-    }
-
-    /// Decision tallies of the installed admission controller (`None`
-    /// when no feasibility controller is installed).
-    pub fn admission_summary(&self) -> Option<jmso_gateway::AdmissionSummary> {
-        self.admission.as_ref().map(|a| a.ctl.summary())
     }
 
     /// Restore component state from a checkpoint (everything except the
@@ -1089,7 +1017,7 @@ impl Engine {
                 // was due at or before k). A deferred user and a planned
                 // one due at k+1 are ruled in the same ascending user
                 // order either way, so the carry list restarts empty;
-                // `into_driver` re-derives the gate's `admitted` list.
+                // `build_driver` re-derives the gate's `admitted` list.
                 a.planned = planned_arrivals(&self.users, ck.slot);
                 a.planned_next = 0;
                 a.carry.clear();
@@ -1149,188 +1077,24 @@ impl Engine {
         Ok(())
     }
 
-    /// Run to the horizon (or until all sessions complete) and report.
-    ///
-    /// A steady-state slot allocates nothing (every buffer is reused) and
-    /// touches only users that can still change the outputs — see
-    /// `Columns` and `ShardState` for what is kept and why
-    /// [`Engine::run_reference`], the plain all-users loop, must still
-    /// produce an identical [`SimResult`].
-    pub fn run(self) -> SimResult {
-        self.run_with(&mut NullRecorder)
-    }
-
-    /// [`Engine::run`] with a [`SlotRecorder`] observing every slot.
-    ///
-    /// Generic over the recorder so the [`NullRecorder`] instantiation
-    /// monomorphizes every hook into a no-op. The recorder only ever sees
-    /// simulation state; wall-clock scheduler timing is gated on
-    /// [`SlotRecorder::enabled`] and reported separately.
-    pub fn run_with<R: SlotRecorder>(self, rec: &mut R) -> SimResult {
-        self.run_faulted_with(rec, &NoFaults)
-    }
-
-    /// [`Engine::run_with`] under a [`FaultHook`]. [`NoFaults`]
-    /// monomorphizes to exactly the fault-free loop; a compiled
-    /// [`FaultPlan`](crate::faults::FaultPlan) perturbs signals, BS
-    /// capacity, and sessions after all RNG draws.
-    pub fn run_faulted_with<R: SlotRecorder, F: FaultHook>(
-        self,
-        rec: &mut R,
-        faults: &F,
-    ) -> SimResult {
-        match self.run_core(rec, faults, None, CkptMode::Off) {
-            Ok(RunOutcome::Done(r)) => r,
-            // `Off` mode performs no I/O, imports no state, never pauses.
-            Ok(RunOutcome::Paused(_)) | Err(_) => {
-                unreachable!("CkptMode::Off cannot pause or fail")
-            }
-        }
-    }
-
-    /// Resume a run from a checkpoint captured by [`Engine::run_core`].
-    /// `self` must be freshly built for the same scenario (same users,
-    /// seeds, scheduler kind); the recorder must be of the same kind that
-    /// captured the checkpoint.
-    pub fn resume_with<R: SlotRecorder, F: FaultHook>(
-        self,
-        rec: &mut R,
-        faults: &F,
-        ckpt: &EngineCheckpoint,
-    ) -> Result<SimResult, SimError> {
-        match self.run_core(rec, faults, Some(ckpt), CkptMode::Off)? {
-            RunOutcome::Done(r) => Ok(r),
-            RunOutcome::Paused(_) => unreachable!("CkptMode::Off never pauses"),
-        }
-    }
-
-    /// [`Engine::run_with`] with the per-shard phases of every slot
-    /// spread over `pool`: users are partitioned into `shards`
-    /// contiguous ranges, each owned by one pool participant, and the
-    /// four phases of [`SlotDriver`] run in lockstep, fenced by a
-    /// [`SpinBarrier`] — A and C on every participant at once, B and D
-    /// on participant 0 alone.
-    ///
-    /// Bit-identical to [`Engine::run_with`] at every width: the phases
-    /// are the same functions, shards write disjoint rows, and nothing
-    /// order-sensitive runs in a per-shard phase (pinned by the
-    /// `shard_properties` tests). `shards` is a ceiling — the effective
-    /// width is clamped to the pool (`workers + 1`) and to at least 1.
-    /// No input selects a different loop: a collector that is not
-    /// pass-through has its pass hosted by phase B, a fault hook is read
-    /// by every phase that needs it.
-    pub fn run_sharded_on<R: SlotRecorder + Send>(
-        self,
-        pool: &WorkerPool,
-        shards: usize,
-        rec: &mut R,
-    ) -> SimResult {
-        self.run_cells_on(pool, shards, rec, &NoFaults).0
-    }
-
-    /// [`Engine::run_sharded_on`] under a [`FaultHook`], returning what
-    /// [`SlotDriver::finish_cells`] does. With more than one lane the
-    /// participants divide the lanes as well as the users.
-    pub(crate) fn run_cells_on<R: SlotRecorder + Send, F: FaultHook + Sync>(
-        self,
-        pool: &WorkerPool,
-        shards: usize,
-        rec: &mut R,
-        faults: &F,
-    ) -> (SimResult, Option<CellStats>) {
-        let width = shards.clamp(1, pool.n_workers() + 1);
-        let mut drv = match self.build_driver(rec, faults, None, width) {
-            Ok(drv) => drv,
-            // Without a checkpoint to restore, the build imports nothing.
-            Err(_) => unreachable!("a fresh driver build cannot fail"),
-        };
-        if width == 1 {
-            while drv.step(rec).is_some() {}
-        } else {
-            drv.run_lockstep(pool, rec);
-        }
-        drv.finish_cells(rec)
-    }
-
-    /// The checkpoint-aware batch run: a cadence loop over
-    /// [`SlotDriver::step`], so batch runs and live stepping execute the
-    /// same slot code.
-    ///
-    /// * `resume` — restore this checkpoint (captured by an earlier run of
-    ///   the same scenario) and continue from its slot.
-    /// * `mode` — periodic sidecar checkpointing, a one-shot pause, or
-    ///   neither. Checkpoints are captured at the *top* of a slot, before
-    ///   any of that slot's state changes.
-    pub fn run_core<R: SlotRecorder, F: FaultHook>(
-        self,
-        rec: &mut R,
-        faults: &F,
-        resume: Option<&EngineCheckpoint>,
-        mode: CkptMode<'_>,
-    ) -> Result<RunOutcome, SimError> {
-        let resumed = resume.is_some();
-        let mut drv = self.into_driver(rec, faults, resume)?;
-        while !drv.is_finished() {
-            let slot = drv.next_slot();
-            match mode {
-                CkptMode::Off => {}
-                CkptMode::EveryToFile { every, path } => {
-                    if every > 0 && slot != drv.start_slot() && slot.is_multiple_of(every) {
-                        let ck = drv.checkpoint(rec).map_err(SimError::Checkpoint)?;
-                        ck.write_file(path).map_err(SimError::Checkpoint)?;
-                    }
-                }
-                CkptMode::PauseAt { slot: pause } => {
-                    if slot == pause && (!resumed || slot > drv.start_slot()) {
-                        let ck = drv.checkpoint(rec).map_err(SimError::Checkpoint)?;
-                        return Ok(RunOutcome::Paused(Box::new(ck)));
-                    }
-                }
-            }
-            drv.step(rec);
-        }
-        Ok(RunOutcome::Done(drv.finish(rec)))
-    }
-
-    /// Convert the engine into a [`SlotDriver`] — the resumable stepping
-    /// form of the slot pipeline, executing exactly one slot per
-    /// [`SlotDriver::step`] call.
-    ///
-    /// Every run path goes through the driver (see [`Engine::run_core`]
-    /// and [`Engine::run_sharded_on`]), so stepping it from a front-end —
-    /// with checkpoints, live arrival scheduling, or degradation between
-    /// slots — is bit-identical to a batch run by construction: there is
-    /// no second slot implementation to drift.
-    ///
-    /// `faults` is taken by value: pass [`NoFaults`], a compiled
-    /// [`FaultPlan`](crate::faults::FaultPlan), a reference to either
-    /// (`&F` of any hook is itself a hook), or the runtime-selected
-    /// [`DynFaults`](crate::faults::DynFaults).
+    /// Convert the engine into a [`SlotDriver`] with the users
+    /// partitioned into `width` contiguous shards — the set-up every run
+    /// path shares. Every run path goes through the driver, so stepping
+    /// it from a front-end — with checkpoints, live arrival scheduling,
+    /// or degradation between slots — is bit-identical to a batch run by
+    /// construction: there is no second slot implementation to drift.
     ///
     /// On resume the checkpoint is restored: component state imports,
-    /// per-user RNG fast-forward, and derived state (SoA mirror,
-    /// link-cap tables) rebuilt.
-    pub fn into_driver<R: SlotRecorder, F: FaultHook>(
-        self,
-        rec: &mut R,
-        faults: F,
-        resume: Option<&EngineCheckpoint>,
-    ) -> Result<SlotDriver<F>, SimError> {
-        self.build_driver(rec, faults, resume, 1)
-    }
-
-    /// [`Engine::into_driver`] with the users partitioned into `width`
-    /// contiguous shards — the set-up every run path shares. Ends with
-    /// `begin_run` (a fresh run) or the recorder's state import (a
-    /// resumed one), so everything sized by the pool is built before the
-    /// run's clock starts.
-    fn build_driver<R: SlotRecorder, F: FaultHook>(
+    /// per-user RNG fast-forward, and derived state (SoA mirror, link-cap
+    /// tables) rebuilt. Ends with `begin_run` (a fresh run) or the
+    /// recorder's state import (a resumed one), so everything sized by
+    /// the pool is built before the run's clock starts.
+    pub(crate) fn build_driver<R: SlotRecorder>(
         mut self,
         rec: &mut R,
-        faults: F,
         resume: Option<&EngineCheckpoint>,
         width: usize,
-    ) -> Result<SlotDriver<F>, SimError> {
+    ) -> Result<SlotDriver, SimError> {
         let n_users = self.users.len();
         let cfg = self.cfg;
         if let Some(ck) = resume {
@@ -1416,7 +1180,7 @@ impl Engine {
         };
         let mode = Mode {
             pass_through,
-            tables: pass_through && !faults.enabled(),
+            tables: pass_through && self.faults.is_none(),
             rec_enabled: false,
             staged: false,
         };
@@ -1531,7 +1295,6 @@ impl Engine {
         }
         Ok(SlotDriver {
             engine: self,
-            faults,
             lp,
             cols: c,
             shards,
@@ -1545,35 +1308,17 @@ impl Engine {
 
     /// Reference slot loop: every user is visited every slot and signals
     /// are drawn one slot at a time — the plain transcription of the §III
-    /// pipeline with none of [`Engine::run`]'s active-set machinery.
+    /// pipeline with none of the driver's active-set machinery.
     ///
-    /// This is the executable specification for the hot path: on any
-    /// scenario, `run()` and `run_reference()` must return identical
-    /// [`SimResult`]s (pinned by the `active_set_matches_reference`
-    /// property test). It is also the baseline the `hotpath` bench
-    /// compares against.
-    pub fn run_reference(self) -> SimResult {
-        self.run_reference_with(&mut NullRecorder)
-    }
-
-    /// [`Engine::run_reference`] with a [`SlotRecorder`] observing every
-    /// slot. Produces a trace identical to [`Engine::run_with`]'s on any
-    /// scenario: per-user records land at stable indices, and the users
-    /// the active-set loop skips would only ever contribute zero-energy,
-    /// zero-delta records (pinned by the trace-equality property test).
-    pub fn run_reference_with<R: SlotRecorder>(self, rec: &mut R) -> SimResult {
-        self.run_reference_faulted_with(rec, &NoFaults)
-    }
-
-    /// [`Engine::run_reference_with`] under a [`FaultHook`] — the
-    /// executable specification for [`Engine::run_faulted_with`]: both
-    /// must produce identical results and traces under any fault plan
-    /// (checkpointing stays exclusive to the hot path).
-    pub fn run_reference_faulted_with<R: SlotRecorder, F: FaultHook>(
-        mut self,
-        rec: &mut R,
-        faults: &F,
-    ) -> SimResult {
+    /// This is the executable specification for every door into the
+    /// driver: on any scenario and under any fault plan, both must return
+    /// identical [`SimResult`]s (pinned by the `active_set_matches_reference`
+    /// property test) and, under a [`SlotRecorder`], identical traces —
+    /// per-user records land at stable indices, and the users the
+    /// active-set loop skips would only ever contribute zero-energy,
+    /// zero-delta records.
+    pub(crate) fn run_reference<R: SlotRecorder>(mut self, rec: &mut R) -> SimResult {
+        let faults = self.faults.take();
         let n_users = self.users.len();
         let [lane] = self.lanes.as_mut_slice() else {
             unreachable!("the reference loop is the one-cell specification")
@@ -1605,12 +1350,14 @@ impl Engine {
         for slot in 0..self.cfg.slots {
             slots_run = slot + 1;
             let cap = lane.capacity.capacity(slot);
-            let bs_cap_units =
-                faults.adjust_cap_units(slot, self.units.bs_cap_units(cap, self.cfg.tau));
+            let mut bs_cap_units = self.units.bs_cap_units(cap, self.cfg.tau);
+            if let Some(plan) = &faults {
+                bs_cap_units = plan.adjust_cap_units(slot, bs_cap_units);
+            }
             rec.begin_slot(slot, bs_cap_units);
-            if faults.enabled() && rec.enabled() {
+            if let Some(plan) = faults.as_ref().filter(|_| rec.enabled()) {
                 fault_notes.clear();
-                faults.notes_into(slot, &mut fault_notes);
+                plan.notes_into(slot, &mut fault_notes);
                 for note in &fault_notes {
                     rec.record_fault(note);
                 }
@@ -1639,12 +1386,13 @@ impl Engine {
                 }
                 u.cur_signal = u.signal.sample(slot);
                 u.sig_samples += 1;
-                if faults.enabled() {
-                    u.cur_signal = faults.adjust_signal(slot, i, u.cur_signal);
+                if let Some(plan) = &faults {
+                    u.cur_signal = plan.adjust_signal(slot, i, u.cur_signal);
                 }
                 // Mirrors the hot loop's ABR rate substitution exactly.
                 let abr_rate = self.abr.as_ref().map(|a| a.clients[i].rate_kbps);
-                if slot >= u.departure_slot || (faults.enabled() && faults.departed(slot, i)) {
+                if slot >= u.departure_slot || faults.as_ref().is_some_and(|p| p.departed(slot, i))
+                {
                     u.session.cancel_remaining();
                     u.playback.abandon();
                 }
@@ -1899,26 +1647,25 @@ impl Engine {
 /// per [`SlotDriver::step`] call, checkpoint capture between any two
 /// slots, and live mutation of the not-yet-executed schedule.
 ///
-/// Built by [`Engine::into_driver`]. A slot is the four phase functions
-/// of the module docs, and every run path is a caller of those four:
-/// [`SlotDriver::step`] runs them back to back over one shard holding
-/// every user, [`Engine::run_sharded_on`] runs them in lockstep over one
-/// shard per pool participant. So stepping the driver from a front-end
-/// (the live gateway service) executes the exact slot code of a batch
-/// run at any width — the determinism tests pin all of them at once, and
-/// a fully stepped driver's result and telemetry are byte-identical to
-/// the batch run of the same scenario.
+/// Built by [`Scenario::driver`](crate::scenario::Scenario::driver). A
+/// slot is the four phase functions of the module docs, and every run
+/// path is a caller of those four: [`SlotDriver::step`] runs them back to
+/// back over one shard holding every user, the lockstep over one shard
+/// per pool participant. So stepping the driver from a front-end (the
+/// live gateway service) executes the exact slot code of a batch run at
+/// any width — the determinism tests pin all of them at once, and a fully
+/// stepped driver's result and telemetry are byte-identical to the batch
+/// run of the same scenario.
 ///
-/// The driver owns its fault hook (generic, so the [`NoFaults`]
-/// instantiation folds every fault branch away) and every loop-carried
-/// accumulator; the recorder stays external, passed into each call, so
-/// one recorder can outlive crash/rebuild cycles of the driver itself.
-pub struct SlotDriver<F: FaultHook = NoFaults> {
-    /// The gateway pipeline and the run's constants; its users and ABR
-    /// clients live in `cols`, its lanes in `lanes`, until
+/// The driver owns the engine (fault plan included) and every
+/// loop-carried accumulator; the recorder stays external, passed into
+/// each call, so one recorder can outlive crash/rebuild cycles of the
+/// driver itself.
+pub struct SlotDriver {
+    /// The gateway pipeline, fault plan and the run's constants; its
+    /// users and ABR clients live in `cols`, its lanes in `lanes`, until
     /// [`SlotDriver::finish`].
     engine: Engine,
-    faults: F,
     lp: LoopState,
     cols: Columns,
     shards: Vec<ShardState>,
@@ -1957,7 +1704,7 @@ pub struct SlotWork {
     pub fairness_rows: usize,
 }
 
-impl<F: FaultHook> SlotDriver<F> {
+impl SlotDriver {
     /// Work counts of the slot the latest [`SlotDriver::step`] executed.
     pub fn last_slot_work(&self) -> SlotWork {
         SlotWork {
@@ -2280,7 +2027,6 @@ impl<F: FaultHook> SlotDriver<F> {
         let mode = self.mode_for(rec);
         let Self {
             engine: eng,
-            faults,
             lp,
             cols,
             shards,
@@ -2299,9 +2045,9 @@ impl<F: FaultHook> SlotDriver<F> {
                 _ => None,
             }
         }
-        phase_a(eng, mode, faults, slot, sh, &mut c, mirror(lanes));
+        phase_a(eng, mode, slot, sh, &mut c, mirror(lanes));
         let one = std::slice::from_mut(sh);
-        phase_b_open(eng, lp, mode, faults, slot, one, lanes, &mut c, rec);
+        phase_b_open(eng, lp, mode, slot, one, lanes, &mut c, rec);
         for (cell, lane) in lanes.iter_mut().enumerate() {
             phase_b_lane(eng, mode, slot, cell, lane, c.snaps, c.retired);
         }
@@ -2311,6 +2057,27 @@ impl<F: FaultHook> SlotDriver<F> {
         self.finished = phase_d(eng, lp, mode, slot, one, &mut c, rec);
         self.next_slot = slot + 1;
         Some(slot)
+    }
+
+    /// Step to the end and finish: the cadence of every width-1 door.
+    pub(crate) fn run<R: SlotRecorder>(mut self, rec: &mut R) -> (SimResult, Option<CellStats>) {
+        while self.step(rec).is_some() {}
+        self.finish_cells(rec)
+    }
+
+    /// [`SlotDriver::run`] at the width the driver was built with: a
+    /// driver of more than one shard runs in lockstep on `pool`, where
+    /// with more than one lane the participants divide the lanes as well
+    /// as the users.
+    pub(crate) fn run_on<R: SlotRecorder + Send>(
+        mut self,
+        pool: &WorkerPool,
+        rec: &mut R,
+    ) -> (SimResult, Option<CellStats>) {
+        if self.shards.len() > 1 {
+            self.run_lockstep(pool, rec);
+        }
+        self.run(rec)
     }
 
     /// Run to the end with the per-shard phases spread over `pool`:
@@ -2325,24 +2092,19 @@ impl<F: FaultHook> SlotDriver<F> {
     /// driver's state is lent to a [`Lockstep`], whose `unsafe fn`s
     /// carve a phase's borrows out of it — the only `unsafe` in this
     /// file.
-    fn run_lockstep<R: SlotRecorder + Send>(&mut self, pool: &WorkerPool, rec: &mut R)
-    where
-        F: Sync,
-    {
+    fn run_lockstep<R: SlotRecorder + Send>(&mut self, pool: &WorkerPool, rec: &mut R) {
         let width = self.shards.len();
         let n_users = self.cols.users.len();
         let mode = self.mode_for(rec);
         let first_slot = self.next_slot;
         let Self {
             engine: eng,
-            faults,
             lp,
             cols,
             shards,
             lanes,
             ..
         } = self;
-        let faults = &*faults;
         let n_lanes = lanes.len();
         // With one lane phase B is participant 0's alone. With more, the
         // scheduler calls are most of the slot and independent of each
@@ -2388,14 +2150,14 @@ impl<F: FaultHook> SlotDriver<F> {
                     // are this participant's until the barrier below,
                     // and nobody writes the serial state.
                     let ((eng, ..), sh, mut c, rows) = unsafe { shared.shard(p) };
-                    phase_a(eng, mode, faults, slot, sh, &mut c, rows);
+                    phase_a(eng, mode, slot, sh, &mut c, rows);
                 }
                 barrier.wait();
                 if p == 0 {
                     // SAFETY: serial phase — every other participant is
                     // parked at the barrier below.
                     let ((eng, lp, rec), shards, lanes, mut c) = unsafe { shared.serial() };
-                    phase_b_open(eng, lp, mode, faults, slot, shards, lanes, &mut c, *rec);
+                    phase_b_open(eng, lp, mode, slot, shards, lanes, &mut c, *rec);
                     if !lanes_in_parallel {
                         phase_b_lane(eng, mode, slot, 0, &mut lanes[0], c.snaps, c.retired);
                         phase_b_close(eng, lp, mode, slot, lanes, &c, *rec);
@@ -2669,10 +2431,9 @@ fn size_mirror(eng: &Engine, lanes: &mut [CellLane], n_users: usize) {
 /// read, from slot 0 on. Touches only this shard's state and rows; makes
 /// no recorder call, so where it runs relative to the other shards' phase
 /// A cannot show.
-fn phase_a<F: FaultHook>(
+fn phase_a(
     eng: &Engine,
     mode: Mode,
-    faults: &F,
     slot: u64,
     sh: &mut ShardState,
     c: &mut Cols<'_>,
@@ -2723,12 +2484,12 @@ fn phase_a<F: FaultHook>(
             }
         }
         u.cur_signal = u.sig_block[block_off];
-        if faults.enabled() {
+        if let Some(plan) = &eng.faults {
             // Faults perturb state, never RNG streams: the raw sample
             // above already advanced the generator.
-            u.cur_signal = faults.adjust_signal(slot, i, u.cur_signal);
+            u.cur_signal = plan.adjust_signal(slot, i, u.cur_signal);
         }
-        if slot >= u.departure_slot || (faults.enabled() && faults.departed(slot, i)) {
+        if slot >= u.departure_slot || eng.faults.as_ref().is_some_and(|p| p.departed(slot, i)) {
             // Mid-stream departure — workload churn or the fault
             // taxonomy's perturbation form: the client abandons playback
             // and the origin stops fetching for them. Both calls are
@@ -2783,11 +2544,10 @@ fn phase_a<F: FaultHook>(
 /// order). For a pass-through collector nothing here walks rows: phase A
 /// has written the live ones, and the rest stand as built.
 #[allow(clippy::too_many_arguments)]
-fn phase_b_open<R: SlotRecorder, F: FaultHook>(
+fn phase_b_open<R: SlotRecorder>(
     eng: &mut Engine,
     lp: &mut LoopState,
     mode: Mode,
-    faults: &F,
     slot: u64,
     shards: &[ShardState],
     lanes: &mut [CellLane],
@@ -2806,18 +2566,21 @@ fn phase_b_open<R: SlotRecorder, F: FaultHook>(
         // ⌊S·f/δ⌋ per cell — and so differ by a unit when S is off the δ
         // grid. Each run kind keeps the one its committed outputs were
         // made with, which is the only reason there are two.
-        lane.cap_units = match lane.cap_fault {
-            CapFault::Bs => faults.adjust_cap_units(slot, eng.units.bs_cap_units(cap, cfg.tau)),
-            CapFault::Cell(cell) => eng
+        lane.cap_units = match (&eng.faults, lane.cap_fault) {
+            (None, _) => eng.units.bs_cap_units(cap, cfg.tau),
+            (Some(plan), CapFault::Bs) => {
+                plan.adjust_cap_units(slot, eng.units.bs_cap_units(cap, cfg.tau))
+            }
+            (Some(plan), CapFault::Cell(cell)) => eng
                 .units
-                .bs_cap_units(KbPerSec(faults.scale_cell_cap(slot, cell, cap.0)), cfg.tau),
+                .bs_cap_units(KbPerSec(plan.scale_cell_cap(slot, cell, cap.0)), cfg.tau),
         };
         lp.bs_cap_units += lane.cap_units;
     }
     rec.begin_slot(slot, lp.bs_cap_units);
-    if faults.enabled() && mode.rec_enabled {
+    if let Some(plan) = eng.faults.as_ref().filter(|_| mode.rec_enabled) {
         lp.fault_notes.clear();
-        faults.notes_into(slot, &mut lp.fault_notes);
+        plan.notes_into(slot, &mut lp.fault_notes);
         for note in &lp.fault_notes {
             rec.record_fault(note);
         }
@@ -3514,7 +3277,7 @@ fn admission_tick_reference<R: SlotRecorder>(
 mod tests {
 
     use super::*;
-    use crate::telemetry::TraceRecorder;
+    use crate::telemetry::{NullRecorder, TraceRecorder};
     use jmso_gateway::bs::ConstantCapacity;
     use jmso_gateway::{CollectorSpec, OriginModel};
     use jmso_media::VideoSession;
@@ -3552,9 +3315,11 @@ mod tests {
             n,
             1,
         );
-        Engine::new(
+        Engine::with_churn(
             signals,
             sessions,
+            vec![0; n],
+            vec![u64::MAX; n],
             scheduler,
             Box::new(ConstantCapacity(KbPerSec(cap_kbps))),
             receiver,
@@ -3562,6 +3327,14 @@ mod tests {
             models,
             cfg,
         )
+    }
+
+    impl Engine {
+        /// A fresh driver stepped to the end.
+        fn run(self) -> SimResult {
+            let drv = self.build_driver(&mut NullRecorder, None, 1);
+            drv.expect("a fresh driver").run(&mut NullRecorder).0
+        }
     }
 
     /// Single user, ample capacity: fetches everything, watches everything,
@@ -3707,51 +3480,6 @@ mod tests {
         assert_eq!(u.active_slots, 11);
     }
 
-    /// Pause-and-resume at a mid-run slot reproduces the straight run's
-    /// per-user results exactly.
-    #[test]
-    fn pause_resume_matches_straight_run() {
-        let mk = || {
-            small_engine(
-                2,
-                10_000.0,
-                400.0,
-                -80.0,
-                700.0,
-                150,
-                Box::new(DefaultMax::new()),
-            )
-        };
-        let straight = mk().run();
-        let paused = mk()
-            .run_core(
-                &mut NullRecorder,
-                &NoFaults,
-                None,
-                CkptMode::PauseAt { slot: 17 },
-            )
-            .expect("pause run");
-        let ck = match paused {
-            RunOutcome::Paused(ck) => ck,
-            RunOutcome::Done(_) => unreachable!("must pause before the early exit"),
-        };
-        assert_eq!(ck.slot(), 17);
-        // Round-trip through JSON like the sidecar file would.
-        let ck = EngineCheckpoint::from_json(&ck.to_json().expect("serialize")).expect("parse");
-        let resumed = mk()
-            .resume_with(&mut NullRecorder, &NoFaults, &ck)
-            .expect("resume run");
-        assert_eq!(straight.slots_run, resumed.slots_run);
-        for (a, b) in straight.per_user.iter().zip(&resumed.per_user) {
-            assert_eq!(a.rebuffer_s, b.rebuffer_s);
-            assert_eq!(a.fetched_kb, b.fetched_kb);
-            assert_eq!(a.energy.total().value(), b.energy.total().value());
-            assert_eq!(a.idle_slots, b.idle_slots);
-        }
-        assert_eq!(straight.power_series_j, resumed.power_series_j);
-        assert_eq!(straight.fairness_series, resumed.fairness_series);
-    }
-
     /// A pass-through collector's rows are in place from the build, but
     /// nothing has been reported before the first slot: a sidecar taken
     /// then carries no rows and the report cache as built, a driver
@@ -3771,7 +3499,7 @@ mod tests {
             )
         };
         let mut drv = engine()
-            .into_driver(&mut NullRecorder, NoFaults, None)
+            .build_driver(&mut NullRecorder, None, 1)
             .expect("fresh driver");
         drv.defer_all_arrivals().expect("before the first slot");
         drv.set_arrival(1, 0).expect("schedule");
@@ -3780,7 +3508,7 @@ mod tests {
         assert!(before.collector.cached_signal.iter().all(Option::is_none));
 
         let resumed = engine()
-            .into_driver(&mut NullRecorder, NoFaults, Some(&before))
+            .build_driver(&mut NullRecorder, Some(&before), 1)
             .expect("resumed driver");
         let again = resumed.checkpoint(&NullRecorder).expect("checkpoint");
         assert_eq!(
@@ -3804,44 +3532,6 @@ mod tests {
             cached[..],
             [Some(Dbm(0.0)), Some(Dbm(-80.0)), Some(Dbm(0.0))]
         );
-    }
-
-    /// A rejected checkpoint (wrong user count) surfaces a typed restore
-    /// error instead of panicking.
-    #[test]
-    fn resume_rejects_wrong_shape() {
-        let paused = small_engine(
-            2,
-            3_000.0,
-            400.0,
-            -80.0,
-            700.0,
-            120,
-            Box::new(DefaultMax::new()),
-        )
-        .run_core(
-            &mut NullRecorder,
-            &NoFaults,
-            None,
-            CkptMode::PauseAt { slot: 5 },
-        )
-        .expect("pause run");
-        let ck = match paused {
-            RunOutcome::Paused(ck) => ck,
-            RunOutcome::Done(_) => unreachable!("must pause"),
-        };
-        let err = small_engine(
-            3,
-            3_000.0,
-            400.0,
-            -80.0,
-            700.0,
-            120,
-            Box::new(DefaultMax::new()),
-        )
-        .resume_with(&mut NullRecorder, &NoFaults, &ck)
-        .expect_err("shape mismatch must be rejected");
-        assert!(err.to_string().contains("restore"));
     }
 
     /// The sharded runner reproduces the serial loop bit-for-bit — results
@@ -3873,12 +3563,14 @@ mod tests {
             )
         };
         let mut rec = TraceRecorder::new().with_live_counts();
-        let serial = scrub(mk().run_with(&mut rec));
+        let drv = mk().build_driver(&mut rec, None, 1).expect("fresh driver");
+        let serial = scrub(drv.run(&mut rec).0);
         let serial_trace = rec.into_trace("DefaultMax").to_jsonl();
         let pool = crate::pool::WorkerPool::new(3);
         for shards in [1usize, 2, 4] {
             let mut rec = TraceRecorder::new().with_live_counts();
-            let sharded = scrub(mk().run_sharded_on(&pool, shards, &mut rec));
+            let drv = mk().build_driver(&mut rec, None, shards);
+            let sharded = scrub(drv.expect("fresh driver").run_on(&pool, &mut rec).0);
             assert_eq!(serial, sharded, "width {shards}");
             assert_eq!(
                 serial_trace,

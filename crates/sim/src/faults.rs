@@ -13,11 +13,11 @@
 //!   the session stops fetching) and late arrivals (an extra delay on the
 //!   scenario's arrival process).
 //!
-//! The engine consumes the plan through the [`FaultHook`] trait. Like the
-//! telemetry layer's `NullRecorder`, the [`NoFaults`] implementation makes
-//! every hook a constant no-op, so the fault-free hot path monomorphizes
-//! to exactly the un-instrumented loop (pinned by the `hotpath` bench and
-//! the golden traces, which must not change when faults are absent).
+//! The plan is the engine's one fault type. A scenario that declares no
+//! faults carries no plan, and each hook point below checks whether
+//! there is one: a fault-free run pays that branch, not a second copy of
+//! the slot (the golden traces, which must not change when faults are
+//! absent, pin the bytes; DESIGN.md §10 the cost).
 //!
 //! **Determinism contract:** faults perturb *state*, never RNG streams.
 //! Signal faults are applied to the sampled value after the per-user RNG
@@ -221,8 +221,8 @@ struct CapWindow {
     factor: f64,
 }
 
-/// A validated, compiled fault schedule. Implements [`FaultHook`]; build
-/// one via [`FaultSpec::compile`] or [`FaultPlan::new`].
+/// A validated, compiled fault schedule, queried by the engine at every
+/// hook point; build one via [`FaultSpec::compile`] or [`FaultPlan::new`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
@@ -436,159 +436,11 @@ impl FaultPlan {
         }
         f
     }
-}
-
-/// The engine's fault interface. Every method has a no-op default so
-/// [`NoFaults`] monomorphizes the fault-free path to exactly the plain
-/// loop; [`FaultPlan`] overrides them with schedule lookups.
-pub trait FaultHook {
-    /// Constant per implementation; `false` lets the compiler fold every
-    /// fault branch away.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
 
     /// Perturb user `user`'s sampled RSSI at `slot`. Called *after* the
     /// signal model's RNG has advanced, so fault-free and faulted runs
     /// share random streams.
-    #[inline]
-    fn adjust_signal(&self, _slot: u64, _user: usize, sig: Dbm) -> Dbm {
-        sig
-    }
-
-    /// Scale the BS slot budget (Eq. (2), units) at `slot`.
-    #[inline]
-    fn adjust_cap_units(&self, _slot: u64, cap_units: u64) -> u64 {
-        cap_units
-    }
-
-    /// Scale cell `cell`'s serving capacity (KB/s) at `slot` (multicell).
-    #[inline]
-    fn scale_cell_cap(&self, _slot: u64, _cell: usize, cap_kbps: f64) -> f64 {
-        cap_kbps
-    }
-
-    /// True once user `user` has departed (at or after their departure
-    /// slot). The engine's churn handling is idempotent, so this may keep
-    /// returning true after the departure has been applied.
-    #[inline]
-    fn departed(&self, _slot: u64, _user: usize) -> bool {
-        false
-    }
-
-    /// Telemetry notes for fault activity at `slot` (window boundaries
-    /// and departures). Byte-deterministic; one string per transition.
-    fn notes_into(&self, _slot: u64, _out: &mut Vec<String>) {}
-}
-
-/// The fault-free hook: every method is the inlined default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultHook for NoFaults {}
-
-/// A reference to a hook is itself a hook, so by-value consumers
-/// ([`Engine::into_driver`](crate::engine::Engine::into_driver)) accept
-/// borrowed plans without cloning.
-impl<F: FaultHook + ?Sized> FaultHook for &F {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    #[inline]
-    fn adjust_signal(&self, slot: u64, user: usize, sig: Dbm) -> Dbm {
-        (**self).adjust_signal(slot, user, sig)
-    }
-
-    #[inline]
-    fn adjust_cap_units(&self, slot: u64, cap_units: u64) -> u64 {
-        (**self).adjust_cap_units(slot, cap_units)
-    }
-
-    #[inline]
-    fn scale_cell_cap(&self, slot: u64, cell: usize, cap_kbps: f64) -> f64 {
-        (**self).scale_cell_cap(slot, cell, cap_kbps)
-    }
-
-    #[inline]
-    fn departed(&self, slot: u64, user: usize) -> bool {
-        (**self).departed(slot, user)
-    }
-
-    fn notes_into(&self, slot: u64, out: &mut Vec<String>) {
-        (**self).notes_into(slot, out)
-    }
-}
-
-/// Runtime-selected hook for front-ends that decide between a fault-free
-/// and a faulted run at startup (the live gateway service): `Off` keeps
-/// `enabled() == false`, so the block radio tables and the fault-free
-/// fast path stay engaged exactly as with [`NoFaults`].
-#[derive(Debug, Clone)]
-pub enum DynFaults {
-    /// No faults; behaves exactly like [`NoFaults`].
-    Off,
-    /// A compiled fault plan.
-    Plan(FaultPlan),
-}
-
-impl FaultHook for DynFaults {
-    #[inline]
-    fn enabled(&self) -> bool {
-        match self {
-            DynFaults::Off => false,
-            DynFaults::Plan(p) => p.enabled(),
-        }
-    }
-
-    #[inline]
-    fn adjust_signal(&self, slot: u64, user: usize, sig: Dbm) -> Dbm {
-        match self {
-            DynFaults::Off => sig,
-            DynFaults::Plan(p) => p.adjust_signal(slot, user, sig),
-        }
-    }
-
-    #[inline]
-    fn adjust_cap_units(&self, slot: u64, cap_units: u64) -> u64 {
-        match self {
-            DynFaults::Off => cap_units,
-            DynFaults::Plan(p) => p.adjust_cap_units(slot, cap_units),
-        }
-    }
-
-    #[inline]
-    fn scale_cell_cap(&self, slot: u64, cell: usize, cap_kbps: f64) -> f64 {
-        match self {
-            DynFaults::Off => cap_kbps,
-            DynFaults::Plan(p) => p.scale_cell_cap(slot, cell, cap_kbps),
-        }
-    }
-
-    #[inline]
-    fn departed(&self, slot: u64, user: usize) -> bool {
-        match self {
-            DynFaults::Off => false,
-            DynFaults::Plan(p) => p.departed(slot, user),
-        }
-    }
-
-    fn notes_into(&self, slot: u64, out: &mut Vec<String>) {
-        if let DynFaults::Plan(p) = self {
-            p.notes_into(slot, out)
-        }
-    }
-}
-
-impl FaultHook for FaultPlan {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn adjust_signal(&self, slot: u64, user: usize, sig: Dbm) -> Dbm {
+    pub fn adjust_signal(&self, slot: u64, user: usize, sig: Dbm) -> Dbm {
         let mut out = sig;
         for w in &self.signal[user] {
             if (w.from..w.until).contains(&slot) {
@@ -601,7 +453,8 @@ impl FaultHook for FaultPlan {
         out
     }
 
-    fn adjust_cap_units(&self, slot: u64, cap_units: u64) -> u64 {
+    /// Scale the BS slot budget (Eq. (2), units) at `slot`.
+    pub fn adjust_cap_units(&self, slot: u64, cap_units: u64) -> u64 {
         let f = self.cap_factor(slot);
         if f >= 1.0 {
             cap_units
@@ -610,7 +463,8 @@ impl FaultHook for FaultPlan {
         }
     }
 
-    fn scale_cell_cap(&self, slot: u64, cell: usize, cap_kbps: f64) -> f64 {
+    /// Scale cell `cell`'s serving capacity (KB/s) at `slot` (multicell).
+    pub fn scale_cell_cap(&self, slot: u64, cell: usize, cap_kbps: f64) -> f64 {
         let mut f = self.cap_factor(slot);
         if let Some(windows) = self.cell.get(cell) {
             for w in windows {
@@ -622,11 +476,16 @@ impl FaultHook for FaultPlan {
         cap_kbps * f
     }
 
-    fn departed(&self, slot: u64, user: usize) -> bool {
+    /// True once user `user` has departed (at or after their departure
+    /// slot). The engine's churn handling is idempotent, so this may keep
+    /// returning true after the departure has been applied.
+    pub fn departed(&self, slot: u64, user: usize) -> bool {
         self.departure[user].is_some_and(|d| slot >= d)
     }
 
-    fn notes_into(&self, slot: u64, out: &mut Vec<String>) {
+    /// Telemetry notes for fault activity at `slot` (window boundaries
+    /// and departures). Byte-deterministic; one string per transition.
+    pub fn notes_into(&self, slot: u64, out: &mut Vec<String>) {
         for ev in &self.events {
             match *ev {
                 FaultEvent::DeepFade {
@@ -713,9 +572,8 @@ mod tests {
     }
 
     #[test]
-    fn no_faults_hook_is_identity() {
-        let h = NoFaults;
-        assert!(!h.enabled());
+    fn empty_plan_is_identity() {
+        let h = plan(Vec::new());
         assert_eq!(h.adjust_signal(5, 0, Dbm(-80.0)), Dbm(-80.0));
         assert_eq!(h.adjust_cap_units(5, 400), 400);
         assert_eq!(h.scale_cell_cap(5, 2, 1000.0), 1000.0);

@@ -4,15 +4,17 @@
 //!
 //! * [`engine`] — wires radio (signals, RRC, energy), media (sessions,
 //!   playback buffers) and gateway (receiver, collector, scheduler,
-//!   transmitter) into the per-slot loop of §III.
+//!   transmitter) into the per-slot loop of §III, stepped by a
+//!   [`SlotDriver`].
 //! * [`arrivals`] — open-system workload churn ([`ArrivalSpec`] →
 //!   [`ChurnPlan`]): Poisson arrivals with diurnal rate curves and
 //!   session-length truncation, compiled to per-user arrival/departure
 //!   slots before the run.
-//! * [`scenario`] — a serializable [`Scenario`] describing one experiment;
-//!   `Scenario::paper_default(n)` reproduces the paper's setup (10 000
-//!   slots of τ = 1 s, S = 20 MB/s, videos 250–500 MB at 300–600 KB/s,
-//!   sinusoidal RSSI, 3G RRC).
+//! * [`scenario`] — a serializable [`Scenario`] describing one experiment,
+//!   and the one way into the slot: every run method validates, builds
+//!   the engine and drives it; `Scenario::paper_default(n)` reproduces the
+//!   paper's setup (10 000 slots of τ = 1 s, S = 20 MB/s, videos 250–500
+//!   MB at 300–600 KB/s, sinusoidal RSSI, 3G RRC).
 //! * [`results`] — per-user and aggregate outcome records with the
 //!   normalizations the paper's figures use.
 //! * [`calibrate`] — measures the Default strategy's energy/rebuffering
@@ -30,8 +32,8 @@
 //!   into [`SimResult`].
 //! * [`faults`] — timed fault injection ([`FaultSpec`] → [`FaultPlan`]):
 //!   deep fades, link outages, capacity degradation, cell outages, and
-//!   user churn, threaded through every run path via the zero-cost
-//!   [`FaultHook`] trait.
+//!   user churn; the engine carries the compiled plan (none for a
+//!   fault-free scenario) on every run path.
 //! * [`error`] — typed errors ([`ScenarioError`], [`TraceError`],
 //!   [`CheckpointError`], umbrella [`SimError`]) replacing panics on
 //!   input-handling and I/O paths.
@@ -54,17 +56,17 @@ pub mod telemetry;
 pub use arrivals::{ArrivalSpec, ChurnPlan, Diurnal, SessionLength, NEVER_DEPARTS};
 pub use calibrate::{calibrate_default, fit_v_for_omega, fit_v_for_omega_with, Calibration};
 pub use chart::ascii_chart;
-pub use engine::{CkptMode, Engine, EngineCheckpoint, RunOutcome, SlotDriver, SlotWork};
+pub use engine::{EngineCheckpoint, RunOutcome, SlotDriver, SlotWork};
 pub use error::{
     atomic_write, sync_parent_dir, CheckpointError, ScenarioError, SimError, TraceError,
 };
-pub use faults::{DynFaults, FaultEvent, FaultHook, FaultPlan, FaultSpec, NoFaults};
+pub use faults::{FaultEvent, FaultPlan, FaultSpec};
 pub use multicell::{MultiCellResult, MultiCellScenario};
 pub use pool::{SpinBarrier, WorkerPool};
 pub use results::{SimResult, SimWarning, UserResult};
 pub use scenario::Scenario;
 pub use svg::svg_chart;
-pub use sweep::{parallel_map, run_scenarios, run_scenarios_traced, try_parallel_map};
+pub use sweep::{parallel_map, run_scenarios, try_parallel_map};
 pub use telemetry::{
     AbrSwitchRecord, AdmissionRecord, LatencyHistogram, NullRecorder, SlotRecord, SlotRecorder,
     SlotTrace, TelemetrySummary, TraceRecorder,

@@ -9,10 +9,11 @@
 //! There is no second simulator behind it. A multicell run is the
 //! engine's one slot pipeline with a lane per cell (see
 //! [`crate::engine`]): this file validates, builds the base scenario's
-//! engine with `n_cells` lanes, runs the ordinary driver — stepped for
-//! [`MultiCellScenario::run`], in lockstep for
-//! [`MultiCellScenario::run_parallel`] — and adds what the cells saw to
-//! the ordinary [`SimResult`].
+//! engine with `n_cells` lanes and the fault plan compiled against them,
+//! runs the ordinary driver — stepped for [`MultiCellScenario::run`], in
+//! lockstep for [`MultiCellScenario::run_parallel`] — and adds what the
+//! cells saw to the ordinary [`SimResult`]. It stays a type of its own
+//! only because the repository benchmark builds it.
 //!
 //! A multicell run reads the base scenario's radio, media, scheduler,
 //! capacity (per cell), fault, ABR and series settings. It ignores four:
@@ -23,9 +24,8 @@
 //! from ground truth rather than by DPI. Feasibility admission control
 //! is rejected, and the run cannot be checkpointed.
 
-use crate::engine::{CellStats, Engine};
+use crate::engine::{CellStats, SlotDriver};
 use crate::error::{ScenarioError, SimError};
-use crate::faults::{FaultHook, FaultPlan, NoFaults};
 use crate::pool::WorkerPool;
 use crate::results::SimResult;
 use crate::scenario::{ArrivalSpec, Scenario};
@@ -66,16 +66,15 @@ impl MultiCellScenario {
         self.run_with(&mut NullRecorder)
     }
 
-    /// The checks every run path starts with, then the engine — the base
-    /// scenario's, with the settings a multicell run ignores at their
-    /// pass-through defaults and a lane per cell — and the base
-    /// scenario's fault spec compiled against this many cells (`None`
-    /// keeps the fault-free run monomorphized on [`NoFaults`]).
-    /// Feasibility admission control reasons about one serving budget;
-    /// with independent per-cell budgets and roaming there is no single
-    /// capacity to bound against, so multicell runs only accept
-    /// `AlwaysAdmit` (a no-op) or no admission spec at all.
-    fn engine(&self) -> Result<(Engine, Option<FaultPlan>), ScenarioError> {
+    /// The checks every run path starts with, then a driver of `width`
+    /// shards over the engine — the base scenario's, with the settings a
+    /// multicell run ignores at their pass-through defaults, a lane per
+    /// cell, and the base scenario's fault spec compiled against this
+    /// many cells. Feasibility admission control reasons about one
+    /// serving budget; with independent per-cell budgets and roaming
+    /// there is no single capacity to bound against, so multicell runs
+    /// only accept `AlwaysAdmit` (a no-op) or no admission spec at all.
+    fn driver<R: SlotRecorder>(&self, rec: &mut R, width: usize) -> Result<SlotDriver, SimError> {
         let base = &self.base;
         base.validate()?;
         if base
@@ -83,16 +82,14 @@ impl MultiCellScenario {
             .as_ref()
             .is_some_and(|a| !a.is_always_admit())
         {
-            return Err(ScenarioError::new(
-                "admission",
-                "feasibility admission control is single-cell only",
-            ));
+            let only_one = "feasibility admission control is single-cell only";
+            return Err(ScenarioError::new("admission", only_one).into());
         }
         if self.n_cells == 0 {
-            return Err(ScenarioError::new("n_cells", "must be positive"));
+            return Err(ScenarioError::new("n_cells", "must be positive").into());
         }
         if !(0.0..=1.0).contains(&self.handover_prob) {
-            return Err(ScenarioError::new("handover_prob", "must be in [0, 1]"));
+            return Err(ScenarioError::new("handover_prob", "must be in [0, 1]").into());
         }
         let plan = match base.faults.is_none() {
             true => None,
@@ -108,9 +105,9 @@ impl MultiCellScenario {
             rate_via_dpi: false,
             ..base.clone()
         };
-        // Built without the plan: its late arrivals are the one fault
-        // the engine applies at construction.
-        let engine = cell.build_engine(false, None)?.into_cells(
+        // Built without the plan, which is installed after: its late
+        // arrivals are the one fault the build applies.
+        let mut engine = cell.build_engine(false, None)?.into_cells(
             self.n_cells,
             self.handover_prob,
             base.seed,
@@ -121,7 +118,8 @@ impl MultiCellScenario {
                 )
             },
         );
-        Ok((engine, plan))
+        engine.faults = plan;
+        engine.build_driver(rec, None, width)
     }
 
     /// The driver's result with what the cells saw. One cell keeps every
@@ -152,12 +150,10 @@ impl MultiCellScenario {
             0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
             n => n,
         };
-        let (engine, plan) = self.engine()?;
-        let (pool, rec) = (WorkerPool::global(), &mut NullRecorder);
-        Ok(self.fold(match &plan {
-            None => engine.run_cells_on(pool, width, rec, &NoFaults),
-            Some(plan) => engine.run_cells_on(pool, width, rec, plan),
-        }))
+        let pool = WorkerPool::global();
+        let width = width.clamp(1, pool.n_workers() + 1);
+        let drv = self.driver(&mut NullRecorder, width)?;
+        Ok(self.fold(drv.run_on(pool, &mut NullRecorder)))
     }
 
     /// [`MultiCellScenario::run`] with a [`SlotRecorder`] observing every
@@ -173,20 +169,7 @@ impl MultiCellScenario {
     /// fades and link outages follow the user across cells, and
     /// departures abandon the session.
     pub fn run_with<R: SlotRecorder>(&self, rec: &mut R) -> Result<MultiCellResult, SimError> {
-        fn stepped<R: SlotRecorder, F: FaultHook>(
-            engine: Engine,
-            rec: &mut R,
-            faults: &F,
-        ) -> Result<(SimResult, Option<CellStats>), SimError> {
-            let mut drv = engine.into_driver(rec, faults, None)?;
-            while drv.step(rec).is_some() {}
-            Ok(drv.finish_cells(rec))
-        }
-        let (engine, plan) = self.engine()?;
-        Ok(self.fold(match &plan {
-            None => stepped(engine, rec, &NoFaults)?,
-            Some(plan) => stepped(engine, rec, plan)?,
-        }))
+        Ok(self.fold(self.driver(rec, 1)?.run(rec)))
     }
 
     /// Run with a capturing [`TraceRecorder`] (one record per `every`
@@ -462,10 +445,9 @@ mod tests {
 
     #[test]
     fn a_multicell_run_refuses_a_checkpoint() {
-        let (engine, _) = multi(4, 2, 0.05).engine().expect("valid");
         let mut rec = TraceRecorder::new();
-        let mut drv = engine
-            .into_driver(&mut rec, NoFaults, None)
+        let mut drv = multi(4, 2, 0.05)
+            .driver(&mut rec, 1)
             .expect("a fresh driver");
         drv.step(&mut rec);
         assert!(matches!(

@@ -13,7 +13,7 @@
 //!
 //! * `parallel_map` passes a closure that drains an atomic-cursor item
 //!   queue (each participant loops popping chunks until empty);
-//! * the lockstep run — `Engine::run_sharded_on`, and through it
+//! * the lockstep run — `Scenario::run_sharded_on` and
 //!   `MultiCellScenario::run_parallel` — passes a closure that runs the
 //!   *whole slot loop*, one participant per shard of users (and range of
 //!   cells), meeting at a [`SpinBarrier`] after each phase — one

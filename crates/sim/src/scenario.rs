@@ -1,11 +1,19 @@
 //! Scenario configuration: a single serializable description of one
-//! experiment, and the factory that assembles an [`Engine`] from it.
+//! experiment, and the one way into the slot.
+//!
+//! A private builder validates the scenario, compiles its fault spec and
+//! assembles the engine, once; every public run method is that builder
+//! plus a cadence over the [`SlotDriver`] it returns — step to the end,
+//! pause at a slot, write a sidecar every k slots, or the lockstep at
+//! width > 1. The reference loop is the one run that does not step a
+//! driver: it is what the others are tested against.
 
-use crate::engine::{CkptMode, Engine, EngineCheckpoint, EngineConfig, RunOutcome};
+use crate::engine::{Engine, EngineCheckpoint, EngineConfig, RunOutcome, SlotDriver};
 use crate::error::{ScenarioError, SimError};
-use crate::faults::{DynFaults, FaultPlan, FaultSpec, NoFaults};
+use crate::faults::{FaultPlan, FaultSpec};
+use crate::pool::WorkerPool;
 use crate::results::SimResult;
-use crate::telemetry::{SlotRecorder, SlotTrace, TraceRecorder};
+use crate::telemetry::{NullRecorder, SlotRecorder, SlotTrace, TraceRecorder};
 use jmso_gateway::bs::CapacitySpec;
 use jmso_gateway::{
     format_segment_request, AdmissionSpec, CollectorSpec, DataReceiver, DpiClassifier,
@@ -124,140 +132,127 @@ impl Scenario {
         }
     }
 
-    /// Compile the scenario's fault spec against a single cell (`None`
-    /// when no faults are configured, so fault-free runs monomorphize on
-    /// [`NoFaults`] and stay bit-identical to the pre-fault engine).
-    fn compiled_faults(&self) -> Result<Option<FaultPlan>, ScenarioError> {
-        if self.faults.is_none() {
-            Ok(None)
-        } else {
-            Ok(Some(self.faults.compile(self.n_users, self.slots, 1)?))
-        }
+    /// The builder behind every door: validate, compile the fault spec
+    /// against the one cell (no plan when the scenario declares no
+    /// faults), and assemble the engine.
+    fn engine(&self, dyn_signals: bool) -> Result<Engine, SimError> {
+        self.validate()?;
+        let plan = match self.faults.is_none() {
+            true => None,
+            false => Some(self.faults.compile(self.n_users, self.slots, 1)?),
+        };
+        Ok(self.build_engine(dyn_signals, plan)?)
+    }
+
+    /// Build a resumable [`SlotDriver`] over this scenario: one slot per
+    /// `step` call, checkpoint capture between any two slots, live
+    /// schedule mutation. Every other door except the reference loop is
+    /// a cadence over this driver, so stepping it to completion and
+    /// calling `finish` yields a result (and recorder state)
+    /// byte-identical to the batch run.
+    ///
+    /// `resume` restores a checkpoint captured on this same scenario.
+    pub fn driver<R: SlotRecorder>(
+        &self,
+        rec: &mut R,
+        resume: Option<&EngineCheckpoint>,
+    ) -> Result<SlotDriver, SimError> {
+        self.engine(false)?.build_driver(rec, resume, 1)
     }
 
     /// Validate parameters, assemble the engine, run it.
     pub fn run(&self) -> Result<SimResult, SimError> {
-        self.validate()?;
-        match self.compiled_faults()? {
-            None => Ok(self.build_engine(false, None)?.run()),
-            Some(plan) => Ok(self
-                .build_engine(false, Some(&plan))?
-                .run_faulted_with(&mut crate::telemetry::NullRecorder, &plan)),
-        }
-    }
-
-    /// Validate parameters, then run the reference (non-active-set) slot
-    /// loop with the signals wrapped as trait objects
-    /// ([`SignalKind::Dyn`]) — the executable specification
-    /// [`Engine::run`] is differentially tested against. Must return a
-    /// result identical to [`Scenario::run`].
-    pub fn run_reference(&self) -> Result<SimResult, SimError> {
-        self.run_reference_with(&mut crate::telemetry::NullRecorder)
+        self.run_with(&mut NullRecorder)
     }
 
     /// [`Scenario::run`] with a caller-supplied [`SlotRecorder`].
     pub fn run_with<R: SlotRecorder>(&self, rec: &mut R) -> Result<SimResult, SimError> {
-        self.validate()?;
-        match self.compiled_faults()? {
-            None => Ok(self.build_engine(false, None)?.run_with(rec)),
-            Some(plan) => Ok(self
-                .build_engine(false, Some(&plan))?
-                .run_faulted_with(rec, &plan)),
-        }
+        Ok(self.driver(rec, None)?.run(rec).0)
+    }
+
+    /// Validate parameters, then run the reference (non-active-set) slot
+    /// loop with the signals wrapped as trait objects
+    /// ([`SignalKind::Dyn`]) — the executable specification every other
+    /// door is differentially tested against. Must return a result
+    /// identical to [`Scenario::run`].
+    pub fn run_reference(&self) -> Result<SimResult, SimError> {
+        self.run_reference_with(&mut NullRecorder)
     }
 
     /// [`Scenario::run_reference`] with a caller-supplied
-    /// [`SlotRecorder`].
+    /// [`SlotRecorder`]; its trace equals [`Scenario::run_with`]'s.
     pub fn run_reference_with<R: SlotRecorder>(&self, rec: &mut R) -> Result<SimResult, SimError> {
-        self.validate()?;
-        match self.compiled_faults()? {
-            None => Ok(self.build_engine(true, None)?.run_reference_with(rec)),
-            Some(plan) => Ok(self
-                .build_engine(true, Some(&plan))?
-                .run_reference_faulted_with(rec, &plan)),
+        Ok(self.engine(true)?.run_reference(rec))
+    }
+
+    /// The [`TraceRecorder`] this scenario's traces are written with: one
+    /// record per `every` slots, and for an open system the
+    /// live-population column (closed scenarios keep their exact pre-PR 7
+    /// trace bytes).
+    pub fn trace_recorder(&self, every: u64) -> TraceRecorder {
+        let rec = TraceRecorder::new().with_every(every);
+        match self.arrivals.is_open() {
+            true => rec.with_live_counts(),
+            false => rec,
         }
     }
 
-    /// Run with a capturing [`TraceRecorder`] emitting one record per
-    /// `every` slots (see the downsampling contract in
-    /// [`crate::telemetry`]); returns the result (telemetry summary
-    /// attached) together with the trace.
+    /// Run under [`Scenario::trace_recorder`] (see the downsampling
+    /// contract in [`crate::telemetry`]); returns the result (telemetry
+    /// summary attached) together with the trace.
     pub fn run_traced(&self, every: u64) -> Result<(SimResult, SlotTrace), SimError> {
-        let mut rec = TraceRecorder::new().with_every(every);
-        if self.arrivals.is_open() {
-            // Open-system runs carry the live-population column; closed
-            // scenarios keep their exact pre-PR 7 trace bytes.
-            rec = rec.with_live_counts();
-        }
+        let mut rec = self.trace_recorder(every);
         let result = self.run_with(&mut rec)?;
         let trace = rec.into_trace(&result.scheduler);
         Ok((result, trace))
     }
 
-    /// [`Scenario::run`] with each slot's per-shard phases spread over
-    /// the process-wide [`crate::WorkerPool`]: users are partitioned
-    /// into `shards` contiguous ranges, one per participant, meeting in
-    /// lockstep for the serial phases (the shared BS budget, the
-    /// recorder). Bit-identical to [`Scenario::run`] at every width
-    /// (see DESIGN.md §11); `shards` is clamped to the pool width, and
-    /// every scenario — faulted, noisy collector, admission-controlled —
-    /// runs the same phases at the width it asked for.
+    /// [`Scenario::run_sharded_on`] on the process-wide [`WorkerPool`]
+    /// without a recorder.
     pub fn run_sharded(&self, shards: usize) -> Result<SimResult, SimError> {
-        self.run_sharded_with(&mut crate::telemetry::NullRecorder, shards)
+        self.run_sharded_on(WorkerPool::global(), shards, &mut NullRecorder)
     }
 
-    /// [`Scenario::run_sharded`] with a caller-supplied [`SlotRecorder`].
-    pub fn run_sharded_with<R: SlotRecorder + Send>(
-        &self,
-        rec: &mut R,
-        shards: usize,
-    ) -> Result<SimResult, SimError> {
-        self.run_sharded_on(crate::pool::WorkerPool::global(), shards, rec)
-    }
-
-    /// [`Scenario::run_sharded_with`] on a caller-owned pool — the
-    /// property tests use this to exercise real shard widths even on
-    /// machines whose global pool would clamp them to 1.
+    /// [`Scenario::run_with`] with each slot's per-shard phases spread
+    /// over `pool`: users are partitioned into `shards` contiguous
+    /// ranges, one per participant, meeting in lockstep for the serial
+    /// phases (the shared BS budget, the recorder). Bit-identical to
+    /// [`Scenario::run_with`] at every width (see DESIGN.md §11);
+    /// `shards` is clamped to the pool width, and every scenario —
+    /// faulted, noisy collector, admission-controlled — runs the same
+    /// phases at the width it asked for. The property tests pass their
+    /// own pool to exercise real widths even on machines whose global
+    /// pool would clamp them to 1.
     pub fn run_sharded_on<R: SlotRecorder + Send>(
         &self,
-        pool: &crate::pool::WorkerPool,
+        pool: &WorkerPool,
         shards: usize,
         rec: &mut R,
     ) -> Result<SimResult, SimError> {
-        self.validate()?;
-        match self.compiled_faults()? {
-            None => Ok(self
-                .build_engine(false, None)?
-                .run_sharded_on(pool, shards, rec)),
-            Some(plan) => Ok(self
-                .build_engine(false, Some(&plan))?
-                .run_cells_on(pool, shards, rec, &plan)
-                .0),
-        }
+        let width = shards.clamp(1, pool.n_workers() + 1);
+        let drv = self.engine(false)?.build_driver(rec, None, width)?;
+        Ok(drv.run_on(pool, rec).0)
     }
 
     /// Run, atomically (re)writing a resumable [`EngineCheckpoint`]
-    /// sidecar to `path` every `every` slots.
+    /// sidecar to `path` every `every` slots (0 disables). A checkpoint
+    /// is captured at the *top* of a slot, before any of its state
+    /// changes.
     pub fn run_checkpointed_with<R: SlotRecorder>(
         &self,
         rec: &mut R,
         every: u64,
         path: &Path,
     ) -> Result<SimResult, SimError> {
-        self.validate()?;
-        let mode = CkptMode::EveryToFile { every, path };
-        let outcome = match self.compiled_faults()? {
-            None => self
-                .build_engine(false, None)?
-                .run_core(rec, &NoFaults, None, mode)?,
-            Some(plan) => self
-                .build_engine(false, Some(&plan))?
-                .run_core(rec, &plan, None, mode)?,
-        };
-        match outcome {
-            RunOutcome::Done(r) => Ok(r),
-            RunOutcome::Paused(_) => unreachable!("EveryToFile never pauses"),
+        let mut drv = self.driver(rec, None)?;
+        while !drv.is_finished() {
+            let slot = drv.next_slot();
+            if every > 0 && slot > 0 && slot.is_multiple_of(every) {
+                drv.checkpoint(rec)?.write_file(path)?;
+            }
+            drv.step(rec);
         }
+        Ok(drv.finish(rec))
     }
 
     /// Run up to the top of `slot` and return the captured checkpoint
@@ -267,46 +262,14 @@ impl Scenario {
         rec: &mut R,
         slot: u64,
     ) -> Result<RunOutcome, SimError> {
-        self.validate()?;
-        let mode = CkptMode::PauseAt { slot };
-        match self.compiled_faults()? {
-            None => self
-                .build_engine(false, None)?
-                .run_core(rec, &NoFaults, None, mode),
-            Some(plan) => self
-                .build_engine(false, Some(&plan))?
-                .run_core(rec, &plan, None, mode),
+        let mut drv = self.driver(rec, None)?;
+        while !drv.is_finished() {
+            if drv.next_slot() == slot {
+                return Ok(RunOutcome::Paused(Box::new(drv.checkpoint(rec)?)));
+            }
+            drv.step(rec);
         }
-    }
-
-    /// Build a resumable [`SlotDriver`](crate::engine::SlotDriver) over
-    /// this scenario: one slot per `step` call, checkpoint capture
-    /// between any two slots, live schedule mutation — the live-service
-    /// stepping form of [`Scenario::run_with`]. Stepping the driver to
-    /// completion and calling `finish` yields a result (and recorder
-    /// state) byte-identical to the batch run, because the batch loop
-    /// itself is a cadence loop over this same driver.
-    ///
-    /// `resume` restores a checkpoint captured on this same scenario.
-    /// Fault specs compile into a [`DynFaults`] hook; fault-free
-    /// scenarios get the `Off` variant, which keeps the fault-free fast
-    /// path (block radio tables) engaged.
-    pub fn driver<R: SlotRecorder>(
-        &self,
-        rec: &mut R,
-        resume: Option<&EngineCheckpoint>,
-    ) -> Result<crate::engine::SlotDriver<DynFaults>, SimError> {
-        self.validate()?;
-        match self.compiled_faults()? {
-            None => self
-                .build_engine(false, None)?
-                .into_driver(rec, DynFaults::Off, resume),
-            Some(plan) => self.build_engine(false, Some(&plan))?.into_driver(
-                rec,
-                DynFaults::Plan(plan),
-                resume,
-            ),
-        }
+        Ok(RunOutcome::Done(drv.finish(rec)))
     }
 
     /// Resume a run from a checkpoint captured on this same scenario
@@ -316,15 +279,7 @@ impl Scenario {
         rec: &mut R,
         ckpt: &EngineCheckpoint,
     ) -> Result<SimResult, SimError> {
-        self.validate()?;
-        match self.compiled_faults()? {
-            None => self
-                .build_engine(false, None)?
-                .resume_with(rec, &NoFaults, ckpt),
-            Some(plan) => self
-                .build_engine(false, Some(&plan))?
-                .resume_with(rec, &plan, ckpt),
-        }
+        Ok(self.driver(rec, Some(ckpt))?.run(rec).0)
     }
 
     /// Parameter sanity checks with actionable, field-named messages.
@@ -343,17 +298,26 @@ impl Scenario {
         if self.delta_kb <= 0.0 || self.delta_kb.is_nan() {
             return Err(ScenarioError::new("delta_kb", "must be positive"));
         }
-        if self.workload.rate_range_kbps.0 <= 0.0 {
-            return Err(ScenarioError::new(
-                "workload.rate_range_kbps",
-                "required data rates must be positive",
-            ));
+        let ranges = [
+            ("workload.rate_range_kbps", self.workload.rate_range_kbps),
+            ("workload.size_range_kb", self.workload.size_range_kb),
+        ];
+        for (field, (lo, hi)) in ranges {
+            // Written so that NaN fails it too.
+            if !(lo > 0.0 && lo <= hi && hi.is_finite()) {
+                return Err(ScenarioError::new(
+                    field,
+                    format!("must be finite with 0 < lo <= hi, got ({lo}, {hi})"),
+                ));
+            }
         }
-        if self.workload.size_range_kb.0 <= 0.0 {
-            return Err(ScenarioError::new(
-                "workload.size_range_kb",
-                "video sizes must be positive",
-            ));
+        if let Some(levels) = &self.workload.vbr_levels {
+            if levels.is_empty() || !levels.iter().all(|l| *l > 0.0 && l.is_finite()) {
+                return Err(ScenarioError::new(
+                    "workload.vbr_levels",
+                    "must be non-empty, every level finite and > 0",
+                ));
+            }
         }
         self.arrivals.validate(self.n_users, "arrivals")?;
         if let Some(abr) = &self.abr {
@@ -387,10 +351,11 @@ impl Scenario {
         Ok(())
     }
 
+    /// Assemble the (validated) scenario's engine carrying `faults`.
     pub(crate) fn build_engine(
         &self,
         dyn_signals: bool,
-        faults: Option<&FaultPlan>,
+        faults: Option<FaultPlan>,
     ) -> Result<Engine, ScenarioError> {
         let sessions = generate_sessions(&self.workload, self.n_users, self.seed);
         // `dyn_signals` routes signal sampling through boxed trait objects
@@ -435,7 +400,7 @@ impl Scenario {
             None
         };
         let mut churn = self.arrivals.compile(self.n_users, self.seed);
-        if let Some(plan) = faults {
+        if let Some(plan) = &faults {
             // Late-arrival churn: push the affected users' session starts
             // back by the declared delay. Fault events stay perturbations
             // layered on top of the workload plan.
@@ -469,6 +434,7 @@ impl Scenario {
         if let Some(adm) = &self.admission {
             engine.set_admission(adm);
         }
+        engine.faults = faults;
         Ok(engine)
     }
 }
@@ -557,6 +523,72 @@ mod tests {
         let mut s = quick(2);
         s.workload.size_range_kb = (-5.0, 10.0);
         assert!(run_err(&s).contains("size_range_kb"));
+    }
+
+    /// Three workloads that used to get past validation and panic the
+    /// build (or, reversed in a release build, quietly give everyone the
+    /// lower bound) are typed errors naming the field.
+    #[test]
+    fn empty_vbr_levels_name_the_field() {
+        let mut s = quick(2);
+        s.workload.vbr_levels = Some(Vec::new());
+        assert!(run_err(&s).contains("workload.vbr_levels"));
+    }
+
+    #[test]
+    fn nan_lower_bound_names_the_field() {
+        let mut s = quick(2);
+        s.workload.rate_range_kbps = (f64::NAN, 600.0);
+        assert!(run_err(&s).contains("workload.rate_range_kbps"));
+    }
+
+    #[test]
+    fn reversed_range_names_the_field() {
+        let mut s = quick(2);
+        s.workload.size_range_kb = (1_500.0, 500.0);
+        assert!(run_err(&s).contains("workload.size_range_kb"));
+        // Equal bounds stay valid.
+        s.workload.size_range_kb = (800.0, 800.0);
+        s.run().expect("a point range runs");
+    }
+
+    /// A session big enough to be mid-run at slot 17 in a tight cell.
+    fn long(n: usize) -> Scenario {
+        let mut s = quick(n);
+        s.capacity = CapacitySpec::Constant { kbps: 700.0 };
+        s.workload.size_range_kb = (10_000.0, 12_000.0);
+        s.record_series = true;
+        s
+    }
+
+    /// Pause-and-resume at a mid-run slot, through the sidecar's JSON
+    /// form, reproduces the straight run exactly.
+    #[test]
+    fn pause_resume_matches_straight_run() {
+        let s = long(2);
+        let straight = s.run().expect("straight run");
+        let ck = match s.run_until(&mut NullRecorder, 17).expect("pause run") {
+            RunOutcome::Paused(ck) => ck,
+            RunOutcome::Done(_) => unreachable!("must pause before the early exit"),
+        };
+        assert_eq!(ck.slot(), 17);
+        let ck = EngineCheckpoint::from_json(&ck.to_json().expect("serialize")).expect("parse");
+        let resumed = s.resume_from(&mut NullRecorder, &ck).expect("resume run");
+        assert_eq!(straight, resumed);
+    }
+
+    /// A rejected checkpoint (wrong user count) surfaces a typed restore
+    /// error instead of panicking.
+    #[test]
+    fn resume_rejects_wrong_shape() {
+        let ck = match long(2).run_until(&mut NullRecorder, 5).expect("pause run") {
+            RunOutcome::Paused(ck) => ck,
+            RunOutcome::Done(_) => unreachable!("must pause"),
+        };
+        let err = long(3)
+            .resume_from(&mut NullRecorder, &ck)
+            .expect_err("shape mismatch must be rejected");
+        assert!(err.to_string().contains("restore"));
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::error::SimError;
 use crate::pool::WorkerPool;
 use crate::results::SimResult;
 use crate::scenario::Scenario;
-use crate::telemetry::SlotTrace;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -157,22 +156,6 @@ pub fn run_scenarios(scenarios: &[Scenario], threads: usize) -> Result<Vec<SimRe
     try_parallel_map(scenarios, threads, |s| s.run())
 }
 
-/// [`run_scenarios`] with per-slot tracing: every cell runs under its own
-/// [`crate::telemetry::TraceRecorder`] downsampled to one record per
-/// `every` slots. Results and traces align with the input order, so a
-/// sweep's traces can be diffed cell-for-cell across code versions.
-pub fn run_scenarios_traced(
-    scenarios: &[Scenario],
-    threads: usize,
-    every: u64,
-) -> Result<Vec<(SimResult, SlotTrace)>, SimError> {
-    for s in scenarios {
-        s.validate()?;
-        s.faults.compile(s.n_users, s.slots, 1)?;
-    }
-    try_parallel_map(scenarios, threads, |s| s.run_traced(every))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,23 +267,6 @@ mod tests {
         let par = run_scenarios(&grid, 4).unwrap();
         let seq: Vec<_> = grid.iter().map(|s| s.run().unwrap()).collect();
         assert_eq!(par, seq);
-    }
-
-    /// Traced sweeps return aligned (result, trace) pairs whose traces
-    /// match a sequential traced run bit for bit, and whose results match
-    /// the untraced sweep (tracing must not perturb the simulation).
-    #[test]
-    fn traced_sweep_matches_sequential() {
-        let grid: Vec<Scenario> = (0..4).map(|i| quick(2, i as u64)).collect();
-        let traced = run_scenarios_traced(&grid, 4, 10).unwrap();
-        let plain = run_scenarios(&grid, 4).unwrap();
-        for ((result, trace), (scenario, untraced)) in traced.iter().zip(grid.iter().zip(&plain)) {
-            let (seq_result, seq_trace) = scenario.run_traced(10).unwrap();
-            assert_eq!(trace, &seq_trace);
-            assert_eq!(result.per_user, seq_result.per_user);
-            assert_eq!(result.per_user, untraced.per_user);
-            assert!(result.telemetry.is_some() && untraced.telemetry.is_none());
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Two implementations are provided:
 //!
 //! * [`NullRecorder`] — every hook is an empty default, `enabled()` is a
-//!   compile-time `false`. The engine's `run_with` is generic over the
+//!   compile-time `false`. Every run path is generic over the
 //!   recorder, so the `NullRecorder` instantiation monomorphizes every
 //!   hook away and the hot path stays identical to the un-instrumented
 //!   loop (the `hotpath` bench pins this).
@@ -163,7 +163,7 @@ pub trait SlotRecorder {
 }
 
 /// The no-op recorder: every hook is an empty inlined default, so
-/// `Engine::run_with::<NullRecorder>` compiles to the un-instrumented
+/// `Scenario::run_with::<NullRecorder>` compiles to the un-instrumented
 /// slot loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
@@ -370,7 +370,7 @@ impl SlotTrace {
 /// Fixed-bin log₂ latency histogram (ns). Bin `k` holds samples in
 /// `[2^(k−1), 2^k)`; 64 bins cover the whole `u64` range, so recording
 /// never reallocates or saturates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     counts: [u64; 64],
     n: u64,
@@ -478,83 +478,14 @@ pub struct TelemetrySummary {
     pub cum_rebuffer_s: Vec<f64>,
 }
 
-/// Serde mirror of [`LatencyHistogram`]: the vendored serde has no
-/// fixed-size-array impls, so the 64 bins travel as a `Vec`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LatencyHistogramState {
-    counts: Vec<u64>,
-    n: u64,
-    max_ns: u64,
-}
-
-impl From<&LatencyHistogram> for LatencyHistogramState {
-    fn from(h: &LatencyHistogram) -> Self {
-        Self {
-            counts: h.counts.to_vec(),
-            n: h.n,
-            max_ns: h.max_ns,
-        }
-    }
-}
-
-impl LatencyHistogramState {
-    fn restore(&self) -> Result<LatencyHistogram, String> {
-        let counts: [u64; 64] =
-            self.counts.as_slice().try_into().map_err(|_| {
-                format!("latency histogram needs 64 bins, got {}", self.counts.len())
-            })?;
-        Ok(LatencyHistogram {
-            counts,
-            n: self.n,
-            max_ns: self.max_ns,
-        })
-    }
-}
-
-/// Serde mirror of [`TraceRecorder`] for checkpoint export (the dwell
-/// array travels as a tuple for the same vendored-serde reason).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TraceRecorderState {
-    every: u64,
-    n_users: usize,
-    tau: f64,
-    slots_seen: u64,
-    cur_slot: u64,
-    cur_cap: u64,
-    cur_alloc: Vec<u64>,
-    cur_q: Vec<f64>,
-    win_e: Vec<f64>,
-    win_reb: Vec<f64>,
-    win_rrc: Vec<RrcTransition>,
-    win_deg: Vec<DegradationEvent>,
-    win_faults: Vec<String>,
-    #[serde(default)]
-    win_abr: Vec<AbrSwitchRecord>,
-    #[serde(default)]
-    win_adm: Vec<AdmissionRecord>,
-    win_slots: u64,
-    #[serde(default)]
-    track_live: bool,
-    #[serde(default)]
-    cur_live: u64,
-    prev_reb: Vec<f64>,
-    cur_state: Vec<RrcState>,
-    dwell_s: (f64, f64, f64),
-    rrc_transitions: u64,
-    total_e_mj: f64,
-    total_reb_s: f64,
-    cum_e: Vec<f64>,
-    cum_reb: Vec<f64>,
-    hist: LatencyHistogramState,
-    records: Vec<SlotRecord>,
-}
-
 /// The capturing recorder.
 ///
 /// Reusable across runs: `begin_run` fully resets per-run state, so
 /// interleaving runs through one recorder cannot bleed state between them
-/// (regression-tested in `engine_state_bleed.rs`).
-#[derive(Debug, Clone)]
+/// (regression-tested in `engine_state_bleed.rs`). Its serde form is its
+/// checkpoint state: the sidecar's `recorder` string. The defaulted
+/// fields postdate the oldest sidecars this build still reads.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceRecorder {
     every: u64,
     n_users: usize,
@@ -571,11 +502,15 @@ pub struct TraceRecorder {
     win_rrc: Vec<RrcTransition>,
     win_deg: Vec<DegradationEvent>,
     win_faults: Vec<String>,
+    #[serde(default)]
     win_abr: Vec<AbrSwitchRecord>,
+    #[serde(default)]
     win_adm: Vec<AdmissionRecord>,
     win_slots: u64,
     // Live-population sampling (off unless `with_live_counts`).
+    #[serde(default)]
     track_live: bool,
+    #[serde(default)]
     cur_live: u64,
     // Per-user caches.
     prev_reb: Vec<f64>,
@@ -836,70 +771,11 @@ impl SlotRecorder for TraceRecorder {
     /// Full state export: a resumed run continues the trace (records,
     /// window accumulators, run aggregates) exactly where it left off.
     fn export_state(&self) -> Option<String> {
-        let state = TraceRecorderState {
-            every: self.every,
-            n_users: self.n_users,
-            tau: self.tau,
-            slots_seen: self.slots_seen,
-            cur_slot: self.cur_slot,
-            cur_cap: self.cur_cap,
-            cur_alloc: self.cur_alloc.clone(),
-            cur_q: self.cur_q.clone(),
-            win_e: self.win_e.clone(),
-            win_reb: self.win_reb.clone(),
-            win_rrc: self.win_rrc.clone(),
-            win_deg: self.win_deg.clone(),
-            win_faults: self.win_faults.clone(),
-            win_abr: self.win_abr.clone(),
-            win_adm: self.win_adm.clone(),
-            win_slots: self.win_slots,
-            track_live: self.track_live,
-            cur_live: self.cur_live,
-            prev_reb: self.prev_reb.clone(),
-            cur_state: self.cur_state.clone(),
-            dwell_s: (self.dwell_s[0], self.dwell_s[1], self.dwell_s[2]),
-            rrc_transitions: self.rrc_transitions,
-            total_e_mj: self.total_e_mj,
-            total_reb_s: self.total_reb_s,
-            cum_e: self.cum_e.clone(),
-            cum_reb: self.cum_reb.clone(),
-            hist: (&self.hist).into(),
-            records: self.records.clone(),
-        };
-        serde_json::to_string(&state).ok()
+        serde_json::to_string(self).ok()
     }
 
     fn import_state(&mut self, state: &str) -> Result<(), String> {
-        let s: TraceRecorderState =
-            serde_json::from_str(state).map_err(|e| format!("bad recorder state: {e:?}"))?;
-        self.hist = s.hist.restore()?;
-        self.every = s.every;
-        self.n_users = s.n_users;
-        self.tau = s.tau;
-        self.slots_seen = s.slots_seen;
-        self.cur_slot = s.cur_slot;
-        self.cur_cap = s.cur_cap;
-        self.cur_alloc = s.cur_alloc;
-        self.cur_q = s.cur_q;
-        self.win_e = s.win_e;
-        self.win_reb = s.win_reb;
-        self.win_rrc = s.win_rrc;
-        self.win_deg = s.win_deg;
-        self.win_faults = s.win_faults;
-        self.win_abr = s.win_abr;
-        self.win_adm = s.win_adm;
-        self.win_slots = s.win_slots;
-        self.track_live = s.track_live;
-        self.cur_live = s.cur_live;
-        self.prev_reb = s.prev_reb;
-        self.cur_state = s.cur_state;
-        self.dwell_s = [s.dwell_s.0, s.dwell_s.1, s.dwell_s.2];
-        self.rrc_transitions = s.rrc_transitions;
-        self.total_e_mj = s.total_e_mj;
-        self.total_reb_s = s.total_reb_s;
-        self.cum_e = s.cum_e;
-        self.cum_reb = s.cum_reb;
-        self.records = s.records;
+        *self = serde_json::from_str(state).map_err(|e| format!("bad recorder state: {e}"))?;
         Ok(())
     }
 

@@ -29,8 +29,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use jmso_sim::{
-    AdmissionDecision, AdmissionSpec, ArrivalSpec, CapacitySpec, EngineCheckpoint, RunOutcome,
-    Scenario, SchedulerSpec, SessionLength, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
+    AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
+    EngineCheckpoint, FaultEvent, FaultSpec, RunOutcome, Scenario, SchedulerSpec, SessionLength,
+    SimError, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -243,10 +244,83 @@ proptest! {
     }
 }
 
+/// Result and trace bytes of one door into the slot, run under the
+/// scenario's own recorder.
+fn through(
+    s: &Scenario,
+    door: impl FnOnce(&mut TraceRecorder) -> Result<SimResult, SimError>,
+) -> (SimResult, String) {
+    let mut rec = s.trace_recorder(1);
+    let r = door(&mut rec).expect("valid scenario runs");
+    let trace = rec.into_trace(&r.scheduler).to_jsonl();
+    (scrub(r), trace)
+}
+
+/// Every door that remains gives the same result and trace bytes as
+/// `run_with` — and `run`, which keeps no trace, the same result.
+fn every_door_agrees(s: &Scenario) {
+    let pool = WorkerPool::new(1);
+    let sidecar = std::env::temp_dir().join(format!(
+        "jmso-doors-{}-{}.json",
+        std::process::id(),
+        s.faults.is_none()
+    ));
+    let (base, base_trace) = through(s, |rec| s.run_with(rec));
+    // A pause, and sidecars at a third and two thirds of the run.
+    let (mid, third) = (base.slots_run / 2, base.slots_run / 3);
+    // Not vacuous: the run defers arrivals and switches rungs, and the
+    // plan, when there is one, shows.
+    assert!(base_trace.contains("\"defer\"") && base_trace.contains("\"abr\":["));
+    assert_eq!(base_trace.contains("deep_fade start"), !s.faults.is_none());
+    let doors = [
+        ("run_traced", {
+            let (r, trace) = s.run_traced(1).expect("valid scenario runs");
+            (scrub(r), trace.to_jsonl())
+        }),
+        ("width 1", through(s, |rec| s.run_sharded_on(&pool, 1, rec))),
+        ("width 2", through(s, |rec| s.run_sharded_on(&pool, 2, rec))),
+        ("run_until + resume_from", traced_resumed(s, mid)),
+        (
+            "run_checkpointed_with",
+            through(s, |rec| s.run_checkpointed_with(rec, third, &sidecar)),
+        ),
+        (
+            "resumed from its sidecar",
+            through(s, |rec| {
+                s.resume_from(rec, &EngineCheckpoint::read_file(&sidecar)?)
+            }),
+        ),
+        (
+            "driver",
+            through(s, |rec| {
+                let mut drv = s.driver(rec, None)?;
+                while drv.step(rec).is_some() {}
+                Ok(drv.finish(rec))
+            }),
+        ),
+        (
+            "run_reference_with",
+            through(s, |rec| s.run_reference_with(rec)),
+        ),
+    ];
+    let _ = std::fs::remove_file(&sidecar);
+    for (door, (r, trace)) in &doors {
+        assert_eq!(r, &base, "{door}");
+        assert_eq!(trace, &base_trace, "{door}");
+    }
+    let untraced = SimResult {
+        telemetry: None,
+        ..base
+    };
+    assert_eq!(s.run().expect("valid scenario runs"), untraced, "run");
+}
+
 /// A deterministic congested configuration exercising all three event
 /// points (admit, defer→admit, reject at the defer cap) must see the
 /// incremental, reference, and sharded loops agree — and actually defer
-/// at least one arrival, so the identity above is not vacuous.
+/// at least one arrival, so the identity above is not vacuous. With ABR
+/// and a declared fault plan, it and its fault-free twin give the same
+/// answer through every door into the slot.
 #[test]
 fn congested_cell_defers_and_all_loops_agree() {
     let mut s = Scenario::paper_default(8);
@@ -292,6 +366,35 @@ fn congested_cell_defers_and_all_loops_agree() {
     assert!(sharded.warnings.is_empty(), "{:?}", sharded.warnings);
     assert_eq!(hot, sharded);
     assert_eq!(hot_trace, sharded_trace);
+
+    // The longer-running cell of the tests below, the richest scenario.
+    let mut s = congested(30);
+    s.abr = Some(AbrSpec {
+        ladder: BitrateLadder {
+            multipliers: vec![0.5, 0.75, 1.0],
+        },
+        ..AbrSpec::single_rung()
+    });
+    let plan = FaultSpec::Declared {
+        events: vec![
+            FaultEvent::DeepFade {
+                user: 0,
+                from_slot: 2,
+                until_slot: 10,
+                depth_db: 12.0,
+            },
+            FaultEvent::CapDegradation {
+                from_slot: 4,
+                until_slot: 9,
+                factor: 0.5,
+            },
+            FaultEvent::Departure { user: 2, slot: 6 },
+        ],
+    };
+    for faults in [plan, FaultSpec::None] {
+        s.faults = faults;
+        every_door_agrees(&s);
+    }
 }
 
 /// A cell with room for two sessions at a time (slack is the only

@@ -145,6 +145,26 @@ fn cross_scenario_restore_is_typed_refusal() {
     }
 }
 
+/// A recorder state whose latency histogram lost a bin is refused by the
+/// recorder's restore — a typed error, not an index panic.
+#[test]
+fn short_latency_histogram_is_typed_refusal() {
+    let s = quick(4);
+    let json = make_checkpoint(&s, 10).to_json().expect("serialize");
+    let bins = r#"\"counts\":[0,"#;
+    assert!(json.contains(bins), "test assumes an empty first bin");
+    let ck = EngineCheckpoint::from_json(&json.replacen(bins, r#"\"counts\":["#, 1))
+        .expect("the sidecar itself still parses");
+    match s.resume_from(&mut TraceRecorder::new(), &ck) {
+        Err(SimError::Checkpoint(CheckpointError::Restore { component, reason })) => {
+            assert_eq!(component, "recorder");
+            assert!(reason.contains("64 elements, got 63"), "{reason}");
+        }
+        Err(e) => panic!("expected a Restore refusal, got {e:?}"),
+        Ok(_) => panic!("a 63-bin histogram must not restore"),
+    }
+}
+
 /// Round-trip sanity: the same sidecar that the corruption cases mangle
 /// is, untouched, perfectly readable — so the negative tests above fail
 /// for the right reason.

@@ -89,4 +89,8 @@ if [[ "${BENCH:-0}" == "1" ]]; then
     scripts/bench-regress.sh
 fi
 
+# For information, not a gate: the counts the ROADMAP re-anchors quote.
+echo "== line counts"
+scripts/loc.sh
+
 echo "All checks passed."
