@@ -44,10 +44,9 @@ impl RssiPowerModel {
         }
     }
 
-    /// The per-element map shared by the scalar and batch entry points.
-    /// The degenerate-throughput guard is a select rather than an early
-    /// return so the loop body stays branch-free (÷0 yields +inf, which
-    /// the select discards).
+    /// `P` of a throughput value. The degenerate-throughput guard is a
+    /// select rather than an early return (÷0 yields +inf, which the
+    /// select discards).
     #[inline(always)]
     fn kernel(&self, v: f64) -> f64 {
         let p = self.base + self.scale / v;
@@ -55,19 +54,6 @@ impl RssiPowerModel {
             f64::MAX / 1e12
         } else {
             p
-        }
-    }
-
-    /// Batch form of [`PowerModel::energy_per_kb`]: `out[i] = P(sigs[i])`
-    /// in mJ/KB, composing the throughput fit and the reciprocal power fit
-    /// in one auto-vectorizable pass over the engine's RSSI blocks.
-    ///
-    /// # Panics
-    /// If `sigs` and `out` differ in length.
-    pub fn power_per_kb_into(&self, sigs: &[Dbm], out: &mut [f64]) {
-        assert_eq!(sigs.len(), out.len(), "batch kernel slice length mismatch");
-        for (o, s) in out.iter_mut().zip(sigs) {
-            *o = self.kernel(self.throughput.kernel(s.value()));
         }
     }
 
@@ -157,23 +143,6 @@ mod tests {
             let p = m.full_rate_power_at(KbPerSec(v));
             let back = m.throughput_for_power(p);
             assert!((back.value() - v).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn batch_matches_scalar_bitwise() {
-        let m = RssiPowerModel::paper();
-        // Includes sub-floor signals so the degenerate select path is
-        // exercised against the scalar guard.
-        let sigs: Vec<Dbm> = (0..257).map(|i| Dbm(-140.0 + i as f64 * 0.41)).collect();
-        let mut out = vec![0.0; sigs.len()];
-        m.power_per_kb_into(&sigs, &mut out);
-        for (s, o) in sigs.iter().zip(&out) {
-            assert_eq!(
-                m.energy_per_kb(*s).to_bits(),
-                o.to_bits(),
-                "batch diverged at {s:?}"
-            );
         }
     }
 

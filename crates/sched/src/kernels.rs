@@ -3,8 +3,8 @@
 //! ROADMAP item 2's SIMD remainder: the sched dense passes that touch one
 //! or two SoA columns per user — RTMA's need/cap clamp and the Eq. (12)
 //! signal-threshold admission mask — get explicit batch entry points here,
-//! in the same shape as the radio crate's `throughput_into` /
-//! `power_per_kb_into` kernels. Each batch function is a branch-light
+//! in the same shape as the radio crate's `throughput_into` kernel.
+//! Each batch function is a branch-light
 //! tight loop over contiguous slices whose per-element core is a shared
 //! `#[inline(always)]` function also called by the scalar path, so batch
 //! and scalar are **bit-identical by construction** (pinned by the

@@ -76,7 +76,7 @@
 //! into an [`EngineCheckpoint`], from which a fresh driver resumes
 //! bit-identically (signal RNGs fast-forwarded by replaying the recorded
 //! sample counts). Open-system churn is a workload property: each user
-//! carries an arrival and a `departure_slot` from the compiled
+//! has an arrival and a departure slot from the compiled
 //! [`ChurnPlan`](crate::arrivals::ChurnPlan).
 //!
 //! `Engine::run_reference` is the executable specification: the plain
@@ -113,21 +113,86 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Slots sampled per [`SignalModel::sample_into`] block in the hot loop.
 const SIG_BLOCK_SLOTS: usize = 32;
 
-/// Per-user simulation state.
+/// [`UserSim::window`] of a user who has not entered a live list.
+const NO_WINDOW: u32 = u32::MAX;
+
+/// Per-user simulation state: the pool's row, built for every user id
+/// and written only for the users a run serves. What only a live
+/// session needs — the signal it sees, the 32-slot windows that signal
+/// is read from, the Eq. (3) memo — is in its shard's slab
+/// ([`Window`]), and the arrival and departure slots, which the
+/// admission tick and phase A read for users whose rows they do not
+/// otherwise touch, are dense columns ([`Columns::arrival`] and
+/// [`Columns::departure`]). A row nothing writes keeps the result the
+/// build folded it to ([`LoopState::per_user`]).
+///
+/// The row is 328 bytes, so a 100 000-user pool is 32.8 MB: under the
+/// 32 MiB ceiling of glibc's adaptive mmap threshold, so a process
+/// that runs one pool after another builds and releases it in heap
+/// pages it already holds rather than mapping and unmapping them.
+/// `pool_row_size` pins it.
 struct UserSim {
     signal: SignalKind,
     session: VideoSession,
     playback: ClientPlayback,
     rrc: RrcMachine,
     meter: EnergyMeter,
+    /// This user's place in its shard's [`ShardState::windows`], taken on
+    /// first entry into a live list and kept to the end of the run;
+    /// [`NO_WINDOW`] before.
+    window: u32,
+    active_slots: u64,
+    /// Rate the gateway believes (e.g. DPI-extracted manifest rate); when
+    /// set it overrides the instantaneous session rate in snapshots.
+    declared_rate_kbps: Option<f64>,
+    /// Signal-model samples drawn so far. Checkpoint restore fast-forwards
+    /// the per-user RNG by replaying exactly this many samples (the
+    /// block-sampling contract makes replay order irrelevant).
+    sig_samples: u64,
+}
+
+impl UserSim {
+    /// The one fold from a row to its [`UserResult`].
+    fn result(&self) -> UserResult {
+        UserResult {
+            rebuffer_s: self.playback.total_rebuffer_s(),
+            stall_slots: self.playback.stall_slots(),
+            startup_slots: self.playback.startup_slots(),
+            watched_s: self.playback.played_s(),
+            playback_complete: self.playback.playback_complete(),
+            fetched_kb: self.session.received_kb(),
+            energy: self.meter.breakdown(),
+            active_slots: self.active_slots,
+            tx_slots: self.meter.slots_transmitting(),
+            idle_slots: self.meter.slots_idle(),
+            rate_kbps: self.session.bitrate.mean_rate(),
+            video_kb: self.session.total_kb,
+        }
+    }
+}
+
+/// A live session's radio state, in its shard's slab from the user's
+/// first entry into a live list to the end of the run: the signal the
+/// user sees and the windows it is read from.
+struct Window {
+    /// The user it belongs to: a slab lists who ever went live.
+    user: usize,
+    /// This slot's RSSI: the window's sample, after any fault.
     cur_signal: Dbm,
-    /// Block-sampled RSSI for slots `b·B .. (b+1)·B`; refilled whenever
-    /// the slot index crosses a block boundary while the user is live.
-    sig_block: [Dbm; SIG_BLOCK_SLOTS],
-    /// Per-block Eq. (1) link caps derived from `sig_block` by the batch
-    /// throughput kernel at the refill boundary. Only maintained (and only
-    /// sound) on the fault-free pass-through path — see `Mode::tables`; not
-    /// checkpointed, recomputed from the restored `sig_block` on resume.
+    /// Signal at which `epk_per_kb` was computed. Seeded (and reset on
+    /// restore) to NaN, which compares unequal to everything, so the
+    /// first transmit recomputes; derived state, not checkpointed.
+    epk_sig: Dbm,
+    /// Memoized Eq. (3) per-KB transmission energy at `epk_sig`.
+    epk_per_kb: f64,
+    /// Block-sampled RSSI for the 32 slots from the latest refill, which
+    /// happens whenever a live user's slot offset from their arrival
+    /// crosses a block boundary.
+    sig: [Dbm; SIG_BLOCK_SLOTS],
+    /// Eq. (1) link caps derived from `sig` by the batch throughput
+    /// kernel at the refill. Only maintained (and only sound) on the
+    /// fault-free pass-through path — see `Mode::tables`; not
+    /// checkpointed, recomputed from the restored `sig` on resume.
     ///
     /// Transmission energy deliberately has no such table: the link cap is
     /// read every slot for every user (the table is a one-for-one batch of
@@ -137,27 +202,22 @@ struct UserSim {
     /// `epk_per_kb` memoize the scalar kernel one-deep at transmit time:
     /// strictly fewer evaluations than computing per transmit (the RSSI
     /// holds for up to [`SIG_BLOCK_SLOTS`] slots) and never a wasted one.
-    cap_block: [u64; SIG_BLOCK_SLOTS],
-    /// Signal at which `epk_per_kb` was computed. Seeded (and reset on
-    /// restore) to NaN, which compares unequal to everything, so the
-    /// first transmit recomputes; derived state, not checkpointed.
-    epk_sig: Dbm,
-    /// Memoized Eq. (3) per-KB transmission energy at `epk_sig`.
-    epk_per_kb: f64,
-    active_slots: u64,
-    /// Slot at which this user's session starts (0 = at the beginning).
-    arrival_slot: u64,
-    /// Slot at which this user abandons their session (`u64::MAX` = they
-    /// watch to completion). The open-system workload path — the
-    /// first-class form of the fault taxonomy's `departure` event.
-    departure_slot: u64,
-    /// Rate the gateway believes (e.g. DPI-extracted manifest rate); when
-    /// set it overrides the instantaneous session rate in snapshots.
-    declared_rate_kbps: Option<f64>,
-    /// Signal-model samples drawn so far. Checkpoint restore fast-forwards
-    /// the per-user RNG by replaying exactly this many samples (the
-    /// block-sampling contract makes replay order irrelevant).
-    sig_samples: u64,
+    cap: [u64; SIG_BLOCK_SLOTS],
+}
+
+impl Window {
+    /// The state every row was built with, before any sample: what a
+    /// user who never went live exports.
+    fn new(user: usize) -> Self {
+        Self {
+            user,
+            cur_signal: Dbm(0.0),
+            epk_sig: Dbm(f64::NAN),
+            epk_per_kb: 0.0,
+            sig: [Dbm(0.0); SIG_BLOCK_SLOTS],
+            cap: [0; SIG_BLOCK_SLOTS],
+        }
+    }
 }
 
 /// Engine-level knobs.
@@ -347,6 +407,12 @@ struct ShardState {
     /// phase D replays the admission aggregate decrements (and the
     /// pre-flip E* membership test) from these.
     flips: Vec<usize>,
+    /// The radio windows of the users of `range` who ever went live, in
+    /// the order they first did ([`UserSim::window`] indexes it): per
+    /// shard, so phase A's first entries push without a lock. Its room
+    /// is what the build can foresee going live, so it does not grow
+    /// mid-run either.
+    windows: Vec<Window>,
     /// Batch-throughput scratch for the per-block cap-table refill.
     v_scratch: [f64; SIG_BLOCK_SLOTS],
     /// Users of this shard that finished watching in phase C.
@@ -364,9 +430,18 @@ struct ShardState {
 /// per-shard phases see the rows of their shard, the serial phases every
 /// row, both through [`Cols`].
 struct Columns {
-    /// Moved out of the [`Engine`] for the driver's lifetime (and back
-    /// by [`SlotDriver::finish`]).
+    /// Moved out of the [`Engine`] for the driver's lifetime; the
+    /// finish folds the rows the run wrote and releases the rest.
     users: Vec<UserSim>,
+    /// Slot at which each user's session starts (0 = at the beginning,
+    /// `u64::MAX` = never: past any horizon, or rejected). A deferral
+    /// moves it a slot on, so the admission tick writes this column and
+    /// not the rows.
+    arrival: Vec<u64>,
+    /// Slot at which each user abandons their session (`u64::MAX` = they
+    /// watch to completion). The open-system workload path — the
+    /// first-class form of the fault taxonomy's `departure` event.
+    departure: Vec<u64>,
     /// ABR client state machines, moved out of the engine's
     /// [`AbrRuntime`]; empty on fixed-bitrate runs.
     abr: Vec<AbrClient>,
@@ -397,6 +472,8 @@ struct Columns {
 struct Cols<'a> {
     base: usize,
     users: &'a mut [UserSim],
+    arrival: &'a mut [u64],
+    departure: &'a mut [u64],
     abr: &'a mut [AbrClient],
     raw: &'a mut [RawUserState],
     snaps: &'a mut [UserSnapshot],
@@ -412,6 +489,8 @@ impl Columns {
         Cols {
             base: 0,
             users: &mut self.users,
+            arrival: &mut self.arrival,
+            departure: &mut self.departure,
             abr: &mut self.abr,
             raw: &mut self.raw,
             snaps: &mut self.snaps,
@@ -464,6 +543,13 @@ struct LoopState {
     /// Rows the latest phase B rewrote on the collector's behalf: its
     /// full pass or live-row refresh, and the mirror's fill with it.
     collector_rows: usize,
+    /// Each user's result as the build folded their row. The admission
+    /// tick re-folds a row it rejects — the only rows a run writes
+    /// outside a live list, and nothing writes them again — and the
+    /// finish the rows of the users who went live. `None` on a resumed
+    /// driver, whose rows came from a sidecar and are all folded at the
+    /// finish.
+    per_user: Option<Vec<UserResult>>,
 }
 
 /// What shapes a slot without changing during it; copied into each phase.
@@ -523,7 +609,7 @@ struct AdmissionRuntime {
     /// input for the next slot, and the only way a governed user goes
     /// live (slot-0 arrivals, admitted by fiat, start live).
     admitted: Vec<usize>,
-    /// The current tick's candidates (buffer reused across ticks, like
+    /// The latest tick's candidates (buffer reused across ticks, like
     /// `carry` and `admitted`, so a steady-state tick allocates nothing).
     candidates: Vec<usize>,
     /// Energy charged to arrived-and-watching users so far, mJ — the
@@ -721,6 +807,10 @@ impl Roaming {
 /// builder and driven through a [`SlotDriver`].
 pub(crate) struct Engine {
     users: Vec<UserSim>,
+    /// The per-user arrival and departure columns, as the driver's
+    /// [`Columns`] carry them.
+    arrival: Vec<u64>,
+    departure: Vec<u64>,
     /// One per base station; a [`SlotDriver`] takes them for its
     /// lifetime, like the users.
     lanes: Vec<CellLane>,
@@ -778,8 +868,7 @@ impl Engine {
         let users: Vec<UserSim> = signals
             .into_iter()
             .zip(sessions)
-            .zip(arrival_slots.into_iter().zip(departure_slots))
-            .map(|((signal, session), (arrival_slot, departure_slot))| {
+            .map(|(signal, session)| {
                 let playback = ClientPlayback::new(session.total_playback_s(), cfg.tau);
                 UserSim {
                     signal,
@@ -789,14 +878,8 @@ impl Engine {
                     // promotion is charged with its transmission.
                     rrc: RrcMachine::new_idle(models.rrc),
                     meter: EnergyMeter::new(),
-                    cur_signal: Dbm(0.0),
-                    sig_block: [Dbm(0.0); SIG_BLOCK_SLOTS],
-                    cap_block: [0; SIG_BLOCK_SLOTS],
-                    epk_sig: Dbm(f64::NAN),
-                    epk_per_kb: 0.0,
+                    window: NO_WINDOW,
                     active_slots: 0,
-                    arrival_slot,
-                    departure_slot,
                     declared_rate_kbps: None,
                     sig_samples: 0,
                 }
@@ -805,6 +888,8 @@ impl Engine {
         let n = users.len();
         Self {
             users,
+            arrival: arrival_slots,
+            departure: departure_slots,
             lanes: vec![CellLane::new(scheduler, capacity, CapFault::Bs, n)],
             roaming: None,
             receiver,
@@ -883,13 +968,13 @@ impl Engine {
             .iter()
             .map(|u| u.session.bitrate.mean_rate())
             .collect();
-        let planned = planned_arrivals(&self.users, 0);
+        let planned = planned_arrivals(&self.arrival, 0);
         // Aggregates start with the slot-0 population (admitted by fiat),
         // summed in ascending user order.
         let mut n_active = 0usize;
         let mut rate_sum = 0.0f64;
-        for (i, u) in self.users.iter().enumerate() {
-            if u.arrival_slot == 0 {
+        for (i, &arrival) in self.arrival.iter().enumerate() {
+            if arrival == 0 {
                 n_active += 1;
                 rate_sum += rates[i];
             }
@@ -935,7 +1020,8 @@ impl Engine {
     }
 
     /// Restore component state from a checkpoint (everything except the
-    /// loop-carried accumulators, which `build_driver` reinstalls).
+    /// loop-carried accumulators and the signal windows, which
+    /// `build_driver` reinstalls).
     fn restore(&mut self, ck: &EngineCheckpoint) -> Result<(), CheckpointError> {
         let [lane] = self.lanes.as_mut_slice() else {
             return Err(multi_lane_checkpoint());
@@ -950,7 +1036,7 @@ impl Engine {
                 ),
             });
         }
-        for (u, s) in self.users.iter_mut().zip(&ck.users) {
+        for (i, (u, s)) in self.users.iter_mut().zip(&ck.users).enumerate() {
             if s.sig_block.len() != SIG_BLOCK_SLOTS {
                 return Err(CheckpointError::Restore {
                     component: "signal",
@@ -967,18 +1053,13 @@ impl Engine {
             for replay_slot in 0..s.sig_samples {
                 let _ = u.signal.sample(replay_slot);
             }
-            for (dst, &v) in u.sig_block.iter_mut().zip(&s.sig_block) {
-                *dst = Dbm(v);
-            }
             u.session = s.session.clone();
             u.playback = s.playback.clone();
             u.rrc = s.rrc.clone();
             u.meter = s.meter.clone();
-            u.cur_signal = s.cur_signal;
-            u.epk_sig = Dbm(f64::NAN);
             u.active_slots = s.active_slots;
-            u.arrival_slot = s.arrival_slot;
-            u.departure_slot = s.departure_slot;
+            self.arrival[i] = s.arrival_slot;
+            self.departure[i] = s.departure_slot;
             u.declared_rate_kbps = s.declared_rate_kbps;
             u.sig_samples = s.sig_samples;
         }
@@ -1018,7 +1099,7 @@ impl Engine {
                 // one due at k+1 are ruled in the same ascending user
                 // order either way, so the carry list restarts empty;
                 // `build_driver` re-derives the gate's `admitted` list.
-                a.planned = planned_arrivals(&self.users, ck.slot);
+                a.planned = planned_arrivals(&self.arrival, ck.slot);
                 a.planned_next = 0;
                 a.carry.clear();
                 a.admitted.clear();
@@ -1037,8 +1118,8 @@ impl Engine {
                         // fails the loop-state length check downstream
                         // instead of panicking here.
                         let done = &ck.loop_state.done_watching;
-                        for (i, (u, d)) in self.users.iter().zip(done).enumerate() {
-                            if u.arrival_slot <= ck.slot && !d {
+                        for (i, (&arrival, d)) in self.arrival.iter().zip(done).enumerate() {
+                            if arrival <= ck.slot && !d {
                                 a.n_active += 1;
                                 a.rate_sum += a.rates[i];
                             }
@@ -1121,6 +1202,20 @@ impl Engine {
                 }
                 .into());
             }
+            // Only a sidecar taken before the first slot carries no rows;
+            // any other length would resume with rows the straight run
+            // never had.
+            if ls.slots_run > 0 && ls.snapshots.len() != n_users {
+                return Err(CheckpointError::Restore {
+                    component: "loop state",
+                    reason: format!(
+                        "{} snapshot rows after slot {}, engine has {n_users} users",
+                        ls.snapshots.len(),
+                        ls.slots_run
+                    ),
+                }
+                .into());
+            }
         }
         let series_cap = if cfg.record_series {
             cfg.slots as usize
@@ -1153,6 +1248,7 @@ impl Engine {
             bs_cap_units: 0,
             rows_primed: pass_through,
             collector_rows: 0,
+            per_user: None,
         };
         // What a collector reports of a user who is not in the cell: no
         // demand, at the bound of the placeholder signal.
@@ -1160,6 +1256,8 @@ impl Engine {
         let absent_cap = self.collector.absent_link_cap();
         let mut c = Columns {
             users: std::mem::take(&mut self.users),
+            arrival: std::mem::take(&mut self.arrival),
+            departure: std::mem::take(&mut self.departure),
             abr: self
                 .abr
                 .as_mut()
@@ -1204,9 +1302,10 @@ impl Engine {
             c.retired.clone_from(&ls.retired);
             c.retired_at.clone_from(&ls.retired_at);
             c.raw.clone_from(&ls.raw);
-            // A checkpoint taken before the first slot carries no rows:
-            // the rows stand as built, and a collector that makes a
-            // first full pass makes it after the resume. The SoA mirror
+            // A checkpoint taken before the first slot carries no rows
+            // (and one taken later must: checked above): the rows stand
+            // as built, and a collector that makes a first full pass
+            // makes it after the resume. The SoA mirror
             // is derived state, not checkpointed: rebuilt from restored
             // rows, else sized by the first slot as in a fresh run.
             if ls.snapshots.len() == n_users {
@@ -1222,23 +1321,12 @@ impl Engine {
             // sidecars carried the un-arrived in `live`) re-enters
             // through the gate.
             for &i in &ls.live {
-                entered[i] = c.users[i].arrival_slot <= ck.slot;
-            }
-            // The radio tables are derived state too: rebuilt from the
-            // restored signal blocks, so a resumed run re-enters the
-            // block mid-way with the exact values the straight run would
-            // hold.
-            if mode.tables {
-                let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
-                for u in &mut c.users {
-                    self.collector
-                        .link_caps_into(&u.sig_block, &mut v_scratch, &mut u.cap_block);
-                }
+                entered[i] = c.arrival[i] <= ck.slot;
             }
             start_slot = ck.slot;
         } else {
-            for (e, u) in entered.iter_mut().zip(&c.users) {
-                *e = u.arrival_slot == 0;
+            for (e, &arrival) in entered.iter_mut().zip(&c.arrival) {
+                *e = arrival == 0;
             }
         }
 
@@ -1259,25 +1347,58 @@ impl Engine {
             live.extend(range.clone().filter(|&i| entered[i]));
             let waiting = range
                 .clone()
-                .filter(|&i| !entered[i] && !c.retired[i] && c.users[i].arrival_slot != u64::MAX);
+                .filter(|&i| !entered[i] && !c.retired[i] && c.arrival[i] != u64::MAX);
             let arrival_queue = match self.admission.as_mut() {
-                None => waiting
-                    .map(|i| Reverse((c.users[i].arrival_slot, i)))
-                    .collect(),
+                None => waiting.map(|i| Reverse((c.arrival[i], i))).collect(),
                 Some(adm) => {
                     // A governed user due by the restored slot and not
                     // yet live was admitted by the tick just before it;
                     // the later ones are in the rebuilt `planned` list.
                     if resume.is_some() {
                         adm.admitted
-                            .extend(waiting.filter(|&i| c.users[i].arrival_slot <= start_slot));
+                            .extend(waiting.filter(|&i| c.arrival[i] <= start_slot));
                     }
                     BinaryHeap::new()
                 }
             };
+            // A restored user whose signal or windows differ from the
+            // built ones gets them back, so the sidecar round-trips byte
+            // for byte; the caps are derived state, rebuilt from the
+            // signals, so a resumed run re-enters a block mid-way with the
+            // values the straight run would hold. Everyone else takes a
+            // window on first entry, which only the users due inside the
+            // horizon can make.
+            let mut windows = Vec::new();
+            if let Some(ck) = resume {
+                for i in range.clone() {
+                    let (block, signal) = (&ck.users[i].sig_block, ck.users[i].cur_signal);
+                    if block.iter().chain([&signal.0]).all(|v| v.to_bits() == 0) {
+                        continue;
+                    }
+                    let mut w = Window::new(i);
+                    w.cur_signal = signal;
+                    for (dst, &v) in w.sig.iter_mut().zip(block) {
+                        *dst = Dbm(v);
+                    }
+                    if mode.tables {
+                        let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
+                        self.collector
+                            .link_caps_into(&w.sig, &mut v_scratch, &mut w.cap);
+                    }
+                    c.users[i].window = windows.len() as u32;
+                    windows.push(w);
+                }
+            }
+            windows.reserve_exact(
+                range
+                    .clone()
+                    .filter(|&i| c.users[i].window == NO_WINDOW && c.arrival[i] < cfg.slots)
+                    .count(),
+            );
             shards.push(ShardState {
                 live,
                 arrival_queue,
+                windows,
                 // A radio makes at most one (net) transition a slot, so
                 // under a recorder the staging never reallocates either.
                 events: Vec::with_capacity(if rec.enabled() { range.len() } else { 0 }),
@@ -1291,6 +1412,7 @@ impl Engine {
         }
 
         if resume.is_none() {
+            lp.per_user = Some(c.users.iter().map(UserSim::result).collect());
             rec.begin_run(n_users, cfg.tau);
         }
         Ok(SlotDriver {
@@ -1367,7 +1489,7 @@ impl Engine {
             // Client-side slot advance (Eq. 7/8) and ground-truth state.
             raw.clear();
             for (i, u) in self.users.iter_mut().enumerate() {
-                if slot < u.arrival_slot {
+                if slot < self.arrival[i] {
                     // Pre-arrival users are invisible to the radio: their
                     // noise stream is anchored at their (final) arrival
                     // slot, so no sample is drawn, and the gateway sees
@@ -1384,14 +1506,14 @@ impl Engine {
                     });
                     continue;
                 }
-                u.cur_signal = u.signal.sample(slot);
+                let mut signal = u.signal.sample(slot);
                 u.sig_samples += 1;
                 if let Some(plan) = &faults {
-                    u.cur_signal = plan.adjust_signal(slot, i, u.cur_signal);
+                    signal = plan.adjust_signal(slot, i, signal);
                 }
                 // Mirrors the hot loop's ABR rate substitution exactly.
                 let abr_rate = self.abr.as_ref().map(|a| a.clients[i].rate_kbps);
-                if slot >= u.departure_slot || faults.as_ref().is_some_and(|p| p.departed(slot, i))
+                if slot >= self.departure[i] || faults.as_ref().is_some_and(|p| p.departed(slot, i))
                 {
                     u.session.cancel_remaining();
                     u.playback.abandon();
@@ -1401,7 +1523,7 @@ impl Engine {
                     u.active_slots += 1;
                 }
                 raw.push(RawUserState {
-                    signal: u.cur_signal,
+                    signal,
                     rate_kbps: abr_rate.unwrap_or_else(|| {
                         u.declared_rate_kbps
                             .unwrap_or_else(|| u.session.rate_at(slot))
@@ -1448,7 +1570,7 @@ impl Engine {
             fairness_scratch.clear();
             for (u_idx, ((u, d), r)) in self.users.iter_mut().zip(&deliveries).zip(&raw).enumerate()
             {
-                if slot < u.arrival_slot {
+                if slot < self.arrival[u_idx] {
                     continue;
                 }
                 let slot_e = if d.kb > 0.0 {
@@ -1477,10 +1599,7 @@ impl Engine {
                     } else {
                         u.playback.deliver(accepted, u.session.rate_at(slot));
                     }
-                    let e = self
-                        .models
-                        .power
-                        .transmission_energy(u.cur_signal, accepted);
+                    let e = self.models.power.transmission_energy(r.signal, accepted);
                     if rec.enabled() {
                         u.rrc
                             .on_transmit_observed(|f, t| rec.record_rrc_transition(u_idx, f, t));
@@ -1569,6 +1688,7 @@ impl Engine {
             if let Some(adm) = self.admission.as_mut() {
                 admission_tick_reference(
                     adm,
+                    &mut self.arrival,
                     &mut self.users,
                     &mut finished,
                     &mut unfinished,
@@ -1587,7 +1707,10 @@ impl Engine {
         }
         rec.end_run();
 
-        let mut result = self.finish(
+        // The specification folds every row.
+        let per_user = self.users.iter().map(UserSim::result).collect();
+        let mut result = self.result(
+            per_user,
             slots_run,
             fairness_series,
             fairness_window_series,
@@ -1597,37 +1720,15 @@ impl Engine {
         result
     }
 
-    /// Fold the finished per-user state into a [`SimResult`].
-    fn finish(
-        self,
+    /// The run's [`SimResult`] around its folded rows.
+    fn result(
+        &self,
+        per_user: Vec<UserResult>,
         slots_run: u64,
         fairness_series: Vec<f64>,
         fairness_window_series: Vec<f64>,
         power_series_j: Vec<f64>,
     ) -> SimResult {
-        let mut per_user: Vec<UserResult> = self
-            .users
-            .into_iter()
-            .map(|u| UserResult {
-                rebuffer_s: u.playback.total_rebuffer_s(),
-                stall_slots: u.playback.stall_slots(),
-                startup_slots: u.playback.startup_slots(),
-                watched_s: u.playback.played_s(),
-                playback_complete: u.playback.playback_complete(),
-                fetched_kb: u.session.received_kb(),
-                energy: u.meter.breakdown(),
-                active_slots: u.active_slots,
-                tx_slots: u.meter.slots_transmitting(),
-                idle_slots: u.meter.slots_idle(),
-                rate_kbps: u.session.bitrate.mean_rate(),
-                video_kb: u.session.total_kb,
-            })
-            .collect();
-        // The collect above reuses the `UserSim` buffer in place, so the
-        // result would otherwise pin 8× the bytes its rows need for as
-        // long as a caller keeps it.
-        per_user.shrink_to_fit();
-
         SimResult {
             scheduler: self.lanes[0].scheduler.name().to_string(),
             per_user,
@@ -1702,6 +1803,10 @@ pub struct SlotWork {
     /// Rows the windowed-fairness fold visited: the rows its window
     /// touched, on the slot that ends one.
     pub fairness_rows: usize,
+    /// Arrivals the admission tick ruled on at the end of the slot:
+    /// the planned arrivals that came due and the previous tick's
+    /// deferrals.
+    pub candidates_ruled: usize,
 }
 
 impl SlotDriver {
@@ -1719,7 +1824,25 @@ impl SlotDriver {
                 .sum(),
             collector_rows: self.lp.collector_rows,
             fairness_rows: self.lp.fairness_rows,
+            candidates_ruled: (self.engine.admission.as_ref())
+                .map_or(0, |adm| adm.candidates.len()),
         }
+    }
+
+    /// Rows the run folds, if [`SlotDriver::finish`] is called now: the
+    /// admission rejects so far, and every user who entered a live list
+    /// — or, on a resumed driver, every row.
+    pub fn rows_to_fold(&self) -> usize {
+        let rejected = (self.engine.admission.as_ref()).map_or(0, |adm| adm.ctl.summary().rejected);
+        match self.lp.per_user {
+            Some(_) => rejected as usize + self.went_live().count(),
+            None => self.cols.users.len(),
+        }
+    }
+
+    /// The users who entered a live list: the shards' window owners.
+    fn went_live(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.shards.iter()).flat_map(|sh| sh.windows.iter().map(|w| w.user))
     }
 
     /// Slot the next [`SlotDriver::step`] call will execute.
@@ -1797,10 +1920,8 @@ impl SlotDriver {
                  planned arrival schedule)",
             ));
         }
-        for u in &mut self.cols.users {
-            u.arrival_slot = u64::MAX;
-            u.departure_slot = u64::MAX;
-        }
+        self.cols.arrival.fill(u64::MAX);
+        self.cols.departure.fill(u64::MAX);
         // Live mode starts with an empty system: every user enters
         // through a later `set_arrival` event.
         for sh in &mut self.shards {
@@ -1812,27 +1933,26 @@ impl SlotDriver {
 
     /// Schedule user `user`'s session to start at `slot` — the live form
     /// of [`crate::arrivals::ArrivalSpec::Declared`]. The engine only
-    /// ever reads `arrival_slot` as `slot < arrival`, so scheduling an
+    /// ever reads the arrival slot as `slot < arrival`, so scheduling an
     /// arrival any time before its slot executes yields bytes identical
     /// to a batch run whose declared plan carries the same final
     /// schedule.
     pub fn set_arrival(&mut self, user: usize, slot: u64) -> Result<(), ScenarioError> {
         self.check_live_mutation("live.arrive", user, slot)?;
-        let next = self.next_slot;
-        let u = &mut self.cols.users[user];
-        if u.arrival_slot < next {
+        let (arrival, departure) = (self.cols.arrival[user], self.cols.departure[user]);
+        if arrival < self.next_slot {
             return Err(ScenarioError::new(
                 "live.arrive",
-                format!("user {user} already arrived at slot {}", u.arrival_slot),
+                format!("user {user} already arrived at slot {arrival}"),
             ));
         }
-        if u.departure_slot != u64::MAX && slot >= u.departure_slot {
+        if departure != u64::MAX && slot >= departure {
             return Err(ScenarioError::new(
                 "live.arrive",
                 "arrival must precede the scheduled departure",
             ));
         }
-        u.arrival_slot = slot;
+        self.cols.arrival[user] = slot;
         // Duplicate entries for a rescheduled arrival are harmless: the
         // drain drops any entry that comes up before the user's current
         // arrival slot, or after they entered.
@@ -1846,14 +1966,14 @@ impl SlotDriver {
     /// applies.
     pub fn set_departure(&mut self, user: usize, slot: u64) -> Result<(), ScenarioError> {
         self.check_live_mutation("live.depart", user, slot)?;
-        let u = &mut self.cols.users[user];
-        if u.arrival_slot != u64::MAX && slot <= u.arrival_slot {
+        let arrival = self.cols.arrival[user];
+        if arrival != u64::MAX && slot <= arrival {
             return Err(ScenarioError::new(
                 "live.depart",
                 "departure must come after the arrival",
             ));
         }
-        u.departure_slot = slot;
+        self.cols.departure[user] = slot;
         Ok(())
     }
 
@@ -1944,26 +2064,33 @@ impl SlotDriver {
                 *cached = Some(snap.signal);
             }
         }
+        // What a user who never went live exports.
+        let built = Window::new(usize::MAX);
         Ok(EngineCheckpoint {
             version: CKPT_VERSION,
             slot: self.next_slot,
-            users: c
-                .users
-                .iter()
-                .enumerate()
-                .map(|(i, u)| UserCkpt {
-                    session: u.session.clone(),
-                    playback: u.playback.clone(),
-                    rrc: u.rrc.clone(),
-                    meter: u.meter.clone(),
-                    cur_signal: u.cur_signal,
-                    sig_block: u.sig_block.iter().map(|d| d.0).collect(),
-                    active_slots: u.active_slots,
-                    arrival_slot: u.arrival_slot,
-                    departure_slot: u.departure_slot,
-                    declared_rate_kbps: u.declared_rate_kbps,
-                    sig_samples: u.sig_samples,
-                    abr: c.abr.get(i).copied(),
+            users: (self.shards.iter())
+                .flat_map(|sh| sh.range.clone().map(move |i| (sh, i)))
+                .map(|(sh, i)| {
+                    let u = &c.users[i];
+                    let window = match u.window {
+                        NO_WINDOW => &built,
+                        w => &sh.windows[w as usize],
+                    };
+                    UserCkpt {
+                        session: u.session.clone(),
+                        playback: u.playback.clone(),
+                        rrc: u.rrc.clone(),
+                        meter: u.meter.clone(),
+                        cur_signal: window.cur_signal,
+                        sig_block: window.sig.iter().map(|d| d.0).collect(),
+                        active_slots: u.active_slots,
+                        arrival_slot: c.arrival[i],
+                        departure_slot: c.departure[i],
+                        declared_rate_kbps: u.declared_rate_kbps,
+                        sig_samples: u.sig_samples,
+                        abr: c.abr.get(i).copied(),
+                    }
                 })
                 .collect(),
             receiver: eng.receiver.export_state(),
@@ -2130,6 +2257,8 @@ impl SlotDriver {
             every_lane: 0..n_lanes,
             soa_rows,
             users: SharedSlice::new(&mut cols.users),
+            arrival: SharedSlice::new(&mut cols.arrival),
+            departure: SharedSlice::new(&mut cols.departure),
             abr: SharedSlice::new(&mut cols.abr),
             raw: SharedSlice::new(&mut cols.raw),
             snaps: SharedSlice::new(&mut cols.snaps),
@@ -2219,22 +2348,44 @@ impl SlotDriver {
         rec: &mut R,
     ) -> (SimResult, Option<CellStats>) {
         rec.end_run();
+        let went_live: Vec<usize> = self.went_live().collect();
         let Self {
             mut engine,
-            lp,
+            mut lp,
             cols: mut c,
             lanes,
             ..
         } = self;
-        // Settle the idle slots the retired users sat out: each would
-        // have recorded a zero-energy tail slot per remaining loop
-        // iteration.
-        for (u, (&retired, &at)) in c.users.iter_mut().zip(c.retired.iter().zip(&c.retired_at)) {
-            if retired {
-                u.meter.record_saturated_idle_slots(lp.slots_run - 1 - at);
+        let n_users = c.users.len();
+        // Settle the idle slots a retired user sat out — each would have
+        // recorded a zero-energy tail slot per remaining loop iteration —
+        // before their row is folded. Every retired user went live.
+        let mut settled = |i: usize| {
+            let u = &mut c.users[i];
+            if c.retired[i] {
+                u.meter
+                    .record_saturated_idle_slots(lp.slots_run - 1 - c.retired_at[i]);
             }
-        }
-        engine.users = c.users;
+            u.result()
+        };
+        let per_user = match lp.per_user.take() {
+            // The rows the run wrote in live lists, over what the build
+            // or the admission tick laid down.
+            Some(mut per_user) => {
+                for &i in &went_live {
+                    per_user[i] = settled(i);
+                }
+                per_user
+            }
+            None => (0..n_users).map(settled).collect(),
+        };
+        debug_assert!(
+            per_user
+                .iter()
+                .cloned()
+                .eq(c.users.iter().map(UserSim::result)),
+            "a row the run wrote was left out of the fold"
+        );
         engine.lanes = lanes;
         let cells = engine.roaming.take().map(|roam| CellStats {
             handovers: roam.handovers,
@@ -2244,7 +2395,8 @@ impl SlotDriver {
                 .map(|sum| sum / lp.slots_run as f64)
                 .collect(),
         });
-        let mut result = engine.finish(
+        let mut result = engine.result(
+            per_user,
             lp.slots_run,
             lp.fairness_series,
             lp.fairness_window_series,
@@ -2296,6 +2448,8 @@ struct Lockstep<'a, R> {
     /// A lone lane's mirror, which the per-shard phases write through.
     soa_rows: Option<SoaRows>,
     users: SharedSlice<UserSim>,
+    arrival: SharedSlice<u64>,
+    departure: SharedSlice<u64>,
     /// Empty on fixed-bitrate runs.
     abr: SharedSlice<AbrClient>,
     raw: SharedSlice<RawUserState>,
@@ -2318,6 +2472,8 @@ impl<'a, R> Lockstep<'a, R> {
         Cols {
             base: ranges[p].start,
             users: self.users.shard_mut(ranges, p),
+            arrival: self.arrival.shard_mut(ranges, p),
+            departure: self.departure.shard_mut(ranges, p),
             abr: match self.abr.is_empty() {
                 true => &mut [],
                 false => self.abr.shard_mut(ranges, p),
@@ -2425,7 +2581,8 @@ fn size_mirror(eng: &Engine, lanes: &mut [CellLane], n_users: usize) {
 }
 
 /// Phase A, per shard: the arrival gate, then for every live user of the
-/// shard the radio sample (block-drawn, per-block Eq. (1) cap table),
+/// shard the radio sample (block-drawn into the user's window in the
+/// shard's slab, with its per-block Eq. (1) cap table),
 /// the Eq. (7)/(8) playback advance and the ground-truth row — and, for a
 /// pass-through collector, the snapshot and SoA rows the scheduler will
 /// read, from slot 0 on. Touches only this shard's state and rows; makes
@@ -2451,7 +2608,7 @@ fn phase_a(
         // list by retiring — so "entered" is "live or retired".
         let k = i - c.base;
         let entered = c.retired[k] || sh.live.binary_search(&i).is_ok();
-        if !entered && c.users[k].arrival_slot <= slot {
+        if !entered && c.arrival[k] <= slot {
             merge_ascending(&mut sh.live, &[i]);
         }
     }
@@ -2467,29 +2624,39 @@ fn phase_a(
     for &i in &sh.live {
         let k = i - c.base;
         let u = &mut c.users[k];
-        debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
+        let arrival = c.arrival[k];
+        debug_assert!(slot >= arrival, "live user must have arrived");
+        if u.window == NO_WINDOW {
+            // First entry into a live list: the user's window, from here
+            // to the end of the run, is the next in the shard's slab —
+            // which only this participant writes, so no lock.
+            u.window = sh.windows.len() as u32;
+            sh.windows.push(Window::new(i));
+        }
+        let w = &mut sh.windows[u.window as usize];
         // Each user's signal block is anchored at their final arrival
-        // slot: a user entering at slot `a` refills at `a`, `a + 32`, …,
-        // so the window is always current and pre-arrival slots draw no
-        // samples at all.
-        let block_off = ((slot - u.arrival_slot) % SIG_BLOCK_SLOTS as u64) as usize;
+        // slot, read off the dense column (it cannot move once they are
+        // live): a user entering at slot `a` refills the window at `a`,
+        // `a + 32`, …, so it is always current — its first slot is a
+        // refill — and pre-arrival slots draw no samples at all.
+        let block_off = ((slot - arrival) % SIG_BLOCK_SLOTS as u64) as usize;
         if block_off == 0 {
-            u.signal.sample_into(slot, &mut u.sig_block);
+            u.signal.sample_into(slot, &mut w.sig);
             u.sig_samples += SIG_BLOCK_SLOTS as u64;
             if mode.tables {
                 // One batch-kernel pass per block: the next
                 // SIG_BLOCK_SLOTS slots read pure table entries.
                 eng.collector
-                    .link_caps_into(&u.sig_block, &mut sh.v_scratch, &mut u.cap_block);
+                    .link_caps_into(&w.sig, &mut sh.v_scratch, &mut w.cap);
             }
         }
-        u.cur_signal = u.sig_block[block_off];
+        w.cur_signal = w.sig[block_off];
         if let Some(plan) = &eng.faults {
             // Faults perturb state, never RNG streams: the raw sample
             // above already advanced the generator.
-            u.cur_signal = plan.adjust_signal(slot, i, u.cur_signal);
+            w.cur_signal = plan.adjust_signal(slot, i, w.cur_signal);
         }
-        if slot >= u.departure_slot || eng.faults.as_ref().is_some_and(|p| p.departed(slot, i)) {
+        if slot >= c.departure[k] || eng.faults.as_ref().is_some_and(|p| p.departed(slot, i)) {
             // Mid-stream departure — workload churn or the fault
             // taxonomy's perturbation form: the client abandons playback
             // and the origin stops fetching for them. Both calls are
@@ -2504,7 +2671,7 @@ fn phase_a(
             u.active_slots += 1;
         }
         let r = RawUserState {
-            signal: u.cur_signal,
+            signal: w.cur_signal,
             // Gateway-advertised demand: the ABR rung rate when clients
             // are installed (single-rung = the native rate, bitwise),
             // else the declared/session rate.
@@ -2524,7 +2691,7 @@ fn phase_a(
             // The collector's row verbatim: report = truth, Eq. (1) from
             // the table (or the scalar kernel the table batches).
             let link_cap = match mode.tables {
-                true => u.cap_block[block_off],
+                true => w.cap[block_off],
                 false => eng.collector.link_cap(r.signal),
             };
             let snap = r.as_reported(i, r.signal, link_cap);
@@ -2777,7 +2944,7 @@ fn phase_c(
     for &i in &sh.live {
         let k = i - c.base;
         let u = &mut c.users[k];
-        debug_assert!(slot >= u.arrival_slot, "live user must have arrived");
+        debug_assert!(slot >= c.arrival[k], "live user must have arrived");
         let d = &deliveries[i];
         let events = &mut sh.events;
         let slot_e = if d.kb > 0.0 {
@@ -2811,11 +2978,12 @@ fn phase_c(
             // One-deep memo of the Eq. (3) kernel: `P(sig)` is a pure
             // function of the block-held RSSI, so this is the same
             // product `transmission_energy` would compute.
-            if u.epk_sig.value() != u.cur_signal.value() {
-                u.epk_per_kb = eng.models.power.energy_per_kb(u.cur_signal);
-                u.epk_sig = u.cur_signal;
+            let w = &mut sh.windows[u.window as usize];
+            if w.epk_sig.value() != w.cur_signal.value() {
+                w.epk_per_kb = eng.models.power.energy_per_kb(w.cur_signal);
+                w.epk_sig = w.cur_signal;
             }
-            let e = MilliJoules(u.epk_per_kb * accepted);
+            let e = MilliJoules(w.epk_per_kb * accepted);
             if mode.rec_enabled {
                 u.rrc.on_transmit_observed(|f, t| events.push((i, f, t)));
             } else {
@@ -2995,9 +3163,11 @@ fn phase_d<R: SlotRecorder>(
     if let Some(adm) = eng.admission.as_mut() {
         admission_tick(
             adm,
+            c.arrival,
             c.users,
             c.done,
             &mut lp.watching,
+            lp.per_user.as_deref_mut(),
             rec,
             slot,
             lp.bs_cap_units,
@@ -3013,12 +3183,10 @@ fn phase_d<R: SlotRecorder>(
 /// The planned arrivals due after `after`, ascending `(slot, user)` —
 /// the order every tick has ruled in. Users that never arrive
 /// (`u64::MAX`: past any horizon, or rejected) are left out.
-fn planned_arrivals(users: &[UserSim], after: u64) -> Vec<(u64, usize)> {
-    let mut planned: Vec<(u64, usize)> = users
-        .iter()
-        .enumerate()
-        .filter(|(_, u)| u.arrival_slot > after && u.arrival_slot != u64::MAX)
-        .map(|(i, u)| (u.arrival_slot, i))
+fn planned_arrivals(arrival: &[u64], after: u64) -> Vec<(u64, usize)> {
+    let mut planned: Vec<(u64, usize)> = (arrival.iter().enumerate())
+        .filter(|&(_, &a)| a > after && a != u64::MAX)
+        .map(|(i, &a)| (a, i))
         .collect();
     planned.sort_unstable();
     planned
@@ -3097,6 +3265,7 @@ fn admission_decide(
 /// are untouched here; the admit arm (aggregates, gate) and the carry
 /// list are the incremental tick's own business.
 fn admission_apply(
+    arrival: &mut [u64],
     users: &mut [UserSim],
     done_watching: &mut [bool],
     watching: &mut usize,
@@ -3106,9 +3275,9 @@ fn admission_apply(
 ) {
     match decision {
         AdmissionDecision::Admit => {}
-        AdmissionDecision::Defer => users[j].arrival_slot = next_slot + 1,
+        AdmissionDecision::Defer => arrival[j] = next_slot + 1,
         AdmissionDecision::Reject => {
-            users[j].arrival_slot = u64::MAX;
+            arrival[j] = u64::MAX;
             users[j].session.cancel_remaining();
             users[j].playback.abandon();
             done_watching[j] = true;
@@ -3137,9 +3306,11 @@ fn admission_apply(
 #[allow(clippy::too_many_arguments)]
 fn admission_tick<R: SlotRecorder>(
     adm: &mut AdmissionRuntime,
+    arrival: &mut [u64],
     users: &mut [UserSim],
     done_watching: &mut [bool],
     watching: &mut usize,
+    mut per_user: Option<&mut [UserResult]>,
     rec: &mut R,
     slot: u64,
     bs_cap_units: u64,
@@ -3172,7 +3343,7 @@ fn admission_tick<R: SlotRecorder>(
     let c_kbps = bs_cap_units as f64 * delta_kb / tau;
     let e_star_user = admission_e_star(adm);
     for &j in &candidates {
-        debug_assert!(users[j].arrival_slot <= next_slot, "candidate not due");
+        debug_assert!(arrival[j] <= next_slot, "candidate not due");
         // Population with the candidate admitted: the maintained active
         // population (which already includes the candidates this pass
         // admitted) plus `j` itself — `j` is never a member yet, since
@@ -3192,7 +3363,19 @@ fn admission_tick<R: SlotRecorder>(
             AdmissionDecision::Defer => adm.carry.push(j),
             AdmissionDecision::Reject => {}
         }
-        admission_apply(users, done_watching, watching, j, next_slot, decision);
+        admission_apply(
+            arrival,
+            users,
+            done_watching,
+            watching,
+            j,
+            next_slot,
+            decision,
+        );
+        if let (AdmissionDecision::Reject, Some(per_user)) = (decision, per_user.as_deref_mut()) {
+            // The row's last write: fold it while it is at hand.
+            per_user[j] = users[j].result();
+        }
         rec.record_admission(j, decision);
     }
     adm.candidates = candidates;
@@ -3207,7 +3390,7 @@ fn admission_tick<R: SlotRecorder>(
 /// admission property pack.
 fn admission_aggregates_reference(
     adm: &AdmissionRuntime,
-    users: &[UserSim],
+    arrival: &[u64],
     done_watching: &[bool],
     admitted: &[bool],
     j: usize,
@@ -3215,11 +3398,11 @@ fn admission_aggregates_reference(
 ) -> (usize, f64) {
     let mut n_active = 1usize;
     let mut rate_sum = adm.rates[j];
-    for (i, u) in users.iter().enumerate() {
+    for (i, &a) in arrival.iter().enumerate() {
         if i == j || done_watching[i] {
             continue;
         }
-        if u.arrival_slot < next_slot || admitted[i] {
+        if a < next_slot || admitted[i] {
             n_active += 1;
             rate_sum += adm.rates[i];
         }
@@ -3238,6 +3421,7 @@ fn admission_aggregates_reference(
 #[allow(clippy::too_many_arguments)]
 fn admission_tick_reference<R: SlotRecorder>(
     adm: &mut AdmissionRuntime,
+    arrival: &mut [u64],
     users: &mut [UserSim],
     done_watching: &mut [bool],
     watching: &mut usize,
@@ -3251,8 +3435,8 @@ fn admission_tick_reference<R: SlotRecorder>(
     // Arrivals at slot 0 are admitted by fiat, every later one is ruled
     // on the slot before it, so "due by the next slot and not yet ruled"
     // is "due exactly the next slot".
-    let candidates: Vec<usize> = (0..users.len())
-        .filter(|&j| users[j].arrival_slot == next_slot)
+    let candidates: Vec<usize> = (0..arrival.len())
+        .filter(|&j| arrival[j] == next_slot)
         .collect();
     if candidates.is_empty() {
         return;
@@ -3263,12 +3447,20 @@ fn admission_tick_reference<R: SlotRecorder>(
     let mut admitted = vec![false; users.len()];
     for j in candidates {
         let (n_active, rate_sum) =
-            admission_aggregates_reference(adm, users, done_watching, &admitted, j, next_slot);
+            admission_aggregates_reference(adm, arrival, done_watching, &admitted, j, next_slot);
         let decision = admission_decide(adm, j, n_active, rate_sum, e_star_user, c_kbps, tau);
         if decision == AdmissionDecision::Admit {
             admitted[j] = true;
         }
-        admission_apply(users, done_watching, watching, j, next_slot, decision);
+        admission_apply(
+            arrival,
+            users,
+            done_watching,
+            watching,
+            j,
+            next_slot,
+            decision,
+        );
         rec.record_admission(j, decision);
     }
 }
@@ -3532,6 +3724,17 @@ mod tests {
             cached[..],
             [Some(Dbm(0.0)), Some(Dbm(-80.0)), Some(Dbm(0.0))]
         );
+    }
+
+    /// A pool of 100 000 rows stays under glibc's 32 MiB mmap-threshold
+    /// ceiling (see [`UserSim`]): a field added to the row belongs in
+    /// the window slab or a column unless the pool can afford it.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn pool_row_size() {
+        let row = std::mem::size_of::<UserSim>();
+        assert!(row <= 328, "UserSim is {row} bytes");
+        assert!(100_000 * row < 32 << 20);
     }
 
     /// The sharded runner reproduces the serial loop bit-for-bit — results

@@ -30,8 +30,9 @@
 
 use jmso_sim::{
     AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
-    EngineCheckpoint, FaultEvent, FaultSpec, RunOutcome, Scenario, SchedulerSpec, SessionLength,
-    SimError, SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
+    CollectorSpec, EngineCheckpoint, FaultEvent, FaultSpec, MultiCellScenario, OriginModel,
+    RunOutcome, Scenario, SchedulerSpec, SessionLength, SimError, SimResult, TraceRecorder,
+    WorkerPool, WorkloadSpec, NEVER_DEPARTS,
 };
 use proptest::prelude::*;
 
@@ -257,7 +258,10 @@ fn through(
 }
 
 /// Every door that remains gives the same result and trace bytes as
-/// `run_with` — and `run`, which keeps no trace, the same result.
+/// `run_with` — and `run`, which keeps no trace, the same result. The
+/// doors include a resume from the top of a slot whose predecessor
+/// deferred somebody, and `run_reference_with`, whose finish folds every
+/// row where the others fold the rows the run wrote.
 fn every_door_agrees(s: &Scenario) {
     let pool = WorkerPool::new(1);
     let sidecar = std::env::temp_dir().join(format!(
@@ -272,6 +276,12 @@ fn every_door_agrees(s: &Scenario) {
     // plan, when there is one, shows.
     assert!(base_trace.contains("\"defer\"") && base_trace.contains("\"abr\":["));
     assert_eq!(base_trace.contains("deep_fade start"), !s.faults.is_none());
+    let mid_defer = rulings(s, false)
+        .iter()
+        .filter(|r| r.2 == AdmissionDecision::Defer)
+        .map(|r| r.0 + 1)
+        .find(|&slot| slot > third)
+        .expect("a deferral after the first third");
     let doors = [
         ("run_traced", {
             let (r, trace) = s.run_traced(1).expect("valid scenario runs");
@@ -280,6 +290,7 @@ fn every_door_agrees(s: &Scenario) {
         ("width 1", through(s, |rec| s.run_sharded_on(&pool, 1, rec))),
         ("width 2", through(s, |rec| s.run_sharded_on(&pool, 2, rec))),
         ("run_until + resume_from", traced_resumed(s, mid)),
+        ("resumed mid-defer", traced_resumed(s, mid_defer)),
         (
             "run_checkpointed_with",
             through(s, |rec| s.run_checkpointed_with(rec, third, &sidecar)),
@@ -394,7 +405,87 @@ fn congested_cell_defers_and_all_loops_agree() {
     for faults in [plan, FaultSpec::None] {
         s.faults = faults;
         every_door_agrees(&s);
+        live_and_multi_lane_doors_agree(&s);
     }
+    // A deferral cap of one slot rejects as well.
+    let mut s = Scenario {
+        admission: congested(1).admission,
+        ..s
+    };
+    every_door_agrees(&s);
+    s.faults = FaultSpec::None;
+    let (r, trace) = through(&s, |rec| s.run_with(rec));
+    assert!(trace.contains("\"reject\""), "the one-slot cap must reject");
+    assert_eq!(through(&s, |rec| s.run_reference_with(rec)), (r, trace));
+}
+
+/// The doors that take no admission controller: the live driver — every
+/// departure set before its user's arrival is — against the reference
+/// run of the declared plan it ends with, and the multi-lane engine: one
+/// lane against the reference of the cell it stands for, two lanes
+/// stepped against two lanes in lockstep.
+fn live_and_multi_lane_doors_agree(s: &Scenario) {
+    let plan = s.arrivals.compile(s.n_users, s.seed);
+    let declared = Scenario {
+        admission: None,
+        arrivals: ArrivalSpec::Declared {
+            arrivals: plan.arrivals.clone(),
+            departures: (plan.departures.iter())
+                .map(|&d| (d != NEVER_DEPARTS).then_some(d))
+                .collect(),
+        },
+        ..s.clone()
+    };
+    assert!(
+        plan.any_departures(),
+        "the plan must have departures to set"
+    );
+    let live = through(&declared, |rec| {
+        let mut drv = declared.driver(rec, None)?;
+        drv.defer_all_arrivals()?;
+        for (user, (&a, &d)) in plan.arrivals.iter().zip(&plan.departures).enumerate() {
+            if d != NEVER_DEPARTS {
+                drv.set_departure(user, d)?;
+            }
+            drv.set_arrival(user, a)?;
+        }
+        while drv.step(rec).is_some() {}
+        Ok(drv.finish(rec))
+    });
+    assert_eq!(
+        live,
+        through(&declared, |rec| declared.run_reference_with(rec))
+    );
+
+    let cell = Scenario {
+        admission: None,
+        arrivals: ArrivalSpec::Simultaneous,
+        collector: CollectorSpec::perfect(),
+        origin: OriginModel::Infinite,
+        rate_via_dpi: false,
+        ..s.clone()
+    };
+    let lanes = |n_cells| MultiCellScenario {
+        base: cell.clone(),
+        n_cells,
+        handover_prob: 0.05,
+    };
+    if s.faults.is_none() {
+        // One lane's budget goes through the per-cell fault hook, which
+        // quantises differently; without faults it is the cell's.
+        let (one, trace) = lanes(1).run_traced(1).expect("valid scenario runs");
+        let one = (scrub(one.result), trace.to_jsonl());
+        assert_eq!(one, through(&cell, |rec| cell.run_reference_with(rec)));
+    }
+    let two = lanes(2);
+    let (stepped, _) = two.run_traced(1).expect("valid scenario runs");
+    assert!(stepped.handovers > 0);
+    let lockstep = two.run_parallel(2).expect("valid scenario runs");
+    assert_eq!(
+        MultiCellScenario::run(&two).expect("valid scenario runs"),
+        lockstep
+    );
+    assert_eq!(scrub(stepped.result).per_user, lockstep.result.per_user);
 }
 
 /// A cell with room for two sessions at a time (slack is the only

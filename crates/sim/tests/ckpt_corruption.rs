@@ -240,3 +240,45 @@ fn rich_sidecar_json_is_a_fixed_point() {
     let back = EngineCheckpoint::from_json(&first).expect("parse");
     assert_eq!(back.to_json().expect("serialize again"), first);
 }
+
+/// A sidecar taken after the first slot carries every user's reported
+/// row. One that lost a row — here under a collector that holds reports,
+/// whose rows a resumed run cannot rebuild from ground truth — is a
+/// typed refusal, not a resume that quietly starts the collector over.
+#[test]
+fn short_snapshot_rows_are_typed_refusal() {
+    let mut s = quick(4);
+    s.collector.staleness_slots = 3;
+    let json = make_checkpoint(&s, 10).to_json().expect("serialize");
+    // Cut the last row out of the snapshot array.
+    let open = json.find("\"snapshots\":[").expect("rows present") + "\"snapshots\":[".len();
+    let (mut depth, mut last_comma, mut close) = (0i32, None, None);
+    for (k, b) in json[open..].bytes().enumerate() {
+        match b {
+            b'{' | b'[' => depth += 1,
+            b'}' => depth -= 1,
+            b']' if depth == 0 => {
+                close = Some(open + k);
+                break;
+            }
+            b']' => depth -= 1,
+            b',' if depth == 0 => last_comma = Some(open + k),
+            _ => {}
+        }
+    }
+    let (cut, close) = (last_comma.expect("four rows"), close.expect("closed"));
+    let short = format!("{}{}", &json[..cut], &json[close..]);
+    let ck = EngineCheckpoint::from_json(&short).expect("the sidecar itself still parses");
+    match s.resume_from(&mut TraceRecorder::new(), &ck) {
+        Err(SimError::Checkpoint(CheckpointError::Restore { component, reason })) => {
+            assert_eq!(component, "loop state");
+            assert!(reason.contains("3 snapshot rows"), "{reason}");
+        }
+        Err(e) => panic!("expected a Restore refusal, got {e:?}"),
+        Ok(_) => panic!("a sidecar missing a row must not resume"),
+    }
+    // The untouched sidecar resumes.
+    let ck = EngineCheckpoint::from_json(&json).expect("parse");
+    s.resume_from(&mut TraceRecorder::new(), &ck)
+        .expect("the full sidecar resumes");
+}

@@ -10,12 +10,18 @@
 //! slot 0 is a slot like any other. One count keeps a slot-0 exemption:
 //! the first ingest drains every flow of an infinite origin. The work
 //! counts are deterministic, so these are exact equalities, not timings.
+//! So is the finish's: it folds the rows the run wrote — the users who
+//! went live and the admission rejects — and on both pools the same
+//! number of them.
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use jmso_sim::{AdmissionSpec, ArrivalSpec, NullRecorder, Scenario, SlotWork};
+use jmso_sim::{
+    AdmissionDecision, AdmissionSpec, ArrivalSpec, CapacitySpec, NullRecorder, Scenario, SlotWork,
+    TraceRecorder, WorkloadSpec,
+};
 
 const SESSIONS: usize = 6;
 const STAY_SLOTS: u64 = 12;
@@ -117,4 +123,75 @@ fn series_and_held_reports_follow_the_live_sessions_too() {
         assert!(a.fairness_rows <= SESSIONS, "{a:?}");
         assert_eq!(a.fairness_rows > 0, ends_window && slot < 30, "slot {slot}");
     }
+}
+
+/// A congested cell under admission: twenty sessions due one a slot
+/// from slot 1, room for about two at a time, a three-slot deferral cap
+/// — so the tick admits, defers and rejects. It rules on the same
+/// candidates in every slot on both pools, and the finish folds the
+/// same rows: the users who went live and the rejects, never the pool.
+#[test]
+fn admission_rulings_and_the_fold_follow_the_plan_not_the_pool() {
+    const DUE: usize = 20;
+    let run = |pool: usize| {
+        let mut s = Scenario::paper_default(pool);
+        s.slots = HORIZON;
+        s.capacity = CapacitySpec::Constant { kbps: 1_200.0 };
+        s.workload = WorkloadSpec {
+            size_range_kb: (2_000.0, 3_000.0),
+            rate_range_kbps: (300.0, 600.0),
+            vbr_levels: None,
+            vbr_segment_slots: 30,
+        };
+        let mut arrivals = vec![u64::MAX; pool];
+        for (i, a) in arrivals.iter_mut().take(DUE).enumerate() {
+            *a = 1 + i as u64;
+        }
+        s.arrivals = ArrivalSpec::Declared {
+            arrivals,
+            departures: Vec::new(),
+        };
+        s.admission = Some(AdmissionSpec::Feasibility {
+            v: 1.0,
+            omega_s: None,
+            phi_mj: None,
+            max_defer_slots: 3,
+        });
+        let mut rec = TraceRecorder::new().with_live_counts();
+        let mut driver = s.driver(&mut rec, None).expect("valid scenario");
+        let mut ruled = Vec::new();
+        while driver.step(&mut rec).is_some() {
+            ruled.push(driver.last_slot_work().candidates_ruled);
+        }
+        let folded = driver.rows_to_fold();
+        let r = driver.finish(&mut rec);
+        let trace = rec.into_trace(&r.scheduler);
+        let count = |d| {
+            (trace.records.iter())
+                .flat_map(|rec| &rec.adm)
+                .filter(|a| a.decision == d)
+                .count()
+        };
+        let decisions = [
+            count(AdmissionDecision::Admit),
+            count(AdmissionDecision::Defer),
+            count(AdmissionDecision::Reject),
+        ];
+        (ruled, folded, decisions)
+    };
+    let (small, large) = (run(2_000), run(50_000));
+    assert_eq!(small, large, "rulings or folded rows differ between pools");
+    let (ruled, folded, [admits, defers, rejects]) = small;
+    assert!(
+        admits > 0 && defers > 0 && rejects > 0,
+        "{admits}/{defers}/{rejects}"
+    );
+    assert_eq!(ruled.iter().sum::<usize>(), admits + defers + rejects);
+    assert!(ruled.iter().all(|&n| n <= DUE), "{ruled:?}");
+    // Nobody arrives at slot 0, so the users who went live are the
+    // admits (the last tick's, if any, would go live past the horizon).
+    assert!(
+        (rejects..=admits + rejects).contains(&folded),
+        "{folded} rows folded, {admits} admits, {rejects} rejects"
+    );
 }

@@ -24,6 +24,12 @@
 # also hold on a seed not used while the change was written). A run that
 # does not end in `"correct": true` stops the script.
 #
+# AB_TRACE=1 makes every run the traced pass (`--trace 1`) instead, and
+# the table covers BENCHMARK.json's per-layer metrics — each one that is
+# non-zero on either side — so a claimed move can be attributed to the
+# layer it came from (`sim.finish_s`, `sim.phase.*`, work counts that
+# must repeat exactly).
+#
 # Needs TMPDIR (default /tmp) to hold a second checkout and its build,
 # about 1 GB.
 set -euo pipefail
@@ -34,6 +40,7 @@ workload="${2:?usage: scripts/ab-pairs.sh <parent-rev> <workload> [pairs=5]}"
 pairs="${3:-5}"
 seed="${AB_SEED:-42}"
 seconds="${AB_SECONDS:-20}"
+trace="${AB_TRACE:-0}"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -45,10 +52,10 @@ run() {
     local line
     if [[ "$1" == parent ]]; then
         line="$(CARGO_TARGET_DIR="$tmp/target" bash "$tmp/parent/benchmark/run.sh" \
-            --workload "$workload" --seed "$seed" --seconds "$2" --trace 0 | tail -n 1)"
+            --workload "$workload" --seed "$seed" --seconds "$2" --trace "$trace" | tail -n 1)"
     else
         line="$(bash benchmark/run.sh \
-            --workload "$workload" --seed "$seed" --seconds "$2" --trace 0 | tail -n 1)"
+            --workload "$workload" --seed "$seed" --seconds "$2" --trace "$trace" | tail -n 1)"
     fi
     grep -q '"correct": true' <<<"$line" || {
         echo "$1 did not report \"correct\": true: $line" >&2
@@ -69,7 +76,7 @@ for i in $(seq "$pairs"); do
     done
 done
 
-python3 - BENCHMARK.json "$tmp/parent.jsonl" "$tmp/change.jsonl" <<'EOF'
+python3 - BENCHMARK.json "$tmp/parent.jsonl" "$tmp/change.jsonl" "$trace" <<'EOF'
 import json
 import statistics
 import sys
@@ -86,14 +93,19 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-for m in spec["end_to_end"]:
+traced = sys.argv[4] == "1"
+for m in spec["per_layer" if traced else "end_to_end"]:
     name, higher = m["name"], m["better"] == "higher"
-    a = [r[name]["value"] for r in parent]
-    b = [r[name]["value"] for r in change]
+    value = lambda r: r.get(name, {}).get("value", 0.0)
+    a = [value(r) for r in parent]
+    b = [value(r) for r in change]
+    if traced and not any(a + b):
+        continue
     ratios = [y / x if x else float("nan") for x, y in zip(a, b)]
     wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
     (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
-    print(f"{name} ({m['unit']}, {m['better']} is better, bound {m['bound']:.0%})")
+    bound = "" if traced else f", bound {m['bound']:.0%}"
+    print(f"{name} ({m['unit']}, {m['better']} is better{bound})")
     print("  change / parent per pair: " + "  ".join(f"{r:.3f}" for r in ratios))
     print(f"  parent median {a2:.6g} (quartiles {a1:.6g} .. {a3:.6g})")
     print(f"  change median {b2:.6g} (quartiles {b1:.6g} .. {b3:.6g})")
