@@ -144,26 +144,35 @@ impl AdmissionController {
         &self.spec
     }
 
-    /// Decide `user`'s pending arrival given the bound estimates.
-    pub fn decide(&mut self, user: usize, ctx: &AdmissionContext) -> AdmissionDecision {
-        let decision = match &self.spec {
-            AdmissionSpec::AlwaysAdmit => AdmissionDecision::Admit,
+    /// Whether the bound estimates in `ctx` admit a candidate: positive
+    /// slack and every configured budget met. Pure — the verdict reads
+    /// neither the candidate's identity nor its deferral count — and,
+    /// for bound estimates computed the simulator's way, monotone in
+    /// the candidate's rate: a lower rate is admitted whenever a higher
+    /// one is.
+    pub fn admissible(&self, ctx: &AdmissionContext) -> bool {
+        match &self.spec {
+            AdmissionSpec::AlwaysAdmit => true,
             AdmissionSpec::Feasibility {
-                omega_s,
-                phi_mj,
-                max_defer_slots,
-                ..
+                omega_s, phi_mj, ..
             } => {
                 let omega_ok = omega_s.is_none_or(|w| ctx.omega_hat_s <= w);
                 let phi_ok = phi_mj.is_none_or(|p| ctx.phi_hat_mj <= p);
-                if ctx.eps_s > 0.0 && omega_ok && phi_ok {
-                    AdmissionDecision::Admit
-                } else if self.defer_counts[user] < *max_defer_slots {
-                    AdmissionDecision::Defer
-                } else {
-                    AdmissionDecision::Reject
-                }
+                ctx.eps_s > 0.0 && omega_ok && phi_ok
             }
+        }
+    }
+
+    /// Tally one ruling on `user`'s pending arrival: admit when
+    /// `admissible`, else defer while the user has been deferred fewer
+    /// than `max_defer_slots` times, else reject.
+    fn tally(&mut self, user: usize, admissible: bool) -> AdmissionDecision {
+        let decision = if admissible {
+            AdmissionDecision::Admit
+        } else if self.defer_counts[user] < self.max_defer_slots() {
+            AdmissionDecision::Defer
+        } else {
+            AdmissionDecision::Reject
         };
         match decision {
             AdmissionDecision::Admit => self.summary.admitted += 1,
@@ -176,17 +185,80 @@ impl AdmissionController {
         decision
     }
 
+    /// Decide `user`'s pending arrival given the bound estimates:
+    /// [`AdmissionController::admissible`], then the tally.
+    pub fn decide(&mut self, user: usize, ctx: &AdmissionContext) -> AdmissionDecision {
+        let admissible = self.admissible(ctx);
+        self.tally(user, admissible)
+    }
+
+    /// Deferrals after which a refused candidate is rejected (0 for
+    /// [`AdmissionSpec::AlwaysAdmit`], which never refuses).
+    pub fn max_defer_slots(&self) -> u64 {
+        match &self.spec {
+            AdmissionSpec::AlwaysAdmit => 0,
+            AdmissionSpec::Feasibility {
+                max_defer_slots, ..
+            } => *max_defer_slots,
+        }
+    }
+
+    /// Open a clocked wait for `user`, whose arrival first came due at
+    /// slot `first_due`. A candidate is ruled once per slot until
+    /// admitted or rejected, so while the wait is open its deferral
+    /// count is a function of the clock — `due − first_due` at the
+    /// ruling for slot `due` — and a deferral writes nothing: the count
+    /// and the tally are settled by [`AdmissionController::end_wait`]
+    /// (or read by [`AdmissionController::export_state`]). A count the
+    /// user already carries — a restored wait's, which `first_due`
+    /// must account for — leaves the tally here, since the clock now
+    /// covers it. Until the wait closes the user's count entry holds
+    /// `first_due`.
+    pub fn start_wait(&mut self, user: usize, first_due: u64) {
+        self.summary.deferrals -= self.defer_counts[user];
+        self.defer_counts[user] = first_due;
+    }
+
+    /// Close `user`'s wait with the ruling for slot `due`: admitted, or
+    /// (refused at the deferral cap) rejected. The count and the tally
+    /// become what a [`AdmissionController::decide`] call per ruling
+    /// would have left.
+    pub fn end_wait(&mut self, user: usize, due: u64, admit: bool) -> AdmissionDecision {
+        let deferred = due - self.defer_counts[user];
+        self.defer_counts[user] = deferred;
+        self.summary.deferrals += deferred;
+        if admit {
+            self.summary.admitted += 1;
+            AdmissionDecision::Admit
+        } else {
+            self.summary.rejected += 1;
+            AdmissionDecision::Reject
+        }
+    }
+
     /// Decision tallies so far.
     pub fn summary(&self) -> AdmissionSummary {
         self.summary
     }
 
-    /// Snapshot for a checkpoint.
-    pub fn export_state(&self) -> AdmissionState {
-        AdmissionState {
+    /// Snapshot for a checkpoint, with the open waits of the users in
+    /// `waiting` — each last deferred to slot `deferred_to` — settled as
+    /// deferrals: the state a `decide` call per ruling would have left.
+    pub fn export_state(
+        &self,
+        waiting: impl IntoIterator<Item = usize>,
+        deferred_to: u64,
+    ) -> AdmissionState {
+        let mut state = AdmissionState {
             defer_counts: self.defer_counts.clone(),
             summary: self.summary,
+        };
+        for user in waiting {
+            let deferred = deferred_to - self.defer_counts[user];
+            state.defer_counts[user] = deferred;
+            state.summary.deferrals += deferred;
         }
+        state
     }
 
     /// Restore state captured by [`AdmissionController::export_state`].
@@ -333,13 +405,113 @@ mod tests {
         let mut c = AdmissionController::new(spec.clone(), 3);
         c.decide(1, &infeasible_ctx());
         c.decide(2, &feasible_ctx());
-        let st = c.export_state();
+        let st = c.export_state([], 0);
         let mut fresh = AdmissionController::new(spec, 3);
         fresh.import_state(&st).unwrap();
         assert_eq!(fresh, c);
         // Mismatched population is rejected.
         let mut tiny = AdmissionController::new(AdmissionSpec::AlwaysAdmit, 1);
         assert!(tiny.import_state(&st).is_err());
+    }
+
+    /// A clocked wait settles to what one `decide` per ruling leaves:
+    /// with a cap of three, a user first due at slot 4, refused at 4, 5
+    /// and 6 and admitted at 7, and another refused from 5 on until the
+    /// cap rejects them at 8 — and a snapshot taken while both waits are
+    /// open reads as the eager one.
+    #[test]
+    fn clocked_waits_settle_like_eager_rulings() {
+        let spec = AdmissionSpec::Feasibility {
+            v: 1.0,
+            omega_s: None,
+            phi_mj: None,
+            max_defer_slots: 3,
+        };
+        let mut eager = AdmissionController::new(spec.clone(), 2);
+        let mut clocked = AdmissionController::new(spec, 2);
+        clocked.start_wait(0, 4);
+        clocked.start_wait(1, 5);
+        // Slots 4 and 5.
+        for user in [0, 0, 1] {
+            assert_eq!(
+                eager.decide(user, &infeasible_ctx()),
+                AdmissionDecision::Defer
+            );
+        }
+        // Both deferred to slot 6.
+        assert_eq!(clocked.export_state([0, 1], 6), eager.export_state([], 0));
+        // Slots 6, 7 and 8.
+        for (user, ctx) in [
+            (0, infeasible_ctx()),
+            (1, infeasible_ctx()),
+            (0, feasible_ctx()),
+        ] {
+            eager.decide(user, &ctx);
+        }
+        assert_eq!(eager.decide(1, &infeasible_ctx()), AdmissionDecision::Defer);
+        assert_eq!(
+            eager.decide(1, &infeasible_ctx()),
+            AdmissionDecision::Reject
+        );
+        assert_eq!(clocked.end_wait(0, 7, true), AdmissionDecision::Admit);
+        assert_eq!(clocked.end_wait(1, 8, false), AdmissionDecision::Reject);
+        assert_eq!(clocked, eager);
+        assert_eq!(clocked.export_state([], 0).defer_counts, [3, 3]);
+        assert_eq!(clocked.max_defer_slots(), 3);
+    }
+
+    /// A wait restored from a snapshot — the user deferred twice, from
+    /// first due slot 4 to slot 6 — re-opens at slot 4 and settles once:
+    /// the two deferrals the snapshot carried are not counted again when
+    /// the clock closes the wait, nor by a later snapshot.
+    #[test]
+    fn a_restored_wait_counts_its_deferrals_once() {
+        let spec = AdmissionSpec::Feasibility {
+            v: 1.0,
+            omega_s: None,
+            phi_mj: None,
+            max_defer_slots: 5,
+        };
+        let mut eager = AdmissionController::new(spec.clone(), 1);
+        let mut clocked = AdmissionController::new(spec.clone(), 1);
+        clocked.start_wait(0, 4);
+        for _ in 0..2 {
+            eager.decide(0, &infeasible_ctx());
+        }
+        let snapshot = clocked.export_state([0], 6);
+        assert_eq!(snapshot, eager.export_state([], 0));
+        let mut restored = AdmissionController::new(spec, 1);
+        restored.import_state(&snapshot).unwrap();
+        restored.start_wait(0, 6 - snapshot.defer_counts[0]);
+        // Refused at 6, snapshot at the top of 7, admitted at 7.
+        eager.decide(0, &infeasible_ctx());
+        assert_eq!(restored.export_state([0], 7), eager.export_state([], 0));
+        assert_eq!(eager.decide(0, &feasible_ctx()), AdmissionDecision::Admit);
+        assert_eq!(restored.end_wait(0, 7, true), AdmissionDecision::Admit);
+        assert_eq!(restored, eager);
+        assert_eq!(restored.summary().deferrals, 3);
+    }
+
+    /// `decide` is `admissible` then `tally`; the verdict alone reads no
+    /// state, so asking it changes nothing.
+    #[test]
+    fn admissible_is_pure() {
+        let c = AdmissionController::new(
+            AdmissionSpec::Feasibility {
+                v: 1.0,
+                omega_s: Some(0.05),
+                phi_mj: None,
+                max_defer_slots: 0,
+            },
+            1,
+        );
+        let before = c.clone();
+        assert!(c.admissible(&feasible_ctx()));
+        assert!(!c.admissible(&infeasible_ctx()));
+        assert_eq!(c, before);
+        assert!(
+            AdmissionController::new(AdmissionSpec::AlwaysAdmit, 1).admissible(&infeasible_ctx())
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! | B lane | per lane | with more than one lane the cell's rows — its members' as reported, everyone else's gated to zero; `allocate_into` |
 //! | B close | serial | scheduler latency, grants, queues and degradations to the recorder in cell order; `transmit_into` per lane out of the one receiver |
 //! | C | per shard | delivery, ABR staging, Eq. (3)–(5) accounting; energy, rebuffering, RRC events and `done` flips *staged* |
-//! | D | serial | replay of what C staged into the recorder, E\* and series folds, ABR commits, live-list compaction, admission tick |
+//! | D | serial | replay of what C staged into the recorder, E\* and series folds, ABR commits, live-list compaction; the admission tick — the arrivals that came due join a waiting room, the rule is evaluated O(log n) times per admit, the users whose deferral cap ran out are rejected, and nobody deferred is visited (their rulings go to an enabled recorder only) |
 //!
 //! A [`Scenario`](crate::scenario::Scenario) run has one lane, which
 //! schedules straight off the columns' rows; a
@@ -88,6 +88,7 @@ use crate::faults::FaultPlan;
 use crate::pool::{PhaseCell, SharedSlice, SpinBarrier, WorkerPool};
 use crate::results::{SimResult, UserResult};
 use crate::telemetry::SlotRecorder;
+use crate::waiting_room::{MonotoneVerdict, WaitingRoom};
 use jmso_gateway::bs::CapacityModel;
 use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
@@ -588,30 +589,46 @@ struct AbrRuntime {
 /// Per-run admission machinery installed by [`Engine::set_admission`] —
 /// only for the feasibility policy; `AlwaysAdmit` is the identity and
 /// installs nothing, which is what makes it bit-identical to running
-/// without admission control.
+/// without admission control. Its tick ([`admission_tick`]) costs the
+/// arrivals that came due, the admits and the rejects, never the users
+/// it defers: they wait in `waiting`, unvisited, until admitted or
+/// rejected.
 struct AdmissionRuntime {
     ctl: AdmissionController,
     /// Per-user native mean rate, KB/s (demand estimate for ε̂).
     rates: Vec<f64>,
     /// Lyapunov trade-off weight `V` used in the bound estimates.
     v: f64,
-    /// Planned arrivals still awaiting their first ruling, ascending
-    /// `(arrival_slot, user)` and consumed from `planned_next` on. The
-    /// plan is compiled before the run and live reschedules are refused
-    /// under admission, so a sorted list with a cursor is the whole queue.
+    /// The run's planned arrivals, ascending `(first_due, user)`: the
+    /// slot each user's arrival first comes due (on restore, the arrival
+    /// slot less the deferrals the user already had). The plan is
+    /// compiled before the run and live reschedules are refused under
+    /// admission, so a sorted list with two cursors is the whole queue:
+    /// `planned_next` passes the users who came due into `waiting`, and
+    /// `expire_next`, `max_defer_slots` slots behind, the users whose
+    /// deferral cap ran out — rejected if still waiting.
     planned: Vec<(u64, usize)>,
     planned_next: usize,
-    /// Users the latest tick deferred, ascending. A deferral is always
-    /// to the very next slot, so these are exactly the candidates the
-    /// next tick merges with its newly due planned arrivals.
-    carry: Vec<usize>,
+    expire_next: usize,
+    /// Users whose arrival is due and who are neither admitted nor
+    /// rejected. A deferral writes nothing: each waiting user's defer
+    /// count is a function of the clock (`AdmissionController::
+    /// start_wait`), their arrival slot is the next slot's, and both
+    /// are written when the user leaves the room or a checkpoint
+    /// reads them.
+    waiting: WaitingRoom,
     /// Users the latest tick admitted, ascending — the arrival gate's
     /// input for the next slot, and the only way a governed user goes
     /// live (slot-0 arrivals, admitted by fiat, start live).
     admitted: Vec<usize>,
-    /// The latest tick's candidates (buffer reused across ticks, like
-    /// `carry` and `admitted`, so a steady-state tick allocates nothing).
-    candidates: Vec<usize>,
+    /// Users the latest tick rejected, ascending (buffer reused across
+    /// ticks, like `admitted`, so a steady-state tick allocates
+    /// nothing).
+    rejected: Vec<usize>,
+    /// Rulings the latest tick made (every user waiting in it) and the
+    /// decision evaluations it spent on them — `SlotWork`'s counts.
+    ruled: usize,
+    evaluations: usize,
     /// Energy charged to arrived-and-watching users so far, mJ — the
     /// running `E*` estimate's numerator.
     energy_mj: f64,
@@ -634,8 +651,8 @@ struct AdmissionRuntime {
 }
 
 /// Serializable slice of an [`AdmissionRuntime`] (the arrival queue —
-/// planned list, carry list and gate — is derived from per-user arrival
-/// slots and rebuilt on restore).
+/// planned list, waiting room and gate — is derived from per-user
+/// arrival slots and deferral counts and rebuilt on restore).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AdmissionCkpt {
     state: AdmissionState,
@@ -963,12 +980,17 @@ impl Engine {
         let AdmissionSpec::Feasibility { v, .. } = spec else {
             return;
         };
+        // The room first: placed after the pool-sized columns below, its
+        // two small blocks shift where later reps' buffers land in the
+        // heap, which on the 100 000-user open system read as 10 MB more
+        // peak RSS (DESIGN §14).
+        let waiting = WaitingRoom::new(self.users.len());
         let rates: Vec<f64> = self
             .users
             .iter()
             .map(|u| u.session.bitrate.mean_rate())
             .collect();
-        let planned = planned_arrivals(&self.arrival, 0);
+        let planned = planned_arrivals(&self.arrival, 0, |_| 0);
         // Aggregates start with the slot-0 population (admitted by fiat),
         // summed in ascending user order.
         let mut n_active = 0usize;
@@ -985,9 +1007,12 @@ impl Engine {
             v: *v,
             planned,
             planned_next: 0,
-            carry: Vec::new(),
+            expire_next: 0,
+            waiting,
             admitted: Vec::new(),
-            candidates: Vec::new(),
+            rejected: Vec::new(),
+            ruled: 0,
+            evaluations: 0,
             energy_mj: 0.0,
             user_slots: 0,
             n_active,
@@ -1092,24 +1117,72 @@ impl Engine {
                     })?;
                 a.energy_mj = s.energy_mj;
                 a.user_slots = s.user_slots;
-                // Rebuild the queue from the restored arrival slots: at
-                // the top of slot k everything still due after k awaits
-                // a ruling (the tick at the end of slot k−1 consumed what
-                // was due at or before k). A deferred user and a planned
-                // one due at k+1 are ruled in the same ascending user
-                // order either way, so the carry list restarts empty;
-                // `build_driver` re-derives the gate's `admitted` list.
-                a.planned = planned_arrivals(&self.arrival, ck.slot);
+                // Each pending user's deferrals must be ones the
+                // checkpoint's tick could have left: none for a user not
+                // yet due, at most the cap for one it deferred to the
+                // next slot — else the first due slot they place the
+                // user's wait at is not the one the run had — and all of
+                // them in the tally, which hands them to the clock when
+                // the wait re-opens (`AdmissionController::start_wait`).
+                let cap = a.ctl.max_defer_slots();
+                let counts = &s.state.defer_counts;
+                let mut pending = 0u64;
+                for (i, &arrival) in self.arrival.iter().enumerate() {
+                    let deferred = counts[i];
+                    if arrival <= ck.slot || arrival == u64::MAX || deferred == 0 {
+                        continue;
+                    }
+                    if deferred > cap || deferred > arrival || arrival != ck.slot + 1 {
+                        return Err(CheckpointError::Restore {
+                            component: "admission",
+                            reason: format!(
+                                "user {i}, due at slot {arrival}, carries {deferred} deferrals \
+                                 (cap {cap}; a deferred user is due at slot {})",
+                                ck.slot + 1
+                            ),
+                        });
+                    }
+                    pending += deferred;
+                }
+                if pending > s.state.summary.deferrals {
+                    return Err(CheckpointError::Restore {
+                        component: "admission",
+                        reason: format!(
+                            "pending users carry {pending} deferrals, the tally only {}",
+                            s.state.summary.deferrals
+                        ),
+                    });
+                }
+                // Rebuild the queue from the restored arrival slots and
+                // deferral counts: at the top of slot k everything still
+                // due after k awaits a ruling (the tick at the end of
+                // slot k−1 consumed what was due at or before k), and a
+                // user deferred to k+1 re-enters the waiting room at the
+                // first due slot its count places it at. `build_driver`
+                // re-derives the gate's `admitted` list.
+                a.planned = planned_arrivals(&self.arrival, ck.slot, |i| counts[i]);
                 a.planned_next = 0;
-                a.carry.clear();
+                a.expire_next = 0;
+                a.waiting = WaitingRoom::new(self.users.len());
                 a.admitted.clear();
+                a.rejected.clear();
                 // v4 sidecars carry the running aggregates verbatim (so a
-                // resumed run continues on the exact float sum); legacy
-                // sidecars get a fresh rescan over the restored state.
+                // resumed run continues on the exact float sum), and one
+                // that lost them is refused; v2/v3 sidecars get a fresh
+                // rescan over the restored state.
                 match (s.n_active, s.rate_sum) {
                     (Some(n), Some(r)) => {
                         a.n_active = n;
                         a.rate_sum = r;
+                    }
+                    _ if ck.version >= 4 => {
+                        return Err(CheckpointError::Restore {
+                            component: "admission",
+                            reason: format!(
+                                "a v{} sidecar must carry n_active and rate_sum",
+                                ck.version
+                            ),
+                        });
                     }
                     _ => {
                         a.n_active = 0;
@@ -1807,6 +1880,10 @@ pub struct SlotWork {
     /// the planned arrivals that came due and the previous tick's
     /// deferrals.
     pub candidates_ruled: usize,
+    /// Times the tick evaluated the admission rule: O(log n) per admit,
+    /// plus O(log n) for the search that finds nobody else — however
+    /// many it ruled on.
+    pub admission_evaluations: usize,
 }
 
 impl SlotDriver {
@@ -1824,8 +1901,9 @@ impl SlotDriver {
                 .sum(),
             collector_rows: self.lp.collector_rows,
             fairness_rows: self.lp.fairness_rows,
-            candidates_ruled: (self.engine.admission.as_ref())
-                .map_or(0, |adm| adm.candidates.len()),
+            candidates_ruled: (self.engine.admission.as_ref()).map_or(0, |adm| adm.ruled),
+            admission_evaluations: (self.engine.admission.as_ref())
+                .map_or(0, |adm| adm.evaluations),
         }
     }
 
@@ -2066,6 +2144,10 @@ impl SlotDriver {
         }
         // What a user who never went live exports.
         let built = Window::new(usize::MAX);
+        // A user in the admission waiting room was deferred to the slot
+        // after this one; the tick leaves that unwritten.
+        let waiting = eng.admission.as_ref().map(|a| &a.waiting);
+        let deferred_to = self.next_slot + 1;
         Ok(EngineCheckpoint {
             version: CKPT_VERSION,
             slot: self.next_slot,
@@ -2085,7 +2167,10 @@ impl SlotDriver {
                         cur_signal: window.cur_signal,
                         sig_block: window.sig.iter().map(|d| d.0).collect(),
                         active_slots: u.active_slots,
-                        arrival_slot: c.arrival[i],
+                        arrival_slot: match waiting {
+                            Some(room) if room.contains(i) => deferred_to,
+                            _ => c.arrival[i],
+                        },
                         departure_slot: c.departure[i],
                         declared_rate_kbps: u.declared_rate_kbps,
                         sig_samples: u.sig_samples,
@@ -2122,7 +2207,7 @@ impl SlotDriver {
                 },
             },
             admission: eng.admission.as_ref().map(|a| AdmissionCkpt {
-                state: a.ctl.export_state(),
+                state: a.ctl.export_state(a.waiting.iter(), deferred_to),
                 energy_mj: a.energy_mj,
                 user_slots: a.user_slots,
                 n_active: Some(a.n_active),
@@ -3180,13 +3265,21 @@ fn phase_d<R: SlotRecorder>(
     lp.watching == 0 || slot + 1 >= cfg.slots
 }
 
-/// The planned arrivals due after `after`, ascending `(slot, user)` —
-/// the order every tick has ruled in. Users that never arrive
-/// (`u64::MAX`: past any horizon, or rejected) are left out.
-fn planned_arrivals(arrival: &[u64], after: u64) -> Vec<(u64, usize)> {
+/// The planned arrivals due after `after`, as `(first_due, user)`
+/// ascending — the order every tick has ruled in, and the order their
+/// deferral caps run out in. A user's first due slot is their arrival
+/// slot less the `deferred` slots they already waited (none before the
+/// run; on restore, those of the users the checkpoint's tick deferred).
+/// Users that never arrive (`u64::MAX`: past any horizon, or rejected)
+/// are left out.
+fn planned_arrivals(
+    arrival: &[u64],
+    after: u64,
+    deferred: impl Fn(usize) -> u64,
+) -> Vec<(u64, usize)> {
     let mut planned: Vec<(u64, usize)> = (arrival.iter().enumerate())
         .filter(|&(_, &a)| a > after && a != u64::MAX)
-        .map(|(i, &a)| (a, i))
+        .map(|(i, &a)| (a - deferred(i), i))
         .collect();
     planned.sort_unstable();
     planned
@@ -3220,20 +3313,27 @@ fn admission_e_star(adm: &AdmissionRuntime) -> f64 {
     }
 }
 
-/// Rule on one candidate given the active population *with the candidate
-/// admitted* (`n_active` users whose rates sum to `rate_sum`). This is
-/// the single decision expression both the O(1) incremental tick and the
-/// full-rescan reference evaluate, so the two paths can only diverge
+/// The bound estimates for one candidate given the active population
+/// *with the candidate admitted* (`n_active` users whose rates sum to
+/// `rate_sum`). This is the single decision expression both the tick and
+/// the full-rescan reference evaluate, so the two paths can only diverge
 /// through their population aggregates.
-fn admission_decide(
-    adm: &mut AdmissionRuntime,
-    j: usize,
+///
+/// Between two admits of one tick only `rate_sum` varies with the
+/// candidate, as `S + r`, and the verdict is monotone in `r`: every step
+/// from `r` to it is a monotone IEEE operation — `S + r`, `/ n`, `n ·`,
+/// `C / x` (x > 0), `− 1`, `τ ·` on the way to ε̂, then Ω̂'s division by
+/// `n · ε̂` — and Φ̂ does not read `r` at all. So a rate that passes
+/// makes every lower rate pass (`admissible_is_monotone_in_the_rate`),
+/// which is what lets the tick's waiting room skip whom it refuses.
+fn admission_context(
+    v: f64,
     n_active: usize,
     rate_sum: f64,
     e_star_user: f64,
     c_kbps: f64,
     tau: f64,
-) -> AdmissionDecision {
+) -> AdmissionContext {
     let n = n_active as f64;
     let r_bar = rate_sum / n;
     // Per-user service slack ε̂ = τ·(C/(n·r̄) − 1): seconds of
@@ -3243,18 +3343,32 @@ fn admission_decide(
     // aggregate forms take Σ-quantities, so the per-user estimates
     // are scaled up by n going in and back down coming out.
     let b = drift_bound_b(n_active, tau, tau);
-    let phi_hat = energy_upper_bound(e_star_user * n, b, adm.v) / n;
+    let phi_hat = energy_upper_bound(e_star_user * n, b, v) / n;
     let omega_hat = if eps_s > 0.0 {
-        rebuffer_upper_bound(b, adm.v, e_star_user * n, n * eps_s) / n
+        rebuffer_upper_bound(b, v, e_star_user * n, n * eps_s) / n
     } else {
         // Non-positive slack: Theorem 1's bound does not exist.
         f64::INFINITY
     };
-    let ctx = AdmissionContext {
+    AdmissionContext {
         eps_s,
         omega_hat_s: omega_hat,
         phi_hat_mj: phi_hat,
-    };
+    }
+}
+
+/// Rule on candidate `j` and tally the ruling: [`admission_context`]
+/// through [`AdmissionController::decide`].
+fn admission_decide(
+    adm: &mut AdmissionRuntime,
+    j: usize,
+    n_active: usize,
+    rate_sum: f64,
+    e_star_user: f64,
+    c_kbps: f64,
+    tau: f64,
+) -> AdmissionDecision {
+    let ctx = admission_context(adm.v, n_active, rate_sum, e_star_user, c_kbps, tau);
     adm.ctl.decide(j, &ctx)
 }
 
@@ -3262,8 +3376,8 @@ fn admission_decide(
 /// back a slot, rejected users are cancelled before ever going live (the
 /// radio stays cold and they stop counting toward the watch count).
 /// Rejected users were never in the active population, so the aggregates
-/// are untouched here; the admit arm (aggregates, gate) and the carry
-/// list are the incremental tick's own business.
+/// are untouched here; the admit arm (aggregates, gate) is each tick's
+/// own business.
 fn admission_apply(
     arrival: &mut [u64],
     users: &mut [UserSim],
@@ -3286,23 +3400,33 @@ fn admission_apply(
     }
 }
 
-/// One end-of-slot admission pass: rule on every planned arrival due at
-/// the next slot, evaluating each candidate against the Lyapunov bound
+/// One end-of-slot admission pass: rule on every arrival due at the next
+/// slot — the planned arrivals that just came due and everyone still
+/// waiting — in ascending user order, each against the Lyapunov bound
 /// estimates *as they would be with the candidate admitted* (candidates
 /// this pass already admitted count toward later candidates' load).
 ///
-/// Runs at the end of phase D, right before `end_slot`, so the
-/// decision uses the slot's final capacity and energy accounting and its
-/// records land on the decision slot. Each candidate costs O(1): the
-/// active population is read off the incrementally maintained
-/// `n_active`/`rate_sum` aggregates instead of a per-candidate rescan,
-/// and the candidates come off one queue — the carry list of the last
-/// tick's deferrals merged with the planned arrivals that just came due,
-/// in ascending `(slot, user)` order. A candidate enters the arrival
-/// gate (`admitted`) only when admitted, so a user deferred thirty times
-/// costs thirty rulings and nothing else. The reference loop runs the
-/// naive form, [`admission_tick_reference`], pinned equal by the
-/// admission property pack.
+/// Runs at the end of phase D, right before `end_slot`, so the decision
+/// uses the slot's final capacity and energy accounting and its records
+/// land on the decision slot. The rulings are the reference's, one per
+/// waiting user, but the tick never visits a user it defers:
+///
+/// * Between two admits the population aggregates are fixed and the
+///   verdict is monotone in the candidate's rate ([`admission_context`]),
+///   so the next admit is the leftmost waiting user whose rate passes —
+///   the waiting room finds them with O(log n) evaluations — and every
+///   user it skipped was refused.
+/// * A refused user is deferred while their count, `next_slot −
+///   first_due`, is under the cap, and rejected at it: the users the
+///   `expire_next` cursor reaches this tick. A deferral writes nothing
+///   (`AdmissionRuntime::waiting`).
+///
+/// So a tick costs its arrivals, rejects and admits, O(log n) each. The
+/// rulings go to an enabled recorder in the reference's order, merged
+/// from the admits, the rejects and the room; a disabled one gets no
+/// call. The reference loop runs the naive form,
+/// [`admission_tick_reference`], pinned equal by the admission property
+/// pack.
 #[allow(clippy::too_many_arguments)]
 fn admission_tick<R: SlotRecorder>(
     adm: &mut AdmissionRuntime,
@@ -3321,48 +3445,66 @@ fn admission_tick<R: SlotRecorder>(
     // The gate consumed the previous tick's admits at the top of this
     // slot.
     adm.admitted.clear();
-    // Every carried user is due exactly `next_slot`; planned entries are
-    // already in `(slot, user)` order.
-    let mut candidates = std::mem::take(&mut adm.candidates);
-    candidates.clear();
-    let mut carried = 0;
-    while let Some(&(due, j)) = adm.planned.get(adm.planned_next) {
-        if due > next_slot {
+    adm.rejected.clear();
+    while let Some(&(first_due, j)) = adm.planned.get(adm.planned_next) {
+        if first_due > next_slot {
             break;
         }
-        while carried < adm.carry.len() && (next_slot, adm.carry[carried]) < (due, j) {
-            candidates.push(adm.carry[carried]);
-            carried += 1;
-        }
-        candidates.push(j);
+        adm.ctl.start_wait(j, first_due);
+        adm.waiting.insert(j, adm.rates[j]);
         adm.planned_next += 1;
     }
-    candidates.extend_from_slice(&adm.carry[carried..]);
-    adm.carry.clear();
+    adm.ruled = adm.waiting.len();
+    adm.evaluations = 0;
     // Slot-s capacity in KB/s.
     let c_kbps = bs_cap_units as f64 * delta_kb / tau;
     let e_star_user = admission_e_star(adm);
-    for &j in &candidates {
-        debug_assert!(arrival[j] <= next_slot, "candidate not due");
+    let mut from = 0;
+    loop {
         // Population with the candidate admitted: the maintained active
         // population (which already includes the candidates this pass
-        // admitted) plus `j` itself — `j` is never a member yet, since
-        // its arrival slot is the next slot.
-        let n_active = adm.n_active + 1;
-        let rate_sum = adm.rate_sum + adm.rates[j];
-        let decision = admission_decide(adm, j, n_active, rate_sum, e_star_user, c_kbps, tau);
-        match decision {
-            AdmissionDecision::Admit => {
-                // Arrival commit: the event point where `j` joins the
-                // active population (and counts toward later
-                // candidates) and enters the arrival gate.
-                adm.n_active += 1;
-                adm.rate_sum += adm.rates[j];
-                adm.admitted.push(j);
-            }
-            AdmissionDecision::Defer => adm.carry.push(j),
-            AdmissionDecision::Reject => {}
+        // admitted) plus the candidate — never a member yet, since its
+        // arrival slot is the next slot.
+        let (n_active, active_sum) = (adm.n_active + 1, adm.rate_sum);
+        let (ctl, v) = (&adm.ctl, adm.v);
+        let mut verdict = MonotoneVerdict::new(|rate| {
+            ctl.admissible(&admission_context(
+                v,
+                n_active,
+                active_sum + rate,
+                e_star_user,
+                c_kbps,
+                tau,
+            ))
+        });
+        let found = adm.waiting.leftmost(from, &adm.rates, &mut verdict);
+        adm.evaluations += verdict.evaluations;
+        let Some(j) = found else { break };
+        // Arrival commit: the event point where `j` joins the active
+        // population (and counts toward later candidates) and enters
+        // the arrival gate.
+        adm.waiting.remove(j, &adm.rates);
+        adm.ctl.end_wait(j, next_slot, true);
+        adm.n_active += 1;
+        adm.rate_sum += adm.rates[j];
+        adm.admitted.push(j);
+        arrival[j] = next_slot;
+        from = j + 1;
+    }
+    // Everyone still waiting was refused; those whose wait reached the
+    // cap are rejected. A planned entry keeps its `first_due` order, and
+    // the cursor passes one slot's worth a tick, so these come ascending.
+    let cutoff = next_slot.checked_sub(adm.ctl.max_defer_slots());
+    while let Some(&(first_due, j)) = adm.planned.get(adm.expire_next) {
+        if cutoff.is_none_or(|cutoff| first_due > cutoff) {
+            break;
         }
+        adm.expire_next += 1;
+        if !adm.waiting.contains(j) {
+            continue;
+        }
+        adm.waiting.remove(j, &adm.rates);
+        let decision = adm.ctl.end_wait(j, next_slot, false);
         admission_apply(
             arrival,
             users,
@@ -3372,13 +3514,50 @@ fn admission_tick<R: SlotRecorder>(
             next_slot,
             decision,
         );
-        if let (AdmissionDecision::Reject, Some(per_user)) = (decision, per_user.as_deref_mut()) {
+        if let Some(per_user) = per_user.as_deref_mut() {
             // The row's last write: fold it while it is at hand.
             per_user[j] = users[j].result();
         }
-        rec.record_admission(j, decision);
+        adm.rejected.push(j);
     }
-    adm.candidates = candidates;
+    if rec.enabled() {
+        debug_assert!(adm.rejected.is_sorted());
+        emit_rulings(rec, &adm.admitted, &adm.rejected, adm.waiting.iter());
+    }
+}
+
+/// Record one tick's rulings in ascending user order: the admits and the
+/// rejects (each ascending) merged into the users left waiting, who were
+/// deferred.
+fn emit_rulings<R: SlotRecorder>(
+    rec: &mut R,
+    admitted: &[usize],
+    rejected: &[usize],
+    deferred: impl Iterator<Item = usize>,
+) {
+    let (mut a, mut r) = (0, 0);
+    // `usize::MAX` ends the room and flushes the rest.
+    for j in deferred.chain([usize::MAX]) {
+        loop {
+            let (next_admit, next_reject) = (
+                admitted.get(a).copied().unwrap_or(usize::MAX),
+                rejected.get(r).copied().unwrap_or(usize::MAX),
+            );
+            if next_admit.min(next_reject) >= j {
+                break;
+            }
+            if next_admit < next_reject {
+                rec.record_admission(next_admit, AdmissionDecision::Admit);
+                a += 1;
+            } else {
+                rec.record_admission(next_reject, AdmissionDecision::Reject);
+                r += 1;
+            }
+        }
+        if j != usize::MAX {
+            rec.record_admission(j, AdmissionDecision::Defer);
+        }
+    }
 }
 
 /// The full-rescan population count the incremental aggregates replace:
@@ -3527,6 +3706,67 @@ mod tests {
             let drv = self.build_driver(&mut NullRecorder, None, 1);
             drv.expect("a fresh driver").run(&mut NullRecorder).0
         }
+    }
+
+    /// The premise the admission tick's waiting room rests on: between
+    /// two admits the verdict is monotone in the candidate's rate — for
+    /// any `r1 ≤ r2`, admitting at `r2` implies admitting at `r1`.
+    /// Random populations, rate sums, energies, capacities, slot lengths
+    /// and weights under each budget set (none, Ω alone, Φ alone, both),
+    /// with `E* = 0` and `C = 0` among them, and rates on both sides of
+    /// the ε̂ = 0 edge, where the active rates plus the candidate's reach
+    /// the capacity.
+    #[test]
+    fn admissible_is_monotone_in_the_rate() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut on_edge, mut passed, mut failed) = (0, 0, 0);
+        for case in 0..20_000u32 {
+            let n_active = rng.random_range(1..500usize);
+            let others = n_active as f64 * rng.random_range(0.0..1_000.0);
+            let e_star = match case % 4 {
+                0 => 0.0,
+                _ => rng.random_range(0.0..3_000.0),
+            };
+            let c_kbps = match case % 16 {
+                1 => 0.0,
+                _ => rng.random_range(0.0..400_000.0),
+            };
+            let tau = rng.random_range(0.05..2.0);
+            let v = rng.random_range(0.01..100.0);
+            let omega_s = (case % 2 == 0).then(|| rng.random_range(1e-4..2.0));
+            let phi_mj = (case / 2 % 2 == 0).then(|| rng.random_range(10.0..5_000.0));
+            let ctl = AdmissionController::new(
+                AdmissionSpec::Feasibility {
+                    v,
+                    omega_s,
+                    phi_mj,
+                    max_defer_slots: 30,
+                },
+                1,
+            );
+            let ctx = |r: f64| admission_context(v, n_active, others + r, e_star, c_kbps, tau);
+            let edge = (c_kbps - others).max(0.0);
+            let mut rates = vec![0.0, edge, edge.next_down().max(0.0), edge.next_up()];
+            rates.extend((0..8).map(|_| rng.random_range(0.0..2_000.0)));
+            rates.sort_by(f64::total_cmp);
+            on_edge += usize::from(ctx(edge).eps_s == 0.0);
+            let verdicts: Vec<bool> = rates.iter().map(|&r| ctl.admissible(&ctx(r))).collect();
+            let first_fail = verdicts.iter().position(|&pass| !pass);
+            if let Some(k) = first_fail {
+                assert!(
+                    verdicts[k..].iter().all(|&pass| !pass),
+                    "case {case}: rates {rates:?} gave {verdicts:?}"
+                );
+            }
+            passed += usize::from(verdicts[0]);
+            failed += usize::from(first_fail.is_some());
+        }
+        // Not vacuous: both verdicts, and the exact edge, occur.
+        assert!(
+            passed > 1_000 && failed > 1_000,
+            "{passed} passed, {failed} failed"
+        );
+        assert!(on_edge > 100, "ε̂ = 0 hit {on_edge} times");
     }
 
     /// Single user, ample capacity: fetches everything, watches everything,

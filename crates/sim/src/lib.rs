@@ -52,6 +52,7 @@ pub mod scenario;
 pub mod svg;
 pub mod sweep;
 pub mod telemetry;
+mod waiting_room;
 
 pub use arrivals::{ArrivalSpec, ChurnPlan, Diurnal, SessionLength, NEVER_DEPARTS};
 pub use calibrate::{calibrate_default, fit_v_for_omega, fit_v_for_omega_with, Calibration};

@@ -128,7 +128,10 @@ pub trait SlotRecorder {
 
     /// The admission controller ruled on user `id`'s pending arrival this
     /// slot. Decisions are computed from simulation state only, so they
-    /// are trace-safe.
+    /// are trace-safe. Called for an [`enabled`](SlotRecorder::enabled)
+    /// recorder only — every ruling, deferrals included, in ascending
+    /// user order within the slot; the tick never visits the users it
+    /// defers unless a recorder asks for them.
     fn record_admission(&mut self, id: usize, decision: AdmissionDecision) {
         let _ = (id, decision);
     }

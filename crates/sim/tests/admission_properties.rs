@@ -15,14 +15,16 @@
 //!   (the admission tick lives in the serial phase D): every shard
 //!   width must reproduce the serial run byte-for-byte, with no
 //!   warning.
-//! * The hot tick takes its candidates off one queue — the carry list
-//!   of the previous tick's deferrals merged with the planned arrivals
-//!   that just came due — and only an `Admit` reaches the arrival gate;
-//!   the reference tick finds them by scanning every user. Same
-//!   rulings in the same order for `max_defer_slots` ∈ {0, 1, 30}, and
-//!   a checkpoint taken while users sit deferred resumes byte for byte
-//!   (the queue is not checkpointed: it is re-derived from the arrival
-//!   slots).
+//! * The hot tick keeps the users who came due in a waiting room and
+//!   visits only the ones it admits or rejects: the next admit is the
+//!   leftmost user whose rate passes (the verdict is monotone in it),
+//!   and a deferral is a function of the clock. Only an `Admit` reaches
+//!   the arrival gate; the reference tick finds its candidates by
+//!   scanning every user. Same rulings in the same order for
+//!   `max_defer_slots` ∈ {0, 1, 30}, also under a plan that brings users
+//!   in descending index order, and a checkpoint taken while users sit
+//!   deferred resumes byte for byte (the room is not checkpointed: it is
+//!   re-derived from the arrival slots and deferral counts).
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
@@ -30,9 +32,9 @@
 
 use jmso_sim::{
     AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
-    CollectorSpec, EngineCheckpoint, FaultEvent, FaultSpec, MultiCellScenario, OriginModel,
-    RunOutcome, Scenario, SchedulerSpec, SessionLength, SimError, SimResult, TraceRecorder,
-    WorkerPool, WorkloadSpec, NEVER_DEPARTS,
+    CollectorSpec, EngineCheckpoint, FaultEvent, FaultSpec, MultiCellScenario, NullRecorder,
+    OriginModel, RunOutcome, Scenario, SchedulerSpec, SessionLength, SimError, SimResult,
+    SlotDriver, TraceRecorder, WorkerPool, WorkloadSpec, NEVER_DEPARTS,
 };
 use proptest::prelude::*;
 
@@ -188,7 +190,7 @@ proptest! {
         );
     }
 
-    /// The arrival queue (planned list, carry list, gate) is derived
+    /// The arrival queue (planned list, waiting room, gate) is derived
     /// state: pausing right after a tick that ruled — with users just
     /// deferred, just admitted for the paused slot, or still planned —
     /// and resuming from the sidecar JSON continues with the same
@@ -533,10 +535,10 @@ fn rulings(s: &Scenario, reference: bool) -> Vec<(u64, usize, AdmissionDecision)
         .collect()
 }
 
-/// The merged carry-list tick rules exactly like the reference tick's
+/// The waiting-room tick rules exactly like the reference tick's
 /// scan of every user, at each deferral cap: 0 never defers (the queue
 /// is the planned list alone), 1 carries a user across one tick, 30
-/// keeps users on the carry list for many.
+/// keeps users in the waiting room for many.
 #[test]
 fn merged_queue_rules_like_the_reference_scan() {
     for max_defer_slots in [0u64, 1, 30] {
@@ -569,7 +571,7 @@ fn merged_queue_rules_like_the_reference_scan() {
 }
 
 /// A checkpoint taken at the top of a slot whose predecessor deferred
-/// somebody — the carry list is non-empty at the pause — continues byte
+/// somebody — the waiting room is non-empty at the pause — continues byte
 /// for byte, at every such slot of the run.
 #[test]
 fn resume_mid_deferral_is_byte_identical() {
@@ -586,5 +588,120 @@ fn resume_mid_deferral_is_byte_identical() {
         let (stitched, stitched_trace) = traced_resumed(&s, pause);
         assert_eq!(straight, stitched, "resume at slot {pause}");
         assert_eq!(straight_trace, stitched_trace, "trace across slot {pause}");
+    }
+}
+
+/// The sidecar a resumed run writes later on is the straight run's: a
+/// user waiting at the resume slot `a` carries deferrals into the
+/// restored tally, and those must not be counted again when the wait
+/// re-opens — neither by a later sidecar taken while the user still
+/// waits (`b = a + 1`) nor once they are admitted or rejected (`b` well
+/// past the wait).
+#[test]
+fn sidecars_after_a_mid_deferral_resume_match_the_straight_run() {
+    fn sidecar(drv: &mut SlotDriver, at: u64) -> Option<String> {
+        while !drv.is_finished() {
+            if drv.next_slot() == at {
+                let ck = drv.checkpoint(&NullRecorder).expect("checkpoint");
+                return Some(ck.to_json().expect("serializes"));
+            }
+            drv.step(&mut NullRecorder);
+        }
+        None
+    }
+    let s = congested(30);
+    let mut pauses: Vec<u64> = rulings(&s, false)
+        .iter()
+        .filter(|r| r.2 == AdmissionDecision::Defer)
+        .map(|r| r.0 + 1)
+        .collect();
+    pauses.dedup();
+    let mut compared = 0;
+    for a in pauses.into_iter().step_by(4) {
+        let mut at_a = s.driver(&mut NullRecorder, None).expect("driver");
+        let ck = sidecar(&mut at_a, a).expect("a deferral precedes the run's end");
+        let ck = EngineCheckpoint::from_json(&ck).expect("checkpoint parses");
+        for b in [a + 1, a + 40] {
+            let mut straight = s.driver(&mut NullRecorder, None).expect("driver");
+            let mut resumed = s.driver(&mut NullRecorder, Some(&ck)).expect("resume");
+            let Some(want) = sidecar(&mut straight, b) else {
+                continue;
+            };
+            assert_eq!(
+                sidecar(&mut resumed, b),
+                Some(want),
+                "resumed at {a}, sidecar at {b}"
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared > 4, "only {compared} sidecars compared");
+}
+
+/// User order is not plan order: a declared plan whose arrivals descend
+/// by user index — the last two users first, then the two before them
+/// three slots later — through the congested cell. A tick rules in
+/// ascending user order, so it interleaves the newly due (low indices)
+/// with those still waiting from earlier slots (high ones). At deferral
+/// caps 0, 1 and 30 the rulings and trace bytes equal the reference's
+/// through every door.
+#[test]
+fn descending_plan_rules_like_the_reference_on_every_door() {
+    let pool = WorkerPool::new(1);
+    for max_defer_slots in [0u64, 1, 30] {
+        let mut s = congested(max_defer_slots);
+        let n = s.n_users;
+        let plan: Vec<u64> = (0..n).map(|i| 1 + 3 * ((n - 1 - i) / 2) as u64).collect();
+        s.arrivals = ArrivalSpec::Declared {
+            arrivals: plan.clone(),
+            departures: Vec::new(),
+        };
+        let hot = rulings(&s, false);
+        assert_eq!(
+            hot,
+            rulings(&s, true),
+            "max_defer_slots = {max_defer_slots}"
+        );
+        let count = |d| hot.iter().filter(|r| r.2 == d).count();
+        assert!(count(AdmissionDecision::Admit) > 0 && count(AdmissionDecision::Reject) > 0);
+        assert_eq!(count(AdmissionDecision::Defer) > 0, max_defer_slots > 0);
+        // Under the long cap, some tick rules a user who just came due
+        // before a higher-indexed one who came due slots earlier.
+        let interleaved = hot.windows(2).any(|w| {
+            let (slot, due) = (w[0].0, w[0].0 + 1);
+            w[1].0 == slot && plan[w[0].1] == due && plan[w[1].1] < due
+        });
+        assert!(interleaved || max_defer_slots < 30, "{hot:?}");
+        let base = through(&s, |rec| s.run_with(rec));
+        let pause = match hot.iter().find(|r| r.2 == AdmissionDecision::Defer) {
+            Some(r) => r.0 + 1,
+            None => base.0.slots_run / 2,
+        };
+        let doors = [
+            (
+                "width 2",
+                through(&s, |rec| s.run_sharded_on(&pool, 2, rec)),
+            ),
+            (
+                "driver",
+                through(&s, |rec| {
+                    let mut drv = s.driver(rec, None)?;
+                    while drv.step(rec).is_some() {}
+                    Ok(drv.finish(rec))
+                }),
+            ),
+            (
+                "run_reference_with",
+                through(&s, |rec| s.run_reference_with(rec)),
+            ),
+        ];
+        for (door, got) in &doors {
+            assert_eq!(got, &base, "{door}, max_defer_slots = {max_defer_slots}");
+        }
+        assert_eq!(
+            traced_resumed(&s, pause),
+            traced_serial(&s),
+            "resumed at slot {pause}, max_defer_slots = {max_defer_slots}"
+        );
     }
 }

@@ -282,3 +282,126 @@ fn short_snapshot_rows_are_typed_refusal() {
     s.resume_from(&mut TraceRecorder::new(), &ck)
         .expect("the full sidecar resumes");
 }
+
+/// An open cell under feasibility admission whose waits outlast the
+/// pause slots below: arrivals every other slot into room for about two
+/// sessions, deferred for up to 300 slots.
+fn waiting_room_scenario() -> Scenario {
+    let mut s = Scenario::paper_default(24);
+    s.slots = 240;
+    s.seed = 7;
+    s.capacity = CapacitySpec::Constant { kbps: 1_200.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (2_000.0, 3_000.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: None,
+        vbr_segment_slots: 30,
+    };
+    s.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 2.0,
+        diurnal: None,
+        session_slots: Some(SessionLength::Exponential { mean_slots: 20.0 }),
+    };
+    s.admission = Some(AdmissionSpec::Feasibility {
+        v: 1.0,
+        omega_s: None,
+        phi_mj: None,
+        max_defer_slots: 300,
+    });
+    s
+}
+
+/// Resume `json` and require the admission controller's typed refusal;
+/// its reason is returned.
+fn admission_refusal(s: &Scenario, json: &str) -> String {
+    let ck = EngineCheckpoint::from_json(json).expect("the sidecar itself still parses");
+    match s.resume_from(&mut TraceRecorder::new(), &ck) {
+        Err(SimError::Checkpoint(CheckpointError::Restore { component, reason })) => {
+            assert_eq!(component, "admission", "{reason}");
+            reason
+        }
+        Err(e) => panic!("expected an admission refusal, got {e:?}"),
+        Ok(_) => panic!("the damaged sidecar must not resume"),
+    }
+}
+
+/// A v4 sidecar carries the admission tick's running aggregates; one
+/// that lost `n_active` is refused rather than quietly rescanned (the
+/// rescan is for v2/v3 sidecars, which never had them).
+#[test]
+fn v4_sidecar_without_admission_aggregates_is_typed_refusal() {
+    let s = waiting_room_scenario();
+    let json = make_checkpoint(&s, 30).to_json().expect("serialize");
+    let key = "\"n_active\":";
+    let at = json.find(key).expect("a v4 sidecar carries n_active");
+    let end = at + json[at..].find(',').expect("rate_sum follows");
+    let stripped = format!("{}{}", &json[..at], &json[end + 1..]);
+    assert!(!stripped.contains(key) && stripped.contains("\"rate_sum\":"));
+    let reason = admission_refusal(&s, &stripped);
+    assert!(reason.contains("n_active"), "{reason}");
+    // The untouched sidecar resumes.
+    let ck = EngineCheckpoint::from_json(&json).expect("parse");
+    s.resume_from(&mut TraceRecorder::new(), &ck)
+        .expect("the full sidecar resumes");
+}
+
+/// A pending user's deferral count places their wait: it must be one the
+/// checkpoint's tick could have left — none for a user not yet due, at
+/// most the cap (and at most the arrival slot) for one it deferred to
+/// the next slot. Anything else is a typed refusal, never an underflow.
+#[test]
+fn inconsistent_defer_counts_are_typed_refusal() {
+    const PAUSE: u64 = 30;
+    let s = waiting_room_scenario();
+    let json = make_checkpoint(&s, PAUSE).to_json().expect("serialize");
+    let arrivals: Vec<u64> = json
+        .split("\"arrival_slot\":")
+        .skip(1)
+        .map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("an arrival slot")
+        })
+        .collect();
+    assert_eq!(arrivals.len(), 24);
+    let key = "\"defer_counts\":[";
+    let open = json.find(key).expect("admission state present") + key.len();
+    let close = open + json[open..].find(']').expect("closed");
+    let counts: Vec<u64> = (json[open..close].split(','))
+        .map(|c| c.parse().expect("a count"))
+        .collect();
+    let with_count = |user: usize, count: u64| {
+        let mut counts = counts.clone();
+        counts[user] = count;
+        let list: Vec<String> = counts.iter().map(u64::to_string).collect();
+        format!("{}{}{}", &json[..open], list.join(","), &json[close..])
+    };
+    // A user the tick deferred to the next slot, and one not yet due.
+    let deferred = (0..24)
+        .find(|&i| arrivals[i] == PAUSE + 1 && counts[i] > 0)
+        .expect("the pause catches a deferred user");
+    let planned = (0..24)
+        .find(|&i| arrivals[i] > PAUSE + 1 && arrivals[i] != u64::MAX)
+        .expect("a user not yet due");
+    // Over the cap; above the arrival slot; deferred but not due next.
+    for (user, count) in [(deferred, 301), (deferred, PAUSE + 2), (planned, 1)] {
+        let reason = admission_refusal(&s, &with_count(user, count));
+        assert!(reason.contains(&format!("user {user},")), "{reason}");
+    }
+    // A tally that lacks the pending users' deferrals: the restored wait
+    // would take them back out of it.
+    let tally = close + json[close..].find("\"deferrals\":").expect("the tally");
+    let digits = json[tally + 12..]
+        .find(|c: char| !c.is_ascii_digit())
+        .expect("ends");
+    let no_tally = format!(
+        "{}\"deferrals\":0{}",
+        &json[..tally],
+        &json[tally + 12 + digits..]
+    );
+    let reason = admission_refusal(&s, &no_tally);
+    assert!(reason.contains("the tally only 0"), "{reason}");
+    // The counts as written resume.
+    let ck = EngineCheckpoint::from_json(&with_count(deferred, counts[deferred])).expect("parse");
+    s.resume_from(&mut TraceRecorder::new(), &ck)
+        .expect("consistent counts resume");
+}

@@ -195,3 +195,72 @@ fn admission_rulings_and_the_fold_follow_the_plan_not_the_pool() {
         "{folded} rows folded, {admits} admits, {rejects} rejects"
     );
 }
+
+/// The tick's decision work follows its admits, not its waiting room:
+/// the same congested plan — a session due every slot for the first 200
+/// slots, room for about two at a time — under deferral caps of 30 and
+/// 300. The longer cap keeps more users waiting, so the tick rules on
+/// far more candidates, yet in every slot it evaluates the admission
+/// rule at most `(admits + 1)·(2⌈log₂ n⌉ + 2)` times.
+#[test]
+fn admission_evaluations_follow_the_admits_not_the_waiting_room() {
+    const POOL: usize = 2_000;
+    const DUE: usize = 200;
+    let run = |max_defer_slots: u64| {
+        let mut s = Scenario::paper_default(POOL);
+        s.slots = 400;
+        s.capacity = CapacitySpec::Constant { kbps: 1_200.0 };
+        s.workload = WorkloadSpec {
+            size_range_kb: (2_000.0, 3_000.0),
+            rate_range_kbps: (300.0, 600.0),
+            vbr_levels: None,
+            vbr_segment_slots: 30,
+        };
+        let mut arrivals = vec![u64::MAX; POOL];
+        for (i, a) in arrivals.iter_mut().take(DUE).enumerate() {
+            *a = 1 + i as u64;
+        }
+        s.arrivals = ArrivalSpec::Declared {
+            arrivals,
+            departures: Vec::new(),
+        };
+        s.admission = Some(AdmissionSpec::Feasibility {
+            v: 1.0,
+            omega_s: None,
+            phi_mj: None,
+            max_defer_slots,
+        });
+        let mut rec = TraceRecorder::new();
+        let mut driver = s.driver(&mut rec, None).expect("valid scenario");
+        let mut work = Vec::new();
+        while let Some(slot) = driver.step(&mut rec) {
+            work.push((slot, driver.last_slot_work()));
+        }
+        let r = driver.finish(&mut rec);
+        let trace = rec.into_trace(&r.scheduler);
+        let mut admits = vec![0usize; work.len()];
+        for record in &trace.records {
+            let n = (record.adm.iter())
+                .filter(|a| a.decision == AdmissionDecision::Admit)
+                .count();
+            admits[record.slot as usize] += n;
+        }
+        (work, admits)
+    };
+    let per_search = 2 * (POOL as f64).log2().ceil() as usize + 2;
+    let mut ruled = Vec::new();
+    for max_defer_slots in [30, 300] {
+        let (work, admits) = run(max_defer_slots);
+        for (slot, w) in &work {
+            let bound = (admits[*slot as usize] + 1) * per_search;
+            assert!(
+                w.admission_evaluations <= bound,
+                "slot {slot}: {} evaluations, bound {bound} (cap {max_defer_slots})",
+                w.admission_evaluations
+            );
+        }
+        assert!(work.iter().any(|(_, w)| w.admission_evaluations > 0));
+        ruled.push(work.iter().map(|(_, w)| w.candidates_ruled).sum::<usize>());
+    }
+    assert!(ruled[1] > 3 * ruled[0], "candidates ruled: {ruled:?}");
+}

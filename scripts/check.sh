@@ -36,14 +36,18 @@ echo "== benchmark harness builds against the tree"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-# One short traced pass of the open-system workload: its checks (rep ≡
+# Two short passes of the open-system workload: their checks (rep ≡
 # rep, width-2 sharded ≡ serial, the committed seed-42 digest, exact
 # work counts) are the only default gate on the sharded loop at pool
-# scale, and the harness is already built.
-echo "== benchmark open-sharded, 3 s, traced pass"
-bash benchmark/run.sh --workload open-sharded --seconds 3 --trace 1 \
-    | tail -n 1 | grep -q '"correct": true' \
-    || { echo "open-sharded --trace 1 did not report \"correct\": true"; exit 1; }
+# scale, and the harness is already built. The traced pass records
+# every admission ruling; the untraced one runs the tick as the clock
+# sees it, whose recorder gets none.
+for trace in 1 0; do
+    echo "== benchmark open-sharded, 3 s, --trace $trace"
+    bash benchmark/run.sh --workload open-sharded --seconds 3 --trace "$trace" \
+        | tail -n 1 | grep -q '"correct": true' \
+        || { echo "open-sharded --trace $trace did not report \"correct\": true"; exit 1; }
+done
 
 # One short pass of the EMA cell: its seed-42 digest was committed when
 # EMA's production solver was a table DP, so `"correct": true` here is
