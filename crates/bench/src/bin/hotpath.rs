@@ -43,8 +43,7 @@ use jmso_sched::lyapunov::VirtualQueues;
 use jmso_sched::{CrossLayerModels, EmaCost};
 use jmso_sim::{
     AbrPolicy, AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, FaultEvent,
-    FaultSpec, MultiCellScenario, NullRecorder, Scenario, SchedulerSpec, SessionLength,
-    TraceRecorder, WorkerPool,
+    FaultSpec, MultiCellScenario, Scenario, SchedulerSpec, SessionLength, TraceRecorder,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -337,16 +336,6 @@ fn main() {
         mc.run().expect("multicell run").result.slots_run
     });
 
-    // The same four-cell run on the lockstep worker-pool stepper (one
-    // participant per cell, clamped to the machine): the serial/parallel
-    // ratio shows what the per-slot barrier protocol buys on this host.
-    report_best_of("multicell Default x4 (parallel)", || {
-        mc.run_parallel(4)
-            .expect("parallel multicell run")
-            .result
-            .slots_run
-    });
-
     // Sweep-runner row: a 32-cell Default grid on 8 worker-pool threads.
     // Slots aggregate over every cell, so this prices the persistent
     // pool's dispatch plus the chunked-cursor queue, not just one run.
@@ -362,26 +351,18 @@ fn main() {
         results.iter().map(|r| r.slots_run).sum()
     });
 
-    // Large-live rows: a closed 100 000-user Default cell with 500 KB/s
+    // Large-live row: a closed 100 000-user Default cell with 500 KB/s
     // of BS capacity per user, so every user is in flight and granted
-    // for all 120 slots — the workload where the per-shard phases (A:
+    // for all 120 slots — the workload where the per-user phases (A:
     // radio and playback, C: accounting) are nearly the whole slot and
-    // set-up is a few percent of the rep. shards=1 runs the four phases
-    // back to back on the caller; shards=2 runs them in lockstep on a
-    // local pool. Their ratio is what sharding buys on this machine.
+    // set-up is a few percent of the rep. The label keeps the width it
+    // was first recorded at, so the committed baseline row still pairs.
     let mut large = paper_cell(100_000, 375.0).with_seed(42);
     large.slots = 120;
     large.capacity = CapacitySpec::Constant {
         kbps: 500.0 * large.n_users as f64,
     };
-    for shards in [1usize, 2] {
-        let pool = WorkerPool::new(shards - 1);
-        report_best_of_default(&format!("large-live 100k (shards={shards})"), 3, || {
-            let mut rec = NullRecorder;
-            large
-                .run_sharded_on(&pool, shards, &mut rec)
-                .expect("large-live run")
-                .slots_run
-        });
-    }
+    report_best_of_default("large-live 100k (shards=1)", 3, || {
+        large.run().expect("large-live run").slots_run
+    });
 }

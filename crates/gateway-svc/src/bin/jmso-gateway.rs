@@ -258,6 +258,7 @@ extern "C" fn on_signal(_sig: i32) {
     SIGNALLED.store(true, Ordering::SeqCst);
 }
 
+#[allow(unsafe_code)]
 fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;

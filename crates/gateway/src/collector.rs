@@ -210,7 +210,7 @@ impl InformationCollector {
 
     /// True when the reported signal equals the ground truth on every
     /// slot — no staleness hold, no noise. Only then may a caller write
-    /// snapshot rows itself from the true signal (the engine's per-shard
+    /// snapshot rows itself from the true signal (the engine's per-user
     /// phase, with Eq. (1) read off its precomputed cap tables): with
     /// staleness > 1 the report read this slot can be a *cached* signal,
     /// which no per-block table knows. A pass-through collector never

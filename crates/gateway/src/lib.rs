@@ -41,5 +41,5 @@ pub use scheduler::{
     Allocation, DegradationEvent, Scheduler, SlotContext, SparseGrants, UserSnapshot,
 };
 pub use shard::UnitParams;
-pub use soa::{SnapshotSoA, SoaRows, SoaRowsMut};
+pub use soa::SnapshotSoA;
 pub use transmitter::{DataTransmitter, Delivery};

@@ -67,7 +67,7 @@ impl SnapshotSoA {
     }
 
     /// The mirror of `n` users none of whom is in the cell: every row
-    /// what [`SoaRowsMut::set_row`] writes for
+    /// what [`SnapshotSoA::set_row`] writes for
     /// [`RawUserState::ABSENT`](crate::collector::RawUserState::ABSENT)
     /// reported at `link_cap_units`, and no row listed live. An absent
     /// row is zero in every column but the link bound, so this is eight
@@ -138,85 +138,12 @@ impl SnapshotSoA {
         (&self.need_units, &self.ceiling_units)
     }
 
-    /// Mirror one user's snapshot into row `snap.id` (see
-    /// [`SoaRowsMut::set_row`]).
+    /// Mirror one user's snapshot into row `snap.id`, deriving the
+    /// ceiling and need columns with the exact expressions the schedulers
+    /// use on the AoS path (`usable_cap_units` / `⌈τ·p/δ⌉`).
     #[inline]
     pub fn set_row(&mut self, snap: &UserSnapshot, tau: f64, delta_kb: f64) {
-        self.rows_mut().set_row(snap, tau, delta_kb);
-    }
-
-    /// Rebuild the whole mirror from an AoS snapshot buffer (the full-pass
-    /// counterpart of [`SnapshotSoA::set_row`]); every row is listed live.
-    pub fn fill_from(&mut self, snaps: &[UserSnapshot], tau: f64, delta_kb: f64) {
-        self.resize(snaps.len());
-        let mut rows = self.rows_mut();
-        for snap in snaps {
-            rows.set_row(snap, tau, delta_kb);
-        }
-    }
-
-    /// Every row of the columns, writable; the live list is not part of
-    /// the view.
-    #[inline]
-    pub fn rows_mut(&mut self) -> SoaRowsMut<'_> {
-        SoaRowsMut {
-            base: 0,
-            signal_dbm: &mut self.signal_dbm,
-            rate_kbps: &mut self.rate_kbps,
-            buffer_s: &mut self.buffer_s,
-            remaining_kb: &mut self.remaining_kb,
-            idle_s: &mut self.idle_s,
-            link_cap_units: &mut self.link_cap_units,
-            ceiling_units: &mut self.ceiling_units,
-            need_units: &mut self.need_units,
-            active: &mut self.active,
-        }
-    }
-
-    /// The columns' base pointers, for an engine that hands disjoint row
-    /// ranges to different threads within one lockstep phase (see
-    /// [`SoaRows`]). The mirror must be sized to its final row count
-    /// first; the handle is invalidated by any later resize.
-    pub fn rows(&mut self) -> SoaRows {
-        SoaRows {
-            signal_dbm: self.signal_dbm.as_mut_ptr(),
-            rate_kbps: self.rate_kbps.as_mut_ptr(),
-            buffer_s: self.buffer_s.as_mut_ptr(),
-            remaining_kb: self.remaining_kb.as_mut_ptr(),
-            idle_s: self.idle_s.as_mut_ptr(),
-            link_cap_units: self.link_cap_units.as_mut_ptr(),
-            ceiling_units: self.ceiling_units.as_mut_ptr(),
-            need_units: self.need_units.as_mut_ptr(),
-            active: self.active.as_mut_ptr(),
-            len: self.signal_dbm.len(),
-        }
-    }
-}
-
-/// Rows `base..base + len` of a [`SnapshotSoA`]'s columns, writable: the
-/// whole mirror ([`SnapshotSoA::rows_mut`]) or one shard's range of it
-/// ([`SoaRows::shard`]).
-pub struct SoaRowsMut<'a> {
-    base: usize,
-    signal_dbm: &'a mut [f64],
-    rate_kbps: &'a mut [f64],
-    buffer_s: &'a mut [f64],
-    remaining_kb: &'a mut [f64],
-    idle_s: &'a mut [f64],
-    link_cap_units: &'a mut [u64],
-    ceiling_units: &'a mut [u64],
-    need_units: &'a mut [u64],
-    active: &'a mut [bool],
-}
-
-impl SoaRowsMut<'_> {
-    /// Mirror one user's snapshot into row `snap.id` (which must lie in
-    /// this view's range), deriving the ceiling and need columns with
-    /// the exact expressions the schedulers use on the AoS path
-    /// (`usable_cap_units` / `⌈τ·p/δ⌉`).
-    #[inline]
-    pub fn set_row(&mut self, snap: &UserSnapshot, tau: f64, delta_kb: f64) {
-        let i = snap.id - self.base;
+        let i = snap.id;
         self.signal_dbm[i] = snap.signal.value();
         self.rate_kbps[i] = snap.rate_kbps;
         self.buffer_s[i] = snap.buffer_s;
@@ -227,56 +154,13 @@ impl SoaRowsMut<'_> {
         self.need_units[i] = ((tau * snap.rate_kbps) / delta_kb).ceil() as u64;
         self.active[i] = snap.active;
     }
-}
 
-/// Raw column base pointers of a [`SnapshotSoA`], from which a sharded
-/// engine carves one [`SoaRowsMut`] per shard and phase.
-///
-/// Handing each shard a `&mut SnapshotSoA` would alias; every view is
-/// derived from these pointers instead, so no reference to the columns
-/// exists while shards write. The caller upholds the shard protocol: the
-/// ranges carved within one phase are disjoint, and nothing reads the
-/// mirror's columns until the phase ends.
-pub struct SoaRows {
-    signal_dbm: *mut f64,
-    rate_kbps: *mut f64,
-    buffer_s: *mut f64,
-    remaining_kb: *mut f64,
-    idle_s: *mut f64,
-    link_cap_units: *mut u64,
-    ceiling_units: *mut u64,
-    need_units: *mut u64,
-    active: *mut bool,
-    len: usize,
-}
-
-// SAFETY: the pointers target plain-old-data columns; cross-thread use is
-// restricted by the documented disjoint-range protocol.
-unsafe impl Send for SoaRows {}
-unsafe impl Sync for SoaRows {}
-
-impl SoaRows {
-    /// Rows `range` of every column, writable.
-    ///
-    /// # Safety
-    /// Until the returned view is dropped, no other view overlaps
-    /// `range` and no reference to the underlying [`SnapshotSoA`]'s
-    /// columns is used; the mirror has not been resized since
-    /// [`SnapshotSoA::rows`].
-    pub unsafe fn shard<'a>(&self, range: std::ops::Range<usize>) -> SoaRowsMut<'a> {
-        assert!(range.start <= range.end && range.end <= self.len);
-        let (base, n) = (range.start, range.len());
-        SoaRowsMut {
-            base,
-            signal_dbm: std::slice::from_raw_parts_mut(self.signal_dbm.add(base), n),
-            rate_kbps: std::slice::from_raw_parts_mut(self.rate_kbps.add(base), n),
-            buffer_s: std::slice::from_raw_parts_mut(self.buffer_s.add(base), n),
-            remaining_kb: std::slice::from_raw_parts_mut(self.remaining_kb.add(base), n),
-            idle_s: std::slice::from_raw_parts_mut(self.idle_s.add(base), n),
-            link_cap_units: std::slice::from_raw_parts_mut(self.link_cap_units.add(base), n),
-            ceiling_units: std::slice::from_raw_parts_mut(self.ceiling_units.add(base), n),
-            need_units: std::slice::from_raw_parts_mut(self.need_units.add(base), n),
-            active: std::slice::from_raw_parts_mut(self.active.add(base), n),
+    /// Rebuild the whole mirror from an AoS snapshot buffer (the full-pass
+    /// counterpart of [`SnapshotSoA::set_row`]); every row is listed live.
+    pub fn fill_from(&mut self, snaps: &[UserSnapshot], tau: f64, delta_kb: f64) {
+        self.resize(snaps.len());
+        for snap in snaps {
+            self.set_row(snap, tau, delta_kb);
         }
     }
 }
@@ -333,24 +217,19 @@ mod tests {
         assert_eq!(SnapshotSoA::absent(7, 46), filled);
     }
 
+    /// Phases A and C keep the mirror by rewriting single rows in place:
+    /// a rewritten row leaves the mirror the full refill of the updated
+    /// buffer would build, every other row untouched.
     #[test]
-    fn row_writer_matches_set_row_bitwise() {
-        let snaps: Vec<UserSnapshot> = (0..6).map(snap).collect();
-        let mut serial = SnapshotSoA::new();
-        serial.fill_from(&snaps, 1.0, 50.0);
-
-        let mut sharded = SnapshotSoA::new();
-        sharded.resize(snaps.len());
-        let rows = sharded.rows();
-        // Two shards' views, later range first.
-        // SAFETY: the ranges are disjoint and `sharded` is not touched
-        // while the views live.
-        let (mut hi, mut lo) = unsafe { (rows.shard(2..6), rows.shard(0..2)) };
-        for s in &snaps {
-            let view = if s.id < 2 { &mut lo } else { &mut hi };
-            view.set_row(s, 1.0, 50.0);
-        }
-        assert_eq!(serial, sharded);
+    fn set_row_in_place_equals_a_full_refill() {
+        let mut snaps: Vec<UserSnapshot> = (0..6).map(snap).collect();
+        let mut soa = SnapshotSoA::new();
+        soa.fill_from(&snaps, 1.0, 50.0);
+        snaps[3] = UserSnapshot { id: 3, ..snap(9) };
+        soa.set_row(&snaps[3], 1.0, 50.0);
+        let mut refilled = SnapshotSoA::new();
+        refilled.fill_from(&snaps, 1.0, 50.0);
+        assert_eq!(soa, refilled);
     }
 
     #[test]

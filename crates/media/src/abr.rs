@@ -262,12 +262,12 @@ pub struct AbrSwitch {
 /// Per-user ABR client state: current rung, its encoded rate, and the
 /// bytes left in the in-flight chunk.
 ///
-/// The state machine is deliberately split in two so the engine's
-/// sharded loop stays race-free: [`AbrClient::on_delivery`] (called from
-/// per-user accounting, possibly in parallel) only touches this user's
-/// state and *stages* a switch; [`AbrClient::apply_pending`] (called
-/// serially, in user order) commits it, returning the [`AbrSwitch`] the
-/// caller uses to rescale the session and record telemetry.
+/// The state machine is deliberately split in two:
+/// [`AbrClient::on_delivery`] (called from per-user accounting) only
+/// touches this user's state and *stages* a switch;
+/// [`AbrClient::apply_pending`] (called in user order, once every user
+/// is accounted) commits it, returning the [`AbrSwitch`] the caller uses
+/// to rescale the session and record telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AbrClient {
     /// Current ladder rung.

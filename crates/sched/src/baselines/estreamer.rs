@@ -49,12 +49,6 @@ impl EStreamer {
             phase: Vec::new(),
         }
     }
-
-    /// Defaults used in the figure harness: refill at 5 s, burst to 60 s
-    /// (a playout-buffer-sized burst).
-    pub fn paper_default() -> Self {
-        Self::new(5.0, 60.0)
-    }
 }
 
 impl Scheduler for EStreamer {
@@ -104,10 +98,18 @@ impl Scheduler for EStreamer {
 mod tests {
     use super::*;
     use crate::baselines::test_support::{ctx, user};
+    use crate::{CrossLayerModels, SchedulerSpec};
 
+    /// EStreamer as every figure builds it: from the spec's paper
+    /// parameters, so the tests that use it pin those too.
+    fn paper() -> Box<dyn Scheduler> {
+        SchedulerSpec::estreamer_default().build(1.0, &CrossLayerModels::paper())
+    }
+
+    /// Bursts run to the paper's 60 s target, not short of it.
     #[test]
     fn bursts_until_target() {
-        let mut e = EStreamer::new(5.0, 60.0);
+        let mut e = paper();
         let mut u = user(0, -70.0, 400.0, 30);
         u.buffer_s = 0.0;
         assert!(e.allocate(&ctx(&[u.clone()], 400)).0[0] > 0);
@@ -146,7 +148,7 @@ mod tests {
     #[test]
     fn validates_under_competition() {
         let users: Vec<_> = (0..5).map(|i| user(i, -70.0, 450.0, 50)).collect();
-        let mut e = EStreamer::paper_default();
+        let mut e = paper();
         let c = ctx(&users, 120);
         let a = e.allocate(&c);
         a.validate(&c).expect("valid allocation");

@@ -188,7 +188,9 @@ impl SchedulerSpec {
         }
     }
 
-    /// EStreamer defaults used in the figure harness.
+    /// EStreamer as the figure harness runs it: refill at 5 s, burst to
+    /// 60 s (a playout-buffer-sized burst). The one place these two
+    /// numbers are written.
     pub fn estreamer_default() -> Self {
         SchedulerSpec::EStreamer {
             refill_s: 5.0,

@@ -28,8 +28,8 @@
 //!   absolute slot `arrival + k`. Closed populations (everyone arrives
 //!   at slot 0) are bit-identical to the pre-PR 10 sampling, so the
 //!   golden traces are unchanged; open systems see the same *stream*
-//!   shifted to start at arrival, and the serial, reference, and
-//!   sharded loops all anchor identically.
+//!   shifted to start at arrival, and the driver and the reference loop
+//!   anchor identically.
 //! * The plan is compiled once, before the run; nothing about arrivals
 //!   or departures is drawn inside the slot loop.
 //! * Arrivals past the horizon are legal (the user simply never starts;

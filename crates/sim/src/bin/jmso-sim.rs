@@ -5,20 +5,13 @@
 //! jmso-sim run <scenario.json> [--out r.json] [--per-user u.csv]
 //!              [--trace t.jsonl] [--trace-every N]
 //!              [--ckpt c.json --ckpt-every K] [--resume c.json]
-//!              [--shards W] [--abr 0.5,0.75,1.0]
-//!              [--admission always|feasible[:k=v,...]]
+//!              [--abr 0.5,0.75,1.0] [--admission always|feasible[:k=v,...]]
 //!                                               run one scenario, print a summary;
 //!                                               --trace records per-slot telemetry
 //!                                               (JSONL, downsampled to every Nth slot);
 //!                                               --ckpt writes a resumable checkpoint
 //!                                               sidecar every K slots; --resume
 //!                                               continues from such a sidecar;
-//!                                               --shards spreads each slot's per-user
-//!                                               phases over W worker-pool participants,
-//!                                               bit-identical at every W (see
-//!                                               JMSO_THREADS; checkpointing steps one
-//!                                               slot at a time, so not with --ckpt or
-//!                                               --resume);
 //!                                               --abr overrides the scenario with a
 //!                                               bitrate ladder of the given native-rate
 //!                                               multipliers (default buffer-based
@@ -43,7 +36,7 @@
 use jmso_sim::{
     calibrate_default, fit_v_for_omega, run_scenarios, AbrSpec, AdmissionSpec, BitrateLadder,
     CheckpointError, EngineCheckpoint, NullRecorder, Scenario, SimError, SimResult, SlotRecorder,
-    TraceError, WorkerPool,
+    TraceError,
 };
 use std::fmt;
 use std::path::Path;
@@ -120,7 +113,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: jmso-sim template [N] | run <scenario.json> [--out r.json] \
                  [--trace t.jsonl] [--trace-every N] [--ckpt c.json --ckpt-every K] \
-                 [--resume c.json] [--shards W] [--abr 0.5,0.75,1.0] \
+                 [--resume c.json] [--abr 0.5,0.75,1.0] \
                  [--admission always|feasible[:k=v,...]] | \
                  calibrate <scenario.json> | fit-v <scenario.json> --omega <s> | \
                  sweep <scenario.json> --seeds 1,2,3 [--threads T]"
@@ -288,32 +281,19 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if resume_path.is_some() && ckpt.is_some() {
         return Err("run: --resume cannot be combined with --ckpt".into());
     }
-    let shards: Option<usize> = flag_value(args, "--shards")
-        .map(|s| s.parse().map_err(|e| format!("bad --shards: {e}")))
-        .transpose()?;
-    if let Some(w) = shards {
-        if w == 0 {
-            return Err("run: --shards must be at least 1".into());
-        }
-        // A lockstep run holds the driver for its whole length, so there
-        // is no slot boundary to checkpoint at (DESIGN.md §11).
-        if ckpt.is_some() || resume_path.is_some() {
-            return Err("run: --shards cannot be combined with --ckpt or --resume".into());
-        }
-    }
 
     let result = if let Some(out) = trace_path {
         // Traced runs use the same recorder for checkpointing, so a
         // checkpoint taken here resumes (with --trace) seamlessly; live
         // service runs use it too, and the SVC gate diffs the two.
         let mut rec = scenario.trace_recorder(every);
-        let result = run_one(&scenario, &mut rec, resume_path, ckpt, shards)?;
+        let result = run_one(&scenario, &mut rec, resume_path, ckpt)?;
         let trace = rec.into_trace(&result.scheduler);
         trace.write_jsonl(Path::new(out))?;
         println!("wrote {out} ({} records)", trace.records.len());
         result
     } else {
-        run_one(&scenario, &mut NullRecorder, resume_path, ckpt, shards)?
+        run_one(&scenario, &mut NullRecorder, resume_path, ckpt)?
     };
     summarize(&result);
     for w in &result.warnings {
@@ -337,12 +317,11 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
 }
 
 /// The run `cmd_run`'s flags select, under whichever recorder watches it.
-fn run_one<R: SlotRecorder + Send>(
+fn run_one<R: SlotRecorder>(
     scenario: &Scenario,
     rec: &mut R,
     resume_path: Option<&str>,
     ckpt: Option<(&str, u64)>,
-    shards: Option<usize>,
 ) -> Result<SimResult, CliError> {
     Ok(match (resume_path, ckpt) {
         (Some(ckpt), _) => {
@@ -353,10 +332,7 @@ fn run_one<R: SlotRecorder + Send>(
         (None, Some((ckpt, every))) => {
             scenario.run_checkpointed_with(rec, every, Path::new(ckpt))?
         }
-        (None, None) => match shards {
-            Some(w) => scenario.run_sharded_on(WorkerPool::global(), w, rec)?,
-            None => scenario.run_with(rec)?,
-        },
+        (None, None) => scenario.run_with(rec)?,
     })
 }
 

@@ -28,46 +28,32 @@
 //! scheduler per base station, "managing the resources of each BS
 //! independently" (§III-A): across cells nothing changes but *which*
 //! budget `C_c(n)` a user's grant counts against. So the slot is written
-//! once, as phase functions over a [`SlotDriver`]'s state, split along
-//! those two lines — per user (a *shard* is a contiguous range of user
-//! ids) and per budget (a *lane* is one cell's scheduler, capacity model,
-//! transmitter, budget and grants):
+//! once, as four phase functions over a [`SlotDriver`]'s state, and the
+//! budget side is split per cell (a *lane* is one cell's scheduler,
+//! capacity model, transmitter, budget and grants):
 //!
-//! | phase | runs | does |
-//! |---|---|---|
-//! | A | per shard | arrival gate; signal block + Eq. (1) cap table; Eq. (7)/(8) playback advance; ground-truth row; for a pass-through collector the snapshot and SoA rows |
-//! | B open | serial | with more than one lane the slot's mobility (handovers drawn, member lists and the left cell's row updated); every lane's Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through |
-//! | B lane | per lane | with more than one lane the cell's rows — its members' as reported, everyone else's gated to zero; `allocate_into` |
-//! | B close | serial | scheduler latency, grants, queues and degradations to the recorder in cell order; `transmit_into` per lane out of the one receiver |
-//! | C | per shard | delivery, ABR staging, Eq. (3)–(5) accounting; energy, rebuffering, RRC events and `done` flips *staged* |
-//! | D | serial | replay of what C staged into the recorder, E\* and series folds, ABR commits, live-list compaction; the admission tick — the arrivals that came due join a waiting room, the rule is evaluated O(log n) times per admit, the users whose deferral cap ran out are rejected, and nobody deferred is visited (their rulings go to an enabled recorder only) |
+//! | phase | does |
+//! |---|---|
+//! | A | arrival gate; for every live user the signal block + Eq. (1) cap table, the Eq. (7)/(8) playback advance and the ground-truth row; for a pass-through collector the snapshot and SoA rows |
+//! | B | with more than one lane the slot's mobility (handovers drawn, member lists and the left cell's row updated); every lane's Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through; per lane its rows (with more than one lane), `allocate_into` and `transmit_into` out of the one receiver; scheduler latency, grants, queues and degradations to the recorder in cell order |
+//! | C | delivery, ABR staging, Eq. (3)–(5) accounting; energy, rebuffering, RRC events and `done` flips *staged* |
+//! | D | replay of what C staged into the recorder, E\* and series folds, ABR commits, live-list compaction; the admission tick — the arrivals that came due join a waiting room, the rule is evaluated O(log n) times per admit, the users whose deferral cap ran out are rejected, and nobody deferred is visited (their rulings go to an enabled recorder only) |
 //!
 //! A [`Scenario`](crate::scenario::Scenario) run has one lane, which
 //! schedules straight off the columns' rows; a
 //! [`MultiCellScenario`](crate::multicell::MultiCellScenario) run has
 //! `n_cells`, and phases A, C and D do not know: queues, playback, radios
 //! and the receiver's flows follow the user. [`SlotDriver::step`] — every
-//! batch run, checkpointed run and the live daemon — calls the phases
-//! back to back over one shard `0..n` and every lane in turn, and
-//! executes safe code only. A driver built with more than one shard
-//! ([`Scenario::run_sharded_on`](crate::scenario::Scenario::run_sharded_on))
-//! calls the same functions from one resident [`WorkerPool`] broadcast,
-//! A and C on every participant at once, the serial ones on participant 0, a
-//! [`SpinBarrier`] crossing after each; with more than one lane every
-//! participant also takes a contiguous range of lanes for B lane, behind
-//! two more crossings (the scheduler calls are most of such a slot: 1.1×
-//! without, 1.6–1.9× with, at 8 cells × 20 000 users on two cores —
-//! DESIGN.md §11). Its `unsafe` is the carve of per-shard and per-lane
-//! sub-slices out of the shared state and nothing else. The phases make
-//! no recorder call and no order-sensitive fold outside the serial ones,
-//! which walk lanes and shards in order and users ascending, so the
-//! output is the same bytes at every width. No input selects another
-//! loop.
+//! batch run, checkpointed run, multicell run and the live daemon — calls
+//! the phases back to back on the calling thread, and is the only slot
+//! loop. A run is sequential; parallelism is across runs
+//! ([`crate::sweep`]), which share nothing (DESIGN.md §11). No input
+//! selects another loop.
 //!
 //! There is one way in. [`Scenario`](crate::scenario::Scenario)'s builder
 //! validates, compiles the fault spec and builds the engine, and every
 //! public run method is a cadence over the driver it returns: step to the
-//! end, pause at a slot, write a sidecar every k slots, or the lockstep.
+//! end, pause at a slot, or write a sidecar every k slots.
 //! The engine carries the scenario's compiled [`FaultPlan`] — absent when
 //! it declares no faults, so a fault-free slot pays a branch per hook
 //! point — which perturbs *state* strictly after the RNG streams have
@@ -85,7 +71,6 @@
 
 use crate::error::{atomic_write, CheckpointError, ScenarioError, SimError};
 use crate::faults::FaultPlan;
-use crate::pool::{PhaseCell, SharedSlice, SpinBarrier, WorkerPool};
 use crate::results::{SimResult, UserResult};
 use crate::telemetry::SlotRecorder;
 use crate::waiting_room::{MonotoneVerdict, WaitingRoom};
@@ -94,8 +79,7 @@ use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
     AdmissionContext, AdmissionController, AdmissionDecision, AdmissionSpec, AdmissionState,
     Allocation, CollectorState, DataReceiver, DataTransmitter, Delivery, FlowState,
-    InformationCollector, Scheduler, SlotContext, SnapshotSoA, SoaRows, SoaRowsMut, UnitParams,
-    UserSnapshot,
+    InformationCollector, Scheduler, SlotContext, SnapshotSoA, UnitParams, UserSnapshot,
 };
 use jmso_media::{jain_index, AbrClient, AbrInputs, AbrSpec, ClientPlayback, VideoSession};
 use jmso_radio::rrc::RrcState;
@@ -107,9 +91,7 @@ use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Slots sampled per [`SignalModel::sample_into`] block in the hot loop.
 const SIG_BLOCK_SLOTS: usize = 32;
@@ -120,7 +102,7 @@ const NO_WINDOW: u32 = u32::MAX;
 /// Per-user simulation state: the pool's row, built for every user id
 /// and written only for the users a run serves. What only a live
 /// session needs — the signal it sees, the 32-slot windows that signal
-/// is read from, the Eq. (3) memo — is in its shard's slab
+/// is read from, the Eq. (3) memo — is in the driver's slab
 /// ([`Window`]), and the arrival and departure slots, which the
 /// admission tick and phase A read for users whose rows they do not
 /// otherwise touch, are dense columns ([`Columns::arrival`] and
@@ -138,7 +120,7 @@ struct UserSim {
     playback: ClientPlayback,
     rrc: RrcMachine,
     meter: EnergyMeter,
-    /// This user's place in its shard's [`ShardState::windows`], taken on
+    /// This user's place in the slab, [`LiveState::windows`], taken on
     /// first entry into a live list and kept to the end of the run;
     /// [`NO_WINDOW`] before.
     window: u32,
@@ -172,7 +154,7 @@ impl UserSim {
     }
 }
 
-/// A live session's radio state, in its shard's slab from the user's
+/// A live session's radio state, in the driver's slab from the user's
 /// first entry into a live list to the end of the run: the signal the
 /// user sees and the windows it is read from.
 struct Window {
@@ -380,26 +362,20 @@ impl EngineCheckpoint {
     }
 }
 
-/// One shard of the slot pipeline: a contiguous range of user ids and
-/// what its owner carries from phase to phase. A driver stepped slot by
-/// slot has exactly one, covering every user; a lockstep run has one per
-/// pool participant, written by that participant in the per-shard phases
-/// (A, C) and by participant 0 in the serial ones (B, D).
-struct ShardState {
-    /// The user ids this shard owns; the shards' ranges tile `0..n_users`
-    /// in order.
-    range: Range<usize>,
-    /// Users of `range` whose accounting can still move, ascending
-    /// (in-order insertion, order-preserving compaction) — so the shards'
-    /// lists, concatenated in shard order, visit users in the reference
-    /// loop's plain `0..n` order, and every floating-point fold over them
-    /// sums in that order.
+/// What the slot carries from phase to phase for the users in the cell:
+/// the live list, the arrival queue, the radio windows, and what phase C
+/// stages for phase D.
+struct LiveState {
+    /// Users whose accounting can still move, ascending (in-order
+    /// insertion, order-preserving compaction) — the reference loop's
+    /// plain `0..n` order, so every floating-point fold over them sums in
+    /// that order.
     live: Vec<usize>,
-    /// Min-heap of `(arrival_slot, user)` over `range` for users not yet
-    /// live, drained at the top of phase A. A live `set_arrival`
-    /// reschedule pushes a fresh entry and leaves the old one behind to
-    /// be dropped on pop. Empty under feasibility admission, whose tick
-    /// feeds the gate instead.
+    /// Min-heap of `(arrival_slot, user)` for users not yet live, drained
+    /// at the top of phase A. A live `set_arrival` reschedule pushes a
+    /// fresh entry and leaves the old one behind to be dropped on pop.
+    /// Empty under feasibility admission, whose tick feeds the gate
+    /// instead.
     arrival_queue: BinaryHeap<Reverse<(u64, usize)>>,
     /// RRC transitions staged by phase C, `(user, from, to)` in live-walk
     /// order, replayed into the recorder by phase D.
@@ -408,28 +384,24 @@ struct ShardState {
     /// phase D replays the admission aggregate decrements (and the
     /// pre-flip E* membership test) from these.
     flips: Vec<usize>,
-    /// The radio windows of the users of `range` who ever went live, in
-    /// the order they first did ([`UserSim::window`] indexes it): per
-    /// shard, so phase A's first entries push without a lock. Its room
-    /// is what the build can foresee going live, so it does not grow
-    /// mid-run either.
+    /// The radio windows of the users who ever went live, in the order
+    /// they first did ([`UserSim::window`] indexes it). Its room is what
+    /// the build can foresee going live, so it does not grow mid-run.
     windows: Vec<Window>,
     /// Batch-throughput scratch for the per-block cap-table refill.
     v_scratch: [f64; SIG_BLOCK_SLOTS],
-    /// Users of this shard that finished watching in phase C.
+    /// Users that finished watching in phase C.
     watching_dec: usize,
     /// Arrived-and-still-watching users after phase C (only counted when
     /// a recorder is attached).
     in_system: u64,
-    /// Set by phase C when a user of this shard retired; phase D compacts
-    /// `live` after it has replayed the retiring slot's records.
+    /// Set by phase C when a user retired; phase D compacts `live` after
+    /// it has replayed the retiring slot's records.
     any_retired: bool,
 }
 
 /// The per-user columns of a run, one row per user id, sized once when
-/// the driver is built and never moved or resized while it lives. The
-/// per-shard phases see the rows of their shard, the serial phases every
-/// row, both through [`Cols`].
+/// the driver is built and never moved or resized while it lives.
 struct Columns {
     /// Moved out of the [`Engine`] for the driver's lifetime; the
     /// finish folds the rows the run wrote and releases the rest.
@@ -468,44 +440,8 @@ struct Columns {
     retired_at: Vec<u64>,
 }
 
-/// Rows `base..base + users.len()` of the [`Columns`]: one shard's in a
-/// per-shard phase, all of them (`base == 0`) in a serial one.
-struct Cols<'a> {
-    base: usize,
-    users: &'a mut [UserSim],
-    arrival: &'a mut [u64],
-    departure: &'a mut [u64],
-    abr: &'a mut [AbrClient],
-    raw: &'a mut [RawUserState],
-    snaps: &'a mut [UserSnapshot],
-    staged: &'a mut [(f64, f64)],
-    done: &'a mut [bool],
-    retired: &'a mut [bool],
-    retired_at: &'a mut [u64],
-}
-
-impl Columns {
-    /// Every row, through safe borrows — the width-1 caller's view.
-    fn all(&mut self) -> Cols<'_> {
-        Cols {
-            base: 0,
-            users: &mut self.users,
-            arrival: &mut self.arrival,
-            departure: &mut self.departure,
-            abr: &mut self.abr,
-            raw: &mut self.raw,
-            snaps: &mut self.snaps,
-            staged: &mut self.staged,
-            done: &mut self.done,
-            retired: &mut self.retired,
-            retired_at: &mut self.retired_at,
-        }
-    }
-}
-
-/// Loop-carried state only the serial phases (B, D) touch: everything
-/// here is either order-sensitive (floating-point series sums) or
-/// inherently shared (the one allocation against the one BS budget).
+/// Loop-carried state of phases B and D: the series folds, the fairness
+/// window, the grants and deliveries against the slot's budgets.
 struct LoopState {
     fairness_series: Vec<f64>,
     fairness_window_series: Vec<f64>,
@@ -575,8 +511,8 @@ struct Mode {
 /// per-user native rates the ladder multiplies, and one client state
 /// machine per user. Decisions are staged per user during delivery
 /// accounting ([`AbrClient::on_delivery`]) and committed in a serial
-/// ascending-user pass, so every run path (serial, sharded, reference)
-/// observes identical switch order.
+/// ascending-user pass, so the driver and the reference loop observe
+/// identical switch order.
 struct AbrRuntime {
     spec: AbrSpec,
     /// Chunk length in seconds (`chunk_slots · τ`).
@@ -700,8 +636,6 @@ struct CellLane {
     /// may be stateful, so each is sampled exactly once per slot.
     cap_units: u64,
     alloc: Allocation,
-    /// Wall-clock cost of this slot's scheduler call (traced runs only).
-    sched_ns: u64,
     /// With more than one lane, what this cell's scheduler sees: a row
     /// per user (stable ids, so per-user policy state survives handovers
     /// without resizing) — its members' as the collector reported them,
@@ -731,7 +665,6 @@ impl CellLane {
             soa: SnapshotSoA::new(),
             cap_units: 0,
             alloc: Allocation::zeros(n_users),
-            sched_ns: 0,
             rows: Vec::new(),
             deliveries: Vec::new(),
         }
@@ -973,9 +906,8 @@ impl Engine {
     /// identity, bit-identical to an uncontrolled run on every path. The
     /// feasibility policy rules on each pending arrival at the end of the
     /// slot preceding it (arrivals at slot 0 are admitted by fiat: there
-    /// is no earlier decision point). The tick runs in the serial
-    /// end-of-slot region (phase D, and the reference loop's own), so
-    /// admission-controlled scenarios shard like any other.
+    /// is no earlier decision point). The tick runs at the end of the
+    /// slot (phase D, and the reference loop's own).
     pub(crate) fn set_admission(&mut self, spec: &AdmissionSpec) {
         let AdmissionSpec::Feasibility { v, .. } = spec else {
             return;
@@ -1231,8 +1163,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Convert the engine into a [`SlotDriver`] with the users
-    /// partitioned into `width` contiguous shards — the set-up every run
+    /// Convert the engine into a [`SlotDriver`] — the set-up every run
     /// path shares. Every run path goes through the driver, so stepping
     /// it from a front-end — with checkpoints, live arrival scheduling,
     /// or degradation between slots — is bit-identical to a batch run by
@@ -1247,7 +1178,6 @@ impl Engine {
         mut self,
         rec: &mut R,
         resume: Option<&EngineCheckpoint>,
-        width: usize,
     ) -> Result<SlotDriver, SimError> {
         let n_users = self.users.len();
         let cfg = self.cfg;
@@ -1403,86 +1333,77 @@ impl Engine {
             }
         }
 
-        // Arrival gate: only users whose sessions have started occupy a
-        // live list; the rest wait in their shard's min-heap keyed by
-        // arrival slot and join (ascending user order within a slot) once
-        // due — or, under feasibility admission, wait for the tick to
-        // admit them (`AdmissionRuntime::admitted`). Pre-arrival users
-        // draw no signal samples at all (a user's noise stream is
-        // anchored at their final arrival slot), so a slot costs the
-        // arrived population, not the scenario's user count. Each live
-        // list keeps its whole range's room, so arrivals never
-        // reallocate mid-run.
-        let mut shards = Vec::with_capacity(width);
-        for s in 0..width {
-            let range = s * n_users / width..(s + 1) * n_users / width;
-            let mut live = Vec::with_capacity(range.len());
-            live.extend(range.clone().filter(|&i| entered[i]));
-            let waiting = range
-                .clone()
-                .filter(|&i| !entered[i] && !c.retired[i] && c.arrival[i] != u64::MAX);
-            let arrival_queue = match self.admission.as_mut() {
-                None => waiting.map(|i| Reverse((c.arrival[i], i))).collect(),
-                Some(adm) => {
-                    // A governed user due by the restored slot and not
-                    // yet live was admitted by the tick just before it;
-                    // the later ones are in the rebuilt `planned` list.
-                    if resume.is_some() {
-                        adm.admitted
-                            .extend(waiting.filter(|&i| c.arrival[i] <= start_slot));
-                    }
-                    BinaryHeap::new()
+        // Arrival gate: only users whose sessions have started occupy the
+        // live list; the rest wait in a min-heap keyed by arrival slot and
+        // join (ascending user order within a slot) once due — or, under
+        // feasibility admission, wait for the tick to admit them
+        // (`AdmissionRuntime::admitted`). Pre-arrival users draw no
+        // signal samples at all (a user's noise stream is anchored at
+        // their final arrival slot), so a slot costs the arrived
+        // population, not the scenario's user count. The live list keeps
+        // room for every user, so arrivals never reallocate mid-run.
+        let mut live = Vec::with_capacity(n_users);
+        live.extend((0..n_users).filter(|&i| entered[i]));
+        let waiting =
+            (0..n_users).filter(|&i| !entered[i] && !c.retired[i] && c.arrival[i] != u64::MAX);
+        let arrival_queue = match self.admission.as_mut() {
+            None => waiting.map(|i| Reverse((c.arrival[i], i))).collect(),
+            Some(adm) => {
+                // A governed user due by the restored slot and not yet
+                // live was admitted by the tick just before it; the later
+                // ones are in the rebuilt `planned` list.
+                if resume.is_some() {
+                    adm.admitted
+                        .extend(waiting.filter(|&i| c.arrival[i] <= start_slot));
                 }
-            };
-            // A restored user whose signal or windows differ from the
-            // built ones gets them back, so the sidecar round-trips byte
-            // for byte; the caps are derived state, rebuilt from the
-            // signals, so a resumed run re-enters a block mid-way with the
-            // values the straight run would hold. Everyone else takes a
-            // window on first entry, which only the users due inside the
-            // horizon can make.
-            let mut windows = Vec::new();
-            if let Some(ck) = resume {
-                for i in range.clone() {
-                    let (block, signal) = (&ck.users[i].sig_block, ck.users[i].cur_signal);
-                    if block.iter().chain([&signal.0]).all(|v| v.to_bits() == 0) {
-                        continue;
-                    }
-                    let mut w = Window::new(i);
-                    w.cur_signal = signal;
-                    for (dst, &v) in w.sig.iter_mut().zip(block) {
-                        *dst = Dbm(v);
-                    }
-                    if mode.tables {
-                        let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
-                        self.collector
-                            .link_caps_into(&w.sig, &mut v_scratch, &mut w.cap);
-                    }
-                    c.users[i].window = windows.len() as u32;
-                    windows.push(w);
-                }
+                BinaryHeap::new()
             }
-            windows.reserve_exact(
-                range
-                    .clone()
-                    .filter(|&i| c.users[i].window == NO_WINDOW && c.arrival[i] < cfg.slots)
-                    .count(),
-            );
-            shards.push(ShardState {
-                live,
-                arrival_queue,
-                windows,
-                // A radio makes at most one (net) transition a slot, so
-                // under a recorder the staging never reallocates either.
-                events: Vec::with_capacity(if rec.enabled() { range.len() } else { 0 }),
-                flips: Vec::new(),
-                v_scratch: [0.0; SIG_BLOCK_SLOTS],
-                watching_dec: 0,
-                in_system: 0,
-                any_retired: false,
-                range,
-            });
+        };
+        // A restored user whose signal or windows differ from the built
+        // ones gets them back, so the sidecar round-trips byte for byte;
+        // the caps are derived state, rebuilt from the signals, so a
+        // resumed run re-enters a block mid-way with the values the
+        // straight run would hold. Everyone else takes a window on first
+        // entry, which only the users due inside the horizon can make.
+        let mut windows = Vec::new();
+        if let Some(ck) = resume {
+            for (i, u) in ck.users.iter().enumerate() {
+                let (block, signal) = (&u.sig_block, u.cur_signal);
+                if block.iter().chain([&signal.0]).all(|v| v.to_bits() == 0) {
+                    continue;
+                }
+                let mut w = Window::new(i);
+                w.cur_signal = signal;
+                for (dst, &v) in w.sig.iter_mut().zip(block) {
+                    *dst = Dbm(v);
+                }
+                if mode.tables {
+                    let mut v_scratch = [0.0f64; SIG_BLOCK_SLOTS];
+                    self.collector
+                        .link_caps_into(&w.sig, &mut v_scratch, &mut w.cap);
+                }
+                c.users[i].window = windows.len() as u32;
+                windows.push(w);
+            }
         }
+        windows.reserve_exact(
+            (0..n_users)
+                .filter(|&i| c.users[i].window == NO_WINDOW && c.arrival[i] < cfg.slots)
+                .count(),
+        );
+        let live = LiveState {
+            live,
+            arrival_queue,
+            windows,
+            // A radio makes at most one (net) transition a slot, so under
+            // a recorder the staging never reallocates either.
+            events: Vec::with_capacity(if rec.enabled() { n_users } else { 0 }),
+            flips: Vec::new(),
+            v_scratch: [0.0; SIG_BLOCK_SLOTS],
+            watching_dec: 0,
+            in_system: 0,
+            any_retired: false,
+        };
 
         if resume.is_none() {
             lp.per_user = Some(c.users.iter().map(UserSim::result).collect());
@@ -1492,7 +1413,7 @@ impl Engine {
             engine: self,
             lp,
             cols: c,
-            shards,
+            live,
             lanes,
             mode,
             start_slot,
@@ -1822,12 +1743,10 @@ impl Engine {
 /// slots, and live mutation of the not-yet-executed schedule.
 ///
 /// Built by [`Scenario::driver`](crate::scenario::Scenario::driver). A
-/// slot is the four phase functions of the module docs, and every run
-/// path is a caller of those four: [`SlotDriver::step`] runs them back to
-/// back over one shard holding every user, the lockstep over one shard
-/// per pool participant. So stepping the driver from a front-end (the
-/// live gateway service) executes the exact slot code of a batch run at
-/// any width — the determinism tests pin all of them at once, and a fully
+/// slot is the four phase functions of the module docs, and
+/// [`SlotDriver::step`], which runs them back to back, is the only slot
+/// loop. So stepping the driver from a front-end (the live gateway
+/// service) executes the exact slot code of a batch run, and a fully
 /// stepped driver's result and telemetry are byte-identical to the batch
 /// run of the same scenario.
 ///
@@ -1842,7 +1761,7 @@ pub struct SlotDriver {
     engine: Engine,
     lp: LoopState,
     cols: Columns,
-    shards: Vec<ShardState>,
+    live: LiveState,
     lanes: Vec<CellLane>,
     /// The run's constants; the recorder's two flags are filled in per
     /// call.
@@ -1913,14 +1832,10 @@ impl SlotDriver {
     pub fn rows_to_fold(&self) -> usize {
         let rejected = (self.engine.admission.as_ref()).map_or(0, |adm| adm.ctl.summary().rejected);
         match self.lp.per_user {
-            Some(_) => rejected as usize + self.went_live().count(),
+            // Everyone who went live holds a window.
+            Some(_) => rejected as usize + self.live.windows.len(),
             None => self.cols.users.len(),
         }
-    }
-
-    /// The users who entered a live list: the shards' window owners.
-    fn went_live(&self) -> impl Iterator<Item = usize> + '_ {
-        (self.shards.iter()).flat_map(|sh| sh.windows.iter().map(|w| w.user))
     }
 
     /// Slot the next [`SlotDriver::step`] call will execute.
@@ -2002,10 +1917,8 @@ impl SlotDriver {
         self.cols.departure.fill(u64::MAX);
         // Live mode starts with an empty system: every user enters
         // through a later `set_arrival` event.
-        for sh in &mut self.shards {
-            sh.live.clear();
-            sh.arrival_queue.clear();
-        }
+        self.live.live.clear();
+        self.live.arrival_queue.clear();
         Ok(())
     }
 
@@ -2034,8 +1947,7 @@ impl SlotDriver {
         // Duplicate entries for a rescheduled arrival are harmless: the
         // drain drops any entry that comes up before the user's current
         // arrival slot, or after they entered.
-        let owner = self.shards.partition_point(|sh| sh.range.end <= user);
-        self.shards[owner].arrival_queue.push(Reverse((slot, user)));
+        self.live.arrival_queue.push(Reverse((slot, user)));
         Ok(())
     }
 
@@ -2151,13 +2063,11 @@ impl SlotDriver {
         Ok(EngineCheckpoint {
             version: CKPT_VERSION,
             slot: self.next_slot,
-            users: (self.shards.iter())
-                .flat_map(|sh| sh.range.clone().map(move |i| (sh, i)))
-                .map(|(sh, i)| {
-                    let u = &c.users[i];
+            users: (c.users.iter().enumerate())
+                .map(|(i, u)| {
                     let window = match u.window {
                         NO_WINDOW => &built,
-                        w => &sh.windows[w as usize],
+                        w => &self.live.windows[w as usize],
                     };
                     UserCkpt {
                         session: u.session.clone(),
@@ -2194,11 +2104,7 @@ impl SlotDriver {
                 done_watching: c.done.clone(),
                 retired: c.retired.clone(),
                 retired_at: c.retired_at.clone(),
-                live: self
-                    .shards
-                    .iter()
-                    .flat_map(|sh| sh.live.iter().copied())
-                    .collect(),
+                live: self.live.live.clone(),
                 raw: c.raw.clone(),
                 snapshots: if reported {
                     c.snaps.clone()
@@ -2229,8 +2135,7 @@ impl SlotDriver {
     /// Execute exactly one slot of the §III pipeline. Returns the slot
     /// index it ran, or `None` once the run is finished.
     ///
-    /// The four phases back to back over the driver's one shard: safe
-    /// code only, no barrier, no second thread.
+    /// The four phases back to back, on the calling thread.
     pub fn step<R: SlotRecorder>(&mut self, rec: &mut R) -> Option<u64> {
         if self.finished {
             return None;
@@ -2240,183 +2145,24 @@ impl SlotDriver {
         let Self {
             engine: eng,
             lp,
-            cols,
-            shards,
+            cols: c,
+            live: lv,
             lanes,
             ..
         } = self;
-        let [sh] = shards.as_mut_slice() else {
-            unreachable!("a driver that is stepped holds one shard")
-        };
-        let mut c = cols.all();
         size_mirror(eng, lanes, c.users.len());
-        // The mirror phases A and C write through: a lone lane's.
-        fn mirror(lanes: &mut [CellLane]) -> Option<SoaRowsMut<'_>> {
-            match lanes {
-                [lane] if lane.use_soa => Some(lane.soa.rows_mut()),
-                _ => None,
-            }
-        }
-        phase_a(eng, mode, slot, sh, &mut c, mirror(lanes));
-        let one = std::slice::from_mut(sh);
-        phase_b_open(eng, lp, mode, slot, one, lanes, &mut c, rec);
-        for (cell, lane) in lanes.iter_mut().enumerate() {
-            phase_b_lane(eng, mode, slot, cell, lane, c.snaps, c.retired);
-        }
-        phase_b_close(eng, lp, mode, slot, lanes, &c, rec);
-        let rows = mirror(lanes);
-        phase_c(eng, mode, slot, &lp.deliveries, &mut one[0], &mut c, rows);
-        self.finished = phase_d(eng, lp, mode, slot, one, &mut c, rec);
+        phase_a(eng, mode, slot, lv, c, mirror(lanes));
+        phase_b(eng, lp, mode, slot, lv, lanes, c, rec);
+        phase_c(eng, mode, slot, &lp.deliveries, lv, c, mirror(lanes));
+        self.finished = phase_d(eng, lp, mode, slot, lv, c, rec);
         self.next_slot = slot + 1;
         Some(slot)
     }
 
-    /// Step to the end and finish: the cadence of every width-1 door.
+    /// Step to the end and finish: the cadence of every batch door.
     pub(crate) fn run<R: SlotRecorder>(mut self, rec: &mut R) -> (SimResult, Option<CellStats>) {
         while self.step(rec).is_some() {}
         self.finish_cells(rec)
-    }
-
-    /// [`SlotDriver::run`] at the width the driver was built with: a
-    /// driver of more than one shard runs in lockstep on `pool`, where
-    /// with more than one lane the participants divide the lanes as well
-    /// as the users.
-    pub(crate) fn run_on<R: SlotRecorder + Send>(
-        mut self,
-        pool: &WorkerPool,
-        rec: &mut R,
-    ) -> (SimResult, Option<CellStats>) {
-        if self.shards.len() > 1 {
-            self.run_lockstep(pool, rec);
-        }
-        self.run(rec)
-    }
-
-    /// Run to the end with the per-shard phases spread over `pool`:
-    /// participant `p` owns shard `p`, everyone meets at a
-    /// [`SpinBarrier`] after each phase, and participant 0 runs the
-    /// serial phases while the others wait. One broadcast for the whole
-    /// run: participants stay resident and pay four barrier crossings a
-    /// slot (six with more than one lane) instead of a dispatch.
-    ///
-    /// The phase functions are [`SlotDriver::step`]'s; what differs is
-    /// how each gets its arguments. For the length of the broadcast the
-    /// driver's state is lent to a [`Lockstep`], whose `unsafe fn`s
-    /// carve a phase's borrows out of it — the only `unsafe` in this
-    /// file.
-    fn run_lockstep<R: SlotRecorder + Send>(&mut self, pool: &WorkerPool, rec: &mut R) {
-        let width = self.shards.len();
-        let n_users = self.cols.users.len();
-        let mode = self.mode_for(rec);
-        let first_slot = self.next_slot;
-        let Self {
-            engine: eng,
-            lp,
-            cols,
-            shards,
-            lanes,
-            ..
-        } = self;
-        let n_lanes = lanes.len();
-        // With one lane phase B is participant 0's alone. With more, the
-        // scheduler calls are most of the slot and independent of each
-        // other, so everyone takes a contiguous range of lanes, fenced
-        // off from the serial halves of the phase by two more barriers
-        // (what opens the phase writes rows the lanes read; what closes
-        // it needs every lane's grants).
-        let lanes_in_parallel = n_lanes > 1;
-        // The row views carved below need the columns in place.
-        size_mirror(eng, lanes, n_users);
-        let soa_rows = match lanes.as_mut_slice() {
-            [lane] if lane.use_soa => Some(lane.soa.rows()),
-            _ => None,
-        };
-        let shared = Lockstep {
-            ranges: shards.iter().map(|sh| sh.range.clone()).collect(),
-            units: (0..width).map(|p| p..p + 1).collect(),
-            whole: 0..n_users,
-            every_shard: 0..width,
-            lane_ranges: (0..if lanes_in_parallel { width } else { 0 })
-                .map(|p| p * n_lanes / width..(p + 1) * n_lanes / width)
-                .collect(),
-            every_lane: 0..n_lanes,
-            soa_rows,
-            users: SharedSlice::new(&mut cols.users),
-            arrival: SharedSlice::new(&mut cols.arrival),
-            departure: SharedSlice::new(&mut cols.departure),
-            abr: SharedSlice::new(&mut cols.abr),
-            raw: SharedSlice::new(&mut cols.raw),
-            snaps: SharedSlice::new(&mut cols.snaps),
-            staged: SharedSlice::new(&mut cols.staged),
-            done: SharedSlice::new(&mut cols.done),
-            retired: SharedSlice::new(&mut cols.retired),
-            retired_at: SharedSlice::new(&mut cols.retired_at),
-            shards: SharedSlice::new(shards),
-            lanes: SharedSlice::new(lanes),
-            serial: PhaseCell::new((eng, lp, rec)),
-        };
-        let barrier = SpinBarrier::new(width);
-        let quit = AtomicBool::new(false);
-        pool.broadcast(width, &|p| {
-            for slot in first_slot.. {
-                {
-                    // SAFETY: per-shard phase — shard `p` and its rows
-                    // are this participant's until the barrier below,
-                    // and nobody writes the serial state.
-                    let ((eng, ..), sh, mut c, rows) = unsafe { shared.shard(p) };
-                    phase_a(eng, mode, slot, sh, &mut c, rows);
-                }
-                barrier.wait();
-                if p == 0 {
-                    // SAFETY: serial phase — every other participant is
-                    // parked at the barrier below.
-                    let ((eng, lp, rec), shards, lanes, mut c) = unsafe { shared.serial() };
-                    phase_b_open(eng, lp, mode, slot, shards, lanes, &mut c, *rec);
-                    if !lanes_in_parallel {
-                        phase_b_lane(eng, mode, slot, 0, &mut lanes[0], c.snaps, c.retired);
-                        phase_b_close(eng, lp, mode, slot, lanes, &c, *rec);
-                    }
-                }
-                if lanes_in_parallel {
-                    barrier.wait();
-                    {
-                        // SAFETY: per-lane phase — lanes `lane_ranges[p]`
-                        // are this participant's until the barrier below,
-                        // and nobody writes the rows or the serial state.
-                        let ((eng, ..), first, mine, snaps, retired) = unsafe { shared.lanes(p) };
-                        for (k, lane) in mine.iter_mut().enumerate() {
-                            phase_b_lane(eng, mode, slot, first + k, lane, snaps, retired);
-                        }
-                    }
-                    barrier.wait();
-                    if p == 0 {
-                        // SAFETY: serial phase, as above.
-                        let ((eng, lp, rec), _, lanes, c) = unsafe { shared.serial() };
-                        phase_b_close(eng, lp, mode, slot, lanes, &c, *rec);
-                    }
-                }
-                barrier.wait();
-                {
-                    // SAFETY: per-shard phase, as in A.
-                    let ((eng, lp, ..), sh, mut c, rows) = unsafe { shared.shard(p) };
-                    phase_c(eng, mode, slot, &lp.deliveries, sh, &mut c, rows);
-                }
-                barrier.wait();
-                if p == 0 {
-                    // SAFETY: serial phase, as in B.
-                    let ((eng, lp, rec), shards, _, mut c) = unsafe { shared.serial() };
-                    if phase_d(eng, lp, mode, slot, shards, &mut c, *rec) {
-                        quit.store(true, Ordering::Release);
-                    }
-                }
-                barrier.wait();
-                if quit.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-        });
-        self.next_slot = self.lp.slots_run;
-        self.finished = true;
     }
 
     /// Settle end-of-run accounting and fold the final [`SimResult`].
@@ -2433,11 +2179,11 @@ impl SlotDriver {
         rec: &mut R,
     ) -> (SimResult, Option<CellStats>) {
         rec.end_run();
-        let went_live: Vec<usize> = self.went_live().collect();
         let Self {
             mut engine,
             mut lp,
             cols: mut c,
+            live,
             lanes,
             ..
         } = self;
@@ -2457,8 +2203,8 @@ impl SlotDriver {
             // The rows the run wrote in live lists, over what the build
             // or the admission tick laid down.
             Some(mut per_user) => {
-                for &i in &went_live {
-                    per_user[i] = settled(i);
+                for w in &live.windows {
+                    per_user[w.user] = settled(w.user);
                 }
                 per_user
             }
@@ -2508,150 +2254,6 @@ fn multi_lane_checkpoint() -> CheckpointError {
     }
 }
 
-/// What the serial phases own in a lockstep run: the engine, the
-/// loop-carried state and the recorder.
-type Serial<'a, R> = (&'a mut Engine, &'a mut LoopState, &'a mut R);
-
-/// A driver's state as lockstep participants share it: raw views of the
-/// columns and shard states, the serial state behind a [`PhaseCell`].
-/// Borrowed from the driver for the length of the broadcast, during
-/// which nothing reaches that state except through the two carves here —
-/// a per-shard phase's (`shard`) and a serial phase's (`serial`), which
-/// is the same carve over the one-shard partition.
-struct Lockstep<'a, R> {
-    /// `ranges[p]` is shard `p`'s user-id range; `units[p]` its place in
-    /// `shards`.
-    ranges: Vec<Range<usize>>,
-    units: Vec<Range<usize>>,
-    /// Every user and every shard: the one-shard partitions.
-    whole: Range<usize>,
-    every_shard: Range<usize>,
-    /// `lane_ranges[p]` are the lanes participant `p` schedules (only
-    /// filled with more than one lane).
-    lane_ranges: Vec<Range<usize>>,
-    every_lane: Range<usize>,
-    /// A lone lane's mirror, which the per-shard phases write through.
-    soa_rows: Option<SoaRows>,
-    users: SharedSlice<UserSim>,
-    arrival: SharedSlice<u64>,
-    departure: SharedSlice<u64>,
-    /// Empty on fixed-bitrate runs.
-    abr: SharedSlice<AbrClient>,
-    raw: SharedSlice<RawUserState>,
-    snaps: SharedSlice<UserSnapshot>,
-    staged: SharedSlice<(f64, f64)>,
-    done: SharedSlice<bool>,
-    retired: SharedSlice<bool>,
-    retired_at: SharedSlice<u64>,
-    shards: SharedSlice<ShardState>,
-    lanes: SharedSlice<CellLane>,
-    serial: PhaseCell<Serial<'a, R>>,
-}
-
-impl<'a, R> Lockstep<'a, R> {
-    /// Rows `ranges[p]` of every column.
-    ///
-    /// # Safety
-    /// As [`SharedSlice::shard_mut`], for every column at once.
-    unsafe fn cols(&self, ranges: &[Range<usize>], p: usize) -> Cols<'_> {
-        Cols {
-            base: ranges[p].start,
-            users: self.users.shard_mut(ranges, p),
-            arrival: self.arrival.shard_mut(ranges, p),
-            departure: self.departure.shard_mut(ranges, p),
-            abr: match self.abr.is_empty() {
-                true => &mut [],
-                false => self.abr.shard_mut(ranges, p),
-            },
-            raw: self.raw.shard_mut(ranges, p),
-            snaps: self.snaps.shard_mut(ranges, p),
-            staged: self.staged.shard_mut(ranges, p),
-            done: self.done.shard_mut(ranges, p),
-            retired: self.retired.shard_mut(ranges, p),
-            retired_at: self.retired_at.shard_mut(ranges, p),
-        }
-    }
-
-    /// Participant `p`'s arguments for a per-shard phase: the serial
-    /// state to read, shard `p`, its rows of every column and of the SoA
-    /// mirror.
-    ///
-    /// # Safety
-    /// Between two barrier crossings where every participant calls this
-    /// with its own `p` (or nothing at all), and drops what it got
-    /// before the second.
-    #[allow(clippy::type_complexity, clippy::mut_from_ref)]
-    unsafe fn shard(
-        &self,
-        p: usize,
-    ) -> (
-        &Serial<'a, R>,
-        &mut ShardState,
-        Cols<'_>,
-        Option<SoaRowsMut<'_>>,
-    ) {
-        let rows = self
-            .soa_rows
-            .as_ref()
-            .map(|s| s.shard(self.ranges[p].clone()));
-        let sh = &mut self.shards.shard_mut(&self.units, p)[0];
-        (self.serial.get(), sh, self.cols(&self.ranges, p), rows)
-    }
-
-    /// Participant 0's arguments for a serial phase: all of it.
-    ///
-    /// # Safety
-    /// Between two barrier crossings where no other participant touches
-    /// the shared state, and what it returns is dropped before the
-    /// second.
-    #[allow(clippy::type_complexity, clippy::mut_from_ref)]
-    unsafe fn serial(
-        &self,
-    ) -> (
-        &mut Serial<'a, R>,
-        &mut [ShardState],
-        &mut [CellLane],
-        Cols<'_>,
-    ) {
-        use std::slice::from_ref;
-        (
-            self.serial.get_mut(),
-            self.shards.shard_mut(from_ref(&self.every_shard), 0),
-            self.lanes.shard_mut(from_ref(&self.every_lane), 0),
-            self.cols(from_ref(&self.whole), 0),
-        )
-    }
-
-    /// Participant `p`'s arguments for the per-lane phase: the serial
-    /// state to read, its first lane's cell index and its lanes, and the
-    /// snapshot and retirement columns to read.
-    ///
-    /// # Safety
-    /// Between two barrier crossings where every participant calls this
-    /// with its own `p` (or nothing at all), nobody writes the serial
-    /// state or a column, and what it returns is dropped before the
-    /// second.
-    #[allow(clippy::type_complexity, clippy::mut_from_ref)]
-    unsafe fn lanes(
-        &self,
-        p: usize,
-    ) -> (
-        &Serial<'a, R>,
-        usize,
-        &mut [CellLane],
-        &[UserSnapshot],
-        &[bool],
-    ) {
-        (
-            self.serial.get(),
-            self.lane_ranges[p].start,
-            self.lanes.shard_mut(&self.lane_ranges, p),
-            self.snaps.whole(),
-            self.retired.whole(),
-        )
-    }
-}
-
 /// Size a lone lane's mirror, if it keeps one and nothing has yet: every
 /// row absent, as the build left the rows it mirrors, so that the first
 /// phase A writes slot 0's live rows through it like any other slot's.
@@ -2665,60 +2267,62 @@ fn size_mirror(eng: &Engine, lanes: &mut [CellLane], n_users: usize) {
     }
 }
 
-/// Phase A, per shard: the arrival gate, then for every live user of the
-/// shard the radio sample (block-drawn into the user's window in the
-/// shard's slab, with its per-block Eq. (1) cap table),
-/// the Eq. (7)/(8) playback advance and the ground-truth row — and, for a
-/// pass-through collector, the snapshot and SoA rows the scheduler will
-/// read, from slot 0 on. Touches only this shard's state and rows; makes
-/// no recorder call, so where it runs relative to the other shards' phase
-/// A cannot show.
+/// The mirror phases A and C write through: a lone lane's, if its policy
+/// keeps one.
+fn mirror(lanes: &mut [CellLane]) -> Option<&mut SnapshotSoA> {
+    match lanes {
+        [lane] if lane.use_soa => Some(&mut lane.soa),
+        _ => None,
+    }
+}
+
+/// Phase A: the arrival gate, then for every live user the radio sample
+/// (block-drawn into the user's window in the slab, with its per-block
+/// Eq. (1) cap table), the Eq. (7)/(8) playback advance and the
+/// ground-truth row — and, for a pass-through collector, the snapshot and
+/// SoA rows the scheduler will read, from slot 0 on. Makes no recorder
+/// call.
 fn phase_a(
     eng: &Engine,
     mode: Mode,
     slot: u64,
-    sh: &mut ShardState,
-    c: &mut Cols<'_>,
-    mut soa: Option<SoaRowsMut<'_>>,
+    lv: &mut LiveState,
+    c: &mut Columns,
+    mut soa: Option<&mut SnapshotSoA>,
 ) {
     // Admit due arrivals: pop every entry due by this slot. An entry a
     // live reschedule left behind (the user entered already, or now
     // arrives later under a fresh entry) is dropped.
-    while let Some(&Reverse((due, i))) = sh.arrival_queue.peek() {
+    while let Some(&Reverse((due, i))) = lv.arrival_queue.peek() {
         if due > slot {
             break;
         }
-        sh.arrival_queue.pop();
-        // Live membership never regresses — a user only leaves a live
+        lv.arrival_queue.pop();
+        // Live membership never regresses — a user only leaves the live
         // list by retiring — so "entered" is "live or retired".
-        let k = i - c.base;
-        let entered = c.retired[k] || sh.live.binary_search(&i).is_ok();
-        if !entered && c.arrival[k] <= slot {
-            merge_ascending(&mut sh.live, &[i]);
+        let entered = c.retired[i] || lv.live.binary_search(&i).is_ok();
+        if !entered && c.arrival[i] <= slot {
+            merge_ascending(&mut lv.live, &[i]);
         }
     }
     // Under admission the previous slot's tick admitted these for this
-    // slot — the gate's only input; the shard takes those in its range.
+    // slot — the gate's only input.
     if let Some(adm) = eng.admission.as_ref() {
-        let from = adm.admitted.partition_point(|&i| i < sh.range.start);
-        let to = adm.admitted.partition_point(|&i| i < sh.range.end);
-        merge_ascending(&mut sh.live, &adm.admitted[from..to]);
+        merge_ascending(&mut lv.live, &adm.admitted);
     }
 
     let cfg = eng.cfg;
-    for &i in &sh.live {
-        let k = i - c.base;
-        let u = &mut c.users[k];
-        let arrival = c.arrival[k];
+    for &i in &lv.live {
+        let u = &mut c.users[i];
+        let arrival = c.arrival[i];
         debug_assert!(slot >= arrival, "live user must have arrived");
         if u.window == NO_WINDOW {
-            // First entry into a live list: the user's window, from here
-            // to the end of the run, is the next in the shard's slab —
-            // which only this participant writes, so no lock.
-            u.window = sh.windows.len() as u32;
-            sh.windows.push(Window::new(i));
+            // First entry into the live list: the user's window, from
+            // here to the end of the run, is the next in the slab.
+            u.window = lv.windows.len() as u32;
+            lv.windows.push(Window::new(i));
         }
-        let w = &mut sh.windows[u.window as usize];
+        let w = &mut lv.windows[u.window as usize];
         // Each user's signal block is anchored at their final arrival
         // slot, read off the dense column (it cannot move once they are
         // live): a user entering at slot `a` refills the window at `a`,
@@ -2732,7 +2336,7 @@ fn phase_a(
                 // One batch-kernel pass per block: the next
                 // SIG_BLOCK_SLOTS slots read pure table entries.
                 eng.collector
-                    .link_caps_into(&w.sig, &mut sh.v_scratch, &mut w.cap);
+                    .link_caps_into(&w.sig, &mut lv.v_scratch, &mut w.cap);
             }
         }
         w.cur_signal = w.sig[block_off];
@@ -2741,7 +2345,7 @@ fn phase_a(
             // above already advanced the generator.
             w.cur_signal = plan.adjust_signal(slot, i, w.cur_signal);
         }
-        if slot >= c.departure[k] || eng.faults.as_ref().is_some_and(|p| p.departed(slot, i)) {
+        if slot >= c.departure[i] || eng.faults.as_ref().is_some_and(|p| p.departed(slot, i)) {
             // Mid-stream departure — workload churn or the fault
             // taxonomy's perturbation form: the client abandons playback
             // and the origin stops fetching for them. Both calls are
@@ -2760,7 +2364,7 @@ fn phase_a(
             // Gateway-advertised demand: the ABR rung rate when clients
             // are installed (single-rung = the native rate, bitwise),
             // else the declared/session rate.
-            rate_kbps: match c.abr.get(k) {
+            rate_kbps: match c.abr.get(i) {
                 Some(client) => client.rate_kbps,
                 None => u
                     .declared_rate_kbps
@@ -2780,30 +2384,33 @@ fn phase_a(
                 false => eng.collector.link_cap(r.signal),
             };
             let snap = r.as_reported(i, r.signal, link_cap);
-            if let Some(rows) = soa.as_mut() {
-                rows.set_row(&snap, cfg.tau, cfg.delta_kb);
+            if let Some(soa) = soa.as_deref_mut() {
+                soa.set_row(&snap, cfg.tau, cfg.delta_kb);
             }
-            c.snaps[k] = snap;
+            c.snaps[i] = snap;
         }
-        c.raw[k] = r;
+        c.raw[i] = r;
     }
 }
 
-/// Phase B, opening half, serial: this slot's mobility, every lane's
-/// Eq. (2) budget (fault-adjusted), the slot announced to the recorder,
-/// origin ingest, and the collector pass for a collector that is not
-/// pass-through (its report cache and noise stream run in global user
-/// order). For a pass-through collector nothing here walks rows: phase A
-/// has written the live ones, and the rest stand as built.
+/// Phase B, the slot's one coupling through Eq. (2): this slot's
+/// mobility, every lane's budget (fault-adjusted), the slot announced to
+/// the recorder, origin ingest, and the collector pass for a collector
+/// that is not pass-through (for a pass-through one nothing here walks
+/// rows: phase A has written the live ones, and the rest stand as built).
+/// Then per lane, in cell order, its rows brought up to date (with more
+/// than one lane), its scheduler's call over them and its transmitter
+/// moving bytes out of the one receiver (a flow follows its user across
+/// cells); and what the lanes decided, told to the recorder.
 #[allow(clippy::too_many_arguments)]
-fn phase_b_open<R: SlotRecorder>(
+fn phase_b<R: SlotRecorder>(
     eng: &mut Engine,
     lp: &mut LoopState,
     mode: Mode,
     slot: u64,
-    shards: &[ShardState],
+    lv: &LiveState,
     lanes: &mut [CellLane],
-    c: &mut Cols<'_>,
+    c: &mut Columns,
     rec: &mut R,
 ) {
     let cfg = eng.cfg;
@@ -2841,131 +2448,76 @@ fn phase_b_open<R: SlotRecorder>(
 
     // A lone lane schedules off the columns' rows, so their mirror is
     // kept here; several lanes each mirror their own rows.
-    let mut soa = match lanes {
-        [lane] if lane.use_soa => Some(&mut lane.soa),
-        _ => None,
-    };
+    let mut soa = mirror(lanes);
     lp.collector_rows = 0;
     if !lp.rows_primed || eng.collector.needs_full_pass() {
         // A collector that holds or perturbs reports rebuilds every row
         // on its first slot, which fills its report cache — and a noisy
         // one on every slot, whose RNG stream must stay per-user
         // aligned.
-        eng.collector.snapshot_rows(slot, c.raw, c.snaps);
+        eng.collector.snapshot_rows(slot, &c.raw, &mut c.snaps);
         if let Some(soa) = soa.as_deref_mut() {
-            soa.fill_from(c.snaps, cfg.tau, cfg.delta_kb);
+            soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb);
         }
         lp.rows_primed = true;
         lp.collector_rows = c.snaps.len();
     } else if !mode.pass_through {
         // A collector that only holds reports refreshes the live rows.
-        for sh in shards {
-            lp.collector_rows += sh.live.len();
-            eng.collector
-                .snapshot_refresh(slot, c.raw, &sh.live, c.snaps);
-            if let Some(soa) = soa.as_deref_mut() {
-                for &i in &sh.live {
-                    soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
-                }
+        lp.collector_rows = lv.live.len();
+        eng.collector
+            .snapshot_refresh(slot, &c.raw, &lv.live, &mut c.snaps);
+        if let Some(soa) = soa.as_deref_mut() {
+            for &i in &lv.live {
+                soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
             }
         }
     }
     if let Some(soa) = soa {
-        // The shard lists in shard order are the rows a sweep has to
-        // visit; every other row has no demand left.
-        soa.set_live_rows(shards.iter().flat_map(|sh| sh.live.iter().copied()));
+        // The live list is the rows a sweep has to visit; every other
+        // row has no demand left.
+        soa.set_live_rows(lv.live.iter().copied());
     }
-}
 
-/// Phase B, per lane: the cell's rows brought up to date (with more than
-/// one lane) and its scheduler's call over them. Touches only the lane;
-/// makes no recorder call.
-fn phase_b_lane(
-    eng: &Engine,
-    mode: Mode,
-    slot: u64,
-    cell: usize,
-    lane: &mut CellLane,
-    snaps: &[UserSnapshot],
-    retired: &[bool],
-) {
-    let cfg = eng.cfg;
-    let users = match eng.roaming.as_ref() {
-        None => snaps,
-        Some(roam) => {
-            if lane.rows.is_empty() {
-                lane.rows.extend(snaps.iter().map(|reported| {
-                    let mut row = reported.clone();
-                    if roam.attached[row.id] != cell {
-                        row.remaining_kb = 0.0;
-                        row.active = false;
-                        row.link_cap_units = 0;
-                    }
-                    row
-                }));
-                if lane.use_soa {
-                    lane.soa.fill_from(&lane.rows, cfg.tau, cfg.delta_kb);
-                }
-            } else {
-                for &i in &roam.members[cell] {
-                    // A retired member's reported row is frozen, with
-                    // nothing left to fetch: once the lane's copy says
-                    // it has stopped watching there is nothing to bring
-                    // over.
-                    if retired[i] && !lane.rows[i].active {
-                        continue;
-                    }
-                    lane.rows[i].clone_from(&snaps[i]);
-                    if lane.use_soa {
-                        lane.soa.set_row(&snaps[i], cfg.tau, cfg.delta_kb);
-                    }
-                }
-            }
-            if lane.use_soa {
-                // Only a member's row can hold demand.
-                lane.soa.set_live_rows(roam.members[cell].iter().copied());
-            }
-            lane.rows.as_slice()
-        }
-    };
-    let ctx = SlotContext {
-        slot,
-        tau: cfg.tau,
-        delta_kb: cfg.delta_kb,
-        bs_cap_units: lane.cap_units,
-        users,
-        soa: lane.use_soa.then_some(&lane.soa),
-    };
-    if mode.rec_enabled {
-        let t0 = std::time::Instant::now();
-        lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
-        lane.sched_ns = t0.elapsed().as_nanos() as u64;
-    } else {
-        lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
-    }
-}
-
-/// Phase B, closing half, serial: what the lanes decided told to the
-/// recorder in cell order, and each lane's transmitter moving bytes out
-/// of the one receiver (a flow follows its user across cells).
-fn phase_b_close<R: SlotRecorder>(
-    eng: &mut Engine,
-    lp: &mut LoopState,
-    mode: Mode,
-    slot: u64,
-    lanes: &mut [CellLane],
-    c: &Cols<'_>,
-    rec: &mut R,
-) {
-    let cfg = eng.cfg;
-    if mode.rec_enabled {
-        rec.record_sched_latency_ns(lanes.iter().map(|lane| lane.sched_ns).sum());
-    }
+    let mut sched_ns = 0;
     for (cell, lane) in lanes.iter_mut().enumerate() {
         let members = eng.roaming.as_ref().map(|roam| &roam.members[cell]);
-        let (users, out) = match members {
-            None => (&*c.snaps, &mut lp.deliveries),
-            Some(_) => (lane.rows.as_slice(), &mut lane.deliveries),
+        let users = match eng.roaming.as_ref() {
+            None => &c.snaps,
+            Some(roam) => {
+                if lane.rows.is_empty() {
+                    lane.rows.extend(c.snaps.iter().map(|reported| {
+                        let mut row = reported.clone();
+                        if roam.attached[row.id] != cell {
+                            row.remaining_kb = 0.0;
+                            row.active = false;
+                            row.link_cap_units = 0;
+                        }
+                        row
+                    }));
+                    if lane.use_soa {
+                        lane.soa.fill_from(&lane.rows, cfg.tau, cfg.delta_kb);
+                    }
+                } else {
+                    for &i in &roam.members[cell] {
+                        // A retired member's reported row is frozen, with
+                        // nothing left to fetch: once the lane's copy
+                        // says it has stopped watching there is nothing
+                        // to bring over.
+                        if c.retired[i] && !lane.rows[i].active {
+                            continue;
+                        }
+                        lane.rows[i].clone_from(&c.snaps[i]);
+                        if lane.use_soa {
+                            lane.soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
+                        }
+                    }
+                }
+                if lane.use_soa {
+                    // Only a member's row can hold demand.
+                    lane.soa.set_live_rows(roam.members[cell].iter().copied());
+                }
+                &lane.rows
+            }
         };
         let ctx = SlotContext {
             slot,
@@ -2974,6 +2526,17 @@ fn phase_b_close<R: SlotRecorder>(
             bs_cap_units: lane.cap_units,
             users,
             soa: lane.use_soa.then_some(&lane.soa),
+        };
+        if mode.rec_enabled {
+            let t0 = std::time::Instant::now();
+            lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
+            sched_ns += t0.elapsed().as_nanos() as u64;
+        } else {
+            lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
+        }
+        let out = match members {
+            None => &mut lp.deliveries,
+            Some(_) => &mut lane.deliveries,
         };
         lane.transmitter
             .transmit_into(&ctx, &lane.alloc, &mut eng.receiver, out);
@@ -2987,6 +2550,7 @@ fn phase_b_close<R: SlotRecorder>(
         }
     }
     if mode.rec_enabled {
+        rec.record_sched_latency_ns(sched_ns);
         match &*lanes {
             [lane] => {
                 rec.record_alloc(&lane.alloc.0);
@@ -3007,31 +2571,29 @@ fn phase_b_close<R: SlotRecorder>(
     }
 }
 
-/// Phase C, per shard: client delivery and device accounting (Eq. 3/4/5)
-/// for the shard's live users, ABR decisions staged per user. Whatever
-/// phase D must fold in global user order is staged, not emitted: the
-/// slot's energy and running rebuffering per user, RRC transitions, `done`
-/// flips.
+/// Phase C: client delivery and device accounting (Eq. 3/4/5) for the
+/// live users, ABR decisions staged per user. Whatever phase D folds or
+/// records is staged, not emitted: the slot's energy and running
+/// rebuffering per user, RRC transitions, `done` flips.
 fn phase_c(
     eng: &Engine,
     mode: Mode,
     slot: u64,
     deliveries: &[Delivery],
-    sh: &mut ShardState,
-    c: &mut Cols<'_>,
-    mut soa: Option<SoaRowsMut<'_>>,
+    lv: &mut LiveState,
+    c: &mut Columns,
+    mut soa: Option<&mut SnapshotSoA>,
 ) {
     let cfg = eng.cfg;
-    sh.watching_dec = 0;
-    sh.in_system = 0;
-    sh.events.clear();
-    sh.flips.clear();
-    for &i in &sh.live {
-        let k = i - c.base;
-        let u = &mut c.users[k];
-        debug_assert!(slot >= c.arrival[k], "live user must have arrived");
+    lv.watching_dec = 0;
+    lv.in_system = 0;
+    lv.events.clear();
+    lv.flips.clear();
+    for &i in &lv.live {
+        let u = &mut c.users[i];
+        debug_assert!(slot >= c.arrival[i], "live user must have arrived");
         let d = &deliveries[i];
-        let events = &mut sh.events;
+        let events = &mut lv.events;
         let slot_e = if d.kb > 0.0 {
             let accepted = u.session.deliver(d.kb);
             debug_assert!(
@@ -3042,11 +2604,11 @@ fn phase_c(
             // rate regardless of what the gateway thinks — under ABR
             // that is the rung rate (lower rungs stretch delivered KB
             // into more playback seconds).
-            if let (Some(a), Some(client)) = (eng.abr.as_ref(), c.abr.get_mut(k)) {
+            if let (Some(a), Some(client)) = (eng.abr.as_ref(), c.abr.get_mut(i)) {
                 u.playback.deliver(accepted, client.rate_kbps);
                 let inp = AbrInputs {
-                    buffer_s: c.raw[k].buffer_s,
-                    predicted_kbps: c.snaps[k].link_cap_units as f64 * cfg.delta_kb / cfg.tau,
+                    buffer_s: c.raw[i].buffer_s,
+                    predicted_kbps: c.snaps[i].link_cap_units as f64 * cfg.delta_kb / cfg.tau,
                 };
                 client.on_delivery(
                     accepted,
@@ -3063,7 +2625,7 @@ fn phase_c(
             // One-deep memo of the Eq. (3) kernel: `P(sig)` is a pure
             // function of the block-held RSSI, so this is the same
             // product `transmission_energy` would compute.
-            let w = &mut sh.windows[u.window as usize];
+            let w = &mut lv.windows[u.window as usize];
             if w.epk_sig.value() != w.cur_signal.value() {
                 w.epk_per_kb = eng.models.power.energy_per_kb(w.cur_signal);
                 w.epk_sig = w.cur_signal;
@@ -3087,109 +2649,104 @@ fn phase_c(
             e.value()
         };
         if mode.staged {
-            c.staged[k] = (slot_e, u.playback.total_rebuffer_s());
+            c.staged[i] = (slot_e, u.playback.total_rebuffer_s());
         }
-        if !c.done[k] && u.session.fully_fetched() && u.playback.playback_complete() {
-            c.done[k] = true;
-            sh.watching_dec += 1;
+        if !c.done[i] && u.session.fully_fetched() && u.playback.playback_complete() {
+            c.done[i] = true;
+            lv.watching_dec += 1;
             if eng.admission.is_some() {
-                sh.flips.push(i);
+                lv.flips.push(i);
             }
         }
         // Live-population sample for open-system telemetry: arrived and
         // still watching after this slot's accounting.
-        if mode.rec_enabled && !c.done[k] {
-            sh.in_system += 1;
+        if mode.rec_enabled && !c.done[i] {
+            lv.in_system += 1;
         }
         // Retire once nothing remains to account: playback is over and
         // the RRC tail has fully drained, so every further slot would
         // charge exactly 0 mJ of tail energy.
-        if c.done[k] && u.rrc.state() == RrcState::Idle {
-            c.retired[k] = true;
-            c.retired_at[k] = slot;
-            sh.any_retired = true;
+        if c.done[i] && u.rrc.state() == RrcState::Idle {
+            c.retired[i] = true;
+            c.retired_at[i] = slot;
+            lv.any_retired = true;
             // The rows freeze here, in the slot playback completed —
             // which `begin_slot` still saw as watched. They must say
             // what a fresh row would from now on, or a policy that walks
             // every row (EMA's `PCᵢ += τ`) keeps charging a user who has
             // left; the ground-truth row too, for a collector that
             // rebuilds every snapshot from it.
-            c.raw[k].active = false;
-            c.snaps[k].active = false;
-            if let Some(rows) = soa.as_mut() {
-                rows.set_row(&c.snaps[k], cfg.tau, cfg.delta_kb);
+            c.raw[i].active = false;
+            c.snaps[i].active = false;
+            if let Some(soa) = soa.as_deref_mut() {
+                soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
             }
         }
     }
 }
 
-/// Phase D, serial: replay what phase C staged, shard by shard and user
-/// by user — which is ascending user order, the order a single loop over
-/// all users emits in — so every recorder call, every floating-point
-/// fold (slot energy, E*, `rate_sum`, the fairness series) and every
-/// admission ruling happens exactly as it would without shards. Then the
-/// ABR commits, live-list compaction and the end-of-slot admission tick.
-/// Returns true once the run is over.
+/// Phase D: replay what phase C staged, user by user in ascending order,
+/// so every recorder call, every floating-point fold (slot energy, E*,
+/// `rate_sum`, the fairness series) and every admission ruling happens
+/// in the reference loop's order. Then the ABR commits, live-list
+/// compaction and the end-of-slot admission tick. Returns true once the
+/// run is over.
 fn phase_d<R: SlotRecorder>(
     eng: &mut Engine,
     lp: &mut LoopState,
     mode: Mode,
     slot: u64,
-    shards: &mut [ShardState],
-    c: &mut Cols<'_>,
+    lv: &mut LiveState,
+    c: &mut Columns,
     rec: &mut R,
 ) -> bool {
     const FAIR_WINDOW: u64 = 10;
     let cfg = eng.cfg;
-    let mut in_system = 0u64;
     if mode.staged {
         let mut slot_energy_mj = 0.0;
         lp.fairness_scratch.clear();
-        for sh in shards.iter() {
-            // Phase C pushed events and flips in this same live order,
-            // so one cursor each finds a user's entries.
-            let (mut ev, mut fl) = (0usize, 0usize);
-            for &i in &sh.live {
-                // RRC transitions precede the user record.
-                while let Some(&(_, f, t)) = sh.events.get(ev).filter(|e| e.0 == i) {
-                    rec.record_rrc_transition(i, f, t);
-                    ev += 1;
+        // Phase C pushed events and flips in this same live order, so
+        // one cursor each finds a user's entries.
+        let (mut ev, mut fl) = (0usize, 0usize);
+        for &i in &lv.live {
+            // RRC transitions precede the user record.
+            while let Some(&(_, f, t)) = lv.events.get(ev).filter(|e| e.0 == i) {
+                rec.record_rrc_transition(i, f, t);
+                ev += 1;
+            }
+            let (slot_e, rebuffer_s) = c.staged[i];
+            slot_energy_mj += slot_e;
+            if let Some(adm) = eng.admission.as_mut() {
+                let flipped = lv.flips.get(fl) == Some(&i);
+                // Running E* estimate for admission feasibility: energy
+                // per arrived-and-watching user-slot, by the pre-flip
+                // flag, so the finishing slot still counts.
+                if !c.done[i] || flipped {
+                    adm.energy_mj += slot_e;
+                    adm.user_slots += 1;
                 }
-                let (slot_e, rebuffer_s) = c.staged[i];
-                slot_energy_mj += slot_e;
-                if let Some(adm) = eng.admission.as_mut() {
-                    let flipped = sh.flips.get(fl) == Some(&i);
-                    // Running E* estimate for admission feasibility:
-                    // energy per arrived-and-watching user-slot, by the
-                    // pre-flip flag, so the finishing slot still counts.
-                    if !c.done[i] || flipped {
-                        adm.energy_mj += slot_e;
-                        adm.user_slots += 1;
-                    }
-                    // Membership event point: the user leaves the tick's
-                    // active population for good (`done` never un-flips).
-                    if flipped {
-                        fl += 1;
-                        adm.n_active -= 1;
-                        adm.rate_sum -= adm.rates[i];
-                    }
-                }
-                rec.record_user(i, slot_e, rebuffer_s);
-                // Fairness sample over users still fetching this slot.
-                let r = &c.raw[i];
-                if cfg.record_series && r.remaining_kb > 0.0 {
-                    let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
-                    if need_kb > 0.0 {
-                        lp.fairness_scratch.push(lp.deliveries[i].kb / need_kb);
-                        if lp.window_need[i] == 0.0 {
-                            lp.window_rows.push(i);
-                        }
-                        lp.window_delivered[i] += lp.deliveries[i].kb;
-                        lp.window_need[i] += need_kb;
-                    }
+                // Membership event point: the user leaves the tick's
+                // active population for good (`done` never un-flips).
+                if flipped {
+                    fl += 1;
+                    adm.n_active -= 1;
+                    adm.rate_sum -= adm.rates[i];
                 }
             }
-            in_system += sh.in_system;
+            rec.record_user(i, slot_e, rebuffer_s);
+            // Fairness sample over users still fetching this slot.
+            let r = &c.raw[i];
+            if cfg.record_series && r.remaining_kb > 0.0 {
+                let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
+                if need_kb > 0.0 {
+                    lp.fairness_scratch.push(lp.deliveries[i].kb / need_kb);
+                    if lp.window_need[i] == 0.0 {
+                        lp.window_rows.push(i);
+                    }
+                    lp.window_delivered[i] += lp.deliveries[i].kb;
+                    lp.window_need[i] += need_kb;
+                }
+            }
         }
         if cfg.record_series {
             if !lp.fairness_scratch.is_empty() {
@@ -3218,39 +2775,37 @@ fn phase_d<R: SlotRecorder>(
             }
         }
     }
-    for sh in shards.iter_mut() {
-        // Folded before the admission tick so a rejection decrements an
-        // up-to-date watch count.
-        lp.watching -= sh.watching_dec;
-        // Commit staged ABR switches in ascending user order: update the
-        // rung rate, re-price the unfetched tail of the session, and keep
-        // the receiver's origin-side volume bound in step. Only a
-        // delivery stages a switch, so the live list (not yet compacted)
-        // covers every user that can have one.
-        if let Some(a) = eng.abr.as_ref() {
-            for &i in &sh.live {
-                if let Some(sw) = c.abr[i].apply_pending(&a.spec.ladder, a.native[i]) {
-                    let delta = c.users[i].session.rescale_remaining(sw.ratio);
-                    eng.receiver.adjust_source_volume_kb(i, delta);
-                    rec.record_abr_switch(i, sw.from, sw.to);
-                }
+    // Folded before the admission tick so a rejection decrements an
+    // up-to-date watch count.
+    lp.watching -= lv.watching_dec;
+    // Commit staged ABR switches in ascending user order: update the rung
+    // rate, re-price the unfetched tail of the session, and keep the
+    // receiver's origin-side volume bound in step. Only a delivery stages
+    // a switch, so the live list (not yet compacted) covers every user
+    // that can have one.
+    if let Some(a) = eng.abr.as_ref() {
+        for &i in &lv.live {
+            if let Some(sw) = c.abr[i].apply_pending(&a.spec.ladder, a.native[i]) {
+                let delta = c.users[i].session.rescale_remaining(sw.ratio);
+                eng.receiver.adjust_source_volume_kb(i, delta);
+                rec.record_abr_switch(i, sw.from, sw.to);
             }
         }
-        if std::mem::take(&mut sh.any_retired) {
-            sh.live.retain(|&i| !c.retired[i]);
-        }
+    }
+    if std::mem::take(&mut lv.any_retired) {
+        lv.live.retain(|&i| !c.retired[i]);
     }
     if mode.rec_enabled {
-        rec.record_live(in_system);
+        rec.record_live(lv.in_system);
     }
     // Rule on arrivals planned for the next slot, now that this slot's
     // capacity and energy accounting are final.
     if let Some(adm) = eng.admission.as_mut() {
         admission_tick(
             adm,
-            c.arrival,
-            c.users,
-            c.done,
+            &mut c.arrival,
+            &mut c.users,
+            &mut c.done,
             &mut lp.watching,
             lp.per_user.as_deref_mut(),
             rec,
@@ -3703,7 +3258,7 @@ mod tests {
     impl Engine {
         /// A fresh driver stepped to the end.
         fn run(self) -> SimResult {
-            let drv = self.build_driver(&mut NullRecorder, None, 1);
+            let drv = self.build_driver(&mut NullRecorder, None);
             drv.expect("a fresh driver").run(&mut NullRecorder).0
         }
     }
@@ -3767,6 +3322,71 @@ mod tests {
             "{passed} passed, {failed} failed"
         );
         assert!(on_edge > 100, "ε̂ = 0 hit {on_edge} times");
+    }
+
+    /// The driver reproduces the reference loop bit for bit — results
+    /// *and* full trace bytes — on one engine with series recording on
+    /// (the integration suites widen this to churn, faults and ABR).
+    #[test]
+    fn driver_matches_reference_bitwise() {
+        // Scheduler-latency quantiles are wall-clock measurements; zero
+        // them so the equality below covers every deterministic field.
+        fn scrub(mut r: SimResult) -> SimResult {
+            if let Some(t) = r.telemetry.as_mut() {
+                t.sched_ns_p50 = 0;
+                t.sched_ns_p95 = 0;
+                t.sched_ns_p99 = 0;
+                t.sched_ns_max = 0;
+            }
+            r
+        }
+        let mk = || {
+            small_engine(
+                5,
+                4_000.0,
+                400.0,
+                -80.0,
+                900.0,
+                200,
+                Box::new(DefaultMax::new()),
+            )
+        };
+        let mut rec = TraceRecorder::new().with_live_counts();
+        let drv = mk().build_driver(&mut rec, None).expect("fresh driver");
+        let driven = scrub(drv.run(&mut rec).0);
+        let driven_trace = rec.into_trace("DefaultMax").to_jsonl();
+        let mut rec = TraceRecorder::new().with_live_counts();
+        let reference = scrub(mk().run_reference(&mut rec));
+        assert_eq!(driven, reference);
+        assert_eq!(driven_trace, rec.into_trace("DefaultMax").to_jsonl());
+    }
+
+    /// `finish` is callable at any point: a driver finished after 50
+    /// slots of a 200-slot horizon yields the result of a 50-slot run.
+    #[test]
+    fn finishing_early_yields_the_slots_run_so_far() {
+        let mk = |slots| {
+            small_engine(
+                3,
+                40_000.0,
+                400.0,
+                -80.0,
+                900.0,
+                slots,
+                Box::new(DefaultMax::new()),
+            )
+        };
+        let mut drv = mk(200)
+            .build_driver(&mut NullRecorder, None)
+            .expect("fresh driver");
+        for _ in 0..50 {
+            drv.step(&mut NullRecorder);
+        }
+        let early = drv.finish(&mut NullRecorder);
+        let short = mk(50).run();
+        assert_eq!(early.slots_run, 50);
+        assert_eq!(early.per_user, short.per_user);
+        assert_eq!(early.power_series_j, short.power_series_j);
     }
 
     /// Single user, ample capacity: fetches everything, watches everything,
@@ -3931,7 +3551,7 @@ mod tests {
             )
         };
         let mut drv = engine()
-            .build_driver(&mut NullRecorder, None, 1)
+            .build_driver(&mut NullRecorder, None)
             .expect("fresh driver");
         drv.defer_all_arrivals().expect("before the first slot");
         drv.set_arrival(1, 0).expect("schedule");
@@ -3940,7 +3560,7 @@ mod tests {
         assert!(before.collector.cached_signal.iter().all(Option::is_none));
 
         let resumed = engine()
-            .build_driver(&mut NullRecorder, Some(&before), 1)
+            .build_driver(&mut NullRecorder, Some(&before))
             .expect("resumed driver");
         let again = resumed.checkpoint(&NullRecorder).expect("checkpoint");
         assert_eq!(
@@ -3975,51 +3595,5 @@ mod tests {
         let row = std::mem::size_of::<UserSim>();
         assert!(row <= 328, "UserSim is {row} bytes");
         assert!(100_000 * row < 32 << 20);
-    }
-
-    /// The sharded runner reproduces the serial loop bit-for-bit — results
-    /// *and* full trace bytes — at every width, including the degenerate
-    /// width-1 clamp (the shard_properties suite widens this to churny
-    /// open-system scenarios).
-    #[test]
-    fn sharded_matches_serial_bitwise() {
-        // Scheduler-latency quantiles are wall-clock measurements; zero
-        // them so the equality below covers every deterministic field.
-        fn scrub(mut r: SimResult) -> SimResult {
-            if let Some(t) = r.telemetry.as_mut() {
-                t.sched_ns_p50 = 0;
-                t.sched_ns_p95 = 0;
-                t.sched_ns_p99 = 0;
-                t.sched_ns_max = 0;
-            }
-            r
-        }
-        let mk = || {
-            small_engine(
-                5,
-                4_000.0,
-                400.0,
-                -80.0,
-                900.0,
-                200,
-                Box::new(DefaultMax::new()),
-            )
-        };
-        let mut rec = TraceRecorder::new().with_live_counts();
-        let drv = mk().build_driver(&mut rec, None, 1).expect("fresh driver");
-        let serial = scrub(drv.run(&mut rec).0);
-        let serial_trace = rec.into_trace("DefaultMax").to_jsonl();
-        let pool = crate::pool::WorkerPool::new(3);
-        for shards in [1usize, 2, 4] {
-            let mut rec = TraceRecorder::new().with_live_counts();
-            let drv = mk().build_driver(&mut rec, None, shards);
-            let sharded = scrub(drv.expect("fresh driver").run_on(&pool, &mut rec).0);
-            assert_eq!(serial, sharded, "width {shards}");
-            assert_eq!(
-                serial_trace,
-                rec.into_trace("DefaultMax").to_jsonl(),
-                "trace bytes at width {shards}"
-            );
-        }
     }
 }

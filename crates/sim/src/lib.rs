@@ -20,11 +20,10 @@
 //! * [`calibrate`] — measures the Default strategy's energy/rebuffering
 //!   (the `E_Default`/`R_Default` the α/β constraints are defined
 //!   against) and fits EMA's `V` to a rebuffering bound Ω by bisection.
-//! * [`pool`] — a persistent worker pool ([`WorkerPool`]) and a reusable
-//!   [`SpinBarrier`], shared by the sweep runner and the engine's
-//!   lockstep runs so hot callers never pay thread-spawn costs.
+//! * [`pool`] — a persistent worker pool ([`WorkerPool`]), so the sweep
+//!   runner never pays thread-spawn costs.
 //! * [`sweep`] — deterministic parallel execution of scenario grids on
-//!   the shared worker pool.
+//!   the shared worker pool: one run per thread, runs side by side.
 //! * [`report`] — CSV and table output for the figure harness.
 //! * [`telemetry`] — slot-level recorders: a zero-overhead-when-disabled
 //!   [`SlotRecorder`] hook in the engine loop, a capturing
@@ -63,7 +62,9 @@ pub use error::{
 };
 pub use faults::{FaultEvent, FaultPlan, FaultSpec};
 pub use multicell::{MultiCellResult, MultiCellScenario};
-pub use pool::{SpinBarrier, WorkerPool};
+#[doc(hidden)]
+pub use pool::SpinBarrier;
+pub use pool::WorkerPool;
 pub use results::{SimResult, SimWarning, UserResult};
 pub use scenario::Scenario;
 pub use svg::svg_chart;

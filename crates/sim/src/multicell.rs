@@ -10,10 +10,9 @@
 //! engine's one slot pipeline with a lane per cell (see
 //! [`crate::engine`]): this file validates, builds the base scenario's
 //! engine with `n_cells` lanes and the fault plan compiled against them,
-//! runs the ordinary driver — stepped for [`MultiCellScenario::run`], in
-//! lockstep for [`MultiCellScenario::run_parallel`] — and adds what the
-//! cells saw to the ordinary [`SimResult`]. It stays a type of its own
-//! only because the repository benchmark builds it.
+//! steps the ordinary driver to the end, and adds what the cells saw to
+//! the ordinary [`SimResult`]. It stays a type of its own only because
+//! the repository benchmark builds it.
 //!
 //! A multicell run reads the base scenario's radio, media, scheduler,
 //! capacity (per cell), fault, ABR and series settings. It ignores four:
@@ -26,7 +25,6 @@
 
 use crate::engine::{CellStats, SlotDriver};
 use crate::error::{ScenarioError, SimError};
-use crate::pool::WorkerPool;
 use crate::results::SimResult;
 use crate::scenario::{ArrivalSpec, Scenario};
 use crate::telemetry::{NullRecorder, SlotRecorder, SlotTrace, TraceRecorder};
@@ -66,15 +64,14 @@ impl MultiCellScenario {
         self.run_with(&mut NullRecorder)
     }
 
-    /// The checks every run path starts with, then a driver of `width`
-    /// shards over the engine — the base scenario's, with the settings a
-    /// multicell run ignores at their pass-through defaults, a lane per
-    /// cell, and the base scenario's fault spec compiled against this
-    /// many cells. Feasibility admission control reasons about one
+    /// The checks every run path starts with, then a driver over the
+    /// engine — the base scenario's, with the settings a multicell run
+    /// ignores at their pass-through defaults, a lane per cell, and the
+    /// base scenario's fault spec compiled against this many cells. Feasibility admission control reasons about one
     /// serving budget; with independent per-cell budgets and roaming
     /// there is no single capacity to bound against, so multicell runs
     /// only accept `AlwaysAdmit` (a no-op) or no admission spec at all.
-    fn driver<R: SlotRecorder>(&self, rec: &mut R, width: usize) -> Result<SlotDriver, SimError> {
+    fn driver<R: SlotRecorder>(&self, rec: &mut R) -> Result<SlotDriver, SimError> {
         let base = &self.base;
         base.validate()?;
         if base
@@ -119,7 +116,7 @@ impl MultiCellScenario {
             },
         );
         engine.faults = plan;
-        engine.build_driver(rec, None, width)
+        engine.build_driver(rec, None)
     }
 
     /// The driver's result with what the cells saw. One cell keeps every
@@ -136,26 +133,6 @@ impl MultiCellScenario {
         }
     }
 
-    /// [`MultiCellScenario::run`] on the shared [`WorkerPool`], the
-    /// engine's lockstep form: `threads` participants each own a
-    /// contiguous range of users for the per-user phases and a
-    /// contiguous range of cells for the scheduler calls. The phases are
-    /// the functions [`MultiCellScenario::run`] steps through, so the
-    /// outcome equals it bit for bit (pinned by tests).
-    ///
-    /// `threads == 0` means one participant per available CPU; the
-    /// effective width is clamped to the pool size.
-    pub fn run_parallel(&self, threads: usize) -> Result<MultiCellResult, SimError> {
-        let width = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
-            n => n,
-        };
-        let pool = WorkerPool::global();
-        let width = width.clamp(1, pool.n_workers() + 1);
-        let drv = self.driver(&mut NullRecorder, width)?;
-        Ok(self.fold(drv.run_on(pool, &mut NullRecorder)))
-    }
-
     /// [`MultiCellScenario::run`] with a [`SlotRecorder`] observing every
     /// slot. Per-slot telemetry aggregates over cells: the capacity is
     /// the sum of per-cell budgets, the allocation is the combined
@@ -169,7 +146,7 @@ impl MultiCellScenario {
     /// fades and link outages follow the user across cells, and
     /// departures abandon the session.
     pub fn run_with<R: SlotRecorder>(&self, rec: &mut R) -> Result<MultiCellResult, SimError> {
-        Ok(self.fold(self.driver(rec, 1)?.run(rec)))
+        Ok(self.fold(self.driver(rec)?.run(rec)))
     }
 
     /// Run with a capturing [`TraceRecorder`] (one record per `every`
@@ -274,6 +251,59 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Recording is observation only: in every policy family the traced
+    /// run equals the untraced one, one record per slot, and both repeat
+    /// exactly.
+    #[test]
+    fn traced_run_equals_untraced_across_schedulers() {
+        for spec in [
+            SchedulerSpec::Default,
+            SchedulerSpec::RtmaUnbounded,
+            SchedulerSpec::ema_fast(0.05),
+        ] {
+            let mut mc = multi(8, 4, 0.05);
+            mc.base.scheduler = spec.clone();
+            let plain = mc.run().expect("runs");
+            assert_eq!(mc.run().expect("runs"), plain, "{spec:?} must repeat");
+            let (traced, trace) = mc.run_traced(1).expect("runs");
+            assert_eq!(traced.result.per_user, plain.result.per_user, "{spec:?}");
+            assert_eq!(traced.handovers, plain.handovers, "{spec:?}");
+            assert_eq!(traced.mean_cell_occupancy, plain.mean_cell_occupancy);
+            assert_eq!(trace.records.len() as u64, plain.result.slots_run);
+        }
+    }
+
+    /// A departure abandons the session of a user who roams, while
+    /// another cell is out; the faulted run repeats exactly.
+    #[test]
+    fn departure_abandons_the_session_under_roaming() {
+        let clean = multi(6, 3, 0.05);
+        let mut faulted = clean.clone();
+        faulted.base.faults = FaultSpec::Declared {
+            events: vec![
+                FaultEvent::CellOutage {
+                    cell: 1,
+                    from_slot: 10,
+                    until_slot: 60,
+                },
+                FaultEvent::Departure { user: 2, slot: 3 },
+            ],
+        };
+        let a = clean.run().expect("clean run");
+        let b = faulted.run().expect("faulted run");
+        let (a2, b2) = (&a.result.per_user[2], &b.result.per_user[2]);
+        assert!(
+            b2.watched_s < a2.watched_s,
+            "a departing user stops watching"
+        );
+        assert!(
+            b2.fetched_kb < a2.fetched_kb,
+            "a departing user stops fetching"
+        );
+        assert!(b.handovers > 0, "users must still roam");
+        assert_eq!(faulted.run().expect("faulted rerun"), b);
+    }
+
     fn run_err(mc: &MultiCellScenario) -> String {
         match mc.run() {
             Err(e) => e.to_string(),
@@ -289,6 +319,20 @@ mod tests {
         let mut mc = multi(4, 2, 0.01);
         mc.handover_prob = 1.5;
         assert!(run_err(&mc).contains("handover_prob"));
+    }
+
+    /// Every door validates alike: the traced run and a run under any
+    /// recorder refuse what `run` refuses.
+    #[test]
+    fn traced_run_validates_like_run() {
+        let mut mc = multi(4, 2, 0.01);
+        mc.handover_prob = 1.5;
+        assert!(mc.run_traced(1).is_err());
+        assert!(mc.run_with(&mut NullRecorder).is_err());
+        let mut mc = multi(4, 2, 0.01);
+        mc.n_cells = 0;
+        assert!(mc.run_traced(1).is_err());
+        assert!(mc.run_with(&mut NullRecorder).is_err());
     }
 
     #[test]
@@ -343,70 +387,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The lockstep parallel stepper must be indistinguishable from the
-    /// serial loop — same RNG draws, same FP summation order, same
-    /// per-cell scheduler state sequences — across every policy family.
-    #[test]
-    fn parallel_matches_serial_across_schedulers() {
-        for spec in [
-            SchedulerSpec::Default,
-            SchedulerSpec::RtmaUnbounded,
-            SchedulerSpec::ema_fast(0.05),
-        ] {
-            let mut mc = multi(8, 4, 0.05);
-            mc.base.scheduler = spec.clone();
-            let serial = mc.run().expect("serial run");
-            for threads in [2, 4, 0] {
-                let par = mc.run_parallel(threads).expect("parallel run");
-                assert_eq!(par, serial, "{spec:?} diverged at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_under_faults() {
-        let mut mc = multi(6, 3, 0.05);
-        mc.base.faults = FaultSpec::Declared {
-            events: vec![
-                FaultEvent::CellOutage {
-                    cell: 1,
-                    from_slot: 10,
-                    until_slot: 60,
-                },
-                FaultEvent::Departure { user: 2, slot: 40 },
-            ],
-        };
-        let serial = mc.run().expect("serial run");
-        let par = mc.run_parallel(3).expect("parallel run");
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn parallel_is_deterministic_across_repeats_and_widths() {
-        let mc = multi(6, 3, 0.05);
-        let a = mc.run_parallel(2).expect("run a");
-        let b = mc.run_parallel(2).expect("run b");
-        let c = mc.run_parallel(3).expect("run c");
-        assert_eq!(a, b, "same width must repeat exactly");
-        assert_eq!(a, c, "width must not affect the outcome");
-    }
-
-    #[test]
-    fn one_cell_in_parallel_matches_serial() {
-        // One lane: the participants divide the users alone.
-        let mc = multi(4, 1, 0.0);
-        let par = mc.run_parallel(8).expect("runs");
-        let serial = mc.run().expect("runs");
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn parallel_validates_like_serial() {
-        let mut mc = multi(4, 2, 0.01);
-        mc.handover_prob = 1.5;
-        assert!(mc.run_parallel(2).is_err());
-    }
-
     /// The settings a multicell run has always ignored stay ignored:
     /// none of them starts to matter because the engine behind the run
     /// would honour it.
@@ -446,9 +426,7 @@ mod tests {
     #[test]
     fn a_multicell_run_refuses_a_checkpoint() {
         let mut rec = TraceRecorder::new();
-        let mut drv = multi(4, 2, 0.05)
-            .driver(&mut rec, 1)
-            .expect("a fresh driver");
+        let mut drv = multi(4, 2, 0.05).driver(&mut rec).expect("a fresh driver");
         drv.step(&mut rec);
         assert!(matches!(
             drv.checkpoint(&rec),

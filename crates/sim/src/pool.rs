@@ -1,4 +1,4 @@
-//! A persistent worker pool and a spin barrier for slot-lockstep stepping.
+//! A persistent worker pool for running independent jobs side by side.
 //!
 //! [`parallel_map`](crate::parallel_map) used to spawn fresh scoped
 //! threads on every call; for sweep grids invoked in a loop (bench rows,
@@ -7,25 +7,12 @@
 //! and parks its workers on a condvar between jobs, so a dispatch costs a
 //! mutex hand-off instead of `threads − 1` thread spawns.
 //!
-//! The pool deliberately exposes exactly one primitive — [`WorkerPool::
-//! broadcast`], "run this closure once per participant, caller included" —
-//! because every consumer reduces to it:
-//!
-//! * `parallel_map` passes a closure that drains an atomic-cursor item
-//!   queue (each participant loops popping chunks until empty);
-//! * the lockstep run — `Scenario::run_sharded_on` and
-//!   `MultiCellScenario::run_parallel` — passes a closure that runs the
-//!   *whole slot loop*, one participant per shard of users (and range of
-//!   cells), meeting at a [`SpinBarrier`] after each phase — one
-//!   long-lived broadcast per run rather than one dispatch per slot, so
-//!   a slot costs its barrier rotations and no locks.
-//!
-//! The phases those closures call are plain functions over `&`/`&mut`
-//! slices, the same ones the serial callers run back to back. What the
-//! lockstep form adds lives here: `PhaseCell` for state one participant
-//! owns per phase, and `SharedSlice`, whose `shard_mut` hands each
-//! participant its rows of a shared column and, in debug builds, checks
-//! on every call that the shards tile the column without overlap.
+//! The pool exposes exactly one primitive — [`WorkerPool::broadcast`],
+//! "run this closure once per participant, caller included" — and
+//! `parallel_map` passes it a closure that drains an atomic-cursor item
+//! queue (each participant loops popping chunks until empty). A
+//! simulation runs on one thread; the parallelism is across runs, which
+//! share nothing.
 //!
 //! # Safety model
 //!
@@ -38,8 +25,6 @@
 //! submitter, and re-raised there (first payload wins), so a panicking job
 //! never poisons the pool for the next caller.
 
-use std::cell::UnsafeCell;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
@@ -67,6 +52,7 @@ struct JobFn(*const (dyn Fn(usize) + Sync));
 // SAFETY: the pointee is `Sync` (shared calls from many threads are fine)
 // and the submitter pins its lifetime past every worker's use; the raw
 // pointer itself carries no thread affinity.
+#[allow(unsafe_code)]
 unsafe impl Send for JobFn {}
 
 /// One dispatched job: the closure plus the participant slots workers may
@@ -144,10 +130,9 @@ impl WorkerPool {
     /// The process-wide pool. Sized by the `JMSO_THREADS` env var when set
     /// to a positive integer — the value is the **total participant
     /// count** (caller included), so `JMSO_THREADS=8` parks 7 workers.
-    /// This lets bench runs and CI pin shard width reproducibly, and lets
-    /// sharded runs deliberately oversubscribe a small host (the barrier's
-    /// yield fallback keeps oversubscription livelock-free). Without the
-    /// var the pool is sized to `available_parallelism − 1` workers.
+    /// This lets bench runs and CI pin the sweep width reproducibly.
+    /// Without the var the pool is sized to `available_parallelism − 1`
+    /// workers.
     /// Spawned on first use and kept for the process lifetime.
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
@@ -176,11 +161,12 @@ impl WorkerPool {
     /// every participant has finished. If fewer workers than
     /// `participants − 1` exist, the extra slots are simply not run —
     /// callers must treat participant count as a ceiling, not a promise
-    /// (both in-crate consumers drain shared queues, where a missing
+    /// (the in-crate consumer drains a shared queue, where a missing
     /// participant only shifts work to the others).
     ///
     /// Panics raised inside any participant are re-raised here after all
     /// participants have stopped.
+    #[allow(unsafe_code)]
     pub fn broadcast(&self, participants: usize, f: &(dyn Fn(usize) + Sync)) {
         let worker_slots = participants.saturating_sub(1).min(self.n_workers);
         if worker_slots == 0 {
@@ -251,6 +237,7 @@ impl Drop for WorkerPool {
     }
 }
 
+#[allow(unsafe_code)]
 fn worker_loop(shared: &'static PoolShared) {
     let mut served_epoch = 0u64;
     loop {
@@ -295,22 +282,15 @@ fn worker_loop(shared: &'static PoolShared) {
     }
 }
 
-/// A reusable spin barrier for slot-lockstep parallel stepping.
+/// A reusable spin barrier: participants spin with
+/// [`std::hint::spin_loop`] on a generation counter, and after
+/// [`SPIN_BUDGET`](Self) polls yield their timeslice, so participants
+/// that outnumber the cores cannot livelock it.
 ///
-/// Condvar barriers cost a mutex round-trip per crossing; at three or
-/// four crossings per simulated slot that overhead would rival the slot
-/// work itself. Participants here spin with [`std::hint::spin_loop`] on a
-/// generation counter instead — appropriate because every participant
-/// arrives within microseconds of the others (the phases between
-/// crossings are short and the shards even).
-///
-/// After [`SPIN_BUDGET`](Self) polls a waiter downgrades to
-/// [`std::thread::yield_now`]: when participants outnumber cores (a
-/// pinned `JMSO_THREADS` width on a small host, or a CI box sharing
-/// cores) a pure spin would burn whole scheduler quanta waiting for a
-/// participant that cannot run until the spinner yields. The budget is
-/// large enough that the balanced, under-subscribed case never reaches
-/// the syscall.
+/// Used only by the benchmark harness's `sim.pool.barrier_ns` fixture;
+/// the `benchmark`-labelled change that moves `open-sharded` to
+/// `Scenario::run_with` removes both.
+#[doc(hidden)]
 pub struct SpinBarrier {
     n: usize,
     count: AtomicUsize,
@@ -357,116 +337,6 @@ impl SpinBarrier {
                 }
             }
         }
-    }
-}
-
-/// Interior-mutability cell whose access discipline is the lockstep
-/// runs' barrier protocol: in *serial* phases participant 0 holds
-/// exclusive access (everyone else is spinning at the next barrier); in
-/// the phases between, everyone reads and nobody writes. Every access
-/// site states which phase makes it sound.
-pub(crate) struct PhaseCell<T>(UnsafeCell<T>);
-
-// SAFETY: cross-thread access is mediated entirely by the barrier
-// protocol above; `T: Send` is required because ownership of the interior
-// value effectively migrates between participants across barriers.
-unsafe impl<T: Send> Sync for PhaseCell<T> {}
-
-impl<T> PhaseCell<T> {
-    pub(crate) fn new(value: T) -> Self {
-        PhaseCell(UnsafeCell::new(value))
-    }
-
-    /// # Safety
-    /// Caller must hold phase ownership: no other participant may touch
-    /// this cell until the next barrier crossing.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get_mut(&self) -> &mut T {
-        &mut *self.0.get()
-    }
-
-    /// # Safety
-    /// Caller must be in a phase where no participant mutates this cell.
-    pub(crate) unsafe fn get(&self) -> &T {
-        &*self.0.get()
-    }
-}
-
-/// A length-tagged raw view of a slice shared between shard participants.
-///
-/// [`PhaseCell`] covers whole values owned by one participant per phase;
-/// the lockstep loops additionally need *one* contiguous buffer whose
-/// disjoint index ranges are written by different participants within the
-/// same parallel phase. Handing each participant a `&mut` to the whole
-/// buffer would alias; this wrapper instead derives every access from a
-/// raw base pointer, one sub-slice per shard and phase
-/// ([`SharedSlice::shard_mut`]; a serial phase asks for the one shard of
-/// the one-shard partition). That call is where the lockstep loops'
-/// `unsafe` lives — the phase bodies it feeds take plain slices.
-pub(crate) struct SharedSlice<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-// SAFETY: access is mediated by the same barrier protocol as PhaseCell —
-// parallel phases touch disjoint ranges, serial phases are exclusive;
-// `T: Send` because a row is written by whichever participant owns it.
-unsafe impl<T: Send> Send for SharedSlice<T> {}
-unsafe impl<T: Send> Sync for SharedSlice<T> {}
-
-/// True when `ranges`, taken in order, cover `0..len` exactly: each
-/// starts where the one before it ended, so no two overlap.
-fn tiles(ranges: &[Range<usize>], len: usize) -> bool {
-    let mut next = 0;
-    ranges.iter().all(|r| {
-        let fits = r.start == next && r.start <= r.end;
-        next = r.end;
-        fits
-    }) && next == len
-}
-
-impl<T> SharedSlice<T> {
-    /// Capture a raw view of `v`. The buffer must not move, be resized
-    /// or be reached through any other path while the view is in use.
-    pub(crate) fn new(v: &mut [T]) -> Self {
-        Self {
-            ptr: v.as_mut_ptr(),
-            len: v.len(),
-        }
-    }
-
-    /// True for a view of no rows (a column the run does not carry).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Every row, to read.
-    ///
-    /// # Safety
-    /// Between two barrier crossings where no participant writes a row,
-    /// and the slice is dropped before the second.
-    pub(crate) unsafe fn whole(&self) -> &[T] {
-        std::slice::from_raw_parts(self.ptr, self.len)
-    }
-
-    /// Shard `p`'s rows, `ranges[p]`, where `ranges` is the run's one
-    /// partition of the rows into shards. Debug builds check on every
-    /// call that the partition tiles `0..len` in order without overlap.
-    ///
-    /// # Safety
-    /// Between two barrier crossings, every participant that calls this
-    /// passes the same `ranges`, no two pass the same `p`, and each drops
-    /// its slice before the second crossing.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn shard_mut(&self, ranges: &[Range<usize>], p: usize) -> &mut [T] {
-        debug_assert!(
-            tiles(ranges, self.len),
-            "shard ranges {ranges:?} must tile 0..{} in order without overlap",
-            self.len
-        );
-        let r = ranges[p].clone();
-        assert!(r.start <= r.end && r.end <= self.len, "shard out of range");
-        std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.len())
     }
 }
 
@@ -594,37 +464,6 @@ mod tests {
         let b = SpinBarrier::new(1);
         for _ in 0..10 {
             b.wait();
-        }
-    }
-
-    #[test]
-    fn shards_of_a_tiling_are_disjoint_and_cover_the_slice() {
-        let mut rows = vec![0u32; 10];
-        let shared = SharedSlice::new(&mut rows);
-        let ranges = [0..3, 3..3, 3..10];
-        for p in 0..ranges.len() {
-            // SAFETY: one thread, one shard alive at a time.
-            for row in unsafe { shared.shard_mut(&ranges, p) } {
-                *row += 1 + p as u32;
-            }
-        }
-        assert_eq!(rows, [1, 1, 1, 3, 3, 3, 3, 3, 3, 3]);
-    }
-
-    /// The carve is where the lockstep loops' memory safety rests, so a
-    /// debug build refuses a partition whose shards overlap, leave a gap
-    /// or stop short — before handing out the first row.
-    #[test]
-    #[cfg(debug_assertions)]
-    fn a_partition_that_does_not_tile_panics_in_debug() {
-        for ranges in [[0..6, 5..10], [0..4, 5..10], [0..5, 5..9]] {
-            let mut rows = vec![0u32; 10];
-            let shared = SharedSlice::new(&mut rows);
-            // SAFETY: the call panics before it forms a slice.
-            let carved = catch_unwind(AssertUnwindSafe(|| unsafe {
-                shared.shard_mut(&ranges, 0).len()
-            }));
-            assert!(carved.is_err(), "{ranges:?} was accepted");
         }
     }
 }

@@ -4,9 +4,9 @@
 //! A private builder validates the scenario, compiles its fault spec and
 //! assembles the engine, once; every public run method is that builder
 //! plus a cadence over the [`SlotDriver`] it returns — step to the end,
-//! pause at a slot, write a sidecar every k slots, or the lockstep at
-//! width > 1. The reference loop is the one run that does not step a
-//! driver: it is what the others are tested against.
+//! pause at a slot, or write a sidecar every k slots. The reference loop
+//! is the one run that does not step a driver: it is what the others are
+//! tested against.
 
 use crate::engine::{Engine, EngineCheckpoint, EngineConfig, RunOutcome, SlotDriver};
 use crate::error::{ScenarioError, SimError};
@@ -157,7 +157,7 @@ impl Scenario {
         rec: &mut R,
         resume: Option<&EngineCheckpoint>,
     ) -> Result<SlotDriver, SimError> {
-        self.engine(false)?.build_driver(rec, resume, 1)
+        self.engine(false)?.build_driver(rec, resume)
     }
 
     /// Validate parameters, assemble the engine, run it.
@@ -207,31 +207,19 @@ impl Scenario {
         Ok((result, trace))
     }
 
-    /// [`Scenario::run_sharded_on`] on the process-wide [`WorkerPool`]
-    /// without a recorder.
-    pub fn run_sharded(&self, shards: usize) -> Result<SimResult, SimError> {
-        self.run_sharded_on(WorkerPool::global(), shards, &mut NullRecorder)
-    }
-
-    /// [`Scenario::run_with`] with each slot's per-shard phases spread
-    /// over `pool`: users are partitioned into `shards` contiguous
-    /// ranges, one per participant, meeting in lockstep for the serial
-    /// phases (the shared BS budget, the recorder). Bit-identical to
-    /// [`Scenario::run_with`] at every width (see DESIGN.md §11);
-    /// `shards` is clamped to the pool width, and every scenario —
-    /// faulted, noisy collector, admission-controlled — runs the same
-    /// phases at the width it asked for. The property tests pass their
-    /// own pool to exercise real widths even on machines whose global
-    /// pool would clamp them to 1.
-    pub fn run_sharded_on<R: SlotRecorder + Send>(
+    /// [`Scenario::run_with`]: `pool` and `width` are ignored, since a run
+    /// is sequential (DESIGN.md §11). Kept only because the benchmark
+    /// harness's `open-sharded` workload calls it; the
+    /// `benchmark`-labelled change that switches that workload to
+    /// [`Scenario::run_with`] deletes it.
+    #[doc(hidden)]
+    pub fn run_sharded_on<R: SlotRecorder>(
         &self,
-        pool: &WorkerPool,
-        shards: usize,
+        _pool: &WorkerPool,
+        _width: usize,
         rec: &mut R,
     ) -> Result<SimResult, SimError> {
-        let width = shards.clamp(1, pool.n_workers() + 1);
-        let drv = self.engine(false)?.build_driver(rec, None, width)?;
-        Ok(drv.run_on(pool, rec).0)
+        self.run_with(rec)
     }
 
     /// Run, atomically (re)writing a resumable [`EngineCheckpoint`]
@@ -575,6 +563,30 @@ mod tests {
         let ck = EngineCheckpoint::from_json(&ck.to_json().expect("serialize")).expect("parse");
         let resumed = s.resume_from(&mut NullRecorder, &ck).expect("resume run");
         assert_eq!(straight, resumed);
+    }
+
+    /// The benchmark's hidden alias is `run_with`: whatever pool and
+    /// width it is handed, the result and the trace bytes are the same,
+    /// and it refuses what `run_with` refuses.
+    #[test]
+    fn run_sharded_on_is_run_with() {
+        let s = long(3);
+        let (want, want_trace) = s.run_traced(1).expect("runs");
+        let pool = WorkerPool::new(1);
+        for width in [0, 1, 2, 8] {
+            let mut rec = s.trace_recorder(1);
+            let got = s.run_sharded_on(&pool, width, &mut rec).expect("runs");
+            let got_trace = rec.into_trace(&got.scheduler);
+            assert_eq!(got_trace.to_jsonl(), want_trace.to_jsonl(), "width {width}");
+            assert_eq!(got.per_user, want.per_user, "width {width}");
+            assert_eq!(got.fairness_series, want.fairness_series, "width {width}");
+            assert_eq!(got.warnings, want.warnings, "width {width}");
+        }
+        let mut bad = s;
+        bad.slots = 0;
+        assert!(bad
+            .run_sharded_on(&pool, 2, &mut NullRecorder)
+            .is_err_and(|e| e.to_string().contains("slots")));
     }
 
     /// A rejected checkpoint (wrong user count) surfaces a typed restore

@@ -4,11 +4,12 @@
 //! seeded simulation), so the runner is a small work queue dispatched onto
 //! the persistent [`WorkerPool`]: an atomic cursor hands out cell indices
 //! and each participant writes its result into that index's dedicated
-//! [`ResultSlot`] — a lock-free, disjoint-index write, so wide sweeps
-//! never serialize on a shared result mutex. Output order always equals
-//! input order regardless of which participant finished first. Rayon would
-//! be the idiomatic tool but is not in the offline crate set (DESIGN.md
-//! §6); this queue is ~40 lines and has no ordering races by construction:
+//! [`ResultSlot`] — one lock per index, which only its one writer ever
+//! takes, so wide sweeps never serialize on a shared result mutex. Output
+//! order always equals input order regardless of which participant
+//! finished first. Rayon would be the idiomatic tool but is not in the
+//! offline crate set (DESIGN.md §6); this queue is ~40 lines and has no
+//! ordering races by construction:
 //! the cursor's `fetch_add` gives every index (or chunk of indices) to
 //! exactly one participant, and [`WorkerPool::broadcast`] returns —
 //! propagating panics — only after every participant has stopped, before
@@ -23,8 +24,8 @@ use crate::error::SimError;
 use crate::pool::WorkerPool;
 use crate::results::SimResult;
 use crate::scenario::Scenario;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Items-per-thread threshold beyond which the cursor switches from
 /// single-index dispatch to [`CHUNK`]-sized dispatch.
@@ -32,35 +33,24 @@ const CHUNK_THRESHOLD: usize = 64;
 /// Indices claimed per `fetch_add` on long grids.
 const CHUNK: usize = 8;
 
-/// One result cell, written by exactly one worker.
-///
-/// Safety protocol: the index-dispensing cursor guarantees a single writer
-/// per slot, and all writes happen-before the post-join reads (scope join
-/// synchronizes). That makes the unsynchronized interior write sound.
-struct ResultSlot<R>(UnsafeCell<Option<R>>);
-
-// SAFETY: slots are shared across worker threads but each is written by at
-// most one thread (disjoint indices) and only read after those threads are
-// joined. `R: Send` is required to move the value across the join.
-unsafe impl<R: Send> Sync for ResultSlot<R> {}
+/// One result cell, written by exactly one worker: the cursor hands each
+/// index to one participant, so its lock is never contested.
+struct ResultSlot<R>(Mutex<Option<R>>);
 
 impl<R> ResultSlot<R> {
     fn empty() -> Self {
-        ResultSlot(UnsafeCell::new(None))
+        ResultSlot(Mutex::new(None))
     }
 
-    /// Store the result. Must be called at most once, by the single worker
-    /// that owns this index.
-    ///
-    /// # Safety
-    /// Caller must guarantee exclusive access for the duration of the call
-    /// (here: the cursor hands each index to exactly one worker).
-    unsafe fn write(&self, value: R) {
-        *self.0.get() = Some(value);
+    /// Store the result. Nothing panics while the lock is held (`f` runs
+    /// before it is taken), so a poisoned lock cannot occur; it is
+    /// recovered rather than unwrapped all the same.
+    fn write(&self, value: R) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
     }
 
     fn into_inner(self) -> Option<R> {
-        self.0.into_inner()
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -103,10 +93,7 @@ where
             break;
         }
         for i in start..(start + chunk).min(items.len()) {
-            let r = f(&items[i]);
-            // SAFETY: `i` came from this participant's claimed chunk, so
-            // no other participant ever touches slot `i`.
-            unsafe { slots[i].write(r) };
+            slots[i].write(f(&items[i]));
         }
     });
     // `broadcast` returns only after every participant stopped (re-raising
@@ -124,7 +111,7 @@ where
 /// [`parallel_map`] for fallible `f`: returns the first error in *input*
 /// order (not completion order), discarding the other results. All items
 /// still run — workers drain the queue regardless of earlier failures,
-/// keeping the dispatch deterministic and lock-free.
+/// keeping the dispatch deterministic.
 pub fn try_parallel_map<T, R, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<R>, E>
 where
     T: Sync,
@@ -165,11 +152,25 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         // The satellite contract: ordering holds at 1 (sequential path),
-        // 2 and 8 workers under the lock-free slot writes.
+        // 2 and 8 workers, one writer per result slot.
         let items: Vec<u64> = (0..100).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 8] {
             let out = parallel_map(&items, threads, |x| x * x);
+            assert_eq!(out, expect, "order broken at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn results_finished_out_of_order_come_back_in_input_order() {
+        // Early items sleep longest, so the slots fill back to front.
+        let items: Vec<u64> = (0..8).collect();
+        let expect: Vec<String> = items.iter().map(u64::to_string).collect();
+        for threads in [2, 8] {
+            let out = parallel_map(&items, threads, |&x| {
+                std::thread::sleep(std::time::Duration::from_millis(2 * (8 - x)));
+                x.to_string()
+            });
             assert_eq!(out, expect, "order broken at {threads} threads");
         }
     }

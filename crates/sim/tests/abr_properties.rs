@@ -4,16 +4,13 @@
 //!
 //! * A single-rung ladder (`[1.0]`) plus `AlwaysAdmit` must reproduce
 //!   today's constant-bitrate run exactly — per-user results AND full
-//!   trace bytes — on the serial loop, the reference loop, every shard
-//!   width, and multicell (serial and lockstep-parallel).
-//! * A real multi-rung ABR run must itself be bit-identical across
-//!   shard widths and across checkpoint/resume with ABR client state
+//!   trace bytes — on the driver, the reference loop, and multicell.
+//! * A real multi-rung ABR run must itself be bit-identical to the
+//!   reference loop and across checkpoint/resume with ABR client state
 //!   captured mid-chunk (checkpoint format v3).
 //! * A feasibility admission run must survive checkpoint/resume exactly
 //!   (deferred-queue state and the running Ω̂/Φ̂ accumulators are part
 //!   of the v3 sidecar).
-//! * `run --shards` substitutes nothing: stale and noisy collectors and
-//!   admission control run the lockstep phases and equal the serial run.
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
@@ -21,8 +18,8 @@
 
 use jmso_sim::{
     AbrPolicy, AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
-    CollectorSpec, EngineCheckpoint, MultiCellScenario, RunOutcome, Scenario, SchedulerSpec,
-    SimResult, TraceRecorder, WorkerPool, WorkloadSpec,
+    CollectorSpec, EngineCheckpoint, FaultSpec, MultiCellScenario, RunOutcome, Scenario,
+    SchedulerSpec, SimResult, TraceRecorder, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -131,16 +128,6 @@ fn traced_reference(s: &Scenario) -> (SimResult, String) {
     (scrub(r), bytes)
 }
 
-fn traced_sharded(s: &Scenario, pool: &WorkerPool, shards: usize) -> (SimResult, String) {
-    let mut rec = TraceRecorder::new().with_live_counts();
-    let r = s
-        .run_sharded_on(pool, shards, &mut rec)
-        .expect("valid scenario runs");
-    let trace = rec.into_trace(&r.scheduler);
-    let bytes = trace.to_jsonl();
-    (scrub(r), bytes)
-}
-
 fn scrub(mut r: SimResult) -> SimResult {
     if let Some(t) = r.telemetry.as_mut() {
         t.sched_ns_p50 = 0;
@@ -156,8 +143,7 @@ proptest! {
 
     /// The tentpole identity: a single-rung ladder plus `AlwaysAdmit`
     /// reproduces the constant-bitrate run bit-for-bit — results and
-    /// trace bytes — on the serial loop, the reference loop, and every
-    /// shard width.
+    /// trace bytes — on the driver and the reference loop.
     #[test]
     fn single_rung_always_admit_is_bit_identical(scenario in arb_scenario()) {
         let mut identity = scenario.clone();
@@ -172,37 +158,37 @@ proptest! {
         let (id_ref, id_ref_trace) = traced_reference(&identity);
         prop_assert_eq!(&plain, &id_ref, "reference result diverged");
         prop_assert_eq!(&plain_trace, &id_ref_trace, "reference trace diverged");
-
-        let pool = WorkerPool::new(3);
-        for shards in [2usize, 4] {
-            let (id_sh, id_sh_trace) = traced_sharded(&identity, &pool, shards);
-            prop_assert_eq!(&plain, &id_sh, "sharded result diverged at width {}", shards);
-            prop_assert_eq!(
-                &plain_trace,
-                &id_sh_trace,
-                "sharded trace diverged at width {}",
-                shards
-            );
-        }
     }
 
-    /// Multi-rung ABR runs are bit-identical across shard widths.
+    /// Multi-rung ABR runs — rung switches staged in phase C, committed
+    /// in phase D — are bit-identical to the reference loop.
     #[test]
-    fn abr_sharded_equals_serial(scenario in arb_scenario(), abr in arb_abr()) {
+    fn abr_equals_reference(scenario in arb_scenario(), abr in arb_abr()) {
         let mut s = scenario;
         s.abr = Some(abr);
-        let (serial, serial_trace) = traced_serial(&s);
-        let pool = WorkerPool::new(3);
-        for shards in [1usize, 2, 4] {
-            let (sharded, sharded_trace) = traced_sharded(&s, &pool, shards);
-            prop_assert_eq!(&serial, &sharded, "result diverged at width {}", shards);
-            prop_assert_eq!(
-                &serial_trace,
-                &sharded_trace,
-                "trace bytes diverged at width {}",
-                shards
-            );
-        }
+        let (driven, driven_trace) = traced_serial(&s);
+        let (reference, reference_trace) = traced_reference(&s);
+        prop_assert_eq!(&driven, &reference, "result diverged from the reference");
+        prop_assert_eq!(&driven_trace, &reference_trace, "trace bytes diverged");
+    }
+
+    /// Fades, outages and departures from a fault plan feed the rate
+    /// estimates and buffers the ABR policy reads: a faulted multi-rung
+    /// run is still bit-identical to the reference loop.
+    #[test]
+    fn abr_faulted_equals_reference(
+        scenario in arb_scenario(),
+        abr in arb_abr(),
+        fault_seed in 0u64..500,
+        n_events in 1usize..5,
+    ) {
+        let mut s = scenario;
+        s.abr = Some(abr);
+        s.faults = FaultSpec::Generated { seed: fault_seed, n_events };
+        let (driven, driven_trace) = traced_serial(&s);
+        let (reference, reference_trace) = traced_reference(&s);
+        prop_assert_eq!(&driven, &reference, "result diverged from the reference");
+        prop_assert_eq!(&driven_trace, &reference_trace, "trace bytes diverged");
     }
 
     /// Pausing an ABR run mid-chunk, round-tripping the v3 checkpoint
@@ -312,8 +298,7 @@ fn abr_ladder() -> AbrSpec {
     }
 }
 
-/// Single-rung + AlwaysAdmit is the identity on multicell too, on both
-/// the serial and the lockstep-parallel stepper.
+/// Single-rung + AlwaysAdmit is the identity on multicell too.
 #[test]
 fn multicell_single_rung_identity() {
     let plain = mc(6, 3, 0.05);
@@ -323,21 +308,67 @@ fn multicell_single_rung_identity() {
 
     let a = plain.run().expect("plain runs");
     let b = identity.run().expect("identity runs");
-    assert_eq!(a, b, "multicell serial identity diverged");
-    let c = identity.run_parallel(3).expect("identity runs parallel");
-    assert_eq!(a, c, "multicell parallel identity diverged");
+    assert_eq!(a, b, "multicell identity diverged");
 }
 
-/// A real multi-rung multicell ABR run is bit-identical between the
-/// serial loop and the lockstep-parallel stepper.
+/// A real multi-rung multicell ABR run switches rungs, and its traced
+/// run equals the untraced one, which repeats exactly.
 #[test]
-fn multicell_abr_parallel_matches_serial() {
+fn multicell_abr_switches_rungs_and_repeats() {
     let mut m = mc(8, 4, 0.05);
+    m.base.capacity = CapacitySpec::Constant { kbps: 900.0 };
     m.base.abr = Some(abr_ladder());
-    let serial = m.run().expect("serial runs");
-    for threads in [2usize, 3] {
-        let par = m.run_parallel(threads).expect("parallel runs");
-        assert_eq!(par, serial, "diverged at {threads} threads");
+    let plain = m.run().expect("multicell abr runs");
+    assert_eq!(m.run().expect("multicell abr reruns"), plain);
+    let (traced, trace) = m.run_traced(1).expect("traced multicell abr runs");
+    assert_eq!(traced.result.per_user, plain.result.per_user);
+    assert_eq!(traced.handovers, plain.handovers);
+    let switches: usize = trace.records.iter().map(|r| r.abr.len()).sum();
+    assert!(switches > 0, "congested cells must trigger rung switches");
+}
+
+/// Stale and noisy collectors (RTMA reading the SoA mirror among them)
+/// and a feasibility admission controller run in the driver exactly as
+/// in the reference loop — result, warnings (none) and trace bytes.
+#[test]
+fn collector_and_admission_inputs_equal_the_reference() {
+    let mut stale = mc_base(3);
+    stale.slots = 200;
+    stale.collector = CollectorSpec {
+        staleness_slots: 4,
+        signal_noise_std_db: 0.0,
+    };
+    let mut noisy = stale.clone();
+    noisy.collector.signal_noise_std_db = 2.0;
+    let mut noisy_soa = noisy.clone();
+    noisy_soa.scheduler = SchedulerSpec::rtma(900.0);
+    let mut adm = mc_base(3);
+    adm.slots = 200;
+    adm.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 10.0,
+        diurnal: None,
+        session_slots: None,
+    };
+    adm.admission = Some(AdmissionSpec::Feasibility {
+        v: 1.0,
+        omega_s: None,
+        phi_mj: None,
+        max_defer_slots: 10,
+    });
+
+    for (name, s) in [
+        ("stale collector", &stale),
+        ("noisy collector", &noisy),
+        ("noisy collector + SoA", &noisy_soa),
+        ("feasibility admission", &adm),
+    ] {
+        let driven = traced_serial(s);
+        assert!(
+            driven.0.warnings.is_empty(),
+            "{name}: {:?}",
+            driven.0.warnings
+        );
+        assert_eq!(driven, traced_reference(s), "{name}");
     }
 }
 
@@ -359,72 +390,6 @@ fn multicell_rejects_feasibility_admission() {
     });
     let msg = m.run().expect_err("must be rejected").to_string();
     assert!(msg.contains("admission"), "{msg}");
-    assert!(m.run_parallel(2).is_err(), "parallel path must reject too");
-}
-
-/// `run --shards` substitutes nothing: a collector that holds or
-/// perturbs its reports (its pass is hosted by the serial phase B at
-/// every width) and a feasibility admission controller (ticked in phase
-/// D) both run the lockstep phases at the width asked for, and come out
-/// as the serial run — result, warnings (none) and trace bytes.
-#[test]
-fn no_input_falls_back_from_the_sharded_loop() {
-    let pool = WorkerPool::new(2);
-    let traced = |s: &Scenario, shards: Option<usize>| {
-        let mut rec = TraceRecorder::new();
-        let r = match shards {
-            None => s.run_with(&mut rec),
-            Some(w) => s.run_sharded_on(&pool, w, &mut rec),
-        }
-        .expect("runs");
-        let bytes = rec.into_trace(&r.scheduler).to_jsonl();
-        (scrub(r), bytes)
-    };
-
-    let mut stale = mc_base(3);
-    stale.slots = 200;
-    stale.collector = CollectorSpec {
-        staleness_slots: 4,
-        signal_noise_std_db: 0.0,
-    };
-    let mut noisy = stale.clone();
-    noisy.collector.signal_noise_std_db = 2.0;
-    // RTMA reads the SoA mirror, which phase B then keeps in step.
-    let mut noisy_soa = noisy.clone();
-    noisy_soa.scheduler = SchedulerSpec::rtma(900.0);
-    let mut adm = mc_base(3);
-    adm.slots = 200;
-    adm.arrivals = ArrivalSpec::Poisson {
-        mean_interval_slots: 10.0,
-        diurnal: None,
-        session_slots: None,
-    };
-    adm.admission = Some(AdmissionSpec::Feasibility {
-        v: 1.0,
-        omega_s: None,
-        phi_mj: None,
-        max_defer_slots: 10,
-    });
-    let mut plain = mc_base(3);
-    plain.slots = 200;
-
-    for (name, s) in [
-        ("stale collector", &stale),
-        ("noisy collector", &noisy),
-        ("noisy collector + SoA", &noisy_soa),
-        ("feasibility admission", &adm),
-        ("plain", &plain),
-    ] {
-        let serial = traced(s, None);
-        assert!(
-            serial.0.warnings.is_empty(),
-            "{name}: {:?}",
-            serial.0.warnings
-        );
-        for shards in [1, 2, 3] {
-            assert_eq!(traced(s, Some(shards)), serial, "{name} at width {shards}");
-        }
-    }
 }
 
 /// Under congestion the feasibility controller actually defers and

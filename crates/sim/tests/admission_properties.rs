@@ -1,7 +1,7 @@
-//! Property-based tests pinning the PR 10 admission hot path: the
+//! Property-based tests pinning the admission hot path: the
 //! incrementally-maintained feasibility aggregates (`n_active`,
-//! `rate_sum`) and the sharded-loop admission tick are *bit-identical*
-//! to the paths they replaced.
+//! `rate_sum`) and the driver's admission tick are *bit-identical* to
+//! the paths they replaced.
 //!
 //! * The hot admission tick reads running aggregates updated at the
 //!   O(1) event points (arrival commit, rejection, `done_watching`
@@ -11,10 +11,6 @@
 //!   ∈ {0, 1, 30}, exponential sessions ending while other users sit in
 //!   the deferred queue — both loops must produce the same results and
 //!   the same trace bytes.
-//! * Open-system + admission scenarios now run in the sharded loop
-//!   (the admission tick lives in the serial phase D): every shard
-//!   width must reproduce the serial run byte-for-byte, with no
-//!   warning.
 //! * The hot tick keeps the users who came due in a waiting room and
 //!   visits only the ones it admits or rejects: the next admit is the
 //!   leftmost user whose rate passes (the verdict is monotone in it),
@@ -34,7 +30,7 @@ use jmso_sim::{
     AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
     CollectorSpec, EngineCheckpoint, FaultEvent, FaultSpec, MultiCellScenario, NullRecorder,
     OriginModel, RunOutcome, Scenario, SchedulerSpec, SessionLength, SimError, SimResult,
-    SlotDriver, TraceRecorder, WorkerPool, WorkloadSpec, NEVER_DEPARTS,
+    SlotDriver, TraceRecorder, WorkloadSpec, NEVER_DEPARTS,
 };
 use proptest::prelude::*;
 
@@ -123,16 +119,6 @@ fn traced_reference(s: &Scenario) -> (SimResult, String) {
     (scrub(r), bytes)
 }
 
-fn traced_sharded(s: &Scenario, pool: &WorkerPool, shards: usize) -> (SimResult, String) {
-    let mut rec = TraceRecorder::new().with_live_counts();
-    let r = s
-        .run_sharded_on(pool, shards, &mut rec)
-        .expect("valid scenario runs");
-    let trace = rec.into_trace(&r.scheduler);
-    let bytes = trace.to_jsonl();
-    (scrub(r), bytes)
-}
-
 /// Run to the top of `pause`, round-trip the checkpoint through JSON,
 /// resume, and return what the two halves add up to.
 fn traced_resumed(s: &Scenario, pause: u64) -> (SimResult, String) {
@@ -190,6 +176,27 @@ proptest! {
         );
     }
 
+    /// Events of a fault plan meet the admission tick (a late arrival
+    /// reaches the gate late, a departure frees capacity mid-defer): the
+    /// driver still rules like the reference loop — results, warnings
+    /// and trace bytes.
+    #[test]
+    fn faulted_admission_equals_reference(
+        scenario in arb_churn_scenario(),
+        admission in arb_feasibility(),
+        fault_seed in 0u64..500,
+        n_events in 1usize..5,
+    ) {
+        let mut s = scenario;
+        s.admission = Some(admission);
+        s.faults = FaultSpec::Generated { seed: fault_seed, n_events };
+
+        let (driven, driven_trace) = traced_serial(&s);
+        let (reference, reference_trace) = traced_reference(&s);
+        prop_assert_eq!(&driven, &reference, "faulted admission diverged from the reference");
+        prop_assert_eq!(&driven_trace, &reference_trace, "trace bytes diverged");
+    }
+
     /// The arrival queue (planned list, waiting room, gate) is derived
     /// state: pausing right after a tick that ruled — with users just
     /// deferred, just admitted for the paused slot, or still planned —
@@ -214,37 +221,6 @@ proptest! {
         prop_assert_eq!(&straight, &stitched, "resume at slot {} diverged", pause);
         prop_assert_eq!(&straight_trace, &stitched_trace, "trace diverged across slot {}", pause);
     }
-
-    /// Lifted pin: open-system + admission scenarios shard, and every
-    /// width reproduces the serial run byte-for-byte with no warning
-    /// (the admission tick runs in phase D).
-    #[test]
-    fn sharded_admission_equals_serial(
-        scenario in arb_churn_scenario(),
-        admission in arb_feasibility(),
-    ) {
-        let mut s = scenario;
-        s.admission = Some(admission);
-
-        let (serial, serial_trace) = traced_serial(&s);
-        let pool = WorkerPool::new(3);
-        for shards in [1usize, 2, 4] {
-            let (sharded, sharded_trace) = traced_sharded(&s, &pool, shards);
-            prop_assert!(
-                sharded.warnings.is_empty(),
-                "admission must not fall back at width {}: {:?}",
-                shards,
-                sharded.warnings
-            );
-            prop_assert_eq!(&serial, &sharded, "result diverged at width {}", shards);
-            prop_assert_eq!(
-                &serial_trace,
-                &sharded_trace,
-                "trace bytes diverged at width {}",
-                shards
-            );
-        }
-    }
 }
 
 /// Result and trace bytes of one door into the slot, run under the
@@ -265,7 +241,6 @@ fn through(
 /// deferred somebody, and `run_reference_with`, whose finish folds every
 /// row where the others fold the rows the run wrote.
 fn every_door_agrees(s: &Scenario) {
-    let pool = WorkerPool::new(1);
     let sidecar = std::env::temp_dir().join(format!(
         "jmso-doors-{}-{}.json",
         std::process::id(),
@@ -289,8 +264,6 @@ fn every_door_agrees(s: &Scenario) {
             let (r, trace) = s.run_traced(1).expect("valid scenario runs");
             (scrub(r), trace.to_jsonl())
         }),
-        ("width 1", through(s, |rec| s.run_sharded_on(&pool, 1, rec))),
-        ("width 2", through(s, |rec| s.run_sharded_on(&pool, 2, rec))),
         ("run_until + resume_from", traced_resumed(s, mid)),
         ("resumed mid-defer", traced_resumed(s, mid_defer)),
         (
@@ -330,7 +303,7 @@ fn every_door_agrees(s: &Scenario) {
 
 /// A deterministic congested configuration exercising all three event
 /// points (admit, defer→admit, reject at the defer cap) must see the
-/// incremental, reference, and sharded loops agree — and actually defer
+/// incremental and reference loops agree — and actually defer
 /// at least one arrival, so the identity above is not vacuous. With ABR
 /// and a declared fault plan, it and its fault-free twin give the same
 /// answer through every door into the slot.
@@ -373,12 +346,6 @@ fn congested_cell_defers_and_all_loops_agree() {
     let (reference, reference_trace) = traced_reference(&s);
     assert_eq!(hot, reference);
     assert_eq!(hot_trace, reference_trace);
-
-    let pool = WorkerPool::new(2);
-    let (sharded, sharded_trace) = traced_sharded(&s, &pool, 2);
-    assert!(sharded.warnings.is_empty(), "{:?}", sharded.warnings);
-    assert_eq!(hot, sharded);
-    assert_eq!(hot_trace, sharded_trace);
 
     // The longer-running cell of the tests below, the richest scenario.
     let mut s = congested(30);
@@ -425,7 +392,7 @@ fn congested_cell_defers_and_all_loops_agree() {
 /// departure set before its user's arrival is — against the reference
 /// run of the declared plan it ends with, and the multi-lane engine: one
 /// lane against the reference of the cell it stands for, two lanes
-/// stepped against two lanes in lockstep.
+/// traced against two lanes untraced.
 fn live_and_multi_lane_doors_agree(s: &Scenario) {
     let plan = s.arrivals.compile(s.n_users, s.seed);
     let declared = Scenario {
@@ -482,12 +449,8 @@ fn live_and_multi_lane_doors_agree(s: &Scenario) {
     let two = lanes(2);
     let (stepped, _) = two.run_traced(1).expect("valid scenario runs");
     assert!(stepped.handovers > 0);
-    let lockstep = two.run_parallel(2).expect("valid scenario runs");
-    assert_eq!(
-        MultiCellScenario::run(&two).expect("valid scenario runs"),
-        lockstep
-    );
-    assert_eq!(scrub(stepped.result).per_user, lockstep.result.per_user);
+    let untraced = MultiCellScenario::run(&two).expect("valid scenario runs");
+    assert_eq!(scrub(stepped.result).per_user, untraced.result.per_user);
 }
 
 /// A cell with room for two sessions at a time (slack is the only
@@ -647,7 +610,6 @@ fn sidecars_after_a_mid_deferral_resume_match_the_straight_run() {
 /// through every door.
 #[test]
 fn descending_plan_rules_like_the_reference_on_every_door() {
-    let pool = WorkerPool::new(1);
     for max_defer_slots in [0u64, 1, 30] {
         let mut s = congested(max_defer_slots);
         let n = s.n_users;
@@ -678,10 +640,6 @@ fn descending_plan_rules_like_the_reference_on_every_door() {
             None => base.0.slots_run / 2,
         };
         let doors = [
-            (
-                "width 2",
-                through(&s, |rec| s.run_sharded_on(&pool, 2, rec)),
-            ),
             (
                 "driver",
                 through(&s, |rec| {

@@ -20,7 +20,7 @@
 use jmso_sim::{
     AbrPolicy, AbrSpec, ArrivalSpec, BitrateLadder, CapacitySpec, EngineCheckpoint, FaultEvent,
     FaultSpec, MultiCellScenario, RunOutcome, Scenario, SchedulerSpec, SignalSpec, SimResult,
-    SlotTrace, TraceRecorder, WorkerPool, WorkloadSpec,
+    SlotTrace, TraceRecorder, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -151,30 +151,6 @@ proptest! {
         prop_assert_eq!(deterministic_parts(&rr_none), deterministic_parts(&rr_empty));
     }
 
-    /// A fault plan is an input of the one slot pipeline, not a reason to
-    /// leave it: at width 2 the phases read the same hook and the run
-    /// equals the serial one — results, series and trace bytes. (The
-    /// faulted golden scenario's own bytes are checked at width 2 where
-    /// it is defined, in `tests/golden_trace.rs`.)
-    #[test]
-    fn faulted_width_2_equals_serial(
-        scenario in arb_scenario(),
-        fault_seed in 0u64..500,
-        n_events in 1usize..5,
-    ) {
-        let mut s = scenario;
-        apply_faults(&mut s, Some((fault_seed, n_events)));
-        let (serial, serial_trace) = traced(&s);
-        let mut rec = TraceRecorder::new();
-        let sharded = s
-            .run_sharded_on(&WorkerPool::new(1), 2, &mut rec)
-            .expect("valid scenario runs");
-        let sharded_trace = rec.into_trace(&sharded.scheduler).to_jsonl();
-        prop_assert_eq!(serial_trace, sharded_trace, "trace bytes diverged");
-        prop_assert_eq!(deterministic_parts(&serial), deterministic_parts(&sharded));
-        prop_assert_eq!(serial.warnings, sharded.warnings);
-    }
-
     /// Pause at a random slot, serialize the checkpoint through JSON,
     /// resume — the stitched run must equal the straight run exactly
     /// (per-user results, series, and the full per-slot trace), with or
@@ -217,27 +193,6 @@ proptest! {
             "resume diverged from straight run"
         );
         prop_assert_eq!(straight_trace, stitched_trace, "trace diverged across resume");
-    }
-
-    /// The lockstep parallel multicell stepper equals the serial loop
-    /// exactly — across random scenarios, cell counts, widths, and
-    /// (optional) generated fault plans. This fuzzes the barrier
-    /// protocol's state split: any cross-stripe race or reordered FP
-    /// accumulation would show up as a field mismatch.
-    #[test]
-    fn multicell_parallel_equals_serial(
-        scenario in arb_scenario(),
-        faults in arb_faults(),
-        n_cells in 2usize..5,
-        handover_prob in 0.0f64..0.15,
-        threads in 2usize..5,
-    ) {
-        let mut base = scenario;
-        apply_faults(&mut base, faults);
-        let mc = MultiCellScenario { base, n_cells, handover_prob };
-        let serial = mc.run().expect("serial run");
-        let par = mc.run_parallel(threads).expect("parallel run");
-        prop_assert_eq!(par, serial);
     }
 
     /// The identity that stands where the second engine stood: one cell,
@@ -298,6 +253,48 @@ proptest! {
         let (b, tb) = traced(&back);
         prop_assert_eq!(deterministic_parts(&a), deterministic_parts(&b));
         prop_assert_eq!(ta, tb);
+    }
+
+    /// A fault plan is an input of the one slot pipeline: the faulted
+    /// run equals the reference loop — deterministic results, warnings
+    /// and trace bytes.
+    #[test]
+    fn faulted_run_equals_reference(
+        scenario in arb_scenario(),
+        fault_seed in 0u64..500,
+        n_events in 1usize..5,
+    ) {
+        let mut s = scenario;
+        apply_faults(&mut s, Some((fault_seed, n_events)));
+        let (driven, driven_trace) = traced(&s);
+        let (reference, reference_trace) = traced_reference(&s);
+        prop_assert_eq!(driven_trace, reference_trace, "trace bytes diverged");
+        prop_assert_eq!(deterministic_parts(&driven), deterministic_parts(&reference));
+        prop_assert_eq!(driven.warnings, reference.warnings);
+    }
+
+    /// Recording is observation only in a roaming multicell run, with
+    /// or without a fault plan: the traced run equals the untraced one,
+    /// which repeats exactly.
+    #[test]
+    fn multicell_traced_run_equals_untraced(
+        scenario in arb_scenario(),
+        faults in arb_faults(),
+        n_cells in 2usize..5,
+        handover_prob in 0.0f64..0.15,
+    ) {
+        let mut base = scenario;
+        apply_faults(&mut base, faults);
+        let mc = MultiCellScenario { base, n_cells, handover_prob };
+        let plain = mc.run().expect("multicell run");
+        prop_assert_eq!(&mc.run().expect("multicell rerun"), &plain);
+        let (traced, _) = mc.run_traced(1).expect("traced multicell run");
+        prop_assert_eq!(
+            deterministic_parts(&traced.result),
+            deterministic_parts(&plain.result)
+        );
+        prop_assert_eq!(traced.handovers, plain.handovers);
+        prop_assert_eq!(traced.mean_cell_occupancy, plain.mean_cell_occupancy);
     }
 }
 

@@ -37,9 +37,9 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Two short passes of the open-system workload: their checks (rep ≡
-# rep, width-2 sharded ≡ serial, the committed seed-42 digest, exact
-# work counts) are the only default gate on the sharded loop at pool
-# scale, and the harness is already built. The traced pass records
+# rep, the harness's "sharded" path ≡ serial, the committed seed-42
+# digest, exact work counts) are the only default gate on the slot loop
+# at pool scale, and the harness is already built. The traced pass records
 # every admission ruling; the untraced one runs the tick as the clock
 # sees it, whose recorder gets none.
 for trace in 1 0; do

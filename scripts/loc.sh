@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The line counts ROADMAP re-anchors report, measured instead of by hand:
 # the engine pair's and the sim crate's non-test lines (each file up to
-# its first `#[cfg(test)]`), Rust source lines by tree, and `unsafe`
-# mentions under crates/. Information only; nothing here is a gate.
+# its first `#[cfg(test)]`), then each sim module's, Rust source lines by
+# tree, and mentions of the `unsafe` keyword under crates/ (as a word, so
+# the `unsafe_code` lint's allows are not counted). Information only;
+# nothing here is a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,7 +21,10 @@ rs_lines() {
 echo "engine.rs + multicell.rs non-test: $(nontest crates/sim/src/engine.rs crates/sim/src/multicell.rs)"
 # shellcheck disable=SC2046 # one word per path
 echo "crates/sim/src non-test:           $(nontest $(find crates/sim/src -name '*.rs'))"
+for f in $(find crates/sim/src -name '*.rs' | sort); do
+    printf '  %-32s %6s\n' "${f#crates/sim/src/}" "$(nontest "$f")"
+done
 echo "crates/ src/ tests/ examples/:     $(rs_lines crates src tests examples)"
 echo "vendor/:                           $(rs_lines vendor)"
 echo "benchmark/:                        $(rs_lines benchmark)"
-echo "unsafe mentions under crates/:     $(grep -rn --include='*.rs' unsafe crates | wc -l | tr -d ' ')"
+echo "unsafe mentions under crates/:     $(grep -rnw --include='*.rs' unsafe crates | wc -l | tr -d ' ')"
