@@ -118,7 +118,7 @@ impl FanOut {
 
     /// Drop every subscriber sender, ending all streams (receivers see
     /// the channel close once they drain what was already queued), then
-    /// wait — at most [`FLUSH_WAIT`] — until the connection threads have
+    /// wait — at most `FLUSH_WAIT` — until the connection threads have
     /// written those queued lines to their clients. The process exits
     /// right after the final close, and a thread still holding the
     /// `done` event then would take it along.

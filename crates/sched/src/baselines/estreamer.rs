@@ -1,4 +1,4 @@
-//! EStreamer [16]: burst-shaped delivery sized from the client buffer
+//! EStreamer \[16\]: burst-shaped delivery sized from the client buffer
 //! (Hoque et al., ACM TOMCCAP'14).
 //!
 //! EStreamer's proxy sends a burst sized to (nearly) fill the client's

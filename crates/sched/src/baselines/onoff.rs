@@ -1,4 +1,4 @@
-//! ON-OFF [14]: the watermark protocol real mobile players implement
+//! ON-OFF \[14\]: the watermark protocol real mobile players implement
 //! (YouTube, Dailymotion, Vimeo) — fill the client buffer to a high
 //! watermark at full speed, then stop reading from the socket until it
 //! drains to a low watermark.

@@ -1,4 +1,4 @@
-//! SALSA [17]: the energy-delay tradeoff scheduler of Ra et al.
+//! SALSA \[17\]: the energy-delay tradeoff scheduler of Ra et al.
 //!
 //! SALSA defers transmission until the channel looks better than its
 //! recent history, with a queue-pressure override so the deferral is

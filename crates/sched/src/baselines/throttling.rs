@@ -1,4 +1,4 @@
-//! Throttling [15]: pace each flow "at a rate that is lower than the bulk
+//! Throttling \[15\]: pace each flow "at a rate that is lower than the bulk
 //! transfer capacity but higher than the encoding rate".
 //!
 //! Each slot, every user is offered `⌈κ·τ·pᵢ/δ⌉` units (κ > 1), clamped by

@@ -88,7 +88,7 @@ fn negative_units(s: &SlotUser) -> u64 {
 /// allocation and not just in objective: among equal marginals the lowest
 /// participant index wins; a zero or NaN marginal is never taken; hence
 /// of all optimal allocations the one with the smallest total is
-/// returned. [`Block`]'s order is the first clause, the strict `< 0.0`
+/// returned. `Block`'s order is the first clause, the strict `< 0.0`
 /// tests below are the second.
 ///
 /// Two exact shortcuts sit in front of the heap:
@@ -101,7 +101,7 @@ fn negative_units(s: &SlotUser) -> u64 {
 /// * **Take-all fast path** — when the total strictly-negative unit count
 ///   `T` fits the budget, the heap order is irrelevant: the greedy takes
 ///   *exactly* the negative units of every user, a closed form per user
-///   ([`negative_units`]). Only a contended slot (`T > budget`) pays for
+///   (`negative_units`). Only a contended slot (`T > budget`) pays for
 ///   the heap. In the paper's workloads the budget binds rarely (the
 ///   steady trickle keeps Σcap ≪ C), so this is the common path.
 pub fn solve_greedy_with<'s>(

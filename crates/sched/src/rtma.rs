@@ -302,7 +302,7 @@ impl Scheduler for Rtma {
 
     /// Degraded RTMA is best-effort mode: leftover budget is spread to
     /// blocked users instead of being left stranded (emitting
-    /// [`DegradationEvent::BestEffortFallback`] when it fires).
+    /// [`DegradationEvent::RtmaBestEffort`] when it fires).
     fn engage_degraded(&mut self) -> bool {
         self.best_effort = true;
         true

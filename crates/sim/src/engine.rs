@@ -7,7 +7,8 @@
 //! 2. every client advances its playback buffer by Eq. (7) and accrues
 //!    Eq. (8) rebuffering;
 //! 3. the Information Collector snapshots cross-layer state (RSSI,
-//!    `pᵢ(n)`, occupancy, RRC idle time) into a [`SlotContext`];
+//!    `pᵢ(n)`, occupancy, RRC idle time) into a
+//!    [`jmso_gateway::SlotContext`];
 //! 4. the Scheduler decides `φᵢ(n)`; the Data Transmitter enforces
 //!    Eq. (1)/(2) and moves bytes;
 //! 5. each device is charged either transmission energy (Eq. (3)) or one
@@ -21,14 +22,14 @@
 //! `mᵢ ≥ Mᵢ` branch) nor energy (the tail has saturated), so all
 //! aggregates are unaffected; `slots_configured` still reflects Γ.
 //!
-//! # One slot, four phases, a lane per cell
+//! # One slot, three phases, a lane per cell
 //!
 //! Per slot the paper couples users through one constraint only, Eq. (2)
 //! `Σφᵢ(n) ≤ C(n)`; everything else is per user. And it runs one
 //! scheduler per base station, "managing the resources of each BS
 //! independently" (§III-A): across cells nothing changes but *which*
 //! budget `C_c(n)` a user's grant counts against. So the slot is written
-//! once, as four phase functions over a [`SlotDriver`]'s state, and the
+//! once, as three phase functions over a [`SlotDriver`]'s state, and the
 //! budget side is split per cell (a *lane* is one cell's scheduler,
 //! capacity model, transmitter, budget and grants):
 //!
@@ -36,13 +37,12 @@
 //! |---|---|
 //! | A | arrival gate; for every live user the signal block + Eq. (1) cap table, the Eq. (7)/(8) playback advance and the ground-truth row; for a pass-through collector the snapshot and SoA rows |
 //! | B | with more than one lane the slot's mobility (handovers drawn, member lists and the left cell's row updated); every lane's Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through; per lane its rows (with more than one lane), `allocate_into` and `transmit_into` out of the one receiver; scheduler latency, grants, queues and degradations to the recorder in cell order |
-//! | C | delivery, ABR staging, Eq. (3)–(5) accounting; energy, rebuffering, RRC events and `done` flips *staged* |
-//! | D | replay of what C staged into the recorder, E\* and series folds, ABR commits, live-list compaction; the admission tick — the arrivals that came due join a waiting room, the rule is evaluated O(log n) times per admit, the users whose deferral cap ran out are rejected, and nobody deferred is visited (their rulings go to an enabled recorder only) |
+//! | C | one walk of the live list: delivery, ABR staging, Eq. (3)–(5) accounting, and per user its RRC transitions and record, the E\* and series folds and its `done` flip; then ABR commits, live-list compaction and the admission tick — the arrivals that came due join a waiting room, the rule is evaluated O(log n) times per admit, the users whose deferral cap ran out are rejected, and nobody deferred is visited (their rulings go to an enabled recorder only) |
 //!
 //! A [`Scenario`](crate::scenario::Scenario) run has one lane, which
 //! schedules straight off the columns' rows; a
 //! [`MultiCellScenario`](crate::multicell::MultiCellScenario) run has
-//! `n_cells`, and phases A, C and D do not know: queues, playback, radios
+//! `n_cells`, and phases A and C do not know: queues, playback, radios
 //! and the receiver's flows follow the user. [`SlotDriver::step`] — every
 //! batch run, checkpointed run, multicell run and the live daemon — calls
 //! the phases back to back on the calling thread, and is the only slot
@@ -93,7 +93,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::Path;
 
-/// Slots sampled per [`SignalModel::sample_into`] block in the hot loop.
+/// Slots sampled per `SignalModel::sample_into` block in the hot loop.
 const SIG_BLOCK_SLOTS: usize = 32;
 
 /// [`UserSim::window`] of a user who has not entered a live list.
@@ -241,22 +241,12 @@ struct UserCkpt {
     sig_block: Vec<f64>,
     active_slots: u64,
     arrival_slot: u64,
-    /// Added in v2 (the default keeps the parse permissive; the version
-    /// gate still rejects v1 payloads with a clean error).
-    #[serde(default = "never_departs")]
     departure_slot: u64,
     declared_rate_kbps: Option<f64>,
     sig_samples: u64,
-    /// Added in v3: the user's ABR client state (absent on fixed-bitrate
-    /// runs, so their sidecars keep the v2 byte shape and v2 sidecars
-    /// parse with the default).
+    /// The user's ABR client state; absent on fixed-bitrate runs.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     abr: Option<AbrClient>,
-}
-
-/// Serde default for [`UserCkpt::departure_slot`].
-fn never_departs() -> u64 {
-    u64::MAX
 }
 
 /// Loop-local accumulators that live outside the engine components.
@@ -281,7 +271,7 @@ struct LoopCkpt {
 ///
 /// A checkpoint taken at slot `k` plus a freshly built engine for the
 /// same scenario reproduces the straight run exactly: same
-/// [`SimResult`], same telemetry trace bytes (pinned by the
+/// [`crate::SimResult`], same telemetry trace bytes (pinned by the
 /// checkpoint-resume property test).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
@@ -294,25 +284,16 @@ pub struct EngineCheckpoint {
     transmitter_clamps: u64,
     recorder: String,
     loop_state: LoopCkpt,
-    /// Added in v3: admission-controller state (absent when no
-    /// feasibility controller is installed; its arrival queue is rebuilt
-    /// from the users' arrival slots on restore).
+    /// Admission-controller state (absent when no feasibility controller
+    /// is installed; its arrival queue is rebuilt from the users' arrival
+    /// slots on restore).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     admission: Option<AdmissionCkpt>,
 }
 
-/// Checkpoint format version this build writes. v2 added per-user
-/// `departure_slot` (open-system churn); v3 added per-user ABR client
-/// state and admission-controller state, both behind serde defaults, so
-/// v2 sidecars still restore. v4 gates the live list on arrival
-/// (pre-arrival users wait in the driver's arrival queue instead of
-/// being carried live) and adds the admission aggregates; older
-/// sidecars still restore — their live lists are re-gated and the
-/// aggregates recomputed on import.
+/// Checkpoint format version this build writes, and the only one it
+/// reads: a sidecar of any other version is refused as corrupt.
 const CKPT_VERSION: u32 = 4;
-
-/// Oldest checkpoint version this build still reads.
-const CKPT_MIN_VERSION: u32 = 2;
 
 impl EngineCheckpoint {
     /// Slot the resumed run will execute next.
@@ -332,12 +313,9 @@ impl EngineCheckpoint {
         let ck: Self = serde_json::from_str(s).map_err(|e| CheckpointError::Corrupt {
             reason: format!("parse: {e:?}"),
         })?;
-        if !(CKPT_MIN_VERSION..=CKPT_VERSION).contains(&ck.version) {
+        if ck.version != CKPT_VERSION {
             return Err(CheckpointError::Corrupt {
-                reason: format!(
-                    "version {} (this build reads {CKPT_MIN_VERSION}..={CKPT_VERSION})",
-                    ck.version
-                ),
+                reason: format!("version {} (this build reads {CKPT_VERSION})", ck.version),
             });
         }
         Ok(ck)
@@ -363,8 +341,7 @@ impl EngineCheckpoint {
 }
 
 /// What the slot carries from phase to phase for the users in the cell:
-/// the live list, the arrival queue, the radio windows, and what phase C
-/// stages for phase D.
+/// the live list, the arrival queue and the radio windows.
 struct LiveState {
     /// Users whose accounting can still move, ascending (in-order
     /// insertion, order-preserving compaction) — the reference loop's
@@ -377,27 +354,12 @@ struct LiveState {
     /// Empty under feasibility admission, whose tick feeds the gate
     /// instead.
     arrival_queue: BinaryHeap<Reverse<(u64, usize)>>,
-    /// RRC transitions staged by phase C, `(user, from, to)` in live-walk
-    /// order, replayed into the recorder by phase D.
-    events: Vec<(usize, RrcState, RrcState)>,
-    /// Users whose `done` flag flipped in phase C, in live-walk order —
-    /// phase D replays the admission aggregate decrements (and the
-    /// pre-flip E* membership test) from these.
-    flips: Vec<usize>,
     /// The radio windows of the users who ever went live, in the order
     /// they first did ([`UserSim::window`] indexes it). Its room is what
     /// the build can foresee going live, so it does not grow mid-run.
     windows: Vec<Window>,
     /// Batch-throughput scratch for the per-block cap-table refill.
     v_scratch: [f64; SIG_BLOCK_SLOTS],
-    /// Users that finished watching in phase C.
-    watching_dec: usize,
-    /// Arrived-and-still-watching users after phase C (only counted when
-    /// a recorder is attached).
-    in_system: u64,
-    /// Set by phase C when a user retired; phase D compacts `live` after
-    /// it has replayed the retiring slot's records.
-    any_retired: bool,
 }
 
 /// The per-user columns of a run, one row per user id, sized once when
@@ -426,11 +388,6 @@ struct Columns {
     /// advertise `remaining_kb == 0`, so every policy's usable-capacity
     /// clamp grants them nothing.
     snaps: Vec<UserSnapshot>,
-    /// `(energy charged this slot in mJ, total rebuffering so far in s)`:
-    /// what phase C stages for phase D's in-order folds and user records
-    /// (only written when something reads it), so the replay walks this
-    /// column and not the users again.
-    staged: Vec<(f64, f64)>,
     /// Session fully fetched *and* watched (monotone).
     done: Vec<bool>,
     /// Left the live list: playback over and the RRC tail drained, so
@@ -440,7 +397,7 @@ struct Columns {
     retired_at: Vec<u64>,
 }
 
-/// Loop-carried state of phases B and D: the series folds, the fairness
+/// Loop-carried state of phases B and C: the series folds, the fairness
 /// window, the grants and deliveries against the slot's budgets.
 struct LoopState {
     fairness_series: Vec<f64>,
@@ -470,7 +427,7 @@ struct LoopState {
     deliveries: Vec<Delivery>,
     fault_notes: Vec<String>,
     /// The slot's Eq. (2) budgets summed over the lanes, computed in
-    /// phase B and read again by phase D's admission tick.
+    /// phase B and read again by phase C's admission tick.
     bs_cap_units: u64,
     /// `snaps` holds what the collector reports. True from the start
     /// for a pass-through collector, whose report of a user who is not
@@ -502,9 +459,6 @@ struct Mode {
     /// The scalar kernel it replaces is bit-identical by construction.
     tables: bool,
     rec_enabled: bool,
-    /// Phase D folds per-user energy (recorder, series or E*), so phase C
-    /// stages it.
-    staged: bool,
 }
 
 /// Per-run ABR machinery installed by [`Engine::set_abr`]: the spec, the
@@ -586,7 +540,7 @@ struct AdmissionRuntime {
     rate_sum: f64,
 }
 
-/// Serializable slice of an [`AdmissionRuntime`] (the arrival queue —
+/// Serializable slice of an `AdmissionRuntime` (the arrival queue —
 /// planned list, waiting room and gate — is derived from per-user
 /// arrival slots and deferral counts and rebuilt on restore).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -594,15 +548,10 @@ struct AdmissionCkpt {
     state: AdmissionState,
     energy_mj: f64,
     user_slots: u64,
-    /// Added in v4: the incremental active-population aggregates. Absent
-    /// in v2/v3 sidecars, where restore recomputes them from the users'
-    /// arrival slots and `done_watching` flags (a fresh sum, which may
-    /// differ from the original running sum in the last ulps — decision
-    /// ties are measure-zero, so continuations stay decision-identical).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    n_active: Option<usize>,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    rate_sum: Option<f64>,
+    /// The incremental active-population aggregates, verbatim, so a
+    /// resumed run continues on the exact float sum.
+    n_active: usize,
+    rate_sum: f64,
 }
 
 /// Which of the two Eq. (2) fault hooks scales a lane's budget (see
@@ -907,7 +856,7 @@ impl Engine {
     /// feasibility policy rules on each pending arrival at the end of the
     /// slot preceding it (arrivals at slot 0 are admitted by fiat: there
     /// is no earlier decision point). The tick runs at the end of the
-    /// slot (phase D, and the reference loop's own).
+    /// slot (phase C, and the reference loop's own).
     pub(crate) fn set_admission(&mut self, spec: &AdmissionSpec) {
         let AdmissionSpec::Feasibility { v, .. } = spec else {
             return;
@@ -1098,39 +1047,8 @@ impl Engine {
                 a.waiting = WaitingRoom::new(self.users.len());
                 a.admitted.clear();
                 a.rejected.clear();
-                // v4 sidecars carry the running aggregates verbatim (so a
-                // resumed run continues on the exact float sum), and one
-                // that lost them is refused; v2/v3 sidecars get a fresh
-                // rescan over the restored state.
-                match (s.n_active, s.rate_sum) {
-                    (Some(n), Some(r)) => {
-                        a.n_active = n;
-                        a.rate_sum = r;
-                    }
-                    _ if ck.version >= 4 => {
-                        return Err(CheckpointError::Restore {
-                            component: "admission",
-                            reason: format!(
-                                "a v{} sidecar must carry n_active and rate_sum",
-                                ck.version
-                            ),
-                        });
-                    }
-                    _ => {
-                        a.n_active = 0;
-                        a.rate_sum = 0.0;
-                        // Zip (not index) so a malformed legacy sidecar
-                        // fails the loop-state length check downstream
-                        // instead of panicking here.
-                        let done = &ck.loop_state.done_watching;
-                        for (i, (&arrival, d)) in self.arrival.iter().zip(done).enumerate() {
-                            if arrival <= ck.slot && !d {
-                                a.n_active += 1;
-                                a.rate_sum += a.rates[i];
-                            }
-                        }
-                    }
-                }
+                a.n_active = s.n_active;
+                a.rate_sum = s.rate_sum;
             }
             (None, None) => {}
             _ => {
@@ -1274,7 +1192,6 @@ impl Engine {
             snaps: (0..n_users)
                 .map(|id| absent.as_reported(id, absent.signal, absent_cap))
                 .collect(),
-            staged: vec![(0.0, 0.0); n_users],
             done: vec![false; n_users],
             retired: vec![false; n_users],
             retired_at: vec![0; n_users],
@@ -1283,7 +1200,6 @@ impl Engine {
             pass_through,
             tables: pass_through && self.faults.is_none(),
             rec_enabled: false,
-            staged: false,
         };
 
         // Who is in a live list as the run (re)starts.
@@ -1320,9 +1236,8 @@ impl Engine {
                     }
                 }
             }
-            // A restored live user whose arrival lies ahead (pre-v4
-            // sidecars carried the un-arrived in `live`) re-enters
-            // through the gate.
+            // A restored live user whose arrival lies ahead — which only
+            // a malformed sidecar carries — re-enters through the gate.
             for &i in &ls.live {
                 entered[i] = c.arrival[i] <= ck.slot;
             }
@@ -1395,14 +1310,7 @@ impl Engine {
             live,
             arrival_queue,
             windows,
-            // A radio makes at most one (net) transition a slot, so under
-            // a recorder the staging never reallocates either.
-            events: Vec::with_capacity(if rec.enabled() { n_users } else { 0 }),
-            flips: Vec::new(),
             v_scratch: [0.0; SIG_BLOCK_SLOTS],
-            watching_dec: 0,
-            in_system: 0,
-            any_retired: false,
         };
 
         if resume.is_none() {
@@ -1743,7 +1651,7 @@ impl Engine {
 /// slots, and live mutation of the not-yet-executed schedule.
 ///
 /// Built by [`Scenario::driver`](crate::scenario::Scenario::driver). A
-/// slot is the four phase functions of the module docs, and
+/// slot is the three phase functions of the module docs, and
 /// [`SlotDriver::step`], which runs them back to back, is the only slot
 /// loop. So stepping the driver from a front-end (the live gateway
 /// service) executes the exact slot code of a batch run, and a fully
@@ -1783,8 +1691,8 @@ pub struct SlotWork {
     /// keeps no SoA mirror.
     pub scheduler_rows: usize,
     /// Rows of the grant vector the scheduler zeroed plus rows it wrote
-    /// ([`Scheduler::grant_rows_touched`]); the whole pool for a policy
-    /// that resets the vector.
+    /// ([`jmso_gateway::Scheduler::grant_rows_touched`]); the whole pool
+    /// for a policy that resets the vector.
     pub grant_rows_cleared: usize,
     /// Rows phase B rewrote for the collector: every row in the full
     /// pass of a collector that holds or perturbs reports, the live rows
@@ -2116,32 +2024,25 @@ impl SlotDriver {
                 state: a.ctl.export_state(a.waiting.iter(), deferred_to),
                 energy_mj: a.energy_mj,
                 user_slots: a.user_slots,
-                n_active: Some(a.n_active),
-                rate_sum: Some(a.rate_sum),
+                n_active: a.n_active,
+                rate_sum: a.rate_sum,
             }),
         })
-    }
-
-    /// The run's [`Mode`] under a recorder.
-    fn mode_for<R: SlotRecorder>(&self, rec: &R) -> Mode {
-        let rec_enabled = rec.enabled();
-        Mode {
-            rec_enabled,
-            staged: rec_enabled || self.engine.cfg.record_series || self.engine.admission.is_some(),
-            ..self.mode
-        }
     }
 
     /// Execute exactly one slot of the §III pipeline. Returns the slot
     /// index it ran, or `None` once the run is finished.
     ///
-    /// The four phases back to back, on the calling thread.
+    /// The three phases back to back, on the calling thread.
     pub fn step<R: SlotRecorder>(&mut self, rec: &mut R) -> Option<u64> {
         if self.finished {
             return None;
         }
         let slot = self.next_slot;
-        let mode = self.mode_for(rec);
+        let mode = Mode {
+            rec_enabled: rec.enabled(),
+            ..self.mode
+        };
         let Self {
             engine: eng,
             lp,
@@ -2153,8 +2054,7 @@ impl SlotDriver {
         size_mirror(eng, lanes, c.users.len());
         phase_a(eng, mode, slot, lv, c, mirror(lanes));
         phase_b(eng, lp, mode, slot, lv, lanes, c, rec);
-        phase_c(eng, mode, slot, &lp.deliveries, lv, c, mirror(lanes));
-        self.finished = phase_d(eng, lp, mode, slot, lv, c, rec);
+        self.finished = phase_c(eng, lp, mode, slot, lv, c, mirror(lanes), rec);
         self.next_slot = slot + 1;
         Some(slot)
     }
@@ -2571,29 +2471,33 @@ fn phase_b<R: SlotRecorder>(
     }
 }
 
-/// Phase C: client delivery and device accounting (Eq. 3/4/5) for the
-/// live users, ABR decisions staged per user. Whatever phase D folds or
-/// records is staged, not emitted: the slot's energy and running
-/// rebuffering per user, RRC transitions, `done` flips.
-fn phase_c(
-    eng: &Engine,
+/// Phase C, one walk of the live list in ascending order: client
+/// delivery and device accounting (Eq. 3/4/5), the ABR decisions staged,
+/// and per user, as the reference loop makes them, the recorder calls
+/// and every floating-point fold (slot energy, E*, `rate_sum`, the
+/// fairness series). Then the ABR commits, live-list compaction and the
+/// end-of-slot admission tick. Returns true once the run is over.
+#[allow(clippy::too_many_arguments)]
+fn phase_c<R: SlotRecorder>(
+    eng: &mut Engine,
+    lp: &mut LoopState,
     mode: Mode,
     slot: u64,
-    deliveries: &[Delivery],
     lv: &mut LiveState,
     c: &mut Columns,
     mut soa: Option<&mut SnapshotSoA>,
-) {
+    rec: &mut R,
+) -> bool {
+    const FAIR_WINDOW: u64 = 10;
     let cfg = eng.cfg;
-    lv.watching_dec = 0;
-    lv.in_system = 0;
-    lv.events.clear();
-    lv.flips.clear();
+    let mut slot_energy_mj = 0.0;
+    let mut in_system = 0u64;
+    let mut any_retired = false;
+    lp.fairness_scratch.clear();
     for &i in &lv.live {
         let u = &mut c.users[i];
         debug_assert!(slot >= c.arrival[i], "live user must have arrived");
-        let d = &deliveries[i];
-        let events = &mut lv.events;
+        let d = &lp.deliveries[i];
         let slot_e = if d.kb > 0.0 {
             let accepted = u.session.deliver(d.kb);
             debug_assert!(
@@ -2632,7 +2536,8 @@ fn phase_c(
             }
             let e = MilliJoules(w.epk_per_kb * accepted);
             if mode.rec_enabled {
-                u.rrc.on_transmit_observed(|f, t| events.push((i, f, t)));
+                u.rrc
+                    .on_transmit_observed(|f, t| rec.record_rrc_transition(i, f, t));
             } else {
                 u.rrc.on_transmit();
             }
@@ -2641,27 +2546,55 @@ fn phase_c(
         } else {
             let e = if mode.rec_enabled {
                 u.rrc
-                    .on_idle_observed(cfg.tau, |f, t| events.push((i, f, t)))
+                    .on_idle_observed(cfg.tau, |f, t| rec.record_rrc_transition(i, f, t))
             } else {
                 u.rrc.on_idle(cfg.tau)
             };
             u.meter.record_tail(e);
             e.value()
         };
-        if mode.staged {
-            c.staged[i] = (slot_e, u.playback.total_rebuffer_s());
+        slot_energy_mj += slot_e;
+        let flipped = !c.done[i] && u.session.fully_fetched() && u.playback.playback_complete();
+        if let Some(adm) = eng.admission.as_mut() {
+            // Running E* estimate for admission feasibility: energy per
+            // arrived-and-watching user-slot, by the pre-flip flag, so
+            // the finishing slot still counts.
+            if !c.done[i] {
+                adm.energy_mj += slot_e;
+                adm.user_slots += 1;
+            }
+            // Membership event point: the user leaves the tick's active
+            // population for good (`done` never un-flips).
+            if flipped {
+                adm.n_active -= 1;
+                adm.rate_sum -= adm.rates[i];
+            }
         }
-        if !c.done[i] && u.session.fully_fetched() && u.playback.playback_complete() {
+        if flipped {
             c.done[i] = true;
-            lv.watching_dec += 1;
-            if eng.admission.is_some() {
-                lv.flips.push(i);
+            // Settled before the admission tick, so a rejection
+            // decrements an up-to-date watch count.
+            lp.watching -= 1;
+        }
+        // After the user's RRC transitions, as in the reference loop.
+        rec.record_user(i, slot_e, u.playback.total_rebuffer_s());
+        // Fairness sample over users still fetching this slot.
+        let r = &c.raw[i];
+        if cfg.record_series && r.remaining_kb > 0.0 {
+            let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
+            if need_kb > 0.0 {
+                lp.fairness_scratch.push(d.kb / need_kb);
+                if lp.window_need[i] == 0.0 {
+                    lp.window_rows.push(i);
+                }
+                lp.window_delivered[i] += d.kb;
+                lp.window_need[i] += need_kb;
             }
         }
         // Live-population sample for open-system telemetry: arrived and
         // still watching after this slot's accounting.
         if mode.rec_enabled && !c.done[i] {
-            lv.in_system += 1;
+            in_system += 1;
         }
         // Retire once nothing remains to account: playback is over and
         // the RRC tail has fully drained, so every further slot would
@@ -2669,7 +2602,7 @@ fn phase_c(
         if c.done[i] && u.rrc.state() == RrcState::Idle {
             c.retired[i] = true;
             c.retired_at[i] = slot;
-            lv.any_retired = true;
+            any_retired = true;
             // The rows freeze here, in the slot playback completed —
             // which `begin_slot` still saw as watched. They must say
             // what a fresh row would from now on, or a policy that walks
@@ -2683,101 +2616,32 @@ fn phase_c(
             }
         }
     }
-}
-
-/// Phase D: replay what phase C staged, user by user in ascending order,
-/// so every recorder call, every floating-point fold (slot energy, E*,
-/// `rate_sum`, the fairness series) and every admission ruling happens
-/// in the reference loop's order. Then the ABR commits, live-list
-/// compaction and the end-of-slot admission tick. Returns true once the
-/// run is over.
-fn phase_d<R: SlotRecorder>(
-    eng: &mut Engine,
-    lp: &mut LoopState,
-    mode: Mode,
-    slot: u64,
-    lv: &mut LiveState,
-    c: &mut Columns,
-    rec: &mut R,
-) -> bool {
-    const FAIR_WINDOW: u64 = 10;
-    let cfg = eng.cfg;
-    if mode.staged {
-        let mut slot_energy_mj = 0.0;
-        lp.fairness_scratch.clear();
-        // Phase C pushed events and flips in this same live order, so
-        // one cursor each finds a user's entries.
-        let (mut ev, mut fl) = (0usize, 0usize);
-        for &i in &lv.live {
-            // RRC transitions precede the user record.
-            while let Some(&(_, f, t)) = lv.events.get(ev).filter(|e| e.0 == i) {
-                rec.record_rrc_transition(i, f, t);
-                ev += 1;
-            }
-            let (slot_e, rebuffer_s) = c.staged[i];
-            slot_energy_mj += slot_e;
-            if let Some(adm) = eng.admission.as_mut() {
-                let flipped = lv.flips.get(fl) == Some(&i);
-                // Running E* estimate for admission feasibility: energy
-                // per arrived-and-watching user-slot, by the pre-flip
-                // flag, so the finishing slot still counts.
-                if !c.done[i] || flipped {
-                    adm.energy_mj += slot_e;
-                    adm.user_slots += 1;
-                }
-                // Membership event point: the user leaves the tick's
-                // active population for good (`done` never un-flips).
-                if flipped {
-                    fl += 1;
-                    adm.n_active -= 1;
-                    adm.rate_sum -= adm.rates[i];
-                }
-            }
-            rec.record_user(i, slot_e, rebuffer_s);
-            // Fairness sample over users still fetching this slot.
-            let r = &c.raw[i];
-            if cfg.record_series && r.remaining_kb > 0.0 {
-                let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
-                if need_kb > 0.0 {
-                    lp.fairness_scratch.push(lp.deliveries[i].kb / need_kb);
-                    if lp.window_need[i] == 0.0 {
-                        lp.window_rows.push(i);
-                    }
-                    lp.window_delivered[i] += lp.deliveries[i].kb;
-                    lp.window_need[i] += need_kb;
-                }
-            }
+    if cfg.record_series {
+        if !lp.fairness_scratch.is_empty() {
+            lp.fairness_series.push(jain_index(&lp.fairness_scratch));
         }
-        if cfg.record_series {
+        lp.power_series_j.push(slot_energy_mj / 1000.0);
+        lp.fairness_rows = 0;
+        if (slot + 1).is_multiple_of(FAIR_WINDOW) {
+            // The rows the window touched, ascending — the order a
+            // walk over every row's `need > 0` finds them in, so the
+            // index sums the same sequence.
+            lp.window_rows.sort_unstable();
+            lp.fairness_scratch.clear();
+            for &i in &lp.window_rows {
+                lp.fairness_scratch
+                    .push(lp.window_delivered[i] / lp.window_need[i]);
+                lp.window_delivered[i] = 0.0;
+                lp.window_need[i] = 0.0;
+            }
             if !lp.fairness_scratch.is_empty() {
-                lp.fairness_series.push(jain_index(&lp.fairness_scratch));
+                lp.fairness_window_series
+                    .push(jain_index(&lp.fairness_scratch));
             }
-            lp.power_series_j.push(slot_energy_mj / 1000.0);
-            lp.fairness_rows = 0;
-            if (slot + 1).is_multiple_of(FAIR_WINDOW) {
-                // The rows the window touched, ascending — the order a
-                // walk over every row's `need > 0` finds them in, so the
-                // index sums the same sequence.
-                lp.window_rows.sort_unstable();
-                lp.fairness_scratch.clear();
-                for &i in &lp.window_rows {
-                    lp.fairness_scratch
-                        .push(lp.window_delivered[i] / lp.window_need[i]);
-                    lp.window_delivered[i] = 0.0;
-                    lp.window_need[i] = 0.0;
-                }
-                if !lp.fairness_scratch.is_empty() {
-                    lp.fairness_window_series
-                        .push(jain_index(&lp.fairness_scratch));
-                }
-                lp.fairness_rows = lp.window_rows.len();
-                lp.window_rows.clear();
-            }
+            lp.fairness_rows = lp.window_rows.len();
+            lp.window_rows.clear();
         }
     }
-    // Folded before the admission tick so a rejection decrements an
-    // up-to-date watch count.
-    lp.watching -= lv.watching_dec;
     // Commit staged ABR switches in ascending user order: update the rung
     // rate, re-price the unfetched tail of the session, and keep the
     // receiver's origin-side volume bound in step. Only a delivery stages
@@ -2792,11 +2656,11 @@ fn phase_d<R: SlotRecorder>(
             }
         }
     }
-    if std::mem::take(&mut lv.any_retired) {
+    if any_retired {
         lv.live.retain(|&i| !c.retired[i]);
     }
     if mode.rec_enabled {
-        rec.record_live(lv.in_system);
+        rec.record_live(in_system);
     }
     // Rule on arrivals planned for the next slot, now that this slot's
     // capacity and energy accounting are final.
@@ -2913,7 +2777,7 @@ fn admission_context(
 }
 
 /// Rule on candidate `j` and tally the ruling: [`admission_context`]
-/// through [`AdmissionController::decide`].
+/// through [`jmso_gateway::AdmissionController::decide`].
 fn admission_decide(
     adm: &mut AdmissionRuntime,
     j: usize,
@@ -2961,7 +2825,7 @@ fn admission_apply(
 /// estimates *as they would be with the candidate admitted* (candidates
 /// this pass already admitted count toward later candidates' load).
 ///
-/// Runs at the end of phase D, right before `end_slot`, so the decision
+/// Runs at the end of phase C, right before `end_slot`, so the decision
 /// uses the slot's final capacity and energy accounting and its records
 /// land on the decision slot. The rulings are the reference's, one per
 /// waiting user, but the tick never visits a user it defers:
@@ -2980,7 +2844,7 @@ fn admission_apply(
 /// rulings go to an enabled recorder in the reference's order, merged
 /// from the admits, the rejects and the room; a disabled one gets no
 /// call. The reference loop runs the naive form,
-/// [`admission_tick_reference`], pinned equal by the admission property
+/// `admission_tick_reference`, pinned equal by the admission property
 /// pack.
 #[allow(clippy::too_many_arguments)]
 fn admission_tick<R: SlotRecorder>(
@@ -3144,7 +3008,7 @@ fn admission_aggregates_reference(
     (n_active, rate_sum)
 }
 
-/// [`admission_tick`] in naive form — identical ruling order and decision
+/// `admission_tick` in naive form — identical ruling order and decision
 /// expression, but the candidates are found by scanning every user for an
 /// arrival due at the next slot (deferred or planned, it reads the same),
 /// and each candidate's population aggregates come from
@@ -3387,6 +3251,68 @@ mod tests {
         assert_eq!(early.slots_run, 50);
         assert_eq!(early.per_user, short.per_user);
         assert_eq!(early.power_series_j, short.power_series_j);
+    }
+
+    /// E* counts the slot a user finishes in: stepped slot by slot, an
+    /// admission run's `user_slots` and `energy_mj` are each live user's
+    /// slots and charges from their arrival through the slot their `done`
+    /// flag flipped, inclusive — summed in the order the walk folds them.
+    #[test]
+    fn e_star_counts_the_finishing_slot() {
+        /// Every `(slot, user, mJ)` charge, in record order.
+        struct Charges(u64, Vec<(u64, usize, f64)>);
+        impl SlotRecorder for Charges {
+            fn enabled(&self) -> bool {
+                true
+            }
+            fn begin_slot(&mut self, slot: u64, _: u64) {
+                self.0 = slot;
+            }
+            fn record_user(&mut self, id: usize, energy_mj: f64, _: f64) {
+                self.1.push((self.0, id, energy_mj));
+            }
+        }
+        let mut eng = small_engine(
+            4,
+            2_000.0,
+            400.0,
+            -80.0,
+            1_100.0,
+            100,
+            Box::new(DefaultMax::new()),
+        );
+        eng.arrival = vec![0, 0, 3, 6];
+        eng.set_admission(&AdmissionSpec::Feasibility {
+            v: 1.0,
+            omega_s: None,
+            phi_mj: None,
+            max_defer_slots: 30,
+        });
+        let mut rec = Charges(0, Vec::new());
+        let mut drv = eng.build_driver(&mut rec, None).expect("fresh driver");
+        let mut flip = vec![u64::MAX; drv.n_users()];
+        while let Some(slot) = drv.step(&mut rec) {
+            for (i, &done) in drv.cols.done.iter().enumerate() {
+                if done && flip[i] == u64::MAX {
+                    flip[i] = slot;
+                }
+            }
+        }
+        let (mut user_slots, mut energy_mj) = (0, 0.0);
+        for &(slot, i, e) in &rec.1 {
+            if slot <= flip[i] {
+                user_slots += 1;
+                energy_mj += e;
+            }
+        }
+        // Not vacuous: every user went live and finished while live.
+        for (i, &at) in flip.iter().enumerate() {
+            assert!(at < 100, "user {i} never finished");
+            assert!(rec.1.iter().any(|&(slot, j, _)| (slot, j) == (at, i)));
+        }
+        let adm = drv.engine.admission.as_ref().expect("admission installed");
+        assert_eq!(adm.user_slots, user_slots);
+        assert_eq!(adm.energy_mj.to_bits(), energy_mj.to_bits());
     }
 
     /// Single user, ample capacity: fetches everything, watches everything,

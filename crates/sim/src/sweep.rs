@@ -4,7 +4,7 @@
 //! seeded simulation), so the runner is a small work queue dispatched onto
 //! the persistent [`WorkerPool`]: an atomic cursor hands out cell indices
 //! and each participant writes its result into that index's dedicated
-//! [`ResultSlot`] — one lock per index, which only its one writer ever
+//! `ResultSlot` — one lock per index, which only its one writer ever
 //! takes, so wide sweeps never serialize on a shared result mutex. Output
 //! order always equals input order regardless of which participant
 //! finished first. Rayon would be the idiomatic tool but is not in the

@@ -7,10 +7,10 @@
 //!   trace bytes — on the driver, the reference loop, and multicell.
 //! * A real multi-rung ABR run must itself be bit-identical to the
 //!   reference loop and across checkpoint/resume with ABR client state
-//!   captured mid-chunk (checkpoint format v3).
+//!   captured mid-chunk (part of the sidecar).
 //! * A feasibility admission run must survive checkpoint/resume exactly
 //!   (deferred-queue state and the running Ω̂/Φ̂ accumulators are part
-//!   of the v3 sidecar).
+//!   of the sidecar).
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
@@ -160,8 +160,8 @@ proptest! {
         prop_assert_eq!(&plain_trace, &id_ref_trace, "reference trace diverged");
     }
 
-    /// Multi-rung ABR runs — rung switches staged in phase C, committed
-    /// in phase D — are bit-identical to the reference loop.
+    /// Multi-rung ABR runs — rung switches staged during phase C's walk,
+    /// committed at its end — are bit-identical to the reference loop.
     #[test]
     fn abr_equals_reference(scenario in arb_scenario(), abr in arb_abr()) {
         let mut s = scenario;
@@ -191,7 +191,7 @@ proptest! {
         prop_assert_eq!(&driven_trace, &reference_trace, "trace bytes diverged");
     }
 
-    /// Pausing an ABR run mid-chunk, round-tripping the v3 checkpoint
+    /// Pausing an ABR run mid-chunk, round-tripping the checkpoint
     /// through JSON, and resuming reproduces the straight run exactly
     /// (per-user rung state and chunk progress are part of the sidecar).
     #[test]

@@ -114,7 +114,7 @@ fn version_skew_is_corrupt_with_diagnostic() {
         json.contains("\"version\":4"),
         "test assumes CKPT v4 sidecars; update the replacements below"
     );
-    for bogus in ["99", "1", "0"] {
+    for bogus in ["99", "3", "2", "1", "0"] {
         let skewed = json.replacen("\"version\":4", &format!("\"version\":{bogus}"), 1);
         match EngineCheckpoint::from_json(&skewed) {
             Err(CheckpointError::Corrupt { reason }) => {
@@ -326,8 +326,8 @@ fn admission_refusal(s: &Scenario, json: &str) -> String {
 }
 
 /// A v4 sidecar carries the admission tick's running aggregates; one
-/// that lost `n_active` is refused rather than quietly rescanned (the
-/// rescan is for v2/v3 sidecars, which never had them).
+/// that lost `n_active` does not parse, rather than quietly resuming on
+/// a rescan.
 #[test]
 fn v4_sidecar_without_admission_aggregates_is_typed_refusal() {
     let s = waiting_room_scenario();
@@ -337,8 +337,12 @@ fn v4_sidecar_without_admission_aggregates_is_typed_refusal() {
     let end = at + json[at..].find(',').expect("rate_sum follows");
     let stripped = format!("{}{}", &json[..at], &json[end + 1..]);
     assert!(!stripped.contains(key) && stripped.contains("\"rate_sum\":"));
-    let reason = admission_refusal(&s, &stripped);
-    assert!(reason.contains("n_active"), "{reason}");
+    match EngineCheckpoint::from_json(&stripped) {
+        Err(CheckpointError::Corrupt { reason }) => {
+            assert!(reason.contains("n_active"), "{reason}");
+        }
+        other => panic!("expected Corrupt naming n_active, got {other:?}"),
+    }
     // The untouched sidecar resumes.
     let ck = EngineCheckpoint::from_json(&json).expect("parse");
     s.resume_from(&mut TraceRecorder::new(), &ck)

@@ -5,7 +5,7 @@
 //! The driver's slot loop is **bit-identical** to the reference loop —
 //! per-user results, every recorded series, and the full per-slot trace
 //! bytes — on such scenarios, whose live population rises and falls
-//! mid-run. The suite also pins the v2 checkpoint format: pausing an
+//! mid-run. The suite also pins the checkpoint format: pausing an
 //! open-system run at a slot where the live population differs from the
 //! seed population and resuming must reproduce the straight run exactly.
 
@@ -176,7 +176,7 @@ proptest! {
         prop_assert_eq!(&driven_trace, &reference_trace, "trace bytes diverged");
     }
 
-    /// v2 checkpoints carry departure slots: pausing an open-system run
+    /// Checkpoints carry departure slots: pausing an open-system run
     /// mid-churn (live population ≠ seed population), round-tripping the
     /// checkpoint through JSON, and resuming reproduces the straight
     /// run's results and trace exactly.
