@@ -69,29 +69,36 @@
 //! all-users, sample-per-slot loop, which must produce identical results
 //! and trace bytes.
 
-use crate::error::{atomic_write, CheckpointError, ScenarioError, SimError};
+use crate::error::{CheckpointError, SimError};
 use crate::faults::FaultPlan;
 use crate::results::{SimResult, UserResult};
 use crate::telemetry::SlotRecorder;
-use crate::waiting_room::{MonotoneVerdict, WaitingRoom};
+use crate::waiting_room::WaitingRoom;
+use admission_tick::planned_arrivals;
 use jmso_gateway::bs::CapacityModel;
 use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
-    AdmissionContext, AdmissionController, AdmissionDecision, AdmissionSpec, AdmissionState,
-    Allocation, CollectorState, DataReceiver, DataTransmitter, Delivery, FlowState,
-    InformationCollector, Scheduler, SlotContext, SnapshotSoA, UnitParams, UserSnapshot,
+    AdmissionController, AdmissionSpec, Allocation, DataReceiver, DataTransmitter, Delivery,
+    InformationCollector, Scheduler, SnapshotSoA, UnitParams, UserSnapshot,
 };
-use jmso_media::{jain_index, AbrClient, AbrInputs, AbrSpec, ClientPlayback, VideoSession};
-use jmso_radio::rrc::RrcState;
-use jmso_radio::signal::{SignalKind, SignalModel};
-use jmso_radio::{Dbm, EnergyMeter, KbPerSec, MilliJoules, PowerModel, RrcMachine};
-use jmso_sched::{drift_bound_b, energy_upper_bound, rebuffer_upper_bound, CrossLayerModels};
+use jmso_media::{AbrClient, AbrSpec, ClientPlayback, VideoSession};
+use jmso_radio::signal::SignalKind;
+use jmso_radio::{Dbm, EnergyMeter, RrcMachine};
+use jmso_sched::CrossLayerModels;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::path::Path;
+
+mod admission_tick;
+mod ckpt;
+mod driver;
+mod phases;
+mod reference;
+
+pub use ckpt::EngineCheckpoint;
+pub(crate) use driver::CellStats;
+pub use driver::{SlotDriver, SlotWork};
 
 /// Slots sampled per `SignalModel::sample_into` block in the hot loop.
 const SIG_BLOCK_SLOTS: usize = 32;
@@ -228,116 +235,6 @@ pub enum RunOutcome {
     /// The run stopped at the requested slot; feed the checkpoint to a
     /// freshly built driver to continue bit-identically.
     Paused(Box<EngineCheckpoint>),
-}
-
-/// Serializable snapshot of one user's mid-run state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct UserCkpt {
-    session: VideoSession,
-    playback: ClientPlayback,
-    rrc: RrcMachine,
-    meter: EnergyMeter,
-    cur_signal: Dbm,
-    sig_block: Vec<f64>,
-    active_slots: u64,
-    arrival_slot: u64,
-    departure_slot: u64,
-    declared_rate_kbps: Option<f64>,
-    sig_samples: u64,
-    /// The user's ABR client state; absent on fixed-bitrate runs.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    abr: Option<AbrClient>,
-}
-
-/// Loop-local accumulators that live outside the engine components.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct LoopCkpt {
-    fairness_series: Vec<f64>,
-    fairness_window_series: Vec<f64>,
-    power_series_j: Vec<f64>,
-    window_delivered: Vec<f64>,
-    window_need: Vec<f64>,
-    slots_run: u64,
-    watching: usize,
-    done_watching: Vec<bool>,
-    retired: Vec<bool>,
-    retired_at: Vec<u64>,
-    live: Vec<usize>,
-    raw: Vec<RawUserState>,
-    snapshots: Vec<UserSnapshot>,
-}
-
-/// Full engine state captured at the top of a slot.
-///
-/// A checkpoint taken at slot `k` plus a freshly built engine for the
-/// same scenario reproduces the straight run exactly: same
-/// [`crate::SimResult`], same telemetry trace bytes (pinned by the
-/// checkpoint-resume property test).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EngineCheckpoint {
-    version: u32,
-    slot: u64,
-    users: Vec<UserCkpt>,
-    receiver: Vec<FlowState>,
-    collector: CollectorState,
-    scheduler: String,
-    transmitter_clamps: u64,
-    recorder: String,
-    loop_state: LoopCkpt,
-    /// Admission-controller state (absent when no feasibility controller
-    /// is installed; its arrival queue is rebuilt from the users' arrival
-    /// slots on restore).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    admission: Option<AdmissionCkpt>,
-}
-
-/// Checkpoint format version this build writes, and the only one it
-/// reads: a sidecar of any other version is refused as corrupt.
-const CKPT_VERSION: u32 = 4;
-
-impl EngineCheckpoint {
-    /// Slot the resumed run will execute next.
-    pub fn slot(&self) -> u64 {
-        self.slot
-    }
-
-    /// Serialize to the sidecar JSON payload.
-    pub fn to_json(&self) -> Result<String, CheckpointError> {
-        serde_json::to_string(self).map_err(|e| CheckpointError::Corrupt {
-            reason: format!("serialize: {e:?}"),
-        })
-    }
-
-    /// Parse a sidecar JSON payload (version-checked).
-    pub fn from_json(s: &str) -> Result<Self, CheckpointError> {
-        let ck: Self = serde_json::from_str(s).map_err(|e| CheckpointError::Corrupt {
-            reason: format!("parse: {e:?}"),
-        })?;
-        if ck.version != CKPT_VERSION {
-            return Err(CheckpointError::Corrupt {
-                reason: format!("version {} (this build reads {CKPT_VERSION})", ck.version),
-            });
-        }
-        Ok(ck)
-    }
-
-    /// Atomically write the checkpoint to `path`.
-    pub fn write_file(&self, path: &Path) -> Result<(), CheckpointError> {
-        let json = self.to_json()?;
-        atomic_write(path, json.as_bytes()).map_err(|source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        })
-    }
-
-    /// Read and parse a checkpoint sidecar.
-    pub fn read_file(path: &Path) -> Result<Self, CheckpointError> {
-        let text = std::fs::read_to_string(path).map_err(|source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        Self::from_json(&text)
-    }
 }
 
 /// What the slot carries from phase to phase for the users in the cell:
@@ -537,20 +434,6 @@ struct AdmissionRuntime {
     /// differs), but the decision threshold only flips at exact ties,
     /// which scenario-valued inputs never produce; the recorded
     /// decisions — the only observable — stay equal.
-    rate_sum: f64,
-}
-
-/// Serializable slice of an `AdmissionRuntime` (the arrival queue —
-/// planned list, waiting room and gate — is derived from per-user
-/// arrival slots and deferral counts and rebuilt on restore).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct AdmissionCkpt {
-    state: AdmissionState,
-    energy_mj: f64,
-    user_slots: u64,
-    /// The incremental active-population aggregates, verbatim, so a
-    /// resumed run continues on the exact float sum.
-    n_active: usize,
     rate_sum: f64,
 }
 
@@ -925,162 +808,6 @@ impl Engine {
         self
     }
 
-    /// Restore component state from a checkpoint (everything except the
-    /// loop-carried accumulators and the signal windows, which
-    /// `build_driver` reinstalls).
-    fn restore(&mut self, ck: &EngineCheckpoint) -> Result<(), CheckpointError> {
-        let [lane] = self.lanes.as_mut_slice() else {
-            return Err(multi_lane_checkpoint());
-        };
-        if ck.users.len() != self.users.len() {
-            return Err(CheckpointError::Restore {
-                component: "users",
-                reason: format!(
-                    "checkpoint has {} users, engine has {}",
-                    ck.users.len(),
-                    self.users.len()
-                ),
-            });
-        }
-        for (i, (u, s)) in self.users.iter_mut().zip(&ck.users).enumerate() {
-            if s.sig_block.len() != SIG_BLOCK_SLOTS {
-                return Err(CheckpointError::Restore {
-                    component: "signal",
-                    reason: format!(
-                        "sig_block has {} entries, expected {SIG_BLOCK_SLOTS}",
-                        s.sig_block.len()
-                    ),
-                });
-            }
-            // Fast-forward the freshly seeded signal RNG by replaying the
-            // recorded number of samples. The block-sampling contract
-            // (`sample_into` consumes the stream in slot order) makes
-            // one-at-a-time replay equivalent to the original block cuts.
-            for replay_slot in 0..s.sig_samples {
-                let _ = u.signal.sample(replay_slot);
-            }
-            u.session = s.session.clone();
-            u.playback = s.playback.clone();
-            u.rrc = s.rrc.clone();
-            u.meter = s.meter.clone();
-            u.active_slots = s.active_slots;
-            self.arrival[i] = s.arrival_slot;
-            self.departure[i] = s.departure_slot;
-            u.declared_rate_kbps = s.declared_rate_kbps;
-            u.sig_samples = s.sig_samples;
-        }
-        // ABR presence must agree between the checkpoint and the engine
-        // (a spec mismatch would silently change pricing mid-run).
-        if let Some(a) = self.abr.as_mut() {
-            for (i, s) in ck.users.iter().enumerate() {
-                let Some(c) = s.abr else {
-                    return Err(CheckpointError::Restore {
-                        component: "abr",
-                        reason: "checkpoint has no ABR client state but the engine runs ABR".into(),
-                    });
-                };
-                a.clients[i] = c;
-            }
-        } else if ck.users.iter().any(|s| s.abr.is_some()) {
-            return Err(CheckpointError::Restore {
-                component: "abr",
-                reason: "checkpoint carries ABR client state but the engine runs fixed-bitrate"
-                    .into(),
-            });
-        }
-        match (self.admission.as_mut(), &ck.admission) {
-            (Some(a), Some(s)) => {
-                a.ctl
-                    .import_state(&s.state)
-                    .map_err(|reason| CheckpointError::Restore {
-                        component: "admission",
-                        reason,
-                    })?;
-                a.energy_mj = s.energy_mj;
-                a.user_slots = s.user_slots;
-                // Each pending user's deferrals must be ones the
-                // checkpoint's tick could have left: none for a user not
-                // yet due, at most the cap for one it deferred to the
-                // next slot — else the first due slot they place the
-                // user's wait at is not the one the run had — and all of
-                // them in the tally, which hands them to the clock when
-                // the wait re-opens (`AdmissionController::start_wait`).
-                let cap = a.ctl.max_defer_slots();
-                let counts = &s.state.defer_counts;
-                let mut pending = 0u64;
-                for (i, &arrival) in self.arrival.iter().enumerate() {
-                    let deferred = counts[i];
-                    if arrival <= ck.slot || arrival == u64::MAX || deferred == 0 {
-                        continue;
-                    }
-                    if deferred > cap || deferred > arrival || arrival != ck.slot + 1 {
-                        return Err(CheckpointError::Restore {
-                            component: "admission",
-                            reason: format!(
-                                "user {i}, due at slot {arrival}, carries {deferred} deferrals \
-                                 (cap {cap}; a deferred user is due at slot {})",
-                                ck.slot + 1
-                            ),
-                        });
-                    }
-                    pending += deferred;
-                }
-                if pending > s.state.summary.deferrals {
-                    return Err(CheckpointError::Restore {
-                        component: "admission",
-                        reason: format!(
-                            "pending users carry {pending} deferrals, the tally only {}",
-                            s.state.summary.deferrals
-                        ),
-                    });
-                }
-                // Rebuild the queue from the restored arrival slots and
-                // deferral counts: at the top of slot k everything still
-                // due after k awaits a ruling (the tick at the end of
-                // slot k−1 consumed what was due at or before k), and a
-                // user deferred to k+1 re-enters the waiting room at the
-                // first due slot its count places it at. `build_driver`
-                // re-derives the gate's `admitted` list.
-                a.planned = planned_arrivals(&self.arrival, ck.slot, |i| counts[i]);
-                a.planned_next = 0;
-                a.expire_next = 0;
-                a.waiting = WaitingRoom::new(self.users.len());
-                a.admitted.clear();
-                a.rejected.clear();
-                a.n_active = s.n_active;
-                a.rate_sum = s.rate_sum;
-            }
-            (None, None) => {}
-            _ => {
-                return Err(CheckpointError::Restore {
-                    component: "admission",
-                    reason: "admission-control presence differs between checkpoint and engine"
-                        .into(),
-                })
-            }
-        }
-        self.receiver
-            .import_state(&ck.receiver)
-            .map_err(|reason| CheckpointError::Restore {
-                component: "receiver",
-                reason,
-            })?;
-        self.collector
-            .import_state(&ck.collector)
-            .map_err(|reason| CheckpointError::Restore {
-                component: "collector",
-                reason,
-            })?;
-        lane.scheduler
-            .import_state(&ck.scheduler)
-            .map_err(|reason| CheckpointError::Restore {
-                component: "scheduler",
-                reason,
-            })?;
-        lane.transmitter.restore_clamp_events(ck.transmitter_clamps);
-        Ok(())
-    }
-
     /// Convert the engine into a [`SlotDriver`] — the set-up every run
     /// path shares. Every run path goes through the driver, so stepping
     /// it from a front-end — with checkpoints, live arrival scheduling,
@@ -1330,298 +1057,6 @@ impl Engine {
         })
     }
 
-    /// Reference slot loop: every user is visited every slot and signals
-    /// are drawn one slot at a time — the plain transcription of the §III
-    /// pipeline with none of the driver's active-set machinery.
-    ///
-    /// This is the executable specification for every door into the
-    /// driver: on any scenario and under any fault plan, both must return
-    /// identical [`SimResult`]s (pinned by the `active_set_matches_reference`
-    /// property test) and, under a [`SlotRecorder`], identical traces —
-    /// per-user records land at stable indices, and the users the
-    /// active-set loop skips would only ever contribute zero-energy,
-    /// zero-delta records.
-    pub(crate) fn run_reference<R: SlotRecorder>(mut self, rec: &mut R) -> SimResult {
-        let faults = self.faults.take();
-        let n_users = self.users.len();
-        let [lane] = self.lanes.as_mut_slice() else {
-            unreachable!("the reference loop is the one-cell specification")
-        };
-        rec.begin_run(n_users, self.cfg.tau);
-        let series_cap = if self.cfg.record_series {
-            self.cfg.slots as usize
-        } else {
-            0
-        };
-        let mut fairness_series = Vec::with_capacity(series_cap);
-        let mut fairness_window_series = Vec::with_capacity(series_cap.div_ceil(10));
-        let mut power_series_j = Vec::with_capacity(series_cap);
-        let mut fairness_scratch: Vec<f64> = Vec::with_capacity(n_users);
-        const FAIR_WINDOW: u64 = 10;
-        let mut window_delivered = vec![0.0f64; n_users];
-        let mut window_need = vec![0.0f64; n_users];
-        let mut slots_run = 0;
-
-        let mut unfinished = n_users;
-        let mut finished = vec![false; n_users];
-
-        let mut raw: Vec<RawUserState> = Vec::with_capacity(n_users);
-        let mut snapshots = Vec::with_capacity(n_users);
-        let mut alloc = Allocation::zeros(n_users);
-        let mut deliveries = Vec::with_capacity(n_users);
-        let mut fault_notes: Vec<String> = Vec::new();
-
-        for slot in 0..self.cfg.slots {
-            slots_run = slot + 1;
-            let cap = lane.capacity.capacity(slot);
-            let mut bs_cap_units = self.units.bs_cap_units(cap, self.cfg.tau);
-            if let Some(plan) = &faults {
-                bs_cap_units = plan.adjust_cap_units(slot, bs_cap_units);
-            }
-            rec.begin_slot(slot, bs_cap_units);
-            if let Some(plan) = faults.as_ref().filter(|_| rec.enabled()) {
-                fault_notes.clear();
-                plan.notes_into(slot, &mut fault_notes);
-                for note in &fault_notes {
-                    rec.record_fault(note);
-                }
-            }
-            self.receiver.ingest_slot(slot);
-
-            // Client-side slot advance (Eq. 7/8) and ground-truth state.
-            raw.clear();
-            for (i, u) in self.users.iter_mut().enumerate() {
-                if slot < self.arrival[i] {
-                    // Pre-arrival users are invisible to the radio: their
-                    // noise stream is anchored at their (final) arrival
-                    // slot, so no sample is drawn, and the gateway sees
-                    // the same frozen placeholder row the hot loop's
-                    // arrival gate never writes.
-                    raw.push(RawUserState {
-                        signal: Dbm(0.0),
-                        rate_kbps: 0.0,
-                        buffer_s: 0.0,
-                        remaining_kb: 0.0,
-                        active: false,
-                        idle_s: 0.0,
-                        rrc_state: RrcState::Idle,
-                    });
-                    continue;
-                }
-                let mut signal = u.signal.sample(slot);
-                u.sig_samples += 1;
-                if let Some(plan) = &faults {
-                    signal = plan.adjust_signal(slot, i, signal);
-                }
-                // Mirrors the hot loop's ABR rate substitution exactly.
-                let abr_rate = self.abr.as_ref().map(|a| a.clients[i].rate_kbps);
-                if slot >= self.departure[i] || faults.as_ref().is_some_and(|p| p.departed(slot, i))
-                {
-                    u.session.cancel_remaining();
-                    u.playback.abandon();
-                }
-                let outcome = u.playback.begin_slot();
-                if outcome.active {
-                    u.active_slots += 1;
-                }
-                raw.push(RawUserState {
-                    signal,
-                    rate_kbps: abr_rate.unwrap_or_else(|| {
-                        u.declared_rate_kbps
-                            .unwrap_or_else(|| u.session.rate_at(slot))
-                    }),
-                    buffer_s: outcome.occupancy_s,
-                    remaining_kb: u.session.remaining_kb(),
-                    active: outcome.active,
-                    idle_s: u.rrc.idle_seconds(),
-                    rrc_state: u.rrc.state(),
-                });
-            }
-
-            // Gateway pipeline.
-            self.collector.snapshot_into(slot, &raw, &mut snapshots);
-            let ctx = SlotContext {
-                slot,
-                tau: self.cfg.tau,
-                delta_kb: self.cfg.delta_kb,
-                bs_cap_units,
-                users: &snapshots,
-                soa: None,
-            };
-            if rec.enabled() {
-                let t0 = std::time::Instant::now();
-                lane.scheduler.allocate_into(&ctx, &mut alloc);
-                rec.record_sched_latency_ns(t0.elapsed().as_nanos() as u64);
-                rec.record_alloc(&alloc.0);
-                if let Some(q) = lane.scheduler.queue_values() {
-                    rec.record_queues(q);
-                }
-                let deg = lane.scheduler.degradations();
-                if !deg.is_empty() {
-                    rec.record_degradations(deg);
-                }
-            } else {
-                lane.scheduler.allocate_into(&ctx, &mut alloc);
-            }
-            lane.transmitter
-                .transmit_into(&ctx, &alloc, &mut self.receiver, &mut deliveries);
-
-            // Device-side accounting (Eq. 3/4/5) and client delivery.
-            let mut slot_energy_mj = 0.0;
-            let mut in_system = 0u64;
-            fairness_scratch.clear();
-            for (u_idx, ((u, d), r)) in self.users.iter_mut().zip(&deliveries).zip(&raw).enumerate()
-            {
-                if slot < self.arrival[u_idx] {
-                    continue;
-                }
-                let slot_e = if d.kb > 0.0 {
-                    let accepted = u.session.deliver(d.kb);
-                    debug_assert!(
-                        (accepted - d.kb).abs() < 1e-6,
-                        "transmitter should never over-deliver"
-                    );
-                    if let Some(a) = self.abr.as_mut() {
-                        u.playback.deliver(accepted, a.clients[u_idx].rate_kbps);
-                        let inp = AbrInputs {
-                            buffer_s: r.buffer_s,
-                            predicted_kbps: snapshots[u_idx].link_cap_units as f64
-                                * self.cfg.delta_kb
-                                / self.cfg.tau,
-                        };
-                        a.clients[u_idx].on_delivery(
-                            accepted,
-                            u.session.fully_fetched(),
-                            &a.spec.ladder,
-                            &a.spec.policy,
-                            a.native[u_idx],
-                            a.chunk_s,
-                            inp,
-                        );
-                    } else {
-                        u.playback.deliver(accepted, u.session.rate_at(slot));
-                    }
-                    let e = self.models.power.transmission_energy(r.signal, accepted);
-                    if rec.enabled() {
-                        u.rrc
-                            .on_transmit_observed(|f, t| rec.record_rrc_transition(u_idx, f, t));
-                    } else {
-                        u.rrc.on_transmit();
-                    }
-                    u.meter.record_transmission(e);
-                    e.value()
-                } else {
-                    let e = if rec.enabled() {
-                        u.rrc.on_idle_observed(self.cfg.tau, |f, t| {
-                            rec.record_rrc_transition(u_idx, f, t)
-                        })
-                    } else {
-                        u.rrc.on_idle(self.cfg.tau)
-                    };
-                    u.meter.record_tail(e);
-                    e.value()
-                };
-                slot_energy_mj += slot_e;
-                // Mirrors the hot loop's running E* accumulator exactly.
-                if let Some(adm) = self.admission.as_mut() {
-                    if !finished[u_idx] {
-                        adm.energy_mj += slot_e;
-                        adm.user_slots += 1;
-                    }
-                }
-                rec.record_user(u_idx, slot_e, u.playback.total_rebuffer_s());
-                // Mirrors the hot loop's `record_series` gate so both
-                // loops carry identical windowed-fairness state.
-                if self.cfg.record_series && r.remaining_kb > 0.0 {
-                    let need_kb = (self.cfg.tau * r.rate_kbps).min(r.remaining_kb);
-                    if need_kb > 0.0 {
-                        fairness_scratch.push(d.kb / need_kb);
-                        window_delivered[u_idx] += d.kb;
-                        window_need[u_idx] += need_kb;
-                    }
-                }
-                if !finished[u_idx] && u.session.fully_fetched() && u.playback.playback_complete() {
-                    finished[u_idx] = true;
-                    unfinished -= 1;
-                }
-                // Mirrors the hot loop's live-population sample exactly.
-                if rec.enabled() && !finished[u_idx] {
-                    in_system += 1;
-                }
-            }
-
-            // Commit staged ABR switches — the hot loop's exact pass.
-            if let Some(a) = self.abr.as_mut() {
-                for i in 0..n_users {
-                    if let Some(sw) = a.clients[i].apply_pending(&a.spec.ladder, a.native[i]) {
-                        let delta = self.users[i].session.rescale_remaining(sw.ratio);
-                        self.receiver.adjust_source_volume_kb(i, delta);
-                        rec.record_abr_switch(i, sw.from, sw.to);
-                    }
-                }
-            }
-
-            if self.cfg.record_series {
-                if !fairness_scratch.is_empty() {
-                    fairness_series.push(jain_index(&fairness_scratch));
-                }
-                power_series_j.push(slot_energy_mj / 1000.0);
-                if (slot + 1).is_multiple_of(FAIR_WINDOW) {
-                    fairness_scratch.clear();
-                    for i in 0..n_users {
-                        if window_need[i] > 0.0 {
-                            fairness_scratch.push(window_delivered[i] / window_need[i]);
-                        }
-                    }
-                    if !fairness_scratch.is_empty() {
-                        fairness_window_series.push(jain_index(&fairness_scratch));
-                    }
-                    window_delivered.fill(0.0);
-                    window_need.fill(0.0);
-                }
-            }
-            if rec.enabled() {
-                rec.record_live(in_system);
-            }
-            // Mirrors the hot loop's admission tick exactly (`finished` /
-            // `unfinished` play the roles of `done_watching`/`watching`),
-            // in full-rescan form — the reference loop is where the
-            // O(n_users) aggregate specification stays executable.
-            if let Some(adm) = self.admission.as_mut() {
-                admission_tick_reference(
-                    adm,
-                    &mut self.arrival,
-                    &mut self.users,
-                    &mut finished,
-                    &mut unfinished,
-                    rec,
-                    slot,
-                    bs_cap_units,
-                    self.cfg.tau,
-                    self.cfg.delta_kb,
-                );
-            }
-            rec.end_slot();
-
-            if unfinished == 0 {
-                break;
-            }
-        }
-        rec.end_run();
-
-        // The specification folds every row.
-        let per_user = self.users.iter().map(UserSim::result).collect();
-        let mut result = self.result(
-            per_user,
-            slots_run,
-            fairness_series,
-            fairness_window_series,
-            power_series_j,
-        );
-        result.telemetry = rec.summary();
-        result
-    }
-
     /// The run's [`SimResult`] around its folded rows.
     fn result(
         &self,
@@ -1646,1426 +1081,10 @@ impl Engine {
     }
 }
 
-/// The resumable stepping form of the engine's slot pipeline: one slot
-/// per [`SlotDriver::step`] call, checkpoint capture between any two
-/// slots, and live mutation of the not-yet-executed schedule.
-///
-/// Built by [`Scenario::driver`](crate::scenario::Scenario::driver). A
-/// slot is the three phase functions of the module docs, and
-/// [`SlotDriver::step`], which runs them back to back, is the only slot
-/// loop. So stepping the driver from a front-end (the live gateway
-/// service) executes the exact slot code of a batch run, and a fully
-/// stepped driver's result and telemetry are byte-identical to the batch
-/// run of the same scenario.
-///
-/// The driver owns the engine (fault plan included) and every
-/// loop-carried accumulator; the recorder stays external, passed into
-/// each call, so one recorder can outlive crash/rebuild cycles of the
-/// driver itself.
-pub struct SlotDriver {
-    /// The gateway pipeline, fault plan and the run's constants; its
-    /// users and ABR clients live in `cols`, its lanes in `lanes`, until
-    /// [`SlotDriver::finish`].
-    engine: Engine,
-    lp: LoopState,
-    cols: Columns,
-    live: LiveState,
-    lanes: Vec<CellLane>,
-    /// The run's constants; the recorder's two flags are filled in per
-    /// call.
-    mode: Mode,
-    start_slot: u64,
-    next_slot: u64,
-    finished: bool,
-}
-
-/// What the latest slot cost in rows visited rather than in time: counts
-/// that repeat exactly from run to run, so a test can pin that a slot
-/// costs the sessions in the cell and not the pool they came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotWork {
-    /// Flows the Data Receiver's ingest visited.
-    pub receiver_flows: usize,
-    /// Rows the scheduler's context listed as live — what a live-list
-    /// sweep such as Default's visits; the whole pool when the policy
-    /// keeps no SoA mirror.
-    pub scheduler_rows: usize,
-    /// Rows of the grant vector the scheduler zeroed plus rows it wrote
-    /// ([`jmso_gateway::Scheduler::grant_rows_touched`]); the whole pool
-    /// for a policy that resets the vector.
-    pub grant_rows_cleared: usize,
-    /// Rows phase B rewrote for the collector: every row in the full
-    /// pass of a collector that holds or perturbs reports, the live rows
-    /// in its refresh, none for a pass-through collector — whose mirror
-    /// is allocated by the first slot, which is not a pass over rows and
-    /// is not counted.
-    pub collector_rows: usize,
-    /// Rows the windowed-fairness fold visited: the rows its window
-    /// touched, on the slot that ends one.
-    pub fairness_rows: usize,
-    /// Arrivals the admission tick ruled on at the end of the slot:
-    /// the planned arrivals that came due and the previous tick's
-    /// deferrals.
-    pub candidates_ruled: usize,
-    /// Times the tick evaluated the admission rule: O(log n) per admit,
-    /// plus O(log n) for the search that finds nobody else — however
-    /// many it ruled on.
-    pub admission_evaluations: usize,
-}
-
-impl SlotDriver {
-    /// Work counts of the slot the latest [`SlotDriver::step`] executed.
-    pub fn last_slot_work(&self) -> SlotWork {
-        SlotWork {
-            receiver_flows: self.engine.receiver.flows_visited_last_ingest(),
-            scheduler_rows: match self.lanes.as_slice() {
-                [lane] if lane.use_soa => lane.soa.live_rows().len(),
-                _ => self.cols.users.len(),
-            },
-            grant_rows_cleared: (self.lanes.iter())
-                .map(|lane| lane.scheduler.grant_rows_touched())
-                .map(|touched| touched.unwrap_or(self.cols.users.len()))
-                .sum(),
-            collector_rows: self.lp.collector_rows,
-            fairness_rows: self.lp.fairness_rows,
-            candidates_ruled: (self.engine.admission.as_ref()).map_or(0, |adm| adm.ruled),
-            admission_evaluations: (self.engine.admission.as_ref())
-                .map_or(0, |adm| adm.evaluations),
-        }
-    }
-
-    /// Rows the run folds, if [`SlotDriver::finish`] is called now: the
-    /// admission rejects so far, and every user who entered a live list
-    /// — or, on a resumed driver, every row.
-    pub fn rows_to_fold(&self) -> usize {
-        let rejected = (self.engine.admission.as_ref()).map_or(0, |adm| adm.ctl.summary().rejected);
-        match self.lp.per_user {
-            // Everyone who went live holds a window.
-            Some(_) => rejected as usize + self.live.windows.len(),
-            None => self.cols.users.len(),
-        }
-    }
-
-    /// Slot the next [`SlotDriver::step`] call will execute.
-    pub fn next_slot(&self) -> u64 {
-        self.next_slot
-    }
-
-    /// Slot this driver started (or resumed) from.
-    pub fn start_slot(&self) -> u64 {
-        self.start_slot
-    }
-
-    /// Configured horizon Γ in slots.
-    pub fn horizon(&self) -> u64 {
-        self.engine.cfg.slots
-    }
-
-    /// Number of users in the scenario.
-    pub fn n_users(&self) -> usize {
-        self.cols.users.len()
-    }
-
-    /// True once the run is over: the horizon was reached or every
-    /// session has been fully fetched and watched (the batch loop's
-    /// early exit). Further [`SlotDriver::step`] calls return `None`;
-    /// call [`SlotDriver::finish`] to settle accounting and collect the
-    /// [`SimResult`].
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Users still fetching or watching.
-    pub fn watching(&self) -> usize {
-        self.lp.watching
-    }
-
-    /// Short name of the scheduling policy driving allocations.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.lanes[0].scheduler.name()
-    }
-
-    /// Switch the scheduler into its degraded (cheaper, best-effort)
-    /// operating mode, if it has one — the live `Degrade` overrun
-    /// policy. Returns whether the scheduler supports degradation.
-    /// Engaging is idempotent and takes effect from the next slot; the
-    /// switch is observable through the scheduler's degradation events
-    /// in the telemetry stream.
-    pub fn engage_degraded(&mut self) -> bool {
-        let mut supported = true;
-        for lane in &mut self.lanes {
-            supported &= lane.scheduler.engage_degraded();
-        }
-        supported
-    }
-
-    /// Defer every user's arrival to "never" (`u64::MAX`): live
-    /// ingestion mode, where sessions start only once a
-    /// [`SlotDriver::set_arrival`] event schedules them. Only valid
-    /// before the first slot of a fresh (non-resumed) run — a resumed
-    /// run carries its schedule inside the checkpoint — and
-    /// incompatible with feasibility admission control (whose pending
-    /// queue is compiled from the planned schedule).
-    pub fn defer_all_arrivals(&mut self) -> Result<(), ScenarioError> {
-        if self.next_slot != 0 {
-            return Err(ScenarioError::new(
-                "live.defer",
-                "arrivals can only be deferred before the first slot runs",
-            ));
-        }
-        if self.engine.admission.is_some() {
-            return Err(ScenarioError::new(
-                "live.defer",
-                "live arrival scheduling is incompatible with feasibility \
-                 admission control (its pending queue is compiled from the \
-                 planned arrival schedule)",
-            ));
-        }
-        self.cols.arrival.fill(u64::MAX);
-        self.cols.departure.fill(u64::MAX);
-        // Live mode starts with an empty system: every user enters
-        // through a later `set_arrival` event.
-        self.live.live.clear();
-        self.live.arrival_queue.clear();
-        Ok(())
-    }
-
-    /// Schedule user `user`'s session to start at `slot` — the live form
-    /// of [`crate::arrivals::ArrivalSpec::Declared`]. The engine only
-    /// ever reads the arrival slot as `slot < arrival`, so scheduling an
-    /// arrival any time before its slot executes yields bytes identical
-    /// to a batch run whose declared plan carries the same final
-    /// schedule.
-    pub fn set_arrival(&mut self, user: usize, slot: u64) -> Result<(), ScenarioError> {
-        self.check_live_mutation("live.arrive", user, slot)?;
-        let (arrival, departure) = (self.cols.arrival[user], self.cols.departure[user]);
-        if arrival < self.next_slot {
-            return Err(ScenarioError::new(
-                "live.arrive",
-                format!("user {user} already arrived at slot {arrival}"),
-            ));
-        }
-        if departure != u64::MAX && slot >= departure {
-            return Err(ScenarioError::new(
-                "live.arrive",
-                "arrival must precede the scheduled departure",
-            ));
-        }
-        self.cols.arrival[user] = slot;
-        // Duplicate entries for a rescheduled arrival are harmless: the
-        // drain drops any entry that comes up before the user's current
-        // arrival slot, or after they entered.
-        self.live.arrival_queue.push(Reverse((slot, user)));
-        Ok(())
-    }
-
-    /// Schedule user `user` to abandon their session at `slot` — live
-    /// churn, the same idempotent state change the batch departure plan
-    /// applies.
-    pub fn set_departure(&mut self, user: usize, slot: u64) -> Result<(), ScenarioError> {
-        self.check_live_mutation("live.depart", user, slot)?;
-        let arrival = self.cols.arrival[user];
-        if arrival != u64::MAX && slot <= arrival {
-            return Err(ScenarioError::new(
-                "live.depart",
-                "departure must come after the arrival",
-            ));
-        }
-        self.cols.departure[user] = slot;
-        Ok(())
-    }
-
-    /// Install a gateway-side declared rate (e.g. DPI-extracted from the
-    /// session's segment request) for user `user`: snapshots from the
-    /// next slot on advertise it instead of the instantaneous session
-    /// rate. Client-side playback still uses the true encoding rate.
-    pub fn set_declared_rate(&mut self, user: usize, kbps: f64) -> Result<(), ScenarioError> {
-        if user >= self.cols.users.len() {
-            return Err(ScenarioError::new(
-                "live.rate",
-                format!("user {user} out of range"),
-            ));
-        }
-        if kbps <= 0.0 || kbps.is_nan() {
-            return Err(ScenarioError::new("live.rate", "rate must be positive"));
-        }
-        self.cols.users[user].declared_rate_kbps = Some(kbps);
-        Ok(())
-    }
-
-    /// Shared validation for live schedule mutations: the user exists,
-    /// the slot has not executed yet, and no feasibility admission
-    /// controller owns the arrival schedule.
-    fn check_live_mutation(
-        &self,
-        field: &'static str,
-        user: usize,
-        slot: u64,
-    ) -> Result<(), ScenarioError> {
-        if user >= self.cols.users.len() {
-            return Err(ScenarioError::new(
-                field,
-                format!("user {user} out of range"),
-            ));
-        }
-        if slot < self.next_slot {
-            return Err(ScenarioError::new(
-                field,
-                format!(
-                    "slot {slot} already executed (next slot is {})",
-                    self.next_slot
-                ),
-            ));
-        }
-        if self.engine.admission.is_some() {
-            return Err(ScenarioError::new(
-                field,
-                "live schedule changes are incompatible with feasibility \
-                 admission control",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Capture the full simulation state at the top of the next slot.
-    /// Feeding the checkpoint to a freshly built driver (or any batch
-    /// resume path) for the same scenario continues bit-identically.
-    pub fn checkpoint<R: SlotRecorder>(
-        &self,
-        rec: &R,
-    ) -> Result<EngineCheckpoint, CheckpointError> {
-        let (eng, c, lp) = (&self.engine, &self.cols, &self.lp);
-        let [lane] = self.lanes.as_slice() else {
-            return Err(multi_lane_checkpoint());
-        };
-        let recorder = rec.export_state().ok_or(CheckpointError::Unsupported {
-            reason: "recorder cannot export its state".into(),
-        })?;
-        let scheduler =
-            lane.scheduler
-                .export_state()
-                .ok_or_else(|| CheckpointError::Unsupported {
-                    reason: format!(
-                        "scheduler {} cannot export its state",
-                        lane.scheduler.name()
-                    ),
-                })?;
-        // Before the first slot nothing has been reported: the sidecar
-        // carries no rows and the report cache as built.
-        let reported = lp.rows_primed && lp.slots_run > 0;
-        let mut collector = eng.collector.export_state();
-        if self.mode.pass_through && reported {
-            // A pass-through collector's rows are written by the build
-            // and phase A, which leave its (never read) report cache
-            // alone; the last report is by definition the row's signal.
-            for (cached, snap) in collector.cached_signal.iter_mut().zip(&c.snaps) {
-                *cached = Some(snap.signal);
-            }
-        }
-        // What a user who never went live exports.
-        let built = Window::new(usize::MAX);
-        // A user in the admission waiting room was deferred to the slot
-        // after this one; the tick leaves that unwritten.
-        let waiting = eng.admission.as_ref().map(|a| &a.waiting);
-        let deferred_to = self.next_slot + 1;
-        Ok(EngineCheckpoint {
-            version: CKPT_VERSION,
-            slot: self.next_slot,
-            users: (c.users.iter().enumerate())
-                .map(|(i, u)| {
-                    let window = match u.window {
-                        NO_WINDOW => &built,
-                        w => &self.live.windows[w as usize],
-                    };
-                    UserCkpt {
-                        session: u.session.clone(),
-                        playback: u.playback.clone(),
-                        rrc: u.rrc.clone(),
-                        meter: u.meter.clone(),
-                        cur_signal: window.cur_signal,
-                        sig_block: window.sig.iter().map(|d| d.0).collect(),
-                        active_slots: u.active_slots,
-                        arrival_slot: match waiting {
-                            Some(room) if room.contains(i) => deferred_to,
-                            _ => c.arrival[i],
-                        },
-                        departure_slot: c.departure[i],
-                        declared_rate_kbps: u.declared_rate_kbps,
-                        sig_samples: u.sig_samples,
-                        abr: c.abr.get(i).copied(),
-                    }
-                })
-                .collect(),
-            receiver: eng.receiver.export_state(),
-            collector,
-            scheduler,
-            transmitter_clamps: lane.transmitter.clamp_events(),
-            recorder,
-            loop_state: LoopCkpt {
-                fairness_series: lp.fairness_series.clone(),
-                fairness_window_series: lp.fairness_window_series.clone(),
-                power_series_j: lp.power_series_j.clone(),
-                window_delivered: lp.window_delivered.clone(),
-                window_need: lp.window_need.clone(),
-                slots_run: lp.slots_run,
-                watching: lp.watching,
-                done_watching: c.done.clone(),
-                retired: c.retired.clone(),
-                retired_at: c.retired_at.clone(),
-                live: self.live.live.clone(),
-                raw: c.raw.clone(),
-                snapshots: if reported {
-                    c.snaps.clone()
-                } else {
-                    Vec::new()
-                },
-            },
-            admission: eng.admission.as_ref().map(|a| AdmissionCkpt {
-                state: a.ctl.export_state(a.waiting.iter(), deferred_to),
-                energy_mj: a.energy_mj,
-                user_slots: a.user_slots,
-                n_active: a.n_active,
-                rate_sum: a.rate_sum,
-            }),
-        })
-    }
-
-    /// Execute exactly one slot of the §III pipeline. Returns the slot
-    /// index it ran, or `None` once the run is finished.
-    ///
-    /// The three phases back to back, on the calling thread.
-    pub fn step<R: SlotRecorder>(&mut self, rec: &mut R) -> Option<u64> {
-        if self.finished {
-            return None;
-        }
-        let slot = self.next_slot;
-        let mode = Mode {
-            rec_enabled: rec.enabled(),
-            ..self.mode
-        };
-        let Self {
-            engine: eng,
-            lp,
-            cols: c,
-            live: lv,
-            lanes,
-            ..
-        } = self;
-        size_mirror(eng, lanes, c.users.len());
-        phase_a(eng, mode, slot, lv, c, mirror(lanes));
-        phase_b(eng, lp, mode, slot, lv, lanes, c, rec);
-        self.finished = phase_c(eng, lp, mode, slot, lv, c, mirror(lanes), rec);
-        self.next_slot = slot + 1;
-        Some(slot)
-    }
-
-    /// Step to the end and finish: the cadence of every batch door.
-    pub(crate) fn run<R: SlotRecorder>(mut self, rec: &mut R) -> (SimResult, Option<CellStats>) {
-        while self.step(rec).is_some() {}
-        self.finish_cells(rec)
-    }
-
-    /// Settle end-of-run accounting and fold the final [`SimResult`].
-    /// Callable at any point; finishing early yields the result of the
-    /// slots run so far.
-    pub fn finish<R: SlotRecorder>(self, rec: &mut R) -> SimResult {
-        self.finish_cells(rec).0
-    }
-
-    /// [`SlotDriver::finish`], and with more than one lane what the
-    /// cells saw of their users.
-    pub(crate) fn finish_cells<R: SlotRecorder>(
-        self,
-        rec: &mut R,
-    ) -> (SimResult, Option<CellStats>) {
-        rec.end_run();
-        let Self {
-            mut engine,
-            mut lp,
-            cols: mut c,
-            live,
-            lanes,
-            ..
-        } = self;
-        let n_users = c.users.len();
-        // Settle the idle slots a retired user sat out — each would have
-        // recorded a zero-energy tail slot per remaining loop iteration —
-        // before their row is folded. Every retired user went live.
-        let mut settled = |i: usize| {
-            let u = &mut c.users[i];
-            if c.retired[i] {
-                u.meter
-                    .record_saturated_idle_slots(lp.slots_run - 1 - c.retired_at[i]);
-            }
-            u.result()
-        };
-        let per_user = match lp.per_user.take() {
-            // The rows the run wrote in live lists, over what the build
-            // or the admission tick laid down.
-            Some(mut per_user) => {
-                for w in &live.windows {
-                    per_user[w.user] = settled(w.user);
-                }
-                per_user
-            }
-            None => (0..n_users).map(settled).collect(),
-        };
-        debug_assert!(
-            per_user
-                .iter()
-                .cloned()
-                .eq(c.users.iter().map(UserSim::result)),
-            "a row the run wrote was left out of the fold"
-        );
-        engine.lanes = lanes;
-        let cells = engine.roaming.take().map(|roam| CellStats {
-            handovers: roam.handovers,
-            mean_occupancy: roam
-                .occupancy_sums
-                .iter()
-                .map(|sum| sum / lp.slots_run as f64)
-                .collect(),
-        });
-        let mut result = engine.result(
-            per_user,
-            lp.slots_run,
-            lp.fairness_series,
-            lp.fairness_window_series,
-            lp.power_series_j,
-        );
-        result.telemetry = rec.summary();
-        (result, cells)
-    }
-}
-
-/// What the cells of a run with more than one lane saw of its users.
-pub(crate) struct CellStats {
-    /// Total handovers executed.
-    pub(crate) handovers: u64,
-    /// Mean number of attached users per cell.
-    pub(crate) mean_occupancy: Vec<f64>,
-}
-
-/// The refusal a run of more than one lane gives a checkpoint request:
-/// the sidecar carries one scheduler's state and no attachment.
-fn multi_lane_checkpoint() -> CheckpointError {
-    CheckpointError::Unsupported {
-        reason: "a run with more than one cell cannot be checkpointed".into(),
-    }
-}
-
-/// Size a lone lane's mirror, if it keeps one and nothing has yet: every
-/// row absent, as the build left the rows it mirrors, so that the first
-/// phase A writes slot 0's live rows through it like any other slot's.
-/// The first slot's job and not the build's: a driver that is built and
-/// dropped, or restored with its rows, never pays for the allocation.
-fn size_mirror(eng: &Engine, lanes: &mut [CellLane], n_users: usize) {
-    if let [lane] = lanes {
-        if lane.use_soa && lane.soa.len() != n_users {
-            lane.soa = SnapshotSoA::absent(n_users, eng.collector.absent_link_cap());
-        }
-    }
-}
-
-/// The mirror phases A and C write through: a lone lane's, if its policy
-/// keeps one.
-fn mirror(lanes: &mut [CellLane]) -> Option<&mut SnapshotSoA> {
-    match lanes {
-        [lane] if lane.use_soa => Some(&mut lane.soa),
-        _ => None,
-    }
-}
-
-/// Phase A: the arrival gate, then for every live user the radio sample
-/// (block-drawn into the user's window in the slab, with its per-block
-/// Eq. (1) cap table), the Eq. (7)/(8) playback advance and the
-/// ground-truth row — and, for a pass-through collector, the snapshot and
-/// SoA rows the scheduler will read, from slot 0 on. Makes no recorder
-/// call.
-fn phase_a(
-    eng: &Engine,
-    mode: Mode,
-    slot: u64,
-    lv: &mut LiveState,
-    c: &mut Columns,
-    mut soa: Option<&mut SnapshotSoA>,
-) {
-    // Admit due arrivals: pop every entry due by this slot. An entry a
-    // live reschedule left behind (the user entered already, or now
-    // arrives later under a fresh entry) is dropped.
-    while let Some(&Reverse((due, i))) = lv.arrival_queue.peek() {
-        if due > slot {
-            break;
-        }
-        lv.arrival_queue.pop();
-        // Live membership never regresses — a user only leaves the live
-        // list by retiring — so "entered" is "live or retired".
-        let entered = c.retired[i] || lv.live.binary_search(&i).is_ok();
-        if !entered && c.arrival[i] <= slot {
-            merge_ascending(&mut lv.live, &[i]);
-        }
-    }
-    // Under admission the previous slot's tick admitted these for this
-    // slot — the gate's only input.
-    if let Some(adm) = eng.admission.as_ref() {
-        merge_ascending(&mut lv.live, &adm.admitted);
-    }
-
-    let cfg = eng.cfg;
-    for &i in &lv.live {
-        let u = &mut c.users[i];
-        let arrival = c.arrival[i];
-        debug_assert!(slot >= arrival, "live user must have arrived");
-        if u.window == NO_WINDOW {
-            // First entry into the live list: the user's window, from
-            // here to the end of the run, is the next in the slab.
-            u.window = lv.windows.len() as u32;
-            lv.windows.push(Window::new(i));
-        }
-        let w = &mut lv.windows[u.window as usize];
-        // Each user's signal block is anchored at their final arrival
-        // slot, read off the dense column (it cannot move once they are
-        // live): a user entering at slot `a` refills the window at `a`,
-        // `a + 32`, …, so it is always current — its first slot is a
-        // refill — and pre-arrival slots draw no samples at all.
-        let block_off = ((slot - arrival) % SIG_BLOCK_SLOTS as u64) as usize;
-        if block_off == 0 {
-            u.signal.sample_into(slot, &mut w.sig);
-            u.sig_samples += SIG_BLOCK_SLOTS as u64;
-            if mode.tables {
-                // One batch-kernel pass per block: the next
-                // SIG_BLOCK_SLOTS slots read pure table entries.
-                eng.collector
-                    .link_caps_into(&w.sig, &mut lv.v_scratch, &mut w.cap);
-            }
-        }
-        w.cur_signal = w.sig[block_off];
-        if let Some(plan) = &eng.faults {
-            // Faults perturb state, never RNG streams: the raw sample
-            // above already advanced the generator.
-            w.cur_signal = plan.adjust_signal(slot, i, w.cur_signal);
-        }
-        if slot >= c.departure[i] || eng.faults.as_ref().is_some_and(|p| p.departed(slot, i)) {
-            // Mid-stream departure — workload churn or the fault
-            // taxonomy's perturbation form: the client abandons playback
-            // and the origin stops fetching for them. Both calls are
-            // idempotent, so the latched window check is safe to
-            // re-apply every slot, and a `u64::MAX` departure slot
-            // leaves the run untouched.
-            u.session.cancel_remaining();
-            u.playback.abandon();
-        }
-        let outcome = u.playback.begin_slot();
-        if outcome.active {
-            u.active_slots += 1;
-        }
-        let r = RawUserState {
-            signal: w.cur_signal,
-            // Gateway-advertised demand: the ABR rung rate when clients
-            // are installed (single-rung = the native rate, bitwise),
-            // else the declared/session rate.
-            rate_kbps: match c.abr.get(i) {
-                Some(client) => client.rate_kbps,
-                None => u
-                    .declared_rate_kbps
-                    .unwrap_or_else(|| u.session.rate_at(slot)),
-            },
-            buffer_s: outcome.occupancy_s,
-            remaining_kb: u.session.remaining_kb(),
-            active: outcome.active,
-            idle_s: u.rrc.idle_seconds(),
-            rrc_state: u.rrc.state(),
-        };
-        if mode.pass_through {
-            // The collector's row verbatim: report = truth, Eq. (1) from
-            // the table (or the scalar kernel the table batches).
-            let link_cap = match mode.tables {
-                true => w.cap[block_off],
-                false => eng.collector.link_cap(r.signal),
-            };
-            let snap = r.as_reported(i, r.signal, link_cap);
-            if let Some(soa) = soa.as_deref_mut() {
-                soa.set_row(&snap, cfg.tau, cfg.delta_kb);
-            }
-            c.snaps[i] = snap;
-        }
-        c.raw[i] = r;
-    }
-}
-
-/// Phase B, the slot's one coupling through Eq. (2): this slot's
-/// mobility, every lane's budget (fault-adjusted), the slot announced to
-/// the recorder, origin ingest, and the collector pass for a collector
-/// that is not pass-through (for a pass-through one nothing here walks
-/// rows: phase A has written the live ones, and the rest stand as built).
-/// Then per lane, in cell order, its rows brought up to date (with more
-/// than one lane), its scheduler's call over them and its transmitter
-/// moving bytes out of the one receiver (a flow follows its user across
-/// cells); and what the lanes decided, told to the recorder.
-#[allow(clippy::too_many_arguments)]
-fn phase_b<R: SlotRecorder>(
-    eng: &mut Engine,
-    lp: &mut LoopState,
-    mode: Mode,
-    slot: u64,
-    lv: &LiveState,
-    lanes: &mut [CellLane],
-    c: &mut Columns,
-    rec: &mut R,
-) {
-    let cfg = eng.cfg;
-    lp.slots_run = slot + 1;
-    if let Some(roam) = eng.roaming.as_mut() {
-        roam.step(lanes, cfg);
-    }
-    lp.bs_cap_units = 0;
-    for lane in lanes.iter_mut() {
-        let cap = lane.capacity.capacity(slot);
-        // The two hooks quantise in different orders — ⌊⌊S/δ⌋·f⌋ here,
-        // ⌊S·f/δ⌋ per cell — and so differ by a unit when S is off the δ
-        // grid. Each run kind keeps the one its committed outputs were
-        // made with, which is the only reason there are two.
-        lane.cap_units = match (&eng.faults, lane.cap_fault) {
-            (None, _) => eng.units.bs_cap_units(cap, cfg.tau),
-            (Some(plan), CapFault::Bs) => {
-                plan.adjust_cap_units(slot, eng.units.bs_cap_units(cap, cfg.tau))
-            }
-            (Some(plan), CapFault::Cell(cell)) => eng
-                .units
-                .bs_cap_units(KbPerSec(plan.scale_cell_cap(slot, cell, cap.0)), cfg.tau),
-        };
-        lp.bs_cap_units += lane.cap_units;
-    }
-    rec.begin_slot(slot, lp.bs_cap_units);
-    if let Some(plan) = eng.faults.as_ref().filter(|_| mode.rec_enabled) {
-        lp.fault_notes.clear();
-        plan.notes_into(slot, &mut lp.fault_notes);
-        for note in &lp.fault_notes {
-            rec.record_fault(note);
-        }
-    }
-    eng.receiver.ingest_slot(slot);
-
-    // A lone lane schedules off the columns' rows, so their mirror is
-    // kept here; several lanes each mirror their own rows.
-    let mut soa = mirror(lanes);
-    lp.collector_rows = 0;
-    if !lp.rows_primed || eng.collector.needs_full_pass() {
-        // A collector that holds or perturbs reports rebuilds every row
-        // on its first slot, which fills its report cache — and a noisy
-        // one on every slot, whose RNG stream must stay per-user
-        // aligned.
-        eng.collector.snapshot_rows(slot, &c.raw, &mut c.snaps);
-        if let Some(soa) = soa.as_deref_mut() {
-            soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb);
-        }
-        lp.rows_primed = true;
-        lp.collector_rows = c.snaps.len();
-    } else if !mode.pass_through {
-        // A collector that only holds reports refreshes the live rows.
-        lp.collector_rows = lv.live.len();
-        eng.collector
-            .snapshot_refresh(slot, &c.raw, &lv.live, &mut c.snaps);
-        if let Some(soa) = soa.as_deref_mut() {
-            for &i in &lv.live {
-                soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
-            }
-        }
-    }
-    if let Some(soa) = soa {
-        // The live list is the rows a sweep has to visit; every other
-        // row has no demand left.
-        soa.set_live_rows(lv.live.iter().copied());
-    }
-
-    let mut sched_ns = 0;
-    for (cell, lane) in lanes.iter_mut().enumerate() {
-        let members = eng.roaming.as_ref().map(|roam| &roam.members[cell]);
-        let users = match eng.roaming.as_ref() {
-            None => &c.snaps,
-            Some(roam) => {
-                if lane.rows.is_empty() {
-                    lane.rows.extend(c.snaps.iter().map(|reported| {
-                        let mut row = reported.clone();
-                        if roam.attached[row.id] != cell {
-                            row.remaining_kb = 0.0;
-                            row.active = false;
-                            row.link_cap_units = 0;
-                        }
-                        row
-                    }));
-                    if lane.use_soa {
-                        lane.soa.fill_from(&lane.rows, cfg.tau, cfg.delta_kb);
-                    }
-                } else {
-                    for &i in &roam.members[cell] {
-                        // A retired member's reported row is frozen, with
-                        // nothing left to fetch: once the lane's copy
-                        // says it has stopped watching there is nothing
-                        // to bring over.
-                        if c.retired[i] && !lane.rows[i].active {
-                            continue;
-                        }
-                        lane.rows[i].clone_from(&c.snaps[i]);
-                        if lane.use_soa {
-                            lane.soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
-                        }
-                    }
-                }
-                if lane.use_soa {
-                    // Only a member's row can hold demand.
-                    lane.soa.set_live_rows(roam.members[cell].iter().copied());
-                }
-                &lane.rows
-            }
-        };
-        let ctx = SlotContext {
-            slot,
-            tau: cfg.tau,
-            delta_kb: cfg.delta_kb,
-            bs_cap_units: lane.cap_units,
-            users,
-            soa: lane.use_soa.then_some(&lane.soa),
-        };
-        if mode.rec_enabled {
-            let t0 = std::time::Instant::now();
-            lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
-            sched_ns += t0.elapsed().as_nanos() as u64;
-        } else {
-            lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
-        }
-        let out = match members {
-            None => &mut lp.deliveries,
-            Some(_) => &mut lane.deliveries,
-        };
-        lane.transmitter
-            .transmit_into(&ctx, &lane.alloc, &mut eng.receiver, out);
-        // A user is attached to exactly one cell, so the lanes' members
-        // between them write every row once.
-        for &i in members.into_iter().flatten() {
-            lp.deliveries[i] = lane.deliveries[i];
-            if mode.rec_enabled {
-                lp.grants[i] = lane.alloc.0[i];
-            }
-        }
-    }
-    if mode.rec_enabled {
-        rec.record_sched_latency_ns(sched_ns);
-        match &*lanes {
-            [lane] => {
-                rec.record_alloc(&lane.alloc.0);
-                if let Some(q) = lane.scheduler.queue_values() {
-                    rec.record_queues(q);
-                }
-            }
-            // Each cell has its own scheduler, so no single queue vector
-            // describes the slot.
-            _ => rec.record_alloc(&lp.grants),
-        }
-        for lane in lanes.iter() {
-            let deg = lane.scheduler.degradations();
-            if !deg.is_empty() {
-                rec.record_degradations(deg);
-            }
-        }
-    }
-}
-
-/// Phase C, one walk of the live list in ascending order: client
-/// delivery and device accounting (Eq. 3/4/5), the ABR decisions staged,
-/// and per user, as the reference loop makes them, the recorder calls
-/// and every floating-point fold (slot energy, E*, `rate_sum`, the
-/// fairness series). Then the ABR commits, live-list compaction and the
-/// end-of-slot admission tick. Returns true once the run is over.
-#[allow(clippy::too_many_arguments)]
-fn phase_c<R: SlotRecorder>(
-    eng: &mut Engine,
-    lp: &mut LoopState,
-    mode: Mode,
-    slot: u64,
-    lv: &mut LiveState,
-    c: &mut Columns,
-    mut soa: Option<&mut SnapshotSoA>,
-    rec: &mut R,
-) -> bool {
-    const FAIR_WINDOW: u64 = 10;
-    let cfg = eng.cfg;
-    let mut slot_energy_mj = 0.0;
-    let mut in_system = 0u64;
-    let mut any_retired = false;
-    lp.fairness_scratch.clear();
-    for &i in &lv.live {
-        let u = &mut c.users[i];
-        debug_assert!(slot >= c.arrival[i], "live user must have arrived");
-        let d = &lp.deliveries[i];
-        let slot_e = if d.kb > 0.0 {
-            let accepted = u.session.deliver(d.kb);
-            debug_assert!(
-                (accepted - d.kb).abs() < 1e-6,
-                "transmitter should never over-deliver"
-            );
-            // Client playback always advances by the *true* encoding
-            // rate regardless of what the gateway thinks — under ABR
-            // that is the rung rate (lower rungs stretch delivered KB
-            // into more playback seconds).
-            if let (Some(a), Some(client)) = (eng.abr.as_ref(), c.abr.get_mut(i)) {
-                u.playback.deliver(accepted, client.rate_kbps);
-                let inp = AbrInputs {
-                    buffer_s: c.raw[i].buffer_s,
-                    predicted_kbps: c.snaps[i].link_cap_units as f64 * cfg.delta_kb / cfg.tau,
-                };
-                client.on_delivery(
-                    accepted,
-                    u.session.fully_fetched(),
-                    &a.spec.ladder,
-                    &a.spec.policy,
-                    a.native[i],
-                    a.chunk_s,
-                    inp,
-                );
-            } else {
-                u.playback.deliver(accepted, u.session.rate_at(slot));
-            }
-            // One-deep memo of the Eq. (3) kernel: `P(sig)` is a pure
-            // function of the block-held RSSI, so this is the same
-            // product `transmission_energy` would compute.
-            let w = &mut lv.windows[u.window as usize];
-            if w.epk_sig.value() != w.cur_signal.value() {
-                w.epk_per_kb = eng.models.power.energy_per_kb(w.cur_signal);
-                w.epk_sig = w.cur_signal;
-            }
-            let e = MilliJoules(w.epk_per_kb * accepted);
-            if mode.rec_enabled {
-                u.rrc
-                    .on_transmit_observed(|f, t| rec.record_rrc_transition(i, f, t));
-            } else {
-                u.rrc.on_transmit();
-            }
-            u.meter.record_transmission(e);
-            e.value()
-        } else {
-            let e = if mode.rec_enabled {
-                u.rrc
-                    .on_idle_observed(cfg.tau, |f, t| rec.record_rrc_transition(i, f, t))
-            } else {
-                u.rrc.on_idle(cfg.tau)
-            };
-            u.meter.record_tail(e);
-            e.value()
-        };
-        slot_energy_mj += slot_e;
-        let flipped = !c.done[i] && u.session.fully_fetched() && u.playback.playback_complete();
-        if let Some(adm) = eng.admission.as_mut() {
-            // Running E* estimate for admission feasibility: energy per
-            // arrived-and-watching user-slot, by the pre-flip flag, so
-            // the finishing slot still counts.
-            if !c.done[i] {
-                adm.energy_mj += slot_e;
-                adm.user_slots += 1;
-            }
-            // Membership event point: the user leaves the tick's active
-            // population for good (`done` never un-flips).
-            if flipped {
-                adm.n_active -= 1;
-                adm.rate_sum -= adm.rates[i];
-            }
-        }
-        if flipped {
-            c.done[i] = true;
-            // Settled before the admission tick, so a rejection
-            // decrements an up-to-date watch count.
-            lp.watching -= 1;
-        }
-        // After the user's RRC transitions, as in the reference loop.
-        rec.record_user(i, slot_e, u.playback.total_rebuffer_s());
-        // Fairness sample over users still fetching this slot.
-        let r = &c.raw[i];
-        if cfg.record_series && r.remaining_kb > 0.0 {
-            let need_kb = (cfg.tau * r.rate_kbps).min(r.remaining_kb);
-            if need_kb > 0.0 {
-                lp.fairness_scratch.push(d.kb / need_kb);
-                if lp.window_need[i] == 0.0 {
-                    lp.window_rows.push(i);
-                }
-                lp.window_delivered[i] += d.kb;
-                lp.window_need[i] += need_kb;
-            }
-        }
-        // Live-population sample for open-system telemetry: arrived and
-        // still watching after this slot's accounting.
-        if mode.rec_enabled && !c.done[i] {
-            in_system += 1;
-        }
-        // Retire once nothing remains to account: playback is over and
-        // the RRC tail has fully drained, so every further slot would
-        // charge exactly 0 mJ of tail energy.
-        if c.done[i] && u.rrc.state() == RrcState::Idle {
-            c.retired[i] = true;
-            c.retired_at[i] = slot;
-            any_retired = true;
-            // The rows freeze here, in the slot playback completed —
-            // which `begin_slot` still saw as watched. They must say
-            // what a fresh row would from now on, or a policy that walks
-            // every row (EMA's `PCᵢ += τ`) keeps charging a user who has
-            // left; the ground-truth row too, for a collector that
-            // rebuilds every snapshot from it.
-            c.raw[i].active = false;
-            c.snaps[i].active = false;
-            if let Some(soa) = soa.as_deref_mut() {
-                soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
-            }
-        }
-    }
-    if cfg.record_series {
-        if !lp.fairness_scratch.is_empty() {
-            lp.fairness_series.push(jain_index(&lp.fairness_scratch));
-        }
-        lp.power_series_j.push(slot_energy_mj / 1000.0);
-        lp.fairness_rows = 0;
-        if (slot + 1).is_multiple_of(FAIR_WINDOW) {
-            // The rows the window touched, ascending — the order a
-            // walk over every row's `need > 0` finds them in, so the
-            // index sums the same sequence.
-            lp.window_rows.sort_unstable();
-            lp.fairness_scratch.clear();
-            for &i in &lp.window_rows {
-                lp.fairness_scratch
-                    .push(lp.window_delivered[i] / lp.window_need[i]);
-                lp.window_delivered[i] = 0.0;
-                lp.window_need[i] = 0.0;
-            }
-            if !lp.fairness_scratch.is_empty() {
-                lp.fairness_window_series
-                    .push(jain_index(&lp.fairness_scratch));
-            }
-            lp.fairness_rows = lp.window_rows.len();
-            lp.window_rows.clear();
-        }
-    }
-    // Commit staged ABR switches in ascending user order: update the rung
-    // rate, re-price the unfetched tail of the session, and keep the
-    // receiver's origin-side volume bound in step. Only a delivery stages
-    // a switch, so the live list (not yet compacted) covers every user
-    // that can have one.
-    if let Some(a) = eng.abr.as_ref() {
-        for &i in &lv.live {
-            if let Some(sw) = c.abr[i].apply_pending(&a.spec.ladder, a.native[i]) {
-                let delta = c.users[i].session.rescale_remaining(sw.ratio);
-                eng.receiver.adjust_source_volume_kb(i, delta);
-                rec.record_abr_switch(i, sw.from, sw.to);
-            }
-        }
-    }
-    if any_retired {
-        lv.live.retain(|&i| !c.retired[i]);
-    }
-    if mode.rec_enabled {
-        rec.record_live(in_system);
-    }
-    // Rule on arrivals planned for the next slot, now that this slot's
-    // capacity and energy accounting are final.
-    if let Some(adm) = eng.admission.as_mut() {
-        admission_tick(
-            adm,
-            &mut c.arrival,
-            &mut c.users,
-            &mut c.done,
-            &mut lp.watching,
-            lp.per_user.as_deref_mut(),
-            rec,
-            slot,
-            lp.bs_cap_units,
-            cfg.tau,
-            cfg.delta_kb,
-        );
-    }
-    rec.end_slot();
-    // Nothing left to schedule, watch or drain — or the horizon.
-    lp.watching == 0 || slot + 1 >= cfg.slots
-}
-
-/// The planned arrivals due after `after`, as `(first_due, user)`
-/// ascending — the order every tick has ruled in, and the order their
-/// deferral caps run out in. A user's first due slot is their arrival
-/// slot less the `deferred` slots they already waited (none before the
-/// run; on restore, those of the users the checkpoint's tick deferred).
-/// Users that never arrive (`u64::MAX`: past any horizon, or rejected)
-/// are left out.
-fn planned_arrivals(
-    arrival: &[u64],
-    after: u64,
-    deferred: impl Fn(usize) -> u64,
-) -> Vec<(u64, usize)> {
-    let mut planned: Vec<(u64, usize)> = (arrival.iter().enumerate())
-        .filter(|&(_, &a)| a > after && a != u64::MAX)
-        .map(|(i, &a)| (a - deferred(i), i))
-        .collect();
-    planned.sort_unstable();
-    planned
-}
-
-/// Merge the ascending `add` into the ascending `live` in place (the two
-/// are disjoint): back to front, so it costs the tail of `live` behind
-/// the first insertion plus `add`, and nothing when `add` is empty.
-fn merge_ascending(live: &mut Vec<usize>, add: &[usize]) {
-    let mut i = live.len();
-    let mut k = i + add.len();
-    live.resize(k, 0);
-    for &new in add.iter().rev() {
-        while i > 0 && live[i - 1] > new {
-            live[k - 1] = live[i - 1];
-            i -= 1;
-            k -= 1;
-        }
-        live[k - 1] = new;
-        k -= 1;
-    }
-}
-
-/// The running per-user-slot E* estimate (0 until any user-slot has been
-/// charged — optimistic start).
-fn admission_e_star(adm: &AdmissionRuntime) -> f64 {
-    if adm.user_slots == 0 {
-        0.0
-    } else {
-        adm.energy_mj / adm.user_slots as f64
-    }
-}
-
-/// The bound estimates for one candidate given the active population
-/// *with the candidate admitted* (`n_active` users whose rates sum to
-/// `rate_sum`). This is the single decision expression both the tick and
-/// the full-rescan reference evaluate, so the two paths can only diverge
-/// through their population aggregates.
-///
-/// Between two admits of one tick only `rate_sum` varies with the
-/// candidate, as `S + r`, and the verdict is monotone in `r`: every step
-/// from `r` to it is a monotone IEEE operation — `S + r`, `/ n`, `n ·`,
-/// `C / x` (x > 0), `− 1`, `τ ·` on the way to ε̂, then Ω̂'s division by
-/// `n · ε̂` — and Φ̂ does not read `r` at all. So a rate that passes
-/// makes every lower rate pass (`admissible_is_monotone_in_the_rate`),
-/// which is what lets the tick's waiting room skip whom it refuses.
-fn admission_context(
-    v: f64,
-    n_active: usize,
-    rate_sum: f64,
-    e_star_user: f64,
-    c_kbps: f64,
-    tau: f64,
-) -> AdmissionContext {
-    let n = n_active as f64;
-    let r_bar = rate_sum / n;
-    // Per-user service slack ε̂ = τ·(C/(n·r̄) − 1): seconds of
-    // playback headroom per user-slot under an even capacity split.
-    let eps_s = tau * (c_kbps / (n * r_bar) - 1.0);
-    // Theorem 1 bound estimates with the candidate counted in; the
-    // aggregate forms take Σ-quantities, so the per-user estimates
-    // are scaled up by n going in and back down coming out.
-    let b = drift_bound_b(n_active, tau, tau);
-    let phi_hat = energy_upper_bound(e_star_user * n, b, v) / n;
-    let omega_hat = if eps_s > 0.0 {
-        rebuffer_upper_bound(b, v, e_star_user * n, n * eps_s) / n
-    } else {
-        // Non-positive slack: Theorem 1's bound does not exist.
-        f64::INFINITY
-    };
-    AdmissionContext {
-        eps_s,
-        omega_hat_s: omega_hat,
-        phi_hat_mj: phi_hat,
-    }
-}
-
-/// Rule on candidate `j` and tally the ruling: [`admission_context`]
-/// through [`jmso_gateway::AdmissionController::decide`].
-fn admission_decide(
-    adm: &mut AdmissionRuntime,
-    j: usize,
-    n_active: usize,
-    rate_sum: f64,
-    e_star_user: f64,
-    c_kbps: f64,
-    tau: f64,
-) -> AdmissionDecision {
-    let ctx = admission_context(adm.v, n_active, rate_sum, e_star_user, c_kbps, tau);
-    adm.ctl.decide(j, &ctx)
-}
-
-/// Apply one admission ruling to the schedule: deferred users are pushed
-/// back a slot, rejected users are cancelled before ever going live (the
-/// radio stays cold and they stop counting toward the watch count).
-/// Rejected users were never in the active population, so the aggregates
-/// are untouched here; the admit arm (aggregates, gate) is each tick's
-/// own business.
-fn admission_apply(
-    arrival: &mut [u64],
-    users: &mut [UserSim],
-    done_watching: &mut [bool],
-    watching: &mut usize,
-    j: usize,
-    next_slot: u64,
-    decision: AdmissionDecision,
-) {
-    match decision {
-        AdmissionDecision::Admit => {}
-        AdmissionDecision::Defer => arrival[j] = next_slot + 1,
-        AdmissionDecision::Reject => {
-            arrival[j] = u64::MAX;
-            users[j].session.cancel_remaining();
-            users[j].playback.abandon();
-            done_watching[j] = true;
-            *watching -= 1;
-        }
-    }
-}
-
-/// One end-of-slot admission pass: rule on every arrival due at the next
-/// slot — the planned arrivals that just came due and everyone still
-/// waiting — in ascending user order, each against the Lyapunov bound
-/// estimates *as they would be with the candidate admitted* (candidates
-/// this pass already admitted count toward later candidates' load).
-///
-/// Runs at the end of phase C, right before `end_slot`, so the decision
-/// uses the slot's final capacity and energy accounting and its records
-/// land on the decision slot. The rulings are the reference's, one per
-/// waiting user, but the tick never visits a user it defers:
-///
-/// * Between two admits the population aggregates are fixed and the
-///   verdict is monotone in the candidate's rate ([`admission_context`]),
-///   so the next admit is the leftmost waiting user whose rate passes —
-///   the waiting room finds them with O(log n) evaluations — and every
-///   user it skipped was refused.
-/// * A refused user is deferred while their count, `next_slot −
-///   first_due`, is under the cap, and rejected at it: the users the
-///   `expire_next` cursor reaches this tick. A deferral writes nothing
-///   (`AdmissionRuntime::waiting`).
-///
-/// So a tick costs its arrivals, rejects and admits, O(log n) each. The
-/// rulings go to an enabled recorder in the reference's order, merged
-/// from the admits, the rejects and the room; a disabled one gets no
-/// call. The reference loop runs the naive form,
-/// `admission_tick_reference`, pinned equal by the admission property
-/// pack.
-#[allow(clippy::too_many_arguments)]
-fn admission_tick<R: SlotRecorder>(
-    adm: &mut AdmissionRuntime,
-    arrival: &mut [u64],
-    users: &mut [UserSim],
-    done_watching: &mut [bool],
-    watching: &mut usize,
-    mut per_user: Option<&mut [UserResult]>,
-    rec: &mut R,
-    slot: u64,
-    bs_cap_units: u64,
-    tau: f64,
-    delta_kb: f64,
-) {
-    let next_slot = slot + 1;
-    // The gate consumed the previous tick's admits at the top of this
-    // slot.
-    adm.admitted.clear();
-    adm.rejected.clear();
-    while let Some(&(first_due, j)) = adm.planned.get(adm.planned_next) {
-        if first_due > next_slot {
-            break;
-        }
-        adm.ctl.start_wait(j, first_due);
-        adm.waiting.insert(j, adm.rates[j]);
-        adm.planned_next += 1;
-    }
-    adm.ruled = adm.waiting.len();
-    adm.evaluations = 0;
-    // Slot-s capacity in KB/s.
-    let c_kbps = bs_cap_units as f64 * delta_kb / tau;
-    let e_star_user = admission_e_star(adm);
-    let mut from = 0;
-    loop {
-        // Population with the candidate admitted: the maintained active
-        // population (which already includes the candidates this pass
-        // admitted) plus the candidate — never a member yet, since its
-        // arrival slot is the next slot.
-        let (n_active, active_sum) = (adm.n_active + 1, adm.rate_sum);
-        let (ctl, v) = (&adm.ctl, adm.v);
-        let mut verdict = MonotoneVerdict::new(|rate| {
-            ctl.admissible(&admission_context(
-                v,
-                n_active,
-                active_sum + rate,
-                e_star_user,
-                c_kbps,
-                tau,
-            ))
-        });
-        let found = adm.waiting.leftmost(from, &adm.rates, &mut verdict);
-        adm.evaluations += verdict.evaluations;
-        let Some(j) = found else { break };
-        // Arrival commit: the event point where `j` joins the active
-        // population (and counts toward later candidates) and enters
-        // the arrival gate.
-        adm.waiting.remove(j, &adm.rates);
-        adm.ctl.end_wait(j, next_slot, true);
-        adm.n_active += 1;
-        adm.rate_sum += adm.rates[j];
-        adm.admitted.push(j);
-        arrival[j] = next_slot;
-        from = j + 1;
-    }
-    // Everyone still waiting was refused; those whose wait reached the
-    // cap are rejected. A planned entry keeps its `first_due` order, and
-    // the cursor passes one slot's worth a tick, so these come ascending.
-    let cutoff = next_slot.checked_sub(adm.ctl.max_defer_slots());
-    while let Some(&(first_due, j)) = adm.planned.get(adm.expire_next) {
-        if cutoff.is_none_or(|cutoff| first_due > cutoff) {
-            break;
-        }
-        adm.expire_next += 1;
-        if !adm.waiting.contains(j) {
-            continue;
-        }
-        adm.waiting.remove(j, &adm.rates);
-        let decision = adm.ctl.end_wait(j, next_slot, false);
-        admission_apply(
-            arrival,
-            users,
-            done_watching,
-            watching,
-            j,
-            next_slot,
-            decision,
-        );
-        if let Some(per_user) = per_user.as_deref_mut() {
-            // The row's last write: fold it while it is at hand.
-            per_user[j] = users[j].result();
-        }
-        adm.rejected.push(j);
-    }
-    if rec.enabled() {
-        debug_assert!(adm.rejected.is_sorted());
-        emit_rulings(rec, &adm.admitted, &adm.rejected, adm.waiting.iter());
-    }
-}
-
-/// Record one tick's rulings in ascending user order: the admits and the
-/// rejects (each ascending) merged into the users left waiting, who were
-/// deferred.
-fn emit_rulings<R: SlotRecorder>(
-    rec: &mut R,
-    admitted: &[usize],
-    rejected: &[usize],
-    deferred: impl Iterator<Item = usize>,
-) {
-    let (mut a, mut r) = (0, 0);
-    // `usize::MAX` ends the room and flushes the rest.
-    for j in deferred.chain([usize::MAX]) {
-        loop {
-            let (next_admit, next_reject) = (
-                admitted.get(a).copied().unwrap_or(usize::MAX),
-                rejected.get(r).copied().unwrap_or(usize::MAX),
-            );
-            if next_admit.min(next_reject) >= j {
-                break;
-            }
-            if next_admit < next_reject {
-                rec.record_admission(next_admit, AdmissionDecision::Admit);
-                a += 1;
-            } else {
-                rec.record_admission(next_reject, AdmissionDecision::Reject);
-                r += 1;
-            }
-        }
-        if j != usize::MAX {
-            rec.record_admission(j, AdmissionDecision::Defer);
-        }
-    }
-}
-
-/// The full-rescan population count the incremental aggregates replace:
-/// users in the system at `next_slot` (arrived, not finished) plus the
-/// candidates this pass already admitted (the `admitted` mask), plus the
-/// candidate `j` itself. O(n_users) per candidate — kept as the
-/// executable specification for `n_active`/`rate_sum`, run by the
-/// reference loop and pinned against the incremental path by the
-/// admission property pack.
-fn admission_aggregates_reference(
-    adm: &AdmissionRuntime,
-    arrival: &[u64],
-    done_watching: &[bool],
-    admitted: &[bool],
-    j: usize,
-    next_slot: u64,
-) -> (usize, f64) {
-    let mut n_active = 1usize;
-    let mut rate_sum = adm.rates[j];
-    for (i, &a) in arrival.iter().enumerate() {
-        if i == j || done_watching[i] {
-            continue;
-        }
-        if a < next_slot || admitted[i] {
-            n_active += 1;
-            rate_sum += adm.rates[i];
-        }
-    }
-    (n_active, rate_sum)
-}
-
-/// `admission_tick` in naive form — identical ruling order and decision
-/// expression, but the candidates are found by scanning every user for an
-/// arrival due at the next slot (deferred or planned, it reads the same),
-/// and each candidate's population aggregates come from
-/// [`admission_aggregates_reference`] instead of the running counters
-/// (neither of which this form maintains). The reference slot loop runs
-/// this, keeping the O(n_users) scans alive as the specification the hot
-/// paths' queue and counters are pinned against.
-#[allow(clippy::too_many_arguments)]
-fn admission_tick_reference<R: SlotRecorder>(
-    adm: &mut AdmissionRuntime,
-    arrival: &mut [u64],
-    users: &mut [UserSim],
-    done_watching: &mut [bool],
-    watching: &mut usize,
-    rec: &mut R,
-    slot: u64,
-    bs_cap_units: u64,
-    tau: f64,
-    delta_kb: f64,
-) {
-    let next_slot = slot + 1;
-    // Arrivals at slot 0 are admitted by fiat, every later one is ruled
-    // on the slot before it, so "due by the next slot and not yet ruled"
-    // is "due exactly the next slot".
-    let candidates: Vec<usize> = (0..arrival.len())
-        .filter(|&j| arrival[j] == next_slot)
-        .collect();
-    if candidates.is_empty() {
-        return;
-    }
-    let c_kbps = bs_cap_units as f64 * delta_kb / tau;
-    let e_star_user = admission_e_star(adm);
-    // Per-tick admitted mask: O(1) membership for the rescan.
-    let mut admitted = vec![false; users.len()];
-    for j in candidates {
-        let (n_active, rate_sum) =
-            admission_aggregates_reference(adm, arrival, done_watching, &admitted, j, next_slot);
-        let decision = admission_decide(adm, j, n_active, rate_sum, e_star_user, c_kbps, tau);
-        if decision == AdmissionDecision::Admit {
-            admitted[j] = true;
-        }
-        admission_apply(
-            arrival,
-            users,
-            done_watching,
-            watching,
-            j,
-            next_slot,
-            decision,
-        );
-        rec.record_admission(j, decision);
-    }
-}
-
 #[cfg(test)]
 mod tests {
 
+    use super::admission_tick::admission_context;
     use super::*;
     use crate::telemetry::{NullRecorder, TraceRecorder};
     use jmso_gateway::bs::ConstantCapacity;
