@@ -65,9 +65,14 @@
 //! has an arrival and a departure slot from the compiled
 //! [`ChurnPlan`](crate::arrivals::ChurnPlan).
 //!
-//! `Engine::run_reference` is the executable specification: the plain
-//! all-users, sample-per-slot loop, which must produce identical results
-//! and trace bytes.
+//! `Engine::run_reference` (`engine/reference.rs`) is the executable
+//! specification: the plain all-users, sample-per-slot loop, which must
+//! produce identical results and trace bytes.
+//!
+//! The child modules split the rest by concern: the phases
+//! (`engine/phases.rs`), the admission tick (`engine/admission_tick.rs`),
+//! the stepping API (`engine/driver.rs`) and the sidecar
+//! (`engine/ckpt.rs`); this file keeps the run's types and their build.
 
 use crate::error::{CheckpointError, SimError};
 use crate::faults::FaultPlan;
@@ -343,7 +348,8 @@ struct LoopState {
     per_user: Option<Vec<UserResult>>,
 }
 
-/// What shapes a slot without changing during it; copied into each phase.
+/// What shapes a slot without changing during the run; copied into
+/// phases A and B.
 #[derive(Clone, Copy)]
 struct Mode {
     /// Reports equal ground truth on every slot, so phase A writes the
@@ -355,7 +361,6 @@ struct Mode {
     /// collector and no fault hook perturbing signals after sampling.
     /// The scalar kernel it replaces is bit-identical by construction.
     tables: bool,
-    rec_enabled: bool,
 }
 
 /// Per-run ABR machinery installed by [`Engine::set_abr`]: the spec, the
@@ -438,7 +443,7 @@ struct AdmissionRuntime {
 }
 
 /// Which of the two Eq. (2) fault hooks scales a lane's budget (see
-/// `phase_b_open`).
+/// [`phases::phase_b`]).
 #[derive(Clone, Copy)]
 enum CapFault {
     /// [`FaultPlan::adjust_cap_units`]: the one BS of a `Scenario` run.
@@ -926,7 +931,6 @@ impl Engine {
         let mode = Mode {
             pass_through,
             tables: pass_through && self.faults.is_none(),
-            rec_enabled: false,
         };
 
         // Who is in a live list as the run (re)starts.
@@ -1278,17 +1282,14 @@ mod tests {
     /// flag flipped, inclusive — summed in the order the walk folds them.
     #[test]
     fn e_star_counts_the_finishing_slot() {
-        /// Every `(slot, user, mJ)` charge, in record order.
-        struct Charges(u64, Vec<(u64, usize, f64)>);
+        /// The latest slot's `(user, mJ)` charges, in record order.
+        struct Charges(Vec<(usize, f64)>);
         impl SlotRecorder for Charges {
             fn enabled(&self) -> bool {
                 true
             }
-            fn begin_slot(&mut self, slot: u64, _: u64) {
-                self.0 = slot;
-            }
             fn record_user(&mut self, id: usize, energy_mj: f64, _: f64) {
-                self.1.push((self.0, id, energy_mj));
+                self.0.push((id, energy_mj));
             }
         }
         let mut eng = small_engine(
@@ -1307,10 +1308,11 @@ mod tests {
             phi_mj: None,
             max_defer_slots: 30,
         });
-        let mut rec = Charges(0, Vec::new());
+        let mut rec = Charges(Vec::new());
         let mut drv = eng.build_driver(&mut rec, None).expect("fresh driver");
-        let mut flip = vec![u64::MAX; drv.n_users()];
+        let (mut charges, mut flip) = (Vec::new(), vec![u64::MAX; drv.n_users()]);
         while let Some(slot) = drv.step(&mut rec) {
+            charges.extend(rec.0.drain(..).map(|(i, e)| (slot, i, e)));
             for (i, &done) in drv.cols.done.iter().enumerate() {
                 if done && flip[i] == u64::MAX {
                     flip[i] = slot;
@@ -1318,7 +1320,7 @@ mod tests {
             }
         }
         let (mut user_slots, mut energy_mj) = (0, 0.0);
-        for &(slot, i, e) in &rec.1 {
+        for &(slot, i, e) in &charges {
             if slot <= flip[i] {
                 user_slots += 1;
                 energy_mj += e;
@@ -1326,8 +1328,8 @@ mod tests {
         }
         // Not vacuous: every user went live and finished while live.
         for (i, &at) in flip.iter().enumerate() {
-            assert!(at < 100, "user {i} never finished");
-            assert!(rec.1.iter().any(|&(slot, j, _)| (slot, j) == (at, i)));
+            let charged = |&(slot, j, _): &(u64, usize, f64)| (slot, j) == (at, i);
+            assert!(charges.iter().any(charged), "user {i} finished at {at}");
         }
         let adm = drv.engine.admission.as_ref().expect("admission installed");
         assert_eq!(adm.user_slots, user_slots);

@@ -1,3 +1,5 @@
+//! The end-of-slot admission tick and the decision expression it shares with the reference.
+
 use super::{AdmissionRuntime, UserSim};
 use crate::results::UserResult;
 use crate::telemetry::SlotRecorder;

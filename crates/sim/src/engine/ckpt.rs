@@ -1,3 +1,5 @@
+//! The sidecar: its format and version, `Engine::restore` and `SlotDriver::checkpoint`.
+
 use super::admission_tick::planned_arrivals;
 use super::{Engine, SlotDriver, Window, NO_WINDOW, SIG_BLOCK_SLOTS};
 use crate::error::{atomic_write, CheckpointError};

@@ -1,3 +1,5 @@
+//! The stepping API over a built run: [`SlotDriver`], its work counts and its finish.
+
 use super::phases::{mirror, phase_a, phase_b, phase_c, size_mirror};
 use super::{CellLane, Columns, Engine, LiveState, LoopState, Mode, UserSim};
 use crate::error::ScenarioError;
@@ -30,8 +32,7 @@ pub struct SlotDriver {
     pub(super) cols: Columns,
     pub(super) live: LiveState,
     pub(super) lanes: Vec<CellLane>,
-    /// The run's constants; the recorder's two flags are filled in per
-    /// call.
+    /// The run's constants.
     pub(super) mode: Mode,
     pub(super) start_slot: u64,
     pub(super) next_slot: u64,
@@ -295,10 +296,7 @@ impl SlotDriver {
             return None;
         }
         let slot = self.next_slot;
-        let mode = Mode {
-            rec_enabled: rec.enabled(),
-            ..self.mode
-        };
+        let mode = self.mode;
         let Self {
             engine: eng,
             lp,
@@ -310,7 +308,7 @@ impl SlotDriver {
         size_mirror(eng, lanes, c.users.len());
         phase_a(eng, mode, slot, lv, c, mirror(lanes));
         phase_b(eng, lp, mode, slot, lv, lanes, c, rec);
-        self.finished = phase_c(eng, lp, mode, slot, lv, c, mirror(lanes), rec);
+        self.finished = phase_c(eng, lp, slot, lv, c, mirror(lanes), rec);
         self.next_slot = slot + 1;
         Some(slot)
     }

@@ -1,3 +1,5 @@
+//! The three phases of a slot, run back to back by [`crate::SlotDriver::step`].
+
 use super::admission_tick::admission_tick;
 use super::{
     CapFault, CellLane, Columns, Engine, LiveState, LoopState, Mode, Window, NO_WINDOW,
@@ -195,7 +197,7 @@ pub(super) fn phase_b<R: SlotRecorder>(
         lp.bs_cap_units += lane.cap_units;
     }
     rec.begin_slot(slot, lp.bs_cap_units);
-    if let Some(plan) = eng.faults.as_ref().filter(|_| mode.rec_enabled) {
+    if let Some(plan) = eng.faults.as_ref().filter(|_| rec.enabled()) {
         lp.fault_notes.clear();
         plan.notes_into(slot, &mut lp.fault_notes);
         for note in &lp.fault_notes {
@@ -285,7 +287,7 @@ pub(super) fn phase_b<R: SlotRecorder>(
             users,
             soa: lane.use_soa.then_some(&lane.soa),
         };
-        if mode.rec_enabled {
+        if rec.enabled() {
             let t0 = std::time::Instant::now();
             lane.scheduler.allocate_into(&ctx, &mut lane.alloc);
             sched_ns += t0.elapsed().as_nanos() as u64;
@@ -302,12 +304,12 @@ pub(super) fn phase_b<R: SlotRecorder>(
         // between them write every row once.
         for &i in members.into_iter().flatten() {
             lp.deliveries[i] = lane.deliveries[i];
-            if mode.rec_enabled {
+            if rec.enabled() {
                 lp.grants[i] = lane.alloc.0[i];
             }
         }
     }
-    if mode.rec_enabled {
+    if rec.enabled() {
         rec.record_sched_latency_ns(sched_ns);
         match &*lanes {
             [lane] => {
@@ -335,11 +337,9 @@ pub(super) fn phase_b<R: SlotRecorder>(
 /// and every floating-point fold (slot energy, E*, `rate_sum`, the
 /// fairness series). Then the ABR commits, live-list compaction and the
 /// end-of-slot admission tick. Returns true once the run is over.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn phase_c<R: SlotRecorder>(
     eng: &mut Engine,
     lp: &mut LoopState,
-    mode: Mode,
     slot: u64,
     lv: &mut LiveState,
     c: &mut Columns,
@@ -350,7 +350,7 @@ pub(super) fn phase_c<R: SlotRecorder>(
     let cfg = eng.cfg;
     let mut slot_energy_mj = 0.0;
     let mut in_system = 0u64;
-    let mut any_retired = false;
+    let mut compact = false;
     lp.fairness_scratch.clear();
     for &i in &lv.live {
         let u = &mut c.users[i];
@@ -393,7 +393,7 @@ pub(super) fn phase_c<R: SlotRecorder>(
                 w.epk_sig = w.cur_signal;
             }
             let e = MilliJoules(w.epk_per_kb * accepted);
-            if mode.rec_enabled {
+            if rec.enabled() {
                 u.rrc
                     .on_transmit_observed(|f, t| rec.record_rrc_transition(i, f, t));
             } else {
@@ -402,7 +402,7 @@ pub(super) fn phase_c<R: SlotRecorder>(
             u.meter.record_transmission(e);
             e.value()
         } else {
-            let e = if mode.rec_enabled {
+            let e = if rec.enabled() {
                 u.rrc
                     .on_idle_observed(cfg.tau, |f, t| rec.record_rrc_transition(i, f, t))
             } else {
@@ -451,7 +451,7 @@ pub(super) fn phase_c<R: SlotRecorder>(
         }
         // Live-population sample for open-system telemetry: arrived and
         // still watching after this slot's accounting.
-        if mode.rec_enabled && !c.done[i] {
+        if rec.enabled() && !c.done[i] {
             in_system += 1;
         }
         // Retire once nothing remains to account: playback is over and
@@ -460,7 +460,7 @@ pub(super) fn phase_c<R: SlotRecorder>(
         if c.done[i] && u.rrc.state() == RrcState::Idle {
             c.retired[i] = true;
             c.retired_at[i] = slot;
-            any_retired = true;
+            compact = true;
             // The rows freeze here, in the slot playback completed —
             // which `begin_slot` still saw as watched. They must say
             // what a fresh row would from now on, or a policy that walks
@@ -514,10 +514,10 @@ pub(super) fn phase_c<R: SlotRecorder>(
             }
         }
     }
-    if any_retired {
+    if compact {
         lv.live.retain(|&i| !c.retired[i]);
     }
-    if mode.rec_enabled {
+    if rec.enabled() {
         rec.record_live(in_system);
     }
     // Rule on arrivals planned for the next slot, now that this slot's

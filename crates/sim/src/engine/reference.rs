@@ -1,3 +1,5 @@
+//! The executable specification: the reference slot loop and its naive admission tick.
+
 use super::admission_tick::{admission_apply, admission_context, admission_e_star};
 use super::{AdmissionRuntime, Engine, UserSim};
 use crate::results::SimResult;

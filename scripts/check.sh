@@ -16,6 +16,11 @@ cargo fmt --check
 echo "== cargo clippy (deny warnings; no unwrap/expect/panic in library code)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Broken or private intra-doc links, private items included: the docs
+# name items across module boundaries, so a moved item shows up here.
+echo "== cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items -q
+
 # Tier-1: the root package and every crate under crates/ (the root
 # manifest's `default-members`), unit, integration and doc tests.
 echo "== cargo test"
