@@ -22,7 +22,6 @@ pub mod protocol;
 pub mod receiver;
 pub mod scheduler;
 pub mod shard;
-pub mod soa;
 pub mod transmitter;
 
 pub use admission::{
@@ -41,5 +40,4 @@ pub use scheduler::{
     Allocation, DegradationEvent, Scheduler, SlotContext, SparseGrants, UserSnapshot,
 };
 pub use shard::UnitParams;
-pub use soa::SnapshotSoA;
 pub use transmitter::{DataTransmitter, Delivery};

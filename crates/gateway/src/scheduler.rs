@@ -57,11 +57,18 @@ pub struct SlotContext<'a> {
     pub bs_cap_units: u64,
     /// Per-user snapshots, indexed by `UserSnapshot::id`.
     pub users: &'a [UserSnapshot],
-    /// Optional structure-of-arrays mirror of `users` (same reported
-    /// values, contiguous per-field columns — see [`crate::soa`]).
-    /// Schedulers may index it instead of `users` for their hot loops;
-    /// allocations must be bit-identical either way.
-    pub soa: Option<&'a crate::soa::SnapshotSoA>,
+    /// The rows that may hold demand, ascending; `None` means every row.
+    /// A row off the list has nothing a policy may grant — not arrived,
+    /// session over, or (in a multicell run) attached to another cell —
+    /// so a sweep over the listed rows grants what a sweep over all of
+    /// them would, at the cost of the sessions in the cell rather than
+    /// the pool. The transmitter walks only the listed rows.
+    ///
+    /// The name is older than the field's meaning (it once held a
+    /// column mirror of `users`) and stays because the benchmark
+    /// harness (`benchmark/src/fixtures.rs`) builds this struct as a
+    /// literal with `soa: None`.
+    pub soa: Option<&'a [usize]>,
 }
 
 impl SlotContext<'_> {
@@ -258,20 +265,6 @@ pub trait Scheduler: Send {
         let mut out = Allocation::zeros(ctx.users.len());
         self.allocate_into(ctx, &mut out);
         out
-    }
-
-    /// True when [`Scheduler::allocate_into`] reads [`SlotContext::soa`].
-    ///
-    /// Engines maintain the structure-of-arrays snapshot mirror only for
-    /// policies that declare they consume it: keeping the columns in sync
-    /// re-derives the unit quantities per live user every slot, which is
-    /// pure overhead for policies that walk the [`UserSnapshot`] rows.
-    /// Defaults to `false`. A policy overriding this must still handle
-    /// `soa: None` — reference loops and external callers build contexts
-    /// without the mirror, and the two layouts are interchangeable by
-    /// contract.
-    fn wants_soa(&self) -> bool {
-        false
     }
 
     /// Per-user internal queue/backlog values after the latest

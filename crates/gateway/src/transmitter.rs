@@ -64,9 +64,10 @@ impl DataTransmitter {
     /// and ⌈0/δ⌉ = 0), so only granted rows are written, and the rows the
     /// previous call wrote are cleared first. `out` must therefore be the
     /// buffer the previous call filled, untouched since; a buffer of any
-    /// other length is rebuilt from scratch. When the context carries the
-    /// SoA mirror, only its live rows are looked at — every other row
-    /// has no demand, and a scheduler must not grant to it.
+    /// other length is rebuilt from scratch. When the context lists the
+    /// rows that may hold demand ([`SlotContext::soa`]), only those are
+    /// looked at — every other row has none, and a scheduler must not
+    /// grant to it.
     ///
     /// In debug builds an invalid allocation also trips a `debug_assert`,
     /// because schedulers are expected to respect the bounds themselves.
@@ -101,13 +102,13 @@ impl DataTransmitter {
         );
         let mut budget = ctx.bs_cap_units;
         match ctx.soa {
-            Some(soa) => {
+            Some(live) => {
                 debug_assert_eq!(
-                    soa.live_rows().iter().map(|&i| alloc.0[i]).sum::<u64>(),
+                    live.iter().map(|&i| alloc.0[i]).sum::<u64>(),
                     alloc.total_units(),
                     "grant to a row outside the live list"
                 );
-                for &row in soa.live_rows() {
+                for &row in live {
                     self.transmit_row(ctx, row, alloc.0[row], &mut budget, receiver, out);
                 }
             }

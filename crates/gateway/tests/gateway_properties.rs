@@ -3,7 +3,7 @@
 use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
     Allocation, CollectorSpec, DataReceiver, DataTransmitter, Delivery, FlowState,
-    InformationCollector, OriginModel, SlotContext, SnapshotSoA, UnitParams, UserSnapshot,
+    InformationCollector, OriginModel, SlotContext, UnitParams, UserSnapshot,
 };
 use jmso_radio::rrc::RrcState;
 use jmso_radio::{Dbm, KbPerSec, LinearRssiThroughput, ThroughputModel};
@@ -192,7 +192,7 @@ proptest! {
     /// The sparse `transmit_into` — granted rows written, last call's
     /// rows cleared — fills its buffer exactly like the dense loop, slot
     /// after slot on one buffer, across a change of pool size, with and
-    /// without the SoA live list, and counts the same clamp events.
+    /// without the context's live list, and counts the same clamp events.
     #[test]
     fn sparse_transmit_equals_dense_transcription(
         pools in proptest::collection::vec(
@@ -208,8 +208,8 @@ proptest! {
         backlog_kbps in 20.0f64..3_000.0,
     ) {
         let mut tx_rows = DataTransmitter::new();
-        let mut tx_soa = DataTransmitter::new();
-        let (mut out_rows, mut out_soa) = (Vec::new(), Vec::new());
+        let mut tx_live = DataTransmitter::new();
+        let (mut out_rows, mut out_live) = (Vec::new(), Vec::new());
         let mut dense_clamps = 0u64;
         for (users, slots) in &pools {
             let n = users.len();
@@ -219,13 +219,10 @@ proptest! {
                 .map(|(i, &(cap, _))| snapshot(i, cap, 1e9))
                 .collect();
             let live: Vec<usize> = (0..n).filter(|&i| users[i].1).collect();
-            let mut soa = SnapshotSoA::new();
-            soa.fill_from(&snaps, 1.0, 50.0);
-            soa.set_live_rows(live.iter().copied());
             let origin = OriginModel::RateLimited { kbps: backlog_kbps };
             let mut rx_dense = DataReceiver::new(n, origin.clone(), 1.0);
             let mut rx_rows = DataReceiver::new(n, origin.clone(), 1.0);
-            let mut rx_soa = DataReceiver::new(n, origin, 1.0);
+            let mut rx_live = DataReceiver::new(n, origin, 1.0);
             for (slot, (requests, bs_cap)) in slots.iter().enumerate() {
                 // Off-list rows have no demand, so nothing is granted to
                 // them. Debug builds assert a valid allocation; release
@@ -255,21 +252,21 @@ proptest! {
                     users: &snaps,
                     soa: None,
                 };
-                for rx in [&mut rx_dense, &mut rx_rows, &mut rx_soa] {
+                for rx in [&mut rx_dense, &mut rx_rows, &mut rx_live] {
                     rx.ingest_slot(slot as u64);
                 }
                 let dense = transmit_dense(&ctx, &alloc, &mut rx_dense, &mut dense_clamps);
                 tx_rows.transmit_into(&ctx, &alloc, &mut rx_rows, &mut out_rows);
-                let ctx_soa = SlotContext { soa: Some(&soa), ..ctx.clone() };
-                tx_soa.transmit_into(&ctx_soa, &alloc, &mut rx_soa, &mut out_soa);
+                let ctx_live = SlotContext { soa: Some(live.as_slice()), ..ctx.clone() };
+                tx_live.transmit_into(&ctx_live, &alloc, &mut rx_live, &mut out_live);
                 prop_assert_eq!(&out_rows, &dense, "row walk, pool of {}", n);
-                prop_assert_eq!(&out_soa, &dense, "live-list walk, pool of {}", n);
+                prop_assert_eq!(&out_live, &dense, "live-list walk, pool of {}", n);
                 prop_assert_eq!(rx_rows.export_state(), rx_dense.export_state());
-                prop_assert_eq!(rx_soa.export_state(), rx_dense.export_state());
+                prop_assert_eq!(rx_live.export_state(), rx_dense.export_state());
             }
         }
         prop_assert_eq!(tx_rows.clamp_events(), dense_clamps);
-        prop_assert_eq!(tx_soa.clamp_events(), dense_clamps);
+        prop_assert_eq!(tx_live.clamp_events(), dense_clamps);
     }
 
     /// Unit arithmetic: floor/ceil bracket the exact quotient and scale

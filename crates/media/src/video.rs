@@ -102,10 +102,19 @@ impl VideoSession {
 
     /// Record `kb` delivered by the gateway; returns the amount actually
     /// accepted (delivery never exceeds the remaining volume).
+    ///
+    /// A delivery that completes the fetch snaps `received_kb` to
+    /// `total_kb`: `received + (total − received)` need not round back
+    /// to `total` (after an ABR rescale it can leave ~1e-13 KB), and a
+    /// residue that [`VideoSession::fully_fetched`] ignores would still
+    /// read as one more unit of demand off [`VideoSession::remaining_kb`].
     pub fn deliver(&mut self, kb: f64) -> f64 {
         debug_assert!(kb >= 0.0);
         let accepted = kb.min(self.remaining_kb());
         self.received_kb += accepted;
+        if self.fully_fetched() {
+            self.received_kb = self.total_kb;
+        }
         accepted
     }
 
@@ -158,6 +167,21 @@ mod tests {
         assert!(s.fully_fetched());
         assert_eq!(s.deliver(5.0), 0.0);
         assert_eq!(s.received_kb(), 100.0);
+    }
+
+    /// Fetched to the end after a rescale, nothing is left over: the
+    /// residue `total − received` would otherwise read as demand.
+    #[test]
+    fn rescaled_session_fetched_to_the_end_has_nothing_remaining() {
+        // 1116.2 − 200.3 scaled by 0.75 is 687.225, and 200.3 + 687.225
+        // rounds to one ulp under the rescaled total of 887.225.
+        let mut s = VideoSession::cbr(1_116.2, 450.0);
+        s.deliver(200.3);
+        s.rescale_remaining(0.75);
+        s.deliver(1e9);
+        assert!(s.fully_fetched());
+        assert_eq!(s.remaining_kb(), 0.0);
+        assert_eq!(s.total_kb, s.received_kb());
     }
 
     #[test]

@@ -28,10 +28,6 @@ impl Scheduler for DefaultMax {
         "Default"
     }
 
-    fn wants_soa(&self) -> bool {
-        true
-    }
-
     fn grant_rows_touched(&self) -> Option<usize> {
         Some(self.grants.rows_touched())
     }
@@ -39,23 +35,18 @@ impl Scheduler for DefaultMax {
     fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation) {
         self.grants.begin(out, ctx.users.len());
         let mut budget = ctx.bs_cap_units;
-        if let Some(soa) = ctx.soa {
-            // The ceiling column is `usable_cap_units(δ)` precomputed by
-            // the collector, and only the mirror's live rows can hold a
-            // non-zero ceiling: sweeping them in ascending order grants
-            // what the full index-order sweep would, bit for bit, at the
-            // cost of the sessions in the cell instead of the pool.
-            for &i in soa.live_rows() {
-                let grant = soa.ceiling_units[i].min(budget);
-                budget -= grant;
-                self.grants.grant(out, i, grant);
-            }
-        } else {
-            for (i, u) in ctx.users.iter().enumerate() {
-                let grant = u.usable_cap_units(ctx.delta_kb).min(budget);
-                budget -= grant;
-                self.grants.grant(out, i, grant);
-            }
+        // Only the listed rows can hold a non-zero ceiling: sweeping them
+        // in ascending order grants what the full index-order sweep
+        // would, bit for bit, at the cost of the sessions in the cell
+        // instead of the pool.
+        let mut sweep = |i: usize| {
+            let grant = ctx.users[i].usable_cap_units(ctx.delta_kb).min(budget);
+            budget -= grant;
+            self.grants.grant(out, i, grant);
+        };
+        match ctx.soa {
+            Some(live) => live.iter().for_each(|&i| sweep(i)),
+            None => (0..ctx.users.len()).for_each(sweep),
         }
     }
 }

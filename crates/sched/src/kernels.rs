@@ -1,25 +1,21 @@
-//! Autovectorization-pinned batch kernels over the [`SnapshotSoA`] columns.
+//! Autovectorization-pinned batch kernels over RTMA's per-slot columns.
 //!
-//! ROADMAP item 2's SIMD remainder: the sched dense passes that touch one
-//! or two SoA columns per user — RTMA's need/cap clamp and the Eq. (12)
-//! signal-threshold admission mask — get explicit batch entry points here,
-//! in the same shape as the radio crate's `throughput_into` kernel.
-//! Each batch function is a branch-light
-//! tight loop over contiguous slices whose per-element core is a shared
-//! `#[inline(always)]` function also called by the scalar path, so batch
-//! and scalar are **bit-identical by construction** (pinned by the
-//! `*_matches_scalar_bitwise` tests below, and end-to-end by the golden
-//! traces).
+//! RTMA builds two `u64` columns per slot from the snapshot rows — the
+//! need `⌈τ·pᵢ/δ⌉` and the ceiling `usable_cap_units(δ)` — and the dense
+//! passes over them get explicit batch entry points here, in the same
+//! shape as the radio crate's `throughput_into` kernel: the need/cap
+//! clamp that sizes a sweep's tranche and the demand mask behind
+//! `queue_values`. Each batch function is a branch-light tight loop over
+//! contiguous slices whose per-element core is a shared
+//! `#[inline(always)]` function, so batch and scalar are **bit-identical
+//! by construction** (pinned by the `*_matches_scalar_bitwise` tests
+//! below, and end-to-end by the golden traces).
 //!
 //! The kernels are written for auto-vectorization on stable Rust (no
 //! `std::simd`): `u64::max`/`u64::min` lower to vector `pmax`/`pmin`, the
-//! `ceiling == 0` select and the `>=` compare lower to vector compares +
-//! blends, and every loop is a straight `zip` over equal-length slices
-//! with the length equality asserted up front so bounds checks vanish.
-//!
-//! [`SnapshotSoA`]: jmso_gateway::SnapshotSoA
-
-use crate::threshold::SignalThreshold;
+//! `ceiling == 0` select lowers to a vector compare + blend, and every
+//! loop is a straight `zip` over equal-length slices with the length
+//! equality asserted up front so bounds checks vanish.
 
 /// Per-element core of [`tranche_clamp_into`]: the one-sweep RTMA grant
 /// cap `min(max(need, 1), ceiling)`. Clamping by the static ceiling here
@@ -64,7 +60,7 @@ pub fn demand_at(need: u64, ceiling: u64) -> f64 {
 
 /// Batch demand mask: `out[i] = demand_at(need[i], ceiling[i])` — the
 /// `queue_values` column RTMA exports, built in one select-and-convert
-/// pass over the two SoA-derived columns.
+/// pass over the two columns.
 ///
 /// # Panics
 /// If `need` and `ceiling` differ in length.
@@ -76,28 +72,6 @@ pub fn demand_mask_into(need: &[u64], ceiling: &[u64], out: &mut Vec<f64>) {
     );
     out.clear();
     out.extend(need.iter().zip(ceiling).map(|(&n, &c)| demand_at(n, c)));
-}
-
-/// Batch Eq. (12) admission mask: `out[i] = threshold.allows(signal[i])`
-/// evaluated over the contiguous `signal_dbm` column. RTMA's tranche
-/// sweep re-reads the admission verdict for every user on every sweep;
-/// precomputing the mask turns those repeated float compares into `bool`
-/// loads, and the dense compare pass itself vectorizes.
-///
-/// [`SignalThreshold::allows`] routes through the same [`admit_at`] core,
-/// so mask entries equal the scalar verdicts bit-for-bit (including the
-/// `NaN ⇒ deny` and `min_dbm = ±∞` edge cases of the raw `>=`).
-pub fn admit_mask_into(signal_dbm: &[f64], threshold: SignalThreshold, out: &mut Vec<bool>) {
-    out.clear();
-    out.extend(signal_dbm.iter().map(|&s| admit_at(s, threshold.min_dbm)));
-}
-
-/// Per-element core of [`admit_mask_into`] and scalar
-/// [`SignalThreshold::allows`]: the raw IEEE-754 `>=` (deny on NaN, admit
-/// everything when `min_dbm = −∞`, nothing when `+∞`).
-#[inline(always)]
-pub fn admit_at(signal_dbm: f64, min_dbm: f64) -> bool {
-    signal_dbm >= min_dbm
 }
 
 #[cfg(test)]
@@ -145,31 +119,5 @@ mod tests {
     fn batch_rejects_length_mismatch() {
         let mut out = Vec::new();
         tranche_clamp_into(&[1, 2], &[3], &mut out);
-    }
-
-    #[test]
-    fn admit_mask_matches_scalar_allows_bitwise() {
-        use jmso_radio::Dbm;
-        let sigs: Vec<f64> = (0..257)
-            .map(|i| -130.0 + i as f64 * 0.37)
-            .chain([f64::NAN, f64::NEG_INFINITY, f64::INFINITY])
-            .collect();
-        for min_dbm in [-80.0, f64::NEG_INFINITY, f64::INFINITY] {
-            let t = SignalThreshold { min_dbm };
-            let mut mask = Vec::new();
-            admit_mask_into(&sigs, t, &mut mask);
-            assert_eq!(mask.len(), sigs.len());
-            for (i, &s) in sigs.iter().enumerate() {
-                assert_eq!(mask[i], t.allows(Dbm(s)), "row {i} min {min_dbm}");
-            }
-        }
-    }
-
-    #[test]
-    fn nan_signal_is_denied_even_by_allow_all() {
-        let t = SignalThreshold::allow_all();
-        let mut mask = Vec::new();
-        admit_mask_into(&[f64::NAN], t, &mut mask);
-        assert!(!mask[0], "NaN must never be admitted");
     }
 }

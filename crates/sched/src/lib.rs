@@ -16,10 +16,10 @@
 //!   max), Throttling, ON-OFF, SALSA, and EStreamer.
 //! * [`oracle`] — brute-force enumeration for tiny instances, used to
 //!   validate the knapsack formulation, the greedy and the DP.
-//! * [`kernels`] — autovectorization-pinned batch kernels over the SoA
-//!   columns (RTMA's need/cap clamp, the Eq. (12) threshold mask), each
-//!   sharing its per-element core with the scalar path so batch ≡ scalar
-//!   bit-for-bit.
+//! * [`kernels`] — autovectorization-pinned batch kernels over RTMA's
+//!   per-slot need/ceiling columns (the tranche clamp, the demand mask),
+//!   each sharing its per-element core with the scalar path so batch ≡
+//!   scalar bit-for-bit.
 //! * [`spec`] — a serializable [`spec::SchedulerSpec`] naming any policy,
 //!   the factory used by scenario configs.
 

@@ -26,7 +26,7 @@
 use crate::cost::CrossLayerModels;
 use crate::kernels;
 use crate::threshold::SignalThreshold;
-use jmso_gateway::{Allocation, DegradationEvent, Scheduler, SlotContext};
+use jmso_gateway::{Allocation, DegradationEvent, Scheduler, SlotContext, UserSnapshot};
 use jmso_radio::MilliJoules;
 
 /// The RTMA policy.
@@ -58,10 +58,10 @@ pub struct Rtma {
     ceiling: Vec<u64>,
     // f64 mirror of `need`, kept after the slot for `queue_values`.
     need_f64: Vec<f64>,
-    // Batch-kernel columns, rebuilt per slot ([`kernels`]): the one-sweep
-    // grant cap `min(max(need,1), ceiling)` and the Eq. (12) admission
-    // verdicts, so the tranche sweeps read precomputed columns instead of
-    // redoing the clamp and the float compare every sweep.
+    // Columns rebuilt per slot: the one-sweep grant cap
+    // `min(max(need,1), ceiling)` ([`kernels`]) and the Eq. (12)
+    // admission verdicts, so the tranche sweeps read precomputed columns
+    // instead of redoing the clamp and the float compare every sweep.
     tranche: Vec<u64>,
     admit: Vec<bool>,
 }
@@ -109,24 +109,15 @@ impl Rtma {
     }
 
     /// Run the nominal sweep and, if enabled and budget survives it, the
-    /// best-effort fallback — generic over the per-user accessors so the
-    /// AoS and SoA callers share one decision path. The Eq. (12) verdicts
-    /// arrive precomputed in `self.admit` (batch kernel on the SoA path,
-    /// the same scalar core per user on the AoS path).
-    fn run_sweeps(
-        &mut self,
-        ctx: &SlotContext,
-        alloc: &mut [u64],
-        active: &impl Fn(usize) -> bool,
-        remaining_kb: &impl Fn(usize) -> f64,
-    ) {
+    /// best-effort fallback. The Eq. (12) verdicts arrive precomputed in
+    /// `self.admit`.
+    fn run_sweeps(&mut self, ctx: &SlotContext, alloc: &mut [u64]) {
         let mut budget = ctx.bs_cap_units;
         sweep_tranches(
             &self.order,
             &self.tranche,
             &self.ceiling,
-            active,
-            remaining_kb,
+            ctx.users,
             Some(&self.admit),
             alloc,
             &mut budget,
@@ -142,8 +133,7 @@ impl Rtma {
                 &self.order,
                 &self.tranche,
                 &self.ceiling,
-                active,
-                remaining_kb,
+                ctx.users,
                 None,
                 alloc,
                 &mut budget,
@@ -163,22 +153,17 @@ impl Rtma {
 /// need-tranche each until `budget` is exhausted or nothing moves.
 /// `admit: None` runs the best-effort variant with no admission rule.
 ///
-/// The sweep is generic over two per-user accessors so the AoS
-/// (`ctx.users[i]` fields) and SoA (contiguous column reads) callers
-/// monomorphize the same decision logic — identical comparisons on
-/// identical values, hence bit-identical grants. The Eq. (12) rule and
-/// the need/cap clamp are consumed as precomputed columns (built by the
-/// [`kernels`] batch passes): `admit[i]` stores exactly the scalar
-/// `threshold.allows` verdict, and `tranche[i] = min(max(need,1),
-/// ceiling)` equals the old inline `need.max(1).min(sup)` because
-/// `sup ≤ ceiling[i]` makes the extra ceiling clamp a no-op under `min`.
-#[allow(clippy::too_many_arguments)]
+/// The Eq. (12) rule and the need/cap clamp are consumed as precomputed
+/// columns: `admit[i]` stores exactly the scalar `threshold.allows`
+/// verdict, and `tranche[i] = min(max(need,1), ceiling)` (built by the
+/// [`kernels`] batch pass) equals the inline `need.max(1).min(sup)`
+/// because `sup ≤ ceiling[i]` makes the extra ceiling clamp a no-op
+/// under `min`.
 fn sweep_tranches(
     order: &[usize],
     tranche: &[u64],
     ceiling: &[u64],
-    active: &impl Fn(usize) -> bool,
-    remaining_kb: &impl Fn(usize) -> f64,
+    users: &[UserSnapshot],
     admit: Option<&[bool]>,
     alloc: &mut [u64],
     budget: &mut u64,
@@ -189,7 +174,7 @@ fn sweep_tranches(
             if *budget == 0 {
                 break;
             }
-            if !active(i) && remaining_kb(i) <= 0.0 {
+            if !users[i].active && users[i].remaining_kb <= 0.0 {
                 continue;
             }
             // Step 6: the Eq. (12) energy admission rule, precomputed.
@@ -220,10 +205,6 @@ impl Scheduler for Rtma {
         "RTMA"
     }
 
-    fn wants_soa(&self) -> bool {
-        true
-    }
-
     fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation) {
         let n = ctx.users.len();
         out.reset(n);
@@ -232,64 +213,37 @@ impl Scheduler for Rtma {
         // Step 2: ascending required data rate; ties keep id order (the
         // explicit index tie-break makes the unstable — and allocation-free
         // — sort deterministic). Step 3: per-slot need ⌈τ·pᵢ/δ⌉ and the
-        // hard per-user ceiling (link bound ∩ remaining video bytes). On
-        // the SoA path both derived columns arrive precomputed by the
-        // collector with the same expressions, so the setup reduces to a
-        // column sort and two memcpys.
+        // hard per-user ceiling (link bound ∩ remaining video bytes).
         self.order.clear();
         self.order.extend(0..n);
+        self.order.sort_unstable_by(|&a, &b| {
+            // `total_cmp` agrees with `partial_cmp` on the finite
+            // positive rates the collector reports, and stays a total
+            // order (no panic path) on anything hand-built.
+            ctx.users[a]
+                .rate_kbps
+                .total_cmp(&ctx.users[b].rate_kbps)
+                .then(a.cmp(&b))
+        });
         self.need.clear();
+        self.need.extend(
+            ctx.users
+                .iter()
+                .map(|u| ((ctx.tau * u.rate_kbps) / ctx.delta_kb).ceil() as u64),
+        );
         self.ceiling.clear();
-        if let Some(soa) = ctx.soa {
-            self.order.sort_unstable_by(|&a, &b| {
-                // `total_cmp` agrees with `partial_cmp` on the finite
-                // positive rates the collector reports, and stays a total
-                // order (no panic path) on anything hand-built.
-                soa.rate_kbps[a]
-                    .total_cmp(&soa.rate_kbps[b])
-                    .then(a.cmp(&b))
-            });
-            let (need_col, ceiling_col) = soa.demand_columns();
-            self.need.extend_from_slice(need_col);
-            self.ceiling.extend_from_slice(ceiling_col);
-        } else {
-            self.order.sort_unstable_by(|&a, &b| {
-                ctx.users[a]
-                    .rate_kbps
-                    .total_cmp(&ctx.users[b].rate_kbps)
-                    .then(a.cmp(&b))
-            });
-            self.need.extend(
-                ctx.users
-                    .iter()
-                    .map(|u| ((ctx.tau * u.rate_kbps) / ctx.delta_kb).ceil() as u64),
-            );
-            self.ceiling
-                .extend(ctx.users.iter().map(|u| u.usable_cap_units(ctx.delta_kb)));
-        }
+        self.ceiling
+            .extend(ctx.users.iter().map(|u| u.usable_cap_units(ctx.delta_kb)));
         // Queue view (outstanding per-slot demand — raw need masked to 0
         // when the ceiling is zero) and the per-sweep grant cap, both as
         // one dense batch pass over the need/ceiling columns.
         kernels::demand_mask_into(&self.need, &self.ceiling, &mut self.need_f64);
         kernels::tranche_clamp_into(&self.need, &self.ceiling, &mut self.tranche);
-
-        if let Some(soa) = ctx.soa {
-            // Eq. (12) verdicts as one vectorized compare over the
-            // contiguous signal column.
-            kernels::admit_mask_into(&soa.signal_dbm, self.threshold, &mut self.admit);
-            self.run_sweeps(ctx, &mut out.0, &|i| soa.active[i], &|i| {
-                soa.remaining_kb[i]
-            });
-        } else {
-            // Same verdicts through the same scalar core, gathered from
-            // the AoS snapshots.
-            self.admit.clear();
-            self.admit
-                .extend(ctx.users.iter().map(|u| self.threshold.allows(u.signal)));
-            self.run_sweeps(ctx, &mut out.0, &|i| ctx.users[i].active, &|i| {
-                ctx.users[i].remaining_kb
-            });
-        }
+        // Eq. (12) verdicts, read on every sweep.
+        self.admit.clear();
+        self.admit
+            .extend(ctx.users.iter().map(|u| self.threshold.allows(u.signal)));
+        self.run_sweeps(ctx, &mut out.0);
     }
 
     fn queue_values(&self) -> Option<&[f64]> {
@@ -312,7 +266,6 @@ impl Scheduler for Rtma {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmso_gateway::UserSnapshot;
     use jmso_radio::rrc::RrcState;
     use jmso_radio::Dbm;
 

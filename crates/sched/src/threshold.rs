@@ -58,13 +58,12 @@ impl SignalThreshold {
         }
     }
 
-    /// Does the rule admit a user at RSSI `sig`? Routes through the same
-    /// per-element core as the batch mask kernel
-    /// [`crate::kernels::admit_mask_into`], so scalar and batch verdicts
-    /// are bit-identical by construction.
+    /// Does the rule admit a user at RSSI `sig`? The raw IEEE-754 `>=`:
+    /// deny on NaN, admit everything when `min_dbm = −∞`, nothing when
+    /// `+∞`.
     #[inline]
     pub fn allows(&self, sig: Dbm) -> bool {
-        crate::kernels::admit_at(sig.value(), self.min_dbm)
+        sig.value() >= self.min_dbm
     }
 }
 
@@ -131,6 +130,12 @@ mod tests {
         assert!(t.allows(Dbm(-80.0)));
         assert!(t.allows(Dbm(-79.9)));
         assert!(!t.allows(Dbm(-80.1)));
+    }
+
+    #[test]
+    fn nan_signal_is_denied_even_by_allow_all() {
+        let t = SignalThreshold::allow_all();
+        assert!(!t.allows(Dbm(f64::NAN)), "NaN must never be admitted");
     }
 
     /// τ scaling: doubling τ doubles both sides of Eq. (12), leaving the

@@ -7,7 +7,7 @@
 //! cross-user ties and zero marginals are frequent — and both must reach
 //! the brute-force optimum on tiny instances.
 
-use jmso_gateway::{Allocation, Scheduler, SlotContext, SnapshotSoA, UserSnapshot};
+use jmso_gateway::{Allocation, Scheduler, SlotContext, UserSnapshot};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::Dbm;
 use jmso_sched::ema::{objective, slot_users, solve_dp_with, DpScratch, SlotUser};
@@ -303,45 +303,62 @@ proptest! {
 }
 
 proptest! {
-    /// Every policy with an SoA fast path must allocate bit-identically
-    /// whether it reads the AoS snapshots or the contiguous SoA mirror —
-    /// the contract that lets the engine and multicell loops hand either
-    /// representation to any scheduler.
+    /// Every policy allocates bit-identically whether or not its context
+    /// lists the rows that may hold demand: the engine hands every lane
+    /// its live list (or its cell's members), and the reference loop
+    /// hands none. Rows off the list take the engine's shapes — a
+    /// retired user's (inactive, nothing left, link bound kept) or a
+    /// roamed one's (link bound zeroed too) — and a few slots on one
+    /// pair of instances carry policy state and reused grant vectors.
     #[test]
-    fn soa_context_allocates_identically_to_aos(
+    fn listed_context_allocates_identically_to_unlisted(
         users in proptest::collection::vec(arb_user(), 1..12),
         budget in 0u64..60,
-        inactive_mask in proptest::collection::vec(prop::bool::ANY, 12),
+        off_list in proptest::collection::vec((prop::bool::ANY, prop::bool::ANY), 12),
         phi in 700.0f64..1300.0,
+        v in 0.05f64..5.0,
     ) {
         let mut snaps = snapshots(&users);
-        for (s, &off) in snaps.iter_mut().zip(&inactive_mask) {
+        for (s, &(off, roamed)) in snaps.iter_mut().zip(&off_list) {
             if off {
-                // Mirror the engine's retired/roamed rows: no demand, no
-                // capacity, inactive.
                 s.active = false;
                 s.remaining_kb = 0.0;
-                s.link_cap_units = 0;
+                if roamed {
+                    s.link_cap_units = 0;
+                }
             }
         }
-        let mut soa = SnapshotSoA::new();
-        soa.fill_from(&snaps, 1.0, 50.0);
-        let aos_ctx = SlotContext {
-            slot: 0, tau: 1.0, delta_kb: 50.0, bs_cap_units: budget, users: &snaps, soa: None,
-        };
-        let soa_ctx = SlotContext { soa: Some(&soa), ..aos_ctx };
+        let live: Vec<usize> = (0..snaps.len()).filter(|&i| !off_list[i].0).collect();
         let models = CrossLayerModels::paper();
-        let build_all = || -> Vec<Box<dyn Scheduler>> {
-            vec![
-                SchedulerSpec::Default.build(1.0, &models),
-                SchedulerSpec::RtmaUnbounded.build(1.0, &models),
-                SchedulerSpec::rtma(phi).build(1.0, &models),
-            ]
-        };
-        for (mut via_aos, mut via_soa) in build_all().into_iter().zip(build_all()) {
-            let a = via_aos.allocate(&aos_ctx);
-            let b = via_soa.allocate(&soa_ctx);
-            prop_assert_eq!(&a.0, &b.0, "{} diverged between AoS and SoA", via_aos.name());
+        let specs = [
+            SchedulerSpec::Default,
+            SchedulerSpec::RtmaUnbounded,
+            SchedulerSpec::rtma(phi),
+            SchedulerSpec::Rtma { phi_mj: phi, best_effort: true },
+            SchedulerSpec::ema_dp(v),
+            SchedulerSpec::ema_fast(v),
+            SchedulerSpec::throttling_default(),
+            SchedulerSpec::onoff_default(),
+            SchedulerSpec::salsa_default(),
+            SchedulerSpec::estreamer_default(),
+            SchedulerSpec::RoundRobin,
+            SchedulerSpec::pf_default(),
+        ];
+        for spec in &specs {
+            let (mut unlisted, mut listed) = (spec.build(1.0, &models), spec.build(1.0, &models));
+            let (mut a, mut b) = (Allocation::zeros(0), Allocation::zeros(0));
+            for slot in 0..3 {
+                let ctx = SlotContext {
+                    slot, tau: 1.0, delta_kb: 50.0, bs_cap_units: budget, users: &snaps, soa: None,
+                };
+                unlisted.allocate_into(&ctx, &mut a);
+                listed.allocate_into(&SlotContext { soa: Some(live.as_slice()), ..ctx }, &mut b);
+                prop_assert_eq!(&a.0, &b.0, "{:?} diverged with the list at slot {}", spec, slot);
+                prop_assert!(
+                    (0..snaps.len()).all(|i| a.0[i] == 0 || !off_list[i].0),
+                    "{:?} granted to a row off the list", spec
+                );
+            }
         }
     }
 }

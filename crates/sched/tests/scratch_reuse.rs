@@ -10,13 +10,14 @@
 //! writes it sparsely (`SparseGrants`: zero what the previous call
 //! granted, not the pool) must hand back what it would have written into
 //! a fresh one — whichever rows came, went or lost their grant in
-//! between, with or without the SoA mirror, across a pool-size change.
+//! between, with or without a live list in the context, across a
+//! pool-size change.
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use jmso_gateway::{Allocation, Scheduler, SlotContext, SnapshotSoA, UserSnapshot};
+use jmso_gateway::{Allocation, Scheduler, SlotContext, UserSnapshot};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::Dbm;
 use jmso_sched::{CrossLayerModels, Ema, Rtma, SchedulerSpec};
@@ -143,13 +144,14 @@ fn rtma_queue_export_masks_finished_users() {
     }
 }
 
-/// Which slots of a sequence carry the SoA mirror in their context.
+/// Which slots of a sequence list their live rows in the context.
 #[derive(Debug, Clone, Copy)]
-enum Mirror {
+enum Listed {
     Never,
     Always,
-    /// A coin per slot: one policy instance sees both layouts.
-    Mixed,
+    /// Two slots with the list, two without: one policy instance sees
+    /// both, and a handover lands on a listed and an unlisted slot.
+    Alternating,
 }
 
 /// One seeded sequence of 24 slots for `spec`, two instances of the
@@ -160,13 +162,13 @@ enum Mirror {
 /// the row's grant must not survive in the reused vector — the budget is
 /// often scarce, so live rows are left with zero grants too, and halfway
 /// the pool shrinks from 24 rows to 16.
-fn assert_reused_grants_match_fresh(spec: &SchedulerSpec, mirror: Mirror, seed: u64) {
+fn assert_reused_grants_match_fresh(spec: &SchedulerSpec, listed: Listed, seed: u64) {
     let models = CrossLayerModels::paper();
     let mut rng = StdRng::seed_from_u64(seed);
     let (mut reused, mut fresh) = (spec.build(1.0, &models), spec.build(1.0, &models));
     let mut kept = Allocation::zeros(0);
     let mut live = [false; 24];
-    let mut soa = SnapshotSoA::new();
+    let mut rows = Vec::new();
     for slot in 0..24u64 {
         let n = if slot < 12 { 24 } else { 16 };
         for member in live.iter_mut() {
@@ -192,22 +194,20 @@ fn assert_reused_grants_match_fresh(spec: &SchedulerSpec, mirror: Mirror, seed: 
                 rrc_state: RrcState::Dch,
             })
             .collect();
-        let mirrored = match mirror {
-            Mirror::Never => false,
-            Mirror::Always => true,
-            Mirror::Mixed => rng.random::<f64>() < 0.5,
+        let with_list = match listed {
+            Listed::Never => false,
+            Listed::Always => true,
+            Listed::Alternating => slot % 4 < 2,
         };
-        if mirrored {
-            soa.fill_from(&users, 1.0, 50.0);
-            soa.set_live_rows((0..n).filter(|&id| live[id]));
-        }
+        rows.clear();
+        rows.extend((0..n).filter(|&id| live[id]));
         let ctx = SlotContext {
             slot,
             tau: 1.0,
             delta_kb: 50.0,
             bs_cap_units: rng.random_range(0..3 * n) as u64,
             users: &users,
-            soa: mirrored.then_some(&soa),
+            soa: with_list.then_some(rows.as_slice()),
         };
         reused.allocate_into(&ctx, &mut kept);
         let mut new = Allocation::zeros(0);
@@ -215,7 +215,7 @@ fn assert_reused_grants_match_fresh(spec: &SchedulerSpec, mirror: Mirror, seed: 
         kept.validate(&ctx).expect("allocation within bounds");
         assert_eq!(
             kept, new,
-            "{spec:?}, {mirror:?}, seed {seed}: reused vector diverged at slot {slot}"
+            "{spec:?}, {listed:?}, seed {seed}: reused vector diverged at slot {slot}"
         );
     }
 }
@@ -236,9 +236,9 @@ fn reused_grant_vector_equals_a_fresh_one_for_every_policy() {
         SchedulerSpec::pf_default(),
     ];
     for spec in &specs {
-        for mirror in [Mirror::Never, Mirror::Always, Mirror::Mixed] {
+        for listed in [Listed::Never, Listed::Always, Listed::Alternating] {
             for seed in 0..16 {
-                assert_reused_grants_match_fresh(spec, mirror, seed);
+                assert_reused_grants_match_fresh(spec, listed, seed);
             }
         }
     }

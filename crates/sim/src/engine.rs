@@ -35,8 +35,8 @@
 //!
 //! | phase | does |
 //! |---|---|
-//! | A | arrival gate; for every live user the signal block + Eq. (1) cap table, the Eq. (7)/(8) playback advance and the ground-truth row; for a pass-through collector the snapshot and SoA rows |
-//! | B | with more than one lane the slot's mobility (handovers drawn, member lists and the left cell's row updated); every lane's Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through; per lane its rows (with more than one lane), `allocate_into` and `transmit_into` out of the one receiver; scheduler latency, grants, queues and degradations to the recorder in cell order |
+//! | A | arrival gate; for every live user the signal block + Eq. (1) cap table, the Eq. (7)/(8) playback advance and the ground-truth row; for a pass-through collector the snapshot rows |
+//! | B | with more than one lane the slot's mobility (handovers drawn, member lists and the left cell's row updated); every lane's Eq. (2) budget (fault-adjusted), fault notes, origin ingest; the collector pass when it is not pass-through; per lane its rows (with more than one lane), `allocate_into` and `transmit_into` over the rows its context lists (the live list, or with more than one lane the cell's members) out of the one receiver; scheduler latency, grants, queues and degradations to the recorder in cell order |
 //! | C | one walk of the live list: delivery, ABR staging, Eq. (3)–(5) accounting, and per user its RRC transitions and record, the E\* and series folds and its `done` flip; then ABR commits, live-list compaction and the admission tick — the arrivals that came due join a waiting room, the rule is evaluated O(log n) times per admit, the users whose deferral cap ran out are rejected, and nobody deferred is visited (their rulings go to an enabled recorder only) |
 //!
 //! A [`Scenario`](crate::scenario::Scenario) run has one lane, which
@@ -84,7 +84,7 @@ use jmso_gateway::bs::CapacityModel;
 use jmso_gateway::collector::RawUserState;
 use jmso_gateway::{
     AdmissionController, AdmissionSpec, Allocation, DataReceiver, DataTransmitter, Delivery,
-    InformationCollector, Scheduler, SnapshotSoA, UnitParams, UserSnapshot,
+    InformationCollector, Scheduler, UnitParams, UserSnapshot,
 };
 use jmso_media::{AbrClient, AbrSpec, ClientPlayback, VideoSession};
 use jmso_radio::signal::SignalKind;
@@ -337,8 +337,10 @@ struct LoopState {
     /// or perturbs reports makes it true with its first full pass.
     rows_primed: bool,
     /// Rows the latest phase B rewrote on the collector's behalf: its
-    /// full pass or live-row refresh, and the mirror's fill with it.
+    /// full pass or live-row refresh.
     collector_rows: usize,
+    /// Rows the latest phase B's contexts listed, summed over the lanes.
+    scheduler_rows: usize,
     /// Each user's result as the build folded their row. The admission
     /// tick re-folds a row it rejects — the only rows a run writes
     /// outside a live list, and nothing writes them again — and the
@@ -353,7 +355,7 @@ struct LoopState {
 #[derive(Clone, Copy)]
 struct Mode {
     /// Reports equal ground truth on every slot, so phase A writes the
-    /// snapshot (and SoA) rows itself; otherwise phase B runs the
+    /// snapshot rows itself; otherwise phase B runs the
     /// collector over the raw rows in user order.
     pass_through: bool,
     /// Eq. (1) is read off per-block cap tables: sound only when the
@@ -461,14 +463,6 @@ struct CellLane {
     capacity: Box<dyn CapacityModel>,
     transmitter: DataTransmitter,
     cap_fault: CapFault,
-    /// Cached `scheduler.wants_soa()`: column upkeep re-derives unit
-    /// quantities per row every slot, which row-walking policies would
-    /// pay for without ever looking at the result.
-    use_soa: bool,
-    /// Mirror of the rows the scheduler reads: a lone lane's is sized by
-    /// the first slot (`size_mirror`) or rebuilt from a checkpoint's
-    /// rows, one of several by the lane's first pass over its own rows.
-    soa: SnapshotSoA,
     /// The slot's Eq. (2) budget for this cell, units. Capacity models
     /// may be stateful, so each is sampled exactly once per slot.
     cap_units: u64,
@@ -494,12 +488,10 @@ impl CellLane {
         n_users: usize,
     ) -> Self {
         Self {
-            use_soa: scheduler.wants_soa(),
             scheduler,
             capacity,
             transmitter: DataTransmitter::new(),
             cap_fault,
-            soa: SnapshotSoA::new(),
             cap_units: 0,
             alloc: Allocation::zeros(n_users),
             rows: Vec::new(),
@@ -548,7 +540,7 @@ impl Roaming {
     /// One slot of mobility, before any lane looks at its members: draw
     /// the handovers, move each user between the member lists, demote
     /// its row in the cell it left, and count the slot's occupancy.
-    fn step(&mut self, lanes: &mut [CellLane], cfg: EngineConfig) {
+    fn step(&mut self, lanes: &mut [CellLane]) {
         if self.handover_prob > 0.0 {
             let n_cells = lanes.len();
             self.moved.clear();
@@ -570,17 +562,11 @@ impl Roaming {
                 let joined = &mut self.members[to];
                 joined.insert(joined.partition_point(|&m| m < i), i);
                 // Leaving a cell zeroes the fields that gate allocations;
-                // the rest freeze harmlessly, and the mirror re-derives
-                // its columns from the demoted row (the ceiling collapses
-                // to 0 with the remaining bytes).
-                let lane = &mut lanes[from];
-                if let Some(row) = lane.rows.get_mut(i) {
+                // the rest freeze harmlessly.
+                if let Some(row) = lanes[from].rows.get_mut(i) {
                     row.remaining_kb = 0.0;
                     row.active = false;
                     row.link_cap_units = 0;
-                    if lane.use_soa {
-                        lane.soa.set_row(row, cfg.tau, cfg.delta_kb);
-                    }
                 }
             }
         }
@@ -820,8 +806,8 @@ impl Engine {
     /// construction: there is no second slot implementation to drift.
     ///
     /// On resume the checkpoint is restored: component state imports,
-    /// per-user RNG fast-forward, and derived state (SoA mirror, link-cap
-    /// tables) rebuilt. Ends with `begin_run` (a fresh run) or the
+    /// per-user RNG fast-forward, and derived state (link-cap tables)
+    /// rebuilt. Ends with `begin_run` (a fresh run) or the
     /// recorder's state import (a resumed one), so everything sized by
     /// the pool is built before the run's clock starts.
     pub(crate) fn build_driver<R: SlotRecorder>(
@@ -875,7 +861,7 @@ impl Engine {
         } else {
             0
         };
-        let mut lanes = std::mem::take(&mut self.lanes);
+        let lanes = std::mem::take(&mut self.lanes);
         let roams = self.roaming.is_some();
         let pass_through = self.collector.is_pass_through();
         let mut lp = LoopState {
@@ -901,6 +887,7 @@ impl Engine {
             bs_cap_units: 0,
             rows_primed: pass_through,
             collector_rows: 0,
+            scheduler_rows: 0,
             per_user: None,
         };
         // What a collector reports of a user who is not in the cell: no
@@ -955,17 +942,10 @@ impl Engine {
             // A checkpoint taken before the first slot carries no rows
             // (and one taken later must: checked above): the rows stand
             // as built, and a collector that makes a first full pass
-            // makes it after the resume. The SoA mirror
-            // is derived state, not checkpointed: rebuilt from restored
-            // rows, else sized by the first slot as in a fresh run.
+            // makes it after the resume.
             if ls.snapshots.len() == n_users {
                 c.snaps.clone_from(&ls.snapshots);
                 lp.rows_primed = true;
-                if let [lane] = lanes.as_mut_slice() {
-                    if lane.use_soa {
-                        lane.soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb);
-                    }
-                }
             }
             // A restored live user whose arrival lies ahead — which only
             // a malformed sidecar carries — re-enters through the gate.

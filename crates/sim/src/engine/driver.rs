@@ -1,6 +1,6 @@
 //! The stepping API over a built run: [`SlotDriver`], its work counts and its finish.
 
-use super::phases::{mirror, phase_a, phase_b, phase_c, size_mirror};
+use super::phases::{phase_a, phase_b, phase_c};
 use super::{CellLane, Columns, Engine, LiveState, LoopState, Mode, UserSim};
 use crate::error::ScenarioError;
 use crate::results::SimResult;
@@ -46,9 +46,10 @@ pub struct SlotDriver {
 pub struct SlotWork {
     /// Flows the Data Receiver's ingest visited.
     pub receiver_flows: usize,
-    /// Rows the scheduler's context listed as live — what a live-list
-    /// sweep such as Default's visits; the whole pool when the policy
-    /// keeps no SoA mirror.
+    /// Rows the schedulers' contexts listed as possibly holding demand,
+    /// summed over the lanes: the live users of a lone lane, every
+    /// cell's members with more than one. What a live-list sweep such
+    /// as Default's visits, whatever the policy.
     pub scheduler_rows: usize,
     /// Rows of the grant vector the scheduler zeroed plus rows it wrote
     /// ([`jmso_gateway::Scheduler::grant_rows_touched`]); the whole pool
@@ -56,9 +57,7 @@ pub struct SlotWork {
     pub grant_rows_cleared: usize,
     /// Rows phase B rewrote for the collector: every row in the full
     /// pass of a collector that holds or perturbs reports, the live rows
-    /// in its refresh, none for a pass-through collector — whose mirror
-    /// is allocated by the first slot, which is not a pass over rows and
-    /// is not counted.
+    /// in its refresh, none for a pass-through collector.
     pub collector_rows: usize,
     /// Rows the windowed-fairness fold visited: the rows its window
     /// touched, on the slot that ends one.
@@ -78,10 +77,7 @@ impl SlotDriver {
     pub fn last_slot_work(&self) -> SlotWork {
         SlotWork {
             receiver_flows: self.engine.receiver.flows_visited_last_ingest(),
-            scheduler_rows: match self.lanes.as_slice() {
-                [lane] if lane.use_soa => lane.soa.live_rows().len(),
-                _ => self.cols.users.len(),
-            },
+            scheduler_rows: self.lp.scheduler_rows,
             grant_rows_cleared: (self.lanes.iter())
                 .map(|lane| lane.scheduler.grant_rows_touched())
                 .map(|touched| touched.unwrap_or(self.cols.users.len()))
@@ -305,10 +301,9 @@ impl SlotDriver {
             lanes,
             ..
         } = self;
-        size_mirror(eng, lanes, c.users.len());
-        phase_a(eng, mode, slot, lv, c, mirror(lanes));
+        phase_a(eng, mode, slot, lv, c);
         phase_b(eng, lp, mode, slot, lv, lanes, c, rec);
-        self.finished = phase_c(eng, lp, slot, lv, c, mirror(lanes), rec);
+        self.finished = phase_c(eng, lp, slot, lv, c, rec);
         self.next_slot = slot + 1;
         Some(slot)
     }

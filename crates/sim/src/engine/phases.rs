@@ -7,49 +7,19 @@ use super::{
 };
 use crate::telemetry::SlotRecorder;
 use jmso_gateway::collector::RawUserState;
-use jmso_gateway::{SlotContext, SnapshotSoA};
+use jmso_gateway::SlotContext;
 use jmso_media::{jain_index, AbrInputs};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::signal::SignalModel;
 use jmso_radio::{KbPerSec, MilliJoules, PowerModel};
 use std::cmp::Reverse;
 
-/// Size a lone lane's mirror, if it keeps one and nothing has yet: every
-/// row absent, as the build left the rows it mirrors, so that the first
-/// phase A writes slot 0's live rows through it like any other slot's.
-/// The first slot's job and not the build's: a driver that is built and
-/// dropped, or restored with its rows, never pays for the allocation.
-pub(super) fn size_mirror(eng: &Engine, lanes: &mut [CellLane], n_users: usize) {
-    if let [lane] = lanes {
-        if lane.use_soa && lane.soa.len() != n_users {
-            lane.soa = SnapshotSoA::absent(n_users, eng.collector.absent_link_cap());
-        }
-    }
-}
-
-/// The mirror phases A and C write through: a lone lane's, if its policy
-/// keeps one.
-pub(super) fn mirror(lanes: &mut [CellLane]) -> Option<&mut SnapshotSoA> {
-    match lanes {
-        [lane] if lane.use_soa => Some(&mut lane.soa),
-        _ => None,
-    }
-}
-
 /// Phase A: the arrival gate, then for every live user the radio sample
 /// (block-drawn into the user's window in the slab, with its per-block
 /// Eq. (1) cap table), the Eq. (7)/(8) playback advance and the
-/// ground-truth row — and, for a pass-through collector, the snapshot and
-/// SoA rows the scheduler will read, from slot 0 on. Makes no recorder
-/// call.
-pub(super) fn phase_a(
-    eng: &Engine,
-    mode: Mode,
-    slot: u64,
-    lv: &mut LiveState,
-    c: &mut Columns,
-    mut soa: Option<&mut SnapshotSoA>,
-) {
+/// ground-truth row — and, for a pass-through collector, the snapshot
+/// row the scheduler will read, from slot 0 on. Makes no recorder call.
+pub(super) fn phase_a(eng: &Engine, mode: Mode, slot: u64, lv: &mut LiveState, c: &mut Columns) {
     // Admit due arrivals: pop every entry due by this slot. An entry a
     // live reschedule left behind (the user entered already, or now
     // arrives later under a fresh entry) is dropped.
@@ -71,7 +41,6 @@ pub(super) fn phase_a(
         merge_ascending(&mut lv.live, &adm.admitted);
     }
 
-    let cfg = eng.cfg;
     for &i in &lv.live {
         let u = &mut c.users[i];
         let arrival = c.arrival[i];
@@ -143,11 +112,7 @@ pub(super) fn phase_a(
                 true => w.cap[block_off],
                 false => eng.collector.link_cap(r.signal),
             };
-            let snap = r.as_reported(i, r.signal, link_cap);
-            if let Some(soa) = soa.as_deref_mut() {
-                soa.set_row(&snap, cfg.tau, cfg.delta_kb);
-            }
-            c.snaps[i] = snap;
+            c.snaps[i] = r.as_reported(i, r.signal, link_cap);
         }
         c.raw[i] = r;
     }
@@ -176,7 +141,7 @@ pub(super) fn phase_b<R: SlotRecorder>(
     let cfg = eng.cfg;
     lp.slots_run = slot + 1;
     if let Some(roam) = eng.roaming.as_mut() {
-        roam.step(lanes, cfg);
+        roam.step(lanes);
     }
     lp.bs_cap_units = 0;
     for lane in lanes.iter_mut() {
@@ -206,9 +171,6 @@ pub(super) fn phase_b<R: SlotRecorder>(
     }
     eng.receiver.ingest_slot(slot);
 
-    // A lone lane schedules off the columns' rows, so their mirror is
-    // kept here; several lanes each mirror their own rows.
-    let mut soa = mirror(lanes);
     lp.collector_rows = 0;
     if !lp.rows_primed || eng.collector.needs_full_pass() {
         // A collector that holds or perturbs reports rebuilds every row
@@ -216,9 +178,6 @@ pub(super) fn phase_b<R: SlotRecorder>(
         // one on every slot, whose RNG stream must stay per-user
         // aligned.
         eng.collector.snapshot_rows(slot, &c.raw, &mut c.snaps);
-        if let Some(soa) = soa.as_deref_mut() {
-            soa.fill_from(&c.snaps, cfg.tau, cfg.delta_kb);
-        }
         lp.rows_primed = true;
         lp.collector_rows = c.snaps.len();
     } else if !mode.pass_through {
@@ -226,21 +185,16 @@ pub(super) fn phase_b<R: SlotRecorder>(
         lp.collector_rows = lv.live.len();
         eng.collector
             .snapshot_refresh(slot, &c.raw, &lv.live, &mut c.snaps);
-        if let Some(soa) = soa.as_deref_mut() {
-            for &i in &lv.live {
-                soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
-            }
-        }
-    }
-    if let Some(soa) = soa {
-        // The live list is the rows a sweep has to visit; every other
-        // row has no demand left.
-        soa.set_live_rows(lv.live.iter().copied());
     }
 
     let mut sched_ns = 0;
+    lp.scheduler_rows = 0;
     for (cell, lane) in lanes.iter_mut().enumerate() {
         let members = eng.roaming.as_ref().map(|roam| &roam.members[cell]);
+        // The rows that may hold demand: a lone lane's live users, or
+        // the cell's members. Every other row has none left.
+        let listed: &[usize] = members.unwrap_or(&lv.live);
+        lp.scheduler_rows += listed.len();
         let users = match eng.roaming.as_ref() {
             None => &c.snaps,
             Some(roam) => {
@@ -254,9 +208,6 @@ pub(super) fn phase_b<R: SlotRecorder>(
                         }
                         row
                     }));
-                    if lane.use_soa {
-                        lane.soa.fill_from(&lane.rows, cfg.tau, cfg.delta_kb);
-                    }
                 } else {
                     for &i in &roam.members[cell] {
                         // A retired member's reported row is frozen, with
@@ -267,14 +218,7 @@ pub(super) fn phase_b<R: SlotRecorder>(
                             continue;
                         }
                         lane.rows[i].clone_from(&c.snaps[i]);
-                        if lane.use_soa {
-                            lane.soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
-                        }
                     }
-                }
-                if lane.use_soa {
-                    // Only a member's row can hold demand.
-                    lane.soa.set_live_rows(roam.members[cell].iter().copied());
                 }
                 &lane.rows
             }
@@ -285,7 +229,7 @@ pub(super) fn phase_b<R: SlotRecorder>(
             delta_kb: cfg.delta_kb,
             bs_cap_units: lane.cap_units,
             users,
-            soa: lane.use_soa.then_some(&lane.soa),
+            soa: Some(listed),
         };
         if rec.enabled() {
             let t0 = std::time::Instant::now();
@@ -343,7 +287,6 @@ pub(super) fn phase_c<R: SlotRecorder>(
     slot: u64,
     lv: &mut LiveState,
     c: &mut Columns,
-    mut soa: Option<&mut SnapshotSoA>,
     rec: &mut R,
 ) -> bool {
     const FAIR_WINDOW: u64 = 10;
@@ -469,9 +412,6 @@ pub(super) fn phase_c<R: SlotRecorder>(
             // rebuilds every snapshot from it.
             c.raw[i].active = false;
             c.snaps[i].active = false;
-            if let Some(soa) = soa.as_deref_mut() {
-                soa.set_row(&c.snaps[i], cfg.tau, cfg.delta_kb);
-            }
         }
     }
     if cfg.record_series {

@@ -327,9 +327,10 @@ fn multicell_abr_switches_rungs_and_repeats() {
     assert!(switches > 0, "congested cells must trigger rung switches");
 }
 
-/// Stale and noisy collectors (RTMA reading the SoA mirror among them)
-/// and a feasibility admission controller run in the driver exactly as
-/// in the reference loop — result, warnings (none) and trace bytes.
+/// Stale and noisy collectors (under Default's live-row sweep and under
+/// RTMA) and a feasibility admission controller run in the driver
+/// exactly as in the reference loop — result, warnings (none) and trace
+/// bytes.
 #[test]
 fn collector_and_admission_inputs_equal_the_reference() {
     let mut stale = mc_base(3);
@@ -340,8 +341,8 @@ fn collector_and_admission_inputs_equal_the_reference() {
     };
     let mut noisy = stale.clone();
     noisy.collector.signal_noise_std_db = 2.0;
-    let mut noisy_soa = noisy.clone();
-    noisy_soa.scheduler = SchedulerSpec::rtma(900.0);
+    let mut noisy_rtma = noisy.clone();
+    noisy_rtma.scheduler = SchedulerSpec::rtma(900.0);
     let mut adm = mc_base(3);
     adm.slots = 200;
     adm.arrivals = ArrivalSpec::Poisson {
@@ -359,7 +360,7 @@ fn collector_and_admission_inputs_equal_the_reference() {
     for (name, s) in [
         ("stale collector", &stale),
         ("noisy collector", &noisy),
-        ("noisy collector + SoA", &noisy_soa),
+        ("noisy collector + RTMA", &noisy_rtma),
         ("feasibility admission", &adm),
     ] {
         let driven = traced_serial(s);
@@ -488,4 +489,41 @@ fn abr_down_switches_under_congestion() {
         abr.total_rebuffer_s(),
         fixed.total_rebuffer_s()
     );
+}
+
+/// An ABR rescale can leave a fully fetched session a sub-byte residue
+/// (`total − received ≈ 4.5e-13` KB), which `usable_cap_units` rounds up
+/// to a unit a retired user's frozen row keeps asking for: the
+/// reference loop's all-rows sweep granted it every slot and Default's
+/// live-row sweep did not. Seed 51 of this cell is the first the
+/// residue split; the session now snaps to its total once fetched.
+#[test]
+fn abr_fetch_residue_equals_reference() {
+    let mut s = Scenario::paper_default(4);
+    s.slots = 112;
+    s.capacity = CapacitySpec::Constant { kbps: 2_000.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (3_000.0, 4_500.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: None,
+        vbr_segment_slots: 30,
+    };
+    s.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 12.0,
+        diurnal: None,
+        session_slots: None,
+    };
+    s.abr = Some(AbrSpec {
+        ladder: BitrateLadder {
+            multipliers: vec![0.5, 0.75, 1.0],
+        },
+        chunk_slots: 7,
+        policy: AbrPolicy::BufferBased {
+            low_s: 4.0,
+            high_s: 16.0,
+        },
+        initial_rung: Some(1),
+    });
+    s.seed = 51;
+    assert_eq!(traced_serial(&s), traced_reference(&s));
 }

@@ -19,8 +19,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use jmso_sim::{
-    AdmissionDecision, AdmissionSpec, ArrivalSpec, CapacitySpec, NullRecorder, Scenario, SlotWork,
-    TraceRecorder, WorkloadSpec,
+    AdmissionDecision, AdmissionSpec, ArrivalSpec, CapacitySpec, NullRecorder, Scenario,
+    SchedulerSpec, SlotWork, TraceRecorder, WorkloadSpec,
 };
 
 const SESSIONS: usize = 6;
@@ -94,6 +94,24 @@ fn slot_work_follows_the_live_sessions_not_the_pool() {
         assert!(small[1..20].iter().all(|w| w.grant_rows_cleared > 0));
         assert_eq!(small[HORIZON as usize - 1].scheduler_rows, 0);
         assert_eq!(small[HORIZON as usize - 1].grant_rows_cleared, 0);
+    }
+}
+
+/// Every policy's context lists the live rows, so the scheduler rows a
+/// slot reports are the sessions in the cell under any policy — even
+/// one that still walks the pool itself — and never the 50 000 rows.
+#[test]
+fn every_policy_is_handed_the_live_sessions() {
+    for spec in [
+        SchedulerSpec::rtma(900.0),
+        SchedulerSpec::ema_fast(1.0),
+        SchedulerSpec::pf_default(),
+    ] {
+        let s = scenario(50_000, false).with_scheduler(spec.clone());
+        let rows: Vec<usize> = work_per_slot(&s).iter().map(|w| w.scheduler_rows).collect();
+        assert!(rows.iter().all(|&n| n <= SESSIONS), "{spec:?}: {rows:?}");
+        assert!(rows[..20].iter().all(|&n| n > 0), "{spec:?}: {rows:?}");
+        assert_eq!(rows[HORIZON as usize - 1], 0, "{spec:?}");
     }
 }
 

@@ -63,6 +63,14 @@ bash benchmark/run.sh --workload cell-ema --seed 42 --seconds 3 --trace 0 \
     | tail -n 1 | grep -q '"correct": true' \
     || { echo "cell-ema did not report \"correct\": true"; exit 1; }
 
+# And one of the Default cell: its digest and rep ≡ rep checks are the
+# whole-run evidence for Default's live-row sweep, which no other
+# default gate runs under the paper's closed cell.
+echo "== benchmark cell-default, 3 s"
+bash benchmark/run.sh --workload cell-default --seed 42 --seconds 3 --trace 0 \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "cell-default did not report \"correct\": true"; exit 1; }
+
 # Golden-trace drift gate: the byte-equality tests above already diff
 # the six committed traces (and Tier-1 runs the fault and ABR property
 # packs); this *regenerates* them from the current engine and fails if
