@@ -282,4 +282,40 @@ mod tests {
         let d = tx.transmit(&ctx(&users, 12), &Allocation(vec![8, 4]), &mut rx);
         assert_eq!(d[0].units + d[1].units, 12);
     }
+
+    /// A listed walk delivers what the walk over every row delivers when
+    /// only listed rows are granted, the BS budget first-come along the
+    /// list; rows off it keep `NO_DELIVERY`.
+    #[test]
+    fn listed_walk_delivers_what_the_full_walk_delivers() {
+        let users: Vec<_> = (0..4).map(|i| snap(i, 10)).collect();
+        let alloc = Allocation(vec![0, 8, 0, 6]);
+        let run = |live: Option<&[usize]>| {
+            let mut rx = DataReceiver::new(4, OriginModel::Infinite, 1.0);
+            rx.ingest_slot(0);
+            let c = SlotContext {
+                soa: live,
+                ..ctx(&users, 14)
+            };
+            DataTransmitter::new().transmit(&c, &alloc, &mut rx)
+        };
+        let listed = run(Some(&[1, 3]));
+        assert_eq!(listed, run(None));
+        assert_eq!((listed[1].units, listed[3].units), (8, 6));
+        assert_eq!((listed[0], listed[2]), (NO_DELIVERY, NO_DELIVERY));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "grant to a row outside the live list")]
+    fn grant_outside_the_live_list_trips_the_debug_assertion() {
+        let users = vec![snap(0, 10), snap(1, 10)];
+        let mut rx = DataReceiver::new(2, OriginModel::Infinite, 1.0);
+        rx.ingest_slot(0);
+        let c = SlotContext {
+            soa: Some(&[1]),
+            ..ctx(&users, 100)
+        };
+        DataTransmitter::new().transmit(&c, &Allocation(vec![4, 6]), &mut rx);
+    }
 }

@@ -87,4 +87,24 @@ mod tests {
         let a = d.allocate(&ctx(&users, 400));
         assert_eq!(a.0[0], 3);
     }
+
+    /// Rows 1 and 3 are in the engine's retired shape (inactive, nothing
+    /// left, link bound kept) and off the list: sweeping the list spends
+    /// the scarce budget first-come over rows 0 and 2, exactly as the
+    /// sweep over every row does.
+    #[test]
+    fn listed_sweep_grants_what_the_full_sweep_grants() {
+        let mut users: Vec<_> = (0..4).map(|i| user(i, -70.0, 450.0, 50)).collect();
+        for i in [1, 3] {
+            users[i].active = false;
+            users[i].remaining_kb = 0.0;
+        }
+        let full = DefaultMax::new().allocate(&ctx(&users, 60));
+        let listed = DefaultMax::new().allocate(&SlotContext {
+            soa: Some(&[0, 2]),
+            ..ctx(&users, 60)
+        });
+        assert_eq!(full.0, vec![50, 0, 10, 0]);
+        assert_eq!(listed.0, full.0);
+    }
 }

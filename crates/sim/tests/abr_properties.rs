@@ -18,8 +18,8 @@
 
 use jmso_sim::{
     AbrPolicy, AbrSpec, AdmissionDecision, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec,
-    CollectorSpec, EngineCheckpoint, FaultSpec, MultiCellScenario, RunOutcome, Scenario,
-    SchedulerSpec, SimResult, TraceRecorder, WorkloadSpec,
+    CollectorSpec, EngineCheckpoint, FaultEvent, FaultSpec, MultiCellScenario, RunOutcome,
+    Scenario, SchedulerSpec, SimResult, TraceRecorder, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -526,4 +526,45 @@ fn abr_fetch_residue_equals_reference() {
     });
     s.seed = 51;
     assert_eq!(traced_serial(&s), traced_reference(&s));
+}
+
+/// The residue's second form: a `Departure` fault on a user whose
+/// session already ended cancels what is left of it, and only the
+/// reference loop makes that call for a retired user — a residue there
+/// moved its `video_kb` by one ulp. In this Throttling cell (seed 52)
+/// user 2 has watched to the end by slot 105.
+#[test]
+fn abr_departure_after_the_fetch_equals_reference() {
+    let mut s = Scenario::paper_default(4).with_scheduler(SchedulerSpec::throttling_default());
+    s.slots = 112;
+    s.capacity = CapacitySpec::Constant { kbps: 2_000.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (3_000.0, 4_500.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: None,
+        vbr_segment_slots: 30,
+    };
+    s.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 12.0,
+        diurnal: None,
+        session_slots: None,
+    };
+    s.abr = Some(AbrSpec {
+        ladder: BitrateLadder {
+            multipliers: vec![0.5, 0.75, 1.0],
+        },
+        chunk_slots: 7,
+        policy: AbrPolicy::BufferBased {
+            low_s: 4.0,
+            high_s: 16.0,
+        },
+        initial_rung: Some(1),
+    });
+    s.seed = 52;
+    s.faults = FaultSpec::Declared {
+        events: vec![FaultEvent::Departure { user: 2, slot: 105 }],
+    };
+    let (serial, trace) = traced_serial(&s);
+    assert!(serial.per_user[2].playback_complete);
+    assert_eq!((serial, trace), traced_reference(&s));
 }
