@@ -145,9 +145,9 @@ impl Allocation {
 /// zero already), so the list is as long as the slot's grants, however
 /// many rows the sweep visits. There is no fallback to the full clear
 /// when the list covers most of the vector: with all 100 000 rows of one
-/// granted every slot (`hotpath large-live`) the list costs a push and
-/// an indexed store per row where the memset cost 800 KB, and neither
-/// shows in a 17 ms slot (DESIGN.md §11, "Measured behaviour").
+/// granted every slot the list costs a push and an indexed store per
+/// row where the memset cost 800 KB; `slot_work_scaling.rs` pins the rows
+/// touched per slot, and `sim.phase.allocate_ns` times the call.
 ///
 /// `out` must therefore be the buffer the policy's previous call filled,
 /// untouched since — or all zeros, or of another length, which is

@@ -3,34 +3,56 @@
 use jmso_media::{jain_index, Cdf, ClientPlayback, VideoSession};
 use proptest::prelude::*;
 
+/// Buffer invariants under a delivery pattern: occupancy never negative,
+/// per-slot rebuffering in [0, τ], playback never exceeds Mᵢ, and watched
+/// + rebuffer time per active slot equals τ (until the final one).
+fn buffer_invariants_hold(tau: f64, total_s: f64, deliveries: &[f64]) {
+    let rate = 100.0;
+    let mut c = ClientPlayback::new(total_s, tau);
+    for kb in deliveries {
+        let remaining_before = total_s - c.played_s();
+        let o = c.begin_slot();
+        assert!(o.occupancy_s >= 0.0);
+        assert!(o.rebuffer_s >= 0.0 && o.rebuffer_s <= tau + 1e-12);
+        assert!(o.watched_s >= 0.0 && o.watched_s <= tau + 1e-12);
+        if o.active {
+            // Active slot: watch + stall covers exactly the playback
+            // still needed this slot (τ, or less at the video end).
+            let needed = tau.min(remaining_before);
+            assert!((o.watched_s + o.rebuffer_s - needed).abs() < 1e-9);
+        }
+        assert!(c.played_s() <= total_s + 1e-9);
+        c.deliver(*kb, rate);
+    }
+}
+
+/// A recorded failure of `buffer_invariants`.
+#[test]
+fn buffer_invariants_tau_2_18_total_14_5() {
+    let deliveries = [
+        51.80148116170166,
+        238.14828939930695,
+        385.84513301288183,
+        55.28309771666274,
+        124.23449879086215,
+        22.155155968617553,
+        164.60064429364496,
+        195.52661339848302,
+        0.0,
+        0.0,
+    ];
+    buffer_invariants_hold(2.176594114032993, 14.49058479305564, &deliveries);
+}
+
 proptest! {
-    /// Buffer invariants under arbitrary delivery patterns: occupancy never
-    /// negative, per-slot rebuffering in [0, τ], playback never exceeds Mᵢ,
-    /// and watched time + rebuffer time per active slot equals τ (until the
-    /// final partial slot).
+    /// [`buffer_invariants_hold`] under arbitrary delivery patterns.
     #[test]
     fn buffer_invariants(
         tau in 0.25f64..2.5,
         total_s in 5.0f64..50.0,
         deliveries in proptest::collection::vec(0.0f64..400.0, 1..120),
     ) {
-        let rate = 100.0;
-        let mut c = ClientPlayback::new(total_s, tau);
-        for kb in &deliveries {
-            let remaining_before = total_s - c.played_s();
-            let o = c.begin_slot();
-            prop_assert!(o.occupancy_s >= 0.0);
-            prop_assert!(o.rebuffer_s >= 0.0 && o.rebuffer_s <= tau + 1e-12);
-            prop_assert!(o.watched_s >= 0.0 && o.watched_s <= tau + 1e-12);
-            if o.active {
-                // Active slot: watch + stall covers exactly the playback
-                // still needed this slot (τ, or less at the video end).
-                let needed = tau.min(remaining_before);
-                prop_assert!((o.watched_s + o.rebuffer_s - needed).abs() < 1e-9);
-            }
-            prop_assert!(c.played_s() <= total_s + 1e-9);
-            c.deliver(*kb, rate);
-        }
+        buffer_invariants_hold(tau, total_s, &deliveries);
     }
 
     /// Playback-time conservation: total watched seconds never exceed the

@@ -149,6 +149,44 @@ impl SchedulerSpec {
         }
     }
 
+    /// Reject every parameter that [`SchedulerSpec::build`]'s constructors
+    /// `assert!`, with their own comparisons, under which NaN fails too.
+    pub fn validate(&self) -> Result<(), String> {
+        let unit = |a: f64| a > 0.0 && a <= 1.0;
+        let (ok, rule) = match *self {
+            Self::Ema { v, pc_clamp, .. } | Self::EmaFast { v, pc_clamp, .. } => (
+                v > 0.0 && pc_clamp.is_none_or(|b| b > 0.0),
+                "needs v > 0 and pc_clamp > 0",
+            ),
+            Self::Throttling { kappa } => (kappa > 0.0, "needs kappa > 0"),
+            Self::OnOff { low_s, high_s } => {
+                (low_s >= 0.0 && high_s > low_s, "needs 0 <= low_s < high_s")
+            }
+            Self::Salsa {
+                theta,
+                buffer_floor_s,
+                ewma_alpha,
+            } => (
+                theta > 0.0 && buffer_floor_s >= 0.0 && unit(ewma_alpha),
+                "needs theta > 0, buffer_floor_s >= 0 and 0 < ewma_alpha <= 1",
+            ),
+            Self::EStreamer { refill_s, target_s } => (
+                refill_s >= 0.0 && target_s > refill_s,
+                "needs 0 <= refill_s < target_s",
+            ),
+            Self::ProportionalFair { ewma_alpha } => {
+                (unit(ewma_alpha), "needs 0 < ewma_alpha <= 1")
+            }
+            Self::Default | Self::Rtma { .. } | Self::RtmaUnbounded | Self::RoundRobin => {
+                (true, "")
+            }
+        };
+        match ok {
+            true => Ok(()),
+            false => Err(format!("{} {rule}", self.label())),
+        }
+    }
+
     /// Short label for figure legends and CSV columns.
     pub fn label(&self) -> String {
         match self {
@@ -273,6 +311,7 @@ mod tests {
             SchedulerSpec::pf_default(),
         ];
         for spec in specs {
+            assert_eq!(spec.validate(), Ok(()));
             let s = spec.build(1.0, &models);
             assert!(!s.name().is_empty());
             assert!(!spec.label().is_empty());

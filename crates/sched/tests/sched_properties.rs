@@ -115,6 +115,58 @@ fn snapshots(users: &[RandUser]) -> Vec<UserSnapshot> {
         .collect()
 }
 
+/// Every policy's allocation is feasible for `slots` slots of one context.
+fn policies_feasible(users: &[RandUser], budget: u64, slots: u64) {
+    let snaps = snapshots(users);
+    let models = CrossLayerModels::paper();
+    let mut policies: Vec<Box<dyn Scheduler>> = vec![
+        Box::new(DefaultMax::new()),
+        Box::new(Rtma::unbounded()),
+        Box::new(Rtma::with_threshold(SignalThreshold { min_dbm: -80.0 })),
+        Box::new(Ema::new(1.0, models)),
+        Box::new(Throttling::new(1.25)),
+        Box::new(OnOff::new(10.0, 40.0)),
+        Box::new(Salsa::new(1.0, 3.0, 0.2)),
+        Box::new(EStreamer::new(5.0, 60.0)),
+        Box::new(RoundRobin::new()),
+        Box::new(ProportionalFair::new(0.05)),
+    ];
+    for pol in policies.iter_mut() {
+        for slot in 0..slots {
+            let ctx = SlotContext {
+                slot,
+                tau: 1.0,
+                delta_kb: 50.0,
+                bs_cap_units: budget,
+                users: &snaps,
+                soa: None,
+            };
+            assert_eq!(pol.allocate(&ctx).validate(&ctx), Ok(()), "{}", pol.name());
+        }
+    }
+}
+
+/// Snap Φ and V to a grid JSON keeps exactly; every spec must survive
+/// JSON, and build when it validates. Returns the rejections.
+fn spec_roundtrip_case(phi_raw: f64, v_raw: f64) -> Vec<String> {
+    let phi = (phi_raw * 4.0).round() / 4.0;
+    let v = (v_raw * 4.0).round() / 4.0;
+    let mut rejected = Vec::new();
+    for spec in [
+        SchedulerSpec::rtma(phi),
+        SchedulerSpec::ema_dp(v),
+        SchedulerSpec::ema_fast(v),
+    ] {
+        let j = serde_json::to_string(&spec).unwrap_or_default();
+        assert_eq!(serde_json::from_str(&j).ok().as_ref(), Some(&spec));
+        match spec.validate() {
+            Ok(()) => drop(spec.build(1.0, &CrossLayerModels::paper())),
+            Err(e) => rejected.push(e),
+        }
+    }
+    rejected
+}
+
 proptest! {
     /// Greedy == Algorithm 2 == brute force on random tiny instances.
     #[test]
@@ -227,30 +279,7 @@ proptest! {
         budget in 0u64..200,
         slots in 1u64..12,
     ) {
-        let snaps = snapshots(&users);
-        let models = CrossLayerModels::paper();
-        let mut policies: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(DefaultMax::new()),
-            Box::new(Rtma::unbounded()),
-            Box::new(Rtma::with_threshold(SignalThreshold { min_dbm: -80.0 })),
-            Box::new(Ema::new(1.0, models)),
-            Box::new(Throttling::new(1.25)),
-            Box::new(OnOff::new(10.0, 40.0)),
-            Box::new(Salsa::new(1.0, 3.0, 0.2)),
-            Box::new(EStreamer::new(5.0, 60.0)),
-            Box::new(RoundRobin::new()),
-            Box::new(ProportionalFair::new(0.05)),
-        ];
-        for pol in policies.iter_mut() {
-            for slot in 0..slots {
-                let ctx = SlotContext {
-                    slot, tau: 1.0, delta_kb: 50.0, bs_cap_units: budget, users: &snaps, soa: None,
-                };
-                let a = pol.allocate(&ctx);
-                prop_assert!(a.validate(&ctx).is_ok(),
-                    "{} produced invalid allocation: {:?}", pol.name(), a.validate(&ctx));
-            }
-        }
+        policies_feasible(&users, budget, slots);
     }
 
     /// RTMA never allocates to users below its threshold, and exhausts
@@ -285,22 +314,42 @@ proptest! {
     /// Scheduler specs build and serde-roundtrip for arbitrary parameters.
     #[test]
     fn spec_roundtrip(phi_raw in 100.0f64..2000.0, v_raw in 0.25f64..50.0) {
-        // Snap to an exactly-representable grid: the JSON layer may lose
-        // the last ulp of arbitrary doubles.
-        let phi = (phi_raw * 4.0).round() / 4.0;
-        let v = (v_raw * 4.0).round() / 4.0;
-        for spec in [
-            SchedulerSpec::rtma(phi),
-            SchedulerSpec::ema_dp(v),
-            SchedulerSpec::ema_fast(v),
-        ] {
-            let j = serde_json::to_string(&spec).unwrap();
-            let back: SchedulerSpec = serde_json::from_str(&j).unwrap();
-            prop_assert_eq!(&back, &spec);
-            let _ = spec.build(1.0, &CrossLayerModels::paper());
-        }
+        prop_assert!(spec_roundtrip_case(phi_raw, v_raw).is_empty());
     }
 }
+
+/// A recorded failure of `all_policies_feasible` (a 1 GB video, no link
+/// or BS budget); `slots`, not in the record, is fixed at 11.
+#[test]
+fn all_policies_feasible_huge_video_zero_budget() {
+    let user = RandUser {
+        sig: -50.0,
+        rate: 300.0,
+        link_cap: 0,
+        idle: 0.0,
+        remaining_kb: 1_000_000_000.0,
+        pc: 0.0,
+    };
+    policies_feasible(&[user], 0, 11);
+}
+
+/// Recorded failures of `spec_roundtrip` (the first under its old input
+/// names): V snaps to 0, which `validate` rejects before `build` panics.
+#[test]
+fn spec_roundtrip_phi_1965_v_0_01() {
+    assert_eq!(spec_roundtrip_case(1965.7908035073463, 0.01), V_ZERO);
+}
+
+#[test]
+fn spec_roundtrip_phi_100_v_0_01() {
+    assert_eq!(spec_roundtrip_case(100.0, 0.01), V_ZERO);
+}
+
+/// The two EMA specs' rejections at V = 0; RTMA's Φ is valid.
+const V_ZERO: [&str; 2] = [
+    "EMA(V=0) needs v > 0 and pc_clamp > 0",
+    "EMA-fast(V=0) needs v > 0 and pc_clamp > 0",
+];
 
 proptest! {
     /// Every policy allocates bit-identically whether or not its context

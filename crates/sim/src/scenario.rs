@@ -286,6 +286,9 @@ impl Scenario {
         if self.delta_kb <= 0.0 || self.delta_kb.is_nan() {
             return Err(ScenarioError::new("delta_kb", "must be positive"));
         }
+        self.scheduler
+            .validate()
+            .map_err(|e| ScenarioError::new("scheduler", e))?;
         let ranges = [
             ("workload.rate_range_kbps", self.workload.rate_range_kbps),
             ("workload.size_range_kb", self.workload.size_range_kb),

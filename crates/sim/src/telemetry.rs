@@ -14,7 +14,7 @@
 //!   compile-time `false`. Every run path is generic over the
 //!   recorder, so the `NullRecorder` instantiation monomorphizes every
 //!   hook away and the hot path stays identical to the un-instrumented
-//!   loop (the `hotpath` bench pins this).
+//!   loop (the benchmark pins it: `sim.allocs_per_slot`, `trace.overhead_ratio`).
 //! * [`TraceRecorder`] — accumulates [`SlotRecord`]s (optionally
 //!   downsampled; see [`TraceRecorder::with_every`]) and a
 //!   [`TelemetrySummary`].

@@ -30,9 +30,12 @@ cargo test -q
 # sidecars, scenario files) is printed by the vendored serde stubs, and
 # every socket line is parsed by them: the writer-vs-reference-printer
 # oracle, the derive shape pins and the nesting cap live in their own
-# test targets.
-echo "== cargo test -p serde -p serde_json -p serde_derive"
-cargo test -q -p serde -p serde_json -p serde_derive
+# test targets. Every property test above draws its cases from the
+# proptest and rand stubs, and the gateway's protocol parser, DPI and
+# receiver carry payloads in the bytes stub, so their own unit tests run
+# here too.
+echo "== cargo test -p serde -p serde_json -p serde_derive -p proptest -p rand -p bytes"
+cargo test -q -p serde -p serde_json -p serde_derive -p proptest -p rand -p bytes
 
 # The repository benchmark is a workspace of its own (benchmark/) that
 # compiles against the crates' public surface; a PR that breaks that
@@ -97,13 +100,6 @@ if [[ "${SVC:-0}" == "1" ]]; then
             | tail -n 1 | grep -q '"correct": true' \
             || { echo "gateway-live --trace $trace did not report \"correct\": true"; exit 1; }
     done
-fi
-
-# Opt-in perf gate: BENCH=1 scripts/check.sh additionally runs the
-# hotpath bench and diffs it against the committed BENCH_PR10.json
-# baseline (too noisy for every pre-commit run, so off by default).
-if [[ "${BENCH:-0}" == "1" ]]; then
-    scripts/bench-regress.sh
 fi
 
 # For information, not a gate: the counts the ROADMAP re-anchors quote.

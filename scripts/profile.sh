@@ -1,37 +1,44 @@
 #!/usr/bin/env bash
-# Profile one hotpath bench row under gprofng and print the hottest
-# functions. The row substring is passed straight to the hotpath
-# binary's row filter, so exactly the selected rows run under the
-# profiler and nothing else pollutes the profile.
+# Profile one repository-benchmark workload under gprofng and print the
+# hottest functions. The harness is built and run exactly as
+# benchmark/run.sh builds and runs it (release, offline, into
+# .bench_build), one untraced pass at seed 42, so the profile covers the
+# same code the benchmark's end-to-end numbers time.
 #
 # Usage:
-#   scripts/profile.sh <row-substring> [reps]
+#   scripts/profile.sh <workload> [seconds]
 #
-#   scripts/profile.sh "open-system + admission"     # the PR 10 row
-#   scripts/profile.sh "EMA(V=1)" 60                 # more reps = more samples
+#   scripts/profile.sh cell-ema            # 10 s of the EMA cells
+#   scripts/profile.sh open-sharded 30     # more seconds = more samples
 #
-# Notes for this host (single-core VM): gprofng percentages are
-# trustworthy, absolute times are not — load the experiment with
-# `gprofng display text -functions <exp>` for the full table, and bump
-# reps (default 40) until the row of interest dominates total CPU time.
+# Workloads are the names in BENCHMARK.json. gprofng percentages are
+# trustworthy on a shared VM, absolute times are not; load the
+# experiment with `gprofng display text -functions <exp>` for the full
+# table. `gateway-live` spends its time in jmso-gateway daemons, child
+# processes recorded as descendant experiments: the printed table is the
+# harness's side of the socket, `<exp>/_x<N>.er` each daemon life's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-row="${1:?usage: scripts/profile.sh <row-substring> [reps]}"
-reps="${2:-40}"
+workload="${1:?usage: scripts/profile.sh <workload> [seconds]}"
+seconds="${2:-10}"
 
 command -v gprofng >/dev/null || {
     echo "gprofng not found on PATH" >&2
     exit 1
 }
 
-echo "== cargo build --release -p jmso-bench --bin hotpath"
-cargo build --release -p jmso-bench --bin hotpath
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}"
+echo "== build the benchmark harness and jmso-gateway into $CARGO_TARGET_DIR"
+cargo build --release --offline --quiet -p jmso-gateway-svc --bin jmso-gateway
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+export JMSO_GATEWAY_BIN="$CARGO_TARGET_DIR/release/jmso-gateway"
 
-expdir="$(mktemp -d)/hotpath.er"
-echo "== gprofng collect app ($reps reps of rows matching '$row')"
-HOTPATH_REPS="$reps" gprofng collect app -o "$expdir" \
-    ./target/release/hotpath "$row"
+expdir="$(mktemp -d)/$workload.er"
+echo "== gprofng collect app ($workload, seed 42, $seconds s, --trace 0)"
+gprofng collect app -o "$expdir" \
+    "$CARGO_TARGET_DIR/release/jmso-benchmark" \
+    --workload "$workload" --seed 42 --seconds "$seconds" --trace 0 >/dev/null
 
 echo "== hottest functions (exclusive CPU)"
 gprofng display text -limit 25 -functions "$expdir"
