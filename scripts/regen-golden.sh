@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Regenerate the committed golden slot traces under tests/golden/
-# (rtma, ema, ema_fast, the fault-injected `faulted` trace, and the
-# ABR-ladder `abr` trace) from the current engine. The scenario definitions live in tests/golden_trace.rs (this
+# Regenerate the committed goldens under tests/golden/ from the current
+# engine: the slot traces (rtma, ema, ema_fast, the fault-injected
+# `faulted` trace, the ABR-ladder `abr` trace and the multicell trace),
+# the 84 lines of `multicell.digests`, and `sidecar.digests` (the bytes
+# of an open cell's sidecar at slot 200 and a closed VBR cell's at slot
+# 150). The scenario definitions live in tests/golden_trace.rs (this
 # script just reruns that harness with REGEN_GOLDEN=1, so harness and
 # generator can never disagree).
 #

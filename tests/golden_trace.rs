@@ -11,8 +11,9 @@
 //! place) and review the diff before committing.
 
 use jmso_sim::{
-    AbrPolicy, AbrSpec, BitrateLadder, CapacitySpec, FaultEvent, FaultSpec, MultiCellResult,
-    MultiCellScenario, Scenario, SchedulerSpec, SlotTrace, TailPricing, WorkloadSpec,
+    AbrPolicy, AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, FaultEvent,
+    FaultSpec, MultiCellResult, MultiCellScenario, NullRecorder, RunOutcome, Scenario,
+    SchedulerSpec, SessionLength, SlotTrace, TailPricing, WorkloadSpec,
 };
 use std::path::PathBuf;
 
@@ -420,4 +421,102 @@ fn multicell_digests_match_parent() {
         assert_eq!(want, got, "a multicell run moved");
     }
     assert_eq!(golden.lines().count(), lines.lines().count());
+}
+
+/// The open sidecar's cell: Poisson arrivals every other slot into room
+/// for about two sessions, a three-rung ABR ladder, feasibility
+/// admission that defers up to 30 slots, and a generated fault plan.
+fn open_sidecar_scenario() -> Scenario {
+    let mut s = Scenario::paper_default(200);
+    s.slots = 300;
+    s.seed = 11;
+    s.capacity = CapacitySpec::Constant { kbps: 1_200.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (2_000.0, 3_000.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: None,
+        vbr_segment_slots: 30,
+    };
+    s.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 2.0,
+        diurnal: None,
+        session_slots: Some(SessionLength::Exponential { mean_slots: 20.0 }),
+    };
+    s.abr = Some(AbrSpec {
+        ladder: BitrateLadder {
+            multipliers: vec![0.5, 0.75, 1.0],
+        },
+        ..AbrSpec::single_rung()
+    });
+    s.admission = Some(AdmissionSpec::Feasibility {
+        v: 1.0,
+        omega_s: None,
+        phi_mj: None,
+        max_defer_slots: 30,
+    });
+    s.faults = FaultSpec::Generated {
+        seed: 5,
+        n_events: 8,
+    };
+    s
+}
+
+/// The closed VBR sidecar's cell: eight users on the five-level ladder
+/// of the VBR ablation, contending for a constant 2.4 MB/s.
+fn vbr_sidecar_scenario() -> Scenario {
+    let mut s = Scenario::paper_default(8);
+    s.slots = 300;
+    s.seed = 3;
+    s.capacity = CapacitySpec::Constant { kbps: 2_400.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (60_000.0, 120_000.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: Some(vec![0.75, 1.25, 1.0, 0.85, 1.15]),
+        vbr_segment_slots: 30,
+    };
+    s.scheduler = SchedulerSpec::ema_fast(1.0);
+    s
+}
+
+/// The untraced sidecar of `scenario` at the top of `slot`, as JSON.
+fn sidecar_json(scenario: &Scenario, slot: u64) -> String {
+    match scenario.run_until(&mut NullRecorder, slot).unwrap() {
+        RunOutcome::Paused(ck) => ck.to_json().unwrap(),
+        RunOutcome::Done(_) => panic!("the run ended before slot {slot}"),
+    }
+}
+
+/// `tests/golden/sidecar.digests`: the bytes of two mid-run sidecars,
+/// an open cell's at slot 200 (with deferred arrivals outstanding) and
+/// a closed VBR cell's at slot 150. A change to what a sidecar carries
+/// or how it prints shows up here.
+#[test]
+fn sidecar_digests_match() {
+    let open = sidecar_json(&open_sidecar_scenario(), 200);
+    // Not vacuous: a deferred user is due at the next slot, and the
+    // admission state carries their count.
+    assert!(
+        open.contains("\"arrival_slot\":201"),
+        "no deferral outstanding"
+    );
+    let vbr = sidecar_json(&vbr_sidecar_scenario(), 150);
+    assert!(vbr.contains("\"rates_kbps\":["), "not a VBR cell");
+    let lines = format!(
+        "open/slot=200 {}\nvbr/slot=150 {}\n",
+        fnv1a(open.as_bytes()),
+        fnv1a(vbr.as_bytes())
+    );
+
+    let path = golden_path("sidecar.digests");
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &lines).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {}: {e}; run scripts/regen-golden.sh",
+            path.display()
+        )
+    });
+    assert_eq!(golden, lines, "a sidecar's bytes moved");
 }
