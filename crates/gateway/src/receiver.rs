@@ -11,7 +11,7 @@
 //! bursty origin. When payload carriage is enabled the queues hold real
 //! [`bytes::Bytes`] chunks so end-to-end byte movement can be asserted in
 //! tests; by default only byte counts are tracked, which is what the
-//! simulator needs.
+//! simulator needs, and a flow is plain data.
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -71,18 +71,18 @@ impl OriginModel {
     }
 }
 
-/// One flow's queue state.
-#[derive(Debug)]
+/// One flow's queue state: plain data, so a receiver of any size is
+/// released without visiting a flow.
+#[derive(Debug, Clone, Copy)]
 struct FlowQueue {
     class: FlowClass,
-    origin: OriginModel,
     /// KB buffered at the gateway and ready to forward.
     backlog_kb: f64,
     /// KB the whole flow will ever carry (`None` = unbounded).
     remaining_source_kb: Option<f64>,
-    /// Optional real payload chunks (tests / fidelity mode).
-    payload: Option<VecDeque<Bytes>>,
 }
+
+const _: () = assert!(!std::mem::needs_drop::<FlowQueue>());
 
 impl FlowQueue {
     /// True while an ingest can still change this flow: it is unbounded,
@@ -93,20 +93,28 @@ impl FlowQueue {
     }
 }
 
+/// [`DataReceiver::at`] of a flow that is not on the owing list.
+const UNLISTED: u32 = u32::MAX;
+
 /// The gateway's downlink buffer across all flows.
 #[derive(Debug)]
 pub struct DataReceiver {
     flows: Vec<FlowQueue>,
+    /// The one origin every flow is fed by.
+    origin: OriginModel,
     tau: f64,
-    carry_payload: bool,
+    /// Real payload chunks, one queue per flow; empty unless
+    /// [`DataReceiver::with_payload`] (tests / fidelity mode).
+    payload: Vec<VecDeque<Bytes>>,
     /// Flows whose origin still owes bytes — the only ones
-    /// [`DataReceiver::ingest_slot`] visits. A flow leaves when an ingest
-    /// finds its source drained (an [`OriginModel::Infinite`] origin
-    /// drains every bounded flow on its first ingest) and re-enters when
-    /// a volume call gives it a remainder again.
+    /// [`DataReceiver::ingest_slot`] visits, in no particular order (a
+    /// flow's ingest touches that flow alone). A flow leaves when an
+    /// ingest finds its source drained, or when a volume set drains it
+    /// on the spot (an [`OriginModel::Infinite`] origin), and re-enters
+    /// when a volume call gives it a remainder again.
     owing: Vec<usize>,
-    /// `listed[i]` ⇔ flow `i` is on `owing` (keeps it duplicate-free).
-    listed: Vec<bool>,
+    /// `at[i]`: flow `i`'s place on `owing`, or [`UNLISTED`].
+    at: Vec<u32>,
     /// Flows the latest ingest visited.
     visited_last_ingest: usize,
 }
@@ -116,60 +124,89 @@ impl DataReceiver {
     /// slot length `tau`.
     pub fn new(n_users: usize, origin: OriginModel, tau: f64) -> Self {
         assert!(tau > 0.0);
-        let flows = (0..n_users)
-            .map(|_| FlowQueue {
-                class: FlowClass::Video,
-                origin: origin.clone(),
-                backlog_kb: 0.0,
-                remaining_source_kb: None,
-                payload: None,
-            })
-            .collect();
+        assert!(n_users < UNLISTED as usize, "too many flows");
+        let flow = FlowQueue {
+            class: FlowClass::Video,
+            backlog_kb: 0.0,
+            remaining_source_kb: None,
+        };
         // Unbounded flows always owe: every flow starts listed.
         Self {
-            flows,
+            flows: vec![flow; n_users],
+            origin,
             tau,
-            carry_payload: false,
+            payload: Vec::new(),
             owing: (0..n_users).collect(),
-            listed: vec![true; n_users],
+            at: (0..n_users as u32).collect(),
             visited_last_ingest: 0,
         }
     }
 
-    /// List flow `user` for ingest if its origin owes bytes and it is
-    /// not listed yet. Flows that stop owing are unlisted lazily, by
-    /// the next ingest.
-    fn list_if_owing(&mut self, user: usize) {
-        if !self.listed[user] && self.flows[user].owes() {
-            self.listed[user] = true;
+    /// Put flow `user` on the owing list or take it off, as it owes
+    /// bytes or not: O(1) either way.
+    fn relist(&mut self, user: usize) {
+        let listed = self.at[user] != UNLISTED;
+        if listed == self.flows[user].owes() {
+            return;
+        }
+        if listed {
+            let k = self.at[user] as usize;
+            self.owing.swap_remove(k);
+            if let Some(&moved) = self.owing.get(k) {
+                self.at[moved] = k as u32;
+            }
+            self.at[user] = UNLISTED;
+        } else {
+            self.at[user] = self.owing.len() as u32;
             self.owing.push(user);
         }
     }
 
-    /// Enable real payload carriage (each queued KB is backed by a
-    /// [`Bytes`] chunk). Used by tests asserting end-to-end byte movement.
+    /// Enable real payload carriage: each KB queued from here on is
+    /// backed by a [`Bytes`] chunk. Used by tests asserting end-to-end
+    /// byte movement; call it before any volume is set, since an
+    /// [`OriginModel::Infinite`] origin queues a flow's whole volume
+    /// when it is set.
     pub fn with_payload(mut self) -> Self {
-        self.carry_payload = true;
-        for f in &mut self.flows {
-            f.payload = Some(VecDeque::new());
-        }
+        self.payload = vec![VecDeque::new(); self.flows.len()];
         self
+    }
+
+    /// Queue `kb` of origin arrivals on flow `user` (and, in payload
+    /// mode, the chunk carrying them).
+    fn arrive(&mut self, user: usize, kb: f64) {
+        if kb > 0.0 {
+            self.flows[user].backlog_kb += kb;
+            if let Some(q) = self.payload.get_mut(user) {
+                q.push_back(Bytes::from(vec![0u8; (kb * 1024.0) as usize]));
+            }
+        }
     }
 
     /// Bound the total volume flow `user` will ever receive from its
     /// origin (the video size), so the queue drains at end of session.
+    /// An [`OriginModel::Infinite`] origin ships the whole volume at
+    /// once — what its next ingest would do — so the flow is drained
+    /// here and no ingest visits it.
     pub fn set_source_volume_kb(&mut self, user: usize, kb: f64) {
-        self.flows[user].remaining_source_kb = Some(kb);
-        self.list_if_owing(user);
+        let rem = match self.origin {
+            OriginModel::Infinite => {
+                self.arrive(user, kb);
+                0.0
+            }
+            _ => kb,
+        };
+        self.flows[user].remaining_source_kb = Some(rem);
+        self.relist(user);
     }
 
     /// Adjust flow `user`'s total source volume by `delta_kb` (an ABR rung
     /// switch re-prices the unfetched remainder of the video). Growth goes
     /// to the undelivered source remainder when the origin still owes
     /// bytes, else to the gateway backlog (the origin already shipped
-    /// everything, as an [`OriginModel::Infinite`] origin does on first
-    /// ingest); shrinkage drains the source remainder first and then the
-    /// backlog, flooring both at zero. No-op for unbounded flows.
+    /// everything, as an [`OriginModel::Infinite`] origin does when the
+    /// volume is set); shrinkage drains the source remainder first and
+    /// then the backlog, flooring both at zero. No-op for unbounded flows.
     pub fn adjust_source_volume_kb(&mut self, user: usize, delta_kb: f64) {
         let f = &mut self.flows[user];
         let Some(rem) = f.remaining_source_kb.as_mut() else {
@@ -187,7 +224,7 @@ impl DataReceiver {
             let from_backlog = (-delta_kb) - from_rem;
             f.backlog_kb = (f.backlog_kb - from_backlog).max(0.0);
         }
-        self.list_if_owing(user);
+        self.relist(user);
     }
 
     /// Reclassify a flow (video flows are scheduled, background is not).
@@ -205,17 +242,13 @@ impl DataReceiver {
     /// no state change — so skipping it is exact; the cost of a slot is
     /// the flows still fetching, not the pool.
     pub fn ingest_slot(&mut self, slot: u64) {
-        let Self {
-            flows,
-            tau,
-            owing,
-            listed,
-            ..
-        } = self;
-        self.visited_last_ingest = owing.len();
-        owing.retain(|&i| {
-            let f = &mut flows[i];
-            let mut arrive = f.origin.arrival_kb(slot, *tau);
+        self.visited_last_ingest = self.owing.len();
+        let offer = self.origin.arrival_kb(slot, self.tau);
+        let mut kept = 0;
+        for k in 0..self.owing.len() {
+            let i = self.owing[k];
+            let f = &mut self.flows[i];
+            let mut arrive = offer;
             if let Some(rem) = f.remaining_source_kb.as_mut() {
                 arrive = arrive.min(*rem);
                 *rem -= arrive;
@@ -223,17 +256,19 @@ impl DataReceiver {
                 // Unbounded source with no volume bound: keep the backlog
                 // topped up to a large watermark instead of growing it.
                 f.backlog_kb = f.backlog_kb.max(1e12);
-                return true;
+                arrive = 0.0;
             }
-            if arrive > 0.0 {
-                f.backlog_kb += arrive;
-                if let Some(q) = f.payload.as_mut() {
-                    q.push_back(Bytes::from(vec![0u8; (arrive * 1024.0) as usize]));
-                }
+            let owes = f.owes();
+            self.arrive(i, arrive);
+            if owes {
+                self.owing[kept] = i;
+                self.at[i] = kept as u32;
+                kept += 1;
+            } else {
+                self.at[i] = UNLISTED;
             }
-            listed[i] = f.owes();
-            listed[i]
-        });
+        }
+        self.owing.truncate(kept);
     }
 
     /// Flows the latest [`DataReceiver::ingest_slot`] visited — a
@@ -259,7 +294,7 @@ impl DataReceiver {
         let take = kb.min(f.backlog_kb).max(0.0);
         f.backlog_kb -= take;
         let mut chunks = Vec::new();
-        if let Some(q) = f.payload.as_mut() {
+        if let Some(q) = self.payload.get_mut(user) {
             let mut remaining_bytes = (take * 1024.0) as usize;
             while remaining_bytes > 0 {
                 match q.pop_front() {
@@ -306,8 +341,9 @@ impl DataReceiver {
         for (i, (f, s)) in self.flows.iter_mut().zip(state).enumerate() {
             f.backlog_kb = s.backlog_kb;
             f.remaining_source_kb = s.remaining_source_kb;
-            self.listed[i] = f.owes();
-            if self.listed[i] {
+            self.at[i] = UNLISTED;
+            if f.owes() {
+                self.at[i] = self.owing.len() as u32;
                 self.owing.push(i);
             }
         }
@@ -396,6 +432,32 @@ mod tests {
         assert_eq!(chunks2.iter().map(|c| c.len()).sum::<usize>(), 1024);
     }
 
+    /// An infinite origin queues a bounded flow's volume when it is set,
+    /// so no ingest visits the flow, and in payload mode the chunk that
+    /// carries it is the one the first ingest would have queued: the
+    /// same bytes leave the queue.
+    #[test]
+    fn infinite_origin_drains_a_bounded_flow_when_its_volume_is_set() {
+        let mut r = DataReceiver::new(3, OriginModel::Infinite, 1.0).with_payload();
+        r.set_source_volume_kb(0, 2.5);
+        r.set_source_volume_kb(2, 0.0);
+        assert_eq!(r.backlog_kb(0), 2.5);
+        r.ingest_slot(0);
+        assert_eq!(r.flows_visited_last_ingest(), 1, "only the unbounded flow");
+        assert_eq!(r.backlog_kb(0), 2.5);
+        assert_eq!(r.export_state()[0].remaining_source_kb, Some(0.0));
+        let (kb, chunks) = r.dequeue_kb(0, 1.0);
+        assert_eq!(kb, 1.0);
+        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 1024);
+        let (kb, chunks) = r.dequeue_kb(0, 10.0);
+        assert_eq!(kb, 1.5);
+        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 1536);
+        // An unbounded flow of an infinite origin never carries payload.
+        let (kb, chunks) = r.dequeue_kb(1, 10.0);
+        assert_eq!(kb, 10.0);
+        assert!(chunks.is_empty());
+    }
+
     #[test]
     fn adjust_volume_grows_remainder_then_backlog() {
         let mut r = DataReceiver::new(1, OriginModel::RateLimited { kbps: 100.0 }, 1.0);
@@ -415,10 +477,9 @@ mod tests {
     #[test]
     fn adjust_volume_lands_in_backlog_once_origin_drained() {
         // Infinite origin + volume bound: the whole video is in the
-        // backlog after the first ingest, so growth must go there.
+        // backlog once the volume is set, so growth must go there.
         let mut r = DataReceiver::new(1, OriginModel::Infinite, 1.0);
         r.set_source_volume_kb(0, 500.0);
-        r.ingest_slot(0);
         assert_eq!(r.backlog_kb(0), 500.0);
         r.adjust_source_volume_kb(0, 250.0);
         assert_eq!(r.backlog_kb(0), 750.0);

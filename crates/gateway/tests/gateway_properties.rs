@@ -128,8 +128,9 @@ proptest! {
     /// The list-driven `ingest_slot` leaves every flow — backlog and
     /// remaining source — exactly where the full walk over all flows
     /// would, every slot, under every origin, with volume calls and
-    /// checkpoint imports landing between slots. Once every bounded flow
-    /// is drained it visits none.
+    /// checkpoint imports landing between slots (an infinite origin's
+    /// volume set is a full-walk ingest of that flow). Once every bounded
+    /// flow is drained it visits none.
     #[test]
     fn list_driven_ingest_equals_full_walk(
         origin in arb_origin(),
@@ -151,6 +152,12 @@ proptest! {
                         let kb = if (x as u64).is_multiple_of(3) { 0.0 } else { x };
                         rx.set_source_volume_kb(user, kb);
                         model[user].remaining_source_kb = Some(kb);
+                        if origin == OriginModel::Infinite {
+                            // An infinite origin ships the whole volume
+                            // when it is set: the model's next ingest,
+                            // now.
+                            ingest_full_walk(&mut model[user..=user], &origin, 0, tau);
+                        }
                     }
                     1 => {
                         rx.adjust_source_volume_kb(user, x - 300.0);

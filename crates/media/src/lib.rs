@@ -24,5 +24,5 @@ pub mod workload;
 pub use abr::{AbrClient, AbrInputs, AbrPolicy, AbrSpec, AbrSwitch, BitrateLadder};
 pub use buffer::{ClientPlayback, SlotOutcome};
 pub use metrics::{jain_index, Cdf, RebufferStats};
-pub use video::{BitrateModel, VideoSession};
+pub use video::{BitrateModel, RateList, VideoSession};
 pub use workload::{generate_sessions, WorkloadSpec};

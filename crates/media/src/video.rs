@@ -5,10 +5,70 @@
 //! one ("we consider the video bit rate changes over time but remains same
 //! in a slot"). The total playback time `Mᵢ` follows from volume and rates.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, JsonWriter, Serialize, Value};
+
+/// A VBR session's per-segment rates, KB/s: up to
+/// [`RateList::CAPACITY`] of them, held inline so that a session is plain
+/// data (no heap memory, nothing to drop). It reads as a slice and prints
+/// as the JSON array a `Vec<f64>` would.
+#[derive(Clone, Copy, PartialEq)]
+pub struct RateList {
+    len: u8,
+    /// The rates in `..len`; zero past it, so the derived equality is
+    /// the slices'.
+    rates: [f64; RateList::CAPACITY],
+}
+
+impl RateList {
+    /// Most rates a list holds.
+    pub const CAPACITY: usize = 8;
+
+    /// The list of `rates`, or `None` past [`RateList::CAPACITY`].
+    pub fn new(rates: &[f64]) -> Option<Self> {
+        let mut list = Self {
+            len: u8::try_from(rates.len()).ok()?,
+            rates: [0.0; Self::CAPACITY],
+        };
+        list.rates.get_mut(..rates.len())?.copy_from_slice(rates);
+        Some(list)
+    }
+}
+
+impl std::ops::Deref for RateList {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.rates[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for RateList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for RateList {
+    fn serialize(&self, w: &mut JsonWriter) {
+        (**self).serialize(w)
+    }
+}
+
+impl Deserialize for RateList {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let rates = Vec::<f64>::from_value(v)?;
+        Self::new(&rates).ok_or_else(|| {
+            Error::custom(format!(
+                "{} rates, at most {} fit",
+                rates.len(),
+                Self::CAPACITY
+            ))
+        })
+    }
+}
 
 /// Requested data rate `pᵢ(n)` as a function of the slot index.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum BitrateModel {
     /// Constant bitrate in KB/s.
@@ -19,7 +79,7 @@ pub enum BitrateModel {
     /// Variable bitrate: piecewise-constant segments, cycling.
     Vbr {
         /// Per-segment rates in KB/s.
-        rates_kbps: Vec<f64>,
+        rates_kbps: RateList,
         /// Slots per segment.
         segment_slots: u64,
     },
@@ -52,7 +112,7 @@ impl BitrateModel {
 }
 
 /// One user's video-on-demand session.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
 pub struct VideoSession {
     /// Total media volume in KB (the paper's 250–500 MB).
     pub total_kb: f64,
@@ -184,10 +244,14 @@ mod tests {
         assert_eq!(s.total_kb, s.received_kb());
     }
 
+    fn rates(r: &[f64]) -> RateList {
+        RateList::new(r).unwrap()
+    }
+
     #[test]
     fn vbr_segments_cycle() {
         let b = BitrateModel::Vbr {
-            rates_kbps: vec![300.0, 600.0, 450.0],
+            rates_kbps: rates(&[300.0, 600.0, 450.0]),
             segment_slots: 10,
         };
         assert_eq!(b.rate_at(0), 300.0);
@@ -203,7 +267,7 @@ mod tests {
         let s = VideoSession::new(
             90_000.0,
             BitrateModel::Vbr {
-                rates_kbps: vec![300.0, 600.0],
+                rates_kbps: rates(&[300.0, 600.0]),
                 segment_slots: 5,
             },
         );
@@ -214,6 +278,31 @@ mod tests {
     #[should_panic(expected = "positive size")]
     fn zero_size_rejected() {
         VideoSession::cbr(0.0, 100.0);
+    }
+
+    /// A session is plain data: a pool of them is released without
+    /// visiting a row.
+    const _: () = assert!(!std::mem::needs_drop::<VideoSession>());
+
+    /// A rate list prints as the array a `Vec<f64>` would, parses back,
+    /// and refuses more rates than it holds.
+    #[test]
+    fn rate_list_is_a_json_array() {
+        let vbr = BitrateModel::Vbr {
+            rates_kbps: rates(&[226.5, 377.25, 301.0]),
+            segment_slots: 30,
+        };
+        let j = serde_json::to_string(&vbr).unwrap();
+        assert_eq!(
+            j,
+            r#"{"kind":"vbr","rates_kbps":[226.5,377.25,301.0],"segment_slots":30}"#
+        );
+        assert_eq!(serde_json::from_str::<BitrateModel>(&j).unwrap(), vbr);
+        let full = [1.0; RateList::CAPACITY];
+        assert_eq!(&*rates(&full), &full[..]);
+        assert!(RateList::new(&[1.0; RateList::CAPACITY + 1]).is_none());
+        let long = serde_json::to_string(&vec![1.0; RateList::CAPACITY + 1]).unwrap();
+        assert!(serde_json::from_str::<RateList>(&long).is_err());
     }
 
     #[test]

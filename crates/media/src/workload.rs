@@ -9,7 +9,7 @@
 //! rescales the size range around a target mean while preserving the
 //! paper's relative spread (250–500 MB has mean 375 MB and spread ±⅓).
 
-use crate::video::{BitrateModel, VideoSession};
+use crate::video::{BitrateModel, RateList, VideoSession};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -23,7 +23,7 @@ pub struct WorkloadSpec {
     pub rate_range_kbps: (f64, f64),
     /// When set, sessions are VBR: the drawn rate is modulated by the given
     /// relative levels (e.g. `[0.75, 1.25]`) switching every
-    /// `vbr_segment_slots`.
+    /// `vbr_segment_slots`. At most [`RateList::CAPACITY`] levels.
     pub vbr_levels: Option<Vec<f64>>,
     /// Slots per VBR segment (ignored for CBR).
     pub vbr_segment_slots: u64,
@@ -60,10 +60,18 @@ impl WorkloadSpec {
         let rate = draw_uniform(rng, self.rate_range_kbps);
         let bitrate = match &self.vbr_levels {
             None => BitrateModel::Cbr { kbps: rate },
-            Some(levels) => BitrateModel::Vbr {
-                rates_kbps: levels.iter().map(|l| l * rate).collect(),
-                segment_slots: self.vbr_segment_slots,
-            },
+            Some(levels) => {
+                let mut scaled = [0.0; RateList::CAPACITY];
+                assert!(levels.len() <= scaled.len(), "too many VBR levels");
+                for (r, l) in scaled.iter_mut().zip(levels) {
+                    *r = l * rate;
+                }
+                BitrateModel::Vbr {
+                    rates_kbps: RateList::new(&scaled[..levels.len()])
+                        .unwrap_or_else(|| unreachable!("the length is checked")),
+                    segment_slots: self.vbr_segment_slots,
+                }
+            }
         };
         VideoSession::new(size, bitrate)
     }

@@ -263,9 +263,8 @@ impl SignalModel for ConstantSignal {
 /// a `Box<dyn SignalModel>` that is one virtual call (and one pointer
 /// chase) per user per slot. `SignalKind` makes the dispatch a single
 /// inlined `match` and, combined with [`SignalModel::sample_into`],
-/// amortizes it over a whole block of slots. External [`SignalModel`]
-/// implementations remain fully supported via [`SignalKind::Dyn`], which
-/// simply pays the virtual call again.
+/// amortizes it over a whole block of slots. [`SignalSpec::build`] boxes
+/// one for callers that want the virtual call.
 pub enum SignalKind {
     /// The paper's sinusoid-plus-noise process.
     Sine(SineSignal),
@@ -275,8 +274,6 @@ pub enum SignalKind {
     Trace(TraceSignal),
     /// Constant channel.
     Constant(ConstantSignal),
-    /// Any other [`SignalModel`] implementation, dispatched virtually.
-    Dyn(Box<dyn SignalModel>),
 }
 
 impl SignalModel for SignalKind {
@@ -287,7 +284,6 @@ impl SignalModel for SignalKind {
             SignalKind::Markov(m) => m.sample(slot),
             SignalKind::Trace(t) => t.sample(slot),
             SignalKind::Constant(c) => c.sample(slot),
-            SignalKind::Dyn(d) => d.sample(slot),
         }
     }
 
@@ -298,7 +294,6 @@ impl SignalModel for SignalKind {
             SignalKind::Markov(m) => m.sample_into(start_slot, out),
             SignalKind::Trace(t) => t.sample_into(start_slot, out),
             SignalKind::Constant(c) => c.sample_into(start_slot, out),
-            SignalKind::Dyn(d) => d.sample_into(start_slot, out),
         }
     }
 }
@@ -310,7 +305,6 @@ impl std::fmt::Debug for SignalKind {
             SignalKind::Markov(m) => f.debug_tuple("Markov").field(m).finish(),
             SignalKind::Trace(t) => f.debug_tuple("Trace").field(t).finish(),
             SignalKind::Constant(c) => f.debug_tuple("Constant").field(c).finish(),
-            SignalKind::Dyn(_) => f.write_str("Dyn(..)"),
         }
     }
 }
@@ -336,12 +330,6 @@ impl From<TraceSignal> for SignalKind {
 impl From<ConstantSignal> for SignalKind {
     fn from(c: ConstantSignal) -> Self {
         SignalKind::Constant(c)
-    }
-}
-
-impl From<Box<dyn SignalModel>> for SignalKind {
-    fn from(d: Box<dyn SignalModel>) -> Self {
-        SignalKind::Dyn(d)
     }
 }
 
@@ -594,7 +582,7 @@ mod tests {
     #[test]
     fn block_sampling_matches_stream() {
         type MakeKind = fn() -> SignalKind;
-        let kinds: [(&str, MakeKind); 6] = [
+        let kinds: [(&str, MakeKind); 5] = [
             ("sine+noise", || {
                 SignalKind::Sine(SineSignal::paper_default(3, 40, 8.0, 42))
             }),
@@ -609,9 +597,6 @@ mod tests {
             }),
             ("constant", || {
                 SignalKind::Constant(ConstantSignal(Dbm(-70.0)))
-            }),
-            ("dyn", || {
-                SignalKind::Dyn(Box::new(SineSignal::paper_default(0, 4, 5.0, 1)))
             }),
         ];
         for (name, make) in kinds {

@@ -2,8 +2,7 @@
 
 use super::admission_tick::admission_tick;
 use super::{
-    CapFault, CellLane, Columns, Engine, LiveState, LoopState, Mode, Window, NO_WINDOW,
-    SIG_BLOCK_SLOTS,
+    CapFault, CellLane, Columns, Engine, LiveState, LoopState, Mode, NO_WINDOW, SIG_BLOCK_SLOTS,
 };
 use crate::telemetry::SlotRecorder;
 use jmso_gateway::collector::RawUserState;
@@ -47,9 +46,10 @@ pub(super) fn phase_a(eng: &Engine, mode: Mode, slot: u64, lv: &mut LiveState, c
         debug_assert!(slot >= arrival, "live user must have arrived");
         if u.window == NO_WINDOW {
             // First entry into the live list: the user's window, from
-            // here to the end of the run, is the next in the slab.
+            // here to the end of the run, is the next in the slab, and
+            // their signal model is built with it.
             u.window = lv.windows.len() as u32;
-            lv.windows.push(Window::new(i));
+            lv.windows.push(eng.signals.window(i));
         }
         let w = &mut lv.windows[u.window as usize];
         // Each user's signal block is anchored at their final arrival
@@ -59,8 +59,8 @@ pub(super) fn phase_a(eng: &Engine, mode: Mode, slot: u64, lv: &mut LiveState, c
         // refill — and pre-arrival slots draw no samples at all.
         let block_off = ((slot - arrival) % SIG_BLOCK_SLOTS as u64) as usize;
         if block_off == 0 {
-            u.signal.sample_into(slot, &mut w.sig);
-            u.sig_samples += SIG_BLOCK_SLOTS as u64;
+            w.signal.sample_into(slot, &mut w.sig);
+            w.sig_samples += SIG_BLOCK_SLOTS as u64;
             if mode.tables {
                 // One batch-kernel pass per block: the next
                 // SIG_BLOCK_SLOTS slots read pure table entries.

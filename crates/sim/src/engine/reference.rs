@@ -13,8 +13,9 @@ use jmso_radio::{Dbm, PowerModel};
 
 impl Engine {
     /// Reference slot loop: every user is visited every slot and signals
-    /// are drawn one slot at a time — the plain transcription of the §III
-    /// pipeline with none of the driver's active-set machinery.
+    /// are drawn one slot at a time, each through a boxed
+    /// [`SignalModel`] built with the pool — the plain transcription of
+    /// the §III pipeline with none of the driver's active-set machinery.
     ///
     /// This is the executable specification for every door into the
     /// driver: on any scenario and under any fault plan, both must return
@@ -29,6 +30,10 @@ impl Engine {
         let [lane] = self.lanes.as_mut_slice() else {
             unreachable!("the reference loop is the one-cell specification")
         };
+        let sig = &self.signals;
+        let mut signals: Vec<Box<dyn SignalModel>> = (0..n_users)
+            .map(|i| sig.spec.build(i, sig.n_users, sig.seed))
+            .collect();
         rec.begin_run(n_users, self.cfg.tau);
         let series_cap = if self.cfg.record_series {
             self.cfg.slots as usize
@@ -90,8 +95,7 @@ impl Engine {
                     });
                     continue;
                 }
-                let mut signal = u.signal.sample(slot);
-                u.sig_samples += 1;
+                let mut signal = signals[i].sample(slot);
                 if let Some(plan) = &faults {
                     signal = plan.adjust_signal(slot, i, signal);
                 }

@@ -104,7 +104,7 @@ impl MultiCellScenario {
         };
         // Built without the plan, which is installed after: its late
         // arrivals are the one fault the build applies.
-        let mut engine = cell.build_engine(false, None)?.into_cells(
+        let mut engine = cell.build_engine(None)?.into_cells(
             self.n_cells,
             self.handover_prob,
             base.seed,

@@ -8,7 +8,7 @@
 //! is the one run that does not step a driver: it is what the others are
 //! tested against.
 
-use crate::engine::{Engine, EngineCheckpoint, EngineConfig, RunOutcome, SlotDriver};
+use crate::engine::{Engine, EngineCheckpoint, EngineConfig, RunOutcome, SlotDriver, UserSignals};
 use crate::error::{ScenarioError, SimError};
 use crate::faults::{FaultPlan, FaultSpec};
 use crate::pool::WorkerPool;
@@ -19,8 +19,8 @@ use jmso_gateway::{
     format_segment_request, AdmissionSpec, CollectorSpec, DataReceiver, DpiClassifier,
     InformationCollector, OriginModel, UnitParams,
 };
-use jmso_media::{generate_sessions, AbrSpec, WorkloadSpec};
-use jmso_radio::{SignalKind, SignalSpec};
+use jmso_media::{generate_sessions, AbrSpec, RateList, WorkloadSpec};
+use jmso_radio::SignalSpec;
 use jmso_sched::{CrossLayerModels, SchedulerSpec};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -135,13 +135,13 @@ impl Scenario {
     /// The builder behind every door: validate, compile the fault spec
     /// against the one cell (no plan when the scenario declares no
     /// faults), and assemble the engine.
-    fn engine(&self, dyn_signals: bool) -> Result<Engine, SimError> {
+    fn engine(&self) -> Result<Engine, SimError> {
         self.validate()?;
         let plan = match self.faults.is_none() {
             true => None,
             false => Some(self.faults.compile(self.n_users, self.slots, 1)?),
         };
-        Ok(self.build_engine(dyn_signals, plan)?)
+        Ok(self.build_engine(plan)?)
     }
 
     /// Build a resumable [`SlotDriver`] over this scenario: one slot per
@@ -157,7 +157,7 @@ impl Scenario {
         rec: &mut R,
         resume: Option<&EngineCheckpoint>,
     ) -> Result<SlotDriver, SimError> {
-        self.engine(false)?.build_driver(rec, resume)
+        self.engine()?.build_driver(rec, resume)
     }
 
     /// Validate parameters, assemble the engine, run it.
@@ -171,10 +171,10 @@ impl Scenario {
     }
 
     /// Validate parameters, then run the reference (non-active-set) slot
-    /// loop with the signals wrapped as trait objects
-    /// ([`SignalKind::Dyn`]) — the executable specification every other
-    /// door is differentially tested against. Must return a result
-    /// identical to [`Scenario::run`].
+    /// loop, which samples its signals through trait objects — the
+    /// executable specification every other door is differentially
+    /// tested against. Must return a result identical to
+    /// [`Scenario::run`].
     pub fn run_reference(&self) -> Result<SimResult, SimError> {
         self.run_reference_with(&mut NullRecorder)
     }
@@ -182,7 +182,7 @@ impl Scenario {
     /// [`Scenario::run_reference`] with a caller-supplied
     /// [`SlotRecorder`]; its trace equals [`Scenario::run_with`]'s.
     pub fn run_reference_with<R: SlotRecorder>(&self, rec: &mut R) -> Result<SimResult, SimError> {
-        Ok(self.engine(true)?.run_reference(rec))
+        Ok(self.engine()?.run_reference(rec))
     }
 
     /// The [`TraceRecorder`] this scenario's traces are written with: one
@@ -309,6 +309,16 @@ impl Scenario {
                     "must be non-empty, every level finite and > 0",
                 ));
             }
+            if levels.len() > RateList::CAPACITY {
+                return Err(ScenarioError::new(
+                    "workload.vbr_levels",
+                    format!(
+                        "{} levels, at most {} fit a session's rate list",
+                        levels.len(),
+                        RateList::CAPACITY
+                    ),
+                ));
+            }
         }
         self.arrivals.validate(self.n_users, "arrivals")?;
         if let Some(abr) = &self.abr {
@@ -343,24 +353,13 @@ impl Scenario {
     }
 
     /// Assemble the (validated) scenario's engine carrying `faults`.
-    pub(crate) fn build_engine(
-        &self,
-        dyn_signals: bool,
-        faults: Option<FaultPlan>,
-    ) -> Result<Engine, ScenarioError> {
+    pub(crate) fn build_engine(&self, faults: Option<FaultPlan>) -> Result<Engine, ScenarioError> {
         let sessions = generate_sessions(&self.workload, self.n_users, self.seed);
-        // `dyn_signals` routes signal sampling through boxed trait objects
-        // to exercise the `SignalKind::Dyn` escape hatch external
-        // `SignalModel` impls use; the enum variants are the fast path.
-        let signals = (0..self.n_users)
-            .map(|i| {
-                if dyn_signals {
-                    SignalKind::Dyn(self.signal.build(i, self.n_users, self.seed))
-                } else {
-                    self.signal.build_kind(i, self.n_users, self.seed)
-                }
-            })
-            .collect();
+        let signals = UserSignals {
+            spec: self.signal.clone(),
+            n_users: self.n_users,
+            seed: self.seed,
+        };
         let receiver = DataReceiver::new(self.n_users, self.origin.clone(), self.tau);
         let collector = InformationCollector::new(
             self.collector,
@@ -524,6 +523,12 @@ mod tests {
         let mut s = quick(2);
         s.workload.vbr_levels = Some(Vec::new());
         assert!(run_err(&s).contains("workload.vbr_levels"));
+        // A session holds at most `RateList::CAPACITY` rates inline.
+        s.workload.vbr_levels = Some(vec![1.0; RateList::CAPACITY + 1]);
+        assert!(run_err(&s).contains("workload.vbr_levels"));
+        s.workload.vbr_levels = Some(vec![1.0; RateList::CAPACITY]);
+        s.slots = 2;
+        assert!(s.run().is_ok());
     }
 
     #[test]
@@ -564,6 +569,65 @@ mod tests {
         };
         assert_eq!(ck.slot(), 17);
         let ck = EngineCheckpoint::from_json(&ck.to_json().expect("serialize")).expect("parse");
+        let resumed = s.resume_from(&mut NullRecorder, &ck).expect("resume run");
+        assert_eq!(straight, resumed);
+    }
+
+    /// A user whose every sample reads 0 dBm went live all the same:
+    /// their window comes back on resume, with its Eq. (1) cap table,
+    /// rather than a fresh one mid-block whose caps are zeros.
+    #[test]
+    fn resume_under_a_0_dbm_signal_matches_straight_run() {
+        let mut s = Scenario::paper_default(4);
+        s.slots = 300;
+        s.signal = SignalSpec::Constant { dbm: 0.0 };
+        let straight = s.run().expect("straight run");
+        for pause in [1, 10, 33, 50] {
+            let ck = match s.run_until(&mut NullRecorder, pause).expect("pause run") {
+                RunOutcome::Paused(ck) => ck,
+                RunOutcome::Done(_) => unreachable!("must pause before the horizon"),
+            };
+            let resumed = s.resume_from(&mut NullRecorder, &ck).expect("resume run");
+            assert_eq!(straight, resumed, "resumed at slot {pause}");
+        }
+    }
+
+    /// An infinite origin ships each flow's volume when the build sets
+    /// it, so a sidecar taken before slot 0 shows the flows drained. One
+    /// written by a build that left that to slot 0's ingest — every
+    /// volume still at the origin, nothing queued — restores to the
+    /// straight run all the same: the ingest drains what the sidecar
+    /// says the origin still owes.
+    #[test]
+    fn undrained_slot_0_sidecar_resumes_like_the_straight_run() {
+        let s = long(3);
+        let straight = s.run().expect("straight run");
+        let ck = match s.run_until(&mut NullRecorder, 0).expect("pause run") {
+            RunOutcome::Paused(ck) => ck,
+            RunOutcome::Done(_) => unreachable!("must pause before the first slot"),
+        };
+        let json = ck.to_json().expect("serialize");
+        let mut sidecar: serde::Value = serde_json::from_str(&json).expect("parse");
+        let serde::Value::Map(fields) = &mut sidecar else {
+            unreachable!("a sidecar is an object")
+        };
+        let Some((_, serde::Value::Seq(flows))) = fields.iter_mut().find(|(k, _)| k == "receiver")
+        else {
+            unreachable!("a sidecar carries the receiver's flows")
+        };
+        for flow in flows {
+            let serde::Value::Map(queue) = flow else {
+                unreachable!("a flow is an object")
+            };
+            // `[backlog_kb, remaining_source_kb]`: the volume moves back
+            // from the queue to the origin.
+            let volume = std::mem::replace(&mut queue[0].1, serde::Value::F64(0.0));
+            assert_eq!(queue[1].1, serde::Value::F64(0.0), "drained at the build");
+            queue[1].1 = volume;
+        }
+        let undrained = serde_json::to_string(&sidecar).expect("serialize");
+        assert_ne!(undrained, json);
+        let ck = EngineCheckpoint::from_json(&undrained).expect("parse");
         let resumed = s.resume_from(&mut NullRecorder, &ck).expect("resume run");
         assert_eq!(straight, resumed);
     }

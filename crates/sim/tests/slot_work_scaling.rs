@@ -6,10 +6,10 @@
 //! Data Receiver, the scheduler's sweep, its upkeep of the grant vector,
 //! the collector's share of phase B and the windowed-fairness fold must
 //! visit exactly the same number of rows on both pools in *every* slot,
-//! slot 0 included: a pass-through collector's rows stand as built, so
-//! slot 0 is a slot like any other. One count keeps a slot-0 exemption:
-//! the first ingest drains every flow of an infinite origin. The work
-//! counts are deterministic, so these are exact equalities, not timings.
+//! slot 0 included: a pass-through collector's rows stand as built, and
+//! an infinite origin ships each flow's volume when the build sets it,
+//! so slot 0 is a slot like any other. The work counts are
+//! deterministic, so these are exact equalities, not timings.
 //! So is the finish's: it folds the rows the run wrote — the users who
 //! went live and the admission rejects — and on both pools the same
 //! number of them.
@@ -66,26 +66,25 @@ fn work_per_slot(s: &Scenario) -> Vec<SlotWork> {
 #[test]
 fn slot_work_follows_the_live_sessions_not_the_pool() {
     for admission in [false, true] {
-        let mut small = work_per_slot(&scenario(2_000, admission));
-        let mut large = work_per_slot(&scenario(50_000, admission));
+        let small = work_per_slot(&scenario(2_000, admission));
+        let large = work_per_slot(&scenario(50_000, admission));
         assert_eq!(small.len(), HORIZON as usize);
         assert_eq!(large.len(), HORIZON as usize);
-        // The first ingest is the one pool-wide pass left in a slot.
-        assert_eq!(small[0].receiver_flows, 2_000);
-        assert_eq!(large[0].receiver_flows, 50_000);
-        small[0].receiver_flows = 0;
-        large[0].receiver_flows = 0;
         assert_eq!(
             small, large,
             "per-slot work differs between pools (admission: {admission})"
         );
-        // And it is the plan's work: nothing left for the receiver or
-        // the collector, at most the four overlapping sessions (plus
-        // tails still draining) for the scheduler — whose vector upkeep
-        // is at most last slot's grants zeroed and this slot's written —
-        // and none once the last tail has drained.
+        // No slot walks the receiver's flows on either pool, slot 0
+        // included.
+        for (slot, w) in small.iter().chain(&large).enumerate() {
+            assert_eq!(w.receiver_flows, 0, "slot {}", slot % HORIZON as usize);
+        }
+        // And it is the plan's work: nothing for the collector, at most
+        // the four overlapping sessions (plus tails still draining) for
+        // the scheduler — whose vector upkeep is at most last slot's
+        // grants zeroed and this slot's written — and none once the last
+        // tail has drained.
         for w in &small {
-            assert_eq!(w.receiver_flows, 0);
             assert_eq!(w.collector_rows, 0);
             assert!(w.scheduler_rows <= SESSIONS, "{w:?}");
             assert!(w.grant_rows_cleared <= 2 * SESSIONS, "{w:?}");
