@@ -5,7 +5,7 @@
 //! one ("we consider the video bit rate changes over time but remains same
 //! in a slot"). The total playback time `Mᵢ` follows from volume and rates.
 
-use serde::{Deserialize, Error, JsonWriter, Serialize, Value};
+use serde::{Deserialize, Error, JsonWriter, Reader, Serialize};
 
 /// A VBR session's per-segment rates, KB/s: up to
 /// [`RateList::CAPACITY`] of them, held inline so that a session is plain
@@ -55,8 +55,8 @@ impl Serialize for RateList {
 }
 
 impl Deserialize for RateList {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let rates = Vec::<f64>::from_value(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let rates = Vec::<f64>::deserialize(r)?;
         Self::new(&rates).ok_or_else(|| {
             Error::custom(format!(
                 "{} rates, at most {} fit",

@@ -175,6 +175,23 @@ mod tests {
         assert!((drift_bound_b(3, 1.0, 2.0) - 7.5).abs() < 1e-12);
     }
 
+    /// Theorem 1's energy bound by hand: E* + B/V = 500 + 20/4 = 505.
+    #[test]
+    fn energy_bound_by_hand() {
+        assert!((energy_upper_bound(500.0, 20.0, 4.0) - 505.0).abs() < 1e-12);
+        // V = 1: the whole of B is added.
+        assert!((energy_upper_bound(500.0, 20.0, 1.0) - 520.0).abs() < 1e-12);
+    }
+
+    /// Theorem 1's rebuffering bound by hand:
+    /// (B + V·E*)/ε = (20 + 4·500)/0.1 = 20 200.
+    #[test]
+    fn rebuffer_bound_by_hand() {
+        assert!((rebuffer_upper_bound(20.0, 4.0, 500.0, 0.1) - 20_200.0).abs() < 1e-9);
+        // V = 1 and ε = 1: B + E*.
+        assert!((rebuffer_upper_bound(20.0, 1.0, 500.0, 1.0) - 520.0).abs() < 1e-12);
+    }
+
     /// The Theorem 1 trade-off: raising V tightens the energy bound and
     /// loosens the rebuffering bound.
     #[test]

@@ -259,7 +259,8 @@ struct LiveState {
     live: Vec<usize>,
     /// Min-heap of `(arrival_slot, user)` for users not yet live, drained
     /// at the top of phase A. A live `set_arrival` reschedule pushes a
-    /// fresh entry and leaves the old one behind to be dropped on pop.
+    /// fresh entry and leaves the old one behind to be dropped on pop
+    /// (or by a rebuild, once there are more than two per user).
     /// Empty under feasibility admission, whose tick feeds the gate
     /// instead.
     arrival_queue: BinaryHeap<Reverse<(u64, usize)>>,
@@ -1023,11 +1024,9 @@ impl Engine {
             }
             let mut w = self.signals.window(i);
             // The block-sampling contract (`sample_into` consumes the
-            // stream in slot order) makes one-at-a-time replay
-            // equivalent to the original block cuts.
-            for replay_slot in 0..u.sig_samples {
-                w.signal.sample(replay_slot);
-            }
+            // stream in slot order) makes skipping the samples one at a
+            // time equivalent to the original block cuts.
+            w.signal.skip(u.sig_samples);
             w.sig_samples = u.sig_samples;
             w.cur_signal = u.cur_signal;
             for (dst, &v) in w.sig.iter_mut().zip(&u.sig_block) {
@@ -1536,6 +1535,59 @@ mod tests {
             cached[..],
             [Some(Dbm(0.0)), Some(Dbm(-80.0)), Some(Dbm(0.0))]
         );
+    }
+
+    /// A live feed that reschedules every user 100 times keeps the
+    /// arrival queue within two entries per user, and the run it ends
+    /// with is the declared batch run of its final schedule, result and
+    /// trace bytes alike.
+    #[test]
+    fn rescheduled_arrivals_keep_the_queue_small() {
+        use crate::arrivals::ArrivalSpec;
+        use crate::scenario::Scenario;
+        let n = 12;
+        let mut live = Scenario::paper_default(n).with_seed(5);
+        live.slots = 240;
+        // Every arrival, provisional or final, falls after the ten slots
+        // the feed steps through half way.
+        let arrivals: Vec<u64> = (0..n as u64).map(|i| 20 + i * 17 % 200).collect();
+        let batch = Scenario {
+            arrivals: ArrivalSpec::Declared {
+                arrivals: arrivals.clone(),
+                departures: vec![None; n],
+            },
+            ..live.clone()
+        };
+        let run = |s: &Scenario, drive: &dyn Fn(&mut SlotDriver, &mut TraceRecorder)| {
+            let mut rec = s.trace_recorder(1);
+            let mut drv = s.driver(&mut rec, None).expect("valid scenario");
+            drive(&mut drv, &mut rec);
+            while drv.step(&mut rec).is_some() {}
+            let mut r = drv.finish(&mut rec);
+            r.telemetry = None;
+            let trace = rec.into_trace(&r.scheduler).to_jsonl();
+            (serde_json::to_string(&r).expect("prints"), trace)
+        };
+        let fed = run(&batch, &|drv, rec| {
+            drv.defer_all_arrivals().expect("before the first slot");
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for round in 0..100 {
+                for (user, &a) in arrivals.iter().enumerate() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let slot = if round == 99 { a } else { 20 + x % 220 };
+                    drv.set_arrival(user, slot).expect("a valid reschedule");
+                    assert!(drv.live.arrival_queue.len() <= 2 * n, "round {round}");
+                }
+                if round == 50 {
+                    for _ in 0..10 {
+                        drv.step(rec);
+                    }
+                }
+            }
+        });
+        assert_eq!(fed, run(&batch, &|_, _| {}));
     }
 
     /// The row's size (see [`UserSim`], whose lack of drop glue a

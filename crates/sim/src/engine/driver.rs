@@ -211,7 +211,23 @@ impl SlotDriver {
         // Duplicate entries for a rescheduled arrival are harmless: the
         // drain drops any entry that comes up before the user's current
         // arrival slot, or after they entered.
-        self.live.arrival_queue.push(Reverse((slot, user)));
+        let queue = &mut self.live.arrival_queue;
+        queue.push(Reverse((slot, user)));
+        // But a feed that reschedules each user many times would leave
+        // one per call for the slot loop to pop. Past two per user, the
+        // queue is rebuilt from the arrival column: one entry for each
+        // user still to arrive — exactly those whose arrival is at or
+        // after the next slot — which is the set the drain would keep.
+        let arrival = &self.cols.arrival;
+        if queue.len() > 2 * arrival.len() {
+            let next = self.next_slot;
+            queue.clear();
+            queue.extend(
+                (0..arrival.len())
+                    .filter(|&i| arrival[i] != u64::MAX && arrival[i] >= next)
+                    .map(|i| Reverse((arrival[i], i))),
+            );
+        }
         Ok(())
     }
 

@@ -186,6 +186,26 @@ mod tests {
         }
     }
 
+    /// A figure cell that averages over seeds nests one `parallel_map` in
+    /// another. Under a watchdog, so that a deadlock fails the test
+    /// instead of hanging the suite.
+    #[test]
+    fn nested_parallel_map_completes() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rows = parallel_map(&[1u64, 2, 3, 4], 2, |&a| {
+                parallel_map(&[10u64, 20, 30], 2, |&b| a * b)
+                    .iter()
+                    .sum::<u64>()
+            });
+            let _ = tx.send(rows);
+        });
+        let rows = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("nested parallel_map finished within 60 s");
+        assert_eq!(rows, vec![60, 120, 180, 240]);
+    }
+
     #[test]
     fn parallel_map_empty_and_single() {
         let empty: Vec<u32> = vec![];

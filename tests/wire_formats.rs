@@ -1,0 +1,348 @@
+//! Every wire type through the writer and back through the reader, and
+//! a seeded fuzz loop over the three readers that face damaged or hostile
+//! bytes: the daemon's socket lines (`parse_command`, then DPI for a
+//! request), checkpoint sidecars (`EngineCheckpoint::from_json`) and
+//! JSONL traces (`SlotTrace::from_jsonl`).
+//!
+//! A round trip must come back equal — value for value where the type
+//! has `PartialEq`, byte for byte in its printed form either way. A fuzz
+//! case must end in `Ok` or a typed error, never a panic; an `Ok` socket
+//! line must print and read back to itself.
+
+use jmso_gateway::{
+    declared_rate_from_request, format_segment_request, parse_command, GwCommand, GwEvent,
+    GwStatus, LiveEvent, ProtocolError, SvcState,
+};
+use jmso_sim::{
+    AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, EngineCheckpoint, FaultSpec,
+    NullRecorder, RunOutcome, Scenario, SchedulerSpec, SessionLength, SimResult, SlotTrace,
+    WorkloadSpec,
+};
+use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+
+/// `value` prints compact and pretty, and both forms read back to a
+/// value that is equal and prints the same bytes.
+fn round_trips<T: Serialize + Deserialize + PartialEq + Debug>(value: &T) {
+    for text in [
+        serde_json::to_string(value).unwrap(),
+        serde_json::to_string_pretty(value).unwrap(),
+    ] {
+        let back: T = serde_json::from_str(&text).unwrap();
+        assert_eq!(&back, value, "from {text}");
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(value).unwrap()
+        );
+    }
+}
+
+/// An open cell with everything a sidecar can carry: Poisson arrivals
+/// with sessions that end, a three-rung ABR ladder, feasibility
+/// admission with deferrals, and a generated fault plan.
+fn open_cell() -> Scenario {
+    let mut s = Scenario::paper_default(60);
+    s.slots = 160;
+    s.seed = 11;
+    s.capacity = CapacitySpec::Constant { kbps: 1_200.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (2_000.0, 3_000.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: None,
+        vbr_segment_slots: 30,
+    };
+    s.arrivals = ArrivalSpec::Poisson {
+        mean_interval_slots: 2.0,
+        diurnal: None,
+        session_slots: Some(SessionLength::Exponential { mean_slots: 20.0 }),
+    };
+    s.abr = Some(AbrSpec {
+        ladder: BitrateLadder {
+            multipliers: vec![0.5, 0.75, 1.0],
+        },
+        ..AbrSpec::single_rung()
+    });
+    s.admission = Some(AdmissionSpec::Feasibility {
+        v: 1.0,
+        omega_s: None,
+        phi_mj: None,
+        max_defer_slots: 30,
+    });
+    s.faults = FaultSpec::Generated {
+        seed: 5,
+        n_events: 8,
+    };
+    s
+}
+
+/// A closed VBR cell under EMA: queue values and RRC transitions in
+/// every record.
+fn vbr_cell() -> Scenario {
+    let mut s = Scenario::paper_default(6);
+    s.slots = 120;
+    s.seed = 3;
+    s.capacity = CapacitySpec::Constant { kbps: 2_000.0 };
+    s.workload = WorkloadSpec {
+        size_range_kb: (60_000.0, 120_000.0),
+        rate_range_kbps: (300.0, 600.0),
+        vbr_levels: Some(vec![0.75, 1.25, 1.0, 0.85, 1.15]),
+        vbr_segment_slots: 30,
+    };
+    s.scheduler = SchedulerSpec::ema_fast(1.0);
+    s
+}
+
+fn sidecar(s: &Scenario, slot: u64) -> EngineCheckpoint {
+    match s.run_until(&mut NullRecorder, slot).unwrap() {
+        RunOutcome::Paused(ck) => *ck,
+        RunOutcome::Done(_) => panic!("the run ended before slot {slot}"),
+    }
+}
+
+fn trace(s: &Scenario) -> (SimResult, SlotTrace) {
+    let mut rec = s.trace_recorder(1);
+    let r = s.run_with(&mut rec).unwrap();
+    let t = rec.into_trace(&r.scheduler);
+    (r, t)
+}
+
+fn live_events() -> Vec<LiveEvent> {
+    let request = format_segment_request("user\"7\"é", 3, 312.5, Some(2048.0));
+    vec![
+        LiveEvent::Arrive {
+            user: 0,
+            slot: 0,
+            request: None,
+        },
+        LiveEvent::Arrive {
+            user: usize::MAX,
+            slot: u64::MAX,
+            request: Some(String::from_utf8(request.to_vec()).unwrap()),
+        },
+        LiveEvent::Arrive {
+            user: 3,
+            slot: 17,
+            request: Some("\u{0}\t\\ 😀 \u{1f}".to_string()),
+        },
+        LiveEvent::Depart { user: 3, slot: 40 },
+    ]
+}
+
+#[test]
+fn socket_types_round_trip() {
+    for cmd in [
+        GwCommand::Subscribe,
+        GwCommand::Feed {
+            events: live_events(),
+        },
+        GwCommand::Feed { events: vec![] },
+        GwCommand::Status,
+        GwCommand::Start,
+        GwCommand::Shutdown,
+    ] {
+        round_trips(&cmd);
+        assert_eq!(
+            parse_command(&serde_json::to_string(&cmd).unwrap()),
+            Ok(cmd)
+        );
+    }
+    for ev in live_events() {
+        round_trips(&ev);
+    }
+    for ev in [
+        GwEvent::Started { slots: 1_500 },
+        GwEvent::Resumed { slot: 300 },
+        GwEvent::ColdStart {
+            reason: "corrupt: \"parse\"\n".into(),
+        },
+        GwEvent::Checkpoint { slot: 0 },
+        GwEvent::DeadlineOverrun {
+            slot: 9,
+            action: "drop".into(),
+        },
+        GwEvent::SubscriberDropped { total: u64::MAX },
+        GwEvent::Warning {
+            message: "ü".into(),
+        },
+        GwEvent::Degraded { slot: 12 },
+        GwEvent::Done { slots_run: 1_500 },
+    ] {
+        round_trips(&ev);
+    }
+    round_trips(&GwStatus {
+        state: SvcState::Holding,
+        slot: 0,
+        slots: 1_500,
+        watching: 30,
+        policy: "stall".into(),
+        dropped_slots: 0,
+        dropped_subscribers: 2,
+        last_checkpoint_slot: None,
+        warnings: vec!["a".into(), String::new()],
+    });
+    for e in [
+        ProtocolError::Parse { reason: "x".into() },
+        ProtocolError::Reject { reason: "y".into() },
+        ProtocolError::LineTooLong { limit: 65_536 },
+    ] {
+        round_trips(&e);
+    }
+}
+
+#[test]
+fn run_types_round_trip() {
+    for s in [open_cell(), vbr_cell(), Scenario::paper_default(4)] {
+        round_trips(&s);
+    }
+    for s in [open_cell(), vbr_cell()] {
+        let (result, t) = trace(&s);
+        round_trips(&result);
+        round_trips(&t.meta);
+        for record in &t.records {
+            round_trips(record);
+        }
+        let text = t.to_jsonl();
+        assert_eq!(SlotTrace::from_jsonl(&text).unwrap(), t);
+    }
+    let (_, open) = trace(&open_cell());
+    let carried =
+        |key: &str| (open.records.iter()).any(|r| serde_json::to_string(r).unwrap().contains(key));
+    for key in ["\"adm\":", "\"abr\":", "\"faults\":", "\"live\":"] {
+        assert!(carried(key), "the open cell's trace carries {key}");
+    }
+
+    // Mid-run sidecars: admission with deferrals outstanding, ABR and
+    // faults in one; VBR rates and EMA queues in the other.
+    for (s, slot, carries) in [
+        (open_cell(), 100, "\"admission\":{"),
+        (vbr_cell(), 70, "\"rates_kbps\":["),
+    ] {
+        let json = sidecar(&s, slot).to_json().unwrap();
+        assert!(json.contains(carries), "{carries}");
+        let back = EngineCheckpoint::from_json(&json).unwrap();
+        assert_eq!(back.slot(), slot);
+        assert_eq!(back.to_json().unwrap(), json);
+    }
+}
+
+/// xorshift64: the fuzz loop's only randomness, so a failure replays.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n.max(1) as u64) as usize
+    }
+}
+
+/// One damaged copy of `text`: a cut, a byte swapped for one the reader
+/// cares about, a span deleted or repeated, or a run of brackets or
+/// escapes dropped in. Always valid UTF-8.
+fn damage(text: &str, rng: &mut Rng) -> String {
+    const BYTES: &[u8] = b"\"\\{}[],:-.0123456789eE+ntfu \n";
+    let boundary = |rng: &mut Rng| {
+        let mut at = rng.below(text.len() + 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    };
+    let (a, b) = {
+        let (x, y) = (boundary(rng), boundary(rng));
+        (x.min(y), x.max(y))
+    };
+    match rng.below(6) {
+        0 => text[..a].to_string(),
+        1 => {
+            let mut bytes = text.as_bytes().to_vec();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(bytes.len());
+                if bytes.get(at).is_some_and(u8::is_ascii) {
+                    bytes[at] = BYTES[rng.below(BYTES.len())];
+                }
+            }
+            String::from_utf8(bytes).unwrap()
+        }
+        2 => format!("{}{}", &text[..a], &text[b..]),
+        3 => format!("{}{}", &text[..b], &text[a..]),
+        4 => {
+            let filler = ["[", "{\"a\":", "\\u00", "\"", "-", "1e99"][rng.below(6)];
+            format!(
+                "{}{}{}",
+                &text[..a],
+                filler.repeat(1 + rng.below(200)),
+                &text[a..]
+            )
+        }
+        _ => format!("{}{}", &text[..a], &text[a..].replacen(':', ",", 1)),
+    }
+}
+
+/// Seeded and bounded, so it runs in Tier-1 as it is: 2 000 damaged
+/// socket lines, 150 damaged sidecars and 150 damaged traces.
+#[test]
+fn damaged_inputs_end_in_typed_errors() {
+    let mut rng = Rng(0x00f0_22ed_5eed_0001);
+
+    let lines: Vec<String> = [
+        GwCommand::Feed {
+            events: live_events(),
+        },
+        GwCommand::Subscribe,
+        GwCommand::Shutdown,
+    ]
+    .iter()
+    .map(|c| serde_json::to_string(c).unwrap())
+    .collect();
+    let (mut ok, mut refused) = (0, 0);
+    for _ in 0..2_000 {
+        let line = damage(&lines[rng.below(lines.len())], &mut rng);
+        match parse_command(&line) {
+            Ok(cmd) => {
+                ok += 1;
+                let again = serde_json::to_string(&cmd).unwrap();
+                assert_eq!(parse_command(&again), Ok(cmd));
+                if let GwCommand::Feed { events } = parse_command(&again).unwrap() {
+                    for ev in events {
+                        if let LiveEvent::Arrive {
+                            request: Some(r), ..
+                        } = ev
+                        {
+                            let _ = declared_rate_from_request(&r);
+                        }
+                    }
+                }
+            }
+            Err(ProtocolError::Parse { reason }) => {
+                refused += 1;
+                assert!(!reason.is_empty());
+            }
+            Err(other) => panic!("a line under the cap is a parse error: {other:?}"),
+        }
+    }
+    assert!(ok > 0 && refused > 1_000, "{ok} read, {refused} refused");
+
+    let sidecars = [
+        sidecar(&open_cell(), 100).to_json().unwrap(),
+        sidecar(&vbr_cell(), 70).to_json().unwrap(),
+    ];
+    for _ in 0..150 {
+        let text = damage(&sidecars[rng.below(2)], &mut rng);
+        if let Ok(ck) = EngineCheckpoint::from_json(&text) {
+            ck.to_json().unwrap();
+        }
+    }
+
+    let traces = [
+        trace(&open_cell()).1.to_jsonl(),
+        trace(&vbr_cell()).1.to_jsonl(),
+    ];
+    for _ in 0..150 {
+        let text = damage(&traces[rng.below(2)], &mut rng);
+        if let Ok(t) = SlotTrace::from_jsonl(&text) {
+            t.to_jsonl();
+        }
+    }
+}
