@@ -12,7 +12,9 @@
 use crate::common::{paper_cell, FigureOutput};
 use jmso_sched::{drift_bound_b, SchedulerSpec};
 use jmso_sim::report::Table;
-use jmso_sim::{calibrate_default, fit_v_for_omega, parallel_map, ArrivalSpec, MultiCellScenario};
+use jmso_sim::{
+    calibrate_default, fit_v_for_omega, parallel_map, ArrivalSpec, MultiCellScenario, Scenario,
+};
 
 /// Theorem 1 validation: sweep V and report the measured per-slot energy
 /// `E(n)` and queue/rebuffering against the bound terms. Theorem 1 says
@@ -28,10 +30,7 @@ pub fn exp_theorem1() -> FigureOutput {
             .run()
             .expect("theorem1 run")
     });
-    // t_max: the largest playback time one slot's shard can carry — the
-    // best link (4 277 KB/s) at the lowest rate (300 KB/s).
-    let t_max = 4277.0 / 300.0;
-    let b = drift_bound_b(scenario.n_users, scenario.tau, t_max);
+    let b = theorem1_b(&scenario);
     // E* is unknown; the smallest measured per-slot energy upper-bounds it.
     let e_star_ub = results
         .iter()
@@ -65,6 +64,13 @@ pub fn exp_theorem1() -> FigureOutput {
         ),
         table: t,
     }
+}
+
+/// Theorem 1's drift constant B for `scenario`'s cell. t_max is the
+/// largest playback time one slot's shard can carry: the best link
+/// (4 277 KB/s) at the lowest rate (300 KB/s).
+fn theorem1_b(scenario: &Scenario) -> f64 {
+    drift_bound_b(scenario.n_users, scenario.tau, 4277.0 / 300.0)
 }
 
 /// RTMA/EMA vs the classical cellular schedulers (extension baselines).
@@ -232,5 +238,21 @@ pub fn exp_startup() -> FigureOutput {
         id: "exp_startup",
         title: "Startup vs mid-stream rebuffering split, N=40 (rows: Default, RTMA, EMA(V=0.5), ON-OFF, EStreamer, RoundRobin)".into(),
         table: t,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `exp_theorem1`'s `b_over_v` column at V = 2, by hand: N = 40,
+    /// τ = 1 s, t_max = 4277/300 s, so B/V = ½·40·(1 + 4277²/300²)/2
+    /// = 2042.525 444….
+    #[test]
+    fn theorem1_b_over_v_by_hand() {
+        let scenario = paper_cell(40, 350.0);
+        assert_eq!(scenario.tau, 1.0);
+        let b_over_v = theorem1_b(&scenario) / 2.0;
+        assert!((b_over_v - 2_042.525_444_444).abs() < 1e-6, "{b_over_v}");
     }
 }

@@ -7,12 +7,30 @@
 //! task must not wedge the handlers that outlive it, so every lock
 //! recovers the guard from a poisoned mutex (the queue holds plain
 //! data, valid at every instruction boundary).
+//!
+//! The bus also carries the engine's latest [`GwStatus`], published at
+//! every slot boundary and after every command that changes it, so a
+//! connection thread answers `status` without waiting for a boundary.
+//! Only while nothing is published — before an attempt runs, and
+//! between a panic and the restart — does `status` travel as a
+//! [`Command::Status`].
 
 use jmso_gateway::{GwStatus, LiveEvent, ProtocolError};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// The durable-checkpoint slot's value before the first sidecar is
+/// durable.
+pub(crate) const NO_CKPT: u64 = u64::MAX;
+
+/// `last_checkpoint_slot` as the persist thread last stored it.
+pub(crate) fn durable_slot(last_ckpt: &AtomicU64) -> Option<u64> {
+    let slot = last_ckpt.load(Ordering::SeqCst);
+    (slot != NO_CKPT).then_some(slot)
+}
 
 /// One engine-loop request from a connection handler. Replies travel
 /// over per-request rendezvous channels so handlers can time out
@@ -26,7 +44,8 @@ pub enum Command {
         /// Outcome channel.
         reply: SyncSender<Result<(), ProtocolError>>,
     },
-    /// Snapshot service status.
+    /// Snapshot service status (the engine's answer when no status is
+    /// published on the bus).
     Status {
         /// Outcome channel.
         reply: SyncSender<GwStatus>,
@@ -43,11 +62,17 @@ pub enum Command {
     },
 }
 
-/// Bounded MPSC queue with a condvar for the holding-state wait.
+/// A published status: what the engine thread last wrote, and the
+/// durable-checkpoint slot the persist thread keeps, read at reply time.
+type Published = (GwStatus, Arc<AtomicU64>);
+
+/// Bounded MPSC queue with a condvar for the holding-state wait, and the
+/// engine's latest published status.
 pub struct CommandBus {
     q: Mutex<VecDeque<Command>>,
     cv: Condvar,
     cap: usize,
+    status: Mutex<Option<Published>>,
 }
 
 impl CommandBus {
@@ -57,11 +82,47 @@ impl CommandBus {
             q: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             cap: cap.max(1),
+            status: Mutex::new(None),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, VecDeque<Command>> {
         self.q.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn published(&self) -> MutexGuard<'_, Option<Published>> {
+        // Plain data, whole at every step: poison-proof like the queue.
+        self.status.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Publish an attempt's status in full, replacing any earlier one.
+    /// `last_ckpt` is the slot of the newest durable sidecar
+    /// ([`NO_CKPT`] before the first), read whenever `status` is asked.
+    pub(crate) fn publish_status(&self, status: GwStatus, last_ckpt: Arc<AtomicU64>) {
+        *self.published() = Some((status, last_ckpt));
+    }
+
+    /// Update the published status in place (a no-op while none is).
+    pub(crate) fn update_status(&self, update: impl FnOnce(&mut GwStatus)) {
+        if let Some((status, _)) = self.published().as_mut() {
+            update(status);
+        }
+    }
+
+    /// Withdraw the published status: `status` goes back over the bus.
+    pub(crate) fn clear_status(&self) {
+        *self.published() = None;
+    }
+
+    /// The published status with its durable-checkpoint slot read now,
+    /// or `None` while nothing is published.
+    pub(crate) fn status(&self) -> Option<GwStatus> {
+        let published = self.published();
+        let (status, last_ckpt) = published.as_ref()?;
+        Some(GwStatus {
+            last_checkpoint_slot: durable_slot(last_ckpt),
+            ..status.clone()
+        })
     }
 
     /// Enqueue a command; typed rejection when the queue is full.
@@ -115,6 +176,34 @@ mod tests {
         ));
         assert_eq!(bus.drain().len(), 2);
         assert!(bus.drain().is_empty());
+    }
+
+    #[test]
+    fn published_status_reads_the_durable_slot_now() {
+        let bus = CommandBus::new(1);
+        assert!(bus.status().is_none());
+        bus.update_status(|s| s.slot = 9);
+        assert!(bus.status().is_none(), "nothing to update");
+        let status = GwStatus {
+            state: jmso_gateway::SvcState::Running,
+            slot: 3,
+            slots: 10,
+            watching: 2,
+            policy: "stall".into(),
+            dropped_slots: 0,
+            dropped_subscribers: 0,
+            last_checkpoint_slot: None,
+            warnings: vec![],
+        };
+        let durable = Arc::new(AtomicU64::new(NO_CKPT));
+        bus.publish_status(status.clone(), durable.clone());
+        assert_eq!(bus.status(), Some(status.clone()));
+        bus.update_status(|s| s.slot = 4);
+        durable.store(2, Ordering::SeqCst);
+        let read = bus.status().expect("published");
+        assert_eq!((read.slot, read.last_checkpoint_slot), (4, Some(2)));
+        bus.clear_status();
+        assert!(bus.status().is_none());
     }
 
     #[test]

@@ -10,13 +10,13 @@
 use crate::bus::{Command, CommandBus};
 use crate::fanout::FanOut;
 use jmso_gateway::{parse_command, GwCommand, ProtocolError, MAX_LINE_BYTES};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,6 +27,8 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 /// Telemetry lines buffered per subscriber before it is dropped.
 const SUBSCRIBER_BUFFER: usize = 1024;
+/// Bytes of telemetry gathered per subscriber before a `write`.
+const STREAM_BATCH: usize = 64 * 1024;
 
 /// Where the service listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,6 +177,60 @@ fn reply_err(e: &ProtocolError) -> String {
     )
 }
 
+/// Write one reply line in a single `write_all`, newline included, so
+/// the client is woken once per reply. False when the connection is gone.
+fn send_line<W: Write>(w: &mut W, mut line: String) -> bool {
+    line.push('\n');
+    w.write_all(line.as_bytes()).is_ok()
+}
+
+/// The `status` reply: the published snapshot when there is one,
+/// otherwise the engine's own answer over the bus.
+fn status_reply(bus: &CommandBus, fanout: &FanOut) -> String {
+    let status = match bus.status() {
+        Some(status) => Ok(status),
+        None => {
+            let (tx, rx) = sync_channel(1);
+            bus.push(Command::Status { reply: tx })
+                .and_then(|()| rx.recv_timeout(REPLY_TIMEOUT).map_err(|_| busy()))
+        }
+    };
+    match status {
+        Ok(mut status) => {
+            status.dropped_subscribers = fanout.dropped();
+            format!(
+                r#"{{"ok":true,"status":{}}}"#,
+                serde_json::to_string(&status).unwrap_or_else(|_| "null".into())
+            )
+        }
+        Err(e) => reply_err(&e),
+    }
+}
+
+fn busy() -> ProtocolError {
+    ProtocolError::Reject {
+        reason: "service busy or restarting".into(),
+    }
+}
+
+/// Stream a subscription until the service closes the fan-out, this
+/// subscriber is dropped for falling behind, or the client goes away.
+/// Whatever is queued when the stream wakes goes out in one batch.
+fn stream_lines<W: Write>(w: W, rx: &Receiver<String>) {
+    let mut w = BufWriter::with_capacity(STREAM_BATCH, w);
+    while let Ok(first) = rx.recv() {
+        let sent = std::iter::once(first)
+            .chain(rx.try_iter())
+            .try_for_each(|line| {
+                w.write_all(line.as_bytes())?;
+                w.write_all(b"\n")
+            });
+        if sent.and_then(|()| w.flush()).is_err() {
+            return;
+        }
+    }
+}
+
 /// Serve one connection: read command lines, reply per line, and — on
 /// `subscribe` — switch to streaming telemetry until the subscription
 /// ends.
@@ -187,8 +243,7 @@ pub fn handle_connection<S: Read + Write>(stream: S, bus: &CommandBus, fanout: &
                 // Typed rejection; LineTooLong loses framing, so that
                 // one also closes the connection.
                 let fatal = matches!(e, ProtocolError::LineTooLong { .. });
-                let _ = writeln!(reader.get_mut(), "{}", reply_err(&e));
-                if fatal {
+                if !send_line(reader.get_mut(), reply_err(&e)) || fatal {
                     return;
                 }
                 continue;
@@ -198,97 +253,44 @@ pub fn handle_connection<S: Read + Write>(stream: S, bus: &CommandBus, fanout: &
         if line.trim().is_empty() {
             continue;
         }
-        let cmd = match parse_command(&line) {
-            Ok(c) => c,
-            Err(e) => {
-                // Malformed line: reject it, keep the session.
-                if writeln!(reader.get_mut(), "{}", reply_err(&e)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        match cmd {
-            GwCommand::Subscribe => {
+        let reply = match parse_command(&line) {
+            // Malformed line: reject it, keep the session.
+            Err(e) => reply_err(&e),
+            Ok(GwCommand::Subscribe) => {
+                // Held until the last line is flushed: `FanOut::close`
+                // waits for it.
                 let _streaming = fanout.streaming();
                 let rx = fanout.subscribe(SUBSCRIBER_BUFFER);
-                if writeln!(reader.get_mut(), r#"{{"ok":true}}"#).is_err() {
-                    return;
-                }
-                let w = reader.get_mut();
-                // Stream until the service closes the fan-out, this
-                // subscriber is dropped for falling behind, or the
-                // client goes away.
-                while let Ok(line) = rx.recv() {
-                    if writeln!(w, "{line}").is_err() {
-                        return;
-                    }
+                if send_line(reader.get_mut(), r#"{"ok":true}"#.to_string()) {
+                    stream_lines(reader.get_mut(), &rx);
                 }
                 return;
             }
-            GwCommand::Feed { events } => {
-                let (tx, rx) = sync_channel(1);
-                let sent = bus.push(Command::Feed { events, reply: tx });
-                if !write_roundtrip_reply(reader.get_mut(), sent, &rx) {
-                    return;
-                }
+            Ok(GwCommand::Status) => status_reply(bus, fanout),
+            Ok(GwCommand::Feed { events }) => {
+                roundtrip(bus, |reply| Command::Feed { events, reply })
             }
-            GwCommand::Start => {
-                let (tx, rx) = sync_channel(1);
-                let sent = bus.push(Command::Start { reply: tx });
-                if !write_roundtrip_reply(reader.get_mut(), sent, &rx) {
-                    return;
-                }
-            }
-            GwCommand::Shutdown => {
-                let (tx, rx) = sync_channel(1);
-                let sent = bus.push(Command::Shutdown { reply: tx });
-                if !write_roundtrip_reply(reader.get_mut(), sent, &rx) {
-                    return;
-                }
-            }
-            GwCommand::Status => {
-                let (tx, rx) = sync_channel(1);
-                let out = match bus.push(Command::Status { reply: tx }) {
-                    Err(e) => reply_err(&e),
-                    Ok(()) => match rx.recv_timeout(REPLY_TIMEOUT) {
-                        Ok(status) => format!(
-                            r#"{{"ok":true,"status":{}}}"#,
-                            serde_json::to_string(&status).unwrap_or_else(|_| "null".into())
-                        ),
-                        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                            reply_err(&ProtocolError::Reject {
-                                reason: "service busy or restarting".into(),
-                            })
-                        }
-                    },
-                };
-                if writeln!(reader.get_mut(), "{out}").is_err() {
-                    return;
-                }
-            }
+            Ok(GwCommand::Start) => roundtrip(bus, |reply| Command::Start { reply }),
+            Ok(GwCommand::Shutdown) => roundtrip(bus, |reply| Command::Shutdown { reply }),
+        };
+        if !send_line(reader.get_mut(), reply) {
+            return;
         }
     }
 }
 
-/// Await an engine-loop ack and write the reply line. Returns false
-/// when the connection is gone.
-fn write_roundtrip_reply<W: Write>(
-    w: &mut W,
-    sent: Result<(), ProtocolError>,
-    rx: &std::sync::mpsc::Receiver<Result<(), ProtocolError>>,
-) -> bool {
-    let out = match sent {
+/// Push a command and await the engine loop's ack; the reply line.
+fn roundtrip(
+    bus: &CommandBus,
+    cmd: impl FnOnce(SyncSender<Result<(), ProtocolError>>) -> Command,
+) -> String {
+    let (tx, rx) = sync_channel(1);
+    let acked = bus.push(cmd(tx)).and_then(|()| {
+        rx.recv_timeout(REPLY_TIMEOUT)
+            .unwrap_or_else(|_| Err(busy()))
+    });
+    match acked {
+        Ok(()) => r#"{"ok":true}"#.to_string(),
         Err(e) => reply_err(&e),
-        Ok(()) => match rx.recv_timeout(REPLY_TIMEOUT) {
-            Ok(Ok(())) => r#"{"ok":true}"#.to_string(),
-            Ok(Err(e)) => reply_err(&e),
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                reply_err(&ProtocolError::Reject {
-                    reason: "service busy or restarting".into(),
-                })
-            }
-        },
-    };
-    writeln!(w, "{out}").is_ok()
+    }
 }

@@ -14,7 +14,7 @@
 //! batch run of the equivalent scenario (declared arrival plan), because
 //! the batch loop and this loop step the exact same [`SlotDriver`].
 
-use crate::bus::{Command, CommandBus};
+use crate::bus::{durable_slot, Command, CommandBus, NO_CKPT};
 use crate::fanout::FanOut;
 use crate::policy::LivePolicy;
 use crate::spool::TraceSpool;
@@ -123,9 +123,6 @@ fn publish_event(fanout: &FanOut, ev: &GwEvent) {
         fanout.broadcast(&line);
     }
 }
-
-/// `last_ckpt_slot` before the first sidecar is durable.
-const NO_CKPT: u64 = u64::MAX;
 
 /// The persist thread: it takes a printed sidecar off the slot thread,
 /// waits for the disk (spool `fdatasync`, then the sidecar's
@@ -320,9 +317,9 @@ impl LiveService {
         }
     }
 
-    /// Current status snapshot (also the `status` command reply).
+    /// Current status snapshot: the `status` reply, whether published on
+    /// the bus or sent over it.
     pub fn status(&self) -> GwStatus {
-        let last_ckpt = self.last_ckpt_slot.load(Ordering::SeqCst);
         GwStatus {
             state: self.state,
             slot: self.driver.next_slot(),
@@ -331,7 +328,7 @@ impl LiveService {
             policy: self.cfg.policy.as_str().to_string(),
             dropped_slots: self.dropped_slots,
             dropped_subscribers: self.fanout.dropped(),
-            last_checkpoint_slot: (last_ckpt != NO_CKPT).then_some(last_ckpt),
+            last_checkpoint_slot: durable_slot(&self.last_ckpt_slot),
             warnings: self.warnings.clone(),
         }
     }
@@ -388,10 +385,24 @@ impl LiveService {
         Ok(())
     }
 
+    /// Bring the published status up to this instant. What else it
+    /// holds is fixed for the attempt, or read at reply time.
+    fn publish_status(&self) {
+        self.bus.update_status(|s| {
+            s.state = self.state;
+            s.slot = self.driver.next_slot();
+            s.watching = self.driver.watching();
+            s.dropped_slots = self.dropped_slots;
+        });
+    }
+
+    /// Apply one command. One that changes the status publishes it before
+    /// its reply, so a client holding the ack never reads an older one.
     fn handle(&mut self, cmd: Command) {
         match cmd {
             Command::Feed { events, reply } => {
                 let outcome = self.apply_events(&events);
+                self.publish_status();
                 let _ = reply.send(outcome);
             }
             Command::Status { reply } => {
@@ -402,6 +413,7 @@ impl LiveService {
                     self.state = SvcState::Running;
                     self.anchor = None;
                 }
+                self.publish_status();
                 let _ = reply.send(Ok(()));
             }
             Command::Shutdown { reply } => {
@@ -483,11 +495,17 @@ impl LiveService {
     /// supervisor catches the latter). Consumes the attempt — the
     /// supervisor builds a fresh one from the durable state on restart.
     pub fn run(mut self) -> Result<Outcome, SimError> {
+        // Published before the startup events: whoever has seen one can
+        // read `status` without the bus.
+        self.bus
+            .publish_status(self.status(), self.last_ckpt_slot.clone());
         for ev in std::mem::take(&mut self.startup_events) {
             publish_event(&self.fanout, &ev);
         }
         let pace = self.cfg.slot_ms.map(Duration::from_millis);
         loop {
+            // A slot boundary.
+            self.publish_status();
             if self.shutdown.load(Ordering::SeqCst) || self.stopping {
                 return self.interrupt();
             }
@@ -558,6 +576,7 @@ impl LiveService {
     /// Graceful interruption: final checkpoint, drain, report.
     fn interrupt(mut self) -> Result<Outcome, SimError> {
         self.state = SvcState::Stopping;
+        self.publish_status();
         let at_slot = self.driver.next_slot();
         self.write_checkpoint()?;
         self.persist.join()?;
@@ -567,19 +586,20 @@ impl LiveService {
 
     /// Completion: settle the result, write the final trace (header +
     /// spooled lines + the partial window `finish` flushed), clear the
-    /// spool and the checkpoint sidecar (the run is over; a restart
-    /// must not resume it), surface simulation warnings, close the
-    /// fan-out.
+    /// checkpoint sidecar (the run is over; a restart must not resume
+    /// it), surface simulation warnings, announce `done`, then remove
+    /// the spool and close the fan-out.
     fn complete(mut self) -> Result<Outcome, SimError> {
         // A rename landing after the removals below would resurrect the
         // finished run.
         self.persist.join()?;
         let Self {
             cfg,
+            bus,
             fanout,
             driver,
             mut rec,
-            spool,
+            mut spool,
             ..
         } = self;
         let result = driver.finish(&mut rec);
@@ -590,7 +610,7 @@ impl LiveService {
                 fanout.broadcast(&line);
             }
         }
-        if let (Some(path), Some(mut spool)) = (&cfg.trace_path, spool) {
+        if let (Some(path), Some(spool)) = (&cfg.trace_path, &mut spool) {
             // The recorder was drained slot by slot: what it still holds
             // is the tail `finish` emitted, and its header is the run's.
             let tail = rec.into_trace(&result.scheduler);
@@ -612,15 +632,20 @@ impl LiveService {
                 path: path.clone(),
                 source,
             })?;
-            spool.remove();
         }
         if let Some(p) = &cfg.ckpt_path {
             let _ = std::fs::remove_file(p);
         }
+        bus.update_status(|s| s.state = SvcState::Done);
         if let Ok(line) = serde_json::to_string(&GwEvent::Done {
             slots_run: result.slots_run,
         }) {
             fanout.broadcast(&line);
+        }
+        // The trace is whole, so the spool is garbage: it is removed
+        // while the subscribers' threads write `done` out, not before.
+        if let Some(spool) = spool {
+            spool.remove();
         }
         fanout.close();
         Ok(Outcome::Done {

@@ -93,6 +93,9 @@ pub fn supervise(
                 return run_result.map(|outcome| SupervisedEnd::Finished { outcome, restarts });
             }
             Err(panic) => {
+                // The dead attempt's status is stale: until the restart
+                // publishes its own, `status` waits on the bus for it.
+                bus.clear_status();
                 let what = panic_message(&panic);
                 restarts += 1;
                 if restarts > sup.max_restarts {

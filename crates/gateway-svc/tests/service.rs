@@ -4,14 +4,15 @@
 //! persist thread's ordering (what is durable when, what is joined where),
 //! deadline-overrun policies that never stall the loop, slow-subscriber
 //! eviction, corrupt-checkpoint cold starts, the `done` event reaching
-//! a socket subscriber, a deeply nested hostile line, and the `template`
-//! feed fitting the line cap.
+//! a socket subscriber, a deeply nested hostile line, the `template`
+//! feed fitting the line cap, and `status` answered from the published
+//! snapshot without waiting for the slot loop.
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use jmso_gateway::{parse_command, GwCommand, LiveEvent, MAX_LINE_BYTES};
+use jmso_gateway::{parse_command, GwCommand, GwStatus, LiveEvent, SvcState, MAX_LINE_BYTES};
 use jmso_gateway_svc::{
     handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy, LiveService, Outcome,
     ServeConfig, SupervisedEnd, SupervisorConfig,
@@ -26,7 +27,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn quick(n: usize, slots: u64) -> Scenario {
@@ -862,6 +864,28 @@ fn a_failed_sidecar_write_ends_the_run_with_a_typed_error() {
 // Socket-facing behaviour
 // ---------------------------------------------------------------------------
 
+/// A client on its own connection thread (default stack), as the daemon
+/// serves one.
+fn client(bus: &Arc<CommandBus>, fanout: &Arc<FanOut>) -> (BufReader<UnixStream>, JoinHandle<()>) {
+    let (client, server) = UnixStream::pair().expect("socket pair");
+    // Long enough for any answer the snapshot gives, far shorter than the
+    // bus path's wait on a loop that cannot reach its next boundary.
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let (bus, fanout) = (bus.clone(), fanout.clone());
+    let handler = std::thread::spawn(move || handle_connection(server, &bus, &fanout));
+    (BufReader::new(client), handler)
+}
+
+fn ask(reader: &mut BufReader<UnixStream>, line: &str) -> String {
+    let line = format!("{line}\n");
+    reader.get_mut().write_all(line.as_bytes()).expect("send");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a reply in time");
+    reply
+}
+
 /// The service closes the fan-out and the process exits: whatever a
 /// connection thread has not yet written to its client by then is lost.
 /// So when `run` returns, the `done` event must already be in the
@@ -920,22 +944,7 @@ fn deeply_nested_line_is_rejected_and_the_service_lives() {
         let (bus, fanout) = (bus.clone(), fanout.clone());
         std::thread::spawn(move || run_service(cfg, bus, fanout))
     };
-    // A connection as the daemon serves it: its own default-stack thread.
-    let connect = || {
-        let (client, server) = UnixStream::pair().expect("socket pair");
-        let (bus, fanout) = (bus.clone(), fanout.clone());
-        let handler = std::thread::spawn(move || handle_connection(server, &bus, &fanout));
-        (BufReader::new(client), handler)
-    };
-    let ask = |reader: &mut BufReader<UnixStream>, line: &str| {
-        reader.get_mut().write_all(line.as_bytes()).expect("send");
-        reader.get_mut().write_all(b"\n").expect("send");
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("reply");
-        reply
-    };
-
-    let (mut hostile, hostile_handler) = connect();
+    let (mut hostile, hostile_handler) = client(&bus, &fanout);
     let line = "[".repeat(60_000);
     assert!(line.len() <= MAX_LINE_BYTES);
     let reply = ask(&mut hostile, &line);
@@ -944,7 +953,7 @@ fn deeply_nested_line_is_rejected_and_the_service_lives() {
     let reply = ask(&mut hostile, r#"{"cmd":"status"}"#);
     assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
 
-    let (mut next, next_handler) = connect();
+    let (mut next, next_handler) = client(&bus, &fanout);
     let reply = ask(&mut next, r#"{"cmd":"status"}"#);
     assert!(reply.starts_with(r#"{"ok":true"#), "{reply}");
     assert!(reply.contains(r#""state":"holding""#), "{reply}");
@@ -1050,5 +1059,233 @@ fn template_2000_feed_fits_the_line_cap() {
         replies.matches(r#""ok":true"#).count(),
         feed.lines().count(),
         "every line acknowledged: {replies}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Status without the bus
+// ---------------------------------------------------------------------------
+
+fn ask_status(reader: &mut BufReader<UnixStream>) -> GwStatus {
+    let reply = ask(reader, r#"{"cmd":"status"}"#);
+    let body = reply
+        .trim_end()
+        .strip_prefix(r#"{"ok":true,"status":"#)
+        .and_then(|rest| rest.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("not a status reply: {reply}"));
+    serde_json::from_str(body).expect("a status object")
+}
+
+/// Wait for a line containing `needle` on a subscription.
+fn await_line(rx: &Receiver<String>, needle: &str) -> String {
+    loop {
+        let line = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("no line with {needle}"));
+        if line.contains(needle) {
+            return line;
+        }
+    }
+}
+
+/// While the slot loop is held at a boundary — in a rendezvous reply it
+/// cannot leave — a socket `status` still answers at once, and names that
+/// boundary. Holds come in pairs queued while the loop cannot drain, so
+/// it takes both in one drain: once the first is released, it sits in
+/// the second, at the same boundary.
+#[test]
+fn status_answers_while_the_loop_is_held() {
+    let bus = Arc::new(CommandBus::new(8));
+    let fanout = Arc::new(FanOut::new());
+    let pair = |bus: &CommandBus| (hold_at_a_boundary(bus), hold_at_a_boundary(bus));
+    let mut held = pair(&bus);
+    let service = {
+        let (bus, fanout) = (bus.clone(), fanout.clone());
+        std::thread::spawn(move || run_service(ServeConfig::new(quick(2, 240)), bus, fanout))
+    };
+    let (mut conn, handler) = client(&bus, &fanout);
+    for boundary in 0..4 {
+        let (first, second) = held;
+        assert_eq!(first.release(), boundary);
+        let status = ask_status(&mut conn);
+        assert_eq!((status.state, status.slot), (SvcState::Running, boundary));
+        held = pair(&bus);
+        assert_eq!(second.release(), boundary);
+    }
+    let (first, second) = held;
+    assert_eq!((first.release(), second.release()), (4, 4));
+    assert!(matches!(
+        service.join().expect("service"),
+        Outcome::Done { .. }
+    ));
+    drop(conn);
+    handler.join().expect("connection thread");
+}
+
+/// A command that changes the status publishes it before its ack: a
+/// `status` sent after the ack reads the change.
+#[test]
+fn status_after_an_ack_reads_what_the_ack_did() {
+    let (n, slots) = (3, 60_000);
+    let bus = Arc::new(CommandBus::new(8));
+    let fanout = Arc::new(FanOut::new());
+    let events = fanout.subscribe(1 << 17);
+    let mut cfg = ServeConfig::new(quick(n, slots));
+    cfg.ingest = true;
+    let service = {
+        let (bus, fanout) = (bus.clone(), fanout.clone());
+        std::thread::spawn(move || run_service(cfg, bus, fanout))
+    };
+    await_line(&events, r#""event":"started""#);
+    let (mut conn, handler) = client(&bus, &fanout);
+    let status = ask_status(&mut conn);
+    assert_eq!((status.state, status.slot), (SvcState::Holding, 0));
+
+    // The last arrival keeps the run going for as long as the test.
+    let arrivals = [0, 3, slots - 100];
+    let feed = format!(
+        r#"{{"cmd":"feed","events":{}}}"#,
+        serde_json::to_string(&feed_events(&arrivals, &[None; 3])).expect("events")
+    );
+    assert!(ask(&mut conn, &feed).starts_with(r#"{"ok":true"#));
+    let status = ask_status(&mut conn);
+    assert_eq!(
+        (status.state, status.slot, status.watching),
+        (SvcState::Holding, 0, n)
+    );
+
+    assert!(ask(&mut conn, r#"{"cmd":"start"}"#).starts_with(r#"{"ok":true"#));
+    let status = ask_status(&mut conn);
+    assert_eq!(status.state, SvcState::Running, "{status:?}");
+
+    assert!(ask(&mut conn, r#"{"cmd":"shutdown"}"#).starts_with(r#"{"ok":true"#));
+    let outcome = service.join().expect("service");
+    assert!(
+        matches!(outcome, Outcome::Interrupted { .. }),
+        "{outcome:?}"
+    );
+    drop(conn);
+    handler.join().expect("connection thread");
+}
+
+/// After a panic the supervisor withdraws the dead attempt's status
+/// before its backoff: a `status` asked during the backoff waits for the
+/// restart and reads the slot it resumed at, never the slot the dead
+/// attempt reached.
+#[test]
+fn status_during_a_restart_backoff_is_the_restarts() {
+    let (n, slots) = (4, 240);
+    let mut cfg = ServeConfig::new(quick(n, slots));
+    cfg.ingest = true;
+    cfg.trace_path = Some(tmp_path("backoff-live.jsonl"));
+    cfg.ckpt_path = Some(tmp_path("backoff-ckpt.json"));
+    cfg.ckpt_every = 8;
+    cfg.fail_at = Some(12);
+    let sup = SupervisorConfig {
+        max_restarts: 1,
+        backoff_base_ms: 1_000,
+        backoff_max_ms: 1_000,
+    };
+    let bus = fed_bus(n, slots);
+    let fanout = Arc::new(FanOut::new());
+    let events = fanout.subscribe(4096);
+    let supervisor = {
+        let (cfg, bus, fanout) = (cfg.clone(), bus.clone(), fanout.clone());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        std::thread::spawn(move || supervise(&cfg, &sup, bus, fanout, shutdown))
+    };
+    let (mut conn, handler) = client(&bus, &fanout);
+    // The backoff has begun: a second is a wide margin for one request.
+    await_line(&events, "engine task panicked");
+    let status = ask_status(&mut conn);
+    let resumed = await_line(&events, r#""event":"resumed""#);
+    assert_eq!(resumed, r#"{"event":"resumed","slot":8}"#);
+    assert_eq!(status.slot, 8, "the dead attempt reached 12: {status:?}");
+
+    let end = supervisor
+        .join()
+        .expect("supervisor")
+        .expect("supervised run");
+    assert!(
+        matches!(end, SupervisedEnd::Finished { restarts: 1, .. }),
+        "{end:?}"
+    );
+    drop(conn);
+    handler.join().expect("connection thread");
+    let _ = std::fs::remove_file(cfg.trace_path.as_deref().expect("trace"));
+}
+
+/// A subscriber whose client reads slowly: each `write` takes a while.
+struct SlowClient {
+    input: Cursor<Vec<u8>>,
+    seen: Arc<Mutex<Vec<u8>>>,
+}
+
+impl Read for SlowClient {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.input.read(buf)
+    }
+}
+
+impl Write for SlowClient {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_micros(300));
+        self.seen.lock().expect("seen").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The slot loop outruns a slow subscriber, so its lines go out in
+/// batches. By the time `run` returns — when the daemon exits — the
+/// client has every record line whole and in slot order, then `done`.
+#[test]
+fn a_slow_subscriber_gets_every_line_in_order_then_done() {
+    let bus = Arc::new(CommandBus::new(4));
+    let fanout = Arc::new(FanOut::new());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let stream = SlowClient {
+        input: Cursor::new(b"{\"cmd\":\"subscribe\"}\n".to_vec()),
+        seen: seen.clone(),
+    };
+    let handler = {
+        let (bus, fanout) = (bus.clone(), fanout.clone());
+        std::thread::spawn(move || handle_connection(stream, &bus, &fanout))
+    };
+    while fanout.is_empty() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Sessions long enough to last the horizon.
+    let mut scenario = quick(8, 600);
+    scenario.workload.size_range_kb = (500_000.0, 800_000.0);
+    let Outcome::Done { slots_run } = run_service(ServeConfig::new(scenario), bus, fanout) else {
+        panic!("the run completes");
+    };
+    let text = String::from_utf8(seen.lock().expect("seen").clone()).expect("utf-8");
+    handler.join().expect("connection thread");
+
+    let mut lines = text.lines();
+    assert_eq!(lines.next(), Some(r#"{"ok":true}"#));
+    let records: Vec<&str> = lines
+        .clone()
+        .filter(|l| l.starts_with(r#"{"slot":"#))
+        .collect();
+    assert_eq!(slots_run, 600, "a run long enough to outrun the client");
+    assert_eq!(
+        records.len() as u64,
+        slots_run,
+        "every record, none dropped"
+    );
+    for (slot, line) in records.iter().enumerate() {
+        assert!(line.starts_with(&format!(r#"{{"slot":{slot},"#)), "{line}");
+        assert!(line.ends_with('}'), "a whole line: {line}");
+    }
+    let last = lines.last().unwrap_or_default();
+    assert_eq!(
+        last,
+        format!(r#"{{"event":"done","slots_run":{slots_run}}}"#)
     );
 }

@@ -268,3 +268,51 @@ fn emit_rulings<R: SlotRecorder>(
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::waiting_room::WaitingRoom;
+    use jmso_gateway::{AdmissionController, AdmissionSpec};
+
+    /// ε̂, Φ̂ and Ω̂ for two users at 300 KB/s each on a 1 500 KB/s cell,
+    /// τ = 2 s, V = 4, E* = 50 mJ per user-slot, worked by hand:
+    /// ε̂ = 2·(1500/600 − 1) = 3; B = ½·2·(2² + 2²) = 8, with t_max = τ;
+    /// Φ̂ = (2·50 + 8/4)/2 = 51; Ω̂ = ((8 + 4·2·50)/(2·3))/2 = 34.
+    #[test]
+    fn admission_context_by_hand() {
+        let ctx = admission_context(4.0, 2, 600.0, 50.0, 1500.0, 2.0);
+        assert_eq!(ctx.eps_s, 3.0);
+        assert_eq!(ctx.phi_hat_mj, 51.0);
+        assert_eq!(ctx.omega_hat_s, 34.0);
+        // No slack, no bound.
+        let ctx = admission_context(4.0, 2, 600.0, 50.0, 600.0, 2.0);
+        assert_eq!(ctx.omega_hat_s, f64::INFINITY);
+    }
+
+    /// E* is the energy over the user-slots counted so far, and 0 before
+    /// the first.
+    #[test]
+    fn admission_e_star_is_energy_per_counted_user_slot() {
+        let mut adm = AdmissionRuntime {
+            ctl: AdmissionController::new(AdmissionSpec::AlwaysAdmit, 0),
+            rates: Vec::new(),
+            v: 1.0,
+            planned: Vec::new(),
+            planned_next: 0,
+            expire_next: 0,
+            waiting: WaitingRoom::new(0),
+            admitted: Vec::new(),
+            rejected: Vec::new(),
+            ruled: 0,
+            evaluations: 0,
+            energy_mj: 0.0,
+            user_slots: 0,
+            n_active: 0,
+            rate_sum: 0.0,
+        };
+        assert_eq!(admission_e_star(&adm), 0.0);
+        (adm.energy_mj, adm.user_slots) = (10.0, 4);
+        assert_eq!(admission_e_star(&adm), 2.5);
+    }
+}

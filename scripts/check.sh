@@ -7,6 +7,27 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
+# CHANGES.md stays readable: the newest `- PR N` entry, its sub-bullets
+# included, is at most 600 characters (the detail goes in the commit
+# message). `FOUND:` lines are bullets of their own and do not count.
+echo "== CHANGES.md newest PR entry (<= 600 characters)"
+python3 - CHANGES.md <<'EOF'
+import re, sys
+lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
+starts = [i for i, line in enumerate(lines) if re.match(r"- PR \d+", line)]
+if not starts:
+    sys.exit("CHANGES.md has no `- PR N` entry")
+entry = [lines[starts[-1]]]
+for line in lines[starts[-1] + 1 :]:
+    if not line.startswith("  "):
+        break
+    entry.append(line)
+size = len("\n".join(entry))
+print(f"{entry[0][:40]}...: {size} characters")
+if size > 600:
+    sys.exit(f"the newest CHANGES.md entry is {size} characters, over 600")
+EOF
+
 # One invocation carries the panic burn-down too: the root manifest's
 # `[workspace.lints]` table denies unwrap/expect/panic in the six crates
 # that opt in with `[lints] workspace = true` (sched, sim, media,

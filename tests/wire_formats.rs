@@ -346,3 +346,26 @@ fn damaged_inputs_end_in_typed_errors() {
         }
     }
 }
+
+/// A float literal beyond `f64::MAX` in a sidecar is refused where it is
+/// read, with a typed error — not carried on as an infinity that the next
+/// sidecar would print as `null`.
+#[test]
+fn a_sidecar_with_an_overflowing_float_is_refused() {
+    let json = sidecar(&open_cell(), 100).to_json().unwrap();
+    let key = "\"tau\":";
+    let at = json.find(key).expect("a tau field") + key.len();
+    let len = json[at..].find([',', '}']).unwrap();
+    assert!(
+        json[at..at + len].parse::<f64>().is_ok(),
+        "{}",
+        &json[at..at + len]
+    );
+    let bad = format!("{}1e999{}", &json[..at], &json[at + len..]);
+    match EngineCheckpoint::from_json(&bad) {
+        Err(jmso_sim::CheckpointError::Corrupt { reason }) => {
+            assert!(reason.contains("number out of range `1e999`"), "{reason}");
+        }
+        other => panic!("read as {:?}", other.map(|_| "a checkpoint")),
+    }
+}
