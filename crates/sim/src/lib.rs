@@ -20,10 +20,8 @@
 //! * [`calibrate`] — measures the Default strategy's energy/rebuffering
 //!   (the `E_Default`/`R_Default` the α/β constraints are defined
 //!   against) and fits EMA's `V` to a rebuffering bound Ω by bisection.
-//! * [`pool`] — a persistent worker pool ([`WorkerPool`]), so the sweep
-//!   runner never pays thread-spawn costs.
 //! * [`sweep`] — deterministic parallel execution of scenario grids on
-//!   the shared worker pool: one run per thread, runs side by side.
+//!   scoped threads: one run per thread, runs side by side.
 //! * [`report`] — CSV and table output for the figure harness.
 //! * [`telemetry`] — slot-level recorders: a zero-overhead-when-disabled
 //!   [`SlotRecorder`] hook in the engine loop, a capturing
@@ -44,7 +42,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod multicell;
-pub mod pool;
+mod pool;
 pub mod report;
 pub mod results;
 pub mod scenario;
@@ -63,8 +61,7 @@ pub use error::{
 pub use faults::{FaultEvent, FaultPlan, FaultSpec};
 pub use multicell::{MultiCellResult, MultiCellScenario};
 #[doc(hidden)]
-pub use pool::SpinBarrier;
-pub use pool::WorkerPool;
+pub use pool::{SpinBarrier, WorkerPool};
 pub use results::{SimResult, SimWarning, UserResult};
 pub use scenario::Scenario;
 pub use svg::svg_chart;
