@@ -95,31 +95,59 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
 
-    /// Each slot below the ceiling runs exactly once, slot 0 on the
-    /// caller; the slots above it never run.
-    #[test]
-    fn broadcast_runs_each_slot_under_the_ceiling_once() {
+    /// How often one `broadcast(participants)` runs each of slots 0..8,
+    /// checking that slot 0, and only slot 0, runs on the caller.
+    fn hits(pool: &WorkerPool, participants: usize) -> Vec<u64> {
         let caller = std::thread::current().id();
         let hits: Vec<AtomicU64> = (0..8).map(|_| AtomicU64::new(0)).collect();
-        WorkerPool::new(2).broadcast(8, &|slot| {
+        pool.broadcast(participants, &|slot| {
             assert_eq!(slot == 0, std::thread::current().id() == caller);
             hits[slot].fetch_add(1, Ordering::Relaxed);
         });
-        let hits: Vec<u64> = hits.into_iter().map(AtomicU64::into_inner).collect();
-        assert_eq!(hits, [1, 1, 1, 0, 0, 0, 0, 0]);
+        hits.into_iter().map(AtomicU64::into_inner).collect()
+    }
+
+    #[test]
+    fn broadcast_runs_every_slot_exactly_once() {
+        assert_eq!(hits(&WorkerPool::new(3), 4), [1, 1, 1, 1, 0, 0, 0, 0]);
+    }
+
+    /// Each broadcast leaves the caller outside any participant, so the
+    /// next one runs every slot again rather than slot 0 inline.
+    #[test]
+    fn broadcast_runs_back_to_back() {
+        let pool = WorkerPool::new(2);
+        for _ in 0..100 {
+            assert_eq!(hits(&pool, 3), [1, 1, 1, 0, 0, 0, 0, 0]);
+        }
+    }
+
+    /// A broadcast from inside a participant runs only slot 0, on that
+    /// participant's thread.
+    #[test]
+    fn nested_broadcast_runs_inline() {
+        let pool = WorkerPool::new(1);
+        let inner = AtomicU64::new(0);
+        pool.broadcast(2, &|_| {
+            let participant = std::thread::current().id();
+            pool.broadcast(2, &|slot| {
+                assert_eq!((slot, std::thread::current().id()), (0, participant));
+                inner.fetch_add(1, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(inner.into_inner(), 2);
+    }
+
+    #[test]
+    fn participant_ceiling_clamps_to_pool_size() {
+        assert_eq!(hits(&WorkerPool::new(1), 8), [1, 1, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
     fn zero_and_one_participants_run_inline() {
         let pool = WorkerPool::new(2);
         pool.broadcast(0, &|_| panic!("no participants, no calls"));
-        let caller = std::thread::current().id();
-        let ran = AtomicU64::new(0);
-        pool.broadcast(1, &|slot| {
-            assert_eq!((slot, std::thread::current().id()), (0, caller));
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ran.into_inner(), 1);
+        assert_eq!(hits(&pool, 1), [1, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     /// A panic in a spawned participant comes back with its own payload,
@@ -151,14 +179,7 @@ mod tests {
         }))
         .expect_err("panic must cross the broadcast");
         assert_eq!(err.downcast_ref::<&str>(), Some(&"boom in caller"));
-        let caller = std::thread::current().id();
-        let spawned = AtomicU64::new(0);
-        pool.broadcast(2, &|_| {
-            if std::thread::current().id() != caller {
-                spawned.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(spawned.into_inner(), 1);
+        assert_eq!(hits(&pool, 2), [1, 1, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]

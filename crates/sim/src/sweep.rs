@@ -181,26 +181,33 @@ mod tests {
     use jmso_media::WorkloadSpec;
     use jmso_sched::SchedulerSpec;
 
-    /// Every index runs once and comes back in input order, on the
-    /// sequential path and chunked (1000 items over up to 8 participants
-    /// cross `CHUNK_THRESHOLD`).
     #[test]
-    fn every_index_runs_once_in_input_order() {
+    fn parallel_map_preserves_order() {
+        // Ordering holds at 1 (sequential path), 2 and 8 participants.
+        let items: Vec<u64> = (0..100).collect();
+        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 8] {
+            let out = parallel_map(&items, threads, |x| x * x);
+            assert_eq!(out, expect, "order broken at {threads} threads");
+        }
+    }
+
+    /// 1000 items over 2 to 8 participants cross `CHUNK_THRESHOLD`, so
+    /// the cursor hands out 8-index chunks: every index still runs once,
+    /// and comes back in input order.
+    #[test]
+    fn parallel_map_chunked_dispatch_covers_every_index() {
         let items: Vec<usize> = (0..1000).collect();
-        for threads in [1, 2, 3, 8] {
+        for threads in [2, 3, 8] {
             let hits: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
-            let out = parallel_map(&items, threads, |&i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-                i * 3
-            });
+            let hit = |&i: &usize| (i, hits[i].fetch_add(1, Ordering::Relaxed));
+            let out = parallel_map(&items, threads, hit);
             assert!(
-                out.iter().enumerate().all(|(i, &x)| x == i * 3),
+                out.iter().enumerate().all(|(k, &o)| o == (k, 0)),
                 "{threads}"
             );
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{threads}"
-            );
+            let hits: Vec<usize> = hits.into_iter().map(AtomicUsize::into_inner).collect();
+            assert_eq!(hits, vec![1; 1000], "{threads}");
         }
     }
 
@@ -219,13 +226,24 @@ mod tests {
     }
 
     #[test]
-    fn short_grids() {
+    fn parallel_map_empty_and_single() {
         let empty: Vec<u32> = vec![];
         assert!(parallel_map(&empty, 4, |x| *x).is_empty());
         assert_eq!(parallel_map(&[7u32], 4, |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn parallel_map_handles_contention() {
         // More participants asked for than items, and a heap payload.
         let out = parallel_map(&[0usize, 1, 2, 3, 4], 8, |&x| vec![x; x % 3]);
         assert_eq!(out, vec![vec![], vec![1], vec![2, 2], vec![], vec![4]]);
+    }
+
+    #[test]
+    fn zero_threads_means_all_cpus() {
+        let items: Vec<u64> = (0..32).collect();
+        let out = parallel_map(&items, 0, |x| x + 1);
+        assert_eq!(out, (1..=32).collect::<Vec<u64>>());
     }
 
     /// A figure cell that averages over seeds nests one `parallel_map` in
