@@ -1,15 +1,22 @@
 //! Telemetry fan-out with backpressure.
 //!
-//! The engine loop broadcasts JSONL lines (slot records and service
-//! events) to every subscriber over bounded channels. The loop never
-//! blocks on a consumer: a subscriber whose channel is full is dropped
-//! on the spot — counted and announced — which is the live-mode
+//! The engine loop broadcasts JSONL text (batches of slot records, and
+//! service events) to every subscriber: one shared message per
+//! broadcast, queued on each subscriber's channel. The loop never blocks
+//! on a consumer: a subscriber with more bytes queued than its bound is
+//! dropped on the spot — counted and announced — which is the live-mode
 //! backpressure contract (shed the slow consumer, not the deadline).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvError, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Bytes a subscriber may have queued per line of the capacity it
+/// subscribed with: about one slot record of a 1 000-user cell
+/// (`svc.fanout.record_bytes` reads 10.3 KB), so a capacity of 1 024
+/// lines is ≈ 10.5 MB, whether the lines come one by one or batched.
+pub const LINE_BYTES: usize = 10 * 1024;
 
 /// Longest [`FanOut::close`] waits for connection threads to write out
 /// what was queued. A client that stopped reading costs the service
@@ -17,7 +24,46 @@ use std::time::Duration;
 const FLUSH_WAIT: Duration = Duration::from_secs(1);
 
 struct Subscriber {
-    tx: SyncSender<String>,
+    tx: Sender<Arc<str>>,
+    /// Bytes sent and not yet received.
+    queued: Arc<AtomicUsize>,
+    /// The bound on `queued`.
+    limit: usize,
+}
+
+/// The receiving end of a subscription. A message is one or more whole
+/// lines, `\n` between them and none after the last.
+pub struct Subscription {
+    rx: Receiver<Arc<str>>,
+    queued: Arc<AtomicUsize>,
+}
+
+impl Subscription {
+    fn took(&self, message: Arc<str>) -> Arc<str> {
+        self.queued.fetch_sub(message.len(), Ordering::Relaxed);
+        message
+    }
+
+    /// The next message; `Err` once the subscription has ended and
+    /// everything queued was received.
+    pub fn recv(&self) -> Result<Arc<str>, RecvError> {
+        self.rx.recv().map(|m| self.took(m))
+    }
+
+    /// The next message if one is queued.
+    pub fn try_recv(&self) -> Result<Arc<str>, TryRecvError> {
+        self.rx.try_recv().map(|m| self.took(m))
+    }
+
+    /// The next message, waiting at most `timeout`.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Arc<str>, RecvTimeoutError> {
+        self.rx.recv_timeout(timeout).map(|m| self.took(m))
+    }
+
+    /// Every message queued now.
+    pub fn try_iter(&self) -> impl Iterator<Item = Arc<str>> + '_ {
+        std::iter::from_fn(|| self.try_recv().ok())
+    }
 }
 
 /// Subscriber registry shared between socket handlers (register) and
@@ -70,13 +116,19 @@ impl FanOut {
         Streaming(self)
     }
 
-    /// Register a subscriber; lines arrive on the returned receiver
-    /// until it falls `capacity` lines behind (dropped) or the service
+    /// Register a subscriber; lines arrive on the returned subscription
+    /// until it falls `capacity` lines behind — more than `capacity ×`
+    /// [`LINE_BYTES`] bytes queued — and is dropped, or the service
     /// closes the registry (stream ends).
-    pub fn subscribe(&self, capacity: usize) -> Receiver<String> {
-        let (tx, rx) = sync_channel(capacity.max(1));
-        self.lock().push(Subscriber { tx });
-        rx
+    pub fn subscribe(&self, capacity: usize) -> Subscription {
+        let (tx, rx) = channel();
+        let queued = Arc::new(AtomicUsize::new(0));
+        self.lock().push(Subscriber {
+            tx,
+            queued: queued.clone(),
+            limit: capacity.max(1).saturating_mul(LINE_BYTES),
+        });
+        Subscription { rx, queued }
     }
 
     /// Subscribers currently registered.
@@ -94,21 +146,28 @@ impl FanOut {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Send one line to every subscriber. Full channels mean the
-    /// consumer fell behind: the subscriber is removed and counted.
+    /// Send `lines` (one or more, `\n` between them) to every
+    /// subscriber as one shared message. A subscriber that already has
+    /// bytes queued and would go over its bound fell behind: it is
+    /// removed and counted. One with nothing queued takes any message.
     /// Disconnected receivers are removed silently (the consumer left).
     /// Returns how many subscribers were dropped for falling behind by
     /// this call.
-    pub fn broadcast(&self, line: &str) -> u64 {
+    pub fn broadcast(&self, lines: &str) -> u64 {
         let mut subs = self.lock();
+        if subs.is_empty() {
+            return 0;
+        }
+        let message: Arc<str> = Arc::from(lines);
         let mut dropped_now = 0;
-        subs.retain(|s| match s.tx.try_send(line.to_string()) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => {
+        subs.retain(|s| {
+            let queued = s.queued.load(Ordering::Relaxed);
+            if queued > 0 && queued.saturating_add(message.len()) > s.limit {
                 dropped_now += 1;
-                false
+                return false;
             }
-            Err(TrySendError::Disconnected(_)) => false,
+            s.queued.fetch_add(message.len(), Ordering::Relaxed);
+            s.tx.send(message.clone()).is_ok()
         });
         if dropped_now > 0 {
             self.dropped.fetch_add(dropped_now, Ordering::Relaxed);
@@ -146,8 +205,8 @@ mod tests {
         let a = f.subscribe(8);
         let b = f.subscribe(8);
         assert_eq!(f.broadcast("x"), 0);
-        assert_eq!(a.recv().expect("a"), "x");
-        assert_eq!(b.recv().expect("b"), "x");
+        assert_eq!(&*a.recv().expect("a"), "x");
+        assert_eq!(&*b.recv().expect("b"), "x");
     }
 
     #[test]
@@ -155,17 +214,40 @@ mod tests {
         let f = FanOut::new();
         let slow = f.subscribe(1);
         let fast = f.subscribe(16);
-        assert_eq!(f.broadcast("1"), 0);
-        // `slow` never drains: its channel (capacity 1) is now full, so
+        let line = "1".repeat(LINE_BYTES);
+        assert_eq!(f.broadcast(&line), 0);
+        // `slow` never drains: one line's worth of bytes is queued, so
         // the next broadcast drops it instead of blocking.
         assert_eq!(f.broadcast("2"), 1);
         assert_eq!(f.dropped(), 1);
         assert_eq!(f.len(), 1);
-        assert_eq!(fast.recv().expect("fast 1"), "1");
-        assert_eq!(fast.recv().expect("fast 2"), "2");
+        assert_eq!(*fast.recv().expect("fast 1"), *line);
+        assert_eq!(&*fast.recv().expect("fast 2"), "2");
         // The dropped subscriber still gets what was queued, then EOF.
-        assert_eq!(slow.recv().expect("queued"), "1");
+        assert_eq!(*slow.recv().expect("queued"), *line);
         assert!(slow.recv().is_err());
+    }
+
+    /// The bound is in bytes: batches of many lines count what they
+    /// carry, and receiving frees the bytes again.
+    #[test]
+    fn the_bound_counts_bytes_not_messages() {
+        let f = FanOut::new();
+        let rx = f.subscribe(4);
+        let batch = ["r"; 100].join("\n");
+        // Far more messages than the capacity of 4 lines, never more
+        // than 4 × LINE_BYTES bytes queued: kept.
+        for _ in 0..100 {
+            assert_eq!(f.broadcast(&batch), 0);
+        }
+        assert_eq!(rx.try_iter().count(), 100);
+        let quarter = "q".repeat(LINE_BYTES);
+        for _ in 0..4 {
+            assert_eq!(f.broadcast(&quarter), 0);
+        }
+        assert_eq!(f.broadcast("over"), 1, "4 lines' worth queued, then more");
+        assert_eq!(rx.try_iter().count(), 4);
+        assert!(rx.recv().is_err());
     }
 
     #[test]
@@ -174,7 +256,7 @@ mod tests {
         let rx = f.subscribe(4);
         f.broadcast("tail");
         f.close();
-        assert_eq!(rx.recv().expect("queued line"), "tail");
+        assert_eq!(&*rx.recv().expect("queued line"), "tail");
         assert!(rx.recv().is_err());
         assert_eq!(f.broadcast("after"), 0);
     }

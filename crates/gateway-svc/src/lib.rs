@@ -13,9 +13,10 @@
 //!    [`policy::LivePolicy`] on overrun instead of silently falling
 //!    behind.
 //! 3. **Telemetry fan-out with backpressure** ([`fanout`]) — JSONL
-//!    slot records and service events to any number of subscribers
-//!    over bounded channels; a slow consumer is dropped (counted,
-//!    announced), never waited on.
+//!    slot records, in batches of up to 64 KiB, and service events to
+//!    any number of subscribers as shared messages over byte-bounded
+//!    channels; a slow consumer is dropped (counted, announced), never
+//!    waited on.
 //! 4. **Supervision and crash recovery** ([`supervisor`]) — periodic
 //!    crash-safe checkpoints (an `atomic_write`n state sidecar plus an
 //!    append-only spool of the trace lines, each record serialised
@@ -38,7 +39,7 @@ mod spool;
 pub mod supervisor;
 
 pub use bus::{Command, CommandBus};
-pub use fanout::FanOut;
+pub use fanout::{FanOut, Subscription};
 pub use net::{handle_connection, spawn_listener, ListenSpec};
 pub use policy::LivePolicy;
 pub use service::{LiveService, Outcome, ServeConfig};

@@ -8,15 +8,15 @@
 //! connection (an oversized line *does* close it — framing is lost).
 
 use crate::bus::{Command, CommandBus};
-use crate::fanout::FanOut;
+use crate::fanout::{FanOut, Subscription};
 use jmso_gateway::{parse_command, GwCommand, ProtocolError, MAX_LINE_BYTES};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,7 +25,8 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long a handler waits for the engine loop to answer a command
 /// (covers supervisor backoff windows).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
-/// Telemetry lines buffered per subscriber before it is dropped.
+/// Telemetry lines buffered per subscriber before it is dropped, counted
+/// in bytes: 1 024 × [`crate::fanout::LINE_BYTES`], ≈ 10.5 MB.
 const SUBSCRIBER_BUFFER: usize = 1024;
 /// Bytes of telemetry gathered per subscriber before a `write`.
 const STREAM_BATCH: usize = 64 * 1024;
@@ -215,19 +216,25 @@ fn busy() -> ProtocolError {
 
 /// Stream a subscription until the service closes the fan-out, this
 /// subscriber is dropped for falling behind, or the client goes away.
-/// Whatever is queued when the stream wakes goes out in one batch.
-fn stream_lines<W: Write>(w: W, rx: &Receiver<String>) {
-    let mut w = BufWriter::with_capacity(STREAM_BATCH, w);
+/// Whatever is queued when the stream wakes goes out in `write`s of at
+/// least [`STREAM_BATCH`] bytes but the last.
+fn stream_lines<W: Write>(mut w: W, rx: &Subscription) {
+    let mut out = Vec::with_capacity(2 * STREAM_BATCH);
     while let Ok(first) = rx.recv() {
-        let sent = std::iter::once(first)
-            .chain(rx.try_iter())
-            .try_for_each(|line| {
-                w.write_all(line.as_bytes())?;
-                w.write_all(b"\n")
-            });
-        if sent.and_then(|()| w.flush()).is_err() {
+        for message in std::iter::once(first).chain(rx.try_iter()) {
+            out.extend_from_slice(message.as_bytes());
+            out.push(b'\n');
+            if out.len() >= STREAM_BATCH {
+                if w.write_all(&out).is_err() {
+                    return;
+                }
+                out.clear();
+            }
+        }
+        if w.write_all(&out).and_then(|()| w.flush()).is_err() {
             return;
         }
+        out.clear();
     }
 }
 

@@ -4,10 +4,11 @@
 //! driver (resuming from a durable checkpoint when one is readable,
 //! falling back to a cold start with a logged warning otherwise), then
 //! runs the slot loop in real or accelerated time, draining socket
-//! commands at slot boundaries, broadcasting telemetry through the
-//! bounded fan-out, and writing periodic crash-safe checkpoints — captured
-//! and printed here, made durable by a persist thread while the loop
-//! keeps stepping (DESIGN.md §13).
+//! commands at slot boundaries, printing each slot's records into one
+//! batch that goes to the spool and the bounded fan-out together, and
+//! writing periodic crash-safe checkpoints — captured and printed here,
+//! reusing the last sidecar's unchanged rows, and made durable by a
+//! persist thread while the loop keeps stepping (DESIGN.md §13).
 //!
 //! Determinism contract: under [`LivePolicy::Stall`] with a scripted
 //! feed, the trace file this service writes is byte-identical to the
@@ -22,8 +23,8 @@ use jmso_gateway::{
     declared_rate_from_request, GwEvent, GwStatus, LiveEvent, ProtocolError, SvcState,
 };
 use jmso_sim::{
-    atomic_write, CheckpointError, EngineCheckpoint, Scenario, ScenarioError, SimError, SimWarning,
-    SlotDriver, TraceError, TraceRecorder,
+    atomic_write, CheckpointError, EngineCheckpoint, Scenario, ScenarioError, SidecarPrinter,
+    SimError, SimWarning, SlotDriver, TraceError, TraceRecorder,
 };
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -106,6 +107,10 @@ pub enum Outcome {
     },
 }
 
+/// The record batch goes out once it holds this many bytes (and at every
+/// point where the loop waits or the disk state must be settled).
+const BATCH_BYTES: usize = 64 * 1024;
+
 /// What a successful resume hands to [`LiveService::build`].
 type ResumedParts = (SlotDriver, TraceRecorder, Option<TraceSpool>);
 
@@ -160,6 +165,35 @@ impl Drop for Persist {
     }
 }
 
+/// Record lines on their way out: the batch printed and not yet sent,
+/// each line ending in `\n`, and the spool (`Some` iff a trace path is
+/// configured) every batch is appended to in one `write`.
+struct Records {
+    /// Cleared, never shrunk.
+    batch: String,
+    spool: Option<TraceSpool>,
+}
+
+impl Records {
+    /// Append the batch to the spool and clear it.
+    fn spool_batch(&mut self) -> Result<(), SimError> {
+        if let Some(spool) = &mut self.spool {
+            spool.append(&self.batch)?;
+        }
+        self.batch.clear();
+        Ok(())
+    }
+}
+
+impl Drop for Records {
+    /// An attempt that unwinds leaves the lines it printed in the spool,
+    /// as its next flush would have: the restart cuts whatever lies past
+    /// its checkpoint.
+    fn drop(&mut self) {
+        let _ = self.spool_batch();
+    }
+}
+
 /// One supervised attempt at running the scenario live.
 pub struct LiveService {
     cfg: ServeConfig,
@@ -181,13 +215,12 @@ pub struct LiveService {
     /// hands off one sidecar.
     ckpt_handed_off: Option<u64>,
     persist: Persist,
-    /// Record lines so far (`Some` iff a trace path is configured). The
-    /// recorder is drained into it after every slot, so `rec` holds no
-    /// records between slots.
-    spool: Option<TraceSpool>,
-    /// The record line being published; cleared per record, never
-    /// shrunk, so a slot's line costs no allocation after the first.
-    line: String,
+    /// The record lines' way out. The recorder is drained into it after
+    /// every slot, so `rec` holds no records between slots.
+    records: Records,
+    /// The last sidecar and its checkpoint, whose unchanged rows the
+    /// next sidecar copies.
+    sidecar: SidecarPrinter,
     /// Deadline anchor: wall-clock instant at which `anchor.1` was due
     /// to start. `None` = re-anchor on the next paced slot.
     anchor: Option<(Instant, u64)>,
@@ -266,8 +299,11 @@ impl LiveService {
             last_ckpt_slot: Arc::new(AtomicU64::new(NO_CKPT)),
             ckpt_handed_off: None,
             persist: Persist::default(),
-            spool,
-            line: String::new(),
+            records: Records {
+                batch: String::new(),
+                spool,
+            },
+            sidecar: SidecarPrinter::default(),
             anchor: None,
             startup_events,
         })
@@ -292,12 +328,12 @@ impl LiveService {
             TraceSpool::open(trace, rec.emitted())
         } else {
             TraceSpool::open(trace, 0).and_then(|mut spool| {
-                let mut line = String::new();
+                let mut lines = String::new();
                 for r in &embedded {
-                    line.clear();
-                    json_line(&mut line, r)?;
-                    spool.append(&line)?;
+                    json_line(&mut lines, r)?;
+                    lines.push('\n');
                 }
+                spool.append(&lines)?;
                 Ok(spool)
             })
         };
@@ -334,30 +370,51 @@ impl LiveService {
     }
 
     /// Drain the records the last step emitted: serialise each once,
-    /// append the line to the spool, broadcast the same line. `publish`
-    /// false (a dropped slot) skips the broadcast — the durable trace
-    /// still carries the records.
+    /// into the batch, which goes out once it holds [`BATCH_BYTES`], or
+    /// at once when paced. `publish` false (a dropped slot) sends the
+    /// batch so far, then this slot's lines to the spool only — the
+    /// durable trace still carries them, the subscribers never see them.
     fn publish_new_records(&mut self, publish: bool) -> Result<(), SimError> {
         let records = self.rec.take_records();
-        if self.spool.is_none() && !publish {
+        if records.is_empty() {
+            return Ok(());
+        }
+        if !publish {
+            self.flush_batch()?;
+        }
+        let wanted = publish && !self.fanout.is_empty();
+        if self.records.spool.is_none() && !wanted {
             return Ok(());
         }
         for r in &records {
-            self.line.clear();
-            json_line(&mut self.line, r)?;
-            if let Some(spool) = &mut self.spool {
-                spool.append(&self.line)?;
-            }
-            if publish && self.fanout.broadcast(&self.line) > 0 {
-                publish_event(
-                    &self.fanout,
-                    &GwEvent::SubscriberDropped {
-                        total: self.fanout.dropped(),
-                    },
-                );
-            }
+            json_line(&mut self.records.batch, r)?;
+            self.records.batch.push('\n');
+        }
+        if !publish {
+            self.records.spool_batch()?;
+        } else if self.cfg.slot_ms.is_some() || self.records.batch.len() >= BATCH_BYTES {
+            // Paced, a slot's records go out before the next slot waits
+            // for its deadline or runs.
+            self.flush_batch()?;
         }
         Ok(())
+    }
+
+    /// Send the batch: to the spool in one `write`, to every subscriber
+    /// as one shared message.
+    fn flush_batch(&mut self) -> Result<(), SimError> {
+        let Some(lines) = self.records.batch.strip_suffix('\n') else {
+            return Ok(());
+        };
+        if self.fanout.broadcast(lines) > 0 {
+            publish_event(
+                &self.fanout,
+                &GwEvent::SubscriberDropped {
+                    total: self.fanout.dropped(),
+                },
+            );
+        }
+        self.records.spool_batch()
     }
 
     fn apply_events(&mut self, events: &[LiveEvent]) -> Result<(), ProtocolError> {
@@ -428,6 +485,7 @@ impl LiveService {
     /// thread of its own it competes with the connection threads and
     /// costs commands more than it saves slots (DESIGN.md §13).
     fn write_checkpoint(&mut self) -> Result<(), SimError> {
+        self.flush_batch()?;
         let slot = self.driver.next_slot();
         self.ckpt_handed_off = Some(slot);
         let Some(path) = self.cfg.ckpt_path.clone() else {
@@ -436,15 +494,15 @@ impl LiveService {
         // Log before snapshot: every record the sidecar below counts as
         // emitted is in the file now, and the persist thread syncs the
         // file before it renames the sidecar into place.
-        let spool = match &mut self.spool {
-            Some(spool) => Some(spool.flush()?),
+        let spool = match &self.records.spool {
+            Some(spool) => Some(spool.syncer()?),
             None => None,
         };
-        let json = self
+        let ck = self
             .driver
             .checkpoint(&self.rec)
-            .and_then(|ck| ck.to_json())
             .map_err(SimError::Checkpoint)?;
+        let json = self.sidecar.print(ck);
         self.persist.join()?;
         let (fanout, last_ckpt_slot) = (self.fanout.clone(), self.last_ckpt_slot.clone());
         let io_err = |path: &Path, source| {
@@ -510,6 +568,7 @@ impl LiveService {
                 return self.interrupt();
             }
             if self.state == SvcState::Holding {
+                self.flush_batch()?;
                 for cmd in self.bus.wait(Duration::from_millis(100)) {
                     self.handle(cmd);
                 }
@@ -590,6 +649,7 @@ impl LiveService {
     /// it), surface simulation warnings, announce `done`, then remove
     /// the spool and close the fan-out.
     fn complete(mut self) -> Result<Outcome, SimError> {
+        self.flush_batch()?;
         // A rename landing after the removals below would resurrect the
         // finished run.
         self.persist.join()?;
@@ -599,9 +659,13 @@ impl LiveService {
             fanout,
             driver,
             mut rec,
-            mut spool,
+            mut records,
+            sidecar,
             ..
         } = self;
+        // Gone before the trace is assembled; the batch is empty.
+        let spool = records.spool.take();
+        drop((records, sidecar));
         let result = driver.finish(&mut rec);
         for w in &result.warnings {
             if let Ok(line) = serde_json::to_string(&GwEvent::Warning {
@@ -610,7 +674,7 @@ impl LiveService {
                 fanout.broadcast(&line);
             }
         }
-        if let (Some(path), Some(spool)) = (&cfg.trace_path, &mut spool) {
+        if let (Some(path), Some(spool)) = (&cfg.trace_path, &spool) {
             // The recorder was drained slot by slot: what it still holds
             // is the tail `finish` emitted, and its header is the run's.
             let tail = rec.into_trace(&result.scheduler);

@@ -1,28 +1,28 @@
 //! The append-only trace spool: the log half of the daemon's
 //! snapshot + log persistence (DESIGN.md §13).
 //!
-//! Every emitted [`jmso_sim::SlotRecord`] is serialised once, for the
-//! fan-out; that same line is appended here and the record is dropped.
+//! Every emitted [`jmso_sim::SlotRecord`] is serialised once, into the
+//! service's batch buffer; each batch is appended here in one `write`
+//! and broadcast to the fan-out, and the records are dropped.
 //! The checkpoint sidecar then carries recorder state without records,
-//! and the final trace is the header line + these bytes. The spool is
-//! flushed before each sidecar is captured and synced before that
-//! sidecar's rename, so a sidecar whose recorder has emitted `k` records
+//! and the final trace is the header line + these bytes. The batch is
+//! appended before each sidecar is captured and the spool synced before
+//! that sidecar's rename, so a sidecar whose recorder has emitted `k` records
 //! implies a spool of at least `k` complete lines; whatever follows them
 //! (slots run after the checkpoint, a torn last write) is cut off on
 //! resume and re-appended as those slots re-run.
 
 use jmso_sim::{sync_parent_dir, TraceError};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// A record line is ≈ 10 B per user; at the paper cell's scale a few
-/// slots share one `write`.
-const WRITE_BUFFER: usize = 1 << 16;
+/// Read size when finding the line prefix to keep.
+const READ_BUFFER: usize = 1 << 16;
 
 pub(crate) struct TraceSpool {
     path: PathBuf,
-    file: BufWriter<File>,
+    file: File,
 }
 
 impl TraceSpool {
@@ -36,10 +36,7 @@ impl TraceSpool {
         path.push(".spool");
         let path = PathBuf::from(path);
         match Self::open_file(&path, keep) {
-            Ok(file) => Ok(Self {
-                path,
-                file: BufWriter::with_capacity(WRITE_BUFFER, file),
-            }),
+            Ok(file) => Ok(Self { path, file }),
             Err(source) => Err(TraceError::Io { path, source }),
         }
     }
@@ -66,23 +63,19 @@ impl TraceSpool {
         }
     }
 
-    /// Append one record line (the newline is added here).
-    pub(crate) fn append(&mut self, line: &str) -> Result<(), TraceError> {
+    /// Append whole record lines, each ending in `\n`, in one `write`.
+    pub(crate) fn append(&mut self, lines: &str) -> Result<(), TraceError> {
         self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
+            .write_all(lines.as_bytes())
             .map_err(|e| self.io_err(e))
     }
 
-    /// Hand everything appended so far to the OS and return a second
-    /// handle on the file, whose [`SpoolSync::sync`] makes those lines
-    /// durable. Two steps because only this one needs the writer: the
-    /// slot thread flushes and goes on appending, the persist thread
-    /// waits for the disk.
-    pub(crate) fn flush(&mut self) -> Result<SpoolSync, TraceError> {
+    /// A second handle on the file, whose [`SpoolSync::sync`] makes
+    /// everything appended so far durable: the slot thread goes on
+    /// appending, the persist thread waits for the disk.
+    pub(crate) fn syncer(&self) -> Result<SpoolSync, TraceError> {
         self.file
-            .flush()
-            .and_then(|()| self.file.get_ref().try_clone())
+            .try_clone()
             .map(|file| SpoolSync {
                 path: self.path.clone(),
                 file,
@@ -91,11 +84,8 @@ impl TraceSpool {
     }
 
     /// The spool's whole contents.
-    pub(crate) fn read(&mut self) -> Result<Vec<u8>, TraceError> {
-        self.file
-            .flush()
-            .and_then(|()| std::fs::read(&self.path))
-            .map_err(|e| self.io_err(e))
+    pub(crate) fn read(&self) -> Result<Vec<u8>, TraceError> {
+        std::fs::read(&self.path).map_err(|e| self.io_err(e))
     }
 
     /// The run is over and its trace is on disk: delete the spool.
@@ -106,7 +96,7 @@ impl TraceSpool {
     }
 }
 
-/// The spool file as of one [`TraceSpool::flush`].
+/// The spool file as of one [`TraceSpool::syncer`].
 pub(crate) struct SpoolSync {
     path: PathBuf,
     file: File,
@@ -127,7 +117,7 @@ fn offset_after_lines(file: &File, lines: u64) -> io::Result<u64> {
     if lines == 0 {
         return Ok(0);
     }
-    let mut reader = BufReader::with_capacity(WRITE_BUFFER, file);
+    let mut reader = BufReader::with_capacity(READ_BUFFER, file);
     let (mut seen, mut offset) = (0u64, 0u64);
     loop {
         let buf = reader.fill_buf()?;
@@ -163,7 +153,7 @@ mod tests {
         (trace, spool)
     }
 
-    fn contents(spool: &mut TraceSpool) -> String {
+    fn contents(spool: &TraceSpool) -> String {
         String::from_utf8(spool.read().expect("read spool")).expect("utf-8")
     }
 
@@ -171,10 +161,9 @@ mod tests {
     fn reopen_keeps_a_line_prefix_and_appends_after_it() {
         let (trace, path) = tmp("prefix");
         let mut s = TraceSpool::open(&trace, 0).expect("fresh spool");
-        for line in ["a", "bb", "ccc"] {
-            s.append(line).expect("append");
-        }
-        s.flush().expect("flush").sync().expect("sync");
+        s.append("a\nbb\n").expect("append");
+        s.append("ccc\n").expect("append");
+        s.syncer().expect("syncer").sync().expect("sync");
         drop(s);
         // A torn fourth line, as a kill -9 mid-write leaves it.
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
@@ -182,13 +171,13 @@ mod tests {
         drop(f);
 
         let mut s = TraceSpool::open(&trace, 2).expect("two lines are there");
-        assert_eq!(contents(&mut s), "a\nbb\n");
-        s.append("again").expect("append");
-        assert_eq!(contents(&mut s), "a\nbb\nagain\n");
+        assert_eq!(contents(&s), "a\nbb\n");
+        s.append("again\n").expect("append");
+        assert_eq!(contents(&s), "a\nbb\nagain\n");
         drop(s);
 
-        let mut s = TraceSpool::open(&trace, 3).expect("three complete lines");
-        assert_eq!(contents(&mut s), "a\nbb\nagain\n");
+        let s = TraceSpool::open(&trace, 3).expect("three complete lines");
+        assert_eq!(contents(&s), "a\nbb\nagain\n");
         s.remove();
         assert!(!path.exists());
     }

@@ -2,8 +2,9 @@
 //! identity under `Stall`, crash recovery through the supervisor and
 //! through every state the sidecar + spool pair can be found in, the
 //! persist thread's ordering (what is durable when, what is joined where),
-//! deadline-overrun policies that never stall the loop, slow-subscriber
-//! eviction, corrupt-checkpoint cold starts, the `done` event reaching
+//! deadline-overrun policies that never stall the loop, paced records
+//! that reach a subscriber before the next slot, dropped slots that reach
+//! the spool only, slow-subscriber eviction (by bytes, over a socket too), corrupt-checkpoint cold starts, the `done` event reaching
 //! a socket subscriber, a deeply nested hostile line, the `template`
 //! feed fitting the line cap, and `status` answered from the published
 //! snapshot without waiting for the slot loop.
@@ -15,7 +16,7 @@
 use jmso_gateway::{parse_command, GwCommand, GwStatus, LiveEvent, SvcState, MAX_LINE_BYTES};
 use jmso_gateway_svc::{
     handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy, LiveService, Outcome,
-    ServeConfig, SupervisedEnd, SupervisorConfig,
+    ServeConfig, Subscription, SupervisedEnd, SupervisorConfig,
 };
 use jmso_sim::{
     ArrivalSpec, CheckpointError, EngineCheckpoint, RunOutcome, Scenario, SchedulerSpec, SimError,
@@ -190,8 +191,11 @@ fn supervised_crash_resume_matches_golden() {
     let _ = std::fs::remove_file(&live_trace);
 }
 
-fn drain_lines(rx: &std::sync::mpsc::Receiver<String>) -> Vec<String> {
-    rx.try_iter().collect()
+/// Every line queued on a subscription; a message may hold several.
+fn drain_lines(rx: &Subscription) -> Vec<String> {
+    rx.try_iter()
+        .flat_map(|m| m.lines().map(str::to_string).collect::<Vec<_>>())
+        .collect()
 }
 
 /// DropSlots: with a 1ms budget and 5ms of forced work per slot, every
@@ -220,6 +224,104 @@ fn drop_slots_policy_never_stalls() {
         lines.iter().any(|l| l.contains(r#""event":"done"#)),
         "loop must reach completion"
     );
+}
+
+/// The slot numbers of the records among `lines`, in order.
+fn record_slots(lines: &[String]) -> Vec<u64> {
+    lines
+        .iter()
+        .filter_map(|l| {
+            let rest = l.strip_prefix(r#"{"slot":"#)?;
+            rest[..rest.find(',')?].parse().ok()
+        })
+        .collect()
+}
+
+/// Sessions that last any horizon these tests run.
+fn long_sessions(n: usize, slots: u64) -> Scenario {
+    let mut s = quick(n, slots);
+    s.workload.size_range_kb = (500_000.0, 800_000.0);
+    s
+}
+
+/// Paced, the records are not held back for a fuller batch: slot k's
+/// record is on the subscription before slot k+1 runs. Holds come in
+/// pairs, so once the first is released the loop sits in the second, at
+/// the same boundary, with the next slot not yet run.
+#[test]
+fn paced_records_arrive_before_the_next_slot_runs() {
+    let bus = Arc::new(CommandBus::new(8));
+    let fanout = Arc::new(FanOut::new());
+    let rx = fanout.subscribe(4096);
+    let mut cfg = ServeConfig::new(long_sessions(3, 240));
+    cfg.slot_ms = Some(1);
+    let pair = |bus: &CommandBus| (hold_at_a_boundary(bus), hold_at_a_boundary(bus));
+    let mut held = pair(&bus);
+    let service = {
+        let (bus, fanout) = (bus.clone(), fanout.clone());
+        std::thread::spawn(move || run_service(cfg, bus, fanout))
+    };
+    let mut seen = Vec::new();
+    for boundary in 0..12 {
+        let (first, second) = held;
+        assert_eq!(first.release(), boundary);
+        seen.extend(record_slots(&drain_lines(&rx)));
+        assert_eq!(seen, (0..boundary).collect::<Vec<_>>(), "at {boundary}");
+        held = pair(&bus);
+        assert_eq!(second.release(), boundary);
+    }
+    let (first, second) = held;
+    assert_eq!((first.release(), second.release()), (12, 12));
+    let Outcome::Done { slots_run } = service.join().expect("service") else {
+        panic!("the run completes");
+    };
+    seen.extend(record_slots(&drain_lines(&rx)));
+    assert_eq!(seen, (0..slots_run).collect::<Vec<_>>());
+}
+
+/// DropSlots: a dropped slot's record still goes to the spool — the
+/// final trace is the batch run's, every record in slot order — and
+/// never to a subscriber, who gets every record of a slot not dropped.
+/// 3 ms of work in a 2 ms budget: lateness grows until a slot is more
+/// than a budget late and dropped, and the slot after it runs on time.
+#[test]
+fn dropped_slots_reach_the_spool_and_no_subscriber() {
+    let (n, slots) = (3, 90);
+    let golden = tmp_path("dropped-golden.jsonl");
+    let (_, trace) = long_sessions(n, slots).run_traced(1).expect("batch run");
+    trace.write_jsonl(&golden).expect("write golden");
+
+    let live_trace = tmp_path("dropped-live.jsonl");
+    let mut cfg = ServeConfig::new(long_sessions(n, slots));
+    cfg.policy = LivePolicy::DropSlots;
+    cfg.slot_ms = Some(2);
+    cfg.step_delay_ms = 3;
+    cfg.trace_path = Some(live_trace.clone());
+    let fanout = Arc::new(FanOut::new());
+    let rx = fanout.subscribe(4096);
+    let outcome = run_service(cfg, Arc::new(CommandBus::new(4)), fanout);
+    assert_eq!(outcome, Outcome::Done { slots_run: slots });
+
+    let got = std::fs::read(&live_trace).expect("read live trace");
+    let want = std::fs::read(&golden).expect("read golden trace");
+    assert!(got == want, "every record, in slot order, as the batch run");
+    let lines = drain_lines(&rx);
+    let dropped: Vec<u64> = lines
+        .iter()
+        .filter(|l| l.contains(r#""event":"deadline_overrun""#))
+        .filter_map(|l| {
+            let rest = l.split(r#""slot":"#).nth(1)?;
+            rest[..rest.find(|c: char| !c.is_ascii_digit())?]
+                .parse()
+                .ok()
+        })
+        .collect();
+    assert!(!dropped.is_empty(), "no slot was dropped");
+    let published = record_slots(&lines);
+    let expected: Vec<u64> = (0..slots).filter(|s| !dropped.contains(s)).collect();
+    assert_eq!(published, expected, "dropped: {dropped:?}");
+    let _ = std::fs::remove_file(&golden);
+    let _ = std::fs::remove_file(&live_trace);
 }
 
 /// Degrade: overruns latch the scheduler into its degraded mode (RTMA →
@@ -254,11 +356,15 @@ fn degrade_policy_engages_scheduler_and_completes() {
 /// instead of stalling the slot loop.
 #[test]
 fn slow_subscriber_is_dropped_not_blocking() {
-    let mut cfg = ServeConfig::new(quick(3, 120));
+    // Sessions that last the horizon, so the records outgrow the bound.
+    let mut scenario = quick(3, 120);
+    scenario.workload.size_range_kb = (500_000.0, 800_000.0);
+    let mut cfg = ServeConfig::new(scenario);
     cfg.trace_every = 1;
 
     let fanout = Arc::new(FanOut::new());
-    // Capacity 1 and never drained: the second record evicts it.
+    // Capacity 1 (one line's worth of bytes) and never drained: the
+    // first message past that evicts it.
     let _stuck = fanout.subscribe(1);
     let outcome = run_service(cfg, Arc::new(CommandBus::new(4)), fanout.clone());
     assert!(matches!(outcome, Outcome::Done { .. }));
@@ -335,10 +441,11 @@ fn sidecar_slot(ckpt: &Path) -> u64 {
 }
 
 /// The slots of the `checkpoint` events among `lines`, in order.
-fn checkpoint_slots<'a>(lines: impl IntoIterator<Item = &'a String>) -> Vec<u64> {
+fn checkpoint_slots<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) -> Vec<u64> {
     lines
         .into_iter()
         .filter_map(|l| {
+            let l = l.as_ref();
             let slot = l.strip_prefix(r#"{"event":"checkpoint","slot":"#)?;
             slot.strip_suffix('}')?.parse().ok()
         })
@@ -635,7 +742,7 @@ fn completion_joins_the_sidecar_in_flight() {
             "rep {rep}: trace differs from the batch golden"
         );
         assert_eq!(
-            checkpoint_slots(&drain_lines(&rx)),
+            checkpoint_slots(drain_lines(&rx)),
             (0..slots_run).collect::<Vec<u64>>(),
             "rep {rep}: one checkpoint per slot boundary"
         );
@@ -670,7 +777,7 @@ fn one_slot_boundary_hands_off_one_sidecar() {
         panic!("the run completes");
     };
     assert_eq!(
-        checkpoint_slots(&drain_lines(&rx)),
+        checkpoint_slots(drain_lines(&rx)),
         (0..slots_run).collect::<Vec<u64>>()
     );
     for reply in replies {
@@ -718,7 +825,7 @@ fn a_checkpoint_is_announced_only_once_it_is_on_disk() {
         let line = rx
             .recv_timeout(Duration::from_secs(30))
             .expect("the service keeps publishing");
-        let Some(&slot) = checkpoint_slots([&line]).first() else {
+        let Some(&slot) = checkpoint_slots(line.lines()).first() else {
             continue;
         };
         on_disk_covers(slot);
@@ -746,7 +853,7 @@ fn a_checkpoint_is_announced_only_once_it_is_on_disk() {
         at_slot,
         "the shutdown sidecar is joined"
     );
-    assert_eq!(checkpoint_slots(&drain_lines(&rx)).last(), Some(&at_slot));
+    assert_eq!(checkpoint_slots(drain_lines(&rx)).last(), Some(&at_slot));
     assert!(!tmp_of(&ckpt).exists());
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(spool_of(&trace));
@@ -929,6 +1036,62 @@ fn done_is_the_last_line_a_socket_subscriber_gets() {
     }
 }
 
+/// A socket subscriber that stops reading is shed once about 1 024
+/// records' worth of bytes (≈ 10.5 MB) wait for it — not 1 024 of the
+/// 64 KiB messages the records now travel in — and counted, and the run
+/// still reaches its horizon. A 1 000-user pool prints gateway-live's
+/// ≈ 10 KB records; three sessions keep it running.
+#[test]
+fn a_socket_subscriber_that_stops_reading_is_shed_by_bytes() {
+    let (n, slots) = (1_000, 1_500);
+    let mut scenario = long_sessions(n, slots);
+    let mut arrivals = vec![slots; n];
+    arrivals[..3].fill(0);
+    scenario.arrivals = ArrivalSpec::Declared {
+        arrivals,
+        departures: vec![None; n],
+    };
+    let bus = Arc::new(CommandBus::new(4));
+    let fanout = Arc::new(FanOut::new());
+    let (client, server) = UnixStream::pair().expect("socket pair");
+    let handler = {
+        let (bus, fanout) = (bus.clone(), fanout.clone());
+        std::thread::spawn(move || handle_connection(server, &bus, &fanout))
+    };
+    let mut reader = BufReader::new(client);
+    reader
+        .get_mut()
+        .write_all(b"{\"cmd\":\"subscribe\"}\n")
+        .expect("subscribe");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("subscribe reply");
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+
+    // The client reads nothing until the run is over.
+    let outcome = run_service(ServeConfig::new(scenario), bus, fanout.clone());
+    assert_eq!(outcome, Outcome::Done { slots_run: slots });
+    assert_eq!(fanout.dropped(), 1, "shed and counted");
+
+    // What it was sent before it was shed, then the end of the stream.
+    let mut seen = Vec::new();
+    reader.read_to_end(&mut seen).expect("the stream ends");
+    handler.join().expect("connection thread");
+    let text = String::from_utf8(seen).expect("utf-8");
+    let records = record_slots(&text.lines().map(str::to_string).collect::<Vec<_>>());
+    let bound = 1_024 * jmso_gateway_svc::fanout::LINE_BYTES;
+    assert!(
+        text.len() > bound - (64 << 10) && text.len() < bound + (4 << 20),
+        "{} bytes, {} records before the subscriber was shed",
+        text.len(),
+        records.len()
+    );
+    assert_eq!(records, (0..records.len() as u64).collect::<Vec<_>>());
+    assert!(
+        !text.contains(r#""event":"done""#),
+        "the shed stream has no done"
+    );
+}
+
 /// One socket line of 60 000 `[` used to overflow the connection thread's
 /// stack inside the JSON parser — an abort, which no supervisor catches,
 /// so any client could end the daemon. The line now gets the ordinary
@@ -1077,13 +1240,13 @@ fn ask_status(reader: &mut BufReader<UnixStream>) -> GwStatus {
 }
 
 /// Wait for a line containing `needle` on a subscription.
-fn await_line(rx: &Receiver<String>, needle: &str) -> String {
+fn await_line(rx: &Subscription, needle: &str) -> String {
     loop {
-        let line = rx
+        let message = rx
             .recv_timeout(Duration::from_secs(30))
             .unwrap_or_else(|_| panic!("no line with {needle}"));
-        if line.contains(needle) {
-            return line;
+        if let Some(line) = message.lines().find(|l| l.contains(needle)) {
+            return line.to_string();
         }
     }
 }

@@ -52,6 +52,10 @@ impl Serialize for RateList {
     fn serialize(&self, w: &mut JsonWriter) {
         (**self).serialize(w)
     }
+
+    fn same_bits(&self, other: &Self) -> bool {
+        (**self).same_bits(other)
+    }
 }
 
 impl Deserialize for RateList {

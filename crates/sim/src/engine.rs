@@ -101,7 +101,7 @@ mod driver;
 mod phases;
 mod reference;
 
-pub use ckpt::EngineCheckpoint;
+pub use ckpt::{EngineCheckpoint, SidecarPrinter};
 pub(crate) use driver::CellStats;
 pub use driver::{SlotDriver, SlotWork};
 

@@ -10,7 +10,9 @@ use jmso_gateway::{AdmissionState, CollectorState, FlowState, UserSnapshot};
 use jmso_media::{AbrClient, ClientPlayback, VideoSession};
 use jmso_radio::{Dbm, EnergyMeter, RrcMachine};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Serializable snapshot of one user's mid-run state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -83,11 +85,59 @@ impl EngineCheckpoint {
         self.slot
     }
 
-    /// Serialize to the sidecar JSON payload.
+    /// Serialize to the sidecar JSON payload: [`SidecarPrinter`]'s
+    /// bytes, printed with nothing to reuse.
     pub fn to_json(&self) -> Result<String, CheckpointError> {
-        serde_json::to_string(self).map_err(|e| CheckpointError::Corrupt {
-            reason: format!("serialize: {e:?}"),
-        })
+        Ok(self.print(None, None).0)
+    }
+
+    /// The derived `Serialize` layout, written field by field so that the
+    /// four per-user tables can reuse `last`'s bytes row by row. `spans`,
+    /// when given, receives where each of those rows lies in the text.
+    /// Also returns how many rows were reused.
+    fn print(&self, last: Option<Last<'_>>, spans: Option<&mut Spans>) -> (String, usize) {
+        let size = last.map_or(0, |l| l.text.len());
+        let mut out = String::with_capacity(size + size / 8);
+        let mut tables = Tables {
+            last,
+            spans,
+            reused: 0,
+        };
+        let lp = &self.loop_state;
+        out.push('{');
+        field(&mut out, "version", &self.version);
+        field(&mut out, "slot", &self.slot);
+        tables.print(&mut out, "users", 0, self, |c| &c.users);
+        tables.print(&mut out, "receiver", 1, self, |c| &c.receiver);
+        field(&mut out, "collector", &self.collector);
+        field(&mut out, "scheduler", &self.scheduler);
+        field(&mut out, "transmitter_clamps", &self.transmitter_clamps);
+        field(&mut out, "recorder", &self.recorder);
+        key(&mut out, "loop_state");
+        out.push('{');
+        field(&mut out, "fairness_series", &lp.fairness_series);
+        field(
+            &mut out,
+            "fairness_window_series",
+            &lp.fairness_window_series,
+        );
+        field(&mut out, "power_series_j", &lp.power_series_j);
+        field(&mut out, "window_delivered", &lp.window_delivered);
+        field(&mut out, "window_need", &lp.window_need);
+        field(&mut out, "slots_run", &lp.slots_run);
+        field(&mut out, "watching", &lp.watching);
+        field(&mut out, "done_watching", &lp.done_watching);
+        field(&mut out, "retired", &lp.retired);
+        field(&mut out, "retired_at", &lp.retired_at);
+        field(&mut out, "live", &lp.live);
+        tables.print(&mut out, "raw", 2, self, |c| &c.loop_state.raw);
+        tables.print(&mut out, "snapshots", 3, self, |c| &c.loop_state.snapshots);
+        out.push('}');
+        if let Some(admission) = &self.admission {
+            field(&mut out, "admission", admission);
+        }
+        out.push('}');
+        (out, tables.reused)
     }
 
     /// Parse a sidecar JSON payload (version-checked).
@@ -119,6 +169,132 @@ impl EngineCheckpoint {
             source,
         })?;
         Self::from_json(&text)
+    }
+}
+
+/// An object key in the compact form, with the comma before it unless
+/// it is the object's first.
+fn key(out: &mut String, name: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
+}
+
+fn field<T: Serialize>(out: &mut String, name: &str, value: &T) {
+    key(out, name);
+    // Printing into a `String` cannot fail.
+    let _ = serde_json::to_string_into(out, value);
+}
+
+/// Where each row of the four per-user tables lies in a sidecar's text.
+type Spans = [Vec<Range<usize>>; 4];
+
+/// The sidecar a print may reuse rows of: its checkpoint, its text, and
+/// its rows' spans in that text.
+#[derive(Clone, Copy)]
+struct Last<'a> {
+    ck: &'a EngineCheckpoint,
+    text: &'a str,
+    spans: &'a Spans,
+}
+
+/// The per-user tables of one print.
+struct Tables<'a> {
+    last: Option<Last<'a>>,
+    spans: Option<&'a mut Spans>,
+    reused: usize,
+}
+
+impl Tables<'_> {
+    /// The key `name`, then table `k` — the rows `table` picks out of a
+    /// checkpoint — as `Vec<T>` prints in the compact form. A row that
+    /// is [`Serialize::same_bits`] as the last sidecar's row at its
+    /// index is copied from that sidecar's text instead of printed again.
+    fn print<T: Serialize>(
+        &mut self,
+        out: &mut String,
+        name: &str,
+        k: usize,
+        ck: &EngineCheckpoint,
+        table: fn(&EngineCheckpoint) -> &Vec<T>,
+    ) {
+        key(out, name);
+        let last = self.last.map(|l| (table(l.ck), l.text, &l.spans[k]));
+        let mut spans = self.spans.as_deref_mut().map(|s| &mut s[k]);
+        out.push('[');
+        for (i, row) in table(ck).iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let at = out.len();
+            let was = last.and_then(|(rows, text, spans)| {
+                let bytes = text.get(spans.get(i)?.clone())?;
+                rows.get(i).filter(|was| row.same_bits(was)).map(|_| bytes)
+            });
+            match was {
+                Some(bytes) => {
+                    out.push_str(bytes);
+                    self.reused += 1;
+                }
+                // Printing into a `String` cannot fail.
+                None => drop(serde_json::to_string_into(out, row)),
+            }
+            if let Some(spans) = spans.as_deref_mut() {
+                spans.push(at..out.len());
+            }
+        }
+        out.push(']');
+    }
+}
+
+/// Prints a run's sidecars one after another, each reusing the bytes of
+/// the one before for every row of its per-user tables — `users`,
+/// `receiver`, `loop_state.raw` and `loop_state.snapshots` — that is bit
+/// for bit what it was then. Between two of a daemon's checkpoints most
+/// users are not live (not yet arrived, or gone), so most rows are.
+///
+/// Rows are compared with [`Serialize::same_bits`], which compares
+/// floats by `f64::to_bits`, never by `==`: `0.0` → `-0.0` is a change,
+/// and a NaN is the same as its own pattern. What it prints is byte for
+/// byte [`EngineCheckpoint::to_json`], which is this printer with
+/// nothing to reuse.
+#[derive(Debug, Default)]
+pub struct SidecarPrinter {
+    /// The last sidecar printed; shared with whoever is writing it out.
+    text: Arc<String>,
+    /// The checkpoint `text` is the print of.
+    last: Option<EngineCheckpoint>,
+    spans: Spans,
+    reused: usize,
+}
+
+impl SidecarPrinter {
+    /// Print `ck`, reusing what it can of the last sidecar, and keep both
+    /// for the next print.
+    pub fn print(&mut self, ck: EngineCheckpoint) -> Arc<String> {
+        let mut spans = Spans::default();
+        let last = self.last.as_ref().map(|ck| Last {
+            ck,
+            text: &self.text,
+            spans: &self.spans,
+        });
+        let (text, reused) = ck.print(last, Some(&mut spans));
+        *self = SidecarPrinter {
+            text: Arc::new(text),
+            last: Some(ck),
+            spans,
+            reused,
+        };
+        self.text.clone()
+    }
+
+    /// Rows the last [`SidecarPrinter::print`] copied from the sidecar
+    /// before it.
+    pub fn reused_rows(&self) -> usize {
+        self.reused
     }
 }
 
@@ -399,5 +575,54 @@ impl SlotDriver {
 fn multi_lane_checkpoint() -> CheckpointError {
     CheckpointError::Unsupported {
         reason: "a run with more than one cell cannot be checkpointed".into(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::telemetry::NullRecorder;
+    use crate::{RunOutcome, Scenario};
+
+    /// A closed 8-user cell's sidecar at slot 40, and its row count.
+    fn mid_run() -> (EngineCheckpoint, usize) {
+        let mut s = Scenario::paper_default(8);
+        s.slots = 100;
+        let RunOutcome::Paused(ck) = s.run_until(&mut NullRecorder, 40).expect("run") else {
+            unreachable!("the cell runs past slot 40");
+        };
+        let lp = &ck.loop_state;
+        let rows = ck.users.len() + ck.receiver.len() + lp.raw.len() + lp.snapshots.len();
+        (*ck, rows)
+    }
+
+    /// `0.0 == -0.0`, yet they print differently: a row whose only
+    /// change is that sign is printed again.
+    #[test]
+    fn a_zero_turned_negative_is_printed_again() {
+        let (mut ck, rows) = mid_run();
+        let mut printer = SidecarPrinter::default();
+        ck.loop_state.raw[3].idle_s = 0.0;
+        printer.print(ck.clone());
+        ck.loop_state.raw[3].idle_s = -0.0;
+        let text = printer.print(ck.clone());
+        assert_eq!(printer.reused_rows(), rows - 1);
+        assert_eq!(*text, ck.to_json().expect("print"));
+        assert!(text.contains("\"idle_s\":-0.0"));
+    }
+
+    /// `NaN != NaN`, yet it prints the same: a row holding one is reused
+    /// like any other unchanged row.
+    #[test]
+    fn a_row_holding_a_nan_is_reused() {
+        let (mut ck, rows) = mid_run();
+        ck.loop_state.raw[5].rate_kbps = f64::NAN;
+        ck.receiver[2].backlog_kb = f64::NAN;
+        let mut printer = SidecarPrinter::default();
+        printer.print(ck.clone());
+        assert_eq!(printer.reused_rows(), 0, "nothing to reuse yet");
+        let text = printer.print(ck.clone());
+        assert_eq!(printer.reused_rows(), rows);
+        assert_eq!(*text, ck.to_json().expect("print"));
     }
 }

@@ -54,7 +54,7 @@ mod waiting_room;
 pub use arrivals::{ArrivalSpec, ChurnPlan, Diurnal, SessionLength, NEVER_DEPARTS};
 pub use calibrate::{calibrate_default, fit_v_for_omega, fit_v_for_omega_with, Calibration};
 pub use chart::ascii_chart;
-pub use engine::{EngineCheckpoint, RunOutcome, SlotDriver, SlotWork};
+pub use engine::{EngineCheckpoint, RunOutcome, SidecarPrinter, SlotDriver, SlotWork};
 pub use error::{
     atomic_write, sync_parent_dir, CheckpointError, ScenarioError, SimError, TraceError,
 };

@@ -149,15 +149,21 @@ if [[ "${SVC:-0}" == "1" ]]; then
         || { echo "gateway-live --trace 1 did not report \"correct\": true"; exit 1; }
 fi
 
-# For information: the counts the ROADMAP re-anchors quote. One gate
-# rides on them: the daemon's `signal(2)` is the only `unsafe` left
-# under crates/, and a second one fails the check.
+# For information: the counts the ROADMAP re-anchors quote. Two gates
+# ride beside them: the daemon's `signal(2)` is the only `unsafe` left
+# under crates/, and a second one fails the check; and DESIGN.md may
+# shrink but not grow past its size when the ratchet was set.
 echo "== line counts"
 loc=$(scripts/loc.sh)
 echo "$loc"
 unsafe=$(echo "$loc" | awk -F: '/^unsafe mentions under crates\// { print $2 + 0 }')
 if (( unsafe > 1 )); then
     echo "unsafe mentions under crates/ rose to $unsafe (at most 1)"
+    exit 1
+fi
+design=$(wc -c <DESIGN.md)
+if (( design > 116402 )); then
+    echo "DESIGN.md grew to $design bytes (at most 116402)"
     exit 1
 fi
 

@@ -15,10 +15,12 @@
 # Then a kill storm on the persist thread: an unpaced run that hands a
 # sidecar off at every slot boundary, so twenty kill -9s a few ms apart
 # land inside spool syncs, staged sidecars and renames:
-#   6. serve a 200-user pack with --ckpt-every 1, twenty lives, each
-#      fed if it came up holding and killed 5–50 ms later,
-#   7. one more life to completion; assert its trace is the batch golden
-#      and no sidecar, spool or staged `.tmp` is left.
+#   6. serve a 200-user pack with --ckpt-every 1, up to twenty lives,
+#      each fed if it came up holding and killed 5–50 ms later (a life
+#      may finish the run first, even before its socket is seen),
+#   7. one more life to completion unless the run is over and clean;
+#      assert its trace is the batch golden and no sidecar, spool or
+#      staged `.tmp` is left.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,7 +70,7 @@ echo "svc gate passed: resumed trace is byte-identical to the batch golden."
 echo "== svc gate: kill storm, scenario pack and batch golden"
 S="$D/storm"
 mkdir "$S"
-"$GW" template 200 --slots 600 --out-dir "$S" >/dev/null
+"$GW" template 200 --slots 1800 --out-dir "$S" >/dev/null
 "$SIM" run "$S/scenario.batch.json" --trace "$S/golden.jsonl" >/dev/null
 STORM_ARGS=("$S/scenario.live.json" --listen "unix:$S/gw.sock" --ingest
             --trace "$S/live.jsonl" --ckpt "$S/ckpt.json" --ckpt-every 1
@@ -82,7 +84,11 @@ start_life() {
     "$GW" serve "${STORM_ARGS[@]}" 2>>"$S/serve.log" &
     PID=$!
     for _ in $(seq 100); do [[ -S "$S/gw.sock" ]] && break; sleep 0.05; done
-    [[ -S "$S/gw.sock" ]] || { echo "storm: service socket never appeared"; exit 1; }
+    if [[ ! -S "$S/gw.sock" ]]; then
+        # A resumed life can run the rest of the horizon between two polls.
+        [[ -f "$S/live.jsonl" ]] && return 0
+        echo "storm: service socket never appeared"; exit 1
+    fi
     if "$GW" send "unix:$S/gw.sock" '{"cmd":"status"}' 2>/dev/null | grep -q '"state":"holding"'; then
         "$GW" send "unix:$S/gw.sock" --file "$S/feed.jsonl" >/dev/null
     fi
@@ -103,7 +109,9 @@ done
 echo "killed after (ms): ${delays[*]}"
 
 echo "== svc gate: kill storm, one life to completion"
-if [[ ! -f "$S/live.jsonl" ]]; then
+# A life killed between writing the trace and removing its sidecar left
+# both: the next one resumes, runs the tail again and cleans up.
+if [[ ! -f "$S/live.jsonl" || -f "$S/ckpt.json" ]]; then
     [[ -f "$S/ckpt.json" ]] || { echo "storm: no durable checkpoint after twenty lives"; exit 1; }
     echo "resuming at $(grep -o '"slot":[0-9]*' "$S/ckpt.json" | head -n 1)"
     start_life
@@ -117,4 +125,4 @@ cmp "$S/live.jsonl" "$S/golden.jsonl" || {
 for left in "$S/ckpt.json" "$S/ckpt.json.tmp" "$S/live.jsonl.spool" "$S/live.jsonl.tmp"; do
     [[ -e "$left" ]] && { echo "storm: completion left $left behind"; exit 1; }
 done
-echo "svc gate passed: twenty kill -9s later the trace is still the batch golden."
+echo "svc gate passed: after ${#delays[@]} lives of the storm the trace is still the batch golden."

@@ -11,10 +11,12 @@
 //! place) and review the diff before committing.
 
 use jmso_sim::{
-    AbrPolicy, AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, FaultEvent,
-    FaultSpec, MultiCellResult, MultiCellScenario, NullRecorder, RunOutcome, Scenario,
-    SchedulerSpec, SessionLength, SlotTrace, TailPricing, WorkloadSpec,
+    AbrPolicy, AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, EngineCheckpoint,
+    FaultEvent, FaultSpec, MultiCellResult, MultiCellScenario, NullRecorder, RunOutcome, Scenario,
+    SchedulerSpec, SessionLength, SidecarPrinter, SlotDriver, SlotTrace, TailPricing,
+    TraceRecorder, WorkloadSpec,
 };
+use rand::{RngExt, SeedableRng, StdRng};
 use std::path::PathBuf;
 
 /// The golden cell: 3 users at 300–600 KB/s competing for a constant
@@ -519,4 +521,58 @@ fn sidecar_digests_match() {
         )
     });
     assert_eq!(golden, lines, "a sidecar's bytes moved");
+}
+
+/// Step `driver` to the end as the daemon does — records drained after
+/// every slot — and at every slot boundary print the sidecar three ways:
+/// the derived `Serialize` layout, `to_json`, and `printer`, which reuses
+/// the rows of the sidecar it printed before. All three must agree byte
+/// for byte. Returns the sidecar of `stop_at` and the rows reused.
+fn print_every_boundary(
+    mut driver: SlotDriver,
+    rec: &mut TraceRecorder,
+    printer: &mut SidecarPrinter,
+    stop_at: u64,
+) -> (Option<EngineCheckpoint>, usize) {
+    let (mut kept, mut reused) = (None, 0);
+    loop {
+        let ck = driver.checkpoint(rec).unwrap();
+        let cold = ck.to_json().unwrap();
+        if ck.slot() == stop_at {
+            assert_eq!(cold, serde_json::to_string(&ck).unwrap(), "slot {stop_at}");
+            kept = Some(ck.clone());
+        }
+        let slot = ck.slot();
+        assert!(*printer.print(ck) == cold, "slot {slot}");
+        reused += printer.reused_rows();
+        if driver.is_finished() {
+            return (kept, reused);
+        }
+        driver.step(rec);
+        rec.take_records();
+    }
+}
+
+/// The reusing sidecar printer equals a cold `to_json` at every slot
+/// boundary of the open sidecar cell (Poisson churn, ABR, deferred
+/// admissions, faults) and of the ABR golden cell; then again after a
+/// resume from a sidecar of a random slot, with the printer carried over
+/// from the first run and with a fresh one.
+#[test]
+fn reusing_sidecar_printer_equals_to_json() {
+    let mut rng = StdRng::seed_from_u64(41);
+    for scenario in [open_sidecar_scenario(), abr_golden_scenario()] {
+        let resume_at = rng.random_range(1..scenario.slots);
+        let mut rec = scenario.trace_recorder(1);
+        let driver = scenario.driver(&mut rec, None).unwrap();
+        let mut printer = SidecarPrinter::default();
+        let (ck, reused) = print_every_boundary(driver, &mut rec, &mut printer, resume_at);
+        assert!(reused > 0, "no row was ever reused");
+        let ck = ck.unwrap_or_else(|| panic!("the run ended before slot {resume_at}"));
+        for mut printer in [printer, SidecarPrinter::default()] {
+            let mut rec = scenario.trace_recorder(1);
+            let driver = scenario.driver(&mut rec, Some(&ck)).unwrap();
+            print_every_boundary(driver, &mut rec, &mut printer, u64::MAX);
+        }
+    }
 }
