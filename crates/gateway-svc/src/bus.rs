@@ -14,11 +14,16 @@
 //! Only while nothing is published — before an attempt runs, and
 //! between a panic and the restart — does `status` travel as a
 //! [`Command::Status`].
+//!
+//! A `feed` line travels as a [`FeedStream`]: the command is queued as
+//! soon as the line is known to be a feed, and its events follow in
+//! chunks while the connection thread is still reading the rest, so the
+//! engine inspects them meanwhile (DESIGN.md §13).
 
 use jmso_gateway::{GwStatus, LiveEvent, ProtocolError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
+use std::sync::mpsc::{channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -39,8 +44,9 @@ pub(crate) fn durable_slot(last_ckpt: &AtomicU64) -> Option<u64> {
 pub enum Command {
     /// Apply live session events to the slot schedule.
     Feed {
-        /// Events, applied in order; the first rejection stops the batch.
-        events: Vec<LiveEvent>,
+        /// Events, applied in order once the line is committed; the first
+        /// rejection stops the line. An uncommitted line applies nothing.
+        events: FeedStream,
         /// Outcome channel.
         reply: SyncSender<Result<(), ProtocolError>>,
     },
@@ -60,6 +66,59 @@ pub enum Command {
         /// Outcome channel.
         reply: SyncSender<Result<(), ProtocolError>>,
     },
+}
+
+/// One step of a feed line on its stream.
+enum FeedChunk {
+    Events(Vec<LiveEvent>),
+    /// The line was read whole.
+    Commit,
+}
+
+/// The engine's end of one feed line: chunks of events in line order,
+/// then a commit once the connection thread has read the line whole.
+pub struct FeedStream(Receiver<FeedChunk>);
+
+/// The connection thread's end of one feed line. Dropped without
+/// [`commit`](Self::commit), it tells the engine the line failed.
+pub struct FeedSender(Sender<FeedChunk>);
+
+/// A stream for one feed line. It is unbounded, but it carries one line,
+/// which is at most [`jmso_gateway::MAX_LINE_BYTES`] of text.
+pub fn feed_stream() -> (FeedSender, FeedStream) {
+    let (tx, rx) = channel();
+    (FeedSender(tx), FeedStream(rx))
+}
+
+impl FeedSender {
+    /// Hand the next events to the engine. An engine that has gone away
+    /// shows in the reply, not here.
+    pub fn send(&self, events: Vec<LiveEvent>) {
+        if !events.is_empty() {
+            let _ = self.0.send(FeedChunk::Events(events));
+        }
+    }
+
+    /// The line was read whole: hand over its last events and let the
+    /// engine apply it.
+    pub fn commit(self, last: Vec<LiveEvent>) {
+        self.send(last);
+        let _ = self.0.send(FeedChunk::Commit);
+    }
+}
+
+impl FeedStream {
+    /// The next chunk, waiting for it; `Ok(None)` at the commit, and an
+    /// error once the sender is gone without one.
+    pub fn next_chunk(&self) -> Result<Option<Vec<LiveEvent>>, ProtocolError> {
+        match self.0.recv() {
+            Ok(FeedChunk::Events(events)) => Ok(Some(events)),
+            Ok(FeedChunk::Commit) => Ok(None),
+            Err(_) => Err(ProtocolError::Reject {
+                reason: "feed line abandoned before it was read whole".into(),
+            }),
+        }
+    }
 }
 
 /// A published status: what the engine thread last wrote, and the

@@ -38,7 +38,7 @@ pub mod service;
 mod spool;
 pub mod supervisor;
 
-pub use bus::{Command, CommandBus};
+pub use bus::{feed_stream, Command, CommandBus, FeedSender, FeedStream};
 pub use fanout::{FanOut, Subscription};
 pub use net::{handle_connection, spawn_listener, ListenSpec};
 pub use policy::LivePolicy;

@@ -6,17 +6,21 @@
 //! one thread and [`jmso_gateway::MAX_LINE_BYTES`] of memory, and a
 //! malformed line gets a typed error reply without closing the
 //! connection (an oversized line *does* close it — framing is lost).
+//! A `feed` line goes to the engine as it is read, in chunks of 32
+//! events (DESIGN.md §13).
 
-use crate::bus::{Command, CommandBus};
+use crate::bus::{feed_stream, Command, CommandBus};
 use crate::fanout::{FanOut, Subscription};
-use jmso_gateway::{parse_command, GwCommand, ProtocolError, MAX_LINE_BYTES};
+use jmso_gateway::{
+    parse_command, FeedReader, GwCommand, LiveEvent, ProtocolError, MAX_LINE_BYTES,
+};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,6 +34,10 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 const SUBSCRIBER_BUFFER: usize = 1024;
 /// Bytes of telemetry gathered per subscriber before a `write`.
 const STREAM_BATCH: usize = 64 * 1024;
+/// Events of a feed line handed to the engine at a time while the rest
+/// of the line is read: about a tenth of a full line, so DPI on the
+/// engine thread keeps pace with the parse from the first chunk on.
+const FEED_CHUNK: usize = 32;
 
 /// Where the service listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,30 +268,64 @@ pub fn handle_connection<S: Read + Write>(stream: S, bus: &CommandBus, fanout: &
         if line.trim().is_empty() {
             continue;
         }
-        let reply = match parse_command(&line) {
-            // Malformed line: reject it, keep the session.
-            Err(e) => reply_err(&e),
-            Ok(GwCommand::Subscribe) => {
-                // Held until the last line is flushed: `FanOut::close`
-                // waits for it.
-                let _streaming = fanout.streaming();
-                let rx = fanout.subscribe(SUBSCRIBER_BUFFER);
-                if send_line(reader.get_mut(), r#"{"ok":true}"#.to_string()) {
-                    stream_lines(reader.get_mut(), &rx);
+        let reply = match FeedReader::new(&line) {
+            Some(events) => stream_feed(bus, events),
+            None => match parse_command(&line) {
+                // Malformed line: reject it, keep the session.
+                Err(e) => reply_err(&e),
+                Ok(GwCommand::Subscribe) => {
+                    // Held until the last line is flushed: `FanOut::close`
+                    // waits for it.
+                    let _streaming = fanout.streaming();
+                    let rx = fanout.subscribe(SUBSCRIBER_BUFFER);
+                    if send_line(reader.get_mut(), r#"{"ok":true}"#.to_string()) {
+                        stream_lines(reader.get_mut(), &rx);
+                    }
+                    return;
                 }
-                return;
-            }
-            Ok(GwCommand::Status) => status_reply(bus, fanout),
-            Ok(GwCommand::Feed { events }) => {
-                roundtrip(bus, |reply| Command::Feed { events, reply })
-            }
-            Ok(GwCommand::Start) => roundtrip(bus, |reply| Command::Start { reply }),
-            Ok(GwCommand::Shutdown) => roundtrip(bus, |reply| Command::Shutdown { reply }),
+                Ok(GwCommand::Status) => status_reply(bus, fanout),
+                Ok(GwCommand::Feed { events }) => stream_feed(bus, events.into_iter().map(Ok)),
+                Ok(GwCommand::Start) => roundtrip(bus, |reply| Command::Start { reply }),
+                Ok(GwCommand::Shutdown) => roundtrip(bus, |reply| Command::Shutdown { reply }),
+            },
         };
         if !send_line(reader.get_mut(), reply) {
             return;
         }
     }
+}
+
+/// Queue a feed line, then hand its events to the engine as they are
+/// read, [`FEED_CHUNK`] at a time, and commit it once it has been read
+/// whole; the reply line. A line that fails to read drops its stream
+/// uncommitted, so the engine applies none of it.
+fn stream_feed(
+    bus: &CommandBus,
+    events: impl IntoIterator<Item = Result<LiveEvent, ProtocolError>>,
+) -> String {
+    let (tx, stream) = feed_stream();
+    let (reply, acked) = sync_channel(1);
+    if let Err(e) = bus.push(Command::Feed {
+        events: stream,
+        reply,
+    }) {
+        return reply_err(&e);
+    }
+    let mut chunk = Vec::with_capacity(FEED_CHUNK);
+    for event in events {
+        match event {
+            Ok(event) => chunk.push(event),
+            Err(e) => return reply_err(&e),
+        }
+        if chunk.len() == FEED_CHUNK {
+            tx.send(std::mem::replace(
+                &mut chunk,
+                Vec::with_capacity(FEED_CHUNK),
+            ));
+        }
+    }
+    tx.commit(chunk);
+    ack_reply(&acked)
 }
 
 /// Push a command and await the engine loop's ack; the reply line.
@@ -292,11 +334,18 @@ fn roundtrip(
     cmd: impl FnOnce(SyncSender<Result<(), ProtocolError>>) -> Command,
 ) -> String {
     let (tx, rx) = sync_channel(1);
-    let acked = bus.push(cmd(tx)).and_then(|()| {
-        rx.recv_timeout(REPLY_TIMEOUT)
-            .unwrap_or_else(|_| Err(busy()))
-    });
-    match acked {
+    match bus.push(cmd(tx)) {
+        Ok(()) => ack_reply(&rx),
+        Err(e) => reply_err(&e),
+    }
+}
+
+/// The reply line for the engine's ack of a queued command.
+fn ack_reply(rx: &Receiver<Result<(), ProtocolError>>) -> String {
+    match rx
+        .recv_timeout(REPLY_TIMEOUT)
+        .unwrap_or_else(|_| Err(busy()))
+    {
         Ok(()) => r#"{"ok":true}"#.to_string(),
         Err(e) => reply_err(&e),
     }

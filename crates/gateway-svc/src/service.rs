@@ -15,7 +15,7 @@
 //! batch run of the equivalent scenario (declared arrival plan), because
 //! the batch loop and this loop step the exact same [`SlotDriver`].
 
-use crate::bus::{durable_slot, Command, CommandBus, NO_CKPT};
+use crate::bus::{durable_slot, Command, CommandBus, FeedStream, NO_CKPT};
 use crate::fanout::FanOut;
 use crate::policy::LivePolicy;
 use crate::spool::TraceSpool;
@@ -417,25 +417,37 @@ impl LiveService {
         self.records.spool_batch()
     }
 
-    fn apply_events(&mut self, events: &[LiveEvent]) -> Result<(), ProtocolError> {
+    /// Take one feed line off its stream. Each chunk's requests go
+    /// through DPI as the chunk arrives, while the connection thread reads
+    /// the rest of the line; once the line is committed it is applied in
+    /// order, up to its first rejection. A line whose sender went away
+    /// uncommitted applies nothing.
+    fn apply_feed(&mut self, stream: &FeedStream) -> Result<(), ProtocolError> {
+        let mut staged = Vec::new();
+        while let Some(chunk) = stream.next_chunk()? {
+            staged.extend(chunk.into_iter().map(|ev| {
+                let rate = match &ev {
+                    LiveEvent::Arrive {
+                        request: Some(req), ..
+                    } => Some(declared_rate_from_request(req)),
+                    _ => None,
+                };
+                (ev, rate)
+            }));
+        }
         let reject = |e: ScenarioError| ProtocolError::Reject {
             reason: e.to_string(),
         };
-        for ev in events {
+        for (ev, rate) in staged {
             match ev {
-                LiveEvent::Arrive {
-                    user,
-                    slot,
-                    request,
-                } => {
-                    if let Some(req) = request {
-                        let rate = declared_rate_from_request(req)?;
-                        self.driver.set_declared_rate(*user, rate).map_err(reject)?;
+                LiveEvent::Arrive { user, slot, .. } => {
+                    if let Some(rate) = rate {
+                        self.driver.set_declared_rate(user, rate?).map_err(reject)?;
                     }
-                    self.driver.set_arrival(*user, *slot).map_err(reject)?;
+                    self.driver.set_arrival(user, slot).map_err(reject)?;
                 }
                 LiveEvent::Depart { user, slot } => {
-                    self.driver.set_departure(*user, *slot).map_err(reject)?;
+                    self.driver.set_departure(user, slot).map_err(reject)?;
                 }
             }
         }
@@ -458,7 +470,7 @@ impl LiveService {
     fn handle(&mut self, cmd: Command) {
         match cmd {
             Command::Feed { events, reply } => {
-                let outcome = self.apply_events(&events);
+                let outcome = self.apply_feed(&events);
                 self.publish_status();
                 let _ = reply.send(outcome);
             }

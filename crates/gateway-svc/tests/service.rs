@@ -6,17 +6,20 @@
 //! that reach a subscriber before the next slot, dropped slots that reach
 //! the spool only, slow-subscriber eviction (by bytes, over a socket too), corrupt-checkpoint cold starts, the `done` event reaching
 //! a socket subscriber, a deeply nested hostile line, the `template`
-//! feed fitting the line cap, and `status` answered from the published
-//! snapshot without waiting for the slot loop.
+//! feed fitting the line cap, feed streams that apply at one boundary
+//! once committed and not at all when abandoned, and `status` answered
+//! from the published snapshot without waiting for the slot loop.
 
 // The helper functions of an integration test are test code too, but
 // clippy.toml's in-test exemption only reaches `#[test]` functions.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use jmso_gateway::{parse_command, GwCommand, GwStatus, LiveEvent, SvcState, MAX_LINE_BYTES};
+use jmso_gateway::{
+    parse_command, GwCommand, GwStatus, LiveEvent, ProtocolError, SvcState, MAX_LINE_BYTES,
+};
 use jmso_gateway_svc::{
-    handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy, LiveService, Outcome,
-    ServeConfig, Subscription, SupervisedEnd, SupervisorConfig,
+    feed_stream, handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy,
+    LiveService, Outcome, ServeConfig, Subscription, SupervisedEnd, SupervisorConfig,
 };
 use jmso_sim::{
     ArrivalSpec, CheckpointError, EngineCheckpoint, RunOutcome, Scenario, SchedulerSpec, SimError,
@@ -27,7 +30,7 @@ use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -78,11 +81,21 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
+/// A `feed` of events already in hand: sent through the same stream a
+/// socket line's events take, then committed.
+fn feed(events: Vec<LiveEvent>, reply: SyncSender<Result<(), ProtocolError>>) -> Command {
+    let (tx, stream) = feed_stream();
+    tx.commit(events);
+    Command::Feed {
+        events: stream,
+        reply,
+    }
+}
+
 /// Queue a feed + start ahead of the run; the holding loop drains them.
 fn preload_feed(bus: &CommandBus, events: Vec<LiveEvent>) {
     let (tx, _rx) = sync_channel(1);
-    bus.push(Command::Feed { events, reply: tx })
-        .expect("queue feed");
+    bus.push(feed(events, tx)).expect("queue feed");
     let (tx, _rx) = sync_channel(1);
     bus.push(Command::Start { reply: tx }).expect("queue start");
 }
@@ -768,8 +781,7 @@ fn one_slot_boundary_hands_off_one_sidecar() {
         bus.push(Command::Status { reply: tx }).expect("status");
         replies.push(rx);
         let (tx, _rx) = sync_channel(1);
-        let events = vec![];
-        bus.push(Command::Feed { events, reply: tx }).expect("feed");
+        bus.push(feed(vec![], tx)).expect("feed");
     }
     let fanout = Arc::new(FanOut::new());
     let rx = fanout.subscribe(4096);
@@ -1190,7 +1202,8 @@ fn template_2000_feed_fits_the_line_cap() {
     );
 
     // Through the connection handler, whose bounded reader closes the
-    // connection on an oversized line: every line gets its ack.
+    // connection on an oversized line: every line gets its ack, and every
+    // arrival reaches the engine through a committed feed stream.
     let bus = CommandBus::new(16);
     let fanout = FanOut::new();
     let mut stream = Duplex {
@@ -1198,24 +1211,35 @@ fn template_2000_feed_fits_the_line_cap() {
         output: Vec::new(),
     };
     let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        // Stand-in engine thread: ack whatever arrives on the bus.
-        scope.spawn(|| {
+    let streamed = std::thread::scope(|scope| {
+        // Stand-in engine thread: read each feed to its commit, ack
+        // whatever arrives on the bus.
+        let engine = scope.spawn(|| {
+            let mut arrivals = 0;
             while !stop.load(Ordering::SeqCst) {
                 for cmd in bus.wait(Duration::from_millis(5)) {
                     match cmd {
-                        Command::Feed { reply, .. }
-                        | Command::Start { reply }
-                        | Command::Shutdown { reply } => {
+                        Command::Feed { events, reply } => {
+                            while let Some(chunk) = events.next_chunk().expect("committed") {
+                                arrivals += chunk
+                                    .iter()
+                                    .filter(|e| matches!(e, LiveEvent::Arrive { .. }))
+                                    .count();
+                            }
+                            let _ = reply.send(Ok(()));
+                        }
+                        Command::Start { reply } | Command::Shutdown { reply } => {
                             let _ = reply.send(Ok(()));
                         }
                         Command::Status { .. } => {}
                     }
                 }
             }
+            arrivals
         });
         handle_connection(&mut stream, &bus, &fanout);
         stop.store(true, Ordering::SeqCst);
+        engine.join().expect("stand-in engine")
     });
     let replies = String::from_utf8(stream.output).expect("utf-8 replies");
     assert_eq!(
@@ -1223,6 +1247,134 @@ fn template_2000_feed_fits_the_line_cap() {
         feed.lines().count(),
         "every line acknowledged: {replies}"
     );
+    assert_eq!(streamed, 2000, "every arrival reaches the engine");
+}
+
+// ---------------------------------------------------------------------------
+// Feed streams
+// ---------------------------------------------------------------------------
+
+/// Serve a holding ingest cell whatever `queue` puts on its bus, then
+/// shut it down: the schedule its shutdown sidecar holds, and what
+/// `queue` returned.
+fn sidecar_after<T>(name: &str, queue: impl FnOnce(&CommandBus) -> T) -> (String, T) {
+    let ckpt = tmp_path(name);
+    let mut cfg = ServeConfig::new(quick(3, 60));
+    cfg.ingest = true;
+    cfg.ckpt_path = Some(ckpt.clone());
+    let bus = Arc::new(CommandBus::new(8));
+    let queued = queue(&bus);
+    let (tx, _rx) = sync_channel(1);
+    bus.push(Command::Shutdown { reply: tx }).expect("shutdown");
+    let outcome = run_service(cfg, bus, Arc::new(FanOut::new()));
+    assert_eq!(outcome, Outcome::Interrupted { at_slot: 0 });
+    let sidecar = std::fs::read_to_string(&ckpt).expect("shutdown sidecar");
+    let _ = std::fs::remove_file(&ckpt);
+    (sidecar, queued)
+}
+
+/// A feed whose sender is dropped mid-line applies none of the events it
+/// sent: the engine answers it at once, so nothing is left waiting on
+/// it, and handles the next command — a committed feed, which is all the
+/// shutdown sidecar then holds.
+#[test]
+fn an_abandoned_feed_applies_nothing_and_the_engine_moves_on() {
+    let arrive = |user, slot| LiveEvent::Arrive {
+        user,
+        slot,
+        request: None,
+    };
+    let (got, client) = sidecar_after("abandoned-ckpt.json", |bus| {
+        let (tx, stream) = feed_stream();
+        let (reply, answer) = sync_channel(1);
+        bus.push(Command::Feed {
+            events: stream,
+            reply,
+        })
+        .expect("feed");
+        tx.send(vec![arrive(0, 4), arrive(2, 9)]);
+        let (reply, ack) = sync_channel(1);
+        bus.push(feed(vec![arrive(1, 6)], reply)).expect("feed");
+        // Dropped while the engine waits on the rest of the line.
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            drop(tx);
+            let wait = Duration::from_secs(30);
+            (answer.recv_timeout(wait), ack.recv_timeout(wait))
+        })
+    });
+    let (abandoned, applied) = client.join().expect("client thread");
+    assert!(
+        matches!(abandoned, Ok(Err(ProtocolError::Reject { .. }))),
+        "{abandoned:?}"
+    );
+    assert_eq!(applied, Ok(Ok(())));
+    let (want, ()) = sidecar_after("committed-ckpt.json", |bus| {
+        let (reply, _ack) = sync_channel(1);
+        bus.push(feed(vec![arrive(1, 6)], reply)).expect("feed");
+    });
+    assert_eq!(got, want, "only the committed feed applies");
+}
+
+/// A feed drained while the loop runs holds its slot boundary until the
+/// line is committed, and applies there whole: the loop does not step
+/// while it waits on the rest of the line (a socket `status` names the
+/// same slot meanwhile), and a departure at that very slot, sent last,
+/// is still accepted.
+#[test]
+fn a_feed_while_running_applies_at_one_slot_boundary() {
+    let mut scenario = quick(3, 240);
+    scenario.arrivals = ArrivalSpec::Declared {
+        arrivals: vec![0; 3],
+        departures: vec![None; 3],
+    };
+    let bus = Arc::new(CommandBus::new(8));
+    let fanout = Arc::new(FanOut::new());
+    let shutdown = Arc::new(AtomicBool::new(false));
+    // A pair drained together at slot 0: once the first is released the
+    // loop sits in the second, unable to drain.
+    let (first, second) = (hold_at_a_boundary(&bus), hold_at_a_boundary(&bus));
+    let service = {
+        let svc = LiveService::build(
+            ServeConfig::new(scenario),
+            bus.clone(),
+            fanout.clone(),
+            shutdown.clone(),
+            0,
+        )
+        .expect("build service");
+        std::thread::spawn(move || svc.run())
+    };
+    assert_eq!(first.release(), 0);
+    // Queued while the loop sits in `second`: both drain at the next
+    // boundary, the feed first.
+    let (tx, stream) = feed_stream();
+    let (reply, ack) = sync_channel(1);
+    bus.push(Command::Feed {
+        events: stream,
+        reply,
+    })
+    .expect("feed");
+    let third = hold_at_a_boundary(&bus);
+    assert_eq!(second.release(), 0);
+    tx.send(vec![LiveEvent::Depart { user: 0, slot: 50 }]);
+    let (mut conn, handler) = client(&bus, &fanout);
+    for _ in 0..3 {
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(ask_status(&mut conn).slot, 1, "the loop waits on the line");
+    }
+    tx.commit(vec![LiveEvent::Depart { user: 1, slot: 1 }]);
+    let ack = ack.recv_timeout(Duration::from_secs(30));
+    assert_eq!(ack.expect("an ack"), Ok(()));
+    assert_eq!(
+        third.release(),
+        1,
+        "applied at the boundary it was drained at"
+    );
+    shutdown.store(true, Ordering::SeqCst);
+    service.join().expect("service thread").expect("run");
+    drop(conn);
+    handler.join().expect("connection thread");
 }
 
 // ---------------------------------------------------------------------------

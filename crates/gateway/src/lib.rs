@@ -32,7 +32,7 @@ pub use bs::{CapacityModel, ConstantCapacity, DiurnalCapacity, OutageCapacity, T
 pub use collector::{CollectorSpec, CollectorState, InformationCollector};
 pub use dpi::{format_segment_request, DpiClassifier, DpiError, FlowInfo};
 pub use protocol::{
-    declared_rate_from_request, parse_command, GwCommand, GwEvent, GwStatus, LiveEvent,
+    declared_rate_from_request, parse_command, FeedReader, GwCommand, GwEvent, GwStatus, LiveEvent,
     ProtocolError, SvcState, MAX_LINE_BYTES,
 };
 pub use receiver::{DataReceiver, FlowClass, FlowState, OriginModel};

@@ -12,7 +12,7 @@
 //! unvalidated input.
 
 use crate::dpi::DpiClassifier;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Elements, Entries, Error, Reader, Serialize};
 
 /// Hard cap on one protocol line, in bytes. Longer lines are rejected
 /// with [`ProtocolError::LineTooLong`] before JSON parsing — bounded
@@ -115,6 +115,93 @@ pub fn parse_command(line: &str) -> Result<GwCommand, ProtocolError> {
     serde_json::from_str(line).map_err(|e| ProtocolError::Parse {
         reason: e.to_string(),
     })
+}
+
+/// A `feed` line read one event at a time, so the events read so far can
+/// be acted on while the rest of the line is still being read (DESIGN.md
+/// §13). It reads what [`parse_command`] reads — the same `cmd` tag, the
+/// first `events` key, each event through [`LiveEvent`]'s `Deserialize`,
+/// nothing but whitespace after the object — and it fails where that
+/// fails, with that error: on its error path it reads the line again
+/// with [`parse_command`].
+#[derive(Debug)]
+pub struct FeedReader<'a> {
+    line: &'a str,
+    r: Reader<'a>,
+    entries: Entries,
+    /// The `events` array while it is open.
+    events: Option<Elements>,
+    seen_events: bool,
+    done: bool,
+}
+
+impl<'a> FeedReader<'a> {
+    /// A reader at the first event of `line` when it is a `feed` command
+    /// under the line cap: an object whose `cmd` tag reads `feed`. Any
+    /// other line, including one that fails before its tag is known, is
+    /// `None`: [`parse_command`] answers it.
+    pub fn new(line: &'a str) -> Option<Self> {
+        if line.len() > MAX_LINE_BYTES {
+            return None;
+        }
+        let mut r = Reader::new(line);
+        let mut entries = r.object().ok()??;
+        let kind = r.tag(&mut entries, "cmd").ok()??;
+        (kind == "feed").then_some(Self {
+            line,
+            r,
+            entries,
+            events: None,
+            seen_events: false,
+            done: false,
+        })
+    }
+
+    /// The next event, or `None` once the line has been read whole.
+    fn step(&mut self) -> Result<Option<LiveEvent>, Error> {
+        loop {
+            if let Some(events) = &mut self.events {
+                if self.r.next_element(events)? {
+                    return LiveEvent::deserialize(&mut self.r).map(Some);
+                }
+                self.events = None;
+            }
+            match self.r.next_key(&mut self.entries)? {
+                // A repeated key is checked and dropped, as a struct
+                // field's is.
+                Some(key) if key == "events" && !self.seen_events => {
+                    self.seen_events = true;
+                    let events = self.r.array()?;
+                    self.events = Some(events.ok_or_else(|| Error::custom("expected array"))?);
+                }
+                Some(_) => self.r.skip_value()?,
+                None if self.seen_events => return self.r.finish().map(|()| None),
+                None => return Err(Error::custom("missing field `events`")),
+            }
+        }
+    }
+}
+
+impl Iterator for FeedReader<'_> {
+    type Item = Result<LiveEvent, ProtocolError>;
+
+    /// The next event; after the last one, or after an error, `None`.
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let read = self.step();
+        self.done = !matches!(read, Ok(Some(_)));
+        match read {
+            Ok(event) => event.map(Ok),
+            Err(e) => Some(Err(match parse_command(self.line) {
+                Err(reply) => reply,
+                Ok(_) => ProtocolError::Parse {
+                    reason: e.to_string(),
+                },
+            })),
+        }
+    }
 }
 
 /// Extract the declared media bitrate (KB/s) from a raw segment
@@ -329,6 +416,42 @@ mod tests {
                 Err(e) => format!("Err {e}"),
             };
             assert_eq!(got, want, "{line:?}");
+        }
+    }
+
+    /// The feed reader takes the lines `parse_command` reads as feeds, to
+    /// the same events, and fails on the rest of the feed lines with the
+    /// same error; every other line it leaves to `parse_command`.
+    #[test]
+    fn the_feed_reader_reads_what_parse_command_reads() {
+        let ev = r#"{"kind":"depart","user":1,"slot":3}"#;
+        let lines = [
+            format!(r#"{{"cmd":"feed","events":[{ev},{ev}]}}"#),
+            format!(r#"{{"events":[{ev}],"pad":[1,{{}}],"cmd":"feed"}}"#),
+            format!(r#" {{"cmd":"feed","events":[],"events":[{ev}]}} "#),
+            format!(r#"{{"cmd":"feed","events":[{ev}],"events":7}}"#),
+            format!(r#"{{"cmd":"feed","events":[{ev}],"cmd":"start"}}"#),
+            format!(r#"{{"cmd":"feed","events":[{ev},]}}"#),
+            format!(r#"{{"cmd":"feed","events":[{ev}]}}x"#),
+            format!(r#"{{"cmd":"feed","events":[{ev}],"pad":tru}}"#),
+            format!(r#"{{"events":[{ev}]}}"#),
+            format!(r#"{{"cmd":"status","events":[{ev}]}}"#),
+            r#"{"cmd":"feed","events":{}}"#.to_string(),
+            r#"{"cmd":"feed"}"#.to_string(),
+            r#"{"cmd":"feed","events":[{"kind":"arrive","user":1}]}"#.to_string(),
+            r#"["cmd","feed"]"#.to_string(),
+        ];
+        for line in &lines {
+            let streamed = FeedReader::new(line).map(|r| r.collect::<Result<Vec<_>, _>>());
+            match (parse_command(line), streamed) {
+                (Ok(GwCommand::Feed { events }), Some(read)) => assert_eq!(read, Ok(events)),
+                (Err(e), Some(read)) => assert_eq!(read, Err(e), "{line}"),
+                (_, None) => assert!(
+                    !matches!(parse_command(line), Ok(GwCommand::Feed { .. })),
+                    "{line}"
+                ),
+                (Ok(other), Some(_)) => panic!("{line} read as a feed and as {other:?}"),
+            }
         }
     }
 

@@ -7,19 +7,28 @@
 //! A round trip must come back equal — value for value where the type
 //! has `PartialEq`, byte for byte in its printed form either way. A fuzz
 //! case must end in `Ok` or a typed error, never a panic; an `Ok` socket
-//! line must print and read back to itself.
+//! line must print and read back to itself. A damaged feed line must get
+//! the same reply, and leave the same schedule, whether the daemon
+//! streams it to its engine or it is parsed whole and then applied.
 
 use jmso_gateway::{
     declared_rate_from_request, format_segment_request, parse_command, GwCommand, GwEvent,
-    GwStatus, LiveEvent, ProtocolError, SvcState,
+    GwStatus, LiveEvent, ProtocolError, SvcState, MAX_LINE_BYTES,
+};
+use jmso_gateway_svc::{
+    handle_connection, Command, CommandBus, FanOut, LiveService, Outcome, ServeConfig,
 };
 use jmso_sim::{
     AbrSpec, AdmissionSpec, ArrivalSpec, BitrateLadder, CapacitySpec, EngineCheckpoint, FaultSpec,
-    NullRecorder, RunOutcome, Scenario, SchedulerSpec, SessionLength, SimResult, SlotTrace,
-    WorkloadSpec,
+    NullRecorder, RunOutcome, Scenario, ScenarioError, SchedulerSpec, SessionLength, SimResult,
+    SlotDriver, SlotTrace, WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
+use std::io::{Cursor, Read, Write};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
 
 /// `value` prints compact and pretty, and both forms read back to a
 /// value that is equal and prints the same bytes.
@@ -344,6 +353,283 @@ fn damaged_inputs_end_in_typed_errors() {
         if let Ok(t) = SlotTrace::from_jsonl(&text) {
             t.to_jsonl();
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Feed lines: streamed to the engine ≡ parsed whole, then applied in order
+// ---------------------------------------------------------------------------
+
+/// The live cell feed lines schedule: six users, so most fuzzed events
+/// name one of them.
+fn ingest_cell() -> Scenario {
+    let mut s = Scenario::paper_default(6);
+    s.slots = 200;
+    s
+}
+
+/// A segment request declaring `kbps`, as a feed line carries it.
+fn request(user: usize, kbps: f64) -> Option<String> {
+    let wire = format_segment_request(&format!("user{user}"), 0, kbps, None);
+    Some(String::from_utf8(wire.to_vec()).unwrap())
+}
+
+/// The daemon's reply to a line it refuses.
+fn refusal(e: &ProtocolError) -> String {
+    format!(
+        r#"{{"ok":false,"error":{}}}"#,
+        serde_json::to_string(e).unwrap()
+    )
+}
+
+/// One event of the reference path: DPI on its request, then the
+/// schedule change.
+fn apply_one(driver: &mut SlotDriver, ev: &LiveEvent) -> Result<(), ProtocolError> {
+    let reject = |e: ScenarioError| ProtocolError::Reject {
+        reason: e.to_string(),
+    };
+    match ev {
+        LiveEvent::Arrive {
+            user,
+            slot,
+            request,
+        } => {
+            if let Some(req) = request {
+                let rate = declared_rate_from_request(req)?;
+                driver.set_declared_rate(*user, rate).map_err(reject)?;
+            }
+            driver.set_arrival(*user, *slot).map_err(reject)
+        }
+        LiveEvent::Depart { user, slot } => driver.set_departure(*user, *slot).map_err(reject),
+    }
+}
+
+/// The reference path: each line through `parse_command`, then its
+/// events applied in order up to the first rejection. The replies, and
+/// the sidecar of the schedule the lines left.
+fn parsed_then_applied(lines: &[String]) -> (Vec<String>, String) {
+    let cell = ingest_cell();
+    let mut rec = cell.trace_recorder(1).with_live_counts();
+    let mut driver = cell.driver(&mut rec, None).unwrap();
+    driver.defer_all_arrivals().unwrap();
+    let replies = lines
+        .iter()
+        .map(|line| {
+            let applied = parse_command(line).and_then(|cmd| match cmd {
+                GwCommand::Feed { events } => {
+                    events.iter().try_for_each(|ev| apply_one(&mut driver, ev))
+                }
+                other => panic!("only feed lines are served here, not {other:?}"),
+            });
+            match applied {
+                Ok(()) => r#"{"ok":true}"#.to_string(),
+                Err(e) => refusal(&e),
+            }
+        })
+        .collect();
+    (replies, driver.checkpoint(&rec).unwrap().to_json().unwrap())
+}
+
+/// A connection's two directions: the lines a client sends, and what the
+/// handler writes back.
+struct Duplex {
+    input: Cursor<Vec<u8>>,
+    output: Vec<u8>,
+}
+
+impl Read for Duplex {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.input.read(buf)
+    }
+}
+
+impl Write for Duplex {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.output.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The daemon's path: the lines through the connection handler to a
+/// holding ingest service, whose engine thread takes each feed line off
+/// its stream; then a shutdown, whose sidecar holds the schedule. The
+/// replies, and that sidecar.
+fn streamed(lines: &[String]) -> (Vec<String>, String) {
+    static RUN: AtomicUsize = AtomicUsize::new(0);
+    let ckpt = std::env::temp_dir().join(format!(
+        "jmso-wire-{}-{}.json",
+        std::process::id(),
+        RUN.fetch_add(1, Ordering::SeqCst)
+    ));
+    let mut cfg = ServeConfig::new(ingest_cell());
+    cfg.ingest = true;
+    cfg.ckpt_path = Some(ckpt.clone());
+    let (bus, fanout) = (Arc::new(CommandBus::new(16)), Arc::new(FanOut::new()));
+    let stop = Arc::new(AtomicBool::new(false));
+    let svc = LiveService::build(cfg, bus.clone(), fanout.clone(), stop, 0).unwrap();
+    let engine = std::thread::spawn(move || svc.run());
+    let mut conn = Duplex {
+        input: Cursor::new(lines.join("\n").into_bytes()),
+        output: Vec::new(),
+    };
+    handle_connection(&mut conn, &bus, &fanout);
+    let (tx, _rx) = sync_channel(1);
+    bus.push(Command::Shutdown { reply: tx }).unwrap();
+    let outcome = engine.join().unwrap().unwrap();
+    assert_eq!(outcome, Outcome::Interrupted { at_slot: 0 });
+    let sidecar = std::fs::read_to_string(&ckpt).unwrap();
+    std::fs::remove_file(&ckpt).unwrap();
+    let replies = String::from_utf8(conn.output).unwrap();
+    (replies.lines().map(String::from).collect(), sidecar)
+}
+
+/// Seeded like the loop above: 1 200 damaged feed lines, in batches of
+/// 60 (three edge lines join the first), each batch served by one daemon
+/// and by the reference path. Every
+/// line's reply must match byte for byte, and every batch must leave the
+/// same schedule (the sidecar: each user's arrival, departure and
+/// declared rate, byte for byte).
+#[test]
+fn streamed_feed_lines_answer_and_apply_as_parsed_ones() {
+    let mut rng = Rng(0x00f0_22ed_5eed_0002);
+    let arrive = |user, slot, request| LiveEvent::Arrive {
+        user,
+        slot,
+        request,
+    };
+    let lines: Vec<String> = [
+        vec![
+            arrive(0, 5, None),
+            arrive(1, 9, request(1, 450.0)),
+            LiveEvent::Depart { user: 0, slot: 40 },
+            arrive(2, 3, request(2, 312.5)),
+            LiveEvent::Depart { user: 1, slot: 20 },
+        ],
+        vec![
+            arrive(3, 7, request(3, 600.0)),
+            arrive(4, 8, Some("GET / HTTP/1.1\r\n\r\n".into())),
+            arrive(5, 1, None),
+        ],
+        vec![
+            arrive(9, 1, None),
+            arrive(5, 30, request(5, 275.0)),
+            arrive(0, 2, Some("POST /x HTTP/1.1\r\n\r\n".into())),
+        ],
+    ]
+    .into_iter()
+    .map(|events| serde_json::to_string(&GwCommand::Feed { events }).unwrap())
+    .collect();
+    let (mut oks, mut rejects) = (0, 0);
+    // Shapes a damaged line seldom takes: text after the object, the tag
+    // last, a repeated `events` key.
+    let depart = r#"{"kind":"depart","user":1,"slot":30}"#;
+    let mut edges = vec![
+        format!(r#"{{"cmd":"feed","events":[{depart}]}} x"#),
+        format!(r#"{{"events":[{depart}],"cmd":"feed"}}"#),
+        format!(r#"{{"cmd":"feed","events":[],"events":[{depart}]}}"#),
+    ];
+    for _ in 0..20 {
+        let mut batch: Vec<String> =
+            std::iter::repeat_with(|| damage(&lines[rng.below(lines.len())], &mut rng))
+                // What a connection would frame as this one line, and no other
+                // command: those are not feeds.
+                .filter(|l| !l.contains(['\n', '\r']) && !l.trim().is_empty())
+                .filter(
+                    |l| !matches!(parse_command(l), Ok(c) if !matches!(c, GwCommand::Feed { .. })),
+                )
+                .take(60)
+                .collect();
+        batch.append(&mut edges);
+        let (replies, sidecar) = streamed(&batch);
+        let (want, want_sidecar) = parsed_then_applied(&batch);
+        for ((line, got), want) in batch.iter().zip(&replies).zip(&want) {
+            assert_eq!(got, want, "{line}");
+        }
+        assert_eq!(replies.len(), batch.len());
+        assert_eq!(sidecar, want_sidecar);
+        oks += want
+            .iter()
+            .filter(|r| r.starts_with(r#"{"ok":true"#))
+            .count();
+        rejects += want
+            .iter()
+            .filter(|r| r.contains("\"kind\":\"reject\""))
+            .count();
+    }
+    assert!(
+        oks > 50 && rejects > 50,
+        "{oks} applied, {rejects} rejected"
+    );
+}
+
+/// A feed line as long as the cap allows: arrivals with requests whose
+/// declared rates all differ, so the schedule left shows how far it was
+/// applied. Its events, printed one by one.
+fn full_line_events() -> Vec<String> {
+    let frame = r#"{"cmd":"feed","events":[]}"#.len();
+    let mut events = Vec::new();
+    let mut len = frame;
+    for i in 0.. {
+        let ev = LiveEvent::Arrive {
+            user: i % 6,
+            slot: 10 + (i % 50) as u64,
+            request: request(i % 6, 300.0 + i as f64),
+        };
+        let text = serde_json::to_string(&ev).unwrap();
+        if len + text.len() + 1 > MAX_LINE_BYTES {
+            break;
+        }
+        len += text.len() + 1;
+        events.push(text);
+    }
+    events
+}
+
+fn feed_line(events: &[String]) -> String {
+    format!(r#"{{"cmd":"feed","events":[{}]}}"#, events.join(","))
+}
+
+/// Full feed lines, damaged at one event in the first, a middle and the
+/// last of the chunks the daemon streams them in. A malformed event
+/// applies nothing of its line; a request DPI refuses applies the events
+/// before it, and the reply names DPI.
+#[test]
+fn a_full_feed_line_applies_all_of_itself_or_up_to_its_rejection() {
+    let events = full_line_events();
+    let n = events.len();
+    assert!(n > 300, "{n} events fill a line");
+    let (_, untouched) = streamed(&[]);
+    for at in [3, n / 2, n - 2] {
+        let mut malformed = events.clone();
+        malformed[at] = r#"{"kind":"arrive","user":1}"#.into();
+        let line = feed_line(&malformed);
+        let (replies, sidecar) = streamed(std::slice::from_ref(&line));
+        assert_eq!(
+            (replies.clone(), sidecar.clone()),
+            parsed_then_applied(&[line])
+        );
+        assert!(replies[0].contains(r#""kind":"parse""#), "{}", replies[0]);
+        assert_eq!(
+            sidecar, untouched,
+            "a malformed event at {at} applies nothing"
+        );
+
+        let mut refused_at = events.clone();
+        let request = r#""request":"POST /x HTTP/1.1\r\n\r\n"}"#;
+        refused_at[at] = format!(r#"{{"kind":"arrive","user":2,"slot":4,{request}"#);
+        let line = feed_line(&refused_at);
+        let (replies, sidecar) = streamed(std::slice::from_ref(&line));
+        assert_eq!(
+            (replies.clone(), sidecar.clone()),
+            parsed_then_applied(&[line])
+        );
+        assert!(replies[0].contains("dpi:"), "{}", replies[0]);
+        let (_, before) = parsed_then_applied(&[feed_line(&events[..at])]);
+        assert_eq!(sidecar, before, "the events before {at} apply");
+        assert_ne!(sidecar, untouched);
     }
 }
 
