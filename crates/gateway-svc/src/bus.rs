@@ -17,10 +17,11 @@
 //!
 //! A `feed` line travels as a [`FeedStream`]: the command is queued as
 //! soon as the line is known to be a feed, and its events follow in
-//! chunks while the connection thread is still reading the rest, so the
-//! engine inspects them meanwhile (DESIGN.md §13).
+//! chunks, each with the one buffer its requests were decoded into, while
+//! the connection thread is still reading the rest, so the engine
+//! inspects them meanwhile (DESIGN.md §13).
 
-use jmso_gateway::{GwStatus, LiveEvent, ProtocolError};
+use jmso_gateway::{FeedChunk, GwStatus, ProtocolError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, SyncSender};
@@ -69,19 +70,19 @@ pub enum Command {
 }
 
 /// One step of a feed line on its stream.
-enum FeedChunk {
-    Events(Vec<LiveEvent>),
+enum FeedStep {
+    Chunk(FeedChunk),
     /// The line was read whole.
     Commit,
 }
 
 /// The engine's end of one feed line: chunks of events in line order,
 /// then a commit once the connection thread has read the line whole.
-pub struct FeedStream(Receiver<FeedChunk>);
+pub struct FeedStream(Receiver<FeedStep>);
 
 /// The connection thread's end of one feed line. Dropped without
 /// [`commit`](Self::commit), it tells the engine the line failed.
-pub struct FeedSender(Sender<FeedChunk>);
+pub struct FeedSender(Sender<FeedStep>);
 
 /// A stream for one feed line. It is unbounded, but it carries one line,
 /// which is at most [`jmso_gateway::MAX_LINE_BYTES`] of text.
@@ -91,29 +92,31 @@ pub fn feed_stream() -> (FeedSender, FeedStream) {
 }
 
 impl FeedSender {
-    /// Hand the next events to the engine. An engine that has gone away
+    /// Hand the next events to the engine: a chunk, or events in hand
+    /// (`Vec<LiveEvent>`), which become one. An engine that has gone away
     /// shows in the reply, not here.
-    pub fn send(&self, events: Vec<LiveEvent>) {
-        if !events.is_empty() {
-            let _ = self.0.send(FeedChunk::Events(events));
+    pub fn send(&self, chunk: impl Into<FeedChunk>) {
+        let chunk = chunk.into();
+        if !chunk.events.is_empty() {
+            let _ = self.0.send(FeedStep::Chunk(chunk));
         }
     }
 
     /// The line was read whole: hand over its last events and let the
     /// engine apply it.
-    pub fn commit(self, last: Vec<LiveEvent>) {
+    pub fn commit(self, last: impl Into<FeedChunk>) {
         self.send(last);
-        let _ = self.0.send(FeedChunk::Commit);
+        let _ = self.0.send(FeedStep::Commit);
     }
 }
 
 impl FeedStream {
     /// The next chunk, waiting for it; `Ok(None)` at the commit, and an
     /// error once the sender is gone without one.
-    pub fn next_chunk(&self) -> Result<Option<Vec<LiveEvent>>, ProtocolError> {
+    pub fn next_chunk(&self) -> Result<Option<FeedChunk>, ProtocolError> {
         match self.0.recv() {
-            Ok(FeedChunk::Events(events)) => Ok(Some(events)),
-            Ok(FeedChunk::Commit) => Ok(None),
+            Ok(FeedStep::Chunk(chunk)) => Ok(Some(chunk)),
+            Ok(FeedStep::Commit) => Ok(None),
             Err(_) => Err(ProtocolError::Reject {
                 reason: "feed line abandoned before it was read whole".into(),
             }),

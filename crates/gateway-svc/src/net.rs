@@ -7,12 +7,12 @@
 //! malformed line gets a typed error reply without closing the
 //! connection (an oversized line *does* close it — framing is lost).
 //! A `feed` line goes to the engine as it is read, in chunks of 32
-//! events (DESIGN.md §13).
+//! events whose requests share one buffer (DESIGN.md §13).
 
 use crate::bus::{feed_stream, Command, CommandBus};
 use crate::fanout::{FanOut, Subscription};
 use jmso_gateway::{
-    parse_command, FeedReader, GwCommand, LiveEvent, ProtocolError, MAX_LINE_BYTES,
+    parse_command, FeedChunk, FeedReader, GwCommand, ProtocolError, MAX_LINE_BYTES,
 };
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
@@ -269,7 +269,7 @@ pub fn handle_connection<S: Read + Write>(stream: S, bus: &CommandBus, fanout: &
             continue;
         }
         let reply = match FeedReader::new(&line) {
-            Some(events) => stream_feed(bus, events),
+            Some(mut events) => stream_feed(bus, |chunk| events.read_into(chunk, FEED_CHUNK)),
             None => match parse_command(&line) {
                 // Malformed line: reject it, keep the session.
                 Err(e) => reply_err(&e),
@@ -284,7 +284,13 @@ pub fn handle_connection<S: Read + Write>(stream: S, bus: &CommandBus, fanout: &
                     return;
                 }
                 Ok(GwCommand::Status) => status_reply(bus, fanout),
-                Ok(GwCommand::Feed { events }) => stream_feed(bus, events.into_iter().map(Ok)),
+                Ok(GwCommand::Feed { events }) => {
+                    let mut events = Some(events);
+                    stream_feed(bus, |chunk| {
+                        *chunk = events.take().map(FeedChunk::from).unwrap_or_default();
+                        Ok(false)
+                    })
+                }
                 Ok(GwCommand::Start) => roundtrip(bus, |reply| Command::Start { reply }),
                 Ok(GwCommand::Shutdown) => roundtrip(bus, |reply| Command::Shutdown { reply }),
             },
@@ -295,13 +301,13 @@ pub fn handle_connection<S: Read + Write>(stream: S, bus: &CommandBus, fanout: &
     }
 }
 
-/// Queue a feed line, then hand its events to the engine as they are
-/// read, [`FEED_CHUNK`] at a time, and commit it once it has been read
-/// whole; the reply line. A line that fails to read drops its stream
-/// uncommitted, so the engine applies none of it.
+/// Queue a feed line, then hand its events to the engine as `read` fills
+/// each chunk (`Ok(true)` while the line has more), and commit it once it
+/// has been read whole; the reply line. A line that fails to read drops
+/// its stream uncommitted, so the engine applies none of it.
 fn stream_feed(
     bus: &CommandBus,
-    events: impl IntoIterator<Item = Result<LiveEvent, ProtocolError>>,
+    mut read: impl FnMut(&mut FeedChunk) -> Result<bool, ProtocolError>,
 ) -> String {
     let (tx, stream) = feed_stream();
     let (reply, acked) = sync_channel(1);
@@ -311,17 +317,22 @@ fn stream_feed(
     }) {
         return reply_err(&e);
     }
-    let mut chunk = Vec::with_capacity(FEED_CHUNK);
-    for event in events {
-        match event {
-            Ok(event) => chunk.push(event),
+    let mut chunk = FeedChunk {
+        events: Vec::with_capacity(FEED_CHUNK),
+        text: String::new(),
+    };
+    loop {
+        match read(&mut chunk) {
+            Ok(true) => {
+                // The next chunk's text is sized by this one's.
+                let next = FeedChunk {
+                    events: Vec::with_capacity(FEED_CHUNK),
+                    text: String::with_capacity(chunk.text.len()),
+                };
+                tx.send(std::mem::replace(&mut chunk, next));
+            }
+            Ok(false) => break,
             Err(e) => return reply_err(&e),
-        }
-        if chunk.len() == FEED_CHUNK {
-            tx.send(std::mem::replace(
-                &mut chunk,
-                Vec::with_capacity(FEED_CHUNK),
-            ));
         }
     }
     tx.commit(chunk);

@@ -20,7 +20,7 @@ use crate::fanout::FanOut;
 use crate::policy::LivePolicy;
 use crate::spool::TraceSpool;
 use jmso_gateway::{
-    declared_rate_from_request, GwEvent, GwStatus, LiveEvent, ProtocolError, SvcState,
+    declared_rate_from_request, FeedEvent, GwEvent, GwStatus, ProtocolError, SvcState,
 };
 use jmso_sim::{
     atomic_write, CheckpointError, EngineCheckpoint, Scenario, ScenarioError, SidecarPrinter,
@@ -419,19 +419,15 @@ impl LiveService {
 
     /// Take one feed line off its stream. Each chunk's requests go
     /// through DPI as the chunk arrives, while the connection thread reads
-    /// the rest of the line; once the line is committed it is applied in
-    /// order, up to its first rejection. A line whose sender went away
-    /// uncommitted applies nothing.
+    /// the rest of the line, and the chunk's text is dropped there: what
+    /// waits for the commit is each event and its rate. Once the line is
+    /// committed it is applied in order, up to its first rejection. A
+    /// line whose sender went away uncommitted applies nothing.
     fn apply_feed(&mut self, stream: &FeedStream) -> Result<(), ProtocolError> {
         let mut staged = Vec::new();
         while let Some(chunk) = stream.next_chunk()? {
-            staged.extend(chunk.into_iter().map(|ev| {
-                let rate = match &ev {
-                    LiveEvent::Arrive {
-                        request: Some(req), ..
-                    } => Some(declared_rate_from_request(req)),
-                    _ => None,
-                };
+            staged.extend(chunk.events.into_iter().map(|ev| {
+                let rate = ev.request(&chunk.text).map(declared_rate_from_request);
                 (ev, rate)
             }));
         }
@@ -440,13 +436,13 @@ impl LiveService {
         };
         for (ev, rate) in staged {
             match ev {
-                LiveEvent::Arrive { user, slot, .. } => {
+                FeedEvent::Arrive { user, slot, .. } => {
                     if let Some(rate) = rate {
                         self.driver.set_declared_rate(user, rate?).map_err(reject)?;
                     }
                     self.driver.set_arrival(user, slot).map_err(reject)?;
                 }
-                LiveEvent::Depart { user, slot } => {
+                FeedEvent::Depart { user, slot } => {
                     self.driver.set_departure(user, slot).map_err(reject)?;
                 }
             }

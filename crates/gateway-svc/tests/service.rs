@@ -15,7 +15,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use jmso_gateway::{
-    parse_command, GwCommand, GwStatus, LiveEvent, ProtocolError, SvcState, MAX_LINE_BYTES,
+    parse_command, FeedEvent, GwCommand, GwStatus, LiveEvent, ProtocolError, SvcState,
+    MAX_LINE_BYTES,
 };
 use jmso_gateway_svc::{
     feed_stream, handle_connection, supervise, Command, CommandBus, FanOut, LivePolicy,
@@ -1221,9 +1222,8 @@ fn template_2000_feed_fits_the_line_cap() {
                     match cmd {
                         Command::Feed { events, reply } => {
                             while let Some(chunk) = events.next_chunk().expect("committed") {
-                                arrivals += chunk
-                                    .iter()
-                                    .filter(|e| matches!(e, LiveEvent::Arrive { .. }))
+                                arrivals += (chunk.events.iter())
+                                    .filter(|e| matches!(e, FeedEvent::Arrive { .. }))
                                     .count();
                             }
                             let _ = reply.send(Ok(()));

@@ -32,8 +32,8 @@ pub use bs::{CapacityModel, ConstantCapacity, DiurnalCapacity, OutageCapacity, T
 pub use collector::{CollectorSpec, CollectorState, InformationCollector};
 pub use dpi::{format_segment_request, DpiClassifier, DpiError, FlowInfo};
 pub use protocol::{
-    declared_rate_from_request, parse_command, FeedReader, GwCommand, GwEvent, GwStatus, LiveEvent,
-    ProtocolError, SvcState, MAX_LINE_BYTES,
+    declared_rate_from_request, parse_command, FeedChunk, FeedEvent, FeedReader, GwCommand,
+    GwEvent, GwStatus, LiveEvent, ProtocolError, SvcState, MAX_LINE_BYTES,
 };
 pub use receiver::{DataReceiver, FlowClass, FlowState, OriginModel};
 pub use scheduler::{

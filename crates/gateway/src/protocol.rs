@@ -11,8 +11,9 @@
 //! one bad event never kills a session, and the slot loop never sees
 //! unvalidated input.
 
-use crate::dpi::DpiClassifier;
+use crate::dpi::declared_bitrate;
 use serde::{Deserialize, Elements, Entries, Error, Reader, Serialize};
+use std::ops::Range;
 
 /// Hard cap on one protocol line, in bytes. Longer lines are rejected
 /// with [`ProtocolError::LineTooLong`] before JSON parsing — bounded
@@ -117,13 +118,85 @@ pub fn parse_command(line: &str) -> Result<GwCommand, ProtocolError> {
     })
 }
 
-/// A `feed` line read one event at a time, so the events read so far can
-/// be acted on while the rest of the line is still being read (DESIGN.md
-/// §13). It reads what [`parse_command`] reads — the same `cmd` tag, the
-/// first `events` key, each event through [`LiveEvent`]'s `Deserialize`,
-/// nothing but whitespace after the object — and it fails where that
-/// fails, with that error: on its error path it reads the line again
-/// with [`parse_command`].
+/// One event of a `feed` line as it travels to the engine: an arrival's
+/// request is a span of its [`FeedChunk`]'s text, not a string of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FeedEvent {
+    /// User `user`'s session starts at `slot`.
+    Arrive {
+        /// Target user index.
+        user: usize,
+        /// Slot the session starts.
+        slot: u64,
+        /// Where the raw HTTP segment request lies in the chunk's text.
+        request: Option<Range<usize>>,
+    },
+    /// User `user` abandons playback at `slot`.
+    Depart {
+        /// Target user index.
+        user: usize,
+        /// Slot the session is abandoned.
+        slot: u64,
+    },
+}
+
+impl FeedEvent {
+    /// The event's request, read from `text`, its chunk's text.
+    pub fn request<'t>(&self, text: &'t str) -> Option<&'t str> {
+        match self {
+            FeedEvent::Arrive {
+                request: Some(span),
+                ..
+            } => text.get(span.clone()),
+            _ => None,
+        }
+    }
+}
+
+/// Events of a `feed` line handed on together, and the one buffer their
+/// requests are decoded into: a chunk costs two allocations, whatever
+/// its events carry.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FeedChunk {
+    /// The events, in line order.
+    pub events: Vec<FeedEvent>,
+    /// Their requests, one after another.
+    pub text: String,
+}
+
+impl From<Vec<LiveEvent>> for FeedChunk {
+    /// Events already in hand, as a chunk.
+    fn from(events: Vec<LiveEvent>) -> Self {
+        let mut chunk = FeedChunk::default();
+        for event in events {
+            chunk.events.push(match event {
+                LiveEvent::Arrive {
+                    user,
+                    slot,
+                    request,
+                } => FeedEvent::Arrive {
+                    user,
+                    slot,
+                    request: request.map(|r| {
+                        let start = chunk.text.len();
+                        chunk.text.push_str(&r);
+                        start..chunk.text.len()
+                    }),
+                },
+                LiveEvent::Depart { user, slot } => FeedEvent::Depart { user, slot },
+            });
+        }
+        chunk
+    }
+}
+
+/// A `feed` line read a chunk of events at a time, so the events read so
+/// far can be acted on while the rest of the line is still being read
+/// (DESIGN.md §13). It reads what [`parse_command`] reads — the same
+/// `cmd` tag, the first `events` key, each event as [`LiveEvent`]'s
+/// `Deserialize` reads it, nothing but whitespace after the object — and
+/// it fails where that fails, with that error: on its error path it
+/// reads the line again with [`parse_command`].
 #[derive(Debug)]
 pub struct FeedReader<'a> {
     line: &'a str,
@@ -157,12 +230,42 @@ impl<'a> FeedReader<'a> {
         })
     }
 
-    /// The next event, or `None` once the line has been read whole.
-    fn step(&mut self) -> Result<Option<LiveEvent>, Error> {
+    /// Read up to `max` more events onto the end of `chunk`, their
+    /// requests decoded onto the end of its text. `Ok(true)` while the
+    /// line has more to read, `Ok(false)` once it has been read whole,
+    /// its end included. An error is [`parse_command`]'s reply to the
+    /// line; after it, or after the end, nothing more is read.
+    pub fn read_into(&mut self, chunk: &mut FeedChunk, max: usize) -> Result<bool, ProtocolError> {
+        for _ in 0..max {
+            if self.done {
+                break;
+            }
+            match self.step(chunk) {
+                Ok(true) => {}
+                Ok(false) => self.done = true,
+                Err(e) => {
+                    self.done = true;
+                    return Err(match parse_command(self.line) {
+                        Err(reply) => reply,
+                        Ok(_) => ProtocolError::Parse {
+                            reason: e.to_string(),
+                        },
+                    });
+                }
+            }
+        }
+        Ok(!self.done)
+    }
+
+    /// Read the next event onto `chunk`; `false` once the line has been
+    /// read whole.
+    fn step(&mut self, chunk: &mut FeedChunk) -> Result<bool, Error> {
         loop {
             if let Some(events) = &mut self.events {
                 if self.r.next_element(events)? {
-                    return LiveEvent::deserialize(&mut self.r).map(Some);
+                    let event = read_event(&mut self.r, &mut chunk.text)?;
+                    chunk.events.push(event);
+                    return Ok(true);
                 }
                 self.events = None;
             }
@@ -175,32 +278,61 @@ impl<'a> FeedReader<'a> {
                     self.events = Some(events.ok_or_else(|| Error::custom("expected array"))?);
                 }
                 Some(_) => self.r.skip_value()?,
-                None if self.seen_events => return self.r.finish().map(|()| None),
+                None if self.seen_events => return self.r.finish().map(|()| false),
                 None => return Err(Error::custom("missing field `events`")),
             }
         }
     }
 }
 
-impl Iterator for FeedReader<'_> {
-    type Item = Result<LiveEvent, ProtocolError>;
+/// Read one event as [`LiveEvent`]'s derived `Deserialize` reads it,
+/// its request decoded onto the end of `text`: the `kind` tag may come
+/// anywhere, an unknown key is skipped, a repeated key's first value
+/// wins and a later one is only checked, and a `null` request is none.
+/// It fails wherever that fails; the error texts are not its.
+fn read_event(r: &mut Reader<'_>, text: &mut String) -> Result<FeedEvent, Error> {
+    let wrong = || Error::custom("not a live event");
+    let mut entries = r.object()?.ok_or_else(wrong)?;
+    let arrive = match r.tag(&mut entries, "kind")?.as_deref() {
+        Some("arrive") => true,
+        Some("depart") => false,
+        _ => return Err(wrong()),
+    };
+    let (mut user, mut slot, mut request) = (None, None, None);
+    while let Some(key) = r.next_key(&mut entries)? {
+        match &*key {
+            "user" if user.is_none() => user = Some(usize::deserialize(r)?),
+            "slot" if slot.is_none() => slot = Some(u64::deserialize(r)?),
+            "request" if arrive && request.is_none() => {
+                let start = text.len();
+                request = Some(match r.string_into(text)? {
+                    true => Some(start..text.len()),
+                    false => Option::<NullOnly>::deserialize(r)?.map(|n| match n {}),
+                });
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    let (Some(user), Some(slot)) = (user, slot) else {
+        return Err(wrong());
+    };
+    Ok(match arrive {
+        true => FeedEvent::Arrive {
+            user,
+            slot,
+            request: request.flatten(),
+        },
+        false => FeedEvent::Depart { user, slot },
+    })
+}
 
-    /// The next event; after the last one, or after an error, `None`.
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let read = self.step();
-        self.done = !matches!(read, Ok(Some(_)));
-        match read {
-            Ok(event) => event.map(Ok),
-            Err(e) => Some(Err(match parse_command(self.line) {
-                Err(reply) => reply,
-                Ok(_) => ProtocolError::Parse {
-                    reason: e.to_string(),
-                },
-            })),
-        }
+/// A value no JSON reads as: `Option<NullOnly>` reads `null` and nothing
+/// else.
+enum NullOnly {}
+
+impl Deserialize for NullOnly {
+    fn deserialize(_: &mut Reader<'_>) -> Result<Self, Error> {
+        Err(Error::custom("expected a string or null"))
     }
 }
 
@@ -208,16 +340,15 @@ impl Iterator for FeedReader<'_> {
 /// request via the DPI middlebox — how a live `arrive` event carries a
 /// gateway-side rate without the client declaring it out-of-band.
 /// Returns a typed rejection when the bytes are not a video request
-/// carrying a bitrate.
+/// carrying a finite bitrate. Allocates nothing unless it rejects.
 pub fn declared_rate_from_request(request: &str) -> Result<f64, ProtocolError> {
-    let info = DpiClassifier::new()
-        .inspect(request.as_bytes())
+    declared_bitrate(request)
         .map_err(|e| ProtocolError::Reject {
             reason: format!("dpi: {e}"),
-        })?;
-    info.bitrate_kbps.ok_or_else(|| ProtocolError::Reject {
-        reason: "request carries no declared bitrate".into(),
-    })
+        })?
+        .ok_or_else(|| ProtocolError::Reject {
+            reason: "request carries no declared bitrate".into(),
+        })
 }
 
 /// Service lifecycle state, as reported in [`GwStatus`].
@@ -419,12 +550,48 @@ mod tests {
         }
     }
 
+    /// A chunk's events as `LiveEvent`s, their requests copied out.
+    fn live_events(chunk: &FeedChunk) -> Vec<LiveEvent> {
+        let request = |ev: &FeedEvent| ev.request(&chunk.text).map(String::from);
+        (chunk.events.iter())
+            .map(|ev| match *ev {
+                FeedEvent::Arrive { user, slot, .. } => LiveEvent::Arrive {
+                    user,
+                    slot,
+                    request: request(ev),
+                },
+                FeedEvent::Depart { user, slot } => LiveEvent::Depart { user, slot },
+            })
+            .collect()
+    }
+
+    /// A feed line read whole by the feed reader, `max` events a chunk.
+    fn read_feed(line: &str, max: usize) -> Option<Result<Vec<LiveEvent>, ProtocolError>> {
+        let mut reader = FeedReader::new(line)?;
+        let mut events = Vec::new();
+        Some(loop {
+            let mut chunk = FeedChunk::default();
+            let more = reader.read_into(&mut chunk, max);
+            events.extend(live_events(&chunk));
+            match more {
+                Ok(true) => assert!(chunk.events.len() == max, "{line}"),
+                Ok(false) => break Ok(events),
+                Err(e) => break Err(e),
+            }
+        })
+    }
+
     /// The feed reader takes the lines `parse_command` reads as feeds, to
     /// the same events, and fails on the rest of the feed lines with the
-    /// same error; every other line it leaves to `parse_command`.
+    /// same error, however many events a chunk takes; every other line it
+    /// leaves to `parse_command`.
     #[test]
     fn the_feed_reader_reads_what_parse_command_reads() {
         let ev = r#"{"kind":"depart","user":1,"slot":3}"#;
+        let feed = |events: &str| format!(r#"{{"cmd":"feed","events":[{events}]}}"#);
+        let arrive = |fields: &str| {
+            format!(r#"{{"cmd":"feed","events":[{ev},{{"kind":"arrive",{fields}}},{ev}]}}"#)
+        };
         let lines = [
             format!(r#"{{"cmd":"feed","events":[{ev},{ev}]}}"#),
             format!(r#"{{"events":[{ev}],"pad":[1,{{}}],"cmd":"feed"}}"#),
@@ -440,19 +607,74 @@ mod tests {
             r#"{"cmd":"feed"}"#.to_string(),
             r#"{"cmd":"feed","events":[{"kind":"arrive","user":1}]}"#.to_string(),
             r#"["cmd","feed"]"#.to_string(),
+            r#"{"cmd":"feed","events":[]}"#.to_string(),
+            // Requests: repeated, null, on a departure, not a string, with
+            // escapes, and a broken escape.
+            arrive(
+                r#""user":1,"slot":2,"request":"GET /a.ts HTTP/1.1","request":"GET /b.ts HTTP/1.1""#,
+            ),
+            arrive(r#""user":1,"slot":2,"request":null,"request":"GET /b.ts HTTP/1.1""#),
+            arrive(r#""user":1,"slot":2,"request":"GET /a.ts HTTP/1.1","request":nul"#),
+            arrive(r#""user":1,"slot":2,"request":null"#),
+            arrive(r#""user":1,"slot":2,"request":7"#),
+            arrive(r#""user":1,"slot":2,"request":["GET"]"#),
+            arrive(r#""user":1,"slot":2,"request":"GET /\"q\"\\\u00e9.ts HTTP/1.1""#),
+            arrive(r#""user":1,"slot":2,"request":"GET /\uzzzz.ts HTTP/1.1""#),
+            arrive(r#""user":1,"slot":2,"request":"GET /\u00e"#),
+            feed(r#"{"kind":"depart","user":1,"slot":2,"request":"GET / HTTP/1.1"}"#),
+            feed(r#"{"kind":"depart","user":1,"slot":2,"request":7}"#),
+            // The tag after the fields, repeated, and missing or wrong.
+            feed(r#"{"user":1,"slot":2,"request":"GET /a HTTP/1.1","kind":"arrive"}"#),
+            feed(r#"{"user":1,"kind":"depart","slot":2,"kind":"arrive"}"#),
+            feed(r#"{"user":1,"slot":2}"#),
+            feed(r#"{"kind":7,"user":1,"slot":2}"#),
+            feed(r#"{"kind":"leave","user":1,"slot":2}"#),
+            // Repeated and unknown fields, and values out of range.
+            feed(r#"{"kind":"depart","user":1,"slot":2,"user":-1,"x":{}}"#),
+            feed(r#"{"kind":"depart","user":1.5,"slot":2}"#),
+            feed(r#"{"kind":"arrive","user":1,"slot":18446744073709551616}"#),
+            feed(r#"7"#),
         ];
+        let mut feeds = 0;
         for line in &lines {
-            let streamed = FeedReader::new(line).map(|r| r.collect::<Result<Vec<_>, _>>());
-            match (parse_command(line), streamed) {
-                (Ok(GwCommand::Feed { events }), Some(read)) => assert_eq!(read, Ok(events)),
-                (Err(e), Some(read)) => assert_eq!(read, Err(e), "{line}"),
-                (_, None) => assert!(
-                    !matches!(parse_command(line), Ok(GwCommand::Feed { .. })),
-                    "{line}"
-                ),
-                (Ok(other), Some(_)) => panic!("{line} read as a feed and as {other:?}"),
+            let parsed = parse_command(line);
+            feeds += usize::from(matches!(parsed, Ok(GwCommand::Feed { .. })));
+            for max in [1, 2, 32] {
+                match (&parsed, read_feed(line, max)) {
+                    (Ok(GwCommand::Feed { events }), Some(read)) => {
+                        assert_eq!(read.as_ref(), Ok(events), "{line}")
+                    }
+                    (Err(e), Some(read)) => assert_eq!(read.as_ref(), Err(e), "{line}"),
+                    (_, None) => assert!(!matches!(parsed, Ok(GwCommand::Feed { .. })), "{line}"),
+                    (Ok(other), Some(_)) => panic!("{line} read as a feed and as {other:?}"),
+                }
             }
         }
+        assert_eq!(feeds, 15, "lines that read as feeds");
+    }
+
+    /// A chunk of events in hand reads back as those events.
+    #[test]
+    fn events_in_hand_make_a_chunk() {
+        let events = vec![
+            LiveEvent::Arrive {
+                user: 0,
+                slot: 4,
+                request: Some("GET /a.ts HTTP/1.1\r\n\r\n".into()),
+            },
+            LiveEvent::Depart { user: 0, slot: 9 },
+            LiveEvent::Arrive {
+                user: 1,
+                slot: 5,
+                request: None,
+            },
+            LiveEvent::Arrive {
+                user: 2,
+                slot: 6,
+                request: Some("é".into()),
+            },
+        ];
+        assert_eq!(live_events(&FeedChunk::from(events.clone())), events);
     }
 
     #[test]
@@ -468,6 +690,16 @@ mod tests {
             declared_rate_from_request("POST /x HTTP/1.1\r\n\r\n"),
             Err(ProtocolError::Reject { .. })
         ));
+        // An infinite bitrate parses as a float, but declares nothing.
+        for value in ["inf", "1e999"] {
+            let request = format!("GET /v/a.m4s HTTP/1.1\r\nX-Video-Bitrate-KBps: {value}\r\n\r\n");
+            assert_eq!(
+                declared_rate_from_request(&request),
+                Err(ProtocolError::Reject {
+                    reason: "request carries no declared bitrate".into()
+                })
+            );
+        }
     }
 
     #[test]

@@ -261,6 +261,9 @@ impl SlotDriver {
         if kbps <= 0.0 || kbps.is_nan() {
             return Err(ScenarioError::new("live.rate", "rate must be positive"));
         }
+        if kbps.is_infinite() {
+            return Err(ScenarioError::new("live.rate", "rate must be finite"));
+        }
         self.cols.users[user].declared_rate_kbps = Some(kbps);
         Ok(())
     }

@@ -174,3 +174,28 @@ fn arrival_on_departure_slot_means_user_is_never_live() {
     assert!(u1.fetched_kb > 0.0, "user 1 should stream normally");
     assert!(u1.watched_s > 0.0);
 }
+
+/// A live declared rate is refused unless it is positive and finite, and
+/// a refused rate leaves the schedule as it was.
+#[test]
+fn a_live_declared_rate_must_be_positive_and_finite() {
+    let s = base(2, 40);
+    let mut rec = TraceRecorder::new();
+    let mut driver = s.driver(&mut rec, None).expect("driver");
+    let sidecar = |driver: &jmso_sim::SlotDriver, rec: &TraceRecorder| {
+        driver.checkpoint(rec).unwrap().to_json().unwrap()
+    };
+    let before = sidecar(&driver, &rec);
+    for (kbps, why) in [
+        (f64::INFINITY, "rate must be finite"),
+        (f64::NEG_INFINITY, "rate must be positive"),
+        (f64::NAN, "rate must be positive"),
+        (0.0, "rate must be positive"),
+    ] {
+        let err = driver.set_declared_rate(1, kbps).expect_err("refused");
+        assert!(err.to_string().contains(why), "{kbps}: {err}");
+    }
+    assert_eq!(sidecar(&driver, &rec), before, "nothing was declared");
+    driver.set_declared_rate(1, 450.0).expect("a finite rate");
+    assert_ne!(sidecar(&driver, &rec), before);
+}

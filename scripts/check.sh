@@ -166,8 +166,8 @@ if (( unsafe > 1 )); then
     exit 1
 fi
 design=$(wc -c <DESIGN.md)
-if (( design > 116222 )); then
-    echo "DESIGN.md grew to $design bytes (at most 116222)"
+if (( design > 115531 )); then
+    echo "DESIGN.md grew to $design bytes (at most 115531)"
     exit 1
 fi
 

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # The line counts ROADMAP re-anchors report, measured instead of by hand:
-# the slot loop's (engine.rs, its child modules under engine/, and
-# multicell.rs) and the sim crate's non-test lines (each file up to
-# its first `#[cfg(test)]`), then each sim module's, Rust source lines by
-# tree, and mentions of the `unsafe` keyword under crates/ (as a word, so
-# the `unsafe_code` lint's allows are not counted). Information, apart
-# from the `unsafe` count, on which scripts/check.sh fails above 1.
+# the non-test count the round's size budget targets (every .rs file
+# under crates/*/src, src/ and examples/, each up to its first
+# `#[cfg(test)]`) and, on a line of its own, the test lines beside it
+# (tests/ and crates/*/tests/, reported, never targeted); the slot
+# loop's (engine.rs, its child modules under engine/, and multicell.rs)
+# and the sim crate's non-test lines, then each sim module's, Rust
+# source lines by tree, and mentions of the `unsafe` keyword under
+# crates/ (as a word, so the `unsafe_code` lint's allows are not
+# counted). Information, apart from the `unsafe` count, on which
+# scripts/check.sh fails above 1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +23,9 @@ rs_lines() {
     find "$@" -name '*.rs' -not -path '*/target/*' -exec cat {} + | wc -l | tr -d ' '
 }
 
+# shellcheck disable=SC2046 # one word per path
+echo "non-test (crates/*/src, src/, examples/): $(nontest $(find crates/*/src src examples -name '*.rs'))"
+echo "test lines (tests/, crates/*/tests/):     $(rs_lines tests crates/*/tests)"
 echo "engine.rs + engine/*.rs + multicell.rs non-test: $(nontest crates/sim/src/engine.rs crates/sim/src/engine/*.rs crates/sim/src/multicell.rs)"
 # shellcheck disable=SC2046 # one word per path
 echo "crates/sim/src non-test:           $(nontest $(find crates/sim/src -name '*.rs'))"

@@ -487,7 +487,7 @@ fn streamed(lines: &[String]) -> (Vec<String>, String) {
 }
 
 /// Seeded like the loop above: 1 200 damaged feed lines, in batches of
-/// 60 (three edge lines join the first), each batch served by one daemon
+/// 60 (four edge lines join the first), each batch served by one daemon
 /// and by the reference path. Every
 /// line's reply must match byte for byte, and every batch must leave the
 /// same schedule (the sidecar: each user's arrival, departure and
@@ -524,12 +524,17 @@ fn streamed_feed_lines_answer_and_apply_as_parsed_ones() {
     .collect();
     let (mut oks, mut rejects) = (0, 0);
     // Shapes a damaged line seldom takes: text after the object, the tag
-    // last, a repeated `events` key.
+    // last, a repeated `events` key, and an arrival declaring an infinite
+    // bitrate after one that applies.
     let depart = r#"{"kind":"depart","user":1,"slot":30}"#;
+    let infinite = r#"GET /v/a.m4s HTTP/1.1\r\nX-Video-Bitrate-KBps: inf\r\n\r\n"#;
     let mut edges = vec![
         format!(r#"{{"cmd":"feed","events":[{depart}]}} x"#),
         format!(r#"{{"events":[{depart}],"cmd":"feed"}}"#),
         format!(r#"{{"cmd":"feed","events":[],"events":[{depart}]}}"#),
+        format!(
+            r#"{{"cmd":"feed","events":[{depart},{{"kind":"arrive","user":3,"slot":4,"request":"{infinite}"}}]}}"#
+        ),
     ];
     for _ in 0..20 {
         let mut batch: Vec<String> =
@@ -545,6 +550,10 @@ fn streamed_feed_lines_answer_and_apply_as_parsed_ones() {
         batch.append(&mut edges);
         let (replies, sidecar) = streamed(&batch);
         let (want, want_sidecar) = parsed_then_applied(&batch);
+        if batch.len() > 60 {
+            let refused = r#""reason":"request carries no declared bitrate""#;
+            assert!(want[63].contains(refused), "{}", want[63]);
+        }
         for ((line, got), want) in batch.iter().zip(&replies).zip(&want) {
             assert_eq!(got, want, "{line}");
         }
