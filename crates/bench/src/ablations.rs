@@ -28,7 +28,7 @@ fn measure(scenario: &Scenario) -> Row {
         .run()
         .expect("rtma");
     let ema = scenario
-        .with_scheduler(SchedulerSpec::ema_fast(0.5))
+        .with_scheduler(SchedulerSpec::ema(0.5))
         .run()
         .expect("ema");
     Row {
@@ -165,7 +165,7 @@ pub fn abl_tail() -> FigureOutput {
         .collect();
     let results = parallel_map(&cells, 0, |(v, tail)| {
         scenario
-            .with_scheduler(SchedulerSpec::EmaFast {
+            .with_scheduler(SchedulerSpec::Ema {
                 v: *v,
                 tail: *tail,
                 pc_clamp: None,

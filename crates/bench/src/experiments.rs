@@ -26,7 +26,7 @@ pub fn exp_theorem1() -> FigureOutput {
     let vs = [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0];
     let results = parallel_map(&vs, 0, |&v| {
         scenario
-            .with_scheduler(SchedulerSpec::ema_fast(v))
+            .with_scheduler(SchedulerSpec::ema(v))
             .run()
             .expect("theorem1 run")
     });
@@ -85,7 +85,7 @@ pub fn exp_baselines() -> FigureOutput {
         let rtma = run(SchedulerSpec::rtma(cal.phi_for_alpha(1.0)));
         let (v, _) =
             fit_v_for_omega(&scenario, cal.omega_for_beta(1.0), 0.02, 100.0, 9).expect("fit");
-        let ema = run(SchedulerSpec::ema_fast(v));
+        let ema = run(SchedulerSpec::ema(v));
         vec![
             n as f64,
             rr.mean_rebuffer_per_user_s(),
@@ -135,7 +135,7 @@ pub fn exp_multicell() -> FigureOutput {
         };
         let default = run(SchedulerSpec::Default);
         let rtma = run(SchedulerSpec::RtmaUnbounded);
-        let ema = run(SchedulerSpec::ema_fast(0.5));
+        let ema = run(SchedulerSpec::ema(0.5));
         vec![
             p,
             default.result.mean_rebuffer_per_user_s(),
@@ -179,7 +179,7 @@ pub fn exp_arrivals() -> FigureOutput {
         let run = |spec: SchedulerSpec| scenario.with_scheduler(spec).run().expect("run");
         let default = run(SchedulerSpec::Default);
         let rtma = run(SchedulerSpec::rtma(cal.phi_for_alpha(1.0)));
-        let ema = run(SchedulerSpec::ema_fast(0.5));
+        let ema = run(SchedulerSpec::ema(0.5));
         vec![
             gap,
             default.mean_rebuffer_per_user_s(),
@@ -212,7 +212,7 @@ pub fn exp_startup() -> FigureOutput {
     let specs: Vec<(f64, SchedulerSpec)> = vec![
         (0.0, SchedulerSpec::Default),
         (1.0, SchedulerSpec::rtma(cal.phi_for_alpha(1.0))),
-        (2.0, SchedulerSpec::ema_fast(0.5)),
+        (2.0, SchedulerSpec::ema(0.5)),
         (3.0, SchedulerSpec::onoff_default()),
         (4.0, SchedulerSpec::estreamer_default()),
         (5.0, SchedulerSpec::RoundRobin),

@@ -18,13 +18,13 @@ fn ema_spec_for_beta(scenario: &Scenario, beta: f64) -> SchedulerSpec {
     let cal = calibrate_default(scenario).expect("calibration");
     let omega = cal.omega_for_beta(beta);
     let (v, _) = fit_v_for_omega(scenario, omega, V_LO, V_HI, V_ITERS).expect("fit V");
-    SchedulerSpec::ema_fast(v)
+    SchedulerSpec::ema(v)
 }
 
 /// EMA spec meeting an explicit per-active-slot rebuffering bound.
 fn ema_spec_for_omega(scenario: &Scenario, omega_s: f64) -> SchedulerSpec {
     let (v, _) = fit_v_for_omega(scenario, omega_s, V_LO, V_HI, V_ITERS).expect("fit V");
-    SchedulerSpec::ema_fast(v)
+    SchedulerSpec::ema(v)
 }
 
 fn cdf_cell() -> Scenario {

@@ -19,7 +19,7 @@ pub fn fig10() -> FigureOutput {
         let rtma = run(SchedulerSpec::rtma(cal.phi_for_alpha(1.0)));
         let (v, _) =
             fit_v_for_omega(&scenario, cal.omega_for_beta(1.0), 0.02, 100.0, 9).expect("fit V");
-        let ema = run(SchedulerSpec::ema_fast(v));
+        let ema = run(SchedulerSpec::ema(v));
         vec![
             n as f64,
             default.total_energy().total().joules(),
@@ -105,7 +105,7 @@ fn headline_claims(seed: u64) -> [f64; 6] {
     // rebuffering (§VI-B Fig. 9).
     let (v_beta1, _) =
         fit_v_for_omega(&scenario, cal.omega_for_beta(1.0), 0.02, 100.0, 9).expect("fit V");
-    let ema_beta1 = run(SchedulerSpec::ema_fast(v_beta1));
+    let ema_beta1 = run(SchedulerSpec::ema(v_beta1));
     let (v_est, _) = fit_v_for_omega(
         &scenario,
         estreamer.avg_rebuffer_per_active_slot(),
@@ -114,7 +114,7 @@ fn headline_claims(seed: u64) -> [f64; 6] {
         9,
     )
     .expect("fit V");
-    let ema_est = run(SchedulerSpec::ema_fast(v_est));
+    let ema_est = run(SchedulerSpec::ema(v_est));
 
     let pct = |ours: f64, theirs: f64| 100.0 * (1.0 - ours / theirs.max(1e-12));
     [

@@ -8,14 +8,10 @@
 //! Origin behaviour is pluggable: an [`OriginModel::Infinite`] origin (the
 //! paper's implicit assumption — content is always available at the
 //! gateway), a rate-limited origin modelling a constrained CDN leg, or a
-//! bursty origin. When payload carriage is enabled the queues hold real
-//! [`bytes::Bytes`] chunks so end-to-end byte movement can be asserted in
-//! tests; by default only byte counts are tracked, which is what the
+//! bursty origin. Only byte counts are tracked, which is what the
 //! simulator needs, and a flow is plain data.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Traffic class of a flow (video is scheduled; background is sliced off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,9 +99,6 @@ pub struct DataReceiver {
     /// The one origin every flow is fed by.
     origin: OriginModel,
     tau: f64,
-    /// Real payload chunks, one queue per flow; empty unless
-    /// [`DataReceiver::with_payload`] (tests / fidelity mode).
-    payload: Vec<VecDeque<Bytes>>,
     /// Flows whose origin still owes bytes — the only ones
     /// [`DataReceiver::ingest_slot`] visits, in no particular order (a
     /// flow's ingest touches that flow alone). A flow leaves when an
@@ -135,7 +128,6 @@ impl DataReceiver {
             flows: vec![flow; n_users],
             origin,
             tau,
-            payload: Vec::new(),
             owing: (0..n_users).collect(),
             at: (0..n_users as u32).collect(),
             visited_last_ingest: 0,
@@ -162,24 +154,10 @@ impl DataReceiver {
         }
     }
 
-    /// Enable real payload carriage: each KB queued from here on is
-    /// backed by a [`Bytes`] chunk. Used by tests asserting end-to-end
-    /// byte movement; call it before any volume is set, since an
-    /// [`OriginModel::Infinite`] origin queues a flow's whole volume
-    /// when it is set.
-    pub fn with_payload(mut self) -> Self {
-        self.payload = vec![VecDeque::new(); self.flows.len()];
-        self
-    }
-
-    /// Queue `kb` of origin arrivals on flow `user` (and, in payload
-    /// mode, the chunk carrying them).
+    /// Queue `kb` of origin arrivals on flow `user`.
     fn arrive(&mut self, user: usize, kb: f64) {
         if kb > 0.0 {
             self.flows[user].backlog_kb += kb;
-            if let Some(q) = self.payload.get_mut(user) {
-                q.push_back(Bytes::from(vec![0u8; (kb * 1024.0) as usize]));
-            }
         }
     }
 
@@ -287,37 +265,15 @@ impl DataReceiver {
         self.flows.len()
     }
 
-    /// Dequeue up to `kb` for `user`; returns the KB actually removed
-    /// (and, in payload mode, the chunks carrying them).
-    pub fn dequeue_kb(&mut self, user: usize, kb: f64) -> (f64, Vec<Bytes>) {
+    /// Dequeue up to `kb` for `user`; returns the KB actually removed.
+    pub fn dequeue_kb(&mut self, user: usize, kb: f64) -> f64 {
         let f = &mut self.flows[user];
         let take = kb.min(f.backlog_kb).max(0.0);
         f.backlog_kb -= take;
-        let mut chunks = Vec::new();
-        if let Some(q) = self.payload.get_mut(user) {
-            let mut remaining_bytes = (take * 1024.0) as usize;
-            while remaining_bytes > 0 {
-                match q.pop_front() {
-                    None => break,
-                    Some(mut c) if c.len() <= remaining_bytes => {
-                        remaining_bytes -= c.len();
-                        chunks.push(std::mem::take(&mut c));
-                    }
-                    Some(mut c) => {
-                        let head = c.split_to(remaining_bytes);
-                        q.push_front(c);
-                        remaining_bytes = 0;
-                        chunks.push(head);
-                    }
-                }
-            }
-        }
-        (take, chunks)
+        take
     }
 
-    /// Snapshot every flow's queue state for a checkpoint. Payload chunks
-    /// are not captured: payload mode is a test fixture, not a simulation
-    /// mode, and resuming it would require shipping raw bytes.
+    /// Snapshot every flow's queue state for a checkpoint.
     pub fn export_state(&self) -> Vec<FlowState> {
         self.flows
             .iter()
@@ -369,8 +325,7 @@ mod tests {
         let mut r = DataReceiver::new(2, OriginModel::Infinite, 1.0);
         r.ingest_slot(0);
         assert!(r.backlog_kb(0) >= 1e12);
-        let (got, _) = r.dequeue_kb(0, 500.0);
-        assert_eq!(got, 500.0);
+        assert_eq!(r.dequeue_kb(0, 500.0), 500.0);
     }
 
     #[test]
@@ -378,8 +333,7 @@ mod tests {
         let mut r = DataReceiver::new(1, OriginModel::RateLimited { kbps: 100.0 }, 1.0);
         r.ingest_slot(0);
         assert_eq!(r.backlog_kb(0), 100.0);
-        let (got, _) = r.dequeue_kb(0, 500.0);
-        assert_eq!(got, 100.0);
+        assert_eq!(r.dequeue_kb(0, 500.0), 100.0);
         assert_eq!(r.backlog_kb(0), 0.0);
     }
 
@@ -416,29 +370,25 @@ mod tests {
         assert_eq!(r.backlog_kb(0), 250.0);
     }
 
+    /// Arrivals of two slots accumulate in one backlog; a dequeue that
+    /// spans them takes part of it, and the next one takes the rest.
     #[test]
-    fn payload_mode_moves_real_bytes() {
-        let mut r =
-            DataReceiver::new(1, OriginModel::RateLimited { kbps: 2.0 }, 1.0).with_payload();
+    fn partial_dequeues_drain_exactly_what_arrived() {
+        let mut r = DataReceiver::new(1, OriginModel::RateLimited { kbps: 2.0 }, 1.0);
         r.ingest_slot(0);
         r.ingest_slot(1);
-        // 4 KB queued as two 2 KB chunks; take 3 KB → one whole + one split.
-        let (kb, chunks) = r.dequeue_kb(0, 3.0);
-        assert_eq!(kb, 3.0);
-        let bytes: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(bytes, 3 * 1024);
-        let (kb2, chunks2) = r.dequeue_kb(0, 10.0);
-        assert_eq!(kb2, 1.0);
-        assert_eq!(chunks2.iter().map(|c| c.len()).sum::<usize>(), 1024);
+        assert_eq!(r.backlog_kb(0), 4.0);
+        assert_eq!(r.dequeue_kb(0, 3.0), 3.0);
+        assert_eq!(r.backlog_kb(0), 1.0);
+        assert_eq!(r.dequeue_kb(0, 10.0), 1.0);
+        assert_eq!(r.backlog_kb(0), 0.0);
     }
 
     /// An infinite origin queues a bounded flow's volume when it is set,
-    /// so no ingest visits the flow, and in payload mode the chunk that
-    /// carries it is the one the first ingest would have queued: the
-    /// same bytes leave the queue.
+    /// so no ingest visits the flow, and the same KB leave the queue.
     #[test]
     fn infinite_origin_drains_a_bounded_flow_when_its_volume_is_set() {
-        let mut r = DataReceiver::new(3, OriginModel::Infinite, 1.0).with_payload();
+        let mut r = DataReceiver::new(3, OriginModel::Infinite, 1.0);
         r.set_source_volume_kb(0, 2.5);
         r.set_source_volume_kb(2, 0.0);
         assert_eq!(r.backlog_kb(0), 2.5);
@@ -446,16 +396,9 @@ mod tests {
         assert_eq!(r.flows_visited_last_ingest(), 1, "only the unbounded flow");
         assert_eq!(r.backlog_kb(0), 2.5);
         assert_eq!(r.export_state()[0].remaining_source_kb, Some(0.0));
-        let (kb, chunks) = r.dequeue_kb(0, 1.0);
-        assert_eq!(kb, 1.0);
-        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 1024);
-        let (kb, chunks) = r.dequeue_kb(0, 10.0);
-        assert_eq!(kb, 1.5);
-        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 1536);
-        // An unbounded flow of an infinite origin never carries payload.
-        let (kb, chunks) = r.dequeue_kb(1, 10.0);
-        assert_eq!(kb, 10.0);
-        assert!(chunks.is_empty());
+        assert_eq!(r.dequeue_kb(0, 1.0), 1.0);
+        assert_eq!(r.dequeue_kb(0, 10.0), 1.5);
+        assert_eq!(r.dequeue_kb(1, 10.0), 10.0);
     }
 
     #[test]
@@ -503,7 +446,6 @@ mod tests {
     #[test]
     fn dequeue_never_negative() {
         let mut r = DataReceiver::new(1, OriginModel::RateLimited { kbps: 1.0 }, 1.0);
-        let (got, _) = r.dequeue_kb(0, -5.0);
-        assert_eq!(got, 0.0);
+        assert_eq!(r.dequeue_kb(0, -5.0), 0.0);
     }
 }

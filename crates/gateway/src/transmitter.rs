@@ -153,7 +153,7 @@ impl DataTransmitter {
         // importantly the short final frame of a stream. Physical
         // frames are padded, so the unit count (and hence the Eq. (2)
         // budget) stays at ⌈kb/δ⌉ while the payload is what was there.
-        let (kb, _chunks) = receiver.dequeue_kb(user.id, want_kb);
+        let kb = receiver.dequeue_kb(user.id, want_kb);
         // Full deliveries (the common case) read the memo table; a
         // backlog shortfall or an oversized grant takes the divide.
         let out_units = if kb == want_kb && units < 4096 {

@@ -115,7 +115,7 @@ fn transmit_dense(
             *clamp_events += 1;
         }
         budget -= units;
-        let (kb, _) = rx.dequeue_kb(user.id, ctx.delta_kb * units as f64);
+        let kb = rx.dequeue_kb(user.id, ctx.delta_kb * units as f64);
         out.push(Delivery {
             units: (kb / ctx.delta_kb).ceil() as u64,
             kb,
@@ -173,7 +173,7 @@ proptest! {
                         rx.import_state(&model).expect("same flow count");
                     }
                     _ => {
-                        let (got, _) = rx.dequeue_kb(user, x);
+                        let got = rx.dequeue_kb(user, x);
                         model[user].backlog_kb -= got;
                     }
                 }
@@ -397,7 +397,7 @@ proptest! {
         for (slot, take) in takes.iter().enumerate() {
             rx.ingest_slot(slot as u64);
             ingested += rate;
-            let (got, _) = rx.dequeue_kb(0, *take);
+            let got = rx.dequeue_kb(0, *take);
             prop_assert!(got <= *take + 1e-9);
             dequeued += got;
             prop_assert!((rx.backlog_kb(0) - (ingested - dequeued)).abs() < 1e-6);

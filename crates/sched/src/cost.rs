@@ -14,8 +14,8 @@
 //! For φ ≥ 1 the cost is affine in φ with slope
 //! `s = δ·(V·P(sigᵢ) − PCᵢ/pᵢ)`, and the marginal of the first unit is
 //! `s − V·E_tail_slot ≤ s`; each user's cost is therefore **convex** in φ,
-//! which is the fact [`crate::ema_fast`] exploits and [`crate::oracle`]
-//! cross-checks.
+//! which is the fact [`crate::ema_fast`] exploits and the brute-force
+//! oracle in this crate's `tests/oracle/` cross-checks.
 
 use jmso_gateway::{SlotContext, UserSnapshot};
 use jmso_radio::rrc::tail_energy_between;
@@ -129,7 +129,7 @@ impl<'a> EmaCost<'a> {
                 tail_energy_between(&self.models.rrc, idle_s, idle_s + self.tau).value()
             }
             TailPricing::Amortized { horizon_slots } => {
-                let h = horizon_slots.max(1) as f64;
+                let h = f64::from(horizon_slots);
                 tail_energy_between(&self.models.rrc, idle_s, idle_s + h * self.tau).value() / h
             }
         }

@@ -16,10 +16,10 @@
 //!
 //! with `g[i][M]` recording the argmin for backtracking and the final
 //! total chosen as `argmin_M a[P][M]`. That recurrence is kept verbatim
-//! as [`solve_dp_with`] — O(P · C · φ_max) per slot — and is the oracle
-//! the greedy is pinned against, allocation for allocation;
-//! `reference_dp: true` in a [`crate::SchedulerSpec::Ema`] routes a whole
-//! run through it.
+//! as [`solve_dp_with`] — O(P · C · φ_max) per slot. No policy calls it:
+//! it is the oracle the greedy is pinned against, allocation for
+//! allocation, per slot in this crate's tests and over whole runs in the
+//! simulator's.
 //!
 //! The Lyapunov virtual queues `PCᵢ` (Eq. (16)) are owned by the policy
 //! and advanced after each allocation.
@@ -42,18 +42,12 @@ use jmso_gateway::{Allocation, DegradationEvent, Scheduler, SlotContext};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ema {
-    /// What [`Scheduler::name`] reports: `"EMA"`, or `"EMA-fast"` when
-    /// built from [`crate::SchedulerSpec::EmaFast`]. Results and trace
-    /// headers carry it.
-    pub(crate) name: &'static str,
     v: f64,
     models: CrossLayerModels,
     tail_pricing: TailPricing,
     queues: VirtualQueues,
     parts: Vec<SlotUser>,
     greedy: GreedyScratch,
-    oracle: DpScratch,
-    reference_dp: bool,
     pc_clamp: Option<f64>,
     events: Vec<DegradationEvent>,
 }
@@ -64,15 +58,12 @@ impl Ema {
     pub fn new(v: f64, models: CrossLayerModels) -> Self {
         assert!(v > 0.0, "V must be positive");
         Self {
-            name: "EMA",
             v,
             models,
             tail_pricing: TailPricing::PerSlot,
             queues: VirtualQueues::new(0),
             parts: Vec::new(),
             greedy: GreedyScratch::default(),
-            oracle: DpScratch::default(),
-            reference_dp: false,
             pc_clamp: None,
             events: Vec::new(),
         }
@@ -81,15 +72,6 @@ impl Ema {
     /// Override how idle slots are priced (see [`TailPricing`]).
     pub fn with_tail_pricing(mut self, tail_pricing: TailPricing) -> Self {
         self.tail_pricing = tail_pricing;
-        self
-    }
-
-    /// Solve each slot with the literal Algorithm 2 table
-    /// ([`solve_dp_with`]) instead of the greedy. Same allocations,
-    /// orders of magnitude slower; exists for differential testing, not
-    /// production runs.
-    pub fn with_reference_solver(mut self, reference_dp: bool) -> Self {
-        self.reference_dp = reference_dp;
         self
     }
 
@@ -285,7 +267,7 @@ pub fn objective(parts: &[SlotUser], alloc: &[u64]) -> f64 {
 
 impl Scheduler for Ema {
     fn name(&self) -> &'static str {
-        self.name
+        "EMA"
     }
 
     fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation) {
@@ -296,11 +278,7 @@ impl Scheduler for Ema {
         out.reset(ctx.users.len());
         let cost = EmaCost::with_pricing(self.v, &self.models, ctx, self.tail_pricing);
         slot_users_into(&cost, ctx, &self.queues, &mut self.parts);
-        let chosen = if self.reference_dp {
-            solve_dp_with(&self.parts, ctx.bs_cap_units, &mut self.oracle)
-        } else {
-            solve_greedy_with(&self.parts, ctx.bs_cap_units, &mut self.greedy)
-        };
+        let chosen = solve_greedy_with(&self.parts, ctx.bs_cap_units, &mut self.greedy);
         for (part, &units) in self.parts.iter().zip(chosen) {
             out.0[part.id] = units;
         }
@@ -591,13 +569,15 @@ mod tests {
         }
     }
 
-    /// The `reference_dp` knob routes through Algorithm 2 yet produces
-    /// the exact same allocations across a stateful multi-slot run
-    /// (virtual queues and all).
+    /// Algorithm 2, driven slot by slot with its own virtual queues,
+    /// makes the exact same allocations as [`Ema`] across a stateful
+    /// multi-slot run.
     #[test]
     fn reference_solver_knob_matches_greedy() {
-        let mut fast = Ema::new(0.8, CrossLayerModels::paper());
-        let mut slow = Ema::new(0.8, CrossLayerModels::paper()).with_reference_solver(true);
+        let models = CrossLayerModels::paper();
+        let mut fast = Ema::new(0.8, models);
+        let (mut queues, mut parts, mut scratch) =
+            (VirtualQueues::new(6), Vec::new(), DpScratch::default());
         for slot in 0..40u64 {
             let users: Vec<_> = (0..6)
                 .map(|i| {
@@ -612,9 +592,14 @@ mod tests {
                 .collect();
             let mut c = ctx(&users, 14);
             c.slot = slot;
-            let a = fast.allocate(&c);
-            let b = slow.allocate(&c);
-            assert_eq!(a, b, "slot {slot}");
+            let cost = EmaCost::new(0.8, &models, &c);
+            slot_users_into(&cost, &c, &queues, &mut parts);
+            let mut b = Allocation::zeros(users.len());
+            for (part, &units) in parts.iter().zip(solve_dp_with(&parts, 14, &mut scratch)) {
+                b.0[part.id] = units;
+            }
+            queues.apply_allocation(&c, &b.0);
+            assert_eq!(fast.allocate(&c), b, "slot {slot}");
         }
     }
 

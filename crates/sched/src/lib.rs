@@ -8,14 +8,13 @@
 //! * [`ema`] — **EMA** (Algorithm 2): minimize energy subject to a
 //!   rebuffering bound, via the Lyapunov drift-plus-penalty machinery in
 //!   [`lyapunov`] over the shared cost model in [`cost`]; it also keeps
-//!   the paper's literal knapsack DP as the oracle.
+//!   the paper's literal knapsack DP, which no policy calls, as the oracle.
 //! * [`ema_fast`] — the exact marginal greedy EMA solves each slot with
 //!   (the per-user cost is convex in φ, so marginal-cost greedy is
-//!   optimal). Property-tested allocation-equal to the DP.
+//!   optimal). Property-tested allocation-equal to the DP, and to a
+//!   brute-force enumeration on tiny instances (`tests/oracle/`).
 //! * [`baselines`] — the five §VI comparison policies: Default (greedy
 //!   max), Throttling, ON-OFF, SALSA, and EStreamer.
-//! * [`oracle`] — brute-force enumeration for tiny instances, used to
-//!   validate the knapsack formulation, the greedy and the DP.
 //! * [`kernels`] — autovectorization-pinned batch kernels over RTMA's
 //!   per-slot need/ceiling columns (the tranche clamp, the demand mask),
 //!   each sharing its per-element core with the scalar path so batch ≡
@@ -30,7 +29,6 @@ pub mod ema_fast;
 pub mod error;
 pub mod kernels;
 pub mod lyapunov;
-pub mod oracle;
 pub mod rtma;
 pub mod spec;
 pub mod threshold;

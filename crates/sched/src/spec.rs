@@ -37,27 +37,9 @@ pub enum SchedulerSpec {
         /// How idle slots are priced (defaults to the literal Eq. (5)).
         #[serde(default)]
         tail: TailPricing,
-        /// Solve each slot with the paper's literal O(P · C · φ_max)
-        /// table DP instead of the greedy. Differential-testing route;
-        /// identical allocations, orders of magnitude slower.
-        #[serde(default)]
-        reference_dp: bool,
         /// Saturate virtual queues `PCᵢ(n)` at this bound, seconds
         /// (graceful degradation under prolonged outage). `None` keeps
         /// the paper-exact unbounded queues.
-        #[serde(default)]
-        pc_clamp: Option<f64>,
-    },
-    /// The same policy and solver as [`SchedulerSpec::Ema`], reported as
-    /// `"EMA-fast"` (kept so existing configs, results and traces that
-    /// name it stay valid).
-    EmaFast {
-        /// Lyapunov weight V.
-        v: f64,
-        /// How idle slots are priced (defaults to the literal Eq. (5)).
-        #[serde(default)]
-        tail: TailPricing,
-        /// Saturate virtual queues `PCᵢ(n)` at this bound, seconds.
         #[serde(default)]
         pc_clamp: Option<f64>,
     },
@@ -114,24 +96,11 @@ impl SchedulerSpec {
             SchedulerSpec::RtmaUnbounded => {
                 Box::new(Rtma::with_threshold(SignalThreshold::allow_all()))
             }
-            SchedulerSpec::Ema {
-                v,
-                tail,
-                reference_dp,
-                pc_clamp,
-            } => Box::new(
+            SchedulerSpec::Ema { v, tail, pc_clamp } => Box::new(
                 Ema::new(v, *models)
                     .with_tail_pricing(tail)
-                    .with_reference_solver(reference_dp)
                     .with_pc_clamp(pc_clamp),
             ),
-            SchedulerSpec::EmaFast { v, tail, pc_clamp } => {
-                let mut ema = Ema::new(v, *models)
-                    .with_tail_pricing(tail)
-                    .with_pc_clamp(pc_clamp);
-                ema.name = "EMA-fast";
-                Box::new(ema)
-            }
             SchedulerSpec::Throttling { kappa } => Box::new(Throttling::new(kappa)),
             SchedulerSpec::OnOff { low_s, high_s } => Box::new(OnOff::new(low_s, high_s)),
             SchedulerSpec::Salsa {
@@ -150,13 +119,19 @@ impl SchedulerSpec {
     }
 
     /// Reject every parameter that [`SchedulerSpec::build`]'s constructors
-    /// `assert!`, with their own comparisons, under which NaN fails too.
+    /// `assert!`, with their own comparisons, under which NaN fails too,
+    /// and the two that would build a policy that silently misbehaves: a
+    /// NaN Φ (a NaN Eq. (12) threshold admits no signal) and a zero-slot
+    /// amortization horizon.
     pub fn validate(&self) -> Result<(), String> {
         let unit = |a: f64| a > 0.0 && a <= 1.0;
         let (ok, rule) = match *self {
-            Self::Ema { v, pc_clamp, .. } | Self::EmaFast { v, pc_clamp, .. } => (
-                v > 0.0 && pc_clamp.is_none_or(|b| b > 0.0),
-                "needs v > 0 and pc_clamp > 0",
+            Self::Rtma { phi_mj, .. } => (!phi_mj.is_nan(), "needs a phi_mj that is a number"),
+            Self::Ema { v, tail, pc_clamp } => (
+                v > 0.0
+                    && pc_clamp.is_none_or(|b| b > 0.0)
+                    && tail != TailPricing::Amortized { horizon_slots: 0 },
+                "needs v > 0, pc_clamp > 0 and horizon_slots > 0",
             ),
             Self::Throttling { kappa } => (kappa > 0.0, "needs kappa > 0"),
             Self::OnOff { low_s, high_s } => {
@@ -177,9 +152,7 @@ impl SchedulerSpec {
             Self::ProportionalFair { ewma_alpha } => {
                 (unit(ewma_alpha), "needs 0 < ewma_alpha <= 1")
             }
-            Self::Default | Self::Rtma { .. } | Self::RtmaUnbounded | Self::RoundRobin => {
-                (true, "")
-            }
+            Self::Default | Self::RtmaUnbounded | Self::RoundRobin => (true, ""),
         };
         match ok {
             true => Ok(()),
@@ -194,7 +167,6 @@ impl SchedulerSpec {
             SchedulerSpec::Rtma { phi_mj, .. } => format!("RTMA(Φ={phi_mj:.0}mJ)"),
             SchedulerSpec::RtmaUnbounded => "RTMA(∞)".into(),
             SchedulerSpec::Ema { v, .. } => format!("EMA(V={v})"),
-            SchedulerSpec::EmaFast { v, .. } => format!("EMA-fast(V={v})"),
             SchedulerSpec::Throttling { kappa } => format!("Throttling(κ={kappa})"),
             SchedulerSpec::OnOff { low_s, high_s } => format!("ON-OFF({low_s}/{high_s}s)"),
             SchedulerSpec::Salsa { .. } => "SALSA".into(),
@@ -244,44 +216,35 @@ impl SchedulerSpec {
         }
     }
 
-    /// EMA-fast with the literal Eq. (5) per-slot tail pricing.
-    pub fn ema_fast(v: f64) -> Self {
-        SchedulerSpec::EmaFast {
+    /// EMA with the literal Eq. (5) per-slot tail pricing.
+    pub fn ema(v: f64) -> Self {
+        SchedulerSpec::Ema {
             v,
             tail: TailPricing::PerSlot,
             pc_clamp: None,
         }
     }
 
-    /// EMA-fast with the amortized tail pricing the figure harness uses
-    /// (see [`TailPricing`]).
-    pub fn ema_fast_amortized(v: f64) -> Self {
-        SchedulerSpec::EmaFast {
+    /// EMA with the amortized tail pricing the figure harness uses (see
+    /// [`TailPricing`]).
+    pub fn ema_amortized(v: f64) -> Self {
+        SchedulerSpec::Ema {
             v,
             tail: TailPricing::amortized_default(),
             pc_clamp: None,
         }
     }
 
-    /// EMA with the literal Eq. (5) per-slot tail pricing.
+    // The benchmark harness still spells these two names; ROADMAP item 9
+    // moves it to `ema` and deletes them.
+    #[doc(hidden)]
     pub fn ema_dp(v: f64) -> Self {
-        SchedulerSpec::Ema {
-            v,
-            tail: TailPricing::PerSlot,
-            reference_dp: false,
-            pc_clamp: None,
-        }
+        Self::ema(v)
     }
 
-    /// [`SchedulerSpec::ema_dp`] solved by the literal Algorithm 2 table
-    /// (differential tests only).
-    pub fn ema_dp_reference(v: f64) -> Self {
-        SchedulerSpec::Ema {
-            v,
-            tail: TailPricing::PerSlot,
-            reference_dp: true,
-            pc_clamp: None,
-        }
+    #[doc(hidden)]
+    pub fn ema_fast(v: f64) -> Self {
+        Self::ema(v)
     }
 
     /// Proportional fair with the default EWMA factor.
@@ -301,8 +264,7 @@ mod tests {
             SchedulerSpec::Default,
             SchedulerSpec::rtma(900.0),
             SchedulerSpec::RtmaUnbounded,
-            SchedulerSpec::ema_dp(1.0),
-            SchedulerSpec::ema_fast(1.0),
+            SchedulerSpec::ema(1.0),
             SchedulerSpec::throttling_default(),
             SchedulerSpec::onoff_default(),
             SchedulerSpec::salsa_default(),
@@ -319,15 +281,16 @@ mod tests {
     }
 
     /// Results, trace headers and the committed digests carry the
-    /// scheduler name, so each EMA variant keeps its own.
+    /// scheduler name: every EMA constructor, the two hidden aliases
+    /// included, builds the one policy named `"EMA"`.
     #[test]
     fn ema_variants_keep_their_names() {
         let models = CrossLayerModels::paper();
         let name = |spec: SchedulerSpec| spec.build(1.0, &models).name();
-        assert_eq!(name(SchedulerSpec::ema_dp(1.0)), "EMA");
-        assert_eq!(name(SchedulerSpec::ema_dp_reference(1.0)), "EMA");
-        assert_eq!(name(SchedulerSpec::ema_fast(1.0)), "EMA-fast");
-        assert_eq!(name(SchedulerSpec::ema_fast_amortized(1.0)), "EMA-fast");
+        assert_eq!(name(SchedulerSpec::ema(1.0)), "EMA");
+        assert_eq!(name(SchedulerSpec::ema_amortized(1.0)), "EMA");
+        assert_eq!(SchedulerSpec::ema_dp(1.0), SchedulerSpec::ema(1.0));
+        assert_eq!(SchedulerSpec::ema_fast(1.0), SchedulerSpec::ema(1.0));
     }
 
     #[test]
@@ -346,20 +309,6 @@ mod tests {
         );
     }
 
-    /// Configs written before the `reference_dp` knob existed must keep
-    /// deserializing, defaulting to the production solver.
-    #[test]
-    fn ema_reference_dp_defaults_off() {
-        let spec: SchedulerSpec =
-            serde_json::from_str(r#"{"kind":"ema","v":1.0}"#).expect("parses");
-        assert_eq!(spec, SchedulerSpec::ema_dp(1.0));
-        let explicit: SchedulerSpec =
-            serde_json::from_str(r#"{"kind":"ema","v":1.0,"reference_dp":true}"#).expect("parses");
-        assert_eq!(explicit, SchedulerSpec::ema_dp_reference(1.0));
-        assert_eq!(explicit.label(), "EMA(V=1)");
-        let _ = explicit.build(1.0, &CrossLayerModels::paper());
-    }
-
     /// Configs written before the degradation knobs existed must keep
     /// deserializing, with fallback and clamping off (paper-exact).
     #[test]
@@ -367,9 +316,8 @@ mod tests {
         let rtma: SchedulerSpec =
             serde_json::from_str(r#"{"kind":"rtma","phi_mj":900.0}"#).expect("parses");
         assert_eq!(rtma, SchedulerSpec::rtma(900.0));
-        let fast: SchedulerSpec =
-            serde_json::from_str(r#"{"kind":"ema_fast","v":2.0}"#).expect("parses");
-        assert_eq!(fast, SchedulerSpec::ema_fast(2.0));
+        let ema: SchedulerSpec = serde_json::from_str(r#"{"kind":"ema","v":2.0}"#).expect("parses");
+        assert_eq!(ema, SchedulerSpec::ema(2.0));
         let on: SchedulerSpec =
             serde_json::from_str(r#"{"kind":"rtma","phi_mj":900.0,"best_effort":true}"#)
                 .expect("parses");
@@ -389,8 +337,7 @@ mod tests {
             SchedulerSpec::Default,
             SchedulerSpec::rtma(900.0),
             SchedulerSpec::RtmaUnbounded,
-            SchedulerSpec::ema_dp(1.0),
-            SchedulerSpec::ema_fast(1.0),
+            SchedulerSpec::ema(1.0),
             SchedulerSpec::throttling_default(),
             SchedulerSpec::onoff_default(),
             SchedulerSpec::salsa_default(),
@@ -401,6 +348,6 @@ mod tests {
         .iter()
         .map(|s| s.label())
         .collect();
-        assert_eq!(labels.len(), 11);
+        assert_eq!(labels.len(), 10);
     }
 }

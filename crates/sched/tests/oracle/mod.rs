@@ -2,15 +2,15 @@
 //!
 //! Both per-slot problems the paper proves NP-hard reduce, for one slot, to
 //! a bounded multi-choice knapsack. This module enumerates *every* feasible
-//! allocation so the greedy of [`crate::ema_fast::solve_greedy_with`] and
-//! the Algorithm 2 table of [`crate::ema::solve_dp_with`] can be validated
-//! against ground truth on small instances, and so tests and examples can
-//! inspect true optima.
+//! allocation so the greedy of [`jmso_sched::ema_fast::solve_greedy_with`]
+//! and the Algorithm 2 table of [`jmso_sched::ema::solve_dp_with`] can be
+//! validated against ground truth on small instances. A test target
+//! shares it with `mod oracle;`.
 //!
 //! The state space is `Π (capᵢ+1)`, so keep instances tiny (≤ ~6 users ×
 //! ≤ ~8 units).
 
-use crate::ema::SlotUser;
+use jmso_sched::ema::SlotUser;
 
 /// Minimize `Σ f(i, φᵢ)` subject to `φᵢ ≤ capᵢ`, `Σφᵢ ≤ budget` by
 /// exhaustive enumeration. Returns `(allocation, objective)`.
@@ -131,13 +131,12 @@ pub fn max_playback_exhaustive(parts: &[SlotUser], delta_kb: f64, budget: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CrossLayerModels, EmaCost};
-    use crate::ema::{objective, slot_users, solve_dp_with, DpScratch};
-    use crate::ema_fast::solve_greedy;
-    use crate::lyapunov::VirtualQueues;
     use jmso_gateway::{SlotContext, UserSnapshot};
     use jmso_radio::rrc::RrcState;
     use jmso_radio::Dbm;
+    use jmso_sched::ema::{objective, slot_users, solve_dp_with, DpScratch};
+    use jmso_sched::ema_fast::solve_greedy;
+    use jmso_sched::{CrossLayerModels, EmaCost, VirtualQueues};
 
     fn user(id: usize, sig: f64, rate: f64, link_cap: u64) -> UserSnapshot {
         UserSnapshot {

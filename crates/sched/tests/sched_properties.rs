@@ -7,16 +7,18 @@
 //! cross-user ties and zero marginals are frequent — and both must reach
 //! the brute-force optimum on tiny instances.
 
+mod oracle;
+
 use jmso_gateway::{Allocation, Scheduler, SlotContext, UserSnapshot};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::Dbm;
 use jmso_sched::ema::{objective, slot_users, solve_dp_with, DpScratch, SlotUser};
 use jmso_sched::ema_fast::solve_greedy;
-use jmso_sched::oracle::solve_exhaustive;
 use jmso_sched::{
     CrossLayerModels, DefaultMax, EStreamer, Ema, EmaCost, OnOff, ProportionalFair, RoundRobin,
     Rtma, Salsa, SchedulerSpec, SignalThreshold, Throttling, VirtualQueues,
 };
+use oracle::solve_exhaustive;
 use proptest::prelude::*;
 
 /// The paper's Algorithm 2 on fresh rows.
@@ -154,8 +156,8 @@ fn spec_roundtrip_case(phi_raw: f64, v_raw: f64) -> Vec<String> {
     let mut rejected = Vec::new();
     for spec in [
         SchedulerSpec::rtma(phi),
-        SchedulerSpec::ema_dp(v),
-        SchedulerSpec::ema_fast(v),
+        SchedulerSpec::ema(v),
+        SchedulerSpec::ema_amortized(v),
     ] {
         let j = serde_json::to_string(&spec).unwrap_or_default();
         assert_eq!(serde_json::from_str(&j).ok().as_ref(), Some(&spec));
@@ -347,8 +349,8 @@ fn spec_roundtrip_phi_100_v_0_01() {
 
 /// The two EMA specs' rejections at V = 0; RTMA's Φ is valid.
 const V_ZERO: [&str; 2] = [
-    "EMA(V=0) needs v > 0 and pc_clamp > 0",
-    "EMA-fast(V=0) needs v > 0 and pc_clamp > 0",
+    "EMA(V=0) needs v > 0, pc_clamp > 0 and horizon_slots > 0",
+    "EMA(V=0) needs v > 0, pc_clamp > 0 and horizon_slots > 0",
 ];
 
 proptest! {
@@ -384,8 +386,7 @@ proptest! {
             SchedulerSpec::RtmaUnbounded,
             SchedulerSpec::rtma(phi),
             SchedulerSpec::Rtma { phi_mj: phi, best_effort: true },
-            SchedulerSpec::ema_dp(v),
-            SchedulerSpec::ema_fast(v),
+            SchedulerSpec::ema(v),
             SchedulerSpec::throttling_default(),
             SchedulerSpec::onoff_default(),
             SchedulerSpec::salsa_default(),
@@ -440,7 +441,7 @@ proptest! {
         users in proptest::collection::vec(arb_integral_rate_user(), 1..5),
         budget in 0u64..14,
     ) {
-        use jmso_sched::oracle::min_rebuffer_exhaustive;
+        use oracle::min_rebuffer_exhaustive;
 
         let snaps = snapshots(&users);
         let ctx = SlotContext {

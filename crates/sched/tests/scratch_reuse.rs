@@ -1,6 +1,6 @@
 //! Scratch-reuse regression tests: every scheduler keeps per-slot scratch
-//! buffers (RTMA's order/need/ceiling, EMA's heap, oracle rows and virtual
-//! queues) that are reused across slots for the zero-allocation hot path. A
+//! buffers (RTMA's order/need/ceiling, EMA's heap and virtual queues,
+//! Algorithm 2's rows) that are reused across slots for the zero-allocation hot path. A
 //! scheduler that has been driven on one population shape must behave
 //! exactly like a freshly built one when the context shape changes —
 //! stale scratch from the larger population must never leak into the
@@ -20,7 +20,8 @@
 use jmso_gateway::{Allocation, Scheduler, SlotContext, UserSnapshot};
 use jmso_radio::rrc::RrcState;
 use jmso_radio::Dbm;
-use jmso_sched::{CrossLayerModels, Ema, Rtma, SchedulerSpec};
+use jmso_sched::ema::{slot_users, solve_dp_with, DpScratch};
+use jmso_sched::{CrossLayerModels, Ema, EmaCost, Rtma, SchedulerSpec, VirtualQueues};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -103,10 +104,36 @@ fn ema_shape_change_is_clean() {
     assert_shape_change_clean(Ema::new(1.0, m()), Ema::new(1.0, m()));
 }
 
+/// Algorithm 2's rows, warmed on 12-user slots and then reused on 4-user
+/// ones, solve each of those as fresh rows do.
 #[test]
 fn ema_reference_solver_shape_change_is_clean() {
-    let ema = || Ema::new(1.0, CrossLayerModels::paper()).with_reference_solver(true);
-    assert_shape_change_clean(ema(), ema());
+    let models = CrossLayerModels::paper();
+    let solve = |scratch: &mut DpScratch, n: usize, slot: u64| {
+        let snapshot = users(n, slot);
+        let ctx = SlotContext {
+            slot,
+            tau: 1.0,
+            delta_kb: 50.0,
+            bs_cap_units: 4 * n as u64,
+            users: &snapshot,
+            soa: None,
+        };
+        let mut queues = VirtualQueues::new(n);
+        for i in 0..n {
+            queues.update(i, 1.0, ((slot as usize + i) % 5) as f64 * 0.5);
+        }
+        let parts = slot_users(&EmaCost::new(1.0, &models, &ctx), &ctx, &queues);
+        solve_dp_with(&parts, ctx.bs_cap_units, scratch).to_vec()
+    };
+    let mut dirty = DpScratch::default();
+    for slot in 0..5 {
+        solve(&mut dirty, 12, slot);
+    }
+    for slot in 100..108 {
+        let fresh = solve(&mut DpScratch::default(), 4, slot);
+        assert_eq!(solve(&mut dirty, 4, slot), fresh, "slot {slot}");
+    }
 }
 
 /// RTMA's exported queue view masks users with a zero grant ceiling
@@ -226,8 +253,7 @@ fn reused_grant_vector_equals_a_fresh_one_for_every_policy() {
         SchedulerSpec::Default,
         SchedulerSpec::rtma(900.0),
         SchedulerSpec::RtmaUnbounded,
-        SchedulerSpec::ema_dp(1.0),
-        SchedulerSpec::ema_fast(1.0),
+        SchedulerSpec::ema(1.0),
         SchedulerSpec::throttling_default(),
         SchedulerSpec::onoff_default(),
         SchedulerSpec::salsa_default(),

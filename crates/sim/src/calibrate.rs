@@ -102,7 +102,7 @@ pub fn fit_v_for_omega_with(
     assert!(v_lo > 0.0 && v_hi > v_lo, "need 0 < v_lo < v_hi");
     let measure = |v: f64| -> Result<f64, SimError> {
         let r = scenario
-            .with_scheduler(SchedulerSpec::EmaFast {
+            .with_scheduler(SchedulerSpec::Ema {
                 v,
                 tail,
                 pc_clamp: None,

@@ -1094,11 +1094,18 @@ mod tests {
     use super::admission_tick::admission_context;
     use super::*;
     use crate::telemetry::{NullRecorder, TraceRecorder};
+    use crate::{
+        ArrivalSpec, CapacitySpec, FaultEvent, FaultSpec, Scenario, SchedulerSpec, TailPricing,
+        WorkloadSpec,
+    };
     use jmso_gateway::bs::ConstantCapacity;
+    use jmso_gateway::{Allocation, DegradationEvent, SlotContext};
     use jmso_gateway::{CollectorSpec, OriginModel};
     use jmso_media::VideoSession;
     use jmso_radio::{KbPerSec, LinearRssiThroughput};
-    use jmso_sched::DefaultMax;
+    use jmso_sched::ema::{slot_users_into, solve_dp_with, DpScratch, SlotUser};
+    use jmso_sched::{DefaultMax, EmaCost, VirtualQueues};
+    use proptest::prelude::*;
 
     fn small_engine(
         n: usize,
@@ -1588,6 +1595,154 @@ mod tests {
             }
         });
         assert_eq!(fed, run(&batch, &|_, _| {}));
+    }
+
+    /// EMA with each slot solved by the paper's Algorithm 2 table instead
+    /// of the greedy: the policy's steps, rebuilt from the public parts of
+    /// `jmso_sched` so that no production door leads to the table.
+    struct Algorithm2Ema {
+        v: f64,
+        tail: TailPricing,
+        pc_clamp: Option<f64>,
+        models: CrossLayerModels,
+        queues: VirtualQueues,
+        parts: Vec<SlotUser>,
+        rows: DpScratch,
+        events: Vec<DegradationEvent>,
+    }
+
+    impl Scheduler for Algorithm2Ema {
+        fn name(&self) -> &'static str {
+            "EMA"
+        }
+
+        fn allocate_into(&mut self, ctx: &SlotContext, out: &mut Allocation) {
+            if self.queues.len() != ctx.users.len() {
+                self.queues = VirtualQueues::new(ctx.users.len());
+            }
+            self.events.clear();
+            out.reset(ctx.users.len());
+            let cost = EmaCost::with_pricing(self.v, &self.models, ctx, self.tail);
+            slot_users_into(&cost, ctx, &self.queues, &mut self.parts);
+            let chosen = solve_dp_with(&self.parts, ctx.bs_cap_units, &mut self.rows);
+            for (part, &units) in self.parts.iter().zip(chosen) {
+                out.0[part.id] = units;
+            }
+            self.queues.apply_allocation(ctx, &out.0);
+            let Some(bound) = self.pc_clamp else { return };
+            for user in 0..self.queues.len() {
+                if let Some(pc_before) = self.queues.clamp(user, bound) {
+                    self.events.push(DegradationEvent::QueueClamped {
+                        slot: ctx.slot,
+                        user,
+                        pc_before,
+                        pc_after: bound,
+                    });
+                }
+            }
+        }
+
+        fn queue_values(&self) -> Option<&[f64]> {
+            Some(self.queues.values())
+        }
+
+        fn degradations(&self) -> &[DegradationEvent] {
+            &self.events
+        }
+    }
+
+    fn arb_cell() -> impl Strategy<Value = Scenario> {
+        (
+            (1usize..6, 50u64..250),                // users, slots
+            (500.0f64..8_000.0, 500.0f64..4_000.0), // capacity KB/s, video KB
+            0u64..1_000,                            // seed
+            (prop::bool::ANY, prop::bool::ANY),     // markov signal, VBR ladder
+            prop::option::of(1.0f64..30.0),         // staggered arrivals
+        )
+            .prop_map(|((n, slots), (kbps, size), seed, (markov, vbr), stagger)| {
+                let mut s = Scenario::paper_default(n);
+                s.slots = slots;
+                s.seed = seed;
+                s.capacity = CapacitySpec::Constant { kbps };
+                s.workload = WorkloadSpec {
+                    size_range_kb: (size, size * 1.5),
+                    rate_range_kbps: (300.0, 600.0),
+                    vbr_levels: vbr.then(|| vec![0.7, 1.0, 1.4]),
+                    vbr_segment_slots: 20,
+                };
+                if markov {
+                    s.signal = SignalSpec::Markov {
+                        min_dbm: -110.0,
+                        max_dbm: -50.0,
+                        levels: 16,
+                        move_prob: 0.3,
+                    };
+                }
+                if let Some(mean_interval_slots) = stagger {
+                    s.arrivals = ArrivalSpec::Staggered {
+                        mean_interval_slots,
+                    };
+                }
+                s
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A greedy EMA run ≡ the same engine with lane 0's scheduler
+        /// swapped for [`Algorithm2Ema`], results and full trace bytes:
+        /// on roomy and contended cells, with the queue clamp, with
+        /// amortized tail pricing, and through a fault plan with a cell
+        /// outage followed by a link outage.
+        #[test]
+        fn ema_greedy_and_algorithm2_trace_identically(
+            cell in arb_cell(),
+            v in 0.05f64..5.0,
+            contended_kbps in prop::option::of(100.0f64..1_200.0),
+            pc_clamp in prop::option::of(0.5f64..8.0),
+            amortized in prop::bool::ANY,
+            outage in prop::option::of((0u64..20, 1u64..15)), // ends before slot 50
+        ) {
+            let mut s = cell;
+            if let Some(kbps) = contended_kbps {
+                s.capacity = CapacitySpec::Constant { kbps };
+            }
+            if let Some((from, len)) = outage {
+                s.faults = FaultSpec::Declared {
+                    events: vec![
+                        FaultEvent::CellOutage { cell: 0, from_slot: from, until_slot: from + len },
+                        FaultEvent::LinkOutage {
+                            user: 0,
+                            from_slot: from + len,
+                            until_slot: from + 2 * len,
+                        },
+                    ],
+                };
+            }
+            let tail = match amortized {
+                true => TailPricing::amortized_default(),
+                false => TailPricing::PerSlot,
+            };
+            s.scheduler = SchedulerSpec::Ema { v, tail, pc_clamp };
+            let (greedy, greedy_trace) = s.run_traced(1).unwrap();
+
+            let mut eng = s.engine().unwrap();
+            eng.lanes[0].scheduler = Box::new(Algorithm2Ema {
+                v,
+                tail,
+                pc_clamp,
+                models: s.models,
+                queues: VirtualQueues::new(0),
+                parts: Vec::new(),
+                rows: DpScratch::default(),
+                events: Vec::new(),
+            });
+            let mut rec = s.trace_recorder(1);
+            let table = eng.build_driver(&mut rec, None).unwrap().run(&mut rec).0;
+            prop_assert_eq!(greedy.per_user, table.per_user);
+            prop_assert_eq!(greedy_trace.to_jsonl(), rec.into_trace(&table.scheduler).to_jsonl());
+        }
     }
 
     /// The row's size (see [`UserSim`], whose lack of drop glue a

@@ -214,7 +214,7 @@ mod tests {
         for spec in [
             SchedulerSpec::Default,
             SchedulerSpec::RtmaUnbounded,
-            SchedulerSpec::ema_fast(0.05),
+            SchedulerSpec::ema(0.05),
         ] {
             let mut mc = multi(6, 3, 0.02);
             mc.base.scheduler = spec.clone();
@@ -259,7 +259,7 @@ mod tests {
         for spec in [
             SchedulerSpec::Default,
             SchedulerSpec::RtmaUnbounded,
-            SchedulerSpec::ema_fast(0.05),
+            SchedulerSpec::ema(0.05),
         ] {
             let mut mc = multi(8, 4, 0.05);
             mc.base.scheduler = spec.clone();

@@ -135,7 +135,7 @@ impl Scenario {
     /// The builder behind every door: validate, compile the fault spec
     /// against the one cell (no plan when the scenario declares no
     /// faults), and assemble the engine.
-    fn engine(&self) -> Result<Engine, SimError> {
+    pub(crate) fn engine(&self) -> Result<Engine, SimError> {
         self.validate()?;
         let plan = match self.faults.is_none() {
             true => None,
@@ -888,7 +888,7 @@ mod tests {
             SchedulerSpec::Default,
             SchedulerSpec::rtma(900.0),
             SchedulerSpec::RtmaUnbounded,
-            SchedulerSpec::ema_fast(1.0),
+            SchedulerSpec::ema(1.0),
             SchedulerSpec::throttling_default(),
             SchedulerSpec::onoff_default(),
             SchedulerSpec::salsa_default(),

@@ -27,7 +27,7 @@ fn arb_sched() -> impl Strategy<Value = SchedulerSpec> {
     prop_oneof![
         Just(SchedulerSpec::Default),
         (700.0f64..1300.0).prop_map(SchedulerSpec::rtma),
-        (0.05f64..5.0).prop_map(SchedulerSpec::ema_fast),
+        (0.05f64..5.0).prop_map(SchedulerSpec::ema),
         Just(SchedulerSpec::pf_default()),
     ]
 }

@@ -170,7 +170,7 @@ fn short_latency_histogram_is_typed_refusal() {
 /// for the right reason.
 #[test]
 fn pristine_sidecar_round_trips() {
-    let s = quick(4).with_scheduler(jmso_sim::SchedulerSpec::EmaFast {
+    let s = quick(4).with_scheduler(jmso_sim::SchedulerSpec::Ema {
         v: 200.0,
         tail: TailPricing::default(),
         pc_clamp: None,

@@ -31,11 +31,7 @@ fn contended(n: usize, spec: SchedulerSpec) -> Scenario {
 /// reproduces each loop's result exactly — no scratch survives a run.
 #[test]
 fn interleaved_loops_are_pure() {
-    for spec in [
-        SchedulerSpec::RtmaUnbounded,
-        SchedulerSpec::ema_dp(1.0),
-        SchedulerSpec::ema_fast(1.0),
-    ] {
+    for spec in [SchedulerSpec::RtmaUnbounded, SchedulerSpec::ema(1.0)] {
         let s = contended(4, spec);
         let base_run = s.run().unwrap();
         let base_ref = s.run_reference().unwrap();
@@ -57,7 +53,7 @@ fn interleaved_loops_are_pure() {
 #[test]
 fn recorder_reuse_matches_fresh() {
     let a = contended(4, SchedulerSpec::RtmaUnbounded);
-    let b = contended(2, SchedulerSpec::ema_dp(0.5));
+    let b = contended(2, SchedulerSpec::ema(0.5));
 
     let mut fresh = TraceRecorder::new();
     a.run_with(&mut fresh).unwrap();
@@ -82,7 +78,7 @@ fn recorder_reuse_matches_fresh() {
 /// Attaching a recorder must not perturb the simulation itself.
 #[test]
 fn tracing_does_not_perturb_results() {
-    let s = contended(3, SchedulerSpec::ema_fast(2.0));
+    let s = contended(3, SchedulerSpec::ema(2.0));
     let plain = s.run().unwrap();
     let (traced, _) = s.run_traced(4).unwrap();
     assert_eq!(plain.per_user, traced.per_user);

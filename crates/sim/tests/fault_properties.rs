@@ -29,7 +29,7 @@ fn arb_spec() -> impl Strategy<Value = SchedulerSpec> {
         Just(SchedulerSpec::Default),
         Just(SchedulerSpec::RtmaUnbounded),
         (700.0f64..1300.0).prop_map(SchedulerSpec::rtma),
-        (0.05f64..5.0).prop_map(SchedulerSpec::ema_fast),
+        (0.05f64..5.0).prop_map(SchedulerSpec::ema),
         Just(SchedulerSpec::RoundRobin),
         Just(SchedulerSpec::pf_default()),
     ]
@@ -356,7 +356,6 @@ fn every_scheduler_variant() -> Vec<(SchedulerSpec, f64)> {
         | SchedulerSpec::Rtma { .. }
         | SchedulerSpec::RtmaUnbounded
         | SchedulerSpec::Ema { .. }
-        | SchedulerSpec::EmaFast { .. }
         | SchedulerSpec::Throttling { .. }
         | SchedulerSpec::OnOff { .. }
         | SchedulerSpec::Salsa { .. }
@@ -368,8 +367,7 @@ fn every_scheduler_variant() -> Vec<(SchedulerSpec, f64)> {
         (SchedulerSpec::Default, 1_700.0),
         (SchedulerSpec::rtma(900.0), 1_700.0),
         (SchedulerSpec::RtmaUnbounded, 1_700.0),
-        (SchedulerSpec::ema_dp(1.0), 1_700.0),
-        (SchedulerSpec::ema_fast(1.0), 1_700.0),
+        (SchedulerSpec::ema(1.0), 1_700.0),
         (SchedulerSpec::throttling_default(), 1_700.0),
         (
             SchedulerSpec::OnOff {

@@ -23,7 +23,7 @@ fn arb_spec() -> impl Strategy<Value = SchedulerSpec> {
     prop_oneof![
         Just(SchedulerSpec::Default),
         (700.0f64..1300.0).prop_map(SchedulerSpec::rtma),
-        (0.05f64..5.0).prop_map(SchedulerSpec::ema_fast),
+        (0.05f64..5.0).prop_map(SchedulerSpec::ema),
         Just(SchedulerSpec::RoundRobin),
         Just(SchedulerSpec::pf_default()),
     ]

@@ -3,11 +3,13 @@
 
 use jmso_sim::{Scenario, SchedulerSpec, SimError};
 
-/// One out-of-range parameter for each variant whose constructor asserts.
+/// One out-of-range parameter for each variant whose constructor asserts,
+/// and a zero-slot amortization horizon, which would price an idle slot
+/// at 0/0.
 const BAD: [&str; 8] = [
     r#"{"kind":"ema","v":0}"#,
     r#"{"kind":"ema","v":1,"pc_clamp":-1}"#,
-    r#"{"kind":"ema_fast","v":-2}"#,
+    r#"{"kind":"ema","v":1,"tail":{"kind":"amortized","horizon_slots":0}}"#,
     r#"{"kind":"throttling","kappa":-1}"#,
     r#"{"kind":"on_off","low_s":40,"high_s":10}"#,
     r#"{"kind":"salsa","theta":1,"buffer_floor_s":3,"ewma_alpha":1.5}"#,
@@ -45,8 +47,22 @@ fn out_of_range_scheduler_parameters_are_invalid_input() {
         assert!(stderr.contains("error: scheduler "), "{bad}: {stderr}");
     }
     let _ = std::fs::remove_file(&path);
-    // NaN, which a scenario file cannot spell, fails every rule too.
-    rejects(SchedulerSpec::ema_dp(f64::NAN));
-    rejects(SchedulerSpec::ema_fast(f64::NAN));
+    // NaN, which a scenario file cannot spell, fails every rule too. A
+    // NaN Φ would make Eq. (12)'s threshold NaN, which admits no signal.
+    rejects(SchedulerSpec::ema(f64::NAN));
+    rejects(SchedulerSpec::rtma(f64::NAN));
     rejects(SchedulerSpec::Throttling { kappa: f64::NAN });
+}
+
+/// EMA has one kind and no solver knob: the retired `ema_fast` kind gets
+/// the derive's unknown-variant error, and a `reference_dp` key is
+/// skipped like any unknown key.
+#[test]
+fn retired_ema_spellings_are_refused_or_skipped() {
+    let err = serde_json::from_str::<SchedulerSpec>(r#"{"kind":"ema_fast","v":2}"#)
+        .expect_err("ema_fast is no kind");
+    assert!(err.to_string().contains("unknown variant"), "{err}");
+    let spec: SchedulerSpec =
+        serde_json::from_str(r#"{"kind":"ema","v":1.0,"reference_dp":true}"#).expect("parses");
+    assert_eq!(spec, SchedulerSpec::ema(1.0));
 }

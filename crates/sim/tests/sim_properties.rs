@@ -9,7 +9,7 @@ fn arb_spec() -> impl Strategy<Value = SchedulerSpec> {
         Just(SchedulerSpec::Default),
         Just(SchedulerSpec::RtmaUnbounded),
         (700.0f64..1300.0).prop_map(SchedulerSpec::rtma),
-        (0.05f64..5.0).prop_map(SchedulerSpec::ema_fast),
+        (0.05f64..5.0).prop_map(SchedulerSpec::ema),
         Just(SchedulerSpec::throttling_default()),
         Just(SchedulerSpec::onoff_default()),
         Just(SchedulerSpec::salsa_default()),

@@ -103,7 +103,7 @@ fn slot_work_follows_the_live_sessions_not_the_pool() {
 fn every_policy_is_handed_the_live_sessions() {
     for spec in [
         SchedulerSpec::rtma(900.0),
-        SchedulerSpec::ema_fast(1.0),
+        SchedulerSpec::ema(1.0),
         SchedulerSpec::pf_default(),
     ] {
         let s = scenario(50_000, false).with_scheduler(spec.clone());

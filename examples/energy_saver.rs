@@ -45,7 +45,7 @@ fn main() {
     let omega = estreamer.avg_rebuffer_per_active_slot();
     let (v, _) = fit_v_for_omega(&scenario, omega, 0.02, 400.0, 10).expect("fit V");
     let ema = scenario
-        .with_scheduler(SchedulerSpec::ema_fast(v))
+        .with_scheduler(SchedulerSpec::ema(v))
         .run()
         .expect("ema");
 

@@ -38,7 +38,7 @@ fn main() {
     for p in [0.0, 0.01, 0.05] {
         let default = build(p, SchedulerSpec::Default).run().expect("default");
         let rtma = build(p, SchedulerSpec::RtmaUnbounded).run().expect("rtma");
-        let ema = build(p, SchedulerSpec::ema_fast(0.3)).run().expect("ema");
+        let ema = build(p, SchedulerSpec::ema(0.3)).run().expect("ema");
         println!(
             "{:>14} {:>10} {:>16.1} {:>14.1} {:>12.2}",
             p,

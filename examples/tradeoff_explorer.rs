@@ -48,7 +48,7 @@ fn main() {
 
     // EMA traces it by the Lyapunov weight V.
     let vs = [0.02, 0.05, 0.1, 0.3, 1.0];
-    let ema_specs: Vec<SchedulerSpec> = vs.iter().map(|&v| SchedulerSpec::ema_fast(v)).collect();
+    let ema_specs: Vec<SchedulerSpec> = vs.iter().map(|&v| SchedulerSpec::ema(v)).collect();
     let ema_results = parallel_map(&ema_specs, 0, |spec| {
         scenario.with_scheduler(spec.clone()).run().expect("ema")
     });

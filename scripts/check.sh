@@ -72,8 +72,8 @@ done
 # targets (the seeded fuzz loop over socket lines, sidecars and traces
 # is Tier-1's `tests/wire_formats.rs`). Every property test above draws
 # its cases from the proptest and rand stubs, and the gateway's protocol
-# parser, DPI and receiver carry payloads in the bytes stub, so their
-# own unit tests run here too.
+# parser and DPI carry payloads in the bytes stub, so their own unit
+# tests run here too.
 echo "== cargo test -p serde -p serde_json -p serde_derive -p proptest -p rand -p bytes"
 cargo test -q -p serde -p serde_json -p serde_derive -p proptest -p rand -p bytes
 
@@ -153,10 +153,12 @@ if [[ "${SVC:-0}" == "1" ]]; then
         || { echo "gateway-live --trace 1 did not report \"correct\": true"; exit 1; }
 fi
 
-# For information: the counts the ROADMAP re-anchors quote. Two gates
+# For information: the counts the ROADMAP re-anchors quote. Three gates
 # ride beside them: the daemon's `signal(2)` is the only `unsafe` left
-# under crates/, and a second one fails the check; and DESIGN.md may
-# shrink but not grow past its size when the ratchet was set.
+# under crates/, and a second one fails the check; and the non-test line
+# count and DESIGN.md may shrink but not grow past their sizes when each
+# ratchet was set (a change that must grow one raises its cap here and
+# says why in CHANGES.md).
 echo "== line counts"
 loc=$(scripts/loc.sh)
 echo "$loc"
@@ -165,9 +167,14 @@ if (( unsafe > 1 )); then
     echo "unsafe mentions under crates/ rose to $unsafe (at most 1)"
     exit 1
 fi
+nontest=$(echo "$loc" | awk -F: '/^non-test / { print $2 + 0 }')
+if (( nontest > 18935 )); then
+    echo "non-test lines rose to $nontest (at most 18935)"
+    exit 1
+fi
 design=$(wc -c <DESIGN.md)
-if (( design > 115531 )); then
-    echo "DESIGN.md grew to $design bytes (at most 115531)"
+if (( design > 115156 )); then
+    echo "DESIGN.md grew to $design bytes (at most 115156)"
     exit 1
 fi
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the committed goldens under tests/golden/ from the current
-# engine: the slot traces (rtma, ema, ema_fast, the fault-injected
+# engine: the slot traces (rtma, ema, ema_fast — EMA's trace under its
+# retired second name, equal to ema's byte for byte — the fault-injected
 # `faulted` trace, the ABR-ladder `abr` trace and the multicell trace),
 # the 84 lines of `multicell.digests`, and `sidecar.digests` (the bytes
 # of an open cell's sidecar at slot 200 and a closed VBR cell's at slot

@@ -103,7 +103,7 @@ fn ema_v_traces_the_frontier() {
     let scenario = cell(12, 42);
     let run = |v: f64| {
         let r = scenario
-            .with_scheduler(SchedulerSpec::ema_fast(v))
+            .with_scheduler(SchedulerSpec::ema(v))
             .run()
             .unwrap();
         (r.total_energy_kj(), r.total_rebuffer_s())
@@ -130,7 +130,7 @@ fn ema_meets_bound_and_saves_energy() {
         "fit must meet the bound: {measured} vs Ω={omega}"
     );
     let ema = scenario
-        .with_scheduler(SchedulerSpec::ema_fast(v))
+        .with_scheduler(SchedulerSpec::ema(v))
         .run()
         .unwrap();
     let estreamer = scenario
@@ -171,7 +171,7 @@ fn all_policies_complete_all_sessions() {
     for spec in [
         SchedulerSpec::Default,
         SchedulerSpec::RtmaUnbounded,
-        SchedulerSpec::ema_fast(0.05),
+        SchedulerSpec::ema(0.05),
         SchedulerSpec::throttling_default(),
         SchedulerSpec::onoff_default(),
         SchedulerSpec::salsa_default(),
@@ -224,7 +224,7 @@ fn lte_profile_reproduces_direction() {
 /// the reproducibility contract of the figure harness.
 #[test]
 fn scenario_file_roundtrip_reruns_identically() {
-    let scenario = cell(6, 99).with_scheduler(SchedulerSpec::ema_fast(0.1));
+    let scenario = cell(6, 99).with_scheduler(SchedulerSpec::ema(0.1));
     let json = serde_json::to_string_pretty(&scenario).unwrap();
     let path = std::env::temp_dir().join("jmso_e2e_scenario.json");
     std::fs::write(&path, &json).unwrap();

@@ -97,7 +97,7 @@ fn vbr_cell() -> Scenario {
         vbr_levels: Some(vec![0.75, 1.25, 1.0, 0.85, 1.15]),
         vbr_segment_slots: 30,
     };
-    s.scheduler = SchedulerSpec::ema_fast(1.0);
+    s.scheduler = SchedulerSpec::ema(1.0);
     s
 }
 
